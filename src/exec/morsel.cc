@@ -21,10 +21,17 @@ namespace {
 class TableMorselSource final : public PhysicalOperator {
  public:
   TableMorselSource(std::shared_ptr<const Table> table, int task_index,
-                    int task_count, Schema schema, std::size_t morsel_rows)
+                    int task_count, Schema schema, std::size_t morsel_rows,
+                    std::vector<std::size_t> columns)
       : table_(std::move(table)),
-        morsel_rows_(morsel_rows == 0 ? kDefaultMorselRows : morsel_rows) {
+        morsel_rows_(morsel_rows == 0 ? kDefaultMorselRows : morsel_rows),
+        columns_(std::move(columns)) {
     output_schema_ = std::move(schema);
+    if (columns_.empty()) {
+      for (std::size_t c = 0; c < output_schema_.num_fields(); ++c) {
+        columns_.push_back(c);
+      }
+    }
     const auto bounds = table_->TaskSliceBounds(task_index, task_count);
     cursor_ = bounds.first;
     end_ = bounds.second;
@@ -39,13 +46,13 @@ class TableMorselSource final : public PhysicalOperator {
     ColumnBatch out;
     out.schema = output_schema_;
     out.physical_rows = take;
-    const std::size_t width = output_schema_.num_fields();
-    out.columns.reserve(width);
-    for (std::size_t c = 0; c < width; ++c) {
+    out.columns.reserve(columns_.size());
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
       ColumnVector col = ColumnVector::OfType(output_schema_.field(c).type);
       col.Reserve(take);
+      const std::size_t src = columns_[c];
       for (std::size_t r = 0; r < take; ++r) {
-        col.Append(table_->rows[cursor_ + r][c]);
+        col.Append(table_->rows[cursor_ + r][src]);
       }
       out.columns.push_back(std::move(col));
     }
@@ -58,9 +65,14 @@ class TableMorselSource final : public PhysicalOperator {
     const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
     Batch b;
     b.schema = output_schema_;
-    b.rows.assign(
-        table_->rows.begin() + static_cast<std::ptrdiff_t>(cursor_),
-        table_->rows.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
+    b.rows.reserve(take);
+    for (std::size_t r = 0; r < take; ++r) {
+      const Row& in = table_->rows[cursor_ + r];
+      Row row;
+      row.reserve(columns_.size());
+      for (std::size_t src : columns_) row.push_back(in[src]);
+      b.rows.push_back(std::move(row));
+    }
     cursor_ += take;
     return std::optional<Batch>(std::move(b));
   }
@@ -68,6 +80,7 @@ class TableMorselSource final : public PhysicalOperator {
  private:
   std::shared_ptr<const Table> table_;
   std::size_t morsel_rows_;
+  std::vector<std::size_t> columns_;
   std::size_t cursor_ = 0;
   std::size_t end_ = 0;
 };
@@ -476,10 +489,11 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
 
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
-                                  Schema schema, std::size_t morsel_rows) {
-  return std::make_unique<TableMorselSource>(std::move(table), task_index,
-                                             task_count, std::move(schema),
-                                             morsel_rows);
+                                  Schema schema, std::size_t morsel_rows,
+                                  std::vector<std::size_t> columns) {
+  return std::make_unique<TableMorselSource>(
+      std::move(table), task_index, task_count, std::move(schema),
+      morsel_rows, std::move(columns));
 }
 
 OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,

@@ -29,13 +29,16 @@ inline constexpr std::size_t kDefaultMorselRows = 1024;
 /// `task_index` of `task_count` as dense ColumnBatch morsels of at most
 /// `morsel_rows` rows, built straight from `table->rows` through
 /// Table::TaskSliceBounds — the task slice is never materialized as a
-/// whole. The caller must have verified the slice is uniform (every row
-/// has schema-width cells); ragged slices take the row-path fallback
-/// (Table::TaskSlice + MakeBatchSource) instead. Row consumers get
-/// morsel-sized row batches copied on demand.
+/// whole. Output field i is table column `columns[i]` (empty = every
+/// table column in order); only those columns are converted. The caller
+/// must have verified the slice is uniform (every row has table-width
+/// cells); ragged slices take the row-path fallback (Table::TaskSlice +
+/// MakeBatchSource) instead. Row consumers get morsel-sized row batches
+/// copied on demand.
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
-                                  Schema schema, std::size_t morsel_rows);
+                                  Schema schema, std::size_t morsel_rows,
+                                  std::vector<std::size_t> columns = {});
 
 /// \brief Morselizing wrapper over pre-decoded columnar batches (shuffle
 /// input): each input batch is carved into dense morsels of at most

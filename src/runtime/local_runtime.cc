@@ -772,6 +772,27 @@ Status LocalRuntime::HandleMachineLoss(JobContext* ctx, int machine) {
   SWIFT_LOG(Warn) << "machine " << machine
                   << " loss detected: replanning its retained outputs";
   gangs_->RevokeMachine(machine);
+  // The drain's last-machine rule (RecordMachineFailure) also holds on
+  // loss: when no live machine still takes new tasks, the lowest-id live
+  // one rejoins rotation, or every later gang request would strand.
+  int rejoin = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int m = 0; m < config_.machines; ++m) {
+      if (down_.count(m) > 0 || detected_.count(m) > 0) continue;
+      if (!health_.IsReadOnly(m)) {
+        rejoin = -1;
+        break;
+      }
+      if (rejoin < 0) rejoin = m;
+    }
+    if (rejoin >= 0) health_.Clear(rejoin);
+  }
+  if (rejoin >= 0) {
+    gangs_->SetReadOnly(rejoin, false);
+    SWIFT_LOG(Info) << "machine " << rejoin
+                    << " back in rotation: no other live machine takes tasks";
+  }
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->stats.machine_failures += 1;
@@ -858,16 +879,24 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
   if (!program.scan_table.empty()) {
     SWIFT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                            catalog_.Lookup(program.scan_table));
+    // A scan stage reads only the table columns its ops use. Morsels
+    // convert just those; the fallbacks read the slice at full table
+    // width and then project, so their behaviour and errors are those
+    // of a full-width scan.
+    const bool narrowed =
+        program.scan_columns.size() != table->schema.num_fields();
+    const Schema& slice_schema =
+        narrowed ? table->schema : program.scan_schema;
     bool pushed = false;
     if (config_.columnar_exec && config_.morsel_exec) {
       // Uniform slices stream straight out of the table as
       // ~morsel_rows-row morsels — the task slice is never materialized
       // whole. The uniformity pre-check is exactly ToColumnBatch's
-      // ragged-row condition, so the fallbacks below cover the same
-      // inputs they always did.
+      // ragged-row condition at table width, so the fallbacks below
+      // cover the same inputs they always did.
       const auto [begin, end] =
           table->TaskSliceBounds(task.task, program.task_count);
-      const std::size_t width = program.scan_schema.num_fields();
+      const std::size_t width = table->schema.num_fields();
       bool uniform = true;
       for (std::size_t r = begin; r < end; ++r) {
         if (table->rows[r].size() != width) {
@@ -876,10 +905,9 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
         }
       }
       if (uniform) {
-        sources.push_back(MakeTableMorselSource(table, task.task,
-                                                program.task_count,
-                                                program.scan_schema,
-                                                morsel_rows));
+        sources.push_back(MakeTableMorselSource(
+            table, task.task, program.task_count, program.scan_schema,
+            morsel_rows, program.scan_columns));
         pushed = true;
         morselized = true;
       }
@@ -889,23 +917,33 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
       // roots run their vectorized kernels; ragged slices (rows not
       // matching the schema width) stay on the row path.
       Batch slice = table->TaskSlice(task.task, program.task_count);
-      slice.schema = program.scan_schema;
+      slice.schema = slice_schema;
       Result<ColumnBatch> cb = ToColumnBatch(slice);
       if (cb.ok()) {
         std::vector<ColumnBatch> batches;
         batches.push_back(*std::move(cb));
         sources.push_back(
-            MakeColumnBatchSource(program.scan_schema, std::move(batches)));
+            MakeColumnBatchSource(slice_schema, std::move(batches)));
         pushed = true;
       }
     }
     if (!pushed) {
       Batch slice = table->TaskSlice(task.task, program.task_count);
-      slice.schema = program.scan_schema;
+      slice.schema = slice_schema;
       std::vector<Batch> batches;
       batches.push_back(std::move(slice));
-      sources.push_back(
-          MakeBatchSource(program.scan_schema, std::move(batches)));
+      sources.push_back(MakeBatchSource(slice_schema, std::move(batches)));
+    }
+    if (narrowed && !morselized) {
+      std::vector<ExprPtr> exprs;
+      std::vector<std::string> names;
+      for (std::size_t i = 0; i < program.scan_columns.size(); ++i) {
+        exprs.push_back(Expr::Column(
+            table->schema.field(program.scan_columns[i]).name));
+        names.push_back(program.scan_schema.field(i).name);
+      }
+      sources.back() = MakeProject(std::move(sources.back()),
+                                   std::move(exprs), std::move(names));
     }
   } else {
     for (StageId src : program.inputs) {

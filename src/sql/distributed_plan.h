@@ -53,14 +53,19 @@ struct StageProgram {
   std::string name;
   int task_count = 1;
   std::string scan_table;
-  /// Schema of the scanned table as seen by this stage's expressions
-  /// (alias-qualified); only meaningful for scan stages.
+  /// Table columns this scan stage reads, as indices into the table
+  /// schema in table order; only meaningful for scan stages.
+  std::vector<std::size_t> scan_columns;
+  /// Schema of those columns as seen by this stage's expressions
+  /// (alias-qualified): field i is table column scan_columns[i].
   Schema scan_schema;
   std::vector<StageId> inputs;
   std::vector<LocalOpDesc> ops;
   /// Hash-partition keys for the shuffle write; empty = every producer
   /// task sends its whole output to consumer partition 0 (gather).
   std::vector<ExprPtr> output_partition_keys;
+  /// Columns the stage ships: for a non-sink stage, exactly what its
+  /// consumer reads plus the partition keys (DESIGN.md Sec. 18).
   Schema output_schema;
 };
 

@@ -1,6 +1,7 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/macros.h"
@@ -52,6 +53,203 @@ std::string ItemName(const SelectItem& item, std::size_t index) {
   return "col" + std::to_string(index);
 }
 
+// ---- Column pruning helpers ---------------------------------------------
+
+using FieldSet = std::set<std::size_t>;
+
+FieldSet AllFields(const Schema& schema) {
+  FieldSet all;
+  for (std::size_t f = 0; f < schema.num_fields(); ++f) all.insert(f);
+  return all;
+}
+
+// Adds the fields of `schema` that `expr` references to `out`. False when
+// a reference does not resolve; callers then keep every field, so the
+// runtime reports the same error a full-width plan would.
+bool AddReferences(const ExprPtr& expr, const Schema& schema, FieldSet* out) {
+  if (expr == nullptr) return true;
+  std::vector<std::string> cols;
+  expr->CollectColumns(&cols);
+  for (const std::string& c : cols) {
+    auto idx = schema.IndexOf(c);
+    if (!idx.ok()) return false;
+    out->insert(*idx);
+  }
+  return true;
+}
+
+// The schema entering each op of `p` given its (concatenated) input;
+// the last entry is the stage's output. Only field names are exact,
+// which is all column resolution looks at.
+std::vector<Schema> ChainSchemas(const StageProgram& p, const Schema& input) {
+  std::vector<Schema> at = {input};
+  for (const LocalOpDesc& op : p.ops) {
+    std::vector<Field> fields;
+    switch (op.kind) {
+      case LocalOpDesc::Kind::kProject:
+        for (const std::string& n : op.names) {
+          fields.push_back(Field{n, DataType::kNull});
+        }
+        break;
+      case LocalOpDesc::Kind::kHashAggregate:
+      case LocalOpDesc::Kind::kStreamedAggregate:
+        for (const std::string& n : op.names) {
+          fields.push_back(Field{n, DataType::kNull});
+        }
+        for (const AggSpec& a : op.aggs) {
+          fields.push_back(Field{a.output_name, DataType::kNull});
+        }
+        break;
+      case LocalOpDesc::Kind::kWindow:
+        fields = at.back().fields();
+        fields.push_back(Field{op.output_name, DataType::kNull});
+        break;
+      default:  // filter, sort, limit and joins pass their input through
+        fields = at.back().fields();
+        break;
+    }
+    at.emplace_back(std::move(fields));
+  }
+  return at;
+}
+
+// The fields of each of `inputs` that `p` reads to produce its whole
+// output: liveness walked backward through the op chain.
+std::vector<FieldSet> InputReads(const StageProgram& p,
+                                 const std::vector<Schema>& inputs) {
+  Schema joined = inputs[0];
+  for (std::size_t i = 1; i < inputs.size(); ++i) {
+    joined = joined.Concat(inputs[i]);
+  }
+  const std::vector<Schema> at = ChainSchemas(p, joined);
+  FieldSet live = AllFields(at.back());
+  for (std::size_t i = p.ops.size(); i-- > 0;) {
+    const LocalOpDesc& op = p.ops[i];
+    const Schema& in = at[i];
+    FieldSet reads;
+    bool ok = true;
+    switch (op.kind) {
+      case LocalOpDesc::Kind::kFilter:
+        reads = live;
+        ok = AddReferences(op.predicate, in, &reads);
+        break;
+      case LocalOpDesc::Kind::kSort:
+        reads = live;
+        for (const SortKey& k : op.sort_keys) {
+          ok = ok && AddReferences(k.expr, in, &reads);
+        }
+        break;
+      case LocalOpDesc::Kind::kLimit:
+        reads = live;
+        break;
+      case LocalOpDesc::Kind::kProject:
+        for (const ExprPtr& e : op.exprs) {
+          ok = ok && AddReferences(e, in, &reads);
+        }
+        break;
+      case LocalOpDesc::Kind::kHashAggregate:
+      case LocalOpDesc::Kind::kStreamedAggregate:
+        for (const ExprPtr& e : op.exprs) {
+          ok = ok && AddReferences(e, in, &reads);
+        }
+        for (const AggSpec& a : op.aggs) {
+          ok = ok && AddReferences(a.arg, in, &reads);
+        }
+        break;
+      case LocalOpDesc::Kind::kWindow:
+        reads = live;
+        reads.erase(in.num_fields());  // the column this op appends
+        for (const ExprPtr& e : op.partition_by) {
+          ok = ok && AddReferences(e, in, &reads);
+        }
+        for (const SortKey& k : op.sort_keys) {
+          ok = ok && AddReferences(k.expr, in, &reads);
+        }
+        ok = ok && AddReferences(op.window_arg, in, &reads);
+        break;
+      case LocalOpDesc::Kind::kHashJoin:
+      case LocalOpDesc::Kind::kMergeJoin: {
+        // Keys resolve per side, as the planner matched them.
+        reads = live;
+        FieldSet right;
+        for (const ExprPtr& k : op.left_keys) {
+          ok = ok && AddReferences(k, inputs[0], &reads);
+        }
+        for (const ExprPtr& k : op.right_keys) {
+          ok = ok && AddReferences(k, inputs[1], &right);
+        }
+        for (std::size_t f : right) reads.insert(inputs[0].num_fields() + f);
+        break;
+      }
+    }
+    live = ok ? std::move(reads) : AllFields(in);
+  }
+  std::vector<FieldSet> per_input(inputs.size());
+  std::size_t input = 0;
+  std::size_t base = 0;
+  for (std::size_t f : live) {
+    while (f >= base + inputs[input].num_fields()) {
+      base += inputs[input].num_fields();
+      ++input;
+    }
+    per_input[input].insert(f - base);
+  }
+  return per_input;
+}
+
+// Appends a projection onto `keep` plus the partition keys, in field
+// order and under the exact names, when that drops at least one column.
+// Returns whether it did.
+bool NarrowOutput(StageProgram* p, FieldSet keep) {
+  const Schema& out = p->output_schema;
+  for (const ExprPtr& k : p->output_partition_keys) {
+    if (!AddReferences(k, out, &keep)) return false;
+  }
+  if (keep.size() >= out.num_fields()) return false;
+  // One-column floor: a batch without columns has no row count, and
+  // count(*) downstream needs it.
+  if (keep.empty()) keep.insert(0);
+  LocalOpDesc proj;
+  proj.kind = LocalOpDesc::Kind::kProject;
+  std::vector<Field> fields;
+  for (std::size_t f : keep) {
+    const Field& field = out.field(f);
+    // The projection resolves by name: a duplicated name cannot be kept
+    // apart from its twin, so such a stage ships full width.
+    auto idx = out.IndexOf(field.name);
+    if (!idx.ok() || *idx != f) return false;
+    proj.exprs.push_back(Expr::Column(field.name));
+    proj.names.push_back(field.name);
+    fields.push_back(field);
+  }
+  p->ops.push_back(std::move(proj));
+  p->output_schema = Schema(std::move(fields));
+  return true;
+}
+
+// Narrows a scan to the table columns `reads` (at least one, for the row
+// count). A projection NarrowOutput appended is dropped when the narrowed
+// scan already yields exactly the shipped columns.
+void NarrowScan(StageProgram* p, FieldSet reads, bool projected) {
+  if (reads.empty()) reads.insert(0);
+  std::vector<Field> fields;
+  std::vector<std::size_t> columns;
+  for (std::size_t f : reads) {
+    fields.push_back(p->scan_schema.field(f));
+    columns.push_back(p->scan_columns[f]);
+  }
+  p->scan_schema = Schema(std::move(fields));
+  p->scan_columns = std::move(columns);
+  if (!projected) return;
+  const Schema before = ChainSchemas(*p, p->scan_schema)[p->ops.size() - 1];
+  const std::vector<std::string>& shipped = p->ops.back().names;
+  if (before.num_fields() != shipped.size()) return;
+  for (std::size_t f = 0; f < shipped.size(); ++f) {
+    if (before.field(f).name != shipped[f]) return;
+  }
+  p->ops.pop_back();
+}
+
 class PlanBuilder {
  public:
   PlanBuilder(const Catalog& catalog, const PlannerConfig& config)
@@ -69,6 +267,7 @@ class PlanBuilder {
     is_sink_[sink.stage] = true;
     const StageId sink_id = sink.stage;
     stages_[sink_id] = std::move(sink);
+    PruneColumns();
     return Finalize(sink_name_, sink_id);
   }
 
@@ -120,6 +319,9 @@ class PlanBuilder {
       scan.output_schema = Schema(std::move(fields));
     }
     scan.scan_schema = scan.output_schema;
+    for (std::size_t c = 0; c < table->schema.num_fields(); ++c) {
+      scan.scan_columns.push_back(c);
+    }
     StageId id = scan.stage;
     stages_[id] = std::move(scan);
     pushdown_candidates_.push_back(id);
@@ -606,6 +808,33 @@ class PlanBuilder {
     return id;
   }
 
+  // ---- Column pruning --------------------------------------------------
+  // Backward pass from the sink (DESIGN.md Sec. 18): each non-sink stage
+  // ships exactly the columns its consumer reads plus its own partition
+  // keys, and each scan reads only the table columns its stage uses.
+  // Stage ids grow from producer to consumer, so descending id order
+  // visits every consumer before its inputs.
+  void PruneColumns() {
+    std::map<StageId, FieldSet> consumer_reads;
+    for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
+      StageProgram& p = it->second;
+      const bool projected = is_sink_.count(p.stage) == 0 &&
+                             NarrowOutput(&p, consumer_reads[p.stage]);
+      if (!p.scan_table.empty()) {
+        NarrowScan(&p, InputReads(p, {p.scan_schema})[0], projected);
+        continue;
+      }
+      std::vector<Schema> inputs;
+      for (StageId in : p.inputs) {
+        inputs.push_back(stages_.at(in).output_schema);
+      }
+      std::vector<FieldSet> reads = InputReads(p, inputs);
+      for (std::size_t i = 0; i < p.inputs.size(); ++i) {
+        consumer_reads[p.inputs[i]] = std::move(reads[i]);
+      }
+    }
+  }
+
   // ---- DAG assembly ----------------------------------------------------
   static std::vector<OperatorKind> OperatorKinds(const StageProgram& p,
                                                  bool is_sink) {
@@ -698,9 +927,16 @@ std::string DistributedPlan::ToString() const {
   os << dag.ToString();
   for (const auto& [id, p] : stages) {
     os << "  program " << p.name << ": ";
-    if (!p.scan_table.empty()) os << "scan(" << p.scan_table << ") ";
-    os << "tasks=" << p.task_count << " schema=" << p.output_schema.ToString()
-       << "\n";
+    if (!p.scan_table.empty()) {
+      os << "scan(" << p.scan_table << ":";
+      for (std::size_t f = 0; f < p.scan_schema.num_fields(); ++f) {
+        os << (f == 0 ? " " : ", ") << p.scan_schema.field(f).name;
+      }
+      os << ") ";
+    }
+    os << "tasks=" << p.task_count
+       << (id == final_stage ? " returns=" : " ships=")
+       << p.output_schema.ToString() << "\n";
   }
   return os.str();
 }

@@ -256,7 +256,8 @@ class CompressTpchTest : public ::testing::Test {
     TpchConfig tpch;
     tpch.scale_factor = 0.004;
     EXPECT_TRUE(GenerateTpch(tpch, rt.catalog()).ok());
-    // Order-by of wide lineitem columns shuffles the full table bytes.
+    // The order-by ships every lineitem row, narrowed to the five
+    // selected columns (two of them strings), across the forced edge.
     auto report = rt.RunSql(
         "SELECT l_orderkey, l_linenumber, l_extendedprice, l_shipdate, l_shipmode "
         "FROM tpch_lineitem ORDER BY l_orderkey, l_linenumber");

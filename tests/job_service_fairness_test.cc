@@ -183,15 +183,19 @@ TEST(GangArbiter, EqualWeightTenantsSplitExecutorGrants) {
   cfg.executors_per_machine = 4;  // capacity 8 = two gangs of 4
   GangArbiter arbiter(cfg);
 
+  // Each tenant brings its own demand and all start together: with one
+  // shared budget, two fast threads could spend it before the third ran.
   constexpr int kTenants = 3;
-  constexpr int kGrantBudget = 120;
-  std::atomic<int> grants{0};
+  constexpr int kGrantsPerTenant = 40;
+  std::atomic<int> ready{0};
   std::atomic<JobId> next_job{1};
   std::vector<std::thread> threads;
   for (int t = 0; t < kTenants; ++t) {
     threads.emplace_back([&, t] {
       const std::string tenant = "tenant-" + std::to_string(t);
-      while (grants.fetch_add(1) < kGrantBudget) {
+      ready.fetch_add(1);
+      while (ready.load() < kTenants) std::this_thread::yield();
+      for (int g = 0; g < kGrantsPerTenant; ++g) {
         const JobId job = next_job.fetch_add(1);
         JobRunOptions opts;
         opts.tenant = tenant;

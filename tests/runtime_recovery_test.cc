@@ -262,5 +262,55 @@ TEST(RuntimeRecoveryMatrix, CorruptPayloadsAreRejectedAndRefetched) {
   EXPECT_GE(rt->fault_injector()->stats().corruptions, 1);
 }
 
+// The drain's last-machine rule holds on loss too: with three of four
+// machines drained by task failures (default threshold), losing the
+// fourth mid-query must put a drained machine back in rotation instead
+// of leaving every later gang request without a machine.
+TEST(RuntimeRecoveryMatrix, LosingTheLastUndrainedMachineDoesNotStrandGangs) {
+  const char* sql =
+      "select l_returnflag, count(*) as n from tpch_lineitem "
+      "group by l_returnflag";
+  PlannerConfig pc;
+  pc.rows_per_scan_task = 500;
+  const std::vector<std::string> want = CleanResult(sql, pc);
+
+  LocalRuntimeConfig cfg;
+  ASSERT_EQ(cfg.machines, 4);
+  ASSERT_EQ(cfg.health_failure_threshold, 3);
+  auto probe = MakeRuntime(cfg);
+  auto plan = PlanSql(sql, *probe->catalog(), pc);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const StageId scan = FindScanStage(*plan);
+  ASSERT_GE(plan->program(scan).task_count, 12);
+  const int scan_tasks = plan->program(scan).task_count;
+
+  // Scan task t prefers machine t % 4. Three crashes each on machines
+  // 0-2 drain them; their reruns fail over to machine 3. Machine 3 then
+  // dies as the first aggregate task starts, after every scan attempt.
+  std::vector<TaskRef> victims;
+  for (int t = 0; t < 12; ++t) {
+    if (t % 4 != 3) victims.push_back(TaskRef{scan, t});
+  }
+  FaultSchedule fs;
+  fs.kill_machine = 3;
+  fs.kill_after_task_starts =
+      scan_tasks + static_cast<int>(victims.size()) + 1;
+  cfg.fault_schedule = fs;
+  auto rt = MakeRuntime(cfg);
+  for (const TaskRef& v : victims) {
+    rt->InjectFailureOnce(v, FailureKind::kProcessCrash);
+  }
+  auto report = rt->RunPlan(*plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(Canonical(report->result), want);
+  EXPECT_EQ(rt->fault_injector()->stats().machine_kills, 1);
+  EXPECT_GE(report->stats.machine_failures, 1);
+  // Machines 1 and 2 stay drained; machine 0 rejoined when 3 was lost.
+  const MachineHealthMonitor& health = *rt->health_monitor();
+  EXPECT_FALSE(health.IsReadOnly(0));
+  EXPECT_TRUE(health.IsReadOnly(1));
+  EXPECT_TRUE(health.IsReadOnly(2));
+}
+
 }  // namespace
 }  // namespace swift
