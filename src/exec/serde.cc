@@ -843,7 +843,8 @@ Result<ColumnBatch> DeserializeV2Columnar(std::string_view bytes) {
                           ? reinterpret_cast<char*>(col.MutableInt64Data())
                           : reinterpret_cast<char*>(col.MutableFloat64Data());
           if (nonnull == nrows) {
-            std::memcpy(dst, data.data(), 8 * nrows);
+            // A zero-row column has no storage: memcpy from null is UB.
+            if (nrows > 0) std::memcpy(dst, data.data(), 8 * nrows);
           } else {
             const char* src = data.data();
             for (std::size_t r = 0; r < nrows; ++r) {
@@ -1038,8 +1039,8 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
                 : reinterpret_cast<const char*>(col.Float64Data());
         if (dense) {
           // The near-memcpy fast path: contiguous host storage is
-          // already the wire encoding.
-          std::memcpy(p, data, 8 * nrows);
+          // already the wire encoding. A zero-row column has no storage.
+          if (nrows > 0) std::memcpy(p, data, 8 * nrows);
           p += 8 * nrows;
           break;
         }

@@ -13,14 +13,20 @@ namespace swift {
 
 namespace {
 
-// True when every column referenced by `expr` resolves in `schema`.
-bool Resolves(const ExprPtr& expr, const Schema& schema) {
+// Why `expr` does not resolve in `schema` (unknown or ambiguous column),
+// or OK when every column it references does.
+Status ResolveStatus(const ExprPtr& expr, const Schema& schema) {
   std::vector<std::string> cols;
   expr->CollectColumns(&cols);
   for (const std::string& c : cols) {
-    if (!schema.IndexOf(c).ok()) return false;
+    auto idx = schema.IndexOf(c);
+    if (!idx.ok()) return idx.status();
   }
-  return true;
+  return Status::OK();
+}
+
+bool Resolves(const ExprPtr& expr, const Schema& schema) {
+  return ResolveStatus(expr, schema).ok();
 }
 
 // Output column name of a SELECT item.
@@ -324,7 +330,6 @@ class PlanBuilder {
     }
     StageId id = scan.stage;
     stages_[id] = std::move(scan);
-    pushdown_candidates_.push_back(id);
     return id;
   }
 
@@ -332,49 +337,35 @@ class PlanBuilder {
   Result<StageId> PlanSelect(const SelectStmt& stmt) {
     if (sink_name_.empty()) sink_name_ = "query";
 
+    // WHERE placement (DESIGN.md Sec. 19): each conjunct runs in the first
+    // FROM/JOIN operand of this SELECT that resolves it alone; one that
+    // needs several operands attaches at the first join resolving it.
     SWIFT_ASSIGN_OR_RETURN(StageId current, PlanFrom(stmt.from));
-
-    // WHERE conjuncts: push into the widest-reaching scan that resolves
-    // them; the rest waits for a join schema.
-    std::vector<ExprPtr> pending = SplitConjuncts(stmt.where);
-    std::vector<ExprPtr> unplaced;
-    for (ExprPtr& conjunct : pending) {
-      bool placed = false;
-      for (StageId sid : pushdown_candidates_) {
-        if (Resolves(conjunct, stages_.at(sid).output_schema)) {
-          AppendFilter(sid, conjunct);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed && stages_.count(current) > 0 &&
-          Resolves(conjunct, stages_.at(current).output_schema)) {
-        AppendFilter(current, conjunct);
-        placed = true;
-      }
-      if (!placed) unplaced.push_back(std::move(conjunct));
-    }
+    std::vector<ExprPtr> unplaced = SplitConjuncts(stmt.where);
+    PlaceConjuncts(current, stages_.at(current).output_schema, &unplaced);
 
     // Left-deep join chain.
     for (const JoinClause& jc : stmt.joins) {
       SWIFT_ASSIGN_OR_RETURN(StageId rhs, PlanFrom(jc.table));
+      // A LEFT JOIN's right input never takes a WHERE conjunct: filtering
+      // it there would null-extend the rows the WHERE removes.
+      if (!jc.left_outer) {
+        PlaceConjuncts(rhs,
+                       stages_.at(current).output_schema.Concat(
+                           stages_.at(rhs).output_schema),
+                       &unplaced);
+      }
       SWIFT_ASSIGN_OR_RETURN(current,
                              PlanJoin(current, rhs, jc.on, jc.left_outer));
-      // Any unplaced WHERE conjunct that now resolves attaches here.
-      std::vector<ExprPtr> still;
-      for (ExprPtr& c : unplaced) {
-        if (Resolves(c, stages_.at(current).output_schema)) {
-          AppendFilter(current, c);
-        } else {
-          still.push_back(std::move(c));
-        }
-      }
-      unplaced = std::move(still);
+      PlaceConjuncts(current, stages_.at(current).output_schema, &unplaced);
     }
     if (!unplaced.empty()) {
       return Status::PlanError(StrFormat(
-          "predicate '%s' references columns not available in the plan",
-          unplaced[0]->ToString().c_str()));
+          "predicate '%s' references columns not available in the plan: %s",
+          unplaced[0]->ToString().c_str(),
+          ResolveStatus(unplaced[0], stages_.at(current).output_schema)
+              .message()
+              .c_str()));
     }
 
     // Aggregation / projection.
@@ -399,6 +390,24 @@ class PlanBuilder {
       SWIFT_ASSIGN_OR_RETURN(current, PlanOrderLimit(stmt, current));
     }
     return current;
+  }
+
+  // Moves each conjunct of `*pending` that resolves against both `stage`'s
+  // output and `scope` (the schema the conjunct is written against) into a
+  // filter at the end of `stage`; the rest stay pending. `scope` keeps a
+  // name that one operand has but the join makes ambiguous unplaced.
+  void PlaceConjuncts(StageId stage, const Schema& scope,
+                      std::vector<ExprPtr>* pending) {
+    std::vector<ExprPtr> still;
+    for (ExprPtr& c : *pending) {
+      if (Resolves(c, stages_.at(stage).output_schema) &&
+          Resolves(c, scope)) {
+        AppendFilter(stage, std::move(c));
+      } else {
+        still.push_back(std::move(c));
+      }
+    }
+    *pending = std::move(still);
   }
 
   void AppendFilter(StageId stage, ExprPtr predicate) {
@@ -448,24 +457,31 @@ class PlanBuilder {
     jd.left_outer = left_outer;
     join.ops.push_back(std::move(jd));
     join.output_schema = ls.Concat(rs);
+    // Residual ON conjuncts follow the WHERE rule: one that resolves
+    // against a single input (and stays unambiguous in the joined schema)
+    // pre-filters that input. A LEFT JOIN's extra ON conditions restrict
+    // *matching*, never the preserved side, so there only the right input
+    // qualifies; anything else would need a match-time predicate, which
+    // the runtime's joins do not take.
     for (const ExprPtr& c : residual) {
+      const Status joined = ResolveStatus(c, join.output_schema);
+      if (!joined.ok()) {
+        return Status::PlanError(StrFormat(
+            "ON predicate '%s' references unknown columns: %s",
+            c->ToString().c_str(), joined.message().c_str()));
+      }
+      if (Resolves(c, rs)) {
+        AppendFilter(right, c);
+        continue;
+      }
       if (left_outer) {
-        // A LEFT JOIN's extra ON conditions restrict *matching*, never
-        // the preserved side. A right-side-only conjunct is equivalent
-        // to pre-filtering the right input; anything else would need a
-        // match-time predicate, which the runtime's joins do not take.
-        if (Resolves(c, rs)) {
-          AppendFilter(right, c);
-          continue;
-        }
         return Status::Unimplemented(StrFormat(
             "LEFT JOIN ON predicate '%s' must reference only the right "
             "side", c->ToString().c_str()));
       }
-      if (!Resolves(c, join.output_schema)) {
-        return Status::PlanError(StrFormat(
-            "ON predicate '%s' references unknown columns",
-            c->ToString().c_str()));
+      if (Resolves(c, ls)) {
+        AppendFilter(left, c);
+        continue;
       }
       LocalOpDesc f;
       f.kind = LocalOpDesc::Kind::kFilter;
@@ -915,7 +931,6 @@ class PlanBuilder {
   const PlannerConfig& config_;
   std::map<StageId, StageProgram> stages_;
   std::map<StageId, bool> is_sink_;
-  std::vector<StageId> pushdown_candidates_;
   std::string sink_name_;
   int next_id_ = 0;
 };
@@ -936,7 +951,16 @@ std::string DistributedPlan::ToString() const {
     }
     os << "tasks=" << p.task_count
        << (id == final_stage ? " returns=" : " ships=")
-       << p.output_schema.ToString() << "\n";
+       << p.output_schema.ToString();
+    // Where predicates run (DESIGN.md Sec. 19), in op order.
+    std::string filters;
+    for (const LocalOpDesc& op : p.ops) {
+      if (op.kind != LocalOpDesc::Kind::kFilter) continue;
+      if (!filters.empty()) filters += " and ";
+      filters += op.predicate->ToString();
+    }
+    if (!filters.empty()) os << " filter=(" << filters << ")";
+    os << "\n";
   }
   return os.str();
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "exec/serde.h"
 #include "exec/tpch.h"
 #include "partition/partitioners.h"
 #include "runtime/local_runtime.h"
@@ -478,6 +483,272 @@ TEST(PlannerRaggedScan, FallbackKeepsResultsAndErrors) {
   EXPECT_NE(bad.status().ToString().find("row narrower than schema"),
             std::string::npos)
       << bad.status().ToString();
+}
+
+// ---- Predicate placement (DESIGN.md Sec. 19) -----------------------------
+
+bool HasFilterOn(const StageProgram& p, const std::string& column) {
+  for (const LocalOpDesc& op : p.ops) {
+    if (op.kind != LocalOpDesc::Kind::kFilter) continue;
+    std::vector<std::string> cols;
+    op.predicate->CollectColumns(&cols);
+    if (std::find(cols.begin(), cols.end(), column) != cols.end()) return true;
+  }
+  return false;
+}
+
+bool HasFilter(const StageProgram& p) {
+  for (const LocalOpDesc& op : p.ops) {
+    if (op.kind == LocalOpDesc::Kind::kFilter) return true;
+  }
+  return false;
+}
+
+// Each single-table WHERE conjunct runs in its table's scan, including
+// tables joined after the FROM operand: the scan reads the filter column
+// and ships neither it nor the rows it rejects.
+TEST_F(PlannerTest, SingleTableConjunctsRunInTheirScans) {
+  struct Placement {
+    int q;
+    std::string table;
+    std::string column;
+  };
+  const std::vector<Placement> placements = {
+      {3, "tpch_lineitem", "l_shipdate"},  {5, "tpch_orders", "o_orderdate"},
+      {5, "tpch_region", "r_name"},        {9, "tpch_part", "p_name"},
+      {10, "tpch_orders", "o_orderdate"},  {10, "tpch_lineitem", "l_returnflag"},
+      {12, "tpch_lineitem", "l_shipdate"}, {19, "tpch_part", "p_brand"},
+  };
+  for (bool sort_mode : {true, false}) {
+    PlannerConfig cfg;
+    cfg.sort_mode = sort_mode;
+    for (const Placement& want : placements) {
+      SCOPED_TRACE("Q" + std::to_string(want.q) + " " + want.column +
+                   (sort_mode ? " sort" : " hash"));
+      auto plan = PlanSql(*TpchQuerySql(want.q), catalog_, cfg);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const StageProgram* scan = ScanOf(*plan, want.table);
+      ASSERT_NE(scan, nullptr);
+      EXPECT_TRUE(HasFilterOn(*scan, want.column));
+      EXPECT_TRUE(scan->scan_schema.IndexOf(want.column).ok())
+          << scan->scan_schema.ToString();
+      EXPECT_FALSE(scan->output_schema.IndexOf(want.column).ok())
+          << scan->output_schema.ToString();
+    }
+  }
+  // Q3 groups by o_orderdate, so the orders scan filters on it and still
+  // ships it.
+  auto q3 = PlanSql(*TpchQuerySql(3), catalog_);
+  ASSERT_TRUE(q3.ok()) << q3.status().ToString();
+  EXPECT_TRUE(HasFilterOn(*ScanOf(*q3, "tpch_orders"), "o_orderdate"));
+}
+
+TEST_F(PlannerTest, Q12LineitemScanFiltersAtTheSource) {
+  auto plan = PlanSql(*TpchQuerySql(12), catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const StageProgram* scan = ScanOf(*plan, "tpch_lineitem");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_TRUE(HasFilterOn(*scan, "l_shipmode"));
+  EXPECT_TRUE(HasFilterOn(*scan, "l_shipdate"));
+  EXPECT_EQ(Names(scan->output_schema),
+            (std::vector<std::string>{"l.l_orderkey", "l.l_shipmode"}));
+  // No stage downstream of the scans filters.
+  for (const auto& [id, p] : plan->stages) {
+    if (p.scan_table.empty()) {
+      EXPECT_FALSE(HasFilter(p)) << p.name;
+    }
+  }
+  const std::string s = plan->ToString();
+  EXPECT_NE(s.find("  program M2: scan(tpch_lineitem: l.l_orderkey, "
+                   "l.l_shipdate, l.l_shipmode) tasks=1 "
+                   "ships=(l.l_orderkey:int64, l.l_shipmode:string) "
+                   "filter=(((l_shipmode = 'MAIL') or (l_shipmode = 'SHIP')) "
+                   "and (l_shipdate >= '1994-01-01') "
+                   "and (l_shipdate < '1995-01-01'))\n"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("  program M1: scan(tpch_orders: o.o_orderkey) tasks=1 "
+                   "ships=(o.o_orderkey:int64)\n"),
+            std::string::npos)
+      << s;
+}
+
+// A WHERE conjunct on a LEFT JOIN's right side filters the joined rows,
+// null-extended ones included; pushed into the right scan it would turn
+// every filtered order into a null-extended customer row instead.
+TEST_F(PlannerTest, LeftJoinRightSideWhereStaysAboveTheJoin) {
+  const char* priced =
+      "select count(*) from tpch_customer c left join tpch_orders o "
+      "on c.c_custkey = o.o_custkey where o_totalprice > 1000";
+  const char* orderless =
+      "select count(*) from tpch_customer c left join tpch_orders o "
+      "on c.c_custkey = o.o_custkey where o_orderkey is null";
+  for (const char* sql : {priced, orderless}) {
+    auto plan = PlanSql(sql, catalog_);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_FALSE(HasFilter(*ScanOf(*plan, "tpch_orders"))) << sql;
+    bool join_filters = false;
+    for (const auto& [id, p] : plan->stages) {
+      if (!p.ops.empty() && p.ops[0].left_outer) join_filters = HasFilter(p);
+    }
+    EXPECT_TRUE(join_filters) << sql;
+  }
+
+  LocalRuntime rt;
+  TpchConfig cfg;
+  cfg.scale_factor = 0.001;
+  ASSERT_TRUE(GenerateTpch(cfg, rt.catalog()).ok());
+  auto customers = *rt.catalog()->Lookup("tpch_customer");
+  auto orders = *rt.catalog()->Lookup("tpch_orders");
+  std::set<int64_t> custkeys;
+  for (const Row& c : customers->rows) custkeys.insert(c[0].int64());
+  std::set<int64_t> ordering;
+  int64_t want_priced = 0;
+  for (const Row& o : orders->rows) {
+    if (custkeys.count(o[1].int64()) == 0) continue;
+    ordering.insert(o[1].int64());
+    if (o[3].float64() > 1000) ++want_priced;
+  }
+  const int64_t want_orderless =
+      static_cast<int64_t>(custkeys.size() - ordering.size());
+  ASSERT_GT(want_orderless, 0);
+  auto got = rt.ExecuteSql(priced);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->rows[0][0], Value(want_priced));
+  got = rt.ExecuteSql(orderless);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->rows[0][0], Value(want_orderless));
+}
+
+// A conjunct one join input resolves but the joined schema makes
+// ambiguous is not pushed into that input: the unaliased self-join below
+// names r_name twice, so the query fails instead of silently reading the
+// subquery's copy.
+TEST_F(PlannerTest, SelfJoinConjunctStaysAmbiguous) {
+  auto st = PlanSql(
+                "select count(*) from tpch_region join "
+                "(select r_regionkey as k, r_name from tpch_region) "
+                "on r_regionkey = k where k = 1 or r_name = 'ASIA'",
+                catalog_)
+                .status();
+  EXPECT_EQ(st.code(), StatusCode::kPlanError);
+  EXPECT_NE(st.message().find("ambiguous column reference 'r_name'"),
+            std::string::npos)
+      << st.ToString();
+}
+
+// An inner join's residual ON conjunct that names one input only
+// pre-filters that input's stage; the join itself filters nothing.
+TEST_F(PlannerTest, InnerJoinSingleSideOnResidualRunsInThatSide) {
+  const char* on =
+      "select count(*) from tpch_orders o join tpch_lineitem l "
+      "on o.o_orderkey = l.l_orderkey and l_quantity < 10 "
+      "and o_totalprice > 1000";
+  const char* where =
+      "select count(*) from tpch_orders o join tpch_lineitem l "
+      "on o.o_orderkey = l.l_orderkey "
+      "where l_quantity < 10 and o_totalprice > 1000";
+  auto plan = PlanSql(on, catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(HasFilterOn(*ScanOf(*plan, "tpch_lineitem"), "l_quantity"));
+  EXPECT_TRUE(HasFilterOn(*ScanOf(*plan, "tpch_orders"), "o_totalprice"));
+  for (const auto& [id, p] : plan->stages) {
+    if (p.scan_table.empty()) {
+      EXPECT_FALSE(HasFilter(p)) << p.name;
+    }
+  }
+
+  LocalRuntime rt;
+  TpchConfig cfg;
+  cfg.scale_factor = 0.001;
+  ASSERT_TRUE(GenerateTpch(cfg, rt.catalog()).ok());
+  auto got_on = rt.ExecuteSql(on);
+  auto got_where = rt.ExecuteSql(where);
+  ASSERT_TRUE(got_on.ok()) << got_on.status().ToString();
+  ASSERT_TRUE(got_where.ok()) << got_where.status().ToString();
+  EXPECT_GT(got_on->rows[0][0].int64(), 0);
+  EXPECT_EQ(got_on->rows[0][0], got_where->rows[0][0]);
+}
+
+// An outer WHERE over an unaliased FROM subquery runs after the
+// subquery's GROUP BY or ORDER BY/LIMIT, never in a scan inside it.
+class PlacementScopeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TpchConfig cfg;
+    cfg.scale_factor = 0.002;
+    ASSERT_TRUE(GenerateTpch(cfg, rt_.catalog()).ok());
+    lineitem_ = *rt_.catalog()->Lookup("tpch_lineitem");
+  }
+
+  int64_t Count(const std::string& sql) {
+    auto plan = PlanSql(sql, *rt_.catalog());
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (plan.ok()) {
+      EXPECT_FALSE(HasFilter(*ScanOf(*plan, "tpch_lineitem"))) << sql;
+    }
+    auto got = rt_.ExecuteSql(sql);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    return got.ok() ? got->rows[0][0].int64() : -1;
+  }
+
+  LocalRuntime rt_;
+  std::shared_ptr<Table> lineitem_;
+};
+
+TEST_F(PlacementScopeTest, OuterWhereFiltersGroupedSubquery) {
+  std::map<int64_t, double> qty;
+  for (const Row& r : lineitem_->rows) qty[r[0].int64()] += r[4].float64();
+  int64_t want = 0;
+  for (const auto& [key, sum] : qty) want += sum > 100 ? 1 : 0;
+  ASSERT_GT(want, 0);
+  EXPECT_EQ(Count("select count(*) as n from (select l_orderkey, "
+                  "sum(l_quantity) as total from tpch_lineitem "
+                  "group by l_orderkey) where total > 100"),
+            want);
+  // The same query with the aggregate named like its input column.
+  EXPECT_EQ(Count("select count(*) as n from (select l_orderkey, "
+                  "sum(l_quantity) as l_quantity from tpch_lineitem "
+                  "group by l_orderkey) where l_quantity > 100"),
+            want);
+}
+
+TEST_F(PlacementScopeTest, OuterWhereFiltersLimitedSubquery) {
+  std::vector<double> qty;
+  for (const Row& r : lineitem_->rows) qty.push_back(r[4].float64());
+  std::sort(qty.rbegin(), qty.rend());
+  qty.resize(5);
+  const int64_t want = std::count_if(qty.begin(), qty.end(),
+                                     [](double q) { return q < 40; });
+  EXPECT_EQ(Count("select count(*) as n from (select l_orderkey, l_quantity "
+                  "from tpch_lineitem order by l_quantity desc limit 5) "
+                  "where l_quantity < 40"),
+            want);
+}
+
+// Placement changes where predicates run, never what a query returns:
+// the digests are the sf 0.002 golden answers recorded before it.
+TEST(PlacementAnswers, SuiteAnswersAreUnchanged) {
+  const std::map<int, std::pair<uint32_t, std::size_t>> golden = {
+      {1, {0xa02a98f2, 6}},   {3, {0x086ed09b, 10}},  {5, {0x184097f1, 3}},
+      {6, {0x01f96d9b, 1}},   {9, {0x8f704ce9, 98}},  {10, {0x91a56e8b, 20}},
+      {12, {0xe8fddd2d, 2}},  {13, {0xc9a7e1d4, 22}}, {14, {0x957a6690, 6}},
+      {18, {0x159bb146, 100}}, {19, {0x1b96cd90, 1}},
+  };
+  ASSERT_EQ(RunnableTpchQueries().size(), golden.size());
+  LocalRuntime rt;
+  TpchConfig cfg;
+  cfg.scale_factor = 0.002;
+  ASSERT_TRUE(GenerateTpch(cfg, rt.catalog()).ok());
+  for (const auto& [q, want] : golden) {
+    auto got = rt.ExecuteSql(*TpchQuerySql(q));
+    ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status().ToString();
+    const std::string wire = SerializeBatch(*got);
+    EXPECT_EQ(Crc32(std::string_view(wire).substr(0, wire.size() - 4)),
+              want.first)
+        << "Q" << q;
+    EXPECT_EQ(got->num_rows(), want.second) << "Q" << q;
+  }
 }
 
 }  // namespace
