@@ -85,23 +85,24 @@ void BM_ExpressionEvalBound(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpressionEvalBound);
 
-void BM_ExpressionEvalBoundColumn(benchmark::State& state) {
-  Schema schema({{"a", DataType::kFloat64}, {"b", DataType::kFloat64}});
-  std::vector<Row> rows;
+void BM_ExpressionEvalBoundVector(benchmark::State& state) {
+  Batch b;
+  b.schema = Schema({{"a", DataType::kFloat64}, {"b", DataType::kFloat64}});
   for (int i = 0; i < 1024; ++i) {
-    rows.push_back({Value(i * 1.5), Value((i % 97) * 0.01)});
+    b.rows.push_back({Value(i * 1.5), Value((i % 97) * 0.01)});
   }
-  auto bound = *Bind(MakeDiscountExpr(), schema);
-  std::vector<Value> out;
+  const ColumnBatch cb = *ToColumnBatch(b);
+  auto bound = *Bind(MakeDiscountExpr(), b.schema);
+  ColumnVector out;
   for (auto _ : state) {
-    auto st = bound->EvaluateColumn(rows, &out);
+    auto st = bound->EvaluateVector(cb, &out);
     benchmark::DoNotOptimize(st);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows.size()));
+                          static_cast<int64_t>(b.rows.size()));
 }
-BENCHMARK(BM_ExpressionEvalBoundColumn);
+BENCHMARK(BM_ExpressionEvalBoundVector);
 
 Batch MakeBatch(int rows) {
   Batch b;
@@ -210,21 +211,20 @@ void BM_SerdeV2DeserializeInts(benchmark::State& state) {
 }
 BENCHMARK(BM_SerdeV2DeserializeInts)->Arg(10000);
 
-// Local-shuffle write + read of one partition: legacy copying plane vs
-// the shared-buffer plane. Unique key per iteration; retain off so the
-// slot is consumed by the read.
-void LocalShuffleCopyLoop(benchmark::State& state, bool zero_copy) {
+// Local-shuffle write + read of one partition on the shared-buffer
+// plane. Unique key per iteration; retain off so the slot is consumed by
+// the read.
+void BM_LocalShuffleSharedBuffer(benchmark::State& state) {
   ShuffleService::Config cfg;
   cfg.machines = 2;
   cfg.retain_for_recovery = false;
-  cfg.zero_copy = zero_copy;
   ShuffleService svc(cfg);
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
   int task = 0;
   for (auto _ : state) {
     ShuffleSlotKey key{1, 0, task, 1, 0};
     (void)svc.WritePartition(ShuffleKind::kLocal, key,
-                             ShuffleBuffer::Copy(payload), 0, false);
+                             ShuffleBuffer(std::string(payload)), 0, false);
     auto got = svc.ReadPartition(ShuffleKind::kLocal, key, 1, 0);
     benchmark::DoNotOptimize(got);
     ++task;
@@ -233,14 +233,6 @@ void LocalShuffleCopyLoop(benchmark::State& state, bool zero_copy) {
                           state.range(0));
 }
 
-void BM_LocalShuffleLegacyCopy(benchmark::State& state) {
-  LocalShuffleCopyLoop(state, /*zero_copy=*/false);
-}
-BENCHMARK(BM_LocalShuffleLegacyCopy)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_LocalShuffleSharedBuffer(benchmark::State& state) {
-  LocalShuffleCopyLoop(state, /*zero_copy=*/true);
-}
 BENCHMARK(BM_LocalShuffleSharedBuffer)->Arg(1 << 16)->Arg(1 << 20);
 
 // Replicates the pre-binding HashPartition loop: every key access goes
@@ -269,10 +261,10 @@ void BM_HashPartitionInterpreted(benchmark::State& state) {
 BENCHMARK(BM_HashPartitionInterpreted)->Arg(1000)->Arg(10000);
 
 void BM_HashPartitionBound(benchmark::State& state) {
-  Batch b = MakeBatch(static_cast<int>(state.range(0)));
+  const ColumnBatch b = *ToColumnBatch(MakeBatch(static_cast<int>(state.range(0))));
   std::vector<ExprPtr> keys = {Expr::Column("k")};
   for (auto _ : state) {
-    auto parts = HashPartition(b, keys, 16);
+    auto parts = HashPartitionColumnar(b, keys, 16);
     benchmark::DoNotOptimize(parts);
   }
 }
@@ -860,10 +852,9 @@ void BM_HashAggregateOperator(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggregateOperator)->Arg(1000)->Arg(20000);
 
-// ---- Columnar-vs-row kernel pairs -----------------------------------
-// Each BM_Vec* pair runs the same logical work through the row operator
-// and through its vectorized twin (typed ColumnVectors + selection
-// vectors); the speedup columns in EXPERIMENTS.md come from these.
+// ---- Columnar kernels -------------------------------------------------
+// BM_Vec* runs filter, project, hash aggregate, hash partitioning and the
+// serde boundary over typed ColumnVectors + selection vectors.
 
 Batch MakeVecBatch(int rows) {
   Batch b;
@@ -884,24 +875,6 @@ ExprPtr VecPredicate() {
                       Expr::Literal(Value(int64_t{500})));
 }
 
-void BM_VecFilterRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  ExprPtr pred = VecPredicate();
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> batches;
-    batches.push_back(base);
-    state.ResumeTiming();
-    auto op = MakeFilter(MakeBatchSource(base.schema, std::move(batches)),
-                         pred);
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_VecFilterRow)->Arg(4096)->Arg(65536);
-
 void BM_VecFilterColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const Batch base = MakeVecBatch(rows);
@@ -919,7 +892,7 @@ void BM_VecFilterColumnar(benchmark::State& state) {
     std::size_t kept = 0;
     (void)op->Open();
     while (true) {
-      auto nxt = op->NextColumnar();
+      auto nxt = op->Next();
       if (!nxt.ok() || !nxt->has_value()) break;
       kept += (*nxt)->num_rows();
     }
@@ -928,28 +901,6 @@ void BM_VecFilterColumnar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
 BENCHMARK(BM_VecFilterColumnar)->Arg(4096)->Arg(65536);
-
-void BM_VecProjectRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  std::vector<ExprPtr> exprs = {
-      Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
-                   Expr::Literal(Value(int64_t{1}))),
-      Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v"))};
-  std::vector<std::string> names = {"k1", "v2"};
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> batches;
-    batches.push_back(base);
-    state.ResumeTiming();
-    auto op = MakeProject(MakeBatchSource(base.schema, std::move(batches)),
-                          exprs, names);
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_VecProjectRow)->Arg(4096)->Arg(65536);
 
 void BM_VecProjectColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -970,7 +921,7 @@ void BM_VecProjectColumnar(benchmark::State& state) {
         names);
     (void)op->Open();
     while (true) {
-      auto nxt = op->NextColumnar();
+      auto nxt = op->Next();
       if (!nxt.ok() || !nxt->has_value()) break;
       benchmark::DoNotOptimize(*nxt);
     }
@@ -978,26 +929,6 @@ void BM_VecProjectColumnar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
 BENCHMARK(BM_VecProjectColumnar)->Arg(4096)->Arg(65536);
-
-void BM_VecHashAggregateRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> batches;
-    batches.push_back(base);
-    state.ResumeTiming();
-    auto op = MakeHashAggregate(
-        MakeBatchSource(base.schema, std::move(batches)),
-        {Expr::Column("s")}, {"s"},
-        {AggSpec{AggKind::kSum, Expr::Column("k"), "sum_k"},
-         AggSpec{AggKind::kCount, nullptr, "cnt"}});
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_VecHashAggregateRow)->Arg(4096)->Arg(65536);
 
 void BM_VecHashAggregateColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -1019,18 +950,6 @@ void BM_VecHashAggregateColumnar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
 BENCHMARK(BM_VecHashAggregateColumnar)->Arg(4096)->Arg(65536);
-
-void BM_VecHashPartitionRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  std::vector<ExprPtr> keys = {Expr::Column("k")};
-  for (auto _ : state) {
-    auto parts = HashPartition(base, keys, 16);
-    benchmark::DoNotOptimize(parts);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_VecHashPartitionRow)->Arg(4096)->Arg(65536);
 
 void BM_VecHashPartitionColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -1072,30 +991,10 @@ void BM_VecSerializeIntsColumnar(benchmark::State& state) {
 BENCHMARK(BM_VecSerializeIntsColumnar)->Arg(10000);
 
 // ---------------------------------------------------------------------
-// PR 7: morsel-driven streaming. Each BM_Morsel* pair runs the same
-// logical work row-at-a-time and through the native columnar build
-// (sort / window / merge join), plus the whole-slice vs morselized
-// pipeline shapes; the peak_rows counter reports resident rows at the
-// source boundary (slice size vs one morsel).
-
-void BM_MorselSortRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  std::vector<SortKey> keys;
-  keys.push_back({Expr::Column("s"), true});
-  keys.push_back({Expr::Column("k"), false});
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> batches;
-    batches.push_back(base);
-    state.ResumeTiming();
-    auto op = MakeSort(MakeBatchSource(base.schema, std::move(batches)), keys);
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_MorselSortRow)->Arg(4096)->Arg(65536);
+// Morsel-driven streaming: the columnar sort / window / merge join
+// builds, plus the whole-slice vs morselized pipeline shapes; the
+// peak_rows counter reports resident rows at the source boundary (slice
+// size vs one morsel).
 
 void BM_MorselSortColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -1113,33 +1012,12 @@ void BM_MorselSortColumnar(benchmark::State& state) {
     auto op = MakeSort(
         MakeColumnBatchSource(cbase.schema, std::move(batches)), keys);
     (void)op->Open();
-    auto out = op->NextColumnar();
+    auto out = op->Next();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
 BENCHMARK(BM_MorselSortColumnar)->Arg(4096)->Arg(65536);
-
-void BM_MorselWindowRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch base = MakeVecBatch(rows);
-  std::vector<ExprPtr> part = {Expr::Column("s")};
-  std::vector<SortKey> order;
-  order.push_back({Expr::Column("k"), true});
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> batches;
-    batches.push_back(base);
-    state.ResumeTiming();
-    auto op = MakeWindow(MakeBatchSource(base.schema, std::move(batches)),
-                         part, order, WindowFunc::kSum, Expr::Column("v"),
-                         "w");
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_MorselWindowRow)->Arg(4096)->Arg(65536);
 
 void BM_MorselWindowColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -1156,7 +1034,7 @@ void BM_MorselWindowColumnar(benchmark::State& state) {
         MakeColumnBatchSource(cbase.schema, std::move(batches)), part, order,
         WindowFunc::kSum, Expr::Column("v"), "w");
     (void)op->Open();
-    auto out = op->NextColumnar();
+    auto out = op->Next();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
@@ -1175,28 +1053,6 @@ Batch MakeMorselSortedBatch(int rows, const char* prefix) {
   return b;
 }
 
-void BM_MorselMergeJoinRow(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const Batch left = MakeMorselSortedBatch(rows, "L");
-  const Batch right = MakeMorselSortedBatch(rows / 2, "R");
-  std::vector<ExprPtr> lk = {Expr::Column("k")};
-  std::vector<ExprPtr> rk = {Expr::Column("k")};
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<Batch> lb, rb;
-    lb.push_back(left);
-    rb.push_back(right);
-    state.ResumeTiming();
-    auto op = MakeMergeJoin(MakeBatchSource(left.schema, std::move(lb)),
-                            MakeBatchSource(right.schema, std::move(rb)), lk,
-                            rk);
-    auto out = CollectAll(op.get());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_MorselMergeJoinRow)->Arg(4096)->Arg(65536);
-
 void BM_MorselMergeJoinColumnar(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const ColumnBatch left = *ToColumnBatch(MakeMorselSortedBatch(rows, "L"));
@@ -1214,7 +1070,7 @@ void BM_MorselMergeJoinColumnar(benchmark::State& state) {
         MakeColumnBatchSource(left.schema, std::move(lb)),
         MakeColumnBatchSource(right.schema, std::move(rb)), lk, rk);
     (void)op->Open();
-    auto out = op->NextColumnar();
+    auto out = op->Next();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
@@ -1257,7 +1113,7 @@ std::size_t DrainMorselBench(PhysicalOperator* op) {
   (void)op->Open();
   std::size_t kept = 0;
   while (true) {
-    auto nxt = op->NextColumnar();
+    auto nxt = op->Next();
     if (!nxt.ok() || !nxt->has_value()) break;
     kept += (*nxt)->num_rows();
   }

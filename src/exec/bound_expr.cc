@@ -160,20 +160,6 @@ class BoundColumn final : public BoundExpr {
     return row[idx_];
   }
 
-  Status EvaluateColumn(const std::vector<Row>& rows,
-                        std::vector<Value>* out) const override {
-    out->clear();
-    out->reserve(rows.size());
-    for (const Row& r : rows) {
-      if (idx_ >= r.size()) {
-        return Status::Internal(StrFormat(
-            "row narrower than schema at column '%s'", name_.c_str()));
-      }
-      out->push_back(r[idx_]);
-    }
-    return Status::OK();
-  }
-
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     if (idx_ >= in.columns.size()) {
@@ -207,12 +193,6 @@ class BoundLiteral final : public BoundExpr {
 
   Result<Value> Evaluate(const Row&) const override { return v_; }
 
-  Status EvaluateColumn(const std::vector<Row>& rows,
-                        std::vector<Value>* out) const override {
-    out->assign(rows.size(), v_);
-    return Status::OK();
-  }
-
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     *out = ColumnVector::OfType(v_.type());
@@ -240,7 +220,7 @@ class BoundError final : public BoundExpr {
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     (void)out;
-    // A constant error errors on any non-empty batch, like the row path.
+    // A constant error errors on any non-empty batch, like Evaluate().
     if (in.num_rows() == 0) {
       *out = ColumnVector();
       return Status::OK();
@@ -282,7 +262,7 @@ class BoundAndOr final : public BoundExpr {
     ColumnVector rv;
     // Both operands are evaluated whole-column; if either fails, the
     // batch is re-run row-at-a-time so short-circuiting can suppress
-    // errors in dominated positions exactly as the row path does.
+    // errors in dominated positions exactly as Evaluate() does.
     if (!lhs_->EvaluateVector(in, &lv).ok() ||
         !rhs_->EvaluateVector(in, &rv).ok()) {
       return BoundExpr::EvaluateVector(in, out);
@@ -778,22 +758,11 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
 
 }  // namespace
 
-Status BoundExpr::EvaluateColumn(const std::vector<Row>& rows,
-                                 std::vector<Value>* out) const {
-  out->clear();
-  out->reserve(rows.size());
-  for (const Row& r : rows) {
-    SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(r));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
 Status BoundExpr::EvaluateVector(const ColumnBatch& in,
                                  ColumnVector* out) const {
   // Generic fallback: box each logical row and evaluate row-at-a-time.
   // Semantics (including short-circuiting and error order) are exactly
-  // the row path's; only the layout differs.
+  // Evaluate()'s; only the layout differs.
   *out = ColumnVector::OfType(static_type_);
   const std::size_t n = in.num_rows();
   out->Reserve(n);

@@ -41,13 +41,6 @@ class BoundExpr {
   /// \brief Evaluates against one row of the schema this was bound to.
   virtual Result<Value> Evaluate(const Row& row) const = 0;
 
-  /// \brief Batch evaluation: clears and refills `*out` with one value
-  /// per row. Capacity is retained across calls, so a reused output
-  /// buffer makes the steady state allocation-free; leaf nodes override
-  /// this to skip per-row virtual dispatch entirely.
-  virtual Status EvaluateColumn(const std::vector<Row>& rows,
-                                std::vector<Value>* out) const;
-
   /// \brief Columnar evaluation: resets `*out` and fills it with one
   /// value per LOGICAL row of `in` (gathering through the selection
   /// vector, so the output column is always dense). The base
@@ -56,14 +49,12 @@ class BoundExpr {
   /// numeric arithmetic/comparisons, NOT and AND/OR override it with
   /// typed column-at-a-time kernels that skip per-row boxing entirely.
   ///
-  /// Error parity caveat: on batches where evaluation fails, the row
-  /// path reports the error of the first failing ROW while the
-  /// vectorized path may surface the error of a failing SUBTREE first
-  /// (operands are evaluated whole-column before combination). Both
-  /// paths agree on whether a batch errors — AND/OR re-run the batch
-  /// row-at-a-time when an operand column fails so short-circuit error
-  /// suppression is preserved — but the reported Status may name a
-  /// different row's error.
+  /// Errors: a batch errors exactly when some row's Evaluate() would;
+  /// AND/OR re-run the batch row-at-a-time when an operand column fails,
+  /// so short-circuit error suppression is preserved. Operands evaluate
+  /// whole-column before combination, so the reported Status is that of
+  /// the first failing subtree, which may name a later row's error than
+  /// a row-by-row walk would.
   virtual Status EvaluateVector(const ColumnBatch& in,
                                 ColumnVector* out) const;
 

@@ -83,10 +83,10 @@ class KeyEncoder {
 
   /// \brief Columnar twin of EncodeColumns + HashEncoded: encodes the
   /// key columns of every logical row of `batch` (selection-aware) in
-  /// column-at-a-time passes — byte- and hash-identical to the row
-  /// path. Returns false when an ordinal is out of range or the
-  /// concatenated keys would overflow the uint32 offsets (callers fall
-  /// back to the row path).
+  /// column-at-a-time passes — byte- and hash-identical to
+  /// EncodeColumns. Returns false when an ordinal is out of range or the
+  /// concatenated keys would overflow the uint32 offsets (the operators
+  /// report ResourceExhausted).
   static bool EncodeBatchColumns(const ColumnBatch& batch,
                                  const std::vector<uint32_t>& cols,
                                  BatchKeys* out);

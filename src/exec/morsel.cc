@@ -38,9 +38,8 @@ class TableMorselSource final : public PhysicalOperator {
   }
 
   Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
 
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     if (cursor_ >= end_) return std::optional<ColumnBatch>();
     const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
     ColumnBatch out;
@@ -58,23 +57,6 @@ class TableMorselSource final : public PhysicalOperator {
     }
     cursor_ += take;
     return std::optional<ColumnBatch>(std::move(out));
-  }
-
-  Result<std::optional<Batch>> Next() override {
-    if (cursor_ >= end_) return std::optional<Batch>();
-    const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
-    Batch b;
-    b.schema = output_schema_;
-    b.rows.reserve(take);
-    for (std::size_t r = 0; r < take; ++r) {
-      const Row& in = table_->rows[cursor_ + r];
-      Row row;
-      row.reserve(columns_.size());
-      for (std::size_t src : columns_) row.push_back(in[src]);
-      b.rows.push_back(std::move(row));
-    }
-    cursor_ += take;
-    return std::optional<Batch>(std::move(b));
   }
 
  private:
@@ -98,9 +80,8 @@ class MorselSource final : public PhysicalOperator {
   }
 
   Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
 
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     for (;;) {
       if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
       ColumnBatch& cur = batches_[idx_];
@@ -123,14 +104,6 @@ class MorselSource final : public PhysicalOperator {
       out.schema = output_schema_;
       return std::optional<ColumnBatch>(std::move(out));
     }
-  }
-
-  Result<std::optional<Batch>> Next() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, NextColumnar());
-    if (!cb.has_value()) return std::optional<Batch>();
-    Batch b = ToRowBatch(*cb);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
   }
 
  private:
@@ -181,7 +154,7 @@ struct LaneScratch {
 
 // Applies the segment's steps to one morsel in place. Filter composes a
 // selection vector over the input's physical storage (exactly like
-// FilterOp::NextColumnar); project emits dense columns (like
+// FilterOp::Next); project emits dense columns (like
 // ProjectOp). A fully-filtered morsel becomes logically empty and is
 // dropped by the merge sink, matching FilterOp's never-emit-empties
 // contract.
@@ -253,7 +226,7 @@ class PipelineCore {
       if (next_claim_ - retired_ >= window_) return false;
       // Pull under the lock: operator sources are not thread-safe. The
       // pull is cheap relative to the step work, which runs unlocked.
-      Result<std::optional<ColumnBatch>> r = source_->NextColumnar();
+      Result<std::optional<ColumnBatch>> r = source_->Next();
       if (!r.ok()) {
         // Surface the source error at its sequence position, exactly
         // where serial execution would have hit it.
@@ -463,18 +436,8 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
     return Status::OK();
   }
 
-  bool columnar() const override { return core_->source()->columnar(); }
-
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     return core_->Pull(&scratch_);
-  }
-
-  Result<std::optional<Batch>> Next() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, NextColumnar());
-    if (!cb.has_value()) return std::optional<Batch>();
-    Batch b = ToRowBatch(*cb);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
   }
 
  private:

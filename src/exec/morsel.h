@@ -32,9 +32,7 @@ inline constexpr std::size_t kDefaultMorselRows = 1024;
 /// whole. Output field i is table column `columns[i]` (empty = every
 /// table column in order); only those columns are converted. The caller
 /// must have verified the slice is uniform (every row has table-width
-/// cells); ragged slices take the row-path fallback (Table::TaskSlice +
-/// MakeBatchSource) instead. Row consumers get morsel-sized row batches
-/// copied on demand.
+/// cells): the cursor reads `columns` of each row unchecked.
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
                                   Schema schema, std::size_t morsel_rows,

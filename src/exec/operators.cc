@@ -5,23 +5,13 @@
 
 #include "common/hash64.h"
 #include "common/macros.h"
-#include "common/string_util.h"
 #include "exec/bound_expr.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
 
 namespace swift {
 
-Result<std::optional<ColumnBatch>> PhysicalOperator::NextColumnar() {
-  SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> b, Next());
-  if (!b.has_value()) return std::optional<ColumnBatch>();
-  SWIFT_ASSIGN_OR_RETURN(ColumnBatch cb, ToColumnBatch(*b));
-  return std::optional<ColumnBatch>(std::move(cb));
-}
-
 namespace {
-
-constexpr std::size_t kBatchRows = 1024;
 
 // Predicate truthiness of an evaluated value (EvaluatePredicate
 // semantics: NULL is false, numeric nonzero / non-empty string true).
@@ -65,293 +55,11 @@ std::string_view KindName(AggKind k) {
   return "?";
 }
 
-// Drains `child` into `rows` (schema must already be open).
-Status Drain(PhysicalOperator* child, std::vector<Row>* rows) {
-  for (;;) {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> b, child->Next());
-    if (!b.has_value()) return Status::OK();
-    for (Row& r : b->rows) rows->push_back(std::move(r));
-  }
-}
-
-// Base for operators that fully materialize their output at Open() and
-// then emit it in fixed-size chunks.
-class MaterializedOperator : public PhysicalOperator {
- public:
-  Result<std::optional<Batch>> Next() override {
-    if (cursor_ >= out_rows_.size()) return std::optional<Batch>();
-    Batch b;
-    b.schema = output_schema_;
-    const std::size_t end = std::min(out_rows_.size(), cursor_ + kBatchRows);
-    b.rows.reserve(end - cursor_);
-    for (std::size_t i = cursor_; i < end; ++i) {
-      b.rows.push_back(std::move(out_rows_[i]));
-    }
-    cursor_ = end;
-    return std::optional<Batch>(std::move(b));
-  }
-
- protected:
-  std::vector<Row> out_rows_;
-  std::size_t cursor_ = 0;
-};
-
-class BatchSource final : public PhysicalOperator {
- public:
-  BatchSource(Schema schema, std::vector<Batch> batches)
-      : batches_(std::move(batches)) {
-    output_schema_ = std::move(schema);
-  }
-  Status Open() override { return Status::OK(); }
-  Result<std::optional<Batch>> Next() override {
-    if (idx_ >= batches_.size()) return std::optional<Batch>();
-    Batch b = std::move(batches_[idx_++]);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
-  }
-
- private:
-  std::vector<Batch> batches_;
-  std::size_t idx_ = 0;
-};
-
-class ColumnBatchSource final : public PhysicalOperator {
- public:
-  ColumnBatchSource(Schema schema, std::vector<ColumnBatch> batches)
-      : batches_(std::move(batches)) {
-    output_schema_ = std::move(schema);
-  }
-  Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
-    ColumnBatch b = std::move(batches_[idx_++]);
-    b.schema = output_schema_;
-    return std::optional<ColumnBatch>(std::move(b));
-  }
-  Result<std::optional<Batch>> Next() override {
-    if (idx_ >= batches_.size()) return std::optional<Batch>();
-    Batch b = ToRowBatch(batches_[idx_++]);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
-  }
-
- private:
-  std::vector<ColumnBatch> batches_;
-  std::size_t idx_ = 0;
-};
-
-class FilterOp final : public PhysicalOperator {
- public:
-  FilterOp(OperatorPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-  Status Open() override {
-    SWIFT_RETURN_NOT_OK(child_->Open());
-    output_schema_ = child_->output_schema();
-    SWIFT_ASSIGN_OR_RETURN(bound_predicate_, Bind(predicate_, output_schema_));
-    return Status::OK();
-  }
-  Result<std::optional<Batch>> Next() override {
-    for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> in, child_->Next());
-      if (!in.has_value()) return std::optional<Batch>();
-      // Batch-evaluate the predicate into a reused buffer, then compact.
-      SWIFT_RETURN_NOT_OK(
-          bound_predicate_->EvaluateColumn(in->rows, &pred_values_));
-      Batch out;
-      out.schema = output_schema_;
-      for (std::size_t i = 0; i < in->rows.size(); ++i) {
-        if (IsTruthy(pred_values_[i])) {
-          out.rows.push_back(std::move(in->rows[i]));
-        }
-      }
-      if (!out.rows.empty()) return std::optional<Batch>(std::move(out));
-      // Fully-filtered batch: keep pulling.
-    }
-  }
-  bool columnar() const override { return child_->columnar(); }
-  // Vectorized filter: the predicate evaluates column-at-a-time and
-  // survivors become a selection vector over the input's physical
-  // storage — no row copies, no column gathers.
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in,
-                             child_->NextColumnar());
-      if (!in.has_value()) return std::optional<ColumnBatch>();
-      SWIFT_RETURN_NOT_OK(bound_predicate_->EvaluateVector(*in, &pred_col_));
-      const std::size_t n = in->num_rows();
-      std::vector<uint32_t> sel;
-      sel.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (TruthyAt(pred_col_, i)) {
-          sel.push_back(static_cast<uint32_t>(in->PhysicalIndex(i)));
-        }
-      }
-      if (!sel.empty()) {
-        ColumnBatch out = std::move(*in);
-        out.schema = output_schema_;
-        out.selection = std::move(sel);
-        return std::optional<ColumnBatch>(std::move(out));
-      }
-      // Fully-filtered batch: keep pulling.
-    }
-  }
-
- private:
-  OperatorPtr child_;
-  ExprPtr predicate_;
-  BoundExprPtr bound_predicate_;
-  std::vector<Value> pred_values_;
-  ColumnVector pred_col_;
-};
-
-class ProjectOp final : public PhysicalOperator {
- public:
-  ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
-            std::vector<std::string> names)
-      : child_(std::move(child)),
-        exprs_(std::move(exprs)),
-        names_(std::move(names)) {}
-  Status Open() override {
-    if (exprs_.size() != names_.size()) {
-      return Status::InvalidArgument("project exprs/names size mismatch");
-    }
-    SWIFT_RETURN_NOT_OK(child_->Open());
-    in_schema_ = child_->output_schema();
-    std::vector<Field> fields;
-    fields.reserve(exprs_.size());
-    for (std::size_t i = 0; i < exprs_.size(); ++i) {
-      SWIFT_ASSIGN_OR_RETURN(DataType t, exprs_[i]->OutputType(in_schema_));
-      fields.push_back(Field{names_[i], t});
-    }
-    output_schema_ = Schema(std::move(fields));
-    SWIFT_ASSIGN_OR_RETURN(bound_exprs_, BindAll(exprs_, in_schema_));
-    return Status::OK();
-  }
-  Result<std::optional<Batch>> Next() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> in, child_->Next());
-    if (!in.has_value()) return std::optional<Batch>();
-    Batch out;
-    out.schema = output_schema_;
-    out.rows.reserve(in->rows.size());
-    for (const Row& r : in->rows) {
-      Row o;
-      o.reserve(bound_exprs_.size());
-      for (const BoundExprPtr& e : bound_exprs_) {
-        SWIFT_ASSIGN_OR_RETURN(Value v, e->Evaluate(r));
-        o.push_back(std::move(v));
-      }
-      out.rows.push_back(std::move(o));
-    }
-    return std::optional<Batch>(std::move(out));
-  }
-  bool columnar() const override { return child_->columnar(); }
-  // Vectorized project: each output column is one EvaluateVector call
-  // (typed loops for the numeric kernels); output is dense.
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in,
-                           child_->NextColumnar());
-    if (!in.has_value()) return std::optional<ColumnBatch>();
-    ColumnBatch out;
-    out.schema = output_schema_;
-    out.physical_rows = in->num_rows();
-    out.columns.reserve(bound_exprs_.size());
-    for (const BoundExprPtr& e : bound_exprs_) {
-      ColumnVector col;
-      SWIFT_RETURN_NOT_OK(e->EvaluateVector(*in, &col));
-      out.columns.push_back(std::move(col));
-    }
-    return std::optional<ColumnBatch>(std::move(out));
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<ExprPtr> exprs_;
-  std::vector<std::string> names_;
-  std::vector<BoundExprPtr> bound_exprs_;
-  Schema in_schema_;
-};
-
-class LimitOp final : public PhysicalOperator {
- public:
-  LimitOp(OperatorPtr child, int64_t limit)
-      : child_(std::move(child)), remaining_(limit) {}
-  Status Open() override {
-    if (remaining_ < 0) {
-      return Status::InvalidArgument("negative LIMIT");
-    }
-    SWIFT_RETURN_NOT_OK(child_->Open());
-    output_schema_ = child_->output_schema();
-    return Status::OK();
-  }
-  Result<std::optional<Batch>> Next() override {
-    if (remaining_ == 0) return std::optional<Batch>();
-    SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> in, child_->Next());
-    if (!in.has_value()) return std::optional<Batch>();
-    if (static_cast<int64_t>(in->rows.size()) > remaining_) {
-      in->rows.resize(static_cast<std::size_t>(remaining_));
-    }
-    remaining_ -= static_cast<int64_t>(in->rows.size());
-    return in;
-  }
-  bool columnar() const override { return child_->columnar(); }
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    if (remaining_ == 0) return std::optional<ColumnBatch>();
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in,
-                           child_->NextColumnar());
-    if (!in.has_value()) return std::optional<ColumnBatch>();
-    // Counts are LOGICAL rows — a filtered batch's selection, not its
-    // physical storage extent.
-    if (static_cast<int64_t>(in->num_rows()) > remaining_) {
-      in->TruncateLogical(static_cast<std::size_t>(remaining_));
-    }
-    remaining_ -= static_cast<int64_t>(in->num_rows());
-    return in;
-  }
-
- private:
-  OperatorPtr child_;
-  int64_t remaining_;
-};
-
-Result<Row> EvalKeys(const std::vector<BoundExprPtr>& keys, const Row& row) {
-  Row k;
-  k.reserve(keys.size());
-  for (const BoundExprPtr& e : keys) {
-    SWIFT_ASSIGN_OR_RETURN(Value v, e->Evaluate(row));
-    k.push_back(std::move(v));
-  }
-  return k;
-}
-
-bool RowsEqual(const Row& a, const Row& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
-}
-
-int CompareKeyRows(const Row& a, const Row& b) {
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    const int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
-}
-
-bool KeyHasNull(const Row& k) {
-  for (const Value& v : k) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
 // Cell-level comparison with Value::Compare semantics exactly — NULLs
 // first (and equal to each other), int64/int64 exact, mixed numerics by
 // double value, strings lexicographic, numbers before strings — but
-// reading typed storage directly, so the sort/merge-join/window
-// comparators never box the common reps.
+// reading typed storage directly, so the sort/merge-join/window/
+// aggregate comparators never box the common reps.
 int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
                  std::size_t j) {
   const bool ln = a.IsNull(i);
@@ -383,47 +91,307 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
   return a.GetValue(i).Compare(b.GetValue(j));
 }
 
-// Drains `child` through the columnar API into one dense batch seeded
-// from its output schema (selections are gathered away by the appends).
-Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
-  out->schema = child->output_schema();
-  out->columns.clear();
-  out->columns.reserve(out->schema.num_fields());
-  for (const Field& f : out->schema.fields()) {
-    out->columns.push_back(ColumnVector::OfType(f.type));
+// Lexicographic CompareCells over parallel key columns.
+int CompareKeys(const std::vector<ColumnVector>& a, std::size_t i,
+                const std::vector<ColumnVector>& b, std::size_t j) {
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const int c = CompareCells(a[k], i, b[k], j);
+    if (c != 0) return c;
   }
-  out->physical_rows = 0;
-  out->selection.reset();
-  for (;;) {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b,
-                           child->NextColumnar());
-    if (!b.has_value()) return Status::OK();
-    AppendColumnBatch(*b, out);
-  }
+  return 0;
 }
 
-// Evaluates each bound key expression over the (dense) batch into one
-// dense column per key.
-Status EvalKeyColumns(const std::vector<BoundExprPtr>& keys,
-                      const ColumnBatch& in, std::vector<ColumnVector>* out) {
-  out->clear();
-  out->reserve(keys.size());
-  for (const BoundExprPtr& e : keys) {
-    ColumnVector c;
-    SWIFT_RETURN_NOT_OK(e->EvaluateVector(in, &c));
-    out->push_back(std::move(c));
-  }
-  return Status::OK();
-}
-
-bool KeyColsHaveNull(const std::vector<ColumnVector>& keys, std::size_t i) {
+bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
   for (const ColumnVector& c : keys) {
     if (c.IsNull(i)) return true;
   }
   return false;
 }
 
-class HashJoinOp final : public MaterializedOperator {
+// Empty batch with one column per field, pre-typed from `schema`.
+ColumnBatch EmptyBatchOf(const Schema& schema) {
+  ColumnBatch out;
+  out.schema = schema;
+  out.columns.reserve(schema.num_fields());
+  for (const Field& f : schema.fields()) {
+    out.columns.push_back(ColumnVector::OfType(f.type));
+  }
+  return out;
+}
+
+// Drains `child` into one dense batch seeded from its output schema
+// (selections are gathered away by the appends).
+Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
+  *out = EmptyBatchOf(child->output_schema());
+  for (;;) {
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child->Next());
+    if (!b.has_value()) return Status::OK();
+    AppendColumnBatch(*b, out);
+  }
+}
+
+// Evaluates each bound key expression over `in`: a dense batch of
+// in.num_rows() rows whose column k is key k. Plain column references
+// and computed keys take the same path.
+Status EvalKeyBatch(const std::vector<BoundExprPtr>& keys,
+                    const ColumnBatch& in, ColumnBatch* out) {
+  out->columns.clear();
+  out->columns.reserve(keys.size());
+  out->physical_rows = in.num_rows();
+  out->selection.reset();
+  for (const BoundExprPtr& e : keys) {
+    ColumnVector c;
+    SWIFT_RETURN_NOT_OK(e->EvaluateVector(in, &c));
+    out->columns.push_back(std::move(c));
+  }
+  return Status::OK();
+}
+
+std::vector<uint32_t> KeyOrdinals(const ColumnBatch& keys) {
+  std::vector<uint32_t> ords(keys.columns.size());
+  std::iota(ords.begin(), ords.end(), 0u);
+  return ords;
+}
+
+// Encodes and hashes every row of an EvalKeyBatch result.
+Status EncodeKeys(const ColumnBatch& keys, KeyEncoder::BatchKeys* out) {
+  if (!KeyEncoder::EncodeBatchColumns(keys, KeyOrdinals(keys), out)) {
+    return Status::ResourceExhausted(
+        "encoded keys of one batch exceed the 4 GiB offset range");
+  }
+  return Status::OK();
+}
+
+// Evaluates the aggregate arguments over `in`; COUNT(*) slots stay empty.
+Status EvalAggArgs(const std::vector<BoundExprPtr>& args, const ColumnBatch& in,
+                   std::vector<ColumnVector>* out) {
+  out->resize(args.size());
+  for (std::size_t a = 0; a < args.size(); ++a) {
+    if (args[a] != nullptr) {
+      SWIFT_RETURN_NOT_OK(args[a]->EvaluateVector(in, &(*out)[a]));
+    }
+  }
+  return Status::OK();
+}
+
+// Join output: row k is left row lidx[k] next to right row ridx[k],
+// gathered one column at a time; kPad marks a NULL-padded right side
+// (left outer).
+constexpr uint32_t kPad = UINT32_MAX;
+
+void GatherJoinOutput(const ColumnBatch& l, const ColumnBatch& r,
+                      const std::vector<uint32_t>& lidx,
+                      const std::vector<uint32_t>& ridx, ColumnBatch* out) {
+  out->physical_rows = lidx.size();
+  out->columns.clear();
+  out->columns.reserve(l.columns.size() + r.columns.size());
+  for (const ColumnVector& src : l.columns) {
+    ColumnVector v = ColumnVector::OfRep(src.rep());
+    v.Reserve(lidx.size());
+    for (const uint32_t i : lidx) v.AppendFrom(src, i);
+    out->columns.push_back(std::move(v));
+  }
+  for (const ColumnVector& src : r.columns) {
+    ColumnVector v = ColumnVector::OfRep(src.rep());
+    v.Reserve(ridx.size());
+    for (const uint32_t j : ridx) {
+      if (j == kPad) {
+        v.AppendNull();
+      } else {
+        v.AppendFrom(src, j);
+      }
+    }
+    out->columns.push_back(std::move(v));
+  }
+}
+
+// Base for operators that consume their whole input before producing
+// anything (sort, window, joins, aggregates): Build() runs on the first
+// pull and its batch is emitted once; an empty result emits nothing.
+class MaterializingOperator : public PhysicalOperator {
+ public:
+  Result<std::optional<ColumnBatch>> Next() final {
+    if (emitted_) return std::optional<ColumnBatch>();
+    emitted_ = true;
+    ColumnBatch out;
+    SWIFT_RETURN_NOT_OK(Build(&out));
+    if (out.num_rows() == 0) return std::optional<ColumnBatch>();
+    out.schema = output_schema_;
+    return std::optional<ColumnBatch>(std::move(out));
+  }
+
+ protected:
+  virtual Status Build(ColumnBatch* out) = 0;
+
+ private:
+  bool emitted_ = false;
+};
+
+class BatchSource final : public PhysicalOperator {
+ public:
+  BatchSource(Schema schema, std::vector<Batch> batches)
+      : batches_(std::move(batches)) {
+    output_schema_ = std::move(schema);
+  }
+  Status Open() override { return Status::OK(); }
+  Result<std::optional<ColumnBatch>> Next() override {
+    if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
+    Batch b = std::move(batches_[idx_++]);
+    b.schema = output_schema_;
+    SWIFT_ASSIGN_OR_RETURN(ColumnBatch cb, ToColumnBatch(b));
+    return std::optional<ColumnBatch>(std::move(cb));
+  }
+
+ private:
+  std::vector<Batch> batches_;
+  std::size_t idx_ = 0;
+};
+
+class ColumnBatchSource final : public PhysicalOperator {
+ public:
+  ColumnBatchSource(Schema schema, std::vector<ColumnBatch> batches)
+      : batches_(std::move(batches)) {
+    output_schema_ = std::move(schema);
+  }
+  Status Open() override { return Status::OK(); }
+  Result<std::optional<ColumnBatch>> Next() override {
+    if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
+    ColumnBatch b = std::move(batches_[idx_++]);
+    b.schema = output_schema_;
+    return std::optional<ColumnBatch>(std::move(b));
+  }
+
+ private:
+  std::vector<ColumnBatch> batches_;
+  std::size_t idx_ = 0;
+};
+
+// Vectorized filter: the predicate evaluates column-at-a-time and
+// survivors become a selection vector over the input's physical
+// storage — no row copies, no column gathers.
+class FilterOp final : public PhysicalOperator {
+ public:
+  FilterOp(OperatorPtr child, ExprPtr predicate)
+      : child_(std::move(child)), predicate_(std::move(predicate)) {}
+  Status Open() override {
+    SWIFT_RETURN_NOT_OK(child_->Open());
+    output_schema_ = child_->output_schema();
+    SWIFT_ASSIGN_OR_RETURN(bound_predicate_, Bind(predicate_, output_schema_));
+    return Status::OK();
+  }
+  Result<std::optional<ColumnBatch>> Next() override {
+    for (;;) {
+      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in, child_->Next());
+      if (!in.has_value()) return std::optional<ColumnBatch>();
+      SWIFT_RETURN_NOT_OK(bound_predicate_->EvaluateVector(*in, &pred_col_));
+      const std::size_t n = in->num_rows();
+      std::vector<uint32_t> sel;
+      sel.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (TruthyAt(pred_col_, i)) {
+          sel.push_back(static_cast<uint32_t>(in->PhysicalIndex(i)));
+        }
+      }
+      if (!sel.empty()) {
+        ColumnBatch out = std::move(*in);
+        out.schema = output_schema_;
+        out.selection = std::move(sel);
+        return std::optional<ColumnBatch>(std::move(out));
+      }
+      // Fully-filtered batch: keep pulling.
+    }
+  }
+
+ private:
+  OperatorPtr child_;
+  ExprPtr predicate_;
+  BoundExprPtr bound_predicate_;
+  ColumnVector pred_col_;
+};
+
+// Vectorized project: each output column is one EvaluateVector call
+// (typed loops for the numeric kernels); output is dense.
+class ProjectOp final : public PhysicalOperator {
+ public:
+  ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
+            std::vector<std::string> names)
+      : child_(std::move(child)),
+        exprs_(std::move(exprs)),
+        names_(std::move(names)) {}
+  Status Open() override {
+    if (exprs_.size() != names_.size()) {
+      return Status::InvalidArgument("project exprs/names size mismatch");
+    }
+    SWIFT_RETURN_NOT_OK(child_->Open());
+    const Schema& in = child_->output_schema();
+    std::vector<Field> fields;
+    fields.reserve(exprs_.size());
+    for (std::size_t i = 0; i < exprs_.size(); ++i) {
+      SWIFT_ASSIGN_OR_RETURN(DataType t, exprs_[i]->OutputType(in));
+      fields.push_back(Field{names_[i], t});
+    }
+    output_schema_ = Schema(std::move(fields));
+    SWIFT_ASSIGN_OR_RETURN(bound_exprs_, BindAll(exprs_, in));
+    return Status::OK();
+  }
+  Result<std::optional<ColumnBatch>> Next() override {
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in, child_->Next());
+    if (!in.has_value()) return std::optional<ColumnBatch>();
+    ColumnBatch out;
+    out.schema = output_schema_;
+    out.physical_rows = in->num_rows();
+    out.columns.reserve(bound_exprs_.size());
+    for (const BoundExprPtr& e : bound_exprs_) {
+      ColumnVector col;
+      SWIFT_RETURN_NOT_OK(e->EvaluateVector(*in, &col));
+      out.columns.push_back(std::move(col));
+    }
+    return std::optional<ColumnBatch>(std::move(out));
+  }
+
+ private:
+  OperatorPtr child_;
+  std::vector<ExprPtr> exprs_;
+  std::vector<std::string> names_;
+  std::vector<BoundExprPtr> bound_exprs_;
+};
+
+class LimitOp final : public PhysicalOperator {
+ public:
+  LimitOp(OperatorPtr child, int64_t limit)
+      : child_(std::move(child)), remaining_(limit) {}
+  Status Open() override {
+    if (remaining_ < 0) {
+      return Status::InvalidArgument("negative LIMIT");
+    }
+    SWIFT_RETURN_NOT_OK(child_->Open());
+    output_schema_ = child_->output_schema();
+    return Status::OK();
+  }
+  Result<std::optional<ColumnBatch>> Next() override {
+    if (remaining_ == 0) return std::optional<ColumnBatch>();
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> in, child_->Next());
+    if (!in.has_value()) return std::optional<ColumnBatch>();
+    // Counts are LOGICAL rows — a filtered batch's selection, not its
+    // physical storage extent.
+    if (static_cast<int64_t>(in->num_rows()) > remaining_) {
+      in->TruncateLogical(static_cast<std::size_t>(remaining_));
+    }
+    remaining_ -= static_cast<int64_t>(in->num_rows());
+    return in;
+  }
+
+ private:
+  OperatorPtr child_;
+  int64_t remaining_;
+};
+
+// Hash equi-join. The build side drains into one dense batch whose
+// encoded keys go into the flat table, duplicates chaining through
+// next_row in build order; the probe side drains, encodes its keys in
+// one pass and records (probe, build) index pairs in probe order, and
+// the output gathers each column once.
+class HashJoinOp final : public MaterializingOperator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<ExprPtr> lk,
              std::vector<ExprPtr> rk, JoinType join_type)
@@ -440,130 +408,29 @@ class HashJoinOp final : public MaterializedOperator {
     SWIFT_RETURN_NOT_OK(left_->Open());
     SWIFT_RETURN_NOT_OK(right_->Open());
     output_schema_ = left_->output_schema().Concat(right_->output_schema());
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_left,
+    SWIFT_ASSIGN_OR_RETURN(bound_left_,
                            BindAll(left_keys_, left_->output_schema()));
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_right,
+    SWIFT_ASSIGN_OR_RETURN(bound_right_,
                            BindAll(right_keys_, right_->output_schema()));
-
-    // Plain-column keys (the common case) encode straight from the row;
-    // computed keys fall back to boxed evaluation.
-    std::vector<uint32_t> rcols, lcols;
-    const bool r_fast = KeyEncoder::ColumnOrdinals(bound_right, &rcols);
-    const bool l_fast = KeyEncoder::ColumnOrdinals(bound_left, &lcols);
-    if (r_fast && l_fast && right_->columnar() && left_->columnar()) {
-      return JoinColumnar(rcols, lcols);
-    }
-
-    // Build: rows stay in one vector (the arena for payloads), encoded
-    // keys go into the flat table, and duplicate keys chain through
-    // next_row in build order — no per-row map nodes.
-    std::vector<Row> build_rows;
-    SWIFT_RETURN_NOT_OK(Drain(right_.get(), &build_rows));
-    FlatKeyTable table(build_rows.size());
-    std::vector<int32_t> chain_head;  // per dense key: first build row
-    std::vector<int32_t> chain_tail;  // per dense key: last build row
-    std::vector<int32_t> next_row(build_rows.size(), -1);
-    KeyEncoder enc;
-    Row key;
-    for (std::size_t i = 0; i < build_rows.size(); ++i) {
-      bool has_null = false;
-      std::string_view bytes;
-      if (r_fast) {
-        if (!enc.EncodeColumns(build_rows[i], rcols, &bytes, &has_null)) {
-          return Status::Internal("build row narrower than join key schema");
-        }
-      } else {
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound_right, build_rows[i], &key));
-        bytes = enc.Encode(key, &has_null);
-      }
-      if (has_null) continue;  // NULL keys never match
-      const FlatKeyTable::FindResult r =
-          table.FindOrInsert(bytes, KeyEncoder::HashEncoded(bytes));
-      const int32_t row = static_cast<int32_t>(i);
-      if (r.inserted) {
-        chain_head.push_back(row);
-        chain_tail.push_back(row);
-      } else {
-        next_row[chain_tail[r.index]] = row;
-        chain_tail[r.index] = row;
-      }
-    }
-    const std::size_t right_width = right_->output_schema().num_fields();
-    std::vector<Row> probe;
-    SWIFT_RETURN_NOT_OK(Drain(left_.get(), &probe));
-    for (const Row& l : probe) {
-      bool has_null = false;
-      std::string_view bytes;
-      if (l_fast) {
-        if (!enc.EncodeColumns(l, lcols, &bytes, &has_null)) {
-          return Status::Internal("probe row narrower than join key schema");
-        }
-      } else {
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound_left, l, &key));
-        bytes = enc.Encode(key, &has_null);
-      }
-      bool matched = false;
-      if (!has_null) {
-        const int64_t dense =
-            table.Find(bytes, KeyEncoder::HashEncoded(bytes));
-        if (dense >= 0) {
-          for (int32_t r = chain_head[static_cast<std::size_t>(dense)];
-               r >= 0; r = next_row[r]) {
-            const Row& b = build_rows[r];
-            Row out;
-            out.reserve(l.size() + b.size());  // one allocation per output row
-            out.insert(out.end(), l.begin(), l.end());
-            out.insert(out.end(), b.begin(), b.end());
-            out_rows_.push_back(std::move(out));
-          }
-          matched = true;
-        }
-      }
-      if (!matched && join_type_ == JoinType::kLeftOuter) {
-        Row out;
-        out.reserve(l.size() + right_width);
-        out.insert(out.end(), l.begin(), l.end());
-        out.resize(out.size() + right_width, Value::Null());
-        out_rows_.push_back(std::move(out));
-      }
-    }
     return Status::OK();
   }
 
- private:
-  // Vectorized build + probe: the build side concatenates into one
-  // dense columnar arena and both sides' keys encode batch-at-a-time
-  // (EncodeBatchColumns); only the table probe and output emission stay
-  // scalar. Output rows, order, and NULL-key semantics are identical to
-  // the row path.
-  Status JoinColumnar(const std::vector<uint32_t>& rcols,
-                      const std::vector<uint32_t>& lcols) {
-    ColumnBatch build;
-    build.schema = right_->output_schema();
-    build.columns.reserve(build.schema.num_fields());
-    for (const Field& f : build.schema.fields()) {
-      build.columns.push_back(ColumnVector::OfType(f.type));
-    }
-    for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b,
-                             right_->NextColumnar());
-      if (!b.has_value()) break;
-      AppendColumnBatch(*b, &build);
-    }
-    for (const uint32_t c : rcols) {
-      if (c >= build.columns.size()) {
-        return Status::Internal("build row narrower than join key schema");
-      }
-    }
+ protected:
+  Status Build(ColumnBatch* out) override {
+    ColumnBatch build, keys;
+    KeyEncoder::BatchKeys bk;
+    SWIFT_RETURN_NOT_OK(DrainColumnar(right_.get(), &build));
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_right_, build, &keys));
+    SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
     const std::size_t build_n = build.physical_rows;
     FlatKeyTable table(build_n);
     std::vector<int32_t> chain_head;  // per dense key: first build row
     std::vector<int32_t> chain_tail;  // per dense key: last build row
     std::vector<int32_t> next_row(build_n, -1);
-    const auto insert = [&](std::size_t i, std::string_view bytes,
-                            uint64_t hash, bool has_null) {
-      if (has_null) return;  // NULL keys never match
-      const FlatKeyTable::FindResult r = table.FindOrInsert(bytes, hash);
+    for (std::size_t i = 0; i < build_n; ++i) {
+      if (bk.null_key[i] != 0) continue;  // NULL keys never match
+      const FlatKeyTable::FindResult r =
+          table.FindOrInsert(bk.key(i), bk.hashes[i]);
       const int32_t row = static_cast<int32_t>(i);
       if (r.inserted) {
         chain_head.push_back(row);
@@ -572,101 +439,49 @@ class HashJoinOp final : public MaterializedOperator {
         next_row[chain_tail[r.index]] = row;
         chain_tail[r.index] = row;
       }
-    };
-    KeyEncoder::BatchKeys bk;
-    if (KeyEncoder::EncodeBatchColumns(build, rcols, &bk)) {
-      for (std::size_t i = 0; i < build_n; ++i) {
-        insert(i, bk.key(i), bk.hashes[i], bk.null_key[i] != 0);
-      }
-    } else {
-      // > 4 GiB of key bytes on the build side: encode row-at-a-time.
-      KeyEncoder enc;
-      Row row;
-      for (std::size_t i = 0; i < build_n; ++i) {
-        build.MaterializeRow(i, &row);
-        bool has_null = false;
-        std::string_view bytes;
-        if (!enc.EncodeColumns(row, rcols, &bytes, &has_null)) {
-          return Status::Internal("build row narrower than join key schema");
-        }
-        insert(i, bytes, KeyEncoder::HashEncoded(bytes), has_null);
-      }
     }
 
-    const std::size_t right_width = right_->output_schema().num_fields();
-    const auto emit = [&](const ColumnBatch& pb, std::size_t i,
-                          std::string_view bytes, uint64_t hash,
-                          bool has_null) {
-      const std::size_t phys = pb.PhysicalIndex(i);
+    ColumnBatch probe;
+    SWIFT_RETURN_NOT_OK(DrainColumnar(left_.get(), &probe));
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_left_, probe, &keys));
+    SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
+    std::vector<uint32_t> lidx, ridx;
+    for (std::size_t i = 0; i < probe.physical_rows; ++i) {
       bool matched = false;
-      if (!has_null) {
-        const int64_t dense = table.Find(bytes, hash);
+      if (bk.null_key[i] == 0) {
+        const int64_t dense = table.Find(bk.key(i), bk.hashes[i]);
         if (dense >= 0) {
           for (int32_t r = chain_head[static_cast<std::size_t>(dense)];
                r >= 0; r = next_row[r]) {
-            Row out;
-            out.reserve(pb.columns.size() + right_width);
-            for (const ColumnVector& col : pb.columns) {
-              out.push_back(col.GetValue(phys));
-            }
-            for (const ColumnVector& col : build.columns) {
-              out.push_back(col.GetValue(static_cast<std::size_t>(r)));
-            }
-            out_rows_.push_back(std::move(out));
+            lidx.push_back(static_cast<uint32_t>(i));
+            ridx.push_back(static_cast<uint32_t>(r));
           }
           matched = true;
         }
       }
       if (!matched && join_type_ == JoinType::kLeftOuter) {
-        Row out;
-        out.reserve(pb.columns.size() + right_width);
-        for (const ColumnVector& col : pb.columns) {
-          out.push_back(col.GetValue(phys));
-        }
-        out.resize(out.size() + right_width, Value::Null());
-        out_rows_.push_back(std::move(out));
-      }
-    };
-    for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b,
-                             left_->NextColumnar());
-      if (!b.has_value()) break;
-      const std::size_t n = b->num_rows();
-      if (n == 0) continue;
-      for (const uint32_t c : lcols) {
-        if (c >= b->columns.size()) {
-          return Status::Internal("probe row narrower than join key schema");
-        }
-      }
-      if (KeyEncoder::EncodeBatchColumns(*b, lcols, &bk)) {
-        for (std::size_t i = 0; i < n; ++i) {
-          emit(*b, i, bk.key(i), bk.hashes[i], bk.null_key[i] != 0);
-        }
-      } else {
-        KeyEncoder enc;
-        Row row;
-        for (std::size_t i = 0; i < n; ++i) {
-          b->MaterializeRow(i, &row);
-          bool has_null = false;
-          std::string_view bytes;
-          if (!enc.EncodeColumns(row, lcols, &bytes, &has_null)) {
-            return Status::Internal("probe row narrower than join key schema");
-          }
-          emit(*b, i, bytes, KeyEncoder::HashEncoded(bytes), has_null);
-        }
+        lidx.push_back(static_cast<uint32_t>(i));
+        ridx.push_back(kPad);
       }
     }
+    GatherJoinOutput(probe, build, lidx, ridx, out);
     return Status::OK();
   }
 
+ private:
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
   JoinType join_type_;
+  std::vector<BoundExprPtr> bound_left_;
+  std::vector<BoundExprPtr> bound_right_;
 };
 
-class MergeJoinOp final : public MaterializedOperator {
+// Merge join: both inputs drain into dense batches, the keys evaluate
+// column-at-a-time, the merge walk emits (left, right) index pairs, and
+// the output gathers each column once.
+class MergeJoinOp final : public MaterializingOperator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right, std::vector<ExprPtr> lk,
               std::vector<ExprPtr> rk, JoinType join_type)
@@ -690,149 +505,28 @@ class MergeJoinOp final : public MaterializedOperator {
     return Status::OK();
   }
 
-  Result<std::optional<Batch>> Next() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildRows());
-    }
-    return MaterializedOperator::Next();
-  }
-
-  bool columnar() const override {
-    return left_->columnar() && right_->columnar();
-  }
-
-  // Native columnar merge join: both inputs drain into dense batches,
-  // the keys evaluate column-at-a-time, the merge walk emits (left,
-  // right) index pairs, and the output materializes with one gather per
-  // column instead of per-row concatenation.
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildColumnar());
-    }
-    if (col_emitted_ || col_out_.num_rows() == 0) {
-      return std::optional<ColumnBatch>();
-    }
-    col_emitted_ = true;
-    return std::optional<ColumnBatch>(std::move(col_out_));
-  }
-
- private:
-  Status BuildRows() {
-    std::vector<Row> lrows, rrows;
-    SWIFT_RETURN_NOT_OK(Drain(left_.get(), &lrows));
-    SWIFT_RETURN_NOT_OK(Drain(right_.get(), &rrows));
-    std::vector<Row> lkeys, rkeys;
-    lkeys.reserve(lrows.size());
-    rkeys.reserve(rrows.size());
-    for (const Row& r : lrows) {
-      SWIFT_ASSIGN_OR_RETURN(Row k, EvalKeys(bound_left_, r));
-      lkeys.push_back(std::move(k));
-    }
-    for (const Row& r : rrows) {
-      SWIFT_ASSIGN_OR_RETURN(Row k, EvalKeys(bound_right_, r));
-      rkeys.push_back(std::move(k));
-    }
-    for (std::size_t i = 1; i < lkeys.size(); ++i) {
-      if (CompareKeyRows(lkeys[i - 1], lkeys[i]) > 0) {
-        return Status::Internal("MergeJoin left input not sorted");
-      }
-    }
-    for (std::size_t i = 1; i < rkeys.size(); ++i) {
-      if (CompareKeyRows(rkeys[i - 1], rkeys[i]) > 0) {
-        return Status::Internal("MergeJoin right input not sorted");
-      }
-    }
-
-    const std::size_t right_width = right_->output_schema().num_fields();
-    auto emit_padded = [&](const Row& l) {
-      Row out = l;
-      out.resize(out.size() + right_width, Value::Null());
-      out_rows_.push_back(std::move(out));
-    };
-    std::size_t li = 0, ri = 0;
-    while (li < lrows.size() && ri < rrows.size()) {
-      if (KeyHasNull(lkeys[li])) {
-        if (join_type_ == JoinType::kLeftOuter) emit_padded(lrows[li]);
-        ++li;
-        continue;
-      }
-      if (KeyHasNull(rkeys[ri])) {
-        ++ri;
-        continue;
-      }
-      const int c = CompareKeyRows(lkeys[li], rkeys[ri]);
-      if (c < 0) {
-        if (join_type_ == JoinType::kLeftOuter) emit_padded(lrows[li]);
-        ++li;
-      } else if (c > 0) {
-        ++ri;
-      } else {
-        // Emit the cross product of the equal-key runs.
-        std::size_t lend = li;
-        while (lend < lrows.size() && CompareKeyRows(lkeys[lend], lkeys[li]) == 0) {
-          ++lend;
-        }
-        std::size_t rend = ri;
-        while (rend < rrows.size() && CompareKeyRows(rkeys[rend], rkeys[ri]) == 0) {
-          ++rend;
-        }
-        for (std::size_t i = li; i < lend; ++i) {
-          for (std::size_t j = ri; j < rend; ++j) {
-            Row out = lrows[i];
-            out.insert(out.end(), rrows[j].begin(), rrows[j].end());
-            out_rows_.push_back(std::move(out));
-          }
-        }
-        li = lend;
-        ri = rend;
-      }
-    }
-    if (join_type_ == JoinType::kLeftOuter) {
-      for (; li < lrows.size(); ++li) emit_padded(lrows[li]);
-    }
-    return Status::OK();
-  }
-
-  Status BuildColumnar() {
-    ColumnBatch l, r;
+ protected:
+  Status Build(ColumnBatch* out) override {
+    ColumnBatch l, r, lkb, rkb;
     SWIFT_RETURN_NOT_OK(DrainColumnar(left_.get(), &l));
     SWIFT_RETURN_NOT_OK(DrainColumnar(right_.get(), &r));
-    std::vector<ColumnVector> lk, rk;
-    SWIFT_RETURN_NOT_OK(EvalKeyColumns(bound_left_, l, &lk));
-    SWIFT_RETURN_NOT_OK(EvalKeyColumns(bound_right_, r, &rk));
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_left_, l, &lkb));
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_right_, r, &rkb));
+    const std::vector<ColumnVector>& lk = lkb.columns;
+    const std::vector<ColumnVector>& rk = rkb.columns;
     const std::size_t ln = l.physical_rows;
     const std::size_t rn = r.physical_rows;
-    auto cmp_within = [&](const std::vector<ColumnVector>& keys,
-                          std::size_t i, std::size_t j) {
-      for (const ColumnVector& c : keys) {
-        const int cc = CompareCells(c, i, c, j);
-        if (cc != 0) return cc;
-      }
-      return 0;
-    };
     for (std::size_t i = 1; i < ln; ++i) {
-      if (cmp_within(lk, i - 1, i) > 0) {
+      if (CompareKeys(lk, i - 1, lk, i) > 0) {
         return Status::Internal("MergeJoin left input not sorted");
       }
     }
     for (std::size_t i = 1; i < rn; ++i) {
-      if (cmp_within(rk, i - 1, i) > 0) {
+      if (CompareKeys(rk, i - 1, rk, i) > 0) {
         return Status::Internal("MergeJoin right input not sorted");
       }
     }
-    auto cmp_cross = [&](std::size_t i, std::size_t j) {
-      for (std::size_t k = 0; k < lk.size(); ++k) {
-        const int cc = CompareCells(lk[k], i, rk[k], j);
-        if (cc != 0) return cc;
-      }
-      return 0;
-    };
 
-    // Merge walk identical to the row path, but emitting index pairs;
-    // kPad marks a NULL-padded right side (left outer).
-    constexpr uint32_t kPad = UINT32_MAX;
     std::vector<uint32_t> lidx, ridx;
     auto emit_padded = [&](std::size_t i) {
       lidx.push_back(static_cast<uint32_t>(i));
@@ -840,16 +534,16 @@ class MergeJoinOp final : public MaterializedOperator {
     };
     std::size_t li = 0, ri = 0;
     while (li < ln && ri < rn) {
-      if (KeyColsHaveNull(lk, li)) {
+      if (KeyHasNull(lk, li)) {
         if (join_type_ == JoinType::kLeftOuter) emit_padded(li);
         ++li;
         continue;
       }
-      if (KeyColsHaveNull(rk, ri)) {
+      if (KeyHasNull(rk, ri)) {
         ++ri;
         continue;
       }
-      const int c = cmp_cross(li, ri);
+      const int c = CompareKeys(lk, li, rk, ri);
       if (c < 0) {
         if (join_type_ == JoinType::kLeftOuter) emit_padded(li);
         ++li;
@@ -858,9 +552,9 @@ class MergeJoinOp final : public MaterializedOperator {
       } else {
         // Emit the cross product of the equal-key runs.
         std::size_t lend = li;
-        while (lend < ln && cmp_within(lk, lend, li) == 0) ++lend;
+        while (lend < ln && CompareKeys(lk, lend, lk, li) == 0) ++lend;
         std::size_t rend = ri;
-        while (rend < rn && cmp_within(rk, rend, ri) == 0) ++rend;
+        while (rend < rn && CompareKeys(rk, rend, rk, ri) == 0) ++rend;
         for (std::size_t i = li; i < lend; ++i) {
           for (std::size_t j = ri; j < rend; ++j) {
             lidx.push_back(static_cast<uint32_t>(i));
@@ -874,31 +568,11 @@ class MergeJoinOp final : public MaterializedOperator {
     if (join_type_ == JoinType::kLeftOuter) {
       for (; li < ln; ++li) emit_padded(li);
     }
-
-    col_out_.schema = output_schema_;
-    col_out_.physical_rows = lidx.size();
-    col_out_.columns.reserve(l.columns.size() + r.columns.size());
-    for (const ColumnVector& src : l.columns) {
-      ColumnVector v = ColumnVector::OfRep(src.rep());
-      v.Reserve(lidx.size());
-      for (const uint32_t i : lidx) v.AppendFrom(src, i);
-      col_out_.columns.push_back(std::move(v));
-    }
-    for (const ColumnVector& src : r.columns) {
-      ColumnVector v = ColumnVector::OfRep(src.rep());
-      v.Reserve(ridx.size());
-      for (const uint32_t j : ridx) {
-        if (j == kPad) {
-          v.AppendNull();
-        } else {
-          v.AppendFrom(src, j);
-        }
-      }
-      col_out_.columns.push_back(std::move(v));
-    }
+    GatherJoinOutput(l, r, lidx, ridx, out);
     return Status::OK();
   }
 
+ private:
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
@@ -906,12 +580,13 @@ class MergeJoinOp final : public MaterializedOperator {
   JoinType join_type_;
   std::vector<BoundExprPtr> bound_left_;
   std::vector<BoundExprPtr> bound_right_;
-  bool built_ = false;
-  bool col_emitted_ = false;
-  ColumnBatch col_out_;
 };
 
-class SortOp final : public MaterializedOperator {
+// Sort: drain dense, evaluate the key columns once, stable-sort an index
+// permutation with typed cell comparisons, and emit the input storage
+// UNCHANGED under a selection vector — the sorted batch is a permutation
+// view, zero gathers.
+class SortOp final : public MaterializingOperator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
@@ -928,91 +603,31 @@ class SortOp final : public MaterializedOperator {
     return Status::OK();
   }
 
-  Result<std::optional<Batch>> Next() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildRows());
-    }
-    return MaterializedOperator::Next();
-  }
-
-  bool columnar() const override { return child_->columnar(); }
-
-  // Native columnar sort: drain dense, evaluate the key columns once,
-  // stable-sort an index permutation with typed cell comparisons, and
-  // emit the input storage UNCHANGED under a selection vector — the
-  // sorted batch is a permutation view, zero gathers.
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildColumnar());
-    }
-    if (col_emitted_ || col_out_.num_rows() == 0) {
-      return std::optional<ColumnBatch>();
-    }
-    col_emitted_ = true;
-    return std::optional<ColumnBatch>(std::move(col_out_));
-  }
-
- private:
-  Status BuildRows() {
-    SWIFT_RETURN_NOT_OK(Drain(child_.get(), &out_rows_));
-    // Precompute key tuples, then stable-sort an index permutation so
-    // expression evaluation is O(n), not O(n log n).
-    std::vector<Row> keyrows;
-    keyrows.reserve(out_rows_.size());
-    for (const Row& r : out_rows_) {
-      SWIFT_ASSIGN_OR_RETURN(Row k, EvalKeysOf(r));
-      keyrows.push_back(std::move(k));
-    }
-    std::vector<std::size_t> perm(out_rows_.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       for (std::size_t k = 0; k < keys_.size(); ++k) {
-                         int c = keyrows[a][k].Compare(keyrows[b][k]);
-                         if (!keys_[k].ascending) c = -c;
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
-    std::vector<Row> sorted;
-    sorted.reserve(out_rows_.size());
-    for (std::size_t i : perm) sorted.push_back(std::move(out_rows_[i]));
-    out_rows_ = std::move(sorted);
-    return Status::OK();
-  }
-
-  Status BuildColumnar() {
-    ColumnBatch in;
-    SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), &in));
-    std::vector<ColumnVector> keycols;
-    SWIFT_RETURN_NOT_OK(EvalKeyColumns(bound_keys_, in, &keycols));
-    std::vector<uint32_t> perm(in.physical_rows);
+ protected:
+  Status Build(ColumnBatch* out) override {
+    SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), out));
+    ColumnBatch keys;
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_keys_, *out, &keys));
+    std::vector<uint32_t> perm(out->physical_rows);
     std::iota(perm.begin(), perm.end(), 0u);
     std::stable_sort(perm.begin(), perm.end(),
                      [&](uint32_t a, uint32_t b) {
                        for (std::size_t k = 0; k < keys_.size(); ++k) {
-                         int c = CompareCells(keycols[k], a, keycols[k], b);
+                         int c = CompareCells(keys.columns[k], a,
+                                              keys.columns[k], b);
                          if (!keys_[k].ascending) c = -c;
                          if (c != 0) return c < 0;
                        }
                        return false;
                      });
-    col_out_ = std::move(in);
-    col_out_.schema = output_schema_;
-    col_out_.selection = std::move(perm);
+    out->selection = std::move(perm);
     return Status::OK();
   }
 
-  Result<Row> EvalKeysOf(const Row& r) { return EvalKeys(bound_keys_, r); }
-
+ private:
   OperatorPtr child_;
   std::vector<SortKey> keys_;
   std::vector<BoundExprPtr> bound_keys_;
-  bool built_ = false;
-  bool col_emitted_ = false;
-  ColumnBatch col_out_;
 };
 
 // Incremental aggregate state shared by hash and streamed variants.
@@ -1084,16 +699,6 @@ Result<Schema> AggOutputSchema(const Schema& in,
   return Schema(std::move(fields));
 }
 
-Result<Value> AggInput(AggKind kind, const BoundExpr* arg, const Row& row) {
-  if (arg == nullptr) return Value(int64_t{1});  // COUNT(*) marker
-  SWIFT_ASSIGN_OR_RETURN(Value v, arg->Evaluate(row));
-  if (kind == AggKind::kCount && v.is_null()) {
-    // COUNT(x) ignores NULL: represent as "no update" via null marker.
-    return Value::Null();
-  }
-  return v;
-}
-
 // Binds the aggregate argument expressions; COUNT(*) slots stay null.
 Result<std::vector<BoundExprPtr>> BindAggArgs(const std::vector<AggSpec>& aggs,
                                               const Schema& schema) {
@@ -1110,11 +715,14 @@ Result<std::vector<BoundExprPtr>> BindAggArgs(const std::vector<AggSpec>& aggs,
   return out;
 }
 
-class HashAggregateOp final : public MaterializedOperator {
+// Shared shape of both aggregates: group columns then one column per
+// aggregate, keyed by evaluated group columns and fed by evaluated
+// argument columns.
+class AggregateOperator : public MaterializingOperator {
  public:
-  HashAggregateOp(OperatorPtr child, std::vector<ExprPtr> groups,
-                  std::vector<std::string> group_names,
-                  std::vector<AggSpec> aggs)
+  AggregateOperator(OperatorPtr child, std::vector<ExprPtr> groups,
+                    std::vector<std::string> group_names,
+                    std::vector<AggSpec> aggs)
       : child_(std::move(child)),
         groups_(std::move(groups)),
         group_names_(std::move(group_names)),
@@ -1128,158 +736,31 @@ class HashAggregateOp final : public MaterializedOperator {
     const Schema& in = child_->output_schema();
     SWIFT_ASSIGN_OR_RETURN(output_schema_,
                            AggOutputSchema(in, groups_, group_names_, aggs_));
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_groups,
-                           BindAll(groups_, in));
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_args,
-                           BindAggArgs(aggs_, in));
-
-    // Group lookup goes through the flat table; AggState slots live in
-    // one dense-major vector addressed by the key's table index, and
-    // dense order IS first-seen order, so output determinism is free.
-    FlatKeyTable table;
-    const std::size_t naggs = aggs_.size();
-    std::vector<AggState> states;  // table.size() * naggs, dense-major
-    std::vector<Row> group_keys;   // dense index -> group key values
-    std::vector<uint32_t> gcols;
-    const bool g_fast = KeyEncoder::ColumnOrdinals(bound_groups, &gcols);
-    if (child_->columnar() && g_fast) {
-      SWIFT_RETURN_NOT_OK(AccumulateColumnar(bound_args, gcols, &table,
-                                             &states, &group_keys));
-    } else {
-      SWIFT_RETURN_NOT_OK(AccumulateRows(bound_groups, bound_args, gcols,
-                                         g_fast, &table, &states,
-                                         &group_keys));
-    }
-    if (groups_.empty() && group_keys.empty()) {
-      // Global aggregate over empty input: one all-default row.
-      states.resize(naggs);
-      group_keys.push_back(Row{});
-    }
-    out_rows_.reserve(group_keys.size());
-    for (std::size_t g = 0; g < group_keys.size(); ++g) {
-      Row out = std::move(group_keys[g]);
-      for (std::size_t a = 0; a < naggs; ++a) {
-        out.push_back(states[g * naggs + a].Finish(aggs_[a].kind));
-      }
-      out_rows_.push_back(std::move(out));
-    }
+    SWIFT_ASSIGN_OR_RETURN(bound_groups_, BindAll(groups_, in));
+    SWIFT_ASSIGN_OR_RETURN(bound_args_, BindAggArgs(aggs_, in));
     return Status::OK();
   }
 
- private:
-  // Legacy row-at-a-time accumulation (computed group keys, or a child
-  // with no native columnar path).
-  Status AccumulateRows(const std::vector<BoundExprPtr>& bound_groups,
-                        const std::vector<BoundExprPtr>& bound_args,
-                        const std::vector<uint32_t>& gcols, bool g_fast,
-                        FlatKeyTable* table, std::vector<AggState>* states,
-                        std::vector<Row>* group_keys) {
-    const std::size_t naggs = aggs_.size();
-    std::vector<Row> rows;
-    SWIFT_RETURN_NOT_OK(Drain(child_.get(), &rows));
-    KeyEncoder enc;
-    Row key;
-    for (const Row& r : rows) {
-      bool has_null = false;  // NULL group keys form real groups
-      std::string_view bytes;
-      if (g_fast) {
-        if (!enc.EncodeColumns(r, gcols, &bytes, &has_null)) {
-          return Status::Internal("row narrower than group key schema");
-        }
-      } else {
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound_groups, r, &key));
-        bytes = enc.Encode(key, &has_null);
+ protected:
+  // Folds logical row i of the evaluated argument columns into `slot`.
+  void Update(const std::vector<ColumnVector>& args, std::size_t i,
+              AggState* slot) const {
+    for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      if (bound_args_[a] == nullptr) {
+        slot[a].Update(aggs_[a].kind, Value(int64_t{1}));  // COUNT(*)
+        continue;
       }
-      const FlatKeyTable::FindResult fr =
-          table->FindOrInsert(bytes, KeyEncoder::HashEncoded(bytes));
-      if (fr.inserted) {
-        states->resize(states->size() + naggs);
-        if (g_fast) {
-          // The boxed group key is only materialized once per group.
-          Row gk;
-          gk.reserve(gcols.size());
-          for (const uint32_t c : gcols) gk.push_back(r[c]);
-          group_keys->push_back(std::move(gk));
-        } else {
-          group_keys->push_back(key);
-        }
-      }
-      AggState* slot = states->data() + std::size_t{fr.index} * naggs;
-      for (std::size_t a = 0; a < naggs; ++a) {
-        SWIFT_ASSIGN_OR_RETURN(
-            Value v, AggInput(aggs_[a].kind, bound_args[a].get(), r));
-        if (aggs_[a].kind == AggKind::kCount && v.is_null()) continue;
-        slot[a].Update(aggs_[a].kind, v);
-      }
+      const Value v = args[a].GetValue(i);
+      if (aggs_[a].kind == AggKind::kCount && v.is_null()) continue;
+      slot[a].Update(aggs_[a].kind, v);
     }
-    return Status::OK();
   }
 
-  // Vectorized accumulation: group keys encode + hash in
-  // column-at-a-time passes (KeyEncoder::EncodeBatchColumns) and agg
-  // arguments evaluate once per batch via EvaluateVector; only the
-  // per-row table probe and state update stay scalar. Row-for-row
-  // identical groups, values, and first-seen order to AccumulateRows.
-  Status AccumulateColumnar(const std::vector<BoundExprPtr>& bound_args,
-                            const std::vector<uint32_t>& gcols,
-                            FlatKeyTable* table, std::vector<AggState>* states,
-                            std::vector<Row>* group_keys) {
-    const std::size_t naggs = aggs_.size();
-    KeyEncoder::BatchKeys bk;
-    std::vector<ColumnVector> arg_cols(naggs);
-    const auto update = [&](const ColumnBatch& b, std::size_t i,
-                            std::string_view bytes, uint64_t hash) {
-      const FlatKeyTable::FindResult fr = table->FindOrInsert(bytes, hash);
-      if (fr.inserted) {
-        states->resize(states->size() + naggs);
-        const std::size_t phys = b.PhysicalIndex(i);
-        Row gk;
-        gk.reserve(gcols.size());
-        for (const uint32_t c : gcols) gk.push_back(b.columns[c].GetValue(phys));
-        group_keys->push_back(std::move(gk));
-      }
-      AggState* slot = states->data() + std::size_t{fr.index} * naggs;
-      for (std::size_t a = 0; a < naggs; ++a) {
-        Value v = bound_args[a] == nullptr ? Value(int64_t{1})
-                                           : arg_cols[a].GetValue(i);
-        if (aggs_[a].kind == AggKind::kCount && v.is_null()) continue;
-        slot[a].Update(aggs_[a].kind, v);
-      }
-    };
-    for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b,
-                             child_->NextColumnar());
-      if (!b.has_value()) return Status::OK();
-      const std::size_t n = b->num_rows();
-      if (n == 0) continue;
-      for (const uint32_t c : gcols) {
-        if (c >= b->columns.size()) {
-          return Status::Internal("row narrower than group key schema");
-        }
-      }
-      for (std::size_t a = 0; a < naggs; ++a) {
-        if (bound_args[a] != nullptr) {
-          SWIFT_RETURN_NOT_OK(bound_args[a]->EvaluateVector(*b, &arg_cols[a]));
-        }
-      }
-      if (KeyEncoder::EncodeBatchColumns(*b, gcols, &bk)) {
-        for (std::size_t i = 0; i < n; ++i) {
-          update(*b, i, bk.key(i), bk.hashes[i]);
-        }
-      } else {
-        // > 4 GiB of key bytes in one batch: encode row-at-a-time.
-        KeyEncoder enc;
-        Row row;
-        for (std::size_t i = 0; i < n; ++i) {
-          b->MaterializeRow(i, &row);
-          bool has_null = false;
-          std::string_view bytes;
-          if (!enc.EncodeColumns(row, gcols, &bytes, &has_null)) {
-            return Status::Internal("row narrower than group key schema");
-          }
-          update(*b, i, bytes, KeyEncoder::HashEncoded(bytes));
-        }
-      }
+  // Appends the finished aggregates of one group to `out`'s aggregate
+  // columns (the group columns are the caller's).
+  void EmitAggs(const AggState* slot, ColumnBatch* out) const {
+    for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      out->columns[groups_.size() + a].Append(slot[a].Finish(aggs_[a].kind));
     }
   }
 
@@ -1287,84 +768,135 @@ class HashAggregateOp final : public MaterializedOperator {
   std::vector<ExprPtr> groups_;
   std::vector<std::string> group_names_;
   std::vector<AggSpec> aggs_;
+  std::vector<BoundExprPtr> bound_groups_;
+  std::vector<BoundExprPtr> bound_args_;
 };
 
-class StreamedAggregateOp final : public MaterializedOperator {
+// Hash GROUP BY: group keys encode + hash in column-at-a-time passes
+// and arguments evaluate once per batch; only the table probe and the
+// state update stay per row. AggState slots live in one dense-major
+// vector addressed by the key's table index, and dense order IS
+// first-seen order, so output determinism is free.
+class HashAggregateOp final : public AggregateOperator {
  public:
-  StreamedAggregateOp(OperatorPtr child, std::vector<ExprPtr> groups,
-                      std::vector<std::string> group_names,
-                      std::vector<AggSpec> aggs)
-      : child_(std::move(child)),
-        groups_(std::move(groups)),
-        group_names_(std::move(group_names)),
-        aggs_(std::move(aggs)) {}
+  using AggregateOperator::AggregateOperator;
 
-  Status Open() override {
-    if (groups_.size() != group_names_.size()) {
-      return Status::InvalidArgument("group exprs/names size mismatch");
-    }
-    SWIFT_RETURN_NOT_OK(child_->Open());
-    const Schema& in = child_->output_schema();
-    SWIFT_ASSIGN_OR_RETURN(output_schema_,
-                           AggOutputSchema(in, groups_, group_names_, aggs_));
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_groups,
-                           BindAll(groups_, in));
-    SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound_args,
-                           BindAggArgs(aggs_, in));
-
-    bool have_group = false;
-    Row current_key;
-    std::vector<AggState> states(aggs_.size());
-    auto flush = [&]() {
-      Row out = current_key;
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        out.push_back(states[a].Finish(aggs_[a].kind));
+ protected:
+  Status Build(ColumnBatch* out) override {
+    *out = EmptyBatchOf(output_schema_);
+    const std::size_t naggs = aggs_.size();
+    FlatKeyTable table;
+    std::vector<AggState> states;  // table.size() * naggs, dense-major
+    ColumnBatch keys;
+    KeyEncoder::BatchKeys bk;
+    std::vector<ColumnVector> args;
+    for (;;) {
+      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
+      if (!b.has_value()) break;
+      if (b->num_rows() == 0) continue;
+      SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_groups_, *b, &keys));
+      SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
+      SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
+      for (std::size_t i = 0; i < keys.physical_rows; ++i) {
+        // NULL group keys form real groups (null_key ignored).
+        const FlatKeyTable::FindResult fr =
+            table.FindOrInsert(bk.key(i), bk.hashes[i]);
+        if (fr.inserted) {
+          states.resize(states.size() + naggs);
+          for (std::size_t g = 0; g < keys.columns.size(); ++g) {
+            out->columns[g].AppendFrom(keys.columns[g], i);
+          }
+        }
+        Update(args, i, states.data() + std::size_t{fr.index} * naggs);
       }
-      out_rows_.push_back(std::move(out));
+    }
+    std::size_t ngroups = table.size();
+    if (groups_.empty() && ngroups == 0) {
+      // Global aggregate over empty input: one all-default row.
+      states.resize(naggs);
+      ngroups = 1;
+    }
+    for (std::size_t g = 0; g < ngroups; ++g) {
+      EmitAggs(states.data() + g * naggs, out);
+    }
+    out->physical_rows = ngroups;
+    return Status::OK();
+  }
+};
+
+// Streamed GROUP BY over input sorted by the group keys: batches stream
+// through with O(1) state — the current group's first key, held as one
+// cell per key column, and its aggregate states — so a group may span
+// any number of input batches. Keys compare with CompareCells, i.e.
+// Value::Compare: NULL keys form one group and 3 equals 3.0.
+class StreamedAggregateOp final : public AggregateOperator {
+ public:
+  using AggregateOperator::AggregateOperator;
+
+ protected:
+  Status Build(ColumnBatch* out) override {
+    *out = EmptyBatchOf(output_schema_);
+    std::vector<ColumnVector> current;  // the open group's key, one cell each
+    std::vector<AggState> states(aggs_.size());
+    bool have_group = false;
+    std::size_t ngroups = 0;
+    auto flush = [&]() {
+      for (std::size_t g = 0; g < current.size(); ++g) {
+        out->columns[g].AppendFrom(current[g], 0);
+      }
+      EmitAggs(states.data(), out);
       states.assign(aggs_.size(), AggState{});
+      ++ngroups;
+    };
+    auto open_group = [&](const ColumnBatch& keys, std::size_t i) {
+      current.clear();
+      for (const ColumnVector& c : keys.columns) {
+        ColumnVector cell = ColumnVector::OfRep(c.rep());
+        cell.AppendFrom(c, i);
+        current.push_back(std::move(cell));
+      }
+      have_group = true;
     };
 
+    ColumnBatch keys;
+    std::vector<ColumnVector> args;
     for (;;) {
-      SWIFT_ASSIGN_OR_RETURN(std::optional<Batch> b, child_->Next());
+      SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
       if (!b.has_value()) break;
-      Row key;
-      for (const Row& r : b->rows) {
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound_groups, r, &key));
-        if (have_group && !RowsEqual(key, current_key)) {
-          if (CompareKeyRows(current_key, key) > 0) {
+      if (b->num_rows() == 0) continue;
+      SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_groups_, *b, &keys));
+      SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
+      for (std::size_t i = 0; i < keys.physical_rows; ++i) {
+        if (!have_group) {
+          open_group(keys, i);
+        } else {
+          const int c = CompareKeys(current, 0, keys.columns, i);
+          if (c > 0) {
             return Status::Internal(
                 "StreamedAggregate input not sorted by group keys");
           }
-          flush();
-          current_key = key;
-        } else if (!have_group) {
-          current_key = key;
-          have_group = true;
+          if (c != 0) {
+            flush();
+            open_group(keys, i);
+          }
         }
-        for (std::size_t a = 0; a < aggs_.size(); ++a) {
-          SWIFT_ASSIGN_OR_RETURN(
-              Value v, AggInput(aggs_[a].kind, bound_args[a].get(), r));
-          if (aggs_[a].kind == AggKind::kCount && v.is_null()) continue;
-          states[a].Update(aggs_[a].kind, v);
-        }
+        Update(args, i, states.data());
       }
     }
-    if (have_group) {
-      flush();
-    } else if (groups_.empty()) {
-      flush();  // global aggregate over empty input
-    }
+    // The last group; a global aggregate over empty input still emits
+    // its one all-default row.
+    if (have_group || groups_.empty()) flush();
+    out->physical_rows = ngroups;
     return Status::OK();
   }
-
- private:
-  OperatorPtr child_;
-  std::vector<ExprPtr> groups_;
-  std::vector<std::string> group_names_;
-  std::vector<AggSpec> aggs_;
 };
 
-class WindowOp final : public MaterializedOperator {
+// Window: the frame evaluation (partition grouping, per-group ordering,
+// running function state) runs over key columns with typed cell
+// comparisons; the output reuses the drained input storage under an
+// emission-order selection vector, plus one dense window column
+// scattered back to physical positions — no input gathers at all.
+class WindowOp final : public MaterializingOperator {
  public:
   WindowOp(OperatorPtr child, std::vector<ExprPtr> partition_by,
            std::vector<SortKey> order_by, WindowFunc func, ExprPtr arg,
@@ -1398,130 +930,16 @@ class WindowOp final : public MaterializedOperator {
     return Status::OK();
   }
 
-  Result<std::optional<Batch>> Next() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildRows());
-    }
-    return MaterializedOperator::Next();
-  }
-
-  bool columnar() const override { return child_->columnar(); }
-
-  // Native columnar window: the frame evaluation (partition grouping,
-  // per-group ordering, running function state) runs over key columns
-  // with typed cell comparisons; the output reuses the drained input
-  // storage under an emission-order selection vector, plus one dense
-  // window column scattered back to physical positions — no input
-  // gathers at all.
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
-    if (!built_) {
-      built_ = true;
-      SWIFT_RETURN_NOT_OK(BuildColumnar());
-    }
-    if (col_emitted_ || col_out_.num_rows() == 0) {
-      return std::optional<ColumnBatch>();
-    }
-    col_emitted_ = true;
-    return std::optional<ColumnBatch>(std::move(col_out_));
-  }
-
- private:
-  Status BuildRows() {
-    SWIFT_RETURN_NOT_OK(Drain(child_.get(), &out_rows_));
-
-    // Group rows per partition through the flat table (one hash lookup
-    // per row instead of partition-key comparisons inside a global
-    // sort), then order the groups by key and sort only within each
-    // group — output order matches the legacy global stable_sort.
-    FlatKeyTable table;
-    std::vector<std::vector<std::size_t>> groups;  // dense -> row idxs
-    std::vector<Row> part_keys;                    // dense -> key values
-    std::vector<Row> order_rows(out_rows_.size());
-    KeyEncoder enc;
-    Row key;
-    for (std::size_t i = 0; i < out_rows_.size(); ++i) {
-      SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound_partition_, out_rows_[i], &key));
-      SWIFT_ASSIGN_OR_RETURN(Row o, EvalKeys(bound_order_, out_rows_[i]));
-      order_rows[i] = std::move(o);
-      bool has_null = false;  // NULL partition keys form real partitions
-      const std::string_view bytes = enc.Encode(key, &has_null);
-      const FlatKeyTable::FindResult fr =
-          table.FindOrInsert(bytes, KeyEncoder::HashEncoded(bytes));
-      if (fr.inserted) {
-        groups.emplace_back();
-        part_keys.push_back(key);
-      }
-      groups[fr.index].push_back(i);
-    }
-    std::vector<uint32_t> gorder(groups.size());
-    std::iota(gorder.begin(), gorder.end(), 0u);
-    std::sort(gorder.begin(), gorder.end(), [&](uint32_t a, uint32_t b) {
-      const int c = CompareKeyRows(part_keys[a], part_keys[b]);
-      if (c != 0) return c < 0;
-      return a < b;  // tie across distinct encodings: first-seen order
-    });
-
-    std::vector<Row> result;
-    result.reserve(out_rows_.size());
-    for (const uint32_t g : gorder) {
-      std::vector<std::size_t>& idxs = groups[g];
-      // Stable: rows with equal order keys keep input order, like the
-      // legacy stable_sort.
-      std::stable_sort(idxs.begin(), idxs.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         for (std::size_t k = 0; k < order_by_.size(); ++k) {
-                           int oc = order_rows[a][k].Compare(order_rows[b][k]);
-                           if (!order_by_[k].ascending) oc = -oc;
-                           if (oc != 0) return oc < 0;
-                         }
-                         return false;
-                       });
-      int64_t row_number = 0;
-      int64_t rank = 0;
-      double running_sum = 0.0;
-      for (std::size_t j = 0; j < idxs.size(); ++j) {
-        Row r = std::move(out_rows_[idxs[j]]);
-        ++row_number;
-        if (j == 0 || CompareKeyRows(order_rows[idxs[j]],
-                                     order_rows[idxs[j - 1]]) != 0) {
-          rank = row_number;
-        }
-        Value v;
-        switch (func_) {
-          case WindowFunc::kRowNumber:
-            v = Value(row_number);
-            break;
-          case WindowFunc::kRank:
-            v = Value(rank);
-            break;
-          case WindowFunc::kSum: {
-            if (bound_arg_ == nullptr) {
-              return Status::InvalidArgument("window sum requires an argument");
-            }
-            SWIFT_ASSIGN_OR_RETURN(Value a, bound_arg_->Evaluate(r));
-            if (!a.is_null()) running_sum += a.AsDouble();
-            v = Value(running_sum);
-            break;
-          }
-        }
-        r.push_back(std::move(v));
-        result.push_back(std::move(r));
-      }
-    }
-    out_rows_ = std::move(result);
-    return Status::OK();
-  }
-
-  Status BuildColumnar() {
+ protected:
+  Status Build(ColumnBatch* out) override {
     ColumnBatch in;
     SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), &in));
     const std::size_t n = in.physical_rows;
     if (n == 0) return Status::OK();
 
-    std::vector<ColumnVector> part_cols, order_cols;
-    SWIFT_RETURN_NOT_OK(EvalKeyColumns(bound_partition_, in, &part_cols));
-    SWIFT_RETURN_NOT_OK(EvalKeyColumns(bound_order_, in, &order_cols));
+    ColumnBatch part, order;
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_partition_, in, &part));
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_order_, in, &order));
     ColumnVector arg_col;
     if (func_ == WindowFunc::kSum) {
       if (bound_arg_ == nullptr) {
@@ -1530,74 +948,40 @@ class WindowOp final : public MaterializedOperator {
       SWIFT_RETURN_NOT_OK(bound_arg_->EvaluateVector(in, &arg_col));
     }
 
-    // Partition grouping mirrors the row path exactly: the same key
-    // encoding feeds the same flat table, so dense group ids come out
-    // in the same first-seen order.
-    ColumnBatch key_batch;
-    key_batch.physical_rows = n;
-    key_batch.columns = std::move(part_cols);
-    std::vector<uint32_t> ords(key_batch.columns.size());
-    std::iota(ords.begin(), ords.end(), 0u);
+    // Group rows per partition through the flat table (one hash lookup
+    // per row), then order the groups by key and sort only within each
+    // group.
     FlatKeyTable table;
     std::vector<std::vector<std::size_t>> groups;  // dense -> row idxs
     std::vector<std::size_t> group_first;          // dense -> first row
     KeyEncoder::BatchKeys bk;
-    if (KeyEncoder::EncodeBatchColumns(key_batch, ords, &bk)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        // NULL partition keys form real partitions (null_key ignored).
-        const FlatKeyTable::FindResult fr =
-            table.FindOrInsert(bk.key(i), bk.hashes[i]);
-        if (fr.inserted) {
-          groups.emplace_back();
-          group_first.push_back(i);
-        }
-        groups[fr.index].push_back(i);
+    SWIFT_RETURN_NOT_OK(EncodeKeys(part, &bk));
+    for (std::size_t i = 0; i < n; ++i) {
+      // NULL partition keys form real partitions (null_key ignored).
+      const FlatKeyTable::FindResult fr =
+          table.FindOrInsert(bk.key(i), bk.hashes[i]);
+      if (fr.inserted) {
+        groups.emplace_back();
+        group_first.push_back(i);
       }
-    } else {
-      // Key material over 4GiB: encode row-at-a-time.
-      KeyEncoder enc;
-      Row key;
-      for (std::size_t i = 0; i < n; ++i) {
-        key.clear();
-        for (const ColumnVector& c : key_batch.columns) {
-          key.push_back(c.GetValue(i));
-        }
-        bool has_null = false;
-        const std::string_view bytes = enc.Encode(key, &has_null);
-        const FlatKeyTable::FindResult fr =
-            table.FindOrInsert(bytes, KeyEncoder::HashEncoded(bytes));
-        if (fr.inserted) {
-          groups.emplace_back();
-          group_first.push_back(i);
-        }
-        groups[fr.index].push_back(i);
-      }
+      groups[fr.index].push_back(i);
     }
     std::vector<uint32_t> gorder(groups.size());
     std::iota(gorder.begin(), gorder.end(), 0u);
     std::sort(gorder.begin(), gorder.end(), [&](uint32_t a, uint32_t b) {
-      for (const ColumnVector& c : key_batch.columns) {
-        const int cc = CompareCells(c, group_first[a], c, group_first[b]);
-        if (cc != 0) return cc < 0;
-      }
+      const int c = CompareKeys(part.columns, group_first[a], part.columns,
+                                group_first[b]);
+      if (c != 0) return c < 0;
       return a < b;  // tie across distinct encodings: first-seen order
     });
 
     auto cmp_order = [&](std::size_t a, std::size_t b) {
       for (std::size_t k = 0; k < order_by_.size(); ++k) {
-        int oc = CompareCells(order_cols[k], a, order_cols[k], b);
+        int oc = CompareCells(order.columns[k], a, order.columns[k], b);
         if (!order_by_[k].ascending) oc = -oc;
         if (oc != 0) return oc;
       }
       return 0;
-    };
-    auto order_equal = [&](std::size_t a, std::size_t b) {
-      for (std::size_t k = 0; k < order_by_.size(); ++k) {
-        if (CompareCells(order_cols[k], a, order_cols[k], b) != 0) {
-          return false;
-        }
-      }
-      return true;
     };
 
     std::vector<uint32_t> emit_order;
@@ -1611,8 +995,7 @@ class WindowOp final : public MaterializedOperator {
     }
     for (const uint32_t g : gorder) {
       std::vector<std::size_t>& idxs = groups[g];
-      // Stable: rows with equal order keys keep input order, like the
-      // legacy stable_sort.
+      // Stable: rows with equal order keys keep input order.
       std::stable_sort(idxs.begin(), idxs.end(),
                        [&](std::size_t a, std::size_t b) {
                          return cmp_order(a, b) < 0;
@@ -1623,7 +1006,10 @@ class WindowOp final : public MaterializedOperator {
       for (std::size_t j = 0; j < idxs.size(); ++j) {
         const std::size_t row = idxs[j];
         ++row_number;
-        if (j == 0 || !order_equal(row, idxs[j - 1])) rank = row_number;
+        if (j == 0 ||
+            CompareKeys(order.columns, row, order.columns, idxs[j - 1]) != 0) {
+          rank = row_number;
+        }
         switch (func_) {
           case WindowFunc::kRowNumber:
             win_i64[row] = row_number;
@@ -1661,13 +1047,13 @@ class WindowOp final : public MaterializedOperator {
     } else {
       for (std::size_t i = 0; i < n; ++i) win.AppendInt64(win_i64[i]);
     }
-    col_out_ = std::move(in);
-    col_out_.columns.push_back(std::move(win));
-    col_out_.schema = output_schema_;
-    col_out_.selection = std::move(emit_order);
+    *out = std::move(in);
+    out->columns.push_back(std::move(win));
+    out->selection = std::move(emit_order);
     return Status::OK();
   }
 
+ private:
   OperatorPtr child_;
   std::vector<ExprPtr> partition_by_;
   std::vector<SortKey> order_by_;
@@ -1677,9 +1063,6 @@ class WindowOp final : public MaterializedOperator {
   std::vector<BoundExprPtr> bound_partition_;
   std::vector<BoundExprPtr> bound_order_;
   BoundExprPtr bound_arg_;
-  bool built_ = false;
-  bool col_emitted_ = false;
-  ColumnBatch col_out_;
 };
 
 }  // namespace
@@ -1747,104 +1130,16 @@ OperatorPtr MakeWindow(OperatorPtr child, std::vector<ExprPtr> partition_by,
                                     std::move(output_name));
 }
 
-Result<Batch> CollectAll(PhysicalOperator* op) {
-  SWIFT_RETURN_NOT_OK(op->Open());
-  Batch out;
-  out.schema = op->output_schema();
-  SWIFT_RETURN_NOT_OK(Drain(op, &out.rows));
-  return out;
-}
-
 Result<ColumnBatch> CollectAllColumnar(PhysicalOperator* op) {
   SWIFT_RETURN_NOT_OK(op->Open());
   ColumnBatch out;
-  out.schema = op->output_schema();
-  // Seed schema-typed columns so the collected result conforms (and an
-  // empty stream still carries its column structure).
-  out.columns.reserve(out.schema.num_fields());
-  for (const Field& f : out.schema.fields()) {
-    out.columns.push_back(ColumnVector::OfType(f.type));
-  }
-  for (;;) {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, op->NextColumnar());
-    if (!b.has_value()) break;
-    AppendColumnBatch(*b, &out);
-  }
+  SWIFT_RETURN_NOT_OK(DrainColumnar(op, &out));
   return out;
 }
 
-namespace {
-
-// Shared partitioner core: one bound-key pass computes every row's
-// destination, per-partition vectors are reserved from exact counts,
-// then `take_row(i)` either copies (borrowed input) or moves (owned
-// input) each row into its partition.
-template <typename TakeRow>
-Result<std::vector<Batch>> HashPartitionImpl(const Batch& batch,
-                                             const std::vector<ExprPtr>& keys,
-                                             int num_partitions,
-                                             TakeRow take_row) {
-  if (num_partitions <= 0) {
-    return Status::InvalidArgument("num_partitions must be positive");
-  }
-  SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound,
-                         BindAll(keys, batch.schema));
-  const std::size_t n = static_cast<std::size_t>(num_partitions);
-  const uint32_t n32 = static_cast<uint32_t>(num_partitions);
-  std::vector<std::size_t> dest(batch.rows.size(), 0);
-  std::vector<std::size_t> counts(n, 0);
-  Row key;
-  std::vector<uint32_t> cols;
-  const bool fast = KeyEncoder::ColumnOrdinals(bound, &cols);
-  for (std::size_t i = 0; i < batch.rows.size(); ++i) {
-    // Normalized hashing + multiply-shift range reduction: strided and
-    // sequential keys spread uniformly where the old identity-hash
-    // `HashRow % n` striped (NULL keys still go to 0). The hash is
-    // computed without byte materialization — partitioning never stores
-    // the key — and plain-column keys read straight from the row.
-    std::size_t p = 0;
-    if (!bound.empty()) {
-      bool has_null = false;
-      uint64_t h = 0;
-      if (fast) {
-        if (!KeyEncoder::HashColumns(batch.rows[i], cols, &h, &has_null)) {
-          return Status::Internal("row narrower than partition key schema");
-        }
-      } else {
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound, batch.rows[i], &key));
-        h = KeyEncoder::HashNormalized(key, &has_null);
-      }
-      if (!has_null) p = RangeReduce(h, n32);
-    }
-    dest[i] = p;
-    ++counts[p];
-  }
-  std::vector<Batch> out(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    out[p].schema = batch.schema;
-    out[p].rows.reserve(counts[p]);
-  }
-  for (std::size_t i = 0; i < batch.rows.size(); ++i) {
-    out[dest[i]].rows.push_back(take_row(i));
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<std::vector<Batch>> HashPartition(const Batch& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions) {
-  return HashPartitionImpl(batch, keys, num_partitions,
-                           [&](std::size_t i) -> Row { return batch.rows[i]; });
-}
-
-Result<std::vector<Batch>> HashPartition(Batch&& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions) {
-  return HashPartitionImpl(
-      batch, keys, num_partitions,
-      [&](std::size_t i) -> Row { return std::move(batch.rows[i]); });
+Result<Batch> CollectAll(PhysicalOperator* op) {
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch out, CollectAllColumnar(op));
+  return ToRowBatch(out);
 }
 
 Result<std::vector<ColumnBatch>> HashPartitionColumnar(
@@ -1860,25 +1155,19 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
   const std::size_t n = batch.num_rows();
   std::vector<std::size_t> dest(n, 0);
   if (!bound.empty()) {
-    std::vector<uint32_t> cols;
+    // Normalized hashing + multiply-shift range reduction: strided and
+    // sequential keys spread uniformly, and NULL keys stay at 0. The
+    // hash needs no key bytes, so none are materialized.
+    ColumnBatch key_batch;
+    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound, batch, &key_batch));
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> nulls;
-    if (KeyEncoder::ColumnOrdinals(bound, &cols) &&
-        KeyEncoder::HashBatchColumns(batch, cols, &hashes, &nulls)) {
-      // One vectorized hash pass; NULL keys stay at partition 0.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (nulls[i] == 0) dest[i] = RangeReduce(hashes[i], n32);
-      }
-    } else {
-      // Computed key expressions: hash row-at-a-time like HashPartition.
-      Row row, key;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.MaterializeRow(i, &row);
-        SWIFT_RETURN_NOT_OK(EvalBoundKeys(bound, row, &key));
-        bool has_null = false;
-        const uint64_t h = KeyEncoder::HashNormalized(key, &has_null);
-        if (!has_null) dest[i] = RangeReduce(h, n32);
-      }
+    if (!KeyEncoder::HashBatchColumns(key_batch, KeyOrdinals(key_batch),
+                                      &hashes, &nulls)) {
+      return Status::Internal("partition key ordinal out of range");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (nulls[i] == 0) dest[i] = RangeReduce(hashes[i], n32);
     }
   }
   std::vector<std::size_t> counts(nparts, 0);
@@ -1903,27 +1192,6 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     }
   }
   return out;
-}
-
-Result<bool> IsSorted(const Schema& schema, const std::vector<Row>& rows,
-                      const std::vector<SortKey>& keys) {
-  std::vector<BoundExprPtr> bound;
-  bound.reserve(keys.size());
-  for (const SortKey& k : keys) {
-    SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(k.expr, schema));
-    bound.push_back(std::move(b));
-  }
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      SWIFT_ASSIGN_OR_RETURN(Value a, bound[k]->Evaluate(rows[i - 1]));
-      SWIFT_ASSIGN_OR_RETURN(Value b, bound[k]->Evaluate(rows[i]));
-      int c = a.Compare(b);
-      if (!keys[k].ascending) c = -c;
-      if (c < 0) break;
-      if (c > 0) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace swift

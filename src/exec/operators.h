@@ -16,31 +16,16 @@ namespace swift {
 /// \brief Pull-based physical operator: Open() then Next() until
 /// std::nullopt. Output schema is valid after Open().
 ///
-/// Operators expose two pull interfaces over the same stream: the row
-/// API (Next) and the columnar API (NextColumnar). A tree must be
-/// drained through exactly one of them. columnar() reports whether this
-/// operator produces ColumnBatches natively; the default NextColumnar
-/// adapts Next() through ToColumnBatch so any tree can be consumed
-/// columnar, and row consumers of native-columnar operators get
-/// ToRowBatch conversions — both directions produce identical logical
-/// rows.
+/// Every operator produces ColumnBatches (DESIGN.md Sec. 13). Batches may
+/// carry selection vectors; consumers must go through
+/// num_rows()/PhysicalIndex(), never a column's size().
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
   virtual Status Open() = 0;
   /// \brief Next output batch, or nullopt at end of stream.
-  virtual Result<std::optional<Batch>> Next() = 0;
-
-  /// \brief Next output batch in columnar form, or nullopt at end of
-  /// stream. Batches may carry selection vectors; consumers must go
-  /// through num_rows()/PhysicalIndex(), never a column's size().
-  virtual Result<std::optional<ColumnBatch>> NextColumnar();
-
-  /// \brief True when NextColumnar is the native (vectorized) path for
-  /// this operator and its inputs — the runtime picks the execution
-  /// mode per task tree from the root's answer.
-  virtual bool columnar() const { return false; }
+  virtual Result<std::optional<ColumnBatch>> Next() = 0;
 
   const Schema& output_schema() const { return output_schema_; }
 
@@ -71,16 +56,15 @@ struct AggSpec {
 
 // ---- Sources --------------------------------------------------------
 
-/// \brief Emits pre-materialized batches (table slices, shuffle input).
+/// \brief Emits row batches converted through ToColumnBatch (a test and
+/// bench helper; a ragged batch fails its Next() with InvalidArgument).
 OperatorPtr MakeBatchSource(Schema schema, std::vector<Batch> batches);
 
-/// \brief Emits pre-converted columnar batches (columnar scan slices,
-/// shuffle input decoded by DeserializeColumnBatch). Row consumers get
-/// ToRowBatch conversions.
+/// \brief Emits pre-built columnar batches.
 OperatorPtr MakeColumnBatchSource(Schema schema,
                                   std::vector<ColumnBatch> batches);
 
-// ---- Row-at-a-time transforms ---------------------------------------
+// ---- Streaming transforms -------------------------------------------
 
 /// \brief Keeps rows where `predicate` is true.
 OperatorPtr MakeFilter(OperatorPtr child, ExprPtr predicate);
@@ -127,7 +111,8 @@ OperatorPtr MakeHashAggregate(OperatorPtr child, std::vector<ExprPtr> groups,
                               std::vector<AggSpec> aggs);
 
 /// \brief GROUP BY over input sorted by the group keys (the paper's
-/// StreamedAggregate): O(1) state, emits groups in key order.
+/// StreamedAggregate): O(1) state, emits groups in key order. Input that
+/// is not sorted yields Status::Internal.
 OperatorPtr MakeStreamedAggregate(OperatorPtr child,
                                   std::vector<ExprPtr> groups,
                                   std::vector<std::string> group_names,
@@ -147,41 +132,23 @@ OperatorPtr MakeWindow(OperatorPtr child, std::vector<ExprPtr> partition_by,
 
 // ---- Helpers --------------------------------------------------------
 
-/// \brief Drains an operator tree into one materialized batch.
-Result<Batch> CollectAll(PhysicalOperator* op);
-
-/// \brief Drains an operator tree through the columnar API into one
-/// dense ColumnBatch (columns pre-typed from the output schema, so the
-/// result always conforms for SerializeColumnBatch's fast path).
+/// \brief Drains an operator tree into one dense ColumnBatch (columns
+/// pre-typed from the output schema, so the result always conforms for
+/// SerializeColumnBatch's fast path).
 Result<ColumnBatch> CollectAllColumnar(PhysicalOperator* op);
 
-/// \brief Hash-partitions `batch` into `num_partitions` by key columns
-/// (shuffle-write partitioning). NULL keys go to partition 0. Key
-/// expressions are bound once per call; output partitions are reserved
-/// from an exact counting pass.
-Result<std::vector<Batch>> HashPartition(const Batch& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions);
+/// \brief CollectAllColumnar boxed into rows (tests, benches, results).
+Result<Batch> CollectAll(PhysicalOperator* op);
 
-/// \brief Owned-input overload: rows are moved into the partitions
-/// instead of copied (the shuffle-write path owns its batch).
-Result<std::vector<Batch>> HashPartition(Batch&& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions);
-
-/// \brief Columnar twin of HashPartition: one vectorized hash pass over
-/// the key columns (KeyEncoder::HashBatchColumns), exact per-partition
-/// counts, then a column-at-a-time scatter into dense output batches.
-/// Same destinations as HashPartition row-for-row (NULL keys go to
-/// partition 0); computed key expressions fall back to row-at-a-time
-/// hashing internally.
+/// \brief Hash-partitions `batch` into `num_partitions` by key
+/// expressions (shuffle-write partitioning): one vectorized hash pass
+/// over the evaluated key columns (KeyEncoder::HashBatchColumns), exact
+/// per-partition counts, then a column-at-a-time scatter into dense
+/// output batches. NULL keys go to partition 0; row order within a
+/// partition is input order.
 Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
     int num_partitions);
-
-/// \brief True when `rows` is non-descending under `keys`.
-Result<bool> IsSorted(const Schema& schema, const std::vector<Row>& rows,
-                      const std::vector<SortKey>& keys);
 
 }  // namespace swift
 

@@ -42,7 +42,7 @@ Result<Batch> DeserializeBatch(std::string_view bytes);
 /// columns land with a single memcpy into contiguous typed storage and
 /// no per-value Value boxing anywhere (columns with nulls scatter
 /// through the validity bitmap; tagged/mixed columns decode to kBoxed).
-/// v1 buffers decode through the row path and convert — ragged v1
+/// v1 buffers decode through DeserializeBatch and convert — ragged v1
 /// batches (which cannot be columnar) return the conversion error.
 /// Verifies the same CRC/bounds as DeserializeBatch.
 Result<ColumnBatch> DeserializeColumnBatch(std::string_view bytes);

@@ -28,8 +28,8 @@ struct Table {
                                                       int task_count) const;
 
   /// \brief Rows assigned to scan task `task_index` of `task_count`,
-  /// copied into a fresh pre-reserved Batch (the row-path fallback and
-  /// test helper; hot paths use TaskSliceBounds + the morsel cursor).
+  /// copied into a fresh pre-reserved Batch (a test and bench helper;
+  /// the runtime uses TaskSliceBounds + the morsel cursor).
   Batch TaskSlice(int task_index, int task_count) const;
 };
 

@@ -872,87 +872,34 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
   const std::size_t morsel_rows =
       config_.morsel_rows <= 0 ? kDefaultMorselRows
                                : static_cast<std::size_t>(config_.morsel_rows);
-  // Set when the (single) source streams morsels — the precondition for
-  // wrapping the leading filter/project chain in a parallel segment.
-  bool morselized = false;
   std::vector<OperatorPtr> sources;
   if (!program.scan_table.empty()) {
     SWIFT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                            catalog_.Lookup(program.scan_table));
-    // A scan stage reads only the table columns its ops use. Morsels
-    // convert just those; the fallbacks read the slice at full table
-    // width and then project, so their behaviour and errors are those
-    // of a full-width scan.
-    const bool narrowed =
-        program.scan_columns.size() != table->schema.num_fields();
-    const Schema& slice_schema =
-        narrowed ? table->schema : program.scan_schema;
-    bool pushed = false;
-    if (config_.columnar_exec && config_.morsel_exec) {
-      // Uniform slices stream straight out of the table as
-      // ~morsel_rows-row morsels — the task slice is never materialized
-      // whole. The uniformity pre-check is exactly ToColumnBatch's
-      // ragged-row condition at table width, so the fallbacks below
-      // cover the same inputs they always did.
-      const auto [begin, end] =
-          table->TaskSliceBounds(task.task, program.task_count);
-      const std::size_t width = table->schema.num_fields();
-      bool uniform = true;
-      for (std::size_t r = begin; r < end; ++r) {
-        if (table->rows[r].size() != width) {
-          uniform = false;
-          break;
-        }
-      }
-      if (uniform) {
-        sources.push_back(MakeTableMorselSource(
-            table, task.task, program.task_count, program.scan_schema,
-            morsel_rows, program.scan_columns));
-        pushed = true;
-        morselized = true;
+    // The slice streams straight out of the table as ~morsel_rows-row
+    // morsels of just the columns the stage reads; the task slice is
+    // never materialized whole. The cursor reads cells unchecked, so a
+    // row that is not of table width fails the task here.
+    const auto [begin, end] =
+        table->TaskSliceBounds(task.task, program.task_count);
+    const std::size_t width = table->schema.num_fields();
+    for (std::size_t r = begin; r < end; ++r) {
+      if (table->rows[r].size() != width) {
+        return Status::InvalidArgument(StrFormat(
+            "table %s: row %zu has %zu cells, schema has %zu",
+            table->name.c_str(), r, table->rows[r].size(), width));
       }
     }
-    if (!pushed && config_.columnar_exec) {
-      // Scan slices enter the tree columnar so filter/project/aggregate
-      // roots run their vectorized kernels; ragged slices (rows not
-      // matching the schema width) stay on the row path.
-      Batch slice = table->TaskSlice(task.task, program.task_count);
-      slice.schema = slice_schema;
-      Result<ColumnBatch> cb = ToColumnBatch(slice);
-      if (cb.ok()) {
-        std::vector<ColumnBatch> batches;
-        batches.push_back(*std::move(cb));
-        sources.push_back(
-            MakeColumnBatchSource(slice_schema, std::move(batches)));
-        pushed = true;
-      }
-    }
-    if (!pushed) {
-      Batch slice = table->TaskSlice(task.task, program.task_count);
-      slice.schema = slice_schema;
-      std::vector<Batch> batches;
-      batches.push_back(std::move(slice));
-      sources.push_back(MakeBatchSource(slice_schema, std::move(batches)));
-    }
-    if (narrowed && !morselized) {
-      std::vector<ExprPtr> exprs;
-      std::vector<std::string> names;
-      for (std::size_t i = 0; i < program.scan_columns.size(); ++i) {
-        exprs.push_back(Expr::Column(
-            table->schema.field(program.scan_columns[i]).name));
-        names.push_back(program.scan_schema.field(i).name);
-      }
-      sources.back() = MakeProject(std::move(sources.back()),
-                                   std::move(exprs), std::move(names));
-    }
+    sources.push_back(MakeTableMorselSource(table, task.task,
+                                            program.task_count,
+                                            program.scan_schema, morsel_rows,
+                                            program.scan_columns));
   } else {
     for (StageId src : program.inputs) {
       const StageProgram& producer = ctx->plan->program(src);
       const ShuffleKind kind =
           shuffle_->KindFor(dag.ShuffleEdgeSize(src, task.stage));
-      std::vector<Batch> batches;
-      std::vector<ColumnBatch> cbatches;
-      bool use_columnar = config_.columnar_exec;
+      std::vector<ColumnBatch> batches;
       for (int st = 0; st < producer.task_count; ++st) {
         ShuffleSlotKey key{ctx->job, src, st, task.stage, task.task};
         int writer = 0;
@@ -966,27 +913,9 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           }
           writer = it->second;
         }
-        if (use_columnar) {
-          SWIFT_ASSIGN_OR_RETURN(
-              ShuffleInput in,
-              FetchShuffleInputColumnar(ctx, kind, key, machine, writer));
-          if (in.columnar.has_value()) {
-            cbatches.push_back(*std::move(in.columnar));
-          } else {
-            // A ragged v1 payload cannot be columnar: demote this whole
-            // source to rows, preserving payload order.
-            use_columnar = false;
-            for (ColumnBatch& cb : cbatches) {
-              batches.push_back(ToRowBatch(cb));
-            }
-            cbatches.clear();
-            batches.push_back(*std::move(in.rows));
-          }
-        } else {
-          SWIFT_ASSIGN_OR_RETURN(
-              Batch b, FetchShuffleInput(ctx, kind, key, machine, writer));
-          batches.push_back(std::move(b));
-        }
+        SWIFT_ASSIGN_OR_RETURN(
+            ColumnBatch b, FetchShuffleInput(ctx, kind, key, machine, writer));
+        batches.push_back(std::move(b));
         {
           // This task now holds the producer's output — the planner's
           // received_output set for any later failure of that producer.
@@ -994,19 +923,10 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           ctx->received_by[TaskRef{src, st}].insert(task);
         }
       }
-      if (use_columnar && config_.morsel_exec) {
-        // Decoded shuffle batches re-enter the tree as morsels so
-        // downstream pipelines stay O(morsel)-resident here too.
-        sources.push_back(MakeMorselSource(producer.output_schema,
-                                           std::move(cbatches), morsel_rows));
-        morselized = true;
-      } else if (use_columnar) {
-        sources.push_back(MakeColumnBatchSource(producer.output_schema,
-                                                std::move(cbatches)));
-      } else {
-        sources.push_back(
-            MakeBatchSource(producer.output_schema, std::move(batches)));
-      }
+      // Decoded shuffle batches re-enter the tree as morsels so
+      // downstream pipelines stay O(morsel)-resident here too.
+      sources.push_back(MakeMorselSource(producer.output_schema,
+                                         std::move(batches), morsel_rows));
     }
   }
 
@@ -1043,7 +963,7 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
   }
 
   std::size_t first_chain_op = first_op;
-  if (morselized && first_op == 0) {
+  if (first_op == 0) {
     // Intra-task morsel parallelism: the leading filter/project chain
     // has no pipeline breakers, so independent morsels fan out across
     // idle pool workers with an order-restoring merge — results stay
@@ -1132,10 +1052,10 @@ void LocalRuntime::NoteDecompressed(JobContext* ctx, std::string_view wire) {
   obs::Add(metrics_.decompress_bytes, raw_len);
 }
 
-Result<Batch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
-                                              ShuffleKind kind,
-                                              const ShuffleSlotKey& key,
-                                              int reader, int writer) {
+Result<ColumnBatch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
+                                                    ShuffleKind kind,
+                                                    const ShuffleSlotKey& key,
+                                                    int reader, int writer) {
   for (int refetch = 0;; ++refetch) {
     Result<ShuffleBuffer> buffer =
         shuffle_->ReadPartition(kind, key, reader, writer);
@@ -1149,57 +1069,13 @@ Result<Batch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
       }
       return buffer.status();  // timeout budget exhausted etc.
     }
-    Result<Batch> batch = DeserializeBatch(buffer->view());
+    Result<ColumnBatch> batch = DeserializeColumnBatch(buffer->view());
     if (batch.ok()) {
       NoteDecompressed(ctx, buffer->view());
       return batch;
     }
     if (refetch >= config_.max_corrupt_rereads) {
       return batch.status().WithContext(StrFormat(
-          "payload %s rejected %d times", key.ToString().c_str(),
-          refetch + 1));
-    }
-    // The CRC-32C footer rejected the payload (bit flip in flight):
-    // drop this copy and re-fetch from the shuffle fabric.
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->stats.corrupt_read_retries += 1;
-    obs::Add(metrics_.corrupt_read_retries);
-  }
-}
-
-Result<LocalRuntime::ShuffleInput> LocalRuntime::FetchShuffleInputColumnar(
-    JobContext* ctx, ShuffleKind kind, const ShuffleSlotKey& key, int reader,
-    int writer) {
-  for (int refetch = 0;; ++refetch) {
-    Result<ShuffleBuffer> buffer =
-        shuffle_->ReadPartition(kind, key, reader, writer);
-    if (!buffer.ok()) {
-      if (buffer.status().code() == StatusCode::kNotFound) {
-        // Same machine-loss mapping as FetchShuffleInput.
-        return Status::MachineUnhealthy(
-            std::string(buffer.status().message()));
-      }
-      return buffer.status();  // timeout budget exhausted etc.
-    }
-    Result<ColumnBatch> batch = DeserializeColumnBatch(buffer->view());
-    if (batch.ok()) {
-      NoteDecompressed(ctx, buffer->view());
-      ShuffleInput in;
-      in.columnar = *std::move(batch);
-      return in;
-    }
-    // A payload the columnar decoder rejects but the row decoder accepts
-    // is valid-but-ragged (v1), not corrupt: hand the rows back so the
-    // caller demotes the source instead of burning reread budget.
-    Result<Batch> rows = DeserializeBatch(buffer->view());
-    if (rows.ok()) {
-      NoteDecompressed(ctx, buffer->view());
-      ShuffleInput in;
-      in.rows = *std::move(rows);
-      return in;
-    }
-    if (refetch >= config_.max_corrupt_rereads) {
-      return rows.status().WithContext(StrFormat(
           "payload %s rejected %d times", key.ToString().c_str(),
           refetch + 1));
     }
@@ -1264,18 +1140,7 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
   const StageProgram& program = ctx->plan->program(task.stage);
   SWIFT_ASSIGN_OR_RETURN(OperatorPtr tree,
                          BuildTaskTree(ctx, program, task, machine));
-  // The execution mode is decided per task tree: roots that report
-  // columnar() drain through the vectorized path end to end (selection
-  // vectors never materialize row copies); everything else uses the row
-  // path. Shuffle wire bytes are identical either way.
-  const bool columnar = config_.columnar_exec && tree->columnar();
-  Batch out;
-  ColumnBatch col_out;
-  if (columnar) {
-    SWIFT_ASSIGN_OR_RETURN(col_out, CollectAllColumnar(tree.get()));
-  } else {
-    SWIFT_ASSIGN_OR_RETURN(out, CollectAll(tree.get()));
-  }
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch out, CollectAllColumnar(tree.get()));
   {
     // A machine killed mid-run takes its in-flight task results along.
     std::lock_guard<std::mutex> lock(mu_);
@@ -1290,7 +1155,7 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
   const StageId consumer = ctx->plan->ConsumerOf(task.stage);
   if (consumer < 0) {
     std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->final_result = columnar ? ToRowBatch(col_out) : std::move(out);
+    ctx->final_result = ToRowBatch(out);
     ctx->has_result = true;
     ctx->writer_machine[task] = machine;
     return Status::OK();
@@ -1301,38 +1166,22 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
   const bool pipelined =
       dag.EdgeKindOf(task.stage, consumer) == EdgeKind::kPipeline;
 
-  std::vector<Batch> parts;
-  std::vector<ColumnBatch> col_parts;
-  if (columnar) {
-    if (program.output_partition_keys.empty()) {
-      col_parts.resize(static_cast<std::size_t>(consumer_prog.task_count));
-      for (auto& p : col_parts) p.schema = col_out.schema;
-      col_parts[0] = std::move(col_out);
-    } else {
-      SWIFT_ASSIGN_OR_RETURN(
-          col_parts,
-          HashPartitionColumnar(col_out, program.output_partition_keys,
-                                consumer_prog.task_count));
-    }
-  } else if (program.output_partition_keys.empty()) {
-    parts.assign(static_cast<std::size_t>(consumer_prog.task_count), Batch{});
-    for (auto& p : parts) p.schema = out.schema;
-    parts[0].rows = std::move(out.rows);
-    parts[0].schema = out.schema;
+  std::vector<ColumnBatch> parts;
+  if (program.output_partition_keys.empty()) {
+    parts.resize(static_cast<std::size_t>(consumer_prog.task_count));
+    for (ColumnBatch& p : parts) p.schema = out.schema;
+    parts[0] = std::move(out);
   } else {
     SWIFT_ASSIGN_OR_RETURN(
-        parts, HashPartition(std::move(out), program.output_partition_keys,
-                             consumer_prog.task_count));
+        parts, HashPartitionColumnar(out, program.output_partition_keys,
+                                     consumer_prog.task_count));
   }
   for (int dst = 0; dst < consumer_prog.task_count; ++dst) {
     ShuffleSlotKey key{ctx->job, task.stage, task.task, consumer, dst};
     // One allocation per partition: the shuffle plane (direct slot,
     // workers, retained recovery slots, re-sends) shares this buffer.
-    // SerializeColumnBatch emits the same bytes SerializeBatch would for
-    // the equivalent row batch, so readers never see the difference.
-    const std::size_t d = static_cast<std::size_t>(dst);
-    std::string payload = columnar ? SerializeColumnBatch(col_parts[d])
-                                   : SerializeBatch(parts[d]);
+    std::string payload =
+        SerializeColumnBatch(parts[static_cast<std::size_t>(dst)]);
     SWIFT_RETURN_NOT_OK(shuffle_->WritePartition(
         kind, key, ShuffleBuffer(std::move(payload)), machine, pipelined));
   }

@@ -87,23 +87,12 @@ struct LocalRuntimeConfig {
   int health_failure_threshold = 3;
   double health_window_seconds = 60.0;
   double health_probation_seconds = 120.0;
-  /// Vectorized task execution: scan slices and shuffle inputs enter
-  /// the operator tree as ColumnBatches, trees whose root reports
-  /// columnar() are drained through NextColumnar, and shuffle writes go
-  /// through HashPartitionColumnar + SerializeColumnBatch (wire bytes
-  /// are identical either way, so mixed fleets interoperate). Trees
-  /// with row-only roots, ragged scan slices, and non-conforming
-  /// batches all fall back to the row path automatically.
-  bool columnar_exec = true;
-  /// Morsel-driven streaming (DESIGN.md Sec. 14), active only under
-  /// columnar_exec: scan slices and decoded shuffle inputs enter the
-  /// tree as ~morsel_rows-row ColumnBatches instead of one batch per
-  /// task slice, so pipeline-only trees keep O(morsel) rows resident,
+  /// Morsel-driven streaming (DESIGN.md Sec. 14): scan slices and
+  /// decoded shuffle inputs enter the operator tree as ~morsel_rows-row
+  /// ColumnBatches, so pipeline-only trees keep O(morsel) rows resident,
   /// and leading filter/project chains fan independent morsels across
   /// idle worker threads (order-restoring merge — results stay
-  /// byte-identical to serial execution). Ragged scan slices and
-  /// non-columnar inputs fall back exactly like columnar_exec does.
-  bool morsel_exec = true;
+  /// byte-identical to serial execution).
   /// Logical rows per morsel (<= 0 picks kDefaultMorselRows).
   int morsel_rows = 1024;
   /// Max threads cooperating on one task's morsel pipeline, including
@@ -230,24 +219,13 @@ class LocalRuntime {
   /// Books a successfully decoded compressed frame into the job stats
   /// and the shuffle.decompress.* counters (no-op for raw payloads).
   void NoteDecompressed(JobContext* ctx, std::string_view wire);
-  Result<Batch> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
-                                  const ShuffleSlotKey& key, int reader,
-                                  int writer);
-  /// One decoded shuffle payload. `columnar` is engaged for every v2
-  /// payload (and convertible v1); `rows` is engaged when only the row
-  /// decoder accepts the bytes (ragged v1 payloads, which cannot be
-  /// columnar) — the caller then demotes that source to the row path.
-  struct ShuffleInput {
-    std::optional<ColumnBatch> columnar;
-    std::optional<Batch> rows;
-  };
-  /// Columnar twin of FetchShuffleInput: same NotFound → MachineUnhealthy
-  /// mapping and corrupt-reread loop, but decodes straight into a
-  /// ColumnBatch (the near-memcpy path for v2 typed columns).
-  Result<ShuffleInput> FetchShuffleInputColumnar(JobContext* ctx,
-                                                 ShuffleKind kind,
-                                                 const ShuffleSlotKey& key,
-                                                 int reader, int writer);
+  /// Reads one shuffle payload and decodes it into a ColumnBatch. A
+  /// missing slot (NotFound) maps to MachineUnhealthy so recovery re-runs
+  /// the producer; a payload the CRC-32C footer rejects is re-fetched up
+  /// to max_corrupt_rereads times.
+  Result<ColumnBatch> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
+                                        const ShuffleSlotKey& key, int reader,
+                                        int writer);
   /// Advance the logical cluster clock one heartbeat interval, run
   /// detection, and handle newly detected machine losses and probation
   /// expirations. Called between stage waves.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -56,8 +57,14 @@ CacheWorker::CacheWorker(CacheWorkerOptions options)
       hard_bytes_(WatermarkBytes(budget_, options_.hard_watermark)),
       job_quota_bytes_(WatermarkBytes(budget_, options_.per_job_quota)) {
   if (!options_.spill_dir.empty()) {
+    // A private directory per worker: spill file names come from a
+    // per-worker counter, so workers sharing spill_dir must not share
+    // the directory the files land in. If it cannot be created, spills
+    // target spill_dir itself and fail there as ordinary spill IO errors.
     std::error_code ec;
     std::filesystem::create_directories(options_.spill_dir, ec);
+    std::string tmpl = options_.spill_dir + "/cw_XXXXXX";
+    spill_path_ = mkdtemp(tmpl.data()) != nullptr ? tmpl : options_.spill_dir;
   }
   obs::MetricsRegistry* metrics = options_.metrics;
   if (metrics != nullptr) {
@@ -98,9 +105,13 @@ CacheWorker::CacheWorker(int64_t memory_budget_bytes, std::string spill_dir,
 
 CacheWorker::~CacheWorker() {
   std::lock_guard<std::mutex> lock(mu_);
+  std::error_code ec;
+  if (spill_path_ != options_.spill_dir) {
+    std::filesystem::remove_all(spill_path_, ec);
+    return;
+  }
   for (auto& [key, slot] : slots_) {
     if (slot.spilled && !slot.spill_path.empty()) {
-      std::error_code ec;
       std::filesystem::remove(slot.spill_path, ec);
     }
   }
@@ -388,7 +399,7 @@ Status CacheWorker::SpillLocked(const ShuffleSlotKey& key, Slot* slot) {
                   static_cast<long long>(options_.spill_disk_budget_bytes)));
   }
   const std::string path = StrFormat(
-      "%s/slot_%lld.bin", options_.spill_dir.c_str(),
+      "%s/slot_%lld.bin", spill_path_.c_str(),
       static_cast<long long>(spill_seq_++));
   char footer[4];
   EncodeFooter(Crc32(bytes), footer);

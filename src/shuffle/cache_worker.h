@@ -116,8 +116,11 @@ struct CacheWorkerOptions {
 /// retained-for-recovery re-sends and reader-side replicas are free.
 /// Memory is reclaimed once a slot has been read `expected_reads` times
 /// (data "consumed by all successor tasks"). Under memory pressure, the
-/// least-recently-used slots are swapped to spill files in `spill_dir` —
-/// the paper's LRU swap — and transparently reloaded on access.
+/// least-recently-used slots are swapped to spill files — the paper's
+/// LRU swap — and transparently reloaded on access. Each worker spills
+/// into its own fresh directory under `spill_dir` and removes it on
+/// destruction, so any number of workers (and runtimes) may share one
+/// `spill_dir` without touching each other's files.
 ///
 /// Flow control (FuxiShuffle direction, ROADMAP item 3): admission runs
 /// against soft/hard watermarks over resident bytes. Spill keeps the
@@ -193,6 +196,9 @@ class CacheWorker {
 
   CacheWorkerStats stats();
   const CacheWorkerOptions& options() const { return options_; }
+  /// \brief The private directory this worker's spill files live in
+  /// ("" when spilling is disabled).
+  const std::string& spill_path() const { return spill_path_; }
 
  private:
   struct Slot {
@@ -239,6 +245,7 @@ class CacheWorker {
   const int64_t soft_bytes_;
   const int64_t hard_bytes_;
   const int64_t job_quota_bytes_;
+  std::string spill_path_;  // private spill directory under spill_dir
   std::mutex mu_;
   std::condition_variable drain_cv_;  // signaled when resident bytes drop
   std::map<ShuffleSlotKey, Slot> slots_;

@@ -21,9 +21,8 @@ namespace swift {
 /// possible without slicing.
 ///
 /// The paper's +1/+2 per-scheme memory-copy counts (Sec. III-B) remain
-/// *modeled* in ShuffleServiceStats::modeled_memory_copies; actual deep
-/// copies are counted by ShuffleServiceStats::payload_copies and are
-/// zero on this data plane.
+/// *modeled* in ShuffleServiceStats::modeled_memory_copies; the data
+/// plane itself never deep-copies a payload.
 class ShuffleBuffer {
  public:
   ShuffleBuffer() = default;
@@ -40,13 +39,6 @@ class ShuffleBuffer {
       : data_(std::move(data)),
         offset_(0),
         length_(data_ ? data_->size() : 0) {}
-
-  /// \brief Deep-copies `bytes` into a fresh allocation. Only the legacy
-  /// copying plane (ShuffleService::Config::zero_copy = false) and the
-  /// copy-accounting benchmarks use this.
-  static ShuffleBuffer Copy(std::string_view bytes) {
-    return ShuffleBuffer(std::string(bytes));
-  }
 
   /// \brief Sub-range view sharing the same allocation; clamps to the
   /// current view's bounds.

@@ -79,7 +79,6 @@ ShuffleService::ShuffleService(Config config) : config_(std::move(config)) {
     metrics_.failover_reads = reg->counter("shuffle.failover_reads");
     metrics_.corrupt_payloads = reg->counter("shuffle.corrupt_payloads");
     metrics_.machine_failures = reg->counter("shuffle.machine_failures");
-    metrics_.payload_copies = reg->counter("shuffle.payload_copies");
     metrics_.local_replicas = reg->counter("shuffle.local_replicas");
     metrics_.backpressure_waits = reg->counter("shuffle.backpressure.waits");
     metrics_.compressed_writes = reg->counter("shuffle.compress.writes");
@@ -180,18 +179,6 @@ void ShuffleService::DirectDropLocked(const ShuffleSlotKey& key) {
              static_cast<int64_t>(it->second.size()));
   }
   direct_touched_.erase(key);
-}
-
-Result<ShuffleBuffer> ShuffleService::FinishRead(
-    Result<ShuffleBuffer> buffer) {
-  if (!buffer.ok() || config_.zero_copy) return buffer;
-  // Legacy plane: the worker/direct slot hands out a materialized copy.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.payload_copies += 1;
-  }
-  obs::Add(metrics_.payload_copies);
-  return ShuffleBuffer::Copy(buffer->view());
 }
 
 Result<ShuffleBuffer> ShuffleService::CountRead(ShuffleKind kind,
@@ -297,14 +284,6 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
           "cannot write %s: machine %d is down", key.ToString().c_str(),
           writer_machine));
     }
-  }
-  if (!config_.zero_copy) {
-    // Legacy plane: the hand-off into the direct slot / writer-side
-    // worker deep-copies the payload.
-    buffer = ShuffleBuffer::Copy(buffer.view());
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.payload_copies += 1;
-    obs::Add(metrics_.payload_copies);
   }
   switch (kind) {
     case ShuffleKind::kDirect: {
@@ -484,7 +463,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
           direct_touched_.erase(key);
         }
       }
-      return CountRead(kind, FinishRead(std::move(buffer)));
+      return CountRead(kind, std::move(buffer));
     }
     case ShuffleKind::kLocal: {
       {
@@ -496,12 +475,12 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
       }
       CacheWorker* src = workers_[static_cast<std::size_t>(writer_machine)].get();
       if (!config_.retain_for_recovery) {
-        return CountRead(kind, FinishRead(src->Get(key)));
+        return CountRead(kind, src->Get(key));
       }
       CacheWorker* dst = workers_[static_cast<std::size_t>(reader_machine)].get();
       if (dst != src && !IsMachineDead(reader_machine) && dst->Contains(key)) {
         // Served from the reader-side replica created below.
-        return CountRead(kind, FinishRead(dst->Peek(key)));
+        return CountRead(kind, dst->Peek(key));
       }
       Result<ShuffleBuffer> buffer = PeekAnyReplica(key, writer_machine);
       if (buffer.ok() && dst != src && !IsMachineDead(reader_machine)) {
@@ -515,7 +494,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
           obs::Add(metrics_.local_replicas);
         }
       }
-      return CountRead(kind, FinishRead(std::move(buffer)));
+      return CountRead(kind, std::move(buffer));
     }
     case ShuffleKind::kRemote: {
       {
@@ -525,9 +504,9 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
       }
       CacheWorker* src = workers_[static_cast<std::size_t>(writer_machine)].get();
       if (!config_.retain_for_recovery) {
-        return CountRead(kind, FinishRead(src->Get(key)));
+        return CountRead(kind, src->Get(key));
       }
-      return CountRead(kind, FinishRead(PeekAnyReplica(key, writer_machine)));
+      return CountRead(kind, PeekAnyReplica(key, writer_machine));
     }
   }
   return Status::Internal("unknown shuffle kind");

@@ -31,10 +31,6 @@ struct ShuffleServiceStats {
   /// (Local) modeled in-memory copies per write. Stays as bookkeeping —
   /// the zero-copy plane shares one allocation across those hops.
   int64_t modeled_memory_copies = 0;
-  /// Actual deep copies of payload bytes performed by the data plane.
-  /// 0 with Config::zero_copy (the default); the legacy copying plane
-  /// (zero_copy = false) pays one per write and one per read.
-  int64_t payload_copies = 0;
   /// Reader-side Cache Worker replicas created for Local shuffle reads;
   /// each shares the writer-side allocation (no bytes copied).
   int64_t local_replicas = 0;
@@ -121,10 +117,6 @@ class ShuffleService {
     /// Pin shuffle data until RemoveJob instead of freeing on first read
     /// (enables fine-grained failure recovery re-reads).
     bool retain_for_recovery = true;
-    /// Share one immutable allocation across all hops (default). false
-    /// reinstates the legacy deep-copy-per-hop plane, counted in
-    /// ShuffleServiceStats::payload_copies (A/B benchmarks).
-    bool zero_copy = true;
     /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges —
     /// Remote, and Local when not pipelined — whose payload is at least
     /// compress_min_bytes go out as a CompressFrame (common/compress.h)
@@ -252,8 +244,6 @@ class ShuffleService {
   int64_t TaskEndpoint(const ShuffleSlotKey& key, bool writer) const;
   int64_t WorkerEndpoint(int machine) const;
   void Connect(int64_t from, int64_t to, ShuffleKind kind);
-  /// Applies the legacy copying plane to an outgoing read result.
-  Result<ShuffleBuffer> FinishRead(Result<ShuffleBuffer> buffer);
   /// Attributes a successful read's bytes to the per-mode counter.
   Result<ShuffleBuffer> CountRead(ShuffleKind kind,
                                   Result<ShuffleBuffer> buffer);
@@ -306,7 +296,6 @@ class ShuffleService {
     obs::Counter* failover_reads = nullptr;
     obs::Counter* corrupt_payloads = nullptr;
     obs::Counter* machine_failures = nullptr;
-    obs::Counter* payload_copies = nullptr;
     obs::Counter* local_replicas = nullptr;
     obs::Counter* backpressure_waits = nullptr;
     obs::Counter* compressed_writes = nullptr;

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "exec/bound_expr.h"
+#include "exec/column_batch.h"
 #include "exec/expression.h"
 
 namespace swift {
@@ -223,16 +224,21 @@ TEST(BoundExprTest, EvaluateColumnMatchesPerRow) {
                         Expr::Literal(Value(2.0)));
   auto bound = Bind(e, schema);
   ASSERT_TRUE(bound.ok());
-  std::vector<Value> out;
-  ASSERT_TRUE((*bound)->EvaluateColumn(rows, &out).ok());
+  Batch batch;
+  batch.schema = schema;
+  batch.rows = rows;
+  Result<ColumnBatch> cb = ToColumnBatch(batch);
+  ASSERT_TRUE(cb.ok()) << cb.status().ToString();
+  ColumnVector out;
+  ASSERT_TRUE((*bound)->EvaluateVector(*cb, &out).ok());
   ASSERT_EQ(out.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     auto v = (*bound)->Evaluate(rows[i]);
     ASSERT_TRUE(v.ok());
-    EXPECT_EQ(out[i].Compare(*v), 0);
+    EXPECT_EQ(out.GetValue(i).Compare(*v), 0);
   }
-  // Reuse keeps the buffer usable and resized.
-  ASSERT_TRUE((*bound)->EvaluateColumn(rows, &out).ok());
+  // Reuse resets the output column instead of appending to it.
+  ASSERT_TRUE((*bound)->EvaluateVector(*cb, &out).ok());
   EXPECT_EQ(out.size(), rows.size());
 }
 
@@ -398,19 +404,22 @@ TEST_P(BoundExprParityTest, BoundMatchesInterpreted) {
         EXPECT_EQ(*pb, *pi) << e->ToString();
       }
     }
-    // Batch evaluation: succeeds iff every row succeeded, and surfaces
-    // the first row error otherwise.
-    std::vector<Value> col;
-    Status st = (*bound)->EvaluateColumn(rows, &col);
-    if (first_error.ok()) {
-      ASSERT_TRUE(st.ok()) << e->ToString() << "\n" << st.ToString();
+    // Columnar evaluation: succeeds iff every row succeeded.
+    Batch batch;
+    batch.schema = schema;
+    batch.rows = rows;
+    Result<ColumnBatch> cb = ToColumnBatch(batch);
+    ASSERT_TRUE(cb.ok()) << cb.status().ToString();
+    ColumnVector col;
+    Status st = (*bound)->EvaluateVector(*cb, &col);
+    ASSERT_EQ(st.ok(), first_error.ok())
+        << e->ToString() << "\n" << st.ToString();
+    if (st.ok()) {
       ASSERT_EQ(col.size(), rows.size());
       for (std::size_t i = 0; i < rows.size(); ++i) {
         auto interp = e->Evaluate(schema, rows[i]);
-        EXPECT_EQ(col[i].Compare(*interp), 0) << e->ToString();
+        EXPECT_EQ(col.GetValue(i).Compare(*interp), 0) << e->ToString();
       }
-    } else {
-      EXPECT_EQ(st, first_error) << e->ToString();
     }
   }
 }

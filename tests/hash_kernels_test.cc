@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/hash64.h"
+#include "common/macros.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
 #include "exec/operators.h"
@@ -349,6 +350,26 @@ TEST(KeyArenaTest, StoredViewsStayValidAcrossChunkGrowth) {
 
 // ---- HashPartition skew ---------------------------------------------
 
+// HashPartitionColumnar over a row batch, boxed back into rows.
+Result<std::vector<Batch>> PartitionRows(const Batch& batch,
+                                         const std::vector<ExprPtr>& keys,
+                                         int num_partitions,
+                                         bool with_selection = false) {
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch cb, ToColumnBatch(batch));
+  if (with_selection) {
+    std::vector<uint32_t> all(cb.physical_rows);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i] = static_cast<uint32_t>(i);
+    }
+    cb.selection = std::move(all);
+  }
+  SWIFT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> parts,
+                         HashPartitionColumnar(cb, keys, num_partitions));
+  std::vector<Batch> out;
+  for (const ColumnBatch& p : parts) out.push_back(ToRowBatch(p));
+  return out;
+}
+
 Batch IntKeyBatch(const std::vector<int64_t>& keys) {
   Batch b;
   b.schema = Schema({{"k", DataType::kInt64}});
@@ -359,7 +380,7 @@ Batch IntKeyBatch(const std::vector<int64_t>& keys) {
 
 void ExpectUniformSpread(const Batch& batch, int num_partitions) {
   const std::vector<ExprPtr> keys = {Expr::Column("k")};
-  auto parts = HashPartition(batch, keys, num_partitions);
+  auto parts = PartitionRows(batch, keys, num_partitions);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), static_cast<std::size_t>(num_partitions));
   std::size_t total = 0;
@@ -416,10 +437,11 @@ TEST(HashPartitionSkewTest, OverloadsAgreeAndNullsGoToPartitionZero) {
                       Value("v" + std::to_string(i))});
   }
   const std::vector<ExprPtr> keys = {Expr::Column("k")};
-  auto borrowed = HashPartition(b, keys, 7);
+  // A dense batch and the same rows under an identity selection vector
+  // are partitioned identically.
+  auto borrowed = PartitionRows(b, keys, 7);
   ASSERT_TRUE(borrowed.ok());
-  Batch moved_in = b;  // copy, then move into the owned overload
-  auto owned = HashPartition(std::move(moved_in), keys, 7);
+  auto owned = PartitionRows(b, keys, 7, /*with_selection=*/true);
   ASSERT_TRUE(owned.ok());
   for (int p = 0; p < 7; ++p) {
     ASSERT_EQ((*borrowed)[p].rows.size(), (*owned)[p].rows.size()) << p;

@@ -94,7 +94,7 @@ std::size_t DrainCountRows(PhysicalOperator* op) {
   EXPECT_TRUE(op->Open().ok());
   std::size_t rows = 0;
   for (;;) {
-    auto cb = op->NextColumnar();
+    auto cb = op->Next();
     EXPECT_TRUE(cb.ok());
     if (!cb->has_value()) break;
     rows += (*cb)->num_rows();

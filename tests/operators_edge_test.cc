@@ -161,7 +161,9 @@ TEST(OperatorEdgeTest, HashPartitionSinglePartitionIsIdentity) {
   Batch b;
   b.schema = K();
   b.rows = Ints({1, 2, 3});
-  auto parts = HashPartition(b, {Expr::Column("k")}, 1);
+  auto cb = ToColumnBatch(b);
+  ASSERT_TRUE(cb.ok());
+  auto parts = HashPartitionColumnar(*cb, {Expr::Column("k")}, 1);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ((*parts)[0].num_rows(), 3u);

@@ -435,54 +435,51 @@ TEST_F(PlannerTest, SinkSchemasOfSuiteQueriesAreUnchanged) {
   }
 }
 
-// A ragged table (rows not of table width) still takes the full-width
-// fallback scan. Uniformity is judged against the table's width, not the
-// narrowed scan's: rows here are exactly as wide as the two columns the
-// query reads, so a narrowed check would stream them as morsels and read
-// past their end.
-TEST(PlannerRaggedScan, FallbackKeepsResultsAndErrors) {
+// A ragged table (rows not of table width) fails its scan closed with
+// InvalidArgument naming the table and the row, whether its rows are
+// wider or narrower than the schema — even when the query reads only
+// columns every row has, so no read can run past a row's end.
+TEST(PlannerRaggedScan, WiderAndNarrowerRowsFailClosed) {
   LocalRuntime rt;
-  auto t = std::make_shared<Table>();
-  t->name = "ragged";
-  t->schema = Schema({Field{"a", DataType::kInt64},
-                      Field{"b", DataType::kString},
-                      Field{"c", DataType::kInt64}});
+  const Schema schema({Field{"a", DataType::kInt64},
+                       Field{"b", DataType::kString},
+                       Field{"c", DataType::kInt64}});
+  auto wide = std::make_shared<Table>();
+  wide->name = "wide";
+  wide->schema = schema;
   for (int64_t i = 0; i < 40; ++i) {
     Row row = {Value(i % 4), Value("x"), Value(i)};
-    if (i % 10 == 0) row.push_back(Value("extra"));
-    t->rows.push_back(std::move(row));
+    if (i == 30) row.push_back(Value("extra"));
+    wide->rows.push_back(std::move(row));
   }
-  ASSERT_TRUE(rt.catalog()->Register(t).ok());
+  ASSERT_TRUE(rt.catalog()->Register(wide).ok());
   auto narrow = std::make_shared<Table>();
   narrow->name = "narrow";
-  narrow->schema = t->schema;
+  narrow->schema = schema;
   for (int64_t i = 0; i < 8; ++i) {
     narrow->rows.push_back(Row{Value(i), Value("y")});
   }
   ASSERT_TRUE(rt.catalog()->Register(narrow).ok());
 
-  const char* sql = "select a, sum(c) as s from ragged group by a order by a";
-  auto plan = PlanSql(sql, *rt.catalog());
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const StageProgram* scan = ScanOf(*plan, "ragged");
-  ASSERT_NE(scan, nullptr);
-  EXPECT_EQ(Names(scan->scan_schema), (std::vector<std::string>{"a", "c"}));
-  auto got = rt.ExecuteSql(sql);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->rows.size(), 4u);
-  for (int64_t a = 0; a < 4; ++a) {
-    int64_t sum = 0;
-    for (int64_t i = a; i < 40; i += 4) sum += i;
-    EXPECT_EQ(got->rows[a][0], Value(a));
-    EXPECT_EQ(got->rows[a][1], Value(sum));
+  for (const char* sql :
+       {"select a, sum(c) as s from wide group by a order by a",
+        "select a, c from narrow", "select a from narrow"}) {
+    auto got = rt.ExecuteSql(sql);
+    ASSERT_FALSE(got.ok()) << sql;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << sql;
+    const std::string msg = got.status().ToString();
+    const std::string table =
+        std::string(sql).find("wide") != std::string::npos ? "wide"
+                                                           : "narrow";
+    EXPECT_NE(msg.find("table " + table), std::string::npos) << msg;
+    EXPECT_NE(msg.find("row "), std::string::npos) << msg;
   }
-
-  // Every row lacks c: the full-width fallback reports it as before.
-  auto bad = rt.ExecuteSql("select a, c from narrow");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().ToString().find("row narrower than schema"),
+  // The wide table's only ragged row is row 30.
+  auto got = rt.ExecuteSql("select a from wide");
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().ToString().find("row 30 has 4 cells"),
             std::string::npos)
-      << bad.status().ToString();
+      << got.status().ToString();
 }
 
 // ---- Predicate placement (DESIGN.md Sec. 19) -----------------------------

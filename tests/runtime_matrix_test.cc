@@ -90,6 +90,29 @@ TEST_P(RuntimeMatrixTest, ThreeWayJoinRowCount) {
             static_cast<int64_t>(supplier->rows.size()));
 }
 
+// A computed join key is evaluated into a key column and encoded like a
+// plain one: the answer equals the plain-key join's in either planning
+// mode (merge join or hash join).
+TEST_P(RuntimeMatrixTest, ComputedJoinKeyMatchesPlainKey) {
+  const std::string tail =
+      " group by o.o_orderpriority order by o_orderpriority";
+  const std::string select =
+      "select o.o_orderpriority, count(*) as n, sum(l.l_quantity) as q "
+      "from tpch_orders o join tpch_lineitem l on ";
+  Batch plain = Run(select + "o.o_orderkey = l.l_orderkey" + tail);
+  Batch computed = Run(select + "o.o_orderkey + 0 = l.l_orderkey" + tail);
+  ASSERT_GT(plain.num_rows(), 0u);
+  ASSERT_EQ(computed.num_rows(), plain.num_rows());
+  for (std::size_t i = 0; i < plain.rows.size(); ++i) {
+    ASSERT_EQ(computed.rows[i].size(), plain.rows[i].size());
+    for (std::size_t c = 0; c < plain.rows[i].size(); ++c) {
+      EXPECT_EQ(computed.rows[i][c].type(), plain.rows[i][c].type());
+      EXPECT_EQ(computed.rows[i][c].Compare(plain.rows[i][c]), 0)
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
 TEST_P(RuntimeMatrixTest, OrderLimitTop3) {
   Batch got = Run(
       "select n_name from tpch_nation order by n_name limit 3");

@@ -291,8 +291,8 @@ TEST(ShufflePressureTest, CorruptSpillFileFailsCrcAndDropsSlot) {
   ASSERT_GE(cw.stats().spilled_slots, 1);
   // Rot every spill file on disk (flip one payload bit).
   int flipped = 0;
-  for (const auto& e : std::filesystem::directory_iterator(
-           cw.options().spill_dir)) {
+  for (const auto& e :
+       std::filesystem::directory_iterator(cw.spill_path())) {
     std::fstream f(e.path(), std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(10);
     f.put('x');
