@@ -116,32 +116,6 @@ Batch MakeBatch(int rows) {
   return b;
 }
 
-void BM_SerializeBatch(benchmark::State& state) {
-  Batch b = MakeBatch(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::string bytes = SerializeBatch(b);
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(SerializedBatchSize(b)));
-}
-BENCHMARK(BM_SerializeBatch)->Arg(100)->Arg(10000);
-
-void BM_DeserializeBatch(benchmark::State& state) {
-  std::string bytes = SerializeBatch(MakeBatch(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto b = DeserializeBatch(bytes);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_DeserializeBatch)->Arg(100)->Arg(10000);
-
-// Int-heavy rows are where the schema-elided v2 format pays off most:
-// v1 spends a type tag per value and a column count per row, v2 one
-// validity bit per value.
 // 16 int64 columns: the width of a TPC-H lineitem row once dates and
 // flags are dictionary/epoch-encoded — the int-heavy shape the shuffle
 // path sees on the aggregation-bound queries.
@@ -164,52 +138,6 @@ Batch MakeIntBatch(int rows) {
   }
   return b;
 }
-
-void BM_SerdeV1SerializeInts(benchmark::State& state) {
-  Batch b = MakeIntBatch(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::string bytes = SerializeBatchV1(b);
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(SerializedBatchSizeV1(b)));
-}
-BENCHMARK(BM_SerdeV1SerializeInts)->Arg(10000);
-
-void BM_SerdeV2SerializeInts(benchmark::State& state) {
-  Batch b = MakeIntBatch(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::string bytes = SerializeBatch(b);
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(SerializedBatchSize(b)));
-}
-BENCHMARK(BM_SerdeV2SerializeInts)->Arg(10000);
-
-void BM_SerdeV1DeserializeInts(benchmark::State& state) {
-  std::string bytes =
-      SerializeBatchV1(MakeIntBatch(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto b = DeserializeBatch(bytes);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_SerdeV1DeserializeInts)->Arg(10000);
-
-void BM_SerdeV2DeserializeInts(benchmark::State& state) {
-  std::string bytes =
-      SerializeBatch(MakeIntBatch(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto b = DeserializeBatch(bytes);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_SerdeV2DeserializeInts)->Arg(10000);
 
 // Local-shuffle write + read of one partition on the shared-buffer
 // plane. Unique key per iteration; retain off so the slot is consumed by
@@ -963,8 +891,9 @@ void BM_VecHashPartitionColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_VecHashPartitionColumnar)->Arg(4096)->Arg(65536);
 
-// The shuffle-read boundary: wire-format v2 decoded into boxed rows vs
-// straight into typed columns (near-memcpy for the int-heavy shape).
+// The shuffle boundary: the wire format decoded straight into typed
+// columns and encoded straight from them (near-memcpy for the int-heavy
+// shape).
 void BM_VecDeserializeIntsColumnar(benchmark::State& state) {
   std::string bytes =
       SerializeBatch(MakeIntBatch(static_cast<int>(state.range(0))));

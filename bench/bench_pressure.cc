@@ -1,11 +1,8 @@
 // Shuffle pressure benchmark (DESIGN.md Sec. 15): open-loop writers
 // offering ~4x the Cache Worker budget against one concurrent reader,
-// with and without the admission gate. "before" is the pre-flow-control
-// tier (admission_gate = false): over-budget puts either fail hard
-// (spill disabled — data dropped) or lean entirely on disk. "after" is
-// the gated tier: writers are backpressured until the reader drains, so
-// the same workload completes losslessly with bounded resident memory
-// and far less spill traffic. Feeds BENCH_PR8.json.
+// with spilling off and on. Writers are backpressured until the reader
+// drains, so the workload completes losslessly with bounded resident
+// memory. Feeds BENCH_PR8.json.
 
 #include <atomic>
 #include <chrono>
@@ -35,7 +32,6 @@ ShuffleSlotKey Key(int writer, int slot) {
 
 struct Variant {
   const char* name;
-  bool gate;
   bool spill;
 };
 
@@ -51,7 +47,6 @@ Outcome RunVariant(const Variant& v) {
   ShuffleService::Config sc;
   sc.machines = 1;
   sc.cache_memory_per_worker = kBudget;
-  sc.admission_gate = v.gate;
   sc.retain_for_recovery = false;  // reads drain memory
   sc.put_retry_budget = 1 << 20;   // drained writers never need forcing
   sc.put_wait_ms = 0.5;
@@ -83,7 +78,7 @@ Outcome RunVariant(const Variant& v) {
   }
 
   // One reader draining round-robin; a slot that is still missing after
-  // the writers finished was dropped by the legacy hard-failure path.
+  // the writers finished was lost (its put failed).
   std::thread reader([&] {
     std::vector<std::pair<int, int>> pending;
     for (int w = 0; w < kWriters; ++w)
@@ -122,13 +117,11 @@ int Run() {
   bench::Header(
       "Shuffle pressure", "open-loop writers at 4x the Cache Worker budget",
       "FuxiShuffle direction (ROADMAP item 3): flow control degrades "
-      "gracefully where the legacy tier drops data or floods the disk");
+      "gracefully instead of dropping data or flooding the disk");
 
   const Variant variants[] = {
-      {"gate-off/no-spill", false, false},  // legacy sharp edge: data loss
-      {"gate-on/no-spill", true, false},    // after: backpressure completes
-      {"gate-off/spill", false, true},      // legacy: disk carries overload
-      {"gate-on/spill", true, true},        // after: same workload, gated
+      {"no-spill", false},  // backpressure alone completes the workload
+      {"spill", true},      // same workload with the disk tier available
   };
 
   bench::Row({"variant", "puts-ok", "lost", "wall-ms", "peak-KB", "spill-KB",
@@ -144,8 +137,8 @@ int Run() {
   }
   std::printf(
       "\noffered load: %d writers x %d slots x %zu KiB = %lld KiB against a\n"
-      "%lld KiB budget. 'lost' puts failed with ResourceExhausted and their\n"
-      "bytes never reached the reader; the gated tier must keep it at 0.\n",
+      "%lld KiB budget. 'lost' puts failed and their bytes never reached the\n"
+      "reader; admission control must keep it at 0.\n",
       kWriters, kSlotsPerWriter, kPayload >> 10,
       static_cast<long long>(kWriters * kSlotsPerWriter * kPayload >> 10),
       static_cast<long long>(kBudget >> 10));

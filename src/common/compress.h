@@ -32,7 +32,7 @@ namespace swift {
 ///
 /// Frame layout (all integers little-endian):
 ///   u32  magic      kCompressFrameMagic ("SWZ1"; distinct from the
-///                   serde batch magics so DeserializeBatch can
+///                   "SWF2" batch magic so DeserializeColumnBatch can
 ///                   dispatch on the first 4 bytes)
 ///   u8   codec      CompressCodec tag (raw passthrough or SWZ1)
 ///   u64  raw_len    uncompressed payload length

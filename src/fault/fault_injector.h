@@ -46,7 +46,7 @@ struct FaultSchedule {
 
   /// Probability that a compressed shuffle payload ("SWZ1" frame,
   /// common/compress.h) is served with a mangled frame header — caught
-  /// by the frame's own magic/CRC checks inside DeserializeBatch and
+  /// by the frame's own magic/CRC checks inside DeserializeColumnBatch and
   /// re-fetched through the same corrupt-reread path. Payloads the
   /// writer shipped raw are bit-flipped instead (the fault still
   /// fires). Fires at most once per slot. 0 disables.

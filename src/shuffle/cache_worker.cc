@@ -321,18 +321,6 @@ Status CacheWorker::EnsureCapacityLocked(int64_t incoming, JobId job,
     // always make progress; the overshoot is bounded by one payload.
     return Status::OK();
   }
-  if (!options_.admission_gate) {
-    if (options_.spill_dir.empty()) {
-      return Status::ResourceExhausted(
-          StrFormat("cache worker over budget (%lld + %lld > %lld)",
-                    static_cast<long long>(stats_.memory_in_use),
-                    static_cast<long long>(incoming),
-                    static_cast<long long>(budget_)));
-    }
-    // Legacy behavior: a single oversized slot is admitted (it will be
-    // the next spill victim).
-    return Status::OK();
-  }
   if (lru_.empty() && SpillCapableLocked(incoming)) {
     // Everything resident is already spilled and the spill path works:
     // an oversized payload is admitted rather than stalled forever (it

@@ -91,10 +91,6 @@ struct CacheWorkerOptions {
   /// Transient spill write/read IO errors are retried in place this many
   /// times before the error is treated as permanent.
   int spill_io_retries = 3;
-  /// When false, restores the pre-flow-control behavior: over-budget
-  /// puts with spilling disabled fail hard with ResourceExhausted.
-  /// Kept as the bench baseline ("before" in BENCH_PR8.json).
-  bool admission_gate = true;
   /// Spill-time compression: slots at least spill_compress_min_bytes
   /// whose payload is not already a compressed frame go to disk as one
   /// (common/compress.h) when the frame shrinks the payload. The disk

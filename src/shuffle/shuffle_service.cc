@@ -54,7 +54,6 @@ ShuffleService::ShuffleService(Config config) : config_(std::move(config)) {
     wo.spill_io_retries = config_.spill_io_retries;
     wo.spill_compression = config_.spill_compression;
     wo.spill_compress_min_bytes = config_.spill_compress_min_bytes;
-    wo.admission_gate = config_.admission_gate;
     wo.metrics = config_.metrics;
     workers_.push_back(std::make_unique<CacheWorker>(std::move(wo)));
   }

@@ -99,9 +99,6 @@ class ShuffleService {
     int64_t spill_disk_budget_bytes = 0;
     /// Transient spill IO errors retried in place per operation.
     int spill_io_retries = 3;
-    /// false restores the pre-flow-control hard-failure behavior
-    /// (bench baseline).
-    bool admission_gate = true;
     /// Writer-side flow control: a backpressured put blocks up to
     /// put_wait_ms waiting for readers to drain, retried up to
     /// put_retry_budget times; after that the put is forced through

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "dag/dag_builder.h"
 #include "partition/partitioners.h"
-#include "scheduler/event_processor.h"
 #include "scheduler/graphlet_tracker.h"
 #include "scheduler/resource_pool.h"
 #include "scheduler/task_tracker.h"
@@ -141,48 +138,6 @@ TEST(GraphletTrackerTest, ResetReopensGraphlet) {
   tracker.Reset(g);
   EXPECT_FALSE(tracker.IsComplete(g));
   EXPECT_EQ(tracker.Submittable()[0], g);
-}
-
-TEST(EventProcessorTest, ProcessesAllEvents) {
-  EventProcessor ep(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(ep.Enqueue(EventPriority::kNormal, [&count] { ++count; }));
-  }
-  ep.Drain();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_GE(ep.processed_events(), 200);
-}
-
-TEST(EventProcessorTest, HighPriorityRunsFirst) {
-  // Single-threaded processor: enqueue a blocker, then normal and high
-  // events; the high one must run before the earlier-enqueued normal.
-  EventProcessor ep(1);
-  std::vector<int> order;
-  std::mutex mu;
-  std::atomic<bool> release{false};
-  ep.Enqueue(EventPriority::kNormal, [&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  ep.Enqueue(EventPriority::kNormal, [&] {
-    std::lock_guard<std::mutex> l(mu);
-    order.push_back(1);
-  });
-  ep.Enqueue(EventPriority::kHigh, [&] {
-    std::lock_guard<std::mutex> l(mu);
-    order.push_back(2);
-  });
-  release = true;
-  ep.Drain();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // high priority first
-  EXPECT_EQ(order[1], 1);
-}
-
-TEST(EventProcessorTest, EnqueueAfterShutdownFails) {
-  EventProcessor ep(1);
-  ep.Shutdown();
-  EXPECT_FALSE(ep.Enqueue(EventPriority::kNormal, [] {}));
 }
 
 TEST(TaskTrackerTest, StageCompletion) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/compress.h"
+#include "reference_serde.h"
+
 namespace swift {
 namespace {
 
@@ -14,6 +17,17 @@ Batch SampleBatch() {
   b.rows = {{Value(int64_t{1}), Value(3.25), Value("widget"), Value::Null()},
             {Value(int64_t{-7}), Value(-0.5), Value(""), Value(int64_t{9})}};
   return b;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto b = static_cast<uint8_t>(ch);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
 }
 
 TEST(SerdeTest, RoundTripPreservesEverything) {
@@ -42,13 +56,6 @@ TEST(SerdeTest, EmptyBatch) {
   EXPECT_EQ(r->schema.num_fields(), 1u);
 }
 
-TEST(SerdeTest, SizeEstimateMatchesActual) {
-  Batch b = SampleBatch();
-  EXPECT_EQ(SerializedBatchSize(b), SerializeBatch(b).size());
-  Batch empty;
-  EXPECT_EQ(SerializedBatchSize(empty), SerializeBatch(empty).size());
-}
-
 TEST(SerdeTest, RejectsBadMagic) {
   std::string bytes = SerializeBatch(SampleBatch());
   bytes[0] = 'X';
@@ -68,46 +75,81 @@ TEST(SerdeTest, RejectsTrailingGarbage) {
   EXPECT_EQ(DeserializeBatch(bytes).status().code(), StatusCode::kIOError);
 }
 
-TEST(SerdeTest, V1RejectsBadTypeTag) {
-  Batch b;
-  b.schema = Schema({{"x", DataType::kInt64}});
-  std::string bytes = SerializeBatchV1(b);
-  // Corrupt the field type byte (last byte of the schema section).
-  // v1 layout: magic(4) nfields(4) namelen(4) name(1) type(1) ...
-  bytes[13] = 99;
-  EXPECT_FALSE(DeserializeBatch(bytes).ok());
+TEST(SerdeTest, V1MagicFailsClosed) {
+  // A buffer in the retired self-describing format ("SWFT": u32 field
+  // count, u32-length names, u8 types, u64 row count, then per row a u32
+  // cell count and tagged cells) is foreign bytes now: both decoders
+  // must reject it, raw and inside a compressed frame.
+  std::string v1;
+  ref::AppendLittleEndian(&v1, 0x53574654, 4);  // "SWFT"
+  ref::AppendLittleEndian(&v1, 1, 4);           // one field
+  ref::AppendLittleEndian(&v1, 1, 4);
+  v1 += "x";
+  v1.push_back(static_cast<char>(DataType::kInt64));
+  ref::AppendLittleEndian(&v1, 1, 8);  // one row
+  ref::AppendLittleEndian(&v1, 1, 4);  // one cell
+  v1.push_back(static_cast<char>(DataType::kInt64));
+  ref::AppendLittleEndian(&v1, 42, 8);
+  ASSERT_EQ(v1.substr(0, 4), "TFWS");  // little-endian "SWFT"
+  for (const std::string& bytes : {v1, CompressFrame(v1)}) {
+    Result<Batch> rows = DeserializeBatch(bytes);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kIOError);
+    Result<ColumnBatch> cols = DeserializeColumnBatch(bytes);
+    ASSERT_FALSE(cols.ok());
+    EXPECT_EQ(cols.status().code(), StatusCode::kIOError);
+    EXPECT_NE(cols.status().ToString().find("bad batch magic"),
+              std::string::npos)
+        << cols.status().ToString();
+  }
 }
 
-TEST(SerdeTest, V1BuffersStillDeserialize) {
-  // Version dispatch: spill files and retained recovery slots written in
-  // the v1 format stay readable forever.
-  Batch b = SampleBatch();
-  std::string v1 = SerializeBatchV1(b);
-  EXPECT_EQ(v1.size(), SerializedBatchSizeV1(b));
-  auto r = DeserializeBatch(v1);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->schema, b.schema);
-  ASSERT_EQ(r->num_rows(), b.num_rows());
-  for (std::size_t i = 0; i < b.rows.size(); ++i) {
-    for (std::size_t c = 0; c < b.rows[i].size(); ++c) {
-      EXPECT_EQ(r->rows[i][c].Compare(b.rows[i][c]), 0);
-    }
-  }
-  // And the two formats are distinguishable on the wire.
-  EXPECT_NE(v1.substr(0, 4), SerializeBatch(b).substr(0, 4));
-}
-
-TEST(SerdeTest, V2IsSmallerThanV1OnTypedRows) {
-  Batch b;
-  b.schema = Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  for (int64_t i = 0; i < 1000; ++i) {
-    b.rows.push_back({Value(i), Value(i * 3)});
-  }
-  // v1 pays a type tag per value and a column count per row; v2 pays one
-  // bitmap bit per value.
-  EXPECT_LT(SerializedBatchSize(b), SerializedBatchSizeV1(b));
-  EXPECT_LT(static_cast<double>(SerializeBatch(b).size()),
-            0.85 * static_cast<double>(SerializeBatchV1(b).size()));
+TEST(SerdeTest, WireBytesArePinned) {
+  // Checked-in bytes for three tiny batches. Both the engine's encoder
+  // and the reference encoder must reproduce them, so a change to either
+  // (or to the format) fails here.
+  Batch typed;  // typed int/float/string columns with NULLs
+  typed.schema = Schema({{"i", DataType::kInt64},
+                         {"f", DataType::kFloat64},
+                         {"s", DataType::kString}});
+  typed.rows = {{Value(int64_t{1}), Value(0.5), Value("ab")},
+                {Value::Null(), Value(-0.0), Value::Null()},
+                {Value(int64_t{-2}), Value::Null(), Value("")}};
+  Batch mixed;  // a tagged column and a kNull column
+  mixed.schema = Schema({{"x", DataType::kInt64}, {"n", DataType::kNull}});
+  mixed.rows = {{Value(int64_t{1}), Value::Null()},
+                {Value("a"), Value::Null()},
+                {Value(2.5), Value::Null()}};
+  const std::string kTyped =
+      "32465753"                                       // magic "SWF2"
+      "03" "016901" "016602" "017303"                  // 3 fields
+      "03"                                             // 3 rows
+      "00" "05" "0100000000000000" "feffffffffffffff"  // i: 1, NULL, -2
+      "00" "03" "000000000000e03f" "0000000000000080"  // f: 0.5, -0.0, NULL
+      "00" "05" "026162" "00"                          // s: "ab", NULL, ""
+      "f1388e2e";                                      // CRC32
+  const std::string kMixed =
+      "32465753" "02" "017801" "016e00" "03"
+      "01" "010100000000000000" "030161" "020000000000000440"  // x: tagged
+      "00" "00"                                                // n: NULLs
+      "03e61f30";
+  const std::string kBoxedTyped =
+      "32465753" "02" "017801" "016e00" "01"
+      "00" "01" "0100000000000000"  // x: typed, one int64
+      "00" "00"                     // n: NULL
+      "76358744";
+  EXPECT_EQ(Hex(SerializeBatch(typed)), kTyped);
+  EXPECT_EQ(Hex(ref::Serialize(typed)), kTyped);
+  EXPECT_EQ(Hex(SerializeBatch(mixed)), kMixed);
+  EXPECT_EQ(Hex(ref::Serialize(mixed)), kMixed);
+  // The kBoxed column of `mixed` with a selection that drops both
+  // deviating cells: every selected cell is an int64, so it goes typed.
+  Result<ColumnBatch> boxed = ToColumnBatch(mixed);
+  ASSERT_TRUE(boxed.ok());
+  ASSERT_EQ(boxed->columns[0].rep(), ColumnRep::kBoxed);
+  boxed->selection = std::vector<uint32_t>{0};
+  EXPECT_EQ(Hex(SerializeColumnBatch(*boxed)), kBoxedTyped);
+  EXPECT_EQ(Hex(ref::Serialize(ToRowBatch(*boxed))), kBoxedTyped);
 }
 
 TEST(SerdeTest, V2CrcDetectsEveryByteFlip) {
@@ -137,17 +179,14 @@ TEST(SerdeTest, MixedTypeColumnRoundTrips) {
   EXPECT_EQ(r->rows[3][0].float64(), 2.5);
 }
 
-TEST(SerdeTest, RaggedRowsFallBackToV1) {
+TEST(SerdeDeathTest, RaggedBatchIsACallerBug) {
+  // No engine path builds a ragged Batch; serializing one aborts with
+  // ToColumnBatch's message instead of writing a second format.
   Batch b;
   b.schema = Schema({{"x", DataType::kInt64}, {"y", DataType::kString}});
   b.rows = {{Value(int64_t{1}), Value("a")}, {Value(int64_t{2})}};
-  const std::string bytes = SerializeBatch(b);
-  EXPECT_EQ(bytes, SerializeBatchV1(b));  // schema elision needs uniform rows
-  EXPECT_EQ(bytes.size(), SerializedBatchSize(b));
-  auto r = DeserializeBatch(bytes);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->num_rows(), 2u);
-  EXPECT_EQ(r->rows[1].size(), 1u);
+  EXPECT_DEATH(SerializeBatch(b),
+               "ragged batch: row 1 has 1 cells, schema has 2");
 }
 
 TEST(SerdeTest, AllNullTypedColumnRoundTrips) {

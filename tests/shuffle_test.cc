@@ -117,17 +117,6 @@ TEST(CacheWorkerTest, OverBudgetWithoutSpillBackpressuresNotFails) {
   EXPECT_EQ(cw.stats().forced_admits, 1);
 }
 
-TEST(CacheWorkerTest, LegacyGateOffKeepsHardFailure) {
-  // The previous hard-failure behavior stays reachable as the bench
-  // baseline (admission_gate = false).
-  CacheWorkerOptions o;
-  o.memory_budget_bytes = 10;
-  o.admission_gate = false;
-  CacheWorker cw(std::move(o));
-  EXPECT_EQ(cw.Put(Key(0, 0), "0123456789ABCDEF", 1).code(),
-            StatusCode::kResourceExhausted);
-}
-
 TEST(CacheWorkerTest, WaitForCapacityUnblocksOnDrain) {
   CacheWorker cw(32, "");
   ASSERT_TRUE(cw.Put(Key(0, 0), std::string(30, 'x'), 1).ok());
