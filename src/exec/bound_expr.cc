@@ -14,7 +14,6 @@ namespace {
 
 using expr_eval::Arith;
 using expr_eval::Compare;
-using expr_eval::FromTruth;
 using expr_eval::FuncId;
 using expr_eval::Truth;
 
@@ -22,9 +21,9 @@ bool IsNumericType(DataType t) {
   return t == DataType::kInt64 || t == DataType::kFloat64;
 }
 
-// ---- Scalar kernels shared by Evaluate and EvaluateVector -----------
-// The row and columnar evaluators must agree bit-for-bit, so the
-// non-null scalar tails live here and both paths call them.
+// ---- Scalar kernels for the generic (cell-by-cell) tails -------------
+// The typed loops and the generic tails must agree bit-for-bit, so the
+// non-null scalar semantics live here and in exec/expr_eval.h.
 
 Result<Value> NumericArithScalar(BinaryOp op, const Value& lv,
                                  const Value& rv) {
@@ -64,6 +63,24 @@ Result<Value> NumericArithScalar(BinaryOp op, const Value& lv,
   return Arith(op, lv, rv);
 }
 
+// Whether a three-way comparison result `c` (-1/0/1) satisfies `op`.
+bool CompareHolds(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return c == 0;
+    case BinaryOp::kNe:
+      return c != 0;
+    case BinaryOp::kLt:
+      return c < 0;
+    case BinaryOp::kLe:
+      return c <= 0;
+    case BinaryOp::kGt:
+      return c > 0;
+    default:
+      return c >= 0;
+  }
+}
+
 Result<Value> NumericCompareScalar(BinaryOp op, const Value& lv,
                                    const Value& rv) {
   if (lv.is_numeric() && rv.is_numeric()) {
@@ -77,28 +94,7 @@ Result<Value> NumericCompareScalar(BinaryOp op, const Value& lv,
       const double b = rv.AsDouble();
       c = a < b ? -1 : (a > b ? 1 : 0);
     }
-    bool out = false;
-    switch (op) {
-      case BinaryOp::kEq:
-        out = c == 0;
-        break;
-      case BinaryOp::kNe:
-        out = c != 0;
-        break;
-      case BinaryOp::kLt:
-        out = c < 0;
-        break;
-      case BinaryOp::kLe:
-        out = c <= 0;
-        break;
-      case BinaryOp::kGt:
-        out = c > 0;
-        break;
-      default:
-        out = c >= 0;
-        break;
-    }
-    return Value(static_cast<int64_t>(out ? 1 : 0));
+    return Value(static_cast<int64_t>(CompareHolds(op, c) ? 1 : 0));
   }
   return Compare(op, lv, rv);
 }
@@ -147,18 +143,24 @@ bool IsCompareOp(BinaryOp op) {
   }
 }
 
+// Any non-AND/OR binary op over non-null operands.
+Result<Value> BinaryScalar(BinaryOp op, const Value& lv, const Value& rv) {
+  if (IsArithOp(op)) return Arith(op, lv, rv);
+  if (IsCompareOp(op)) return Compare(op, lv, rv);
+  if (op == BinaryOp::kLike) {
+    if (!lv.is_string() || !rv.is_string()) {
+      return Status::Application("LIKE requires string operands");
+    }
+    return Value(
+        static_cast<int64_t>(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0));
+  }
+  return Status::Internal("unhandled binary op");
+}
+
 class BoundColumn final : public BoundExpr {
  public:
   BoundColumn(std::size_t idx, std::string name, DataType t)
       : BoundExpr(t), idx_(idx), name_(std::move(name)) {}
-
-  Result<Value> Evaluate(const Row& row) const override {
-    if (idx_ >= row.size()) {
-      return Status::Internal(
-          StrFormat("row narrower than schema at column '%s'", name_.c_str()));
-    }
-    return row[idx_];
-  }
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -178,10 +180,6 @@ class BoundColumn final : public BoundExpr {
     return Status::OK();
   }
 
-  int64_t column_ordinal() const override {
-    return static_cast<int64_t>(idx_);
-  }
-
  private:
   std::size_t idx_;
   std::string name_;
@@ -190,8 +188,6 @@ class BoundColumn final : public BoundExpr {
 class BoundLiteral final : public BoundExpr {
  public:
   explicit BoundLiteral(Value v) : BoundExpr(v.type()), v_(std::move(v)) {}
-
-  Result<Value> Evaluate(const Row&) const override { return v_; }
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -208,19 +204,15 @@ class BoundLiteral final : public BoundExpr {
   Value v_;
 };
 
-// A constant subtree whose evaluation fails (e.g. a literal 1/0): the
-// error stays an eval-time error, exactly as in the interpreted tree.
+// A constant subtree whose evaluation fails (e.g. a literal 1/0): it
+// stays an eval-time error, raised by any non-empty batch.
 class BoundError final : public BoundExpr {
  public:
   explicit BoundError(Status st)
       : BoundExpr(DataType::kNull), st_(std::move(st)) {}
 
-  Result<Value> Evaluate(const Row&) const override { return st_; }
-
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    (void)out;
-    // A constant error errors on any non-empty batch, like Evaluate().
     if (in.num_rows() == 0) {
       *out = ColumnVector();
       return Status::OK();
@@ -240,39 +232,45 @@ class BoundAndOr final : public BoundExpr {
         lhs_(std::move(lhs)),
         rhs_(std::move(rhs)) {}
 
-  Result<Value> Evaluate(const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(row));
-    const int lt = Truth(lv);
-    // Short-circuit on the dominating value.
-    if (is_and_ && lt == 0) return Value(int64_t{0});
-    if (!is_and_ && lt == 1) return Value(int64_t{1});
-    SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(row));
-    const int rt = Truth(rv);
-    if (is_and_) {
-      if (rt == 0) return Value(int64_t{0});
-      return FromTruth((lt == 1 && rt == 1) ? 1 : -1);
-    }
-    if (rt == 1) return Value(int64_t{1});
-    return FromTruth((lt == 0 && rt == 0) ? 0 : -1);
-  }
-
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
+    // Row semantics evaluate the lhs on every row, so an lhs error is
+    // the batch's error.
     ColumnVector lv;
-    ColumnVector rv;
-    // Both operands are evaluated whole-column; if either fails, the
-    // batch is re-run row-at-a-time so short-circuiting can suppress
-    // errors in dominated positions exactly as Evaluate() does.
-    if (!lhs_->EvaluateVector(in, &lv).ok() ||
-        !rhs_->EvaluateVector(in, &rv).ok()) {
-      return BoundExpr::EvaluateVector(in, out);
-    }
+    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
     const std::size_t n = in.num_rows();
+    const int dominant = is_and_ ? 0 : 1;
+    ColumnVector rv;
+    // Row semantics skip the rhs where the lhs already decided the row
+    // (AND: false, OR: true), so an rhs error counts only on an
+    // undecided row: on error, re-evaluate the rhs over just those rows.
+    // `rv` then holds one value per undecided row, in order.
+    const bool narrowed = !rhs_->EvaluateVector(in, &rv).ok();
+    if (narrowed) {
+      ColumnBatch undecided;
+      undecided.schema = in.schema;
+      undecided.columns = in.columns;
+      undecided.physical_rows = in.physical_rows;
+      std::vector<uint32_t> sel;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (TruthAt(lv, i) != dominant) {
+          sel.push_back(static_cast<uint32_t>(in.PhysicalIndex(i)));
+        }
+      }
+      undecided.selection = std::move(sel);
+      SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(undecided, &rv));
+    }
     *out = ColumnVector::OfType(DataType::kInt64);
     out->Reserve(n);
+    std::size_t next_undecided = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const int lt = TruthAt(lv, i);
-      const int rt = TruthAt(rv, i);
+      int rt = -1;  // irrelevant on a decided row
+      if (!narrowed) {
+        rt = TruthAt(rv, i);
+      } else if (lt != dominant) {
+        rt = TruthAt(rv, next_undecided++);
+      }
       int res;  // Kleene three-valued AND/OR
       if (is_and_) {
         res = (lt == 0 || rt == 0) ? 0 : ((lt == 1 && rt == 1) ? 1 : -1);
@@ -300,20 +298,45 @@ class BoundBinary final : public BoundExpr {
   BoundBinary(BinaryOp op, DataType t, BoundExprPtr lhs, BoundExprPtr rhs)
       : BoundExpr(t), op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
-  Result<Value> Evaluate(const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(row));
-    SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(row));
-    if (lv.is_null() || rv.is_null()) return Value::Null();
-    if (IsArithOp(op_)) return Arith(op_, lv, rv);
-    if (IsCompareOp(op_)) return Compare(op_, lv, rv);
-    if (op_ == BinaryOp::kLike) {
-      if (!lv.is_string() || !rv.is_string()) {
-        return Status::Application("LIKE requires string operands");
+  Status EvaluateVector(const ColumnBatch& in,
+                        ColumnVector* out) const override {
+    ColumnVector lv;
+    ColumnVector rv;
+    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
+    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    const std::size_t n = in.num_rows();
+    if (lv.rep() == ColumnRep::kString && rv.rep() == ColumnRep::kString &&
+        (IsCompareOp(op_) || op_ == BinaryOp::kLike)) {
+      // Both sides are strings: compare the heap bytes in place. The
+      // string_view order is unsigned byte-wise, as in Value::Compare.
+      *out = ColumnVector::OfType(DataType::kInt64);
+      out->Reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (lv.IsNull(i) || rv.IsNull(i)) {
+          out->AppendNull();
+          continue;
+        }
+        const std::string_view a = lv.StrAt(i);
+        const std::string_view b = rv.StrAt(i);
+        const bool t = op_ == BinaryOp::kLike ? SqlLikeMatch(a, b)
+                                              : CompareHolds(op_, a.compare(b));
+        out->AppendInt64(t ? 1 : 0);
       }
-      return Value(
-          static_cast<int64_t>(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0));
+      return Status::OK();
     }
-    return Status::Internal("unhandled binary op");
+    *out = ColumnVector::OfType(static_type_);
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Value a = lv.GetValue(i);
+      const Value b = rv.GetValue(i);
+      if (a.is_null() || b.is_null()) {
+        out->AppendNull();
+        continue;
+      }
+      SWIFT_ASSIGN_OR_RETURN(Value v, BinaryScalar(op_, a, b));
+      out->Append(v);
+    }
+    return Status::OK();
   }
 
  private:
@@ -331,13 +354,6 @@ class BoundNumericArith final : public BoundExpr {
   BoundNumericArith(BinaryOp op, DataType t, BoundExprPtr lhs,
                     BoundExprPtr rhs)
       : BoundExpr(t), op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-
-  Result<Value> Evaluate(const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(row));
-    SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(row));
-    if (lv.is_null() || rv.is_null()) return Value::Null();
-    return NumericArithScalar(op_, lv, rv);
-  }
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -437,13 +453,6 @@ class BoundNumericCompare final : public BoundExpr {
         lhs_(std::move(lhs)),
         rhs_(std::move(rhs)) {}
 
-  Result<Value> Evaluate(const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(row));
-    SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(row));
-    if (lv.is_null() || rv.is_null()) return Value::Null();
-    return NumericCompareScalar(op_, lv, rv);
-  }
-
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     ColumnVector lv;
@@ -480,28 +489,7 @@ class BoundNumericCompare final : public BoundExpr {
                                : rv.Float64At(i);
           c = a < b ? -1 : (a > b ? 1 : 0);
         }
-        bool t = false;
-        switch (op_) {
-          case BinaryOp::kEq:
-            t = c == 0;
-            break;
-          case BinaryOp::kNe:
-            t = c != 0;
-            break;
-          case BinaryOp::kLt:
-            t = c < 0;
-            break;
-          case BinaryOp::kLe:
-            t = c <= 0;
-            break;
-          case BinaryOp::kGt:
-            t = c > 0;
-            break;
-          default:
-            t = c >= 0;
-            break;
-        }
-        out->AppendInt64(t ? 1 : 0);
+        out->AppendInt64(CompareHolds(op_, c) ? 1 : 0);
       }
       return Status::OK();
     }
@@ -530,15 +518,6 @@ class BoundUnary final : public BoundExpr {
  public:
   BoundUnary(UnaryOp op, DataType t, BoundExprPtr operand)
       : BoundExpr(t), op_(op), operand_(std::move(operand)) {}
-
-  Result<Value> Evaluate(const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value v, operand_->Evaluate(row));
-    if (v.is_null()) return Value::Null();
-    if (op_ == UnaryOp::kNot) {
-      return FromTruth(Truth(v) == 1 ? 0 : 1);
-    }
-    return NegateScalar(v);
-  }
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -607,14 +586,27 @@ class BoundFunction final : public BoundExpr {
                 std::vector<BoundExprPtr> args)
       : BoundExpr(t), id_(id), name_(std::move(name)), args_(std::move(args)) {}
 
-  Result<Value> Evaluate(const Row& row) const override {
-    std::vector<Value> vals;
-    vals.reserve(args_.size());
-    for (const BoundExprPtr& a : args_) {
-      SWIFT_ASSIGN_OR_RETURN(Value v, a->Evaluate(row));
-      vals.push_back(std::move(v));
+  Status EvaluateVector(const ColumnBatch& in,
+                        ColumnVector* out) const override {
+    std::vector<ColumnVector> cols(args_.size());
+    for (std::size_t a = 0; a < args_.size(); ++a) {
+      SWIFT_RETURN_NOT_OK(args_[a]->EvaluateVector(in, &cols[a]));
     }
-    return expr_eval::ApplyFunction(id_, name_, vals);
+    // Semantics stay defined once, in expr_eval: box only this row's
+    // argument cells and apply the function to them.
+    const std::size_t n = in.num_rows();
+    *out = ColumnVector::OfType(static_type_);
+    out->Reserve(n);
+    std::vector<Value> vals(args_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t a = 0; a < cols.size(); ++a) {
+        vals[a] = cols[a].GetValue(i);
+      }
+      SWIFT_ASSIGN_OR_RETURN(Value v,
+                             expr_eval::ApplyFunction(id_, name_, vals));
+      out->Append(v);
+    }
+    return Status::OK();
   }
 
  private:
@@ -631,16 +623,17 @@ bool IsConstNode(const BoundExprPtr& n) {
 }
 
 // Folds a node whose children are all constant by evaluating it once
-// against an empty row. Evaluation honors short-circuit semantics, so a
-// constant error under a dominated AND/OR branch folds away exactly as
-// the interpreter would have skipped it.
+// on a one-row, zero-column batch. Evaluation honors short-circuit
+// semantics, so a constant error under a dominated AND/OR branch folds
+// away exactly as a row-at-a-time walk would have skipped it.
 BoundExprPtr FoldIfConst(BoundExprPtr node, bool children_const) {
   if (!children_const) return node;
-  Result<Value> v = node->Evaluate(Row{});
-  if (v.ok()) {
-    return std::make_shared<BoundLiteral>(std::move(*v));
-  }
-  return std::make_shared<BoundError>(v.status());
+  ColumnBatch one_row;
+  one_row.physical_rows = 1;
+  ColumnVector v;
+  const Status st = node->EvaluateVector(one_row, &v);
+  if (!st.ok()) return std::make_shared<BoundError>(st);
+  return std::make_shared<BoundLiteral>(v.GetValue(0));
 }
 
 DataType ArithStaticType(BinaryOp op, const BoundExprPtr& lhs,
@@ -684,8 +677,8 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
       SWIFT_ASSIGN_OR_RETURN(BoundExprPtr lhs, BindImpl(parts.lhs, schema));
       if (parts.op == BinaryOp::kAnd || parts.op == BinaryOp::kOr) {
         // A dominating constant lhs folds the node before rhs is even
-        // bound: the interpreter short-circuits past rhs on every row,
-        // so rhs must not be able to raise errors here either.
+        // bound: row semantics short-circuit past rhs on every row, so
+        // rhs must not be able to raise errors here either.
         if (const Value* lv = lhs->literal()) {
           const int lt = Truth(*lv);
           if (parts.op == BinaryOp::kAnd && lt == 0) {
@@ -758,23 +751,6 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
 
 }  // namespace
 
-Status BoundExpr::EvaluateVector(const ColumnBatch& in,
-                                 ColumnVector* out) const {
-  // Generic fallback: box each logical row and evaluate row-at-a-time.
-  // Semantics (including short-circuiting and error order) are exactly
-  // Evaluate()'s; only the layout differs.
-  *out = ColumnVector::OfType(static_type_);
-  const std::size_t n = in.num_rows();
-  out->Reserve(n);
-  Row row;
-  for (std::size_t i = 0; i < n; ++i) {
-    in.MaterializeRow(i, &row);
-    SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(row));
-    out->Append(v);
-  }
-  return Status::OK();
-}
-
 Result<BoundExprPtr> Bind(const ExprPtr& expr, const Schema& schema) {
   if (expr == nullptr) {
     return Status::InvalidArgument("cannot bind a null expression");
@@ -791,25 +767,6 @@ Result<std::vector<BoundExprPtr>> BindAll(const std::vector<ExprPtr>& exprs,
     out.push_back(std::move(b));
   }
   return out;
-}
-
-Result<bool> EvaluateBoundPredicate(const BoundExpr& expr, const Row& row) {
-  SWIFT_ASSIGN_OR_RETURN(Value v, expr.Evaluate(row));
-  if (v.is_null()) return false;
-  if (v.is_int64()) return v.int64() != 0;
-  if (v.is_float64()) return v.float64() != 0.0;
-  return !v.str().empty();
-}
-
-Status EvalBoundKeys(const std::vector<BoundExprPtr>& keys, const Row& row,
-                     Row* key) {
-  key->clear();
-  key->reserve(keys.size());
-  for (const BoundExprPtr& e : keys) {
-    SWIFT_ASSIGN_OR_RETURN(Value v, e->Evaluate(row));
-    key->push_back(std::move(v));
-  }
-  return Status::OK();
 }
 
 }  // namespace swift

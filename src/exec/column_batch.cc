@@ -419,13 +419,6 @@ void ColumnVector::SetValidity(std::vector<uint8_t> bits,
   null_count_ = null_count;
 }
 
-void ColumnBatch::MaterializeRow(std::size_t i, Row* out) const {
-  out->clear();
-  out->reserve(columns.size());
-  const std::size_t phys = PhysicalIndex(i);
-  for (const ColumnVector& col : columns) out->push_back(col.GetValue(phys));
-}
-
 void ColumnBatch::Flatten() {
   if (!selection) return;
   const std::size_t n = selection->size();

@@ -174,9 +174,6 @@ struct ColumnBatch {
     return selection ? (*selection)[i] : i;
   }
 
-  /// \brief Boxes logical row i into `*out` (storage reused).
-  void MaterializeRow(std::size_t i, Row* out) const;
-
   /// \brief Gathers the selection into dense columns and drops it.
   void Flatten();
 

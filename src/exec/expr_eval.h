@@ -11,11 +11,11 @@ namespace swift {
 
 enum class BinaryOp : int;
 
-/// Scalar evaluation kernels shared by the interpreted Expr tree and the
-/// compiled BoundExpr tree. Keeping both evaluators on one set of kernels
+/// Scalar evaluation kernels shared by BoundExpr's generic (cell-by-cell)
+/// tails and the row-at-a-time reference interpreter the tests check it
+/// against (tests/reference_ops.h). Keeping both on one set of kernels
 /// guarantees they cannot diverge on error text, NULL handling, or
-/// numeric promotion (the bound-vs-interpreted parity property test
-/// depends on this).
+/// numeric promotion.
 namespace expr_eval {
 
 /// \brief +,-,*,/ over non-null operands. Non-numeric operands and
@@ -47,8 +47,8 @@ enum class FuncId : int {
 /// \brief Maps an already-lowercased function name to its id.
 FuncId ResolveFunction(const std::string& lower_name);
 
-/// \brief Applies `id` to fully evaluated arguments, in the interpreter's
-/// exact order: NULL-aware functions (is_null, coalesce) first, then NULL
+/// \brief Applies `id` to one row's fully evaluated arguments, in this
+/// order: NULL-aware functions (is_null, coalesce) first, then NULL
 /// propagation, then the remaining functions; kUnknown errors after NULL
 /// propagation. `name` is only used for error text.
 Result<Value> ApplyFunction(FuncId id, const std::string& name,

@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "exec/expr_eval.h"
 
 namespace swift {
 
@@ -45,15 +44,6 @@ class ColumnExpr final : public Expr {
   explicit ColumnExpr(std::string name) : name_(std::move(name)) {}
   ExprKind kind() const override { return ExprKind::kColumn; }
 
-  Result<Value> Evaluate(const Schema& schema, const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name_));
-    if (idx >= row.size()) {
-      return Status::Internal(
-          StrFormat("row narrower than schema at column '%s'", name_.c_str()));
-    }
-    return row[idx];
-  }
-
   Result<DataType> OutputType(const Schema& schema) const override {
     SWIFT_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name_));
     return schema.field(idx).type;
@@ -75,9 +65,6 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value v) : v_(std::move(v)) {}
   ExprKind kind() const override { return ExprKind::kLiteral; }
 
-  Result<Value> Evaluate(const Schema&, const Row&) const override {
-    return v_;
-  }
   Result<DataType> OutputType(const Schema&) const override {
     return v_.type();
   }
@@ -92,11 +79,6 @@ class LiteralExpr final : public Expr {
   Value v_;
 };
 
-using expr_eval::Arith;
-using expr_eval::Compare;
-using expr_eval::FromTruth;
-using expr_eval::Truth;
-
 class BinaryExpr final : public Expr {
  public:
   BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs)
@@ -106,51 +88,6 @@ class BinaryExpr final : public Expr {
   BinaryOp op() const { return op_; }
   const ExprPtr& lhs() const { return lhs_; }
   const ExprPtr& rhs() const { return rhs_; }
-
-  Result<Value> Evaluate(const Schema& schema, const Row& row) const override {
-    if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
-      SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(schema, row));
-      const int lt = Truth(lv);
-      // Short-circuit on the dominating value.
-      if (op_ == BinaryOp::kAnd && lt == 0) return Value(int64_t{0});
-      if (op_ == BinaryOp::kOr && lt == 1) return Value(int64_t{1});
-      SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(schema, row));
-      const int rt = Truth(rv);
-      if (op_ == BinaryOp::kAnd) {
-        if (rt == 0) return Value(int64_t{0});
-        return FromTruth((lt == 1 && rt == 1) ? 1 : -1);
-      }
-      if (rt == 1) return Value(int64_t{1});
-      return FromTruth((lt == 0 && rt == 0) ? 0 : -1);
-    }
-
-    SWIFT_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(schema, row));
-    SWIFT_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(schema, row));
-    if (lv.is_null() || rv.is_null()) return Value::Null();
-    switch (op_) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-        return Arith(op_, lv, rv);
-      case BinaryOp::kEq:
-      case BinaryOp::kNe:
-      case BinaryOp::kLt:
-      case BinaryOp::kLe:
-      case BinaryOp::kGt:
-      case BinaryOp::kGe:
-        return Compare(op_, lv, rv);
-      case BinaryOp::kLike: {
-        if (!lv.is_string() || !rv.is_string()) {
-          return Status::Application("LIKE requires string operands");
-        }
-        return Value(
-            static_cast<int64_t>(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0));
-      }
-      default:
-        return Status::Internal("unhandled binary op");
-    }
-  }
 
   Result<DataType> OutputType(const Schema& schema) const override {
     switch (op_) {
@@ -191,19 +128,6 @@ class UnaryExpr final : public Expr {
       : op_(op), operand_(std::move(operand)) {}
   ExprKind kind() const override { return ExprKind::kUnary; }
 
-  Result<Value> Evaluate(const Schema& schema, const Row& row) const override {
-    SWIFT_ASSIGN_OR_RETURN(Value v, operand_->Evaluate(schema, row));
-    if (v.is_null()) return Value::Null();
-    if (op_ == UnaryOp::kNot) {
-      return FromTruth(Truth(v) == 1 ? 0 : 1);
-    }
-    if (!v.is_numeric()) {
-      return Status::Application("negation of non-numeric value");
-    }
-    if (v.is_int64()) return Value(-v.int64());
-    return Value(-v.float64());
-  }
-
   Result<DataType> OutputType(const Schema& schema) const override {
     if (op_ == UnaryOp::kNot) return DataType::kInt64;
     return operand_->OutputType(schema);
@@ -228,20 +152,8 @@ class UnaryExpr final : public Expr {
 class FunctionExpr final : public Expr {
  public:
   FunctionExpr(std::string name, std::vector<ExprPtr> args)
-      : name_(ToLower(name)),
-        id_(expr_eval::ResolveFunction(name_)),
-        args_(std::move(args)) {}
+      : name_(ToLower(name)), args_(std::move(args)) {}
   ExprKind kind() const override { return ExprKind::kFunction; }
-
-  Result<Value> Evaluate(const Schema& schema, const Row& row) const override {
-    std::vector<Value> vals;
-    vals.reserve(args_.size());
-    for (const ExprPtr& a : args_) {
-      SWIFT_ASSIGN_OR_RETURN(Value v, a->Evaluate(schema, row));
-      vals.push_back(std::move(v));
-    }
-    return expr_eval::ApplyFunction(id_, name_, vals);
-  }
 
   Result<DataType> OutputType(const Schema& schema) const override {
     if (name_ == "substr" || name_ == "substring" || name_ == "lower" ||
@@ -272,7 +184,6 @@ class FunctionExpr final : public Expr {
 
  private:
   std::string name_;
-  expr_eval::FuncId id_;
   std::vector<ExprPtr> args_;
 };
 
@@ -292,15 +203,6 @@ ExprPtr Expr::Unary(UnaryOp op, ExprPtr operand) {
 }
 ExprPtr Expr::Function(std::string name, std::vector<ExprPtr> args) {
   return std::make_shared<FunctionExpr>(std::move(name), std::move(args));
-}
-
-Result<bool> EvaluatePredicate(const Expr& expr, const Schema& schema,
-                               const Row& row) {
-  SWIFT_ASSIGN_OR_RETURN(Value v, expr.Evaluate(schema, row));
-  if (v.is_null()) return false;
-  if (v.is_int64()) return v.int64() != 0;
-  if (v.is_float64()) return v.float64() != 0.0;
-  return !v.str().empty();
 }
 
 const std::string* AsColumnName(const Expr& expr) {

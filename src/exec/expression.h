@@ -37,19 +37,17 @@ enum class UnaryOp : int { kNot, kNeg };
 
 std::string_view BinaryOpToString(BinaryOp op);
 
-/// \brief Immutable scalar expression tree evaluated per row.
+/// \brief Immutable scalar expression tree, as parsed and planned.
 ///
-/// SQL three-valued logic: any NULL operand of an arithmetic/comparison/
-/// LIKE node yields NULL; AND/OR use Kleene semantics; predicates treat a
-/// NULL result as false.
+/// Expr is not evaluated itself: Bind() (exec/bound_expr.h) compiles it
+/// against a schema. SQL three-valued logic: any NULL operand of an
+/// arithmetic/comparison/LIKE node yields NULL; AND/OR use Kleene
+/// semantics; predicates treat a NULL result as false. Type errors are
+/// Status::Application (the paper's non-recoverable failure class).
 class Expr {
  public:
   virtual ~Expr() = default;
   virtual ExprKind kind() const = 0;
-
-  /// \brief Evaluates against one row. Type errors return
-  /// Status::Application (the paper's non-recoverable failure class).
-  virtual Result<Value> Evaluate(const Schema& schema, const Row& row) const = 0;
 
   /// \brief Output type given an input schema (best effort; kNull when
   /// data dependent).
@@ -70,11 +68,6 @@ class Expr {
   /// propagate NULL arguments.
   static ExprPtr Function(std::string name, std::vector<ExprPtr> args);
 };
-
-/// \brief Evaluates `expr` as a predicate: NULL and non-boolean-false
-/// results are false; numeric nonzero is true.
-Result<bool> EvaluatePredicate(const Expr& expr, const Schema& schema,
-                               const Row& row);
 
 /// \brief Column reference accessor (for planner introspection).
 const std::string* AsColumnName(const Expr& expr);

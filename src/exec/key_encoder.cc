@@ -19,52 +19,18 @@ constexpr uint64_t kCanonicalNaNBits = 0x7ff8000000000000ULL;
 constexpr double kInt64Lo = -9223372036854775808.0;  // -2^63
 constexpr double kInt64Hi = 9223372036854775808.0;   // 2^63
 
-inline void AppendRaw64(uint64_t bits, std::string* out) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(bits >> (8 * i));
-  out->append(b, 8);
-}
-
-inline void AppendRaw32(uint32_t bits, std::string* out) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(bits >> (8 * i));
-  out->append(b, 4);
-}
-
-inline uint64_t ReadRaw64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-inline uint32_t ReadRaw32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 struct TagBits {
   uint8_t tag;
   uint64_t bits;
 };
 
-// One normalization for every non-string value, shared by AppendValue,
-// the fixed-width Encode fast path, and HashNormalized so the
-// cross-numeric-type contract cannot drift between them.
-inline TagBits NormalizeScalar(const Value& v) {
-  if (v.is_null()) return {KeyEncoder::kTagNull, 0};
-  if (v.is_int64()) {
-    return {KeyEncoder::kTagInt64, static_cast<uint64_t>(v.int64_unchecked())};
-  }
-  const double d = v.float64_unchecked();
+// One normalization for every double, boxed or not, so the
+// cross-numeric-type contract cannot drift between column reps:
+// integral doubles in int64 range normalize to the int64 encoding so
+// 3.0 == 3 (and -0.0 == 0) hold under memcmp, matching
+// Value::Compare()'s cross-numeric-type equality.
+inline TagBits NormalizeDouble(double d) {
   if (std::isnan(d)) return {KeyEncoder::kTagFloat64, kCanonicalNaNBits};
-  // Integral doubles in int64 range normalize to the int64 encoding so
-  // 3.0 == 3 (and -0.0 == 0) hold under memcmp, matching
-  // Value::Compare()'s cross-numeric-type equality.
   if (d >= kInt64Lo && d < kInt64Hi) {
     const int64_t i = static_cast<int64_t>(d);
     if (static_cast<double>(i) == d) {
@@ -74,6 +40,15 @@ inline TagBits NormalizeScalar(const Value& v) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   return {KeyEncoder::kTagFloat64, bits};
+}
+
+// Tag and payload of a non-string boxed value.
+inline TagBits NormalizeScalar(const Value& v) {
+  if (v.is_null()) return {KeyEncoder::kTagNull, 0};
+  if (v.is_int64()) {
+    return {KeyEncoder::kTagInt64, static_cast<uint64_t>(v.int64_unchecked())};
+  }
+  return NormalizeDouble(v.float64_unchecked());
 }
 
 // Little-endian store without per-byte capacity checks (the fast path
@@ -88,140 +63,7 @@ inline char* StoreRaw32(uint32_t bits, char* p) {
   return p + 4;
 }
 
-// NormalizeScalar's float64 branch for unboxed doubles (columnar path).
-inline TagBits NormalizeDouble(double d) {
-  if (std::isnan(d)) return {KeyEncoder::kTagFloat64, kCanonicalNaNBits};
-  if (d >= kInt64Lo && d < kInt64Hi) {
-    const int64_t i = static_cast<int64_t>(d);
-    if (static_cast<double>(i) == d) {
-      return {KeyEncoder::kTagInt64, static_cast<uint64_t>(i)};
-    }
-  }
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return {KeyEncoder::kTagFloat64, bits};
-}
-
 }  // namespace
-
-void KeyEncoder::AppendValue(const Value& v, std::string* out) {
-  if (v.is_string()) {
-    const std::string& s = v.str_unchecked();
-    out->push_back(static_cast<char>(kTagString));
-    AppendRaw32(static_cast<uint32_t>(s.size()), out);
-    out->append(s);
-    return;
-  }
-  const TagBits tb = NormalizeScalar(v);
-  out->push_back(static_cast<char>(tb.tag));
-  if (tb.tag != kTagNull) AppendRaw64(tb.bits, out);
-}
-
-std::string_view KeyEncoder::Encode(const Row& key, bool* has_null) {
-  // Fast path: all-scalar keys (the common join/aggregate/shuffle case)
-  // have a size computable up front — one buffer resize, raw stores, no
-  // per-append capacity checks.
-  bool null_seen = false;
-  std::size_t fixed = 0;
-  bool all_scalar = true;
-  for (const Value& v : key) {
-    if (v.is_string()) {
-      all_scalar = false;
-      break;
-    }
-    const bool is_null = v.is_null();
-    null_seen = null_seen || is_null;
-    fixed += is_null ? 1 : 9;
-  }
-  if (all_scalar) {
-    buf_.resize(fixed);
-    char* p = buf_.data();
-    for (const Value& v : key) {
-      const TagBits tb = NormalizeScalar(v);
-      *p++ = static_cast<char>(tb.tag);
-      if (tb.tag != kTagNull) p = StoreRaw64(tb.bits, p);
-    }
-    *has_null = null_seen;
-    return std::string_view(buf_.data(), fixed);
-  }
-  buf_.clear();
-  null_seen = false;
-  for (const Value& v : key) {
-    null_seen = null_seen || v.is_null();
-    AppendValue(v, &buf_);
-  }
-  *has_null = null_seen;
-  return buf_;
-}
-
-bool KeyEncoder::EncodeColumns(const Row& row, const std::vector<uint32_t>& cols,
-                               std::string_view* encoded, bool* has_null) {
-  bool null_seen = false;
-  std::size_t fixed = 0;
-  bool all_scalar = true;
-  for (const uint32_t c : cols) {
-    if (c >= row.size()) return false;
-    const Value& v = row[c];
-    if (v.is_string()) {
-      all_scalar = false;
-      break;
-    }
-    const bool is_null = v.is_null();
-    null_seen = null_seen || is_null;
-    fixed += is_null ? 1 : 9;
-  }
-  if (all_scalar) {
-    buf_.resize(fixed);
-    char* p = buf_.data();
-    for (const uint32_t c : cols) {
-      const TagBits tb = NormalizeScalar(row[c]);
-      *p++ = static_cast<char>(tb.tag);
-      if (tb.tag != kTagNull) p = StoreRaw64(tb.bits, p);
-    }
-    *has_null = null_seen;
-    *encoded = std::string_view(buf_.data(), fixed);
-    return true;
-  }
-  buf_.clear();
-  null_seen = false;
-  for (const uint32_t c : cols) {
-    if (c >= row.size()) return false;
-    const Value& v = row[c];
-    null_seen = null_seen || v.is_null();
-    AppendValue(v, &buf_);
-  }
-  *has_null = null_seen;
-  *encoded = buf_;
-  return true;
-}
-
-bool KeyEncoder::HashColumns(const Row& row, const std::vector<uint32_t>& cols,
-                             uint64_t* hash, bool* has_null) {
-  using hash_internal::Mum;
-  using hash_internal::kSecret2;
-  uint64_t h = 0x58a3b1c96f0d2e47ULL;  // same seed as HashNormalized
-  bool null_seen = false;
-  for (const uint32_t c : cols) {
-    if (c >= row.size()) return false;
-    const Value& v = row[c];
-    uint64_t tag;
-    uint64_t bits;
-    if (v.is_string()) {
-      const std::string& s = v.str_unchecked();
-      tag = kTagString;
-      bits = Hash64(s.data(), s.size());
-    } else {
-      const TagBits tb = NormalizeScalar(v);
-      null_seen = null_seen || tb.tag == kTagNull;
-      tag = tb.tag;
-      bits = tb.bits;
-    }
-    h = Mum(h ^ (bits + tag * 0x9E3779B97F4A7C15ULL), kSecret2);
-  }
-  *hash = h;
-  *has_null = null_seen;
-  return true;
-}
 
 bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
                                     const std::vector<uint32_t>& cols,
@@ -377,7 +219,7 @@ bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
   }
   const uint32_t* sel =
       batch.selection ? batch.selection->data() : nullptr;
-  hashes->assign(n, 0x58a3b1c96f0d2e47ULL);  // same seed as HashNormalized
+  hashes->assign(n, 0x58a3b1c96f0d2e47ULL);  // arbitrary nonzero seed
   has_null->assign(n, 0);
   uint64_t* h = hashes->data();
   uint8_t* nil = has_null->data();
@@ -445,91 +287,6 @@ bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
     }
   }
   return true;
-}
-
-bool KeyEncoder::ColumnOrdinals(const std::vector<BoundExprPtr>& keys,
-                                std::vector<uint32_t>* cols) {
-  cols->clear();
-  cols->reserve(keys.size());
-  for (const BoundExprPtr& k : keys) {
-    const int64_t ord = k->column_ordinal();
-    if (ord < 0) return false;
-    cols->push_back(static_cast<uint32_t>(ord));
-  }
-  return true;
-}
-
-uint64_t KeyEncoder::HashNormalized(const Row& key, bool* has_null) {
-  using hash_internal::Mum;
-  using hash_internal::kSecret2;
-  uint64_t h = 0x58a3b1c96f0d2e47ULL;  // arbitrary nonzero seed
-  bool null_seen = false;
-  for (const Value& v : key) {
-    uint64_t tag;
-    uint64_t bits;
-    if (v.is_string()) {
-      const std::string& s = v.str_unchecked();
-      tag = kTagString;
-      bits = Hash64(s.data(), s.size());
-    } else {
-      const TagBits tb = NormalizeScalar(v);
-      null_seen = null_seen || tb.tag == kTagNull;
-      tag = tb.tag;
-      bits = tb.bits;
-    }
-    h = Mum(h ^ (bits + tag * 0x9E3779B97F4A7C15ULL), kSecret2);
-  }
-  *has_null = null_seen;
-  return h;
-}
-
-Result<Row> KeyEncoder::Decode(std::string_view encoded) {
-  Row out;
-  std::size_t pos = 0;
-  while (pos < encoded.size()) {
-    const uint8_t tag = static_cast<uint8_t>(encoded[pos++]);
-    switch (tag) {
-      case kTagNull:
-        out.push_back(Value::Null());
-        break;
-      case kTagInt64: {
-        if (encoded.size() - pos < 8) {
-          return Status::InvalidArgument("truncated int64 key column");
-        }
-        out.push_back(
-            Value(static_cast<int64_t>(ReadRaw64(encoded.data() + pos))));
-        pos += 8;
-        break;
-      }
-      case kTagFloat64: {
-        if (encoded.size() - pos < 8) {
-          return Status::InvalidArgument("truncated float64 key column");
-        }
-        const uint64_t bits = ReadRaw64(encoded.data() + pos);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        out.push_back(Value(d));
-        pos += 8;
-        break;
-      }
-      case kTagString: {
-        if (encoded.size() - pos < 4) {
-          return Status::InvalidArgument("truncated string length prefix");
-        }
-        const uint32_t len = ReadRaw32(encoded.data() + pos);
-        pos += 4;
-        if (encoded.size() - pos < len) {
-          return Status::InvalidArgument("truncated string key column");
-        }
-        out.push_back(Value(std::string(encoded.substr(pos, len))));
-        pos += len;
-        break;
-      }
-      default:
-        return Status::InvalidArgument("unknown key column tag");
-    }
-  }
-  return out;
 }
 
 }  // namespace swift

@@ -115,8 +115,8 @@ class MorselSource final : public PhysicalOperator {
 
 // ---- Parallel pipeline segment --------------------------------------
 
-// Predicate truthiness, identical to FilterOp / EvaluatePredicate
-// semantics: NULL is false, numeric nonzero / non-empty string true.
+// Predicate truthiness, identical to FilterOp's: NULL is false,
+// numeric nonzero / non-empty string true.
 bool MorselTruthy(const ColumnVector& col, std::size_t i) {
   switch (col.rep()) {
     case ColumnRep::kNull:
@@ -197,8 +197,8 @@ Status RunSteps(const std::vector<BoundStep>& steps, LaneScratch* scratch,
 // helpers).
 class PipelineCore {
  public:
-  PipelineCore(OperatorPtr source, bool ordered, MorselObs obs)
-      : source_(std::move(source)), ordered_(ordered), obs_(obs) {
+  PipelineCore(OperatorPtr source, MorselObs obs)
+      : source_(std::move(source)), obs_(obs) {
     if (obs_.metrics != nullptr) {
       depth_gauge_ = obs_.metrics->gauge("exec.morsel.queue_depth");
       morsels_ = obs_.metrics->counter("exec.morsel.processed");
@@ -298,20 +298,19 @@ class PipelineCore {
     }
   }
 
-  // Consumer pull. Ordered mode re-emits morsels in claim order (the
-  // order-restoring sink); unordered emits in completion order. The
-  // consumer helps process whenever its next morsel is not ready and
-  // the gate allows a claim, so the pipeline makes progress even if no
-  // helper ever gets a pool slot.
+  // Consumer pull: re-emits morsels in claim order (the order-restoring
+  // sink). The consumer helps process whenever its next morsel is not
+  // ready and the gate allows a claim, so the pipeline makes progress
+  // even if no helper ever gets a pool slot.
   Result<std::optional<ColumnBatch>> Pull(LaneScratch* scratch) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mu_);
-        auto it = ordered_ ? ready_.find(next_emit_) : ready_.begin();
+        auto it = ready_.find(next_emit_);
         if (it != ready_.end()) {
           Slot s = std::move(it->second);
           ready_.erase(it);
-          if (ordered_) ++next_emit_;
+          ++next_emit_;
           ++retired_;
           obs::Set(depth_gauge_, static_cast<double>(ready_.size()));
           cv_.notify_all();  // the gate may have opened
@@ -330,9 +329,7 @@ class PipelineCore {
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [this] {
           if (stop_) return true;
-          if (ordered_ ? ready_.count(next_emit_) > 0 : !ready_.empty()) {
-            return true;
-          }
+          if (ready_.count(next_emit_) > 0) return true;
           return exhausted_ && inflight_ == 0 && retired_ == next_claim_;
         });
         if (stop_) {
@@ -355,7 +352,6 @@ class PipelineCore {
   };
 
   OperatorPtr source_;
-  const bool ordered_;
   MorselObs obs_;
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Counter* morsels_ = nullptr;
@@ -368,7 +364,7 @@ class PipelineCore {
   std::condition_variable cv_;
   std::map<uint64_t, Slot> ready_;
   uint64_t next_claim_ = 0;  // sequence of the next morsel to claim
-  uint64_t next_emit_ = 0;   // ordered: next sequence to re-emit
+  uint64_t next_emit_ = 0;   // next sequence to re-emit
   uint64_t retired_ = 0;     // slots popped by the consumer
   std::size_t inflight_ = 0;  // claimed, not yet deposited
   bool exhausted_ = false;
@@ -379,10 +375,8 @@ class PipelineCore {
 class ParallelMorselPipelineOp final : public PhysicalOperator {
  public:
   ParallelMorselPipelineOp(OperatorPtr source, std::vector<MorselStep> steps,
-                           ThreadPool* pool, int lanes, MorselMerge merge,
-                           MorselObs obs)
-      : core_(std::make_shared<PipelineCore>(
-            std::move(source), merge == MorselMerge::kOrdered, obs)),
+                           ThreadPool* pool, int lanes, MorselObs obs)
+      : core_(std::make_shared<PipelineCore>(std::move(source), obs)),
         raw_steps_(std::move(steps)),
         pool_(pool),
         lanes_(std::max(1, lanes)) {}
@@ -468,9 +462,9 @@ OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,
 OperatorPtr MakeParallelMorselPipeline(OperatorPtr source,
                                        std::vector<MorselStep> steps,
                                        ThreadPool* pool, int lanes,
-                                       MorselMerge merge, MorselObs obs) {
+                                       MorselObs obs) {
   return std::make_unique<ParallelMorselPipelineOp>(
-      std::move(source), std::move(steps), pool, lanes, merge, obs);
+      std::move(source), std::move(steps), pool, lanes, obs);
 }
 
 }  // namespace swift

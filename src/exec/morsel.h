@@ -57,18 +57,6 @@ struct MorselStep {
   std::vector<std::string> names;   // kProject
 };
 
-/// \brief How the parallel segment merges morsel results downstream.
-enum class MorselMerge {
-  /// Order-restoring sink: morsels are re-emitted in claim (source)
-  /// order, so the stream is byte-identical to serial execution — the
-  /// mode the runtime uses (hash-aggregate first-seen group order and
-  /// partition row order are input-order-sensitive).
-  kOrdered,
-  /// Completion-order sink for order-insensitive consumers; same row
-  /// multiset, no reorder buffering.
-  kUnordered,
-};
-
 /// \brief Observability hooks for a parallel morsel pipeline. All
 /// pointers optional (null = no-op).
 struct MorselObs {
@@ -79,7 +67,10 @@ struct MorselObs {
 };
 
 /// \brief Parallel pipeline segment: pulls morsels from `source`, runs
-/// `steps` over each, and merges per `merge`.
+/// `steps` over each, and re-emits the results in claim (source) order,
+/// so the stream is byte-identical to serial execution (hash-aggregate
+/// first-seen group order and partition row order are
+/// input-order-sensitive).
 ///
 /// Concurrency model (deadlock-free by construction on a shared pool):
 /// the consuming thread — which already occupies a pool slot when the
@@ -96,7 +87,6 @@ struct MorselObs {
 OperatorPtr MakeParallelMorselPipeline(OperatorPtr source,
                                        std::vector<MorselStep> steps,
                                        ThreadPool* pool, int lanes,
-                                       MorselMerge merge = MorselMerge::kOrdered,
                                        MorselObs obs = {});
 
 }  // namespace swift

@@ -13,8 +13,8 @@ namespace swift {
 
 namespace {
 
-// Predicate truthiness of an evaluated value (EvaluatePredicate
-// semantics: NULL is false, numeric nonzero / non-empty string true).
+// Predicate truthiness of an evaluated value: NULL is false, numeric
+// nonzero / non-empty string true.
 bool IsTruthy(const Value& v) {
   if (v.is_null()) return false;
   if (v.is_int64()) return v.int64() != 0;

@@ -1,8 +1,5 @@
 #include "exec/value.h"
 
-#include <cmath>
-#include <functional>
-
 #include "common/string_util.h"
 
 namespace swift {
@@ -56,34 +53,11 @@ int Value::Compare(const Value& other) const {
   return a < b ? -1 : 1;
 }
 
-std::size_t Value::Hash() const {
-  if (is_null()) return 0x9E3779B9u;
-  if (is_numeric()) {
-    // Hash integral-valued doubles identically to the matching int64 so
-    // Hash() is consistent with Compare()==0 across numeric types.
-    const double d = AsDouble();
-    const int64_t i = static_cast<int64_t>(d);
-    if (static_cast<double>(i) == d) {
-      return std::hash<int64_t>{}(i);
-    }
-    return std::hash<double>{}(d);
-  }
-  return std::hash<std::string>{}(str());
-}
-
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int64()) return std::to_string(int64());
   if (is_float64()) return StrFormat("%g", float64());
   return str();
-}
-
-std::size_t HashRow(const Row& row) {
-  std::size_t h = 0x84222325u;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
 }
 
 }  // namespace swift

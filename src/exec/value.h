@@ -66,9 +66,6 @@ class Value {
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// \brief Hash consistent with operator== (numeric 3 and 3.0 collide).
-  std::size_t Hash() const;
-
   std::string ToString() const;
 
  private:
@@ -77,9 +74,6 @@ class Value {
 
 /// \brief One tuple.
 using Row = std::vector<Value>;
-
-/// \brief Hash of a key tuple, consistent with row equality.
-std::size_t HashRow(const Row& row);
 
 }  // namespace swift
 

@@ -586,20 +586,6 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
   const bool was_completed =
       ctx->tracker.state(task) == TaskState::kCompleted;
   ctx->tracker.SetState(task, TaskState::kFailed);
-  int attempt;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    attempt = ++ctx->attempts[task];
-  }
-  if (attempt >= config_.max_task_attempts) {
-    return error.WithContext(StrFormat(
-        "task %s failed %d times", task.ToString().c_str(), attempt));
-  }
-  if (kind != FailureKind::kApplicationError) {
-    auto it = ctx->placement.find(task);
-    RecordMachineFailure(it != ctx->placement.end() ? it->second.machine
-                                                     : 0);
-  }
 
   RecoveryContext rctx;
   rctx.executed = ctx->tracker.CompletedTasks();
@@ -614,6 +600,27 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
   if (decision.report_only) {
     // Sec. IV-C: application failures are reported, never retried.
     return error.WithContext("application failure, recovery skipped");
+  }
+  // An attempt is charged only when the task will run again: a kNone
+  // decision on a completed task restores it and re-runs nothing (the
+  // paper's useless-recovery avoidance), so it must not eat the budget.
+  const bool restores_task =
+      decision.kase == RecoveryCase::kNone && was_completed;
+  if (!restores_task) {
+    int attempt;
+    {
+      std::lock_guard<std::mutex> lock(ctx->mu);
+      attempt = ++ctx->attempts[task];
+    }
+    if (attempt >= config_.max_task_attempts) {
+      return error.WithContext(StrFormat(
+          "task %s failed %d times", task.ToString().c_str(), attempt));
+    }
+  }
+  {
+    auto it = ctx->placement.find(task);
+    RecordMachineFailure(it != ctx->placement.end() ? it->second.machine
+                                                     : 0);
   }
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
@@ -640,7 +647,7 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
   if (decision.kase == RecoveryCase::kNone) {
     // Every consumer already holds the data; the completed task stays
     // completed (the paper's recovery-avoidance for consumed outputs).
-    if (was_completed) ctx->tracker.SetState(task, TaskState::kCompleted);
+    if (restores_task) ctx->tracker.SetState(task, TaskState::kCompleted);
     return Status::OK();
   }
   for (StageId s : decision.invalidate_outputs) {
@@ -996,8 +1003,7 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
       mobs.metrics = config_.metrics;
       mobs.tracer = config_.tracer;
       tree = MakeParallelMorselPipeline(std::move(tree), std::move(steps),
-                                        pool_.get(), lanes,
-                                        MorselMerge::kOrdered, mobs);
+                                        pool_.get(), lanes, mobs);
     } else {
       first_chain_op = first_op;  // serial: keep the plain operator chain
     }

@@ -1,18 +1,24 @@
 // Bound-expression compilation tests: ordinal binding, constant folding,
-// and a parity property test pitting BoundExpr::Evaluate against the
-// interpreted Expr::Evaluate on random expression trees and random rows —
+// and a parity property test pitting BoundExpr::EvaluateVector against
+// the row-at-a-time reference interpreter (ref::Evaluate in
+// reference_ops.h) on random expression trees and random rows, as a
+// dense batch, under a selection vector, and one row at a time:
 // results, NULL propagation, Kleene AND/OR, and error statuses must be
 // identical.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/rng.h"
 #include "exec/bound_expr.h"
 #include "exec/column_batch.h"
 #include "exec/expression.h"
+#include "exec/operators.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -21,6 +27,24 @@ Schema TestSchema() {
   return Schema({{"a", DataType::kInt64},
                  {"b", DataType::kFloat64},
                  {"s", DataType::kString}});
+}
+
+ColumnBatch ToColumns(const Schema& schema, std::vector<Row> rows) {
+  Batch b;
+  b.schema = schema;
+  b.rows = std::move(rows);
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok()) << cb.status().ToString();
+  return cb.ok() ? *std::move(cb) : ColumnBatch();
+}
+
+// Evaluates `bound` on `row` alone, as a one-row batch.
+Result<Value> EvalRow(const BoundExpr& bound, const Schema& schema,
+                      const Row& row) {
+  ColumnVector out;
+  SWIFT_RETURN_NOT_OK(bound.EvaluateVector(ToColumns(schema, {row}), &out));
+  if (out.size() != 1) return Status::Internal("expected one output row");
+  return out.GetValue(0);
 }
 
 // ---------------------------------------------------------------------
@@ -32,7 +56,7 @@ TEST(BoundExprTest, ColumnBindsToOrdinal) {
   auto bound = Bind(Expr::Column("b"), schema);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   Row row = {Value(int64_t{7}), Value(2.5), Value("x")};
-  auto v = (*bound)->Evaluate(row);
+  auto v = EvalRow(**bound, schema, row);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->float64(), 2.5);
   EXPECT_EQ((*bound)->static_type(), DataType::kFloat64);
@@ -46,7 +70,7 @@ TEST(BoundExprTest, CaseInsensitiveAndQualifiedResolution) {
        {"l_suppkey", "L_SUPPKEY", "l.l_suppkey", "L.L_SUPPKEY"}) {
     auto bound = Bind(Expr::Column(name), schema);
     ASSERT_TRUE(bound.ok()) << name << ": " << bound.status().ToString();
-    auto v = (*bound)->Evaluate(row);
+    auto v = EvalRow(**bound, schema, row);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v->int64(), 42) << name;
   }
@@ -56,9 +80,9 @@ TEST(BoundExprTest, UnknownColumnFailsAtBind) {
   auto bound = Bind(Expr::Column("nope"), TestSchema());
   ASSERT_FALSE(bound.ok());
   EXPECT_TRUE(bound.status().IsNotFound()) << bound.status().ToString();
-  // Same status the interpreter raises per row.
+  // Same status a per-row name lookup raises.
   Row row = {Value(int64_t{1}), Value(2.0), Value("x")};
-  auto interp = Expr::Column("nope")->Evaluate(TestSchema(), row);
+  auto interp = ref::Evaluate(Expr::Column("nope"), TestSchema(), row);
   EXPECT_EQ(bound.status(), interp.status());
 }
 
@@ -68,7 +92,7 @@ TEST(BoundExprTest, AmbiguousColumnFailsAtBind) {
   ASSERT_FALSE(bound.ok());
   EXPECT_TRUE(bound.status().IsInvalidArgument()) << bound.status().ToString();
   Row row = {Value(int64_t{1}), Value(int64_t{2})};
-  auto interp = Expr::Column("x")->Evaluate(schema, row);
+  auto interp = ref::Evaluate(Expr::Column("x"), schema, row);
   EXPECT_EQ(bound.status(), interp.status());
   // A qualified reference disambiguates.
   EXPECT_TRUE(Bind(Expr::Column("u.x"), schema).ok());
@@ -90,10 +114,13 @@ TEST(BoundExprTest, LiteralArithmeticFolds) {
   const Value* lit = (*bound)->literal();
   ASSERT_NE(lit, nullptr) << "1 + 2 should fold to a literal";
   EXPECT_EQ(lit->int64(), 3);
-  // Folded nodes evaluate without touching the row.
-  auto v = (*bound)->Evaluate(Row{});
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->int64(), 3);
+  // Folded nodes evaluate without touching the columns.
+  ColumnBatch no_columns;
+  no_columns.physical_rows = 1;
+  ColumnVector out;
+  ASSERT_TRUE((*bound)->EvaluateVector(no_columns, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.GetValue(0).int64(), 3);
 }
 
 TEST(BoundExprTest, ConstantFunctionFolds) {
@@ -107,22 +134,24 @@ TEST(BoundExprTest, ConstantFunctionFolds) {
 
 TEST(BoundExprTest, ConstantErrorPreservedUntilEval) {
   // 1/0 must bind (zero-row inputs never evaluate it) but must raise the
-  // interpreter's exact division error when evaluated.
-  auto bound = Bind(Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value(int64_t{1})),
-                                 Expr::Literal(Value(int64_t{0}))),
-                    TestSchema());
+  // exact per-row division error on any non-empty batch.
+  auto e = Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value(int64_t{1})),
+                        Expr::Literal(Value(int64_t{0})));
+  auto bound = Bind(e, TestSchema());
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   EXPECT_EQ((*bound)->literal(), nullptr);
-  auto v = (*bound)->Evaluate(Row{});
+  const Row row = {Value(int64_t{1}), Value(2.0), Value("x")};
+  auto v = EvalRow(**bound, TestSchema(), row);
   ASSERT_FALSE(v.ok());
-  auto interp = Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value(int64_t{1})),
-                             Expr::Literal(Value(int64_t{0})))
-                    ->Evaluate(TestSchema(), Row{});
+  auto interp = ref::Evaluate(e, TestSchema(), row);
   EXPECT_EQ(v.status(), interp.status());
+  ColumnVector out;
+  EXPECT_TRUE(
+      (*bound)->EvaluateVector(ToColumns(TestSchema(), {}), &out).ok());
 }
 
 TEST(BoundExprTest, ShortCircuitFoldSkipsDeadBranch) {
-  // The interpreter never evaluates the rhs of `false AND x`, so binding
+  // Row semantics never evaluate the rhs of `false AND x`, so binding
   // must not fail on it either — even when x is an unknown column or a
   // constant error.
   auto dead_col = Expr::Binary(BinaryOp::kAnd, Expr::Literal(Value(int64_t{0})),
@@ -159,10 +188,10 @@ TEST(BoundExprTest, KleeneAndOrTruthTable) {
     for (int r = -1; r <= 1; ++r) {
       for (BinaryOp op : {BinaryOp::kAnd, BinaryOp::kOr}) {
         auto e = Expr::Binary(op, Expr::Literal(Tri(l)), Expr::Literal(Tri(r)));
-        auto interp = e->Evaluate(schema, row);
+        auto interp = ref::Evaluate(e, schema, row);
         auto bound = Bind(e, schema);
         ASSERT_TRUE(bound.ok());
-        auto v = (*bound)->Evaluate(row);
+        auto v = EvalRow(**bound, schema, row);
         ASSERT_TRUE(interp.ok());
         ASSERT_TRUE(v.ok());
         EXPECT_EQ(v->type(), interp->type()) << "l=" << l << " r=" << r;
@@ -180,7 +209,7 @@ TEST(BoundExprTest, NullPropagatesThroughArithmeticAndComparison) {
     auto e = Expr::Binary(op, Expr::Column("a"), Expr::Column("s"));
     auto bound = Bind(e, schema);
     ASSERT_TRUE(bound.ok());
-    auto v = (*bound)->Evaluate(row);
+    auto v = EvalRow(**bound, schema, row);
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     EXPECT_TRUE(v->is_null());
   }
@@ -198,12 +227,12 @@ TEST(BoundExprTest, TypeErrorsMatchInterpreter) {
                                 Expr::Column("s")}),
   };
   for (const auto& e : bad) {
-    auto interp = e->Evaluate(schema, row);
+    auto interp = ref::Evaluate(e, schema, row);
     ASSERT_FALSE(interp.ok()) << e->ToString();
     EXPECT_TRUE(interp.status().IsApplication()) << interp.status().ToString();
     auto bound = Bind(e, schema);
     ASSERT_TRUE(bound.ok()) << e->ToString();
-    auto v = (*bound)->Evaluate(row);
+    auto v = EvalRow(**bound, schema, row);
     ASSERT_FALSE(v.ok()) << e->ToString();
     EXPECT_EQ(v.status(), interp.status()) << e->ToString();
   }
@@ -233,7 +262,7 @@ TEST(BoundExprTest, EvaluateColumnMatchesPerRow) {
   ASSERT_TRUE((*bound)->EvaluateVector(*cb, &out).ok());
   ASSERT_EQ(out.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    auto v = (*bound)->Evaluate(rows[i]);
+    auto v = ref::Evaluate(e, schema, rows[i]);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(out.GetValue(i).Compare(*v), 0);
   }
@@ -243,42 +272,41 @@ TEST(BoundExprTest, EvaluateColumnMatchesPerRow) {
 }
 
 TEST(BoundExprTest, BoundPredicateMatchesInterpretedPredicate) {
+  // The filter operator keeps a row exactly when the reference predicate
+  // holds: NULL and zero/empty are false.
   Schema schema = TestSchema();
+  const Row row = {Value(int64_t{1}), Value(0.5), Value("p")};
   std::vector<Value> cases = {Value::Null(),  Value(int64_t{0}),
                               Value(int64_t{5}), Value(0.0), Value(2.5),
                               Value(""),      Value("yes")};
   for (const Value& v : cases) {
     auto e = Expr::Literal(v);
-    auto bound = Bind(e, schema);
-    ASSERT_TRUE(bound.ok());
-    auto want = EvaluatePredicate(*e, schema, Row{});
-    auto got = EvaluateBoundPredicate(**bound, Row{});
+    auto want = ref::Predicate(e, schema, row);
     ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *want) << v.ToString();
+    Batch in;
+    in.schema = schema;
+    in.rows = {row};
+    OperatorPtr filter = MakeFilter(MakeBatchSource(schema, {in}), e);
+    auto got = CollectAll(filter.get());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rows.size(), *want ? 1u : 0u) << v.ToString();
   }
-}
-
-TEST(BoundExprTest, EvalBoundKeysReusesStorage) {
-  Schema schema = TestSchema();
-  auto keys = BindAll({Expr::Column("a"), Expr::Column("s")}, schema);
-  ASSERT_TRUE(keys.ok());
-  Row key;
-  Row row1 = {Value(int64_t{1}), Value(0.5), Value("p")};
-  Row row2 = {Value(int64_t{2}), Value(1.5), Value("q")};
-  ASSERT_TRUE(EvalBoundKeys(*keys, row1, &key).ok());
-  ASSERT_EQ(key.size(), 2u);
-  EXPECT_EQ(key[0].int64(), 1);
-  EXPECT_EQ(key[1].str(), "p");
-  ASSERT_TRUE(EvalBoundKeys(*keys, row2, &key).ok());
-  ASSERT_EQ(key.size(), 2u);
-  EXPECT_EQ(key[0].int64(), 2);
-  EXPECT_EQ(key[1].str(), "q");
 }
 
 // ---------------------------------------------------------------------
 // Parity property test: random trees x random rows
 // ---------------------------------------------------------------------
+
+// Strings for literals and cells. "ABC" vs "ab" orders differently by
+// bytes than by length, and the two-byte "\xc3\xa9" sorts above every
+// ASCII string only under an unsigned byte order.
+const char* const kStringPool[] = {"",   "a",  "ab",       "ABC",
+                                   "%a%", "a_", "\xc3\xa9"};
+constexpr int64_t kStringPoolSize = 7;
+
+Value RandomString(Rng* rng) {
+  return Value(kStringPool[rng->UniformInt(0, kStringPoolSize - 1)]);
+}
 
 ExprPtr RandomLeaf(Rng* rng) {
   switch (rng->UniformInt(0, 6)) {
@@ -294,10 +322,8 @@ ExprPtr RandomLeaf(Rng* rng) {
       return Expr::Literal(Value(rng->UniformInt(-3, 3)));
     case 5:
       return Expr::Literal(Value(rng->Uniform(-4.0, 4.0)));
-    default: {
-      static const char* kStrings[] = {"", "a", "ab", "%a%", "a_"};
-      return Expr::Literal(Value(kStrings[rng->UniformInt(0, 4)]));
-    }
+    default:
+      return Expr::Literal(RandomString(rng));
   }
 }
 
@@ -341,9 +367,9 @@ ExprPtr RandomExpr(Rng* rng, int depth) {
   }
 }
 
-// Rows deliberately ignore the declared column types: the interpreter is
-// dynamically typed, and mismatched runtime values force the bound
-// evaluator's typed fast paths through their generic fallbacks.
+// Rows deliberately ignore the declared column types: values are
+// dynamically typed, and mismatched runtime values land in kBoxed
+// columns, forcing the typed kernels through their generic tails.
 Value RandomValue(Rng* rng) {
   switch (rng->UniformInt(0, 3)) {
     case 0:
@@ -352,10 +378,8 @@ Value RandomValue(Rng* rng) {
       return Value(rng->UniformInt(-3, 3));
     case 2:
       return Value(rng->Uniform(-4.0, 4.0));
-    default: {
-      static const char* kStrings[] = {"", "a", "ab", "ABC", "%a%"};
-      return Value(kStrings[rng->UniformInt(0, 4)]);
-    }
+    default:
+      return RandomString(rng);
   }
 }
 
@@ -367,59 +391,110 @@ Row RandomRow(Rng* rng) {
 
 class BoundExprParityTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Checks EvaluateVector over `batch` against ref::Evaluate of each of
+// its logical rows (`rows[i]` is logical row i): the batch errors iff
+// some row errors, and otherwise every value and type matches.
+void ExpectBatchMatchesRows(const ExprPtr& e, const BoundExpr& bound,
+                            const ColumnBatch& batch,
+                            const std::vector<Row>& rows) {
+  const Schema schema = TestSchema();
+  bool any_error = false;
+  std::vector<Value> want;
+  for (const Row& row : rows) {
+    auto interp = ref::Evaluate(e, schema, row);
+    any_error = any_error || !interp.ok();
+    want.push_back(interp.ok() ? *interp : Value::Null());
+  }
+  ColumnVector col;
+  Status st = bound.EvaluateVector(batch, &col);
+  ASSERT_EQ(st.ok(), !any_error) << e->ToString() << "\n" << st.ToString();
+  if (!st.ok()) return;
+  ASSERT_EQ(col.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Value got = col.GetValue(i);
+    EXPECT_EQ(got.type(), want[i].type()) << e->ToString();
+    EXPECT_EQ(got.Compare(want[i]), 0)
+        << e->ToString() << "\nref:   " << want[i].ToString()
+        << "\nbound: " << got.ToString();
+  }
+}
+
+// Binds `e` and checks it on `rows` one row at a time, as a dense batch,
+// and as a random subset under a selection vector.
+void ExpectAllFormsMatch(const ExprPtr& e, const std::vector<Row>& rows,
+                         Rng* rng) {
+  const Schema schema = TestSchema();
+  auto bound = Bind(e, schema);
+  // The generator only references existing columns, so binding cannot
+  // fail on resolution; any other bind error would be a parity bug.
+  ASSERT_TRUE(bound.ok()) << e->ToString() << "\n"
+                          << bound.status().ToString();
+
+  // Each row alone: value, type, status and message all match.
+  for (const Row& row : rows) {
+    auto interp = ref::Evaluate(e, schema, row);
+    auto v = EvalRow(**bound, schema, row);
+    ASSERT_EQ(v.ok(), interp.ok())
+        << e->ToString() << "\nref:   " << interp.status().ToString()
+        << "\nbound: " << v.status().ToString();
+    if (!interp.ok()) {
+      EXPECT_EQ(v.status(), interp.status()) << e->ToString();
+      continue;
+    }
+    EXPECT_EQ(v->type(), interp->type()) << e->ToString();
+    EXPECT_EQ(v->Compare(*interp), 0)
+        << e->ToString() << "\nref:   " << interp->ToString()
+        << "\nbound: " << v->ToString();
+  }
+
+  // The dense batch.
+  ExpectBatchMatchesRows(e, **bound, ToColumns(schema, rows), rows);
+
+  // A random subset of the rows, in random order, under a selection
+  // vector over storage that also holds unselected decoy rows (whose
+  // errors must not count).
+  std::vector<Row> physical = rows;
+  for (int d = 0; d < 10; ++d) physical.push_back(RandomRow(rng));
+  std::vector<uint32_t> sel;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rng->Bernoulli(0.6)) sel.push_back(static_cast<uint32_t>(i));
+  }
+  for (std::size_t i = sel.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(sel[i - 1], sel[j]);
+  }
+  std::vector<Row> selected;
+  for (const uint32_t i : sel) selected.push_back(rows[i]);
+  ColumnBatch under_selection = ToColumns(schema, physical);
+  under_selection.selection = std::move(sel);
+  ExpectBatchMatchesRows(e, **bound, under_selection, selected);
+}
+
 TEST_P(BoundExprParityTest, BoundMatchesInterpreted) {
   Rng rng(GetParam());
-  Schema schema = TestSchema();
   for (int tree = 0; tree < 40; ++tree) {
     ExprPtr e = RandomExpr(&rng, 4);
-    auto bound = Bind(e, schema);
-    // The generator only references existing columns, so binding cannot
-    // fail on resolution; any other bind error would be a parity bug.
-    ASSERT_TRUE(bound.ok()) << e->ToString() << "\n"
-                            << bound.status().ToString();
     std::vector<Row> rows;
     for (int r = 0; r < 25; ++r) rows.push_back(RandomRow(&rng));
-    Status first_error = Status::OK();
-    for (const Row& row : rows) {
-      auto interp = e->Evaluate(schema, row);
-      auto v = (*bound)->Evaluate(row);
-      ASSERT_EQ(v.ok(), interp.ok())
-          << e->ToString() << "\ninterp: " << interp.status().ToString()
-          << "\nbound:  " << v.status().ToString();
-      if (!interp.ok()) {
-        EXPECT_EQ(v.status(), interp.status()) << e->ToString();
-        if (first_error.ok()) first_error = interp.status();
-        continue;
-      }
-      EXPECT_EQ(v->type(), interp->type()) << e->ToString();
-      EXPECT_EQ(v->Compare(*interp), 0)
-          << e->ToString() << "\ninterp: " << interp->ToString()
-          << "\nbound:  " << v->ToString();
-
-      // Predicate wrappers agree as well.
-      auto pi = EvaluatePredicate(*e, schema, row);
-      auto pb = EvaluateBoundPredicate(**bound, row);
-      ASSERT_EQ(pb.ok(), pi.ok()) << e->ToString();
-      if (pi.ok()) {
-        EXPECT_EQ(*pb, *pi) << e->ToString();
-      }
-    }
-    // Columnar evaluation: succeeds iff every row succeeded.
-    Batch batch;
-    batch.schema = schema;
-    batch.rows = rows;
-    Result<ColumnBatch> cb = ToColumnBatch(batch);
-    ASSERT_TRUE(cb.ok()) << cb.status().ToString();
-    ColumnVector col;
-    Status st = (*bound)->EvaluateVector(*cb, &col);
-    ASSERT_EQ(st.ok(), first_error.ok())
-        << e->ToString() << "\n" << st.ToString();
-    if (st.ok()) {
-      ASSERT_EQ(col.size(), rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        auto interp = e->Evaluate(schema, rows[i]);
-        EXPECT_EQ(col.GetValue(i).Compare(*interp), 0) << e->ToString();
-      }
+    ExpectAllFormsMatch(e, rows, &rng);
+  }
+  // Every string comparison and LIKE against every pooled string, on
+  // rows whose `s` holds only strings and NULLs, so the dense batch runs
+  // the kString kernel as well.
+  std::vector<Row> rows;
+  for (int r = 0; r < 25; ++r) {
+    Row row = RandomRow(&rng);
+    row[2] = rng.Bernoulli(0.2) ? Value::Null() : RandomString(&rng);
+    rows.push_back(std::move(row));
+  }
+  for (const BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                            BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe,
+                            BinaryOp::kLike}) {
+    for (const char* lit : kStringPool) {
+      ExpectAllFormsMatch(
+          Expr::Binary(op, Expr::Column("s"), Expr::Literal(Value(lit))),
+          rows, &rng);
     }
   }
 }

@@ -1,6 +1,15 @@
+// Expression semantics, checked through the only evaluator: each case
+// binds the tree (exec/bound_expr.h) and evaluates it on a one-row
+// ColumnBatch.
+
 #include "exec/expression.h"
 
 #include <gtest/gtest.h>
+
+#include "common/macros.h"
+#include "exec/bound_expr.h"
+#include "exec/column_batch.h"
+#include "exec/operators.h"
 
 namespace swift {
 namespace {
@@ -17,8 +26,24 @@ Row TestRow() {
   return {Value(int64_t{6}), Value(2.5), Value("forest green"), Value::Null()};
 }
 
+Batch TestBatch() {
+  Batch b;
+  b.schema = TestSchema();
+  b.rows = {TestRow()};
+  return b;
+}
+
+// Binds `e` to TestSchema() and evaluates it on TestRow().
+Result<Value> Evaluate(const ExprPtr& e) {
+  SWIFT_ASSIGN_OR_RETURN(BoundExprPtr bound, Bind(e, TestSchema()));
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch in, ToColumnBatch(TestBatch()));
+  ColumnVector out;
+  SWIFT_RETURN_NOT_OK(bound->EvaluateVector(in, &out));
+  return out.GetValue(0);
+}
+
 Value Eval(const ExprPtr& e) {
-  auto r = e->Evaluate(TestSchema(), TestRow());
+  auto r = Evaluate(e);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? *r : Value::Null();
 }
@@ -30,7 +55,7 @@ TEST(ExpressionTest, ColumnAndLiteral) {
 }
 
 TEST(ExpressionTest, UnknownColumnErrors) {
-  auto r = Expr::Column("nope")->Evaluate(TestSchema(), TestRow());
+  auto r = Evaluate(Expr::Column("nope"));
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
@@ -58,13 +83,13 @@ TEST(ExpressionTest, DivisionAlwaysDouble) {
 TEST(ExpressionTest, DivisionByZeroIsApplicationError) {
   auto e = Expr::Binary(BinaryOp::kDiv, Expr::Column("i"),
                         Expr::Literal(Value(int64_t{0})));
-  auto r = e->Evaluate(TestSchema(), TestRow());
+  auto r = Evaluate(e);
   EXPECT_EQ(r.status().code(), StatusCode::kApplication);
 }
 
 TEST(ExpressionTest, ArithmeticOnStringIsApplicationError) {
   auto e = Expr::Binary(BinaryOp::kAdd, Expr::Column("s"), Expr::Column("i"));
-  EXPECT_EQ(e->Evaluate(TestSchema(), TestRow()).status().code(),
+  EXPECT_EQ(Evaluate(e).status().code(),
             StatusCode::kApplication);
 }
 
@@ -117,7 +142,7 @@ TEST(ExpressionTest, LikeOperator) {
 TEST(ExpressionTest, LikeOnNumberIsApplicationError) {
   auto e = Expr::Binary(BinaryOp::kLike, Expr::Column("i"),
                         Expr::Literal(Value("%1%")));
-  EXPECT_EQ(e->Evaluate(TestSchema(), TestRow()).status().code(),
+  EXPECT_EQ(Evaluate(e).status().code(),
             StatusCode::kApplication);
 }
 
@@ -157,17 +182,20 @@ TEST(ExpressionTest, LowerUpperAbs) {
 
 TEST(ExpressionTest, UnknownFunctionIsApplicationError) {
   auto e = Expr::Function("frobnicate", {});
-  EXPECT_EQ(e->Evaluate(TestSchema(), TestRow()).status().code(),
+  EXPECT_EQ(Evaluate(e).status().code(),
             StatusCode::kApplication);
 }
 
 TEST(ExpressionTest, EvaluatePredicateTreatsNullAsFalse) {
-  auto r = EvaluatePredicate(*Expr::Column("n"), TestSchema(), TestRow());
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(*r);
-  auto t = EvaluatePredicate(*Expr::Column("i"), TestSchema(), TestRow());
-  ASSERT_TRUE(t.ok());
-  EXPECT_TRUE(*t);
+  auto kept = [](const ExprPtr& pred) -> std::size_t {
+    OperatorPtr filter =
+        MakeFilter(MakeBatchSource(TestSchema(), {TestBatch()}), pred);
+    auto out = CollectAll(filter.get());
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out->rows.size() : 0;
+  };
+  EXPECT_EQ(kept(Expr::Column("n")), 0u);
+  EXPECT_EQ(kept(Expr::Column("i")), 1u);
 }
 
 TEST(ExpressionTest, CollectColumns) {

@@ -9,22 +9,46 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/rng.h"
-#include "exec/bound_expr.h"
 #include "exec/operators.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
 
 // ---- Legacy oracle: the pre-flat-table row-map kernels ---------------
 
+// The legacy value hash: std::hash of the value (the identity on
+// int64), with integral doubles hashed as their int64 so that 3 and 3.0
+// collide, as LegacyRowEq requires.
+std::size_t LegacyValueHash(const Value& v) {
+  if (v.is_null()) return 0x9E3779B9u;
+  if (v.is_numeric()) {
+    const double d = v.AsDouble();
+    const int64_t i = static_cast<int64_t>(d);
+    if (static_cast<double>(i) == d) return std::hash<int64_t>{}(i);
+    return std::hash<double>{}(d);
+  }
+  return std::hash<std::string>{}(v.str());
+}
+
+std::size_t LegacyHashRow(const Row& row) {
+  std::size_t h = 0x84222325u;
+  for (const Value& v : row) {
+    h ^= LegacyValueHash(v) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
 struct LegacyRowHash {
-  std::size_t operator()(const Row& r) const { return HashRow(r); }
+  std::size_t operator()(const Row& r) const { return LegacyHashRow(r); }
 };
 struct LegacyRowEq {
   bool operator()(const Row& a, const Row& b) const {
@@ -43,10 +67,11 @@ bool KeyHasNull(const Row& k) {
   return false;
 }
 
-Row EvalKeyRow(const std::vector<BoundExprPtr>& keys, const Row& row) {
+Row EvalKeyRow(const std::vector<ExprPtr>& keys, const Schema& schema,
+               const Row& row) {
   Row k;
   k.reserve(keys.size());
-  for (const BoundExprPtr& e : keys) k.push_back(*e->Evaluate(row));
+  for (const ExprPtr& e : keys) k.push_back(*ref::Evaluate(e, schema, row));
   return k;
 }
 
@@ -55,18 +80,16 @@ std::vector<Row> LegacyHashJoin(const Batch& left, const Batch& right,
                                 const std::vector<ExprPtr>& left_keys,
                                 const std::vector<ExprPtr>& right_keys,
                                 JoinType join_type) {
-  auto bound_left = *BindAll(left_keys, left.schema);
-  auto bound_right = *BindAll(right_keys, right.schema);
   std::unordered_multimap<Row, Row, LegacyRowHash, LegacyRowEq> build;
   for (const Row& r : right.rows) {
-    Row key = EvalKeyRow(bound_right, r);
+    Row key = EvalKeyRow(right_keys, right.schema, r);
     if (KeyHasNull(key)) continue;
     build.emplace(std::move(key), r);
   }
   const std::size_t right_width = right.schema.num_fields();
   std::vector<Row> out;
   for (const Row& l : left.rows) {
-    Row key = EvalKeyRow(bound_left, l);
+    Row key = EvalKeyRow(left_keys, left.schema, l);
     bool matched = false;
     if (!KeyHasNull(key)) {
       auto [lo, hi] = build.equal_range(key);
@@ -135,26 +158,21 @@ struct LegacyAggState {
 std::vector<Row> LegacyHashAggregate(const Batch& in,
                                      const std::vector<ExprPtr>& groups,
                                      const std::vector<AggSpec>& aggs) {
-  auto bound_groups = *BindAll(groups, in.schema);
-  std::vector<BoundExprPtr> bound_args;
-  for (const AggSpec& a : aggs) {
-    bound_args.push_back(a.arg == nullptr ? nullptr
-                                          : *Bind(a.arg, in.schema));
-  }
   std::unordered_map<Row, std::vector<LegacyAggState>, LegacyRowHash,
                      LegacyRowEq>
       table;
   std::vector<Row> key_order;
   for (const Row& r : in.rows) {
-    Row key = EvalKeyRow(bound_groups, r);
+    Row key = EvalKeyRow(groups, in.schema, r);
     auto it = table.find(key);
     if (it == table.end()) {
       it = table.emplace(key, std::vector<LegacyAggState>(aggs.size())).first;
       key_order.push_back(key);
     }
     for (std::size_t a = 0; a < aggs.size(); ++a) {
-      Value v = bound_args[a] == nullptr ? Value(int64_t{1})
-                                         : *bound_args[a]->Evaluate(r);
+      Value v = aggs[a].arg == nullptr
+                    ? Value(int64_t{1})
+                    : *ref::Evaluate(aggs[a].arg, in.schema, r);
       if (aggs[a].kind == AggKind::kCount && v.is_null()) continue;
       it->second[a].Update(aggs[a].kind, v);
     }
@@ -365,10 +383,9 @@ TEST(HashKernelsParityTest, PartitionPreservesRowsAndRoutesNullsToZero) {
     EXPECT_EQ(RowMultiset(all), RowMultiset(in.rows)) << "trial " << trial;
 
     // NULL-keyed rows all land in partition 0; equal keys land together.
-    auto bound = *BindAll(keys, in.schema);
     for (int p = 0; p < n; ++p) {
       for (const Row& r : (*parts)[p].rows) {
-        Row key = EvalKeyRow(bound, r);
+        Row key = EvalKeyRow(keys, in.schema, r);
         if (KeyHasNull(key)) {
           EXPECT_EQ(p, 0) << "NULL key escaped partition 0";
         }
@@ -412,6 +429,16 @@ TEST(HashKernelsParityTest, CrossNumericTypeKeysShareOneGroup) {
                                             JoinType::kInner);
   EXPECT_EQ(joined.rows.size(), 13u);  // 3x3 for the 3-group + 2x2 for 0
   EXPECT_EQ(RowMultiset(joined.rows), RowMultiset(jexpect));
+}
+
+TEST(HashPartitionSkewTest, LegacyIdentityHashStripesOnStridedKeys) {
+  // Documents the pathology the mixer fixes: the legacy hash (identity
+  // on int64) mod 16 maps stride-16 keys to a single partition.
+  std::set<std::size_t> used;
+  for (int64_t i = 0; i < 1000; ++i) {
+    used.insert(LegacyHashRow({Value(i * 16)}) % 16);
+  }
+  EXPECT_EQ(used.size(), 1u);
 }
 
 }  // namespace

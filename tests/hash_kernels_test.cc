@@ -1,8 +1,8 @@
 // Unit tests for the vectorized hash kernels: the shared 64-bit mixer,
-// the normalized KeyEncoder, the flat swiss-style FlatKeyTable, and the
-// HashPartition skew fix (sequential/strided int64 keys must spread
-// within +/-20% of uniform, where the old identity-hash `HashRow % n`
-// striped).
+// the normalized batch KeyEncoder (checked against the value-at-a-time
+// reference encoder in reference_ops.h over every column rep), the flat
+// swiss-style FlatKeyTable, and the HashPartition skew fix
+// (sequential/strided int64 keys must spread within +/-20% of uniform).
 
 #include <gtest/gtest.h>
 
@@ -14,23 +14,51 @@
 
 #include "common/hash64.h"
 #include "common/macros.h"
+#include "common/rng.h"
+#include "exec/column_batch.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
 #include "exec/operators.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
 
-std::string EncodeOne(const Value& v) {
-  std::string out;
-  KeyEncoder::AppendValue(v, &out);
+// A one-row batch holding `key`, each column typed after its value (a
+// NULL makes a kNull column), encoded over all of its columns.
+KeyEncoder::BatchKeys EncodeKeyRow(const Row& key) {
+  Batch b;
+  std::vector<Field> fields;
+  std::vector<uint32_t> cols;
+  for (std::size_t c = 0; c < key.size(); ++c) {
+    fields.push_back({"c" + std::to_string(c), key[c].type()});
+    cols.push_back(static_cast<uint32_t>(c));
+  }
+  b.schema = Schema(fields);
+  b.rows = {key};
+  KeyEncoder::BatchKeys out;
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok()) << cb.status().ToString();
+  EXPECT_TRUE(cb.ok() && KeyEncoder::EncodeBatchColumns(*cb, cols, &out));
   return out;
 }
 
 std::string EncodeRow(const Row& key) {
-  KeyEncoder enc;
-  bool has_null = false;
-  return std::string(enc.Encode(key, &has_null));
+  const KeyEncoder::BatchKeys bk = EncodeKeyRow(key);
+  return bk.size() == 1 ? std::string(bk.key(0)) : std::string();
+}
+
+std::string EncodeOne(const Value& v) { return EncodeRow({v}); }
+
+std::string Hex(std::string_view bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto b = static_cast<uint8_t>(ch);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
 }
 
 // ---- Hash64 / Mix64 / RangeReduce -----------------------------------
@@ -140,20 +168,17 @@ TEST(KeyEncoderTest, MultiColumnFramingIsInjective) {
 }
 
 TEST(KeyEncoderTest, NullPrefixByteSetsHasNull) {
-  KeyEncoder enc;
-  bool has_null = false;
-  (void)enc.Encode({Value(int64_t{1}), Value::Null()}, &has_null);
-  EXPECT_TRUE(has_null);
-  (void)enc.Encode({Value(int64_t{1}), Value("x")}, &has_null);
-  EXPECT_FALSE(has_null);
-  (void)enc.Encode({}, &has_null);
-  EXPECT_FALSE(has_null);
+  EXPECT_EQ(EncodeKeyRow({Value(int64_t{1}), Value::Null()}).null_key,
+            std::vector<uint8_t>{1});
+  EXPECT_EQ(EncodeKeyRow({Value(int64_t{1}), Value("x")}).null_key,
+            std::vector<uint8_t>{0});
+  EXPECT_EQ(EncodeKeyRow({}).null_key, std::vector<uint8_t>{0});
 }
 
 TEST(KeyEncoderTest, DecodeRoundTripsNormalizedValues) {
   const Row key = {Value::Null(), Value(int64_t{-42}), Value(2.5),
                    Value("hello"), Value("")};
-  auto decoded = KeyEncoder::Decode(EncodeRow(key));
+  auto decoded = ref::Decode(EncodeRow(key));
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), key.size());
   for (std::size_t i = 0; i < key.size(); ++i) {
@@ -164,7 +189,7 @@ TEST(KeyEncoderTest, DecodeRoundTripsNormalizedValues) {
     }
   }
   // Integral floats come back in normalized (int64) form.
-  auto norm = KeyEncoder::Decode(EncodeRow({Value(3.0)}));
+  auto norm = ref::Decode(EncodeRow({Value(3.0)}));
   ASSERT_TRUE(norm.ok());
   ASSERT_TRUE((*norm)[0].is_int64());
   EXPECT_EQ((*norm)[0].int64(), 3);
@@ -173,80 +198,230 @@ TEST(KeyEncoderTest, DecodeRoundTripsNormalizedValues) {
 TEST(KeyEncoderTest, DecodeRejectsTruncatedInput) {
   const std::string enc = EncodeRow({Value(int64_t{7}), Value("abc")});
   for (std::size_t cut = 1; cut < enc.size(); ++cut) {
-    auto r = KeyEncoder::Decode(std::string_view(enc).substr(0, cut));
+    auto r = ref::Decode(std::string_view(enc).substr(0, cut));
     // Cuts at column boundaries still decode (fewer columns); any cut
     // inside a column must error, never crash or mis-read.
     if (!r.ok()) {
       EXPECT_TRUE(r.status().IsInvalidArgument());
     }
   }
-  EXPECT_FALSE(KeyEncoder::Decode(std::string_view("\x09", 1)).ok());
+  EXPECT_FALSE(ref::Decode(std::string_view("\x09", 1)).ok());
 }
 
-// The column fast path (EncodeColumns / HashColumns) must be
-// byte-for-byte / bit-for-bit the same function as evaluating the key
-// row and calling Encode / HashNormalized.
-TEST(KeyEncoderTest, ColumnFastPathMatchesEvaluatedPath) {
-  const Row row = {Value(int64_t{42}), Value("abc"), Value::Null(),
-                   Value(3.5),         Value(3.0),   Value(int64_t{-1})};
-  const std::vector<std::vector<uint32_t>> picks = {
-      {0}, {3}, {2}, {0, 5}, {1, 2, 4}, {5, 0}, {}};
-  for (const auto& cols : picks) {
-    Row key;
-    for (const uint32_t c : cols) key.push_back(row[c]);
+TEST(KeyEncoderTest, BatchColumnsRejectBadOrdinal) {
+  Batch b;
+  b.schema = Schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
+  b.rows = {{Value(int64_t{1}), Value("s")}};
+  const ColumnBatch cb = *ToColumnBatch(b);
+  KeyEncoder::BatchKeys keys;
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> has_null;
+  EXPECT_FALSE(KeyEncoder::EncodeBatchColumns(cb, {2}, &keys));
+  EXPECT_FALSE(KeyEncoder::EncodeBatchColumns(cb, {0, 7}, &keys));
+  EXPECT_FALSE(KeyEncoder::HashBatchColumns(cb, {2}, &hashes, &has_null));
+  EXPECT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1}, &keys));
+  EXPECT_TRUE(KeyEncoder::HashBatchColumns(cb, {0, 1}, &hashes, &has_null));
+}
 
-    KeyEncoder ref;
-    bool ref_null = false;
-    const std::string expect(ref.Encode(key, &ref_null));
+// The key bytes are the hash-partition and join-table contract: a
+// change to them re-routes every shuffled row, so it must be on purpose.
+TEST(KeyEncoderTest, BatchKeyBytesArePinned) {
+  ColumnBatch cb;
+  cb.physical_rows = 2;
+  ColumnVector ints = ColumnVector::OfType(DataType::kInt64);
+  ints.Append(Value(int64_t{1}));
+  ints.Append(Value::Null());
+  ColumnVector strs = ColumnVector::OfType(DataType::kString);
+  strs.Append(Value("ab"));
+  strs.Append(Value(""));
+  ColumnVector floats = ColumnVector::OfType(DataType::kFloat64);
+  floats.Append(Value(2.5));
+  floats.Append(Value(3.0));
+  ColumnVector boxed = ColumnVector::OfType(DataType::kString);
+  boxed.Append(Value("x"));
+  boxed.Append(Value(int64_t{-2}));
+  ASSERT_EQ(boxed.rep(), ColumnRep::kBoxed);
+  cb.columns = {ints, strs, floats, boxed};
+  KeyEncoder::BatchKeys bk;
+  ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1, 2, 3}, &bk));
+  ASSERT_EQ(bk.size(), 2u);
+  // int 1 | "ab" | 2.5 | boxed "x"
+  EXPECT_EQ(Hex(bk.key(0)),
+            "010100000000000000"
+            "03020000006162"
+            "020000000000000440"
+            "030100000078");
+  // NULL | "" | 3.0 (as int64 3) | boxed int -2
+  EXPECT_EQ(Hex(bk.key(1)),
+            "00"
+            "0300000000"
+            "010300000000000000"
+            "01feffffffffffffff");
+  EXPECT_EQ(bk.null_key, (std::vector<uint8_t>{0, 1}));
+}
 
-    KeyEncoder enc;
-    bool has_null = true;
-    std::string_view got;
-    ASSERT_TRUE(enc.EncodeColumns(row, cols, &got, &has_null));
-    EXPECT_EQ(std::string(got), expect);
-    EXPECT_EQ(has_null, ref_null);
-
-    bool hn_null = false;
-    const uint64_t expect_hash = KeyEncoder::HashNormalized(key, &hn_null);
-    uint64_t hash = 0;
-    bool hc_null = true;
-    ASSERT_TRUE(KeyEncoder::HashColumns(row, cols, &hash, &hc_null));
-    EXPECT_EQ(hash, expect_hash);
-    EXPECT_EQ(hc_null, hn_null);
+// One key column holding the same values as kInt64, as kFloat64 and as
+// kBoxed encodes to the same bytes and hashes to the same partition:
+// two producers whose batches carry different reps must agree.
+TEST(KeyEncoderTest, CrossRepKeysEncodeAndHashAlike) {
+  const std::vector<int64_t> vals = {3, -7, 0, int64_t{1} << 40, 12345};
+  ColumnVector as_int = ColumnVector::OfType(DataType::kInt64);
+  ColumnVector as_float = ColumnVector::OfType(DataType::kFloat64);
+  ColumnVector as_boxed = ColumnVector::OfType(DataType::kInt64);
+  for (const int64_t v : vals) {
+    as_int.Append(Value(v));
+    // -0.0 stands in for 0: it must normalize like +0.
+    as_float.Append(Value(v == 0 ? -0.0 : static_cast<double>(v)));
+    as_boxed.Append(v % 2 == 0 ? Value(static_cast<double>(v)) : Value(v));
+  }
+  as_int.AppendNull();
+  as_float.AppendNull();
+  as_boxed.Append(Value::Null());
+  as_boxed.Boxify();
+  ASSERT_EQ(as_float.rep(), ColumnRep::kFloat64);
+  ASSERT_EQ(as_boxed.rep(), ColumnRep::kBoxed);
+  std::vector<KeyEncoder::BatchKeys> keys;
+  std::vector<std::vector<uint64_t>> hashes;
+  for (const ColumnVector* col : {&as_int, &as_float, &as_boxed}) {
+    ColumnBatch cb;
+    cb.physical_rows = vals.size() + 1;
+    cb.columns = {*col};
+    KeyEncoder::BatchKeys bk;
+    ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0}, &bk));
+    std::vector<uint64_t> h;
+    std::vector<uint8_t> has_null;
+    ASSERT_TRUE(KeyEncoder::HashBatchColumns(cb, {0}, &h, &has_null));
+    EXPECT_EQ(has_null.back(), 1);
+    keys.push_back(std::move(bk));
+    hashes.push_back(std::move(h));
+  }
+  for (std::size_t r = 1; r < keys.size(); ++r) {
+    EXPECT_EQ(keys[r].bytes, keys[0].bytes) << "rep " << r;
+    EXPECT_EQ(keys[r].hashes, keys[0].hashes) << "rep " << r;
+    EXPECT_EQ(hashes[r], hashes[0]) << "rep " << r;
   }
 }
 
-TEST(KeyEncoderTest, ColumnFastPathRejectsNarrowRows) {
-  const Row row = {Value(int64_t{1}), Value("s")};
-  KeyEncoder enc;
-  std::string_view out;
-  uint64_t h = 0;
-  bool has_null = false;
-  EXPECT_FALSE(enc.EncodeColumns(row, {2}, &out, &has_null));
-  EXPECT_FALSE(enc.EncodeColumns(row, {0, 7}, &out, &has_null));
-  EXPECT_FALSE(KeyEncoder::HashColumns(row, {2}, &h, &has_null));
-  EXPECT_TRUE(enc.EncodeColumns(row, {0, 1}, &out, &has_null));
+// ---- Batch encoder vs the value-at-a-time reference ------------------
+
+double RandomDouble(Rng* rng) {
+  switch (rng->UniformInt(0, 5)) {
+    case 0:
+      return -0.0;
+    case 1: {  // a NaN with a random payload
+      uint64_t bits = 0x7ff0000000000000ULL |
+                      static_cast<uint64_t>(rng->UniformInt(1, 1 << 20));
+      if (rng->Bernoulli(0.5)) bits |= 0x8000000000000000ULL;
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      return d;
+    }
+    case 2:  // integral: collides with the int64 keys
+      return static_cast<double>(rng->UniformInt(-3, 3));
+    case 3:
+      return rng->Bernoulli(0.5) ? 1e300 : 9223372036854775808.0;  // 2^63
+    default:
+      return rng->Uniform(-4.0, 4.0);
+  }
 }
 
-TEST(KeyEncoderTest, ColumnOrdinalsResolvesPlainColumnsOnly) {
-  const Schema schema({{"a", DataType::kInt64},
-                       {"b", DataType::kString},
-                       {"c", DataType::kFloat64}});
-  std::vector<uint32_t> cols;
+const char* const kKeyStrings[] = {"", "a", "ab", "\xc3\xa9", "3"};
 
-  auto plain = *BindAll({Expr::Column("c"), Expr::Column("a")}, schema);
-  ASSERT_TRUE(KeyEncoder::ColumnOrdinals(plain, &cols));
-  EXPECT_EQ(cols, (std::vector<uint32_t>{2, 0}));
-
-  auto computed = *BindAll(
-      {Expr::Column("a"),
-       Expr::Binary(BinaryOp::kAdd, Expr::Column("a"), Expr::Literal(Value(int64_t{1})))},
-      schema);
-  EXPECT_FALSE(KeyEncoder::ColumnOrdinals(computed, &cols));
-
-  auto literal = *BindAll({Expr::Literal(Value(int64_t{5}))}, schema);
-  EXPECT_FALSE(KeyEncoder::ColumnOrdinals(literal, &cols));
+Value RandomKeyValue(Rng* rng) {
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value(rng->UniformInt(-3, 3));
+    case 2:
+      return Value(RandomDouble(rng));
+    default:
+      return Value(kKeyStrings[rng->UniformInt(0, 4)]);
+  }
 }
+
+// A column of `n` cells in a random rep. Typed reps hold NULLs and
+// their own type only; kBoxed holds anything.
+ColumnVector RandomKeyColumn(Rng* rng, std::size_t n) {
+  const auto rep = static_cast<ColumnRep>(rng->UniformInt(0, 4));
+  if (rep == ColumnRep::kNull) return ColumnVector::MakeNull(n);
+  ColumnVector col = ColumnVector::OfRep(rep);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng->Bernoulli(0.2)) {
+      col.Append(Value::Null());
+      continue;
+    }
+    switch (rep) {
+      case ColumnRep::kInt64:
+        col.Append(Value(rng->UniformInt(-3, 3)));
+        break;
+      case ColumnRep::kFloat64:
+        col.Append(Value(RandomDouble(rng)));
+        break;
+      case ColumnRep::kString:
+        col.Append(Value(kKeyStrings[rng->UniformInt(0, 4)]));
+        break;
+      default:
+        col.Append(RandomKeyValue(rng));
+        break;
+    }
+  }
+  return col;
+}
+
+class BatchKeyEncoderPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchKeyEncoderPropertyTest, MatchesReferenceEncoder) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 30; ++round) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(0, 24));
+    ColumnBatch cb;
+    cb.physical_rows = n;
+    const int width = static_cast<int>(rng.UniformInt(1, 4));
+    for (int c = 0; c < width; ++c) {
+      ColumnVector col = RandomKeyColumn(&rng, n);
+      if (rng.Bernoulli(0.1)) col.Boxify();  // a uniform kBoxed column
+      cb.columns.push_back(std::move(col));
+    }
+    if (n > 0 && rng.Bernoulli(0.5)) {
+      std::vector<uint32_t> sel;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.6)) sel.push_back(static_cast<uint32_t>(i));
+      }
+      cb.selection = std::move(sel);
+    }
+    std::vector<uint32_t> cols;  // zero to four keys, repeats allowed
+    const int num_keys = static_cast<int>(rng.UniformInt(0, 4));
+    for (int k = 0; k < num_keys; ++k) {
+      cols.push_back(static_cast<uint32_t>(rng.UniformInt(0, width - 1)));
+    }
+    KeyEncoder::BatchKeys bk;
+    ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, cols, &bk));
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> has_null;
+    ASSERT_TRUE(KeyEncoder::HashBatchColumns(cb, cols, &hashes, &has_null));
+    ASSERT_EQ(bk.size(), cb.num_rows());
+    ASSERT_EQ(hashes.size(), cb.num_rows());
+    for (std::size_t i = 0; i < cb.num_rows(); ++i) {
+      Row key;
+      bool any_null = false;
+      for (const uint32_t c : cols) {
+        key.push_back(cb.columns[c].GetValue(cb.PhysicalIndex(i)));
+        any_null = any_null || key.back().is_null();
+      }
+      const std::string want = ref::EncodeKey(key);
+      ASSERT_EQ(Hex(bk.key(i)), Hex(want)) << "row " << i;
+      EXPECT_EQ(bk.hashes[i], KeyEncoder::HashEncoded(want));
+      EXPECT_EQ(bk.null_key[i], any_null ? 1 : 0);
+      EXPECT_EQ(hashes[i], ref::HashKey(key)) << "row " << i;
+      EXPECT_EQ(has_null[i], any_null ? 1 : 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchKeyEncoderPropertyTest,
+                         ::testing::Range<uint64_t>(1, 21));
 
 // ---- FlatKeyTable ----------------------------------------------------
 
@@ -416,16 +591,6 @@ TEST(HashPartitionSkewTest, StridedKeysSpreadUniformly) {
     ExpectUniformSpread(b, 7);
     ExpectUniformSpread(b, 16);
   }
-}
-
-TEST(HashPartitionSkewTest, LegacyIdentityHashStripesOnStridedKeys) {
-  // Documents the pathology the mixer fixes: HashRow (identity on
-  // int64) mod 16 maps stride-16 keys to a single partition.
-  std::set<std::size_t> used;
-  for (int64_t i = 0; i < 1000; ++i) {
-    used.insert(HashRow({Value(i * 16)}) % 16);
-  }
-  EXPECT_EQ(used.size(), 1u);
 }
 
 TEST(HashPartitionSkewTest, OverloadsAgreeAndNullsGoToPartitionZero) {

@@ -126,7 +126,7 @@ std::size_t RunMorselized(const std::shared_ptr<const Table>& table,
                           ThreadPool* pool, int lanes) {
   auto op = MakeParallelMorselPipeline(
       MakeTableMorselSource(table, 0, 1, table->schema, kDefaultMorselRows),
-      GuardSteps(), pool, lanes, MorselMerge::kOrdered);
+      GuardSteps(), pool, lanes);
   return DrainCountRows(op.get());
 }
 
@@ -186,7 +186,7 @@ std::size_t RunHeavy(const std::shared_ptr<const Table>& table,
                      ThreadPool* pool, int lanes) {
   auto op = MakeParallelMorselPipeline(
       MakeTableMorselSource(table, 0, 1, table->schema, kDefaultMorselRows),
-      HeavySteps(), pool, lanes, MorselMerge::kOrdered);
+      HeavySteps(), pool, lanes);
   return DrainCountRows(op.get());
 }
 

@@ -86,26 +86,6 @@ Result<std::vector<Row>> DrainColumnarRows(PhysicalOperator* op,
   return rows;
 }
 
-// A stable per-row fingerprint for multiset comparison (unordered mode).
-std::string RowKey(const Row& row) {
-  std::string key;
-  for (const Value& v : row) {
-    if (v.is_null()) {
-      key += "N;";
-    } else if (v.is_int64()) {
-      key += "i" + std::to_string(v.int64()) + ";";
-    } else if (v.is_float64()) {
-      uint64_t bits = 0;
-      const double d = v.float64();
-      std::memcpy(&bits, &d, sizeof(bits));
-      key += "f" + std::to_string(bits) + ";";
-    } else {
-      key += "s" + v.str() + ";";
-    }
-  }
-  return key;
-}
-
 std::shared_ptr<Table> MakeTable(int nrows) {
   auto t = std::make_shared<Table>();
   t->name = "t";
@@ -307,31 +287,13 @@ TEST(ParallelMorselPipelineTest, OrderedParityAcrossSeedsAndLanes) {
     for (int lanes : {1, 4}) {
       auto op = MakeParallelMorselPipeline(
           MorselizedInput(b, 13), FilterProjectSteps(),
-          lanes > 1 ? &pool : nullptr, lanes, MorselMerge::kOrdered);
+          lanes > 1 ? &pool : nullptr, lanes);
       ASSERT_TRUE(op->Open().ok());
       auto rows = DrainColumnarRows(op.get(), nullptr);
       ASSERT_TRUE(rows.ok());
       ExpectRowsBitEq(*rows, want);
     }
   }
-}
-
-TEST(ParallelMorselPipelineTest, UnorderedMatchesRowMultiset) {
-  ThreadPool pool(4);
-  const Batch b = RandomBatch(0xDECAF, 1000);
-  std::vector<std::string> want;
-  for (const Row& r : RowOracle(b)) want.push_back(RowKey(r));
-  std::sort(want.begin(), want.end());
-  auto op = MakeParallelMorselPipeline(MorselizedInput(b, 17),
-                                       FilterProjectSteps(), &pool, 4,
-                                       MorselMerge::kUnordered);
-  ASSERT_TRUE(op->Open().ok());
-  auto rows = DrainColumnarRows(op.get(), nullptr);
-  ASSERT_TRUE(rows.ok());
-  std::vector<std::string> got;
-  for (const Row& r : *rows) got.push_back(RowKey(r));
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want);
 }
 
 TEST(ParallelMorselPipelineTest, FullyFilteredMorselsAreSkipped) {
@@ -352,7 +314,7 @@ TEST(ParallelMorselPipelineTest, FullyFilteredMorselsAreSkipped) {
                    Expr::Literal(Value(int64_t{32}))));
   steps.push_back(std::move(f));
   auto op = MakeParallelMorselPipeline(MorselizedInput(b, 8), std::move(steps),
-                                       &pool, 4, MorselMerge::kOrdered);
+                                       &pool, 4);
   ASSERT_TRUE(op->Open().ok());
   std::vector<std::size_t> sizes;
   auto rows = DrainColumnarRows(op.get(), &sizes);
@@ -402,7 +364,7 @@ TEST(ParallelMorselPipelineTest, SourceErrorSurfacesAfterPriorMorsels) {
   for (int lanes : {1, 4}) {
     auto op = MakeParallelMorselPipeline(
         std::make_unique<FailingSource>(schema, 3), steps,
-        lanes > 1 ? &pool : nullptr, lanes, MorselMerge::kOrdered);
+        lanes > 1 ? &pool : nullptr, lanes);
     ASSERT_TRUE(op->Open().ok());
     // Ordered mode must deliver all three good morsels (6 rows), then
     // the error — exactly what serial execution produces.
@@ -432,8 +394,7 @@ TEST(ParallelMorselPipelineTest, DestructionMidStreamDoesNotHang) {
   ThreadPool pool(4);
   const Batch b = RandomBatch(0xBEEF, 4096);
   auto op = MakeParallelMorselPipeline(MorselizedInput(b, 16),
-                                       FilterProjectSteps(), &pool, 4,
-                                       MorselMerge::kOrdered);
+                                       FilterProjectSteps(), &pool, 4);
   ASSERT_TRUE(op->Open().ok());
   auto first = op->Next();
   ASSERT_TRUE(first.ok());

@@ -1,10 +1,19 @@
-// A deliberately naive reference executor for the operator parity
-// suites. It works on row Batches with the interpreted Expr::Evaluate,
-// groups and matches rows by linear scans under Value::Compare, and
-// orders them with std::stable_sort — no KeyEncoder, no hash tables, no
-// selection vectors — so it shares no kernel with the engine it checks.
-// Inputs must not hold NaN in sort or group keys (Value::Compare is not
-// a strict weak order over NaN).
+// Deliberately naive references the engine's tests check it against.
+//
+//  - A row-at-a-time expression interpreter (ref::Evaluate,
+//    ref::Predicate): a tree walk over Expr through the As* accessors
+//    with per-row short-circuiting, resolving column names on every
+//    row. It shares only the scalar kernels of exec/expr_eval.h with
+//    BoundExpr::EvaluateVector, the evaluator it checks.
+//  - Operators over row Batches (ref::Filter ... ref::Window): groups
+//    and matches rows by linear scans under Value::Compare and orders
+//    them with std::stable_sort. No KeyEncoder, no hash tables, no
+//    selection vectors. Inputs must not hold NaN in sort or group keys
+//    (Value::Compare is not a strict weak order over NaN).
+//  - The key encoding, one value at a time (ref::EncodeKey,
+//    ref::Decode, ref::HashKey), which KeyEncoder's column-at-a-time
+//    EncodeBatchColumns and HashBatchColumns must reproduce for every
+//    column rep.
 
 #ifndef SWIFT_TESTS_REFERENCE_OPS_H_
 #define SWIFT_TESTS_REFERENCE_OPS_H_
@@ -12,17 +21,114 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/hash64.h"
+#include "common/macros.h"
+#include "common/string_util.h"
+#include "exec/expr_eval.h"
 #include "exec/expression.h"
+#include "exec/key_encoder.h"
 #include "exec/operators.h"
 
 namespace swift {
 namespace ref {
 
+// ---- Expressions ------------------------------------------------------
+
+/// Evaluates `e` against one row of `schema`. Type errors are
+/// Status::Application; AND/OR evaluate their rhs only when the lhs did
+/// not decide the row.
+inline Result<Value> Evaluate(const ExprPtr& e, const Schema& schema,
+                              const Row& row) {
+  using expr_eval::FromTruth;
+  using expr_eval::Truth;
+  switch (e->kind()) {
+    case ExprKind::kColumn: {
+      const std::string& name = *AsColumnName(*e);
+      SWIFT_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name));
+      if (idx >= row.size()) {
+        return Status::Internal(
+            StrFormat("row narrower than schema at column '%s'", name.c_str()));
+      }
+      return row[idx];
+    }
+    case ExprKind::kLiteral:
+      return *AsLiteralValue(*e);
+    case ExprKind::kBinary: {
+      const BinaryParts b = *AsBinary(e);
+      SWIFT_ASSIGN_OR_RETURN(Value lv, Evaluate(b.lhs, schema, row));
+      if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) {
+        const bool is_and = b.op == BinaryOp::kAnd;
+        const int lt = Truth(lv);
+        if (lt == (is_and ? 0 : 1)) return FromTruth(lt);
+        SWIFT_ASSIGN_OR_RETURN(Value rv, Evaluate(b.rhs, schema, row));
+        const int rt = Truth(rv);
+        if (is_and) {
+          if (rt == 0) return FromTruth(0);
+          return FromTruth((lt == 1 && rt == 1) ? 1 : -1);
+        }
+        if (rt == 1) return FromTruth(1);
+        return FromTruth((lt == 0 && rt == 0) ? 0 : -1);
+      }
+      SWIFT_ASSIGN_OR_RETURN(Value rv, Evaluate(b.rhs, schema, row));
+      if (lv.is_null() || rv.is_null()) return Value::Null();
+      switch (b.op) {
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+          return expr_eval::Arith(b.op, lv, rv);
+        case BinaryOp::kLike:
+          if (!lv.is_string() || !rv.is_string()) {
+            return Status::Application("LIKE requires string operands");
+          }
+          return FromTruth(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0);
+        default:
+          return expr_eval::Compare(b.op, lv, rv);
+      }
+    }
+    case ExprKind::kUnary: {
+      const UnaryParts u = *AsUnary(e);
+      SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(u.operand, schema, row));
+      if (v.is_null()) return Value::Null();
+      if (u.op == UnaryOp::kNot) return FromTruth(Truth(v) == 1 ? 0 : 1);
+      if (!v.is_numeric()) {
+        return Status::Application("negation of non-numeric value");
+      }
+      if (v.is_int64()) return Value(-v.int64());
+      return Value(-v.float64());
+    }
+    case ExprKind::kFunction: {
+      const FunctionParts f = *AsFunction(e);
+      std::vector<Value> vals;
+      for (const ExprPtr& a : f.args) {
+        SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(a, schema, row));
+        vals.push_back(std::move(v));
+      }
+      return expr_eval::ApplyFunction(expr_eval::ResolveFunction(f.name),
+                                      f.name, vals);
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+/// `e` as a predicate: NULL and false-valued results are false; numeric
+/// nonzero and non-empty strings are true.
+inline Result<bool> Predicate(const ExprPtr& e, const Schema& schema,
+                              const Row& row) {
+  SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(e, schema, row));
+  return expr_eval::Truth(v) == 1;
+}
+
 inline Value Eval(const ExprPtr& e, const Schema& schema, const Row& row) {
-  Result<Value> v = e->Evaluate(schema, row);
+  Result<Value> v = Evaluate(e, schema, row);
   EXPECT_TRUE(v.ok()) << e->ToString() << ": " << v.status().ToString();
   return v.ok() ? *std::move(v) : Value::Null();
 }
@@ -62,7 +168,7 @@ inline int CompareRows(const Row& a, const Row& b,
 inline std::vector<Row> Filter(const Batch& in, const ExprPtr& pred) {
   std::vector<Row> out;
   for (const Row& r : in.rows) {
-    Result<bool> keep = EvaluatePredicate(*pred, in.schema, r);
+    Result<bool> keep = Predicate(pred, in.schema, r);
     EXPECT_TRUE(keep.ok()) << keep.status().ToString();
     if (keep.ok() && *keep) out.push_back(r);
   }
@@ -231,6 +337,129 @@ inline std::vector<Row> Window(const Batch& in,
     out.push_back(std::move(o));
     prev_part = part;
     prev_order = order;
+  }
+  return out;
+}
+
+// ---- Key encoding -----------------------------------------------------
+
+// Tag and payload of a non-string value: an integral double in int64
+// range is encoded as that int64 (3.0 == 3, -0.0 == 0) and every NaN as
+// one canonical quiet NaN.
+inline std::pair<uint8_t, uint64_t> KeyTagBits(const Value& v) {
+  if (v.is_null()) return {KeyEncoder::kTagNull, 0};
+  if (v.is_int64()) {
+    return {KeyEncoder::kTagInt64, static_cast<uint64_t>(v.int64())};
+  }
+  const double d = v.float64();
+  if (std::isnan(d)) return {KeyEncoder::kTagFloat64, 0x7ff8000000000000ULL};
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+      static_cast<double>(static_cast<int64_t>(d)) == d) {
+    return {KeyEncoder::kTagInt64,
+            static_cast<uint64_t>(static_cast<int64_t>(d))};
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return {KeyEncoder::kTagFloat64, bits};
+}
+
+inline void AppendLittleEndian(uint64_t bits, int bytes, std::string* out) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(bits >> (8 * i)));
+  }
+}
+
+/// The KeyEncoder bytes of one key row, built a value at a time.
+inline std::string EncodeKey(const Row& key) {
+  std::string out;
+  for (const Value& v : key) {
+    if (v.is_string()) {
+      out.push_back(static_cast<char>(KeyEncoder::kTagString));
+      AppendLittleEndian(v.str().size(), 4, &out);
+      out += v.str();
+      continue;
+    }
+    const auto [tag, bits] = KeyTagBits(v);
+    out.push_back(static_cast<char>(tag));
+    if (tag != KeyEncoder::kTagNull) AppendLittleEndian(bits, 8, &out);
+  }
+  return out;
+}
+
+/// KeyEncoder::HashBatchColumns of one key row.
+inline uint64_t HashKey(const Row& key) {
+  uint64_t h = 0x58a3b1c96f0d2e47ULL;
+  for (const Value& v : key) {
+    uint64_t tag;
+    uint64_t bits;
+    if (v.is_string()) {
+      tag = KeyEncoder::kTagString;
+      bits = Hash64(v.str());
+    } else {
+      std::tie(tag, bits) = KeyTagBits(v);
+    }
+    h = hash_internal::Mum(h ^ (bits + tag * 0x9E3779B97F4A7C15ULL),
+                           hash_internal::kSecret2);
+  }
+  return h;
+}
+
+inline uint64_t ReadLittleEndian(const char* p, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+/// Inverse of EncodeKey. Values decode to their normalized form (an
+/// integral float64 comes back as int64); truncated input or an unknown
+/// tag is InvalidArgument.
+inline Result<Row> Decode(std::string_view encoded) {
+  Row out;
+  std::size_t pos = 0;
+  while (pos < encoded.size()) {
+    const uint8_t tag = static_cast<uint8_t>(encoded[pos++]);
+    switch (tag) {
+      case KeyEncoder::kTagNull:
+        out.push_back(Value::Null());
+        break;
+      case KeyEncoder::kTagInt64: {
+        if (encoded.size() - pos < 8) {
+          return Status::InvalidArgument("truncated int64 key column");
+        }
+        const uint64_t bits = ReadLittleEndian(encoded.data() + pos, 8);
+        out.push_back(Value(static_cast<int64_t>(bits)));
+        pos += 8;
+        break;
+      }
+      case KeyEncoder::kTagFloat64: {
+        if (encoded.size() - pos < 8) {
+          return Status::InvalidArgument("truncated float64 key column");
+        }
+        const uint64_t bits = ReadLittleEndian(encoded.data() + pos, 8);
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        out.push_back(Value(d));
+        pos += 8;
+        break;
+      }
+      case KeyEncoder::kTagString: {
+        if (encoded.size() - pos < 4) {
+          return Status::InvalidArgument("truncated string length prefix");
+        }
+        const uint64_t len = ReadLittleEndian(encoded.data() + pos, 4);
+        pos += 4;
+        if (encoded.size() - pos < len) {
+          return Status::InvalidArgument("truncated string key column");
+        }
+        out.push_back(Value(std::string(encoded.substr(pos, len))));
+        pos += len;
+        break;
+      }
+      default:
+        return Status::InvalidArgument("unknown key column tag");
+    }
   }
   return out;
 }

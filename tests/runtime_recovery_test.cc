@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hash64.h"
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
+#include "sql/tpch_queries.h"
 
 namespace swift {
 namespace {
@@ -310,6 +313,55 @@ TEST(RuntimeRecoveryMatrix, LosingTheLastUndrainedMachineDoesNotStrandGangs) {
   EXPECT_FALSE(health.IsReadOnly(0));
   EXPECT_TRUE(health.IsReadOnly(1));
   EXPECT_TRUE(health.IsReadOnly(2));
+}
+
+// The tpch-chaos fault schedule (bench_e2e's ApplyChaos: seeded task
+// crashes, read timeouts, bit flips, and machine 0 lost at the 20th task
+// start, inside Q9) at the default max_task_attempts and
+// health_failure_threshold. On these seeds a Q9 task that crashed once
+// later has a retained slot reported lost after its consumer had read
+// it; that recovery takes no step and re-runs nothing, so it must not
+// spend the task's attempt budget. Every query completes with the clean
+// answer.
+TEST(RuntimeRecoveryMatrix, ChaosScheduleCompletesAtDefaultConfig) {
+  std::vector<int> queries = RunnableTpchQueries();
+  std::stable_partition(queries.begin(), queries.end(),
+                        [](int q) { return q == 9; });
+  std::map<int, std::vector<std::string>> want;
+  for (const int q : queries) {
+    auto sql = TpchQuerySql(q);
+    ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+    want[q] = CleanResult(sql->c_str());
+  }
+  for (const uint64_t seed : {16u, 64u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LocalRuntimeConfig cfg;
+    ASSERT_EQ(cfg.max_task_attempts, 3);
+    ASSERT_EQ(cfg.health_failure_threshold, 3);
+    FaultSchedule fs;
+    fs.seed = Mix64(seed);
+    fs.task_crash_p = 0.1;
+    fs.max_task_crashes = 64;
+    fs.read_timeout_p = 0.2;
+    fs.corrupt_p = 0.1;
+    fs.kill_machine = 0;
+    fs.kill_after_task_starts = 20;
+    cfg.fault_schedule = fs;
+    auto rt = MakeRuntime(cfg);
+    int no_step_recoveries = 0;
+    for (const int q : queries) {
+      auto plan = PlanSql(*TpchQuerySql(q), *rt->catalog());
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      auto report = rt->RunPlan(*plan);
+      ASSERT_TRUE(report.ok())
+          << "Q" << q << ": " << report.status().ToString();
+      EXPECT_EQ(Canonical(report->result), want[q]) << "Q" << q;
+      no_step_recoveries +=
+          report->stats.recoveries_by_case[RecoveryCase::kNone];
+    }
+    EXPECT_EQ(rt->fault_injector()->stats().machine_kills, 1);
+    EXPECT_GE(no_step_recoveries, 1);
+  }
 }
 
 }  // namespace

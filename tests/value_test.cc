@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "exec/column_batch.h"
+#include "exec/key_encoder.h"
+
 namespace swift {
 namespace {
 
@@ -42,9 +47,22 @@ TEST(ValueTest, MixedTypeTotalOrder) {
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
-  EXPECT_EQ(Value(int64_t{3}).Hash(), Value(3.0).Hash());
-  EXPECT_EQ(Value("key").Hash(), Value("key").Hash());
+  // Values are hashed as keys by KeyEncoder: equal values hash alike.
+  ColumnBatch cb;
+  cb.physical_rows = 4;
+  ColumnVector col = ColumnVector::OfRep(ColumnRep::kBoxed);
+  for (const Value& v : {Value(int64_t{3}), Value(3.0), Value("key"),
+                         Value("key")}) {
+    col.Append(v);
+  }
+  cb.columns = {col};
+  std::vector<uint64_t> h;
+  std::vector<uint8_t> has_null;
+  ASSERT_TRUE(KeyEncoder::HashBatchColumns(cb, {0}, &h, &has_null));
   EXPECT_TRUE(Value(int64_t{3}) == Value(3.0));
+  EXPECT_EQ(h[0], h[1]);
+  EXPECT_EQ(h[2], h[3]);
+  EXPECT_NE(h[0], h[2]);
 }
 
 TEST(ValueTest, ToString) {
@@ -56,14 +74,6 @@ TEST(ValueTest, ToString) {
 TEST(ValueTest, AsDoubleWidensInt) {
   EXPECT_DOUBLE_EQ(Value(int64_t{7}).AsDouble(), 7.0);
   EXPECT_DOUBLE_EQ(Value(1.25).AsDouble(), 1.25);
-}
-
-TEST(ValueTest, HashRowOrderSensitive) {
-  Row a = {Value(int64_t{1}), Value(int64_t{2})};
-  Row b = {Value(int64_t{2}), Value(int64_t{1})};
-  Row c = {Value(int64_t{1}), Value(int64_t{2})};
-  EXPECT_EQ(HashRow(a), HashRow(c));
-  EXPECT_NE(HashRow(a), HashRow(b));
 }
 
 }  // namespace
