@@ -41,10 +41,7 @@ double BestSeconds(Fn&& fn) {
 }
 
 std::string TableWire(const std::shared_ptr<Table>& t) {
-  Batch b;
-  b.schema = t->schema;
-  b.rows = t->rows;
-  return SerializeBatch(b);
+  return SerializeColumnBatch(t->data());
 }
 
 void CodecRow(const std::string& name, const std::string& wire) {

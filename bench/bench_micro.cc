@@ -550,19 +550,12 @@ void BM_MorselMergeJoinColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_MorselMergeJoinColumnar)->Arg(4096)->Arg(65536);
 
-// The scan-task pipeline shapes: whole-slice (Table::TaskSlice +
-// ToColumnBatch + filter/project over one big batch) vs morselized
+// The scan-task pipeline shapes: whole-slice (the task slice as one
+// store slice + filter/project over one big batch) vs morselized
 // (TableMorselSource streaming 1K-row morsels through the same steps).
 // peak_rows is the resident-row footprint at the source boundary.
 std::shared_ptr<Table> MakeMorselTable(int rows) {
-  auto t = std::make_shared<Table>();
-  t->name = "bench";
-  t->schema = Schema({{"k", DataType::kInt64},
-                      {"v", DataType::kFloat64},
-                      {"s", DataType::kString}});
-  Batch b = MakeVecBatch(rows);
-  t->rows = std::move(b.rows);
-  return t;
+  return std::make_shared<Table>("bench", *ToColumnBatch(MakeVecBatch(rows)));
 }
 
 std::vector<MorselStep> MorselBenchSteps() {
@@ -598,10 +591,9 @@ void BM_MorselPipelineWholeSlice(benchmark::State& state) {
   auto table = MakeMorselTable(rows);
   const auto steps = MorselBenchSteps();
   for (auto _ : state) {
-    Batch slice = table->TaskSlice(0, 1);
-    auto cb = ToColumnBatch(slice);
+    const auto [begin, end] = table->TaskSliceBounds(0, 1);
     std::vector<ColumnBatch> batches;
-    batches.push_back(*std::move(cb));
+    batches.push_back(table->data().SliceRows(begin, end - begin));
     auto op = MakeProject(
         MakeFilter(MakeColumnBatchSource(table->schema, std::move(batches)),
                    steps[0].predicate),

@@ -15,19 +15,22 @@ int main() {
   SwiftSystem swift_system;
 
   // Register a small table.
-  auto orders = std::make_shared<Table>();
-  orders->name = "orders";
-  orders->schema = Schema({{"order_id", DataType::kInt64},
-                           {"customer", DataType::kString},
-                           {"amount", DataType::kFloat64}});
-  orders->rows = {
-      {Value(int64_t{1}), Value("alice"), Value(120.5)},
-      {Value(int64_t{2}), Value("bob"), Value(80.0)},
-      {Value(int64_t{3}), Value("alice"), Value(42.0)},
-      {Value(int64_t{4}), Value("carol"), Value(99.9)},
-      {Value(int64_t{5}), Value("bob"), Value(10.0)},
-  };
-  if (auto st = swift_system.catalog()->Register(orders); !st.ok()) {
+  auto orders = MakeTable("orders",
+                          Schema({{"order_id", DataType::kInt64},
+                                  {"customer", DataType::kString},
+                                  {"amount", DataType::kFloat64}}),
+                          {
+                              {Value(int64_t{1}), Value("alice"), Value(120.5)},
+                              {Value(int64_t{2}), Value("bob"), Value(80.0)},
+                              {Value(int64_t{3}), Value("alice"), Value(42.0)},
+                              {Value(int64_t{4}), Value("carol"), Value(99.9)},
+                              {Value(int64_t{5}), Value("bob"), Value(10.0)},
+                          });
+  if (!orders.ok()) {
+    std::fprintf(stderr, "table: %s\n", orders.status().ToString().c_str());
+    return 1;
+  }
+  if (auto st = swift_system.catalog()->Register(*orders); !st.ok()) {
     std::fprintf(stderr, "register: %s\n", st.ToString().c_str());
     return 1;
   }

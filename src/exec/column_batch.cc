@@ -325,10 +325,6 @@ void ColumnVector::AppendFrom(const ColumnVector& src, std::size_t i) {
 void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                                    std::size_t len) {
   if (len == 0) return;
-  if (rep_ == ColumnRep::kNull && size_ == 0 &&
-      src.rep_ != ColumnRep::kNull) {
-    RetypeFromNull(src.rep_);
-  }
   if (rep_ != src.rep_) {
     for (std::size_t i = 0; i < len; ++i) AppendFrom(src, begin + i);
     return;
@@ -465,6 +461,16 @@ ColumnBatch ColumnBatch::SliceRows(std::size_t begin, std::size_t len) const {
       c.AppendRangeFrom(col, begin, len);
     }
     out.columns.push_back(std::move(c));
+  }
+  return out;
+}
+
+ColumnBatch EmptyBatchOf(const Schema& schema) {
+  ColumnBatch out;
+  out.schema = schema;
+  out.columns.reserve(schema.num_fields());
+  for (const Field& f : schema.fields()) {
+    out.columns.push_back(ColumnVector::OfType(f.type));
   }
   return out;
 }

@@ -114,8 +114,11 @@ class ColumnVector {
 
   /// \brief Bulk-appends the physical subrange src[begin, begin+len):
   /// one memcpy for matching fixed-width reps, one heap substring copy
-  /// (plus rebased offsets) for strings, element-wise otherwise. Used by
-  /// the morsel cursor to carve ~1K-row slices out of decoded batches.
+  /// (plus rebased offsets) for strings. When the reps differ (a kBoxed
+  /// source, or this column under a kNull field) it appends cell by
+  /// cell through AppendFrom, so the result has the rep converting the
+  /// same cells would give. Used to carve ~1K-row morsels out of
+  /// decoded batches and out of the table store.
   void AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                        std::size_t len);
 
@@ -187,6 +190,9 @@ struct ColumnBatch {
   /// result never aliases and never carries a selection.
   ColumnBatch SliceRows(std::size_t begin, std::size_t len) const;
 };
+
+/// \brief Empty batch with one column per field, pre-typed from `schema`.
+ColumnBatch EmptyBatchOf(const Schema& schema);
 
 /// \brief Converts a row batch. Errors (InvalidArgument) on ragged rows
 /// — every row must have schema-width cells; cells whose type deviates

@@ -143,43 +143,42 @@ Result<std::shared_ptr<Table>> ReadCsv(const std::string& table_name,
     }
   }
 
-  auto table = std::make_shared<Table>();
-  table->name = table_name;
   std::vector<Field> schema_fields;
   for (std::size_t c = 0; c < ncols; ++c) {
     schema_fields.push_back(Field{names[c], types[c]});
   }
-  table->schema = Schema(std::move(schema_fields));
-  table->rows.reserve(records.size() - first_data);
+  ColumnBatch data = EmptyBatchOf(Schema(std::move(schema_fields)));
+  for (ColumnVector& col : data.columns) {
+    col.Reserve(records.size() - first_data);
+  }
   for (std::size_t r = first_data; r < records.size(); ++r) {
-    Row row;
-    row.reserve(ncols);
     for (std::size_t c = 0; c < ncols; ++c) {
       const std::string& s = records[r][c];
+      ColumnVector& col = data.columns[c];
       if (s == options.null_token) {
-        row.push_back(Value::Null());
+        col.AppendNull();
         continue;
       }
       switch (types[c]) {
         case DataType::kInt64: {
           int64_t v = 0;
           ParsesAsInt(s, &v);
-          row.push_back(Value(v));
+          col.AppendInt64(v);
           break;
         }
         case DataType::kFloat64: {
           double v = 0;
           ParsesAsDouble(s, &v);
-          row.push_back(Value(v));
+          col.AppendFloat64(v);
           break;
         }
         default:
-          row.push_back(Value(s));
+          col.AppendString(s);
       }
     }
-    table->rows.push_back(std::move(row));
   }
-  return table;
+  data.physical_rows = records.size() - first_data;
+  return std::make_shared<Table>(table_name, std::move(data));
 }
 
 Result<std::shared_ptr<Table>> ReadCsvString(const std::string& table_name,

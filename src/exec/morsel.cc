@@ -14,9 +14,9 @@ namespace {
 
 // ---- Morselized sources ---------------------------------------------
 
-// Zero-copy scan cursor over a table's task-slice bounds: each call
-// converts the next <= morsel_rows rows straight out of table->rows, so
-// no full-slice Batch (or ColumnBatch) ever exists and peak resident
+// Scan cursor over a table's task-slice bounds: each call slices the
+// next <= morsel_rows rows of the columns the stage reads out of the
+// store, so no full-slice ColumnBatch ever exists and peak resident
 // rows on pipeline-only trees is O(morsel).
 class TableMorselSource final : public PhysicalOperator {
  public:
@@ -48,11 +48,7 @@ class TableMorselSource final : public PhysicalOperator {
     out.columns.reserve(columns_.size());
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       ColumnVector col = ColumnVector::OfType(output_schema_.field(c).type);
-      col.Reserve(take);
-      const std::size_t src = columns_[c];
-      for (std::size_t r = 0; r < take; ++r) {
-        col.Append(table_->rows[cursor_ + r][src]);
-      }
+      col.AppendRangeFrom(table_->column(columns_[c]), cursor_, take);
       out.columns.push_back(std::move(col));
     }
     cursor_ += take;

@@ -25,14 +25,12 @@ namespace swift {
 /// morsel_rows mirrors this).
 inline constexpr std::size_t kDefaultMorselRows = 1024;
 
-/// \brief Zero-copy scan cursor: emits the rows of scan task
-/// `task_index` of `task_count` as dense ColumnBatch morsels of at most
-/// `morsel_rows` rows, built straight from `table->rows` through
-/// Table::TaskSliceBounds — the task slice is never materialized as a
-/// whole. Output field i is table column `columns[i]` (empty = every
-/// table column in order); only those columns are converted. The caller
-/// must have verified the slice is uniform (every row has table-width
-/// cells): the cursor reads `columns` of each row unchecked.
+/// \brief Scan cursor: emits the rows of scan task `task_index` of
+/// `task_count` (Table::TaskSliceBounds) as dense ColumnBatch morsels
+/// of at most `morsel_rows` rows, each sliced out of the table's store
+/// (one memcpy per fixed-width column) — the task slice is never
+/// materialized as a whole. Output field i is table column `columns[i]`
+/// (empty = every table column in order); only those columns are read.
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
                                   Schema schema, std::size_t morsel_rows,

@@ -108,17 +108,6 @@ bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
   return false;
 }
 
-// Empty batch with one column per field, pre-typed from `schema`.
-ColumnBatch EmptyBatchOf(const Schema& schema) {
-  ColumnBatch out;
-  out.schema = schema;
-  out.columns.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) {
-    out.columns.push_back(ColumnVector::OfType(f.type));
-  }
-  return out;
-}
-
 // Drains `child` into one dense batch seeded from its output schema
 // (selections are gathered away by the appends).
 Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {

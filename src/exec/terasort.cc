@@ -17,11 +17,10 @@ constexpr int kAlphabetSize = 32;
 std::shared_ptr<Table> GenerateTerasort(int64_t num_records, int payload_bytes,
                                         uint64_t seed) {
   Rng rng(seed ^ 0x7E4A50u);
-  auto t = std::make_shared<Table>();
-  t->name = "terasort_input";
-  t->schema = Schema(
-      {{"key", DataType::kString}, {"value", DataType::kString}});
-  t->rows.reserve(static_cast<std::size_t>(num_records));
+  ColumnBatch b = EmptyBatchOf(Schema(
+      {{"key", DataType::kString}, {"value", DataType::kString}}));
+  const auto n = static_cast<std::size_t>(std::max<int64_t>(num_records, 0));
+  for (ColumnVector& col : b.columns) col.Reserve(n);
   std::string payload(static_cast<std::size_t>(std::max(payload_bytes, 0)),
                       'x');
   for (int64_t i = 0; i < num_records; ++i) {
@@ -35,10 +34,11 @@ std::shared_ptr<Table> GenerateTerasort(int64_t num_records, int payload_bytes,
     }
     // Unique-ify the payload so non-idempotent recovery tests can detect
     // row identity.
-    t->rows.push_back({Value(std::move(key)),
-                       Value(payload + std::to_string(i))});
+    b.columns[0].AppendString(key);
+    b.columns[1].AppendString(payload + std::to_string(i));
   }
-  return t;
+  b.physical_rows = n;
+  return std::make_shared<Table>("terasort_input", std::move(b));
 }
 
 std::vector<std::string> TerasortSplitPoints(int num_partitions) {

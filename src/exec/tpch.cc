@@ -93,125 +93,128 @@ int64_t TpchRowCount(const std::string& name, double sf) {
 }
 
 std::shared_ptr<Table> TpchNation() {
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_nation";
-  t->schema = Schema({{"n_nationkey", DataType::kInt64},
-                      {"n_name", DataType::kString},
-                      {"n_regionkey", DataType::kInt64}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"n_nationkey", DataType::kInt64},
+                                       {"n_name", DataType::kString},
+                                       {"n_regionkey", DataType::kInt64}}));
   for (std::size_t i = 0; i < kNations.size(); ++i) {
-    t->rows.push_back({Value(static_cast<int64_t>(i)), Value(kNations[i]),
-                       Value(static_cast<int64_t>(kNationRegion[i]))});
+    b.columns[0].AppendInt64(static_cast<int64_t>(i));
+    b.columns[1].AppendString(kNations[i]);
+    b.columns[2].AppendInt64(kNationRegion[i]);
   }
-  return t;
+  b.physical_rows = kNations.size();
+  return std::make_shared<Table>("tpch_nation", std::move(b));
 }
 
 std::shared_ptr<Table> TpchRegion() {
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_region";
-  t->schema = Schema({{"r_regionkey", DataType::kInt64},
-                      {"r_name", DataType::kString}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"r_regionkey", DataType::kInt64},
+                                       {"r_name", DataType::kString}}));
   for (std::size_t i = 0; i < kRegions.size(); ++i) {
-    t->rows.push_back({Value(static_cast<int64_t>(i)), Value(kRegions[i])});
+    b.columns[0].AppendInt64(static_cast<int64_t>(i));
+    b.columns[1].AppendString(kRegions[i]);
   }
-  return t;
+  b.physical_rows = kRegions.size();
+  return std::make_shared<Table>("tpch_region", std::move(b));
 }
 
+// Generators append each row's cells in schema order: the random draws
+// must keep that order for the data, and so the golden answers, to stay
+// fixed.
 std::shared_ptr<Table> TpchSupplier(const TpchConfig& config) {
   Rng rng(config.seed ^ 0x5101);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_supplier";
-  t->schema = Schema({{"s_suppkey", DataType::kInt64},
-                      {"s_name", DataType::kString},
-                      {"s_nationkey", DataType::kInt64},
-                      {"s_acctbal", DataType::kFloat64}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"s_suppkey", DataType::kInt64},
+                                       {"s_name", DataType::kString},
+                                       {"s_nationkey", DataType::kInt64},
+                                       {"s_acctbal", DataType::kFloat64}}));
   const int64_t n = TpchRowCount("supplier", config.scale_factor);
   for (int64_t i = 1; i <= n; ++i) {
-    t->rows.push_back({Value(i), Value(StrFormat("Supplier#%09lld",
-                                                 static_cast<long long>(i))),
-                       Value(rng.UniformInt(0, 24)),
-                       Value(Round2(rng.Uniform(-999.99, 9999.99)))});
+    b.columns[0].AppendInt64(i);
+    b.columns[1].AppendString(
+        StrFormat("Supplier#%09lld", static_cast<long long>(i)));
+    b.columns[2].AppendInt64(rng.UniformInt(0, 24));
+    b.columns[3].AppendFloat64(Round2(rng.Uniform(-999.99, 9999.99)));
   }
-  return t;
+  b.physical_rows = static_cast<std::size_t>(n);
+  return std::make_shared<Table>("tpch_supplier", std::move(b));
 }
 
 std::shared_ptr<Table> TpchPart(const TpchConfig& config) {
   Rng rng(config.seed ^ 0x5A47);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_part";
-  t->schema = Schema({{"p_partkey", DataType::kInt64},
-                      {"p_name", DataType::kString},
-                      {"p_type", DataType::kString},
-                      {"p_brand", DataType::kString},
-                      {"p_retailprice", DataType::kFloat64}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"p_partkey", DataType::kInt64},
+                                       {"p_name", DataType::kString},
+                                       {"p_type", DataType::kString},
+                                       {"p_brand", DataType::kString},
+                                       {"p_retailprice", DataType::kFloat64}}));
   const int64_t n = TpchRowCount("part", config.scale_factor);
   for (int64_t i = 1; i <= n; ++i) {
     // p_name is two color words, so '%green%' selects ~2/11 of parts.
     const char* c1 = kColors[static_cast<std::size_t>(rng.UniformInt(0, 10))];
     const char* c2 = kColors[static_cast<std::size_t>(rng.UniformInt(0, 10))];
-    t->rows.push_back(
-        {Value(i), Value(std::string(c1) + " " + c2),
-         Value(kPartTypes[static_cast<std::size_t>(rng.UniformInt(0, 5))]),
-         Value(StrFormat("Brand#%lld%lld",
-                         static_cast<long long>(rng.UniformInt(1, 5)),
-                         static_cast<long long>(rng.UniformInt(1, 5)))),
-         Value(Round2(900.0 + static_cast<double>(i % 1000)))});
+    b.columns[0].AppendInt64(i);
+    b.columns[1].AppendString(std::string(c1) + " " + c2);
+    b.columns[2].AppendString(
+        kPartTypes[static_cast<std::size_t>(rng.UniformInt(0, 5))]);
+    b.columns[3].AppendString(
+        StrFormat("Brand#%lld%lld",
+                  static_cast<long long>(rng.UniformInt(1, 5)),
+                  static_cast<long long>(rng.UniformInt(1, 5))));
+    b.columns[4].AppendFloat64(Round2(900.0 + static_cast<double>(i % 1000)));
   }
-  return t;
+  b.physical_rows = static_cast<std::size_t>(n);
+  return std::make_shared<Table>("tpch_part", std::move(b));
 }
 
 std::shared_ptr<Table> TpchPartsupp(const TpchConfig& config) {
   Rng rng(config.seed ^ 0x9577);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_partsupp";
-  t->schema = Schema({{"ps_partkey", DataType::kInt64},
-                      {"ps_suppkey", DataType::kInt64},
-                      {"ps_supplycost", DataType::kFloat64},
-                      {"ps_availqty", DataType::kInt64}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"ps_partkey", DataType::kInt64},
+                                       {"ps_suppkey", DataType::kInt64},
+                                       {"ps_supplycost", DataType::kFloat64},
+                                       {"ps_availqty", DataType::kInt64}}));
   const int64_t parts = TpchRowCount("part", config.scale_factor);
   const int64_t suppliers = TpchRowCount("supplier", config.scale_factor);
   for (int64_t p = 1; p <= parts; ++p) {
     // 4 suppliers per part, deterministic spread like dbgen.
     for (int64_t k = 0; k < 4; ++k) {
       const int64_t s = 1 + (p + k * (suppliers / 4 + 1)) % suppliers;
-      t->rows.push_back({Value(p), Value(s),
-                         Value(Round2(rng.Uniform(1.0, 1000.0))),
-                         Value(rng.UniformInt(1, 9999))});
+      b.columns[0].AppendInt64(p);
+      b.columns[1].AppendInt64(s);
+      b.columns[2].AppendFloat64(Round2(rng.Uniform(1.0, 1000.0)));
+      b.columns[3].AppendInt64(rng.UniformInt(1, 9999));
     }
   }
-  return t;
+  b.physical_rows = static_cast<std::size_t>(parts * 4);
+  return std::make_shared<Table>("tpch_partsupp", std::move(b));
 }
 
 std::shared_ptr<Table> TpchCustomer(const TpchConfig& config) {
   Rng rng(config.seed ^ 0xC057);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_customer";
-  t->schema = Schema({{"c_custkey", DataType::kInt64},
-                      {"c_name", DataType::kString},
-                      {"c_nationkey", DataType::kInt64},
-                      {"c_mktsegment", DataType::kString},
-                      {"c_acctbal", DataType::kFloat64}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"c_custkey", DataType::kInt64},
+                                       {"c_name", DataType::kString},
+                                       {"c_nationkey", DataType::kInt64},
+                                       {"c_mktsegment", DataType::kString},
+                                       {"c_acctbal", DataType::kFloat64}}));
   const int64_t n = TpchRowCount("customer", config.scale_factor);
   for (int64_t i = 1; i <= n; ++i) {
-    t->rows.push_back(
-        {Value(i), Value(StrFormat("Customer#%09lld", static_cast<long long>(i))),
-         Value(rng.UniformInt(0, 24)),
-         Value(kSegments[static_cast<std::size_t>(rng.UniformInt(0, 4))]),
-         Value(Round2(rng.Uniform(-999.99, 9999.99)))});
+    b.columns[0].AppendInt64(i);
+    b.columns[1].AppendString(
+        StrFormat("Customer#%09lld", static_cast<long long>(i)));
+    b.columns[2].AppendInt64(rng.UniformInt(0, 24));
+    b.columns[3].AppendString(
+        kSegments[static_cast<std::size_t>(rng.UniformInt(0, 4))]);
+    b.columns[4].AppendFloat64(Round2(rng.Uniform(-999.99, 9999.99)));
   }
-  return t;
+  b.physical_rows = static_cast<std::size_t>(n);
+  return std::make_shared<Table>("tpch_customer", std::move(b));
 }
 
 std::shared_ptr<Table> TpchOrders(const TpchConfig& config) {
   Rng rng(config.seed ^ 0x04D5);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_orders";
-  t->schema = Schema({{"o_orderkey", DataType::kInt64},
-                      {"o_custkey", DataType::kInt64},
-                      {"o_orderstatus", DataType::kString},
-                      {"o_totalprice", DataType::kFloat64},
-                      {"o_orderdate", DataType::kString},
-                      {"o_orderpriority", DataType::kString},
-                      {"o_comment", DataType::kString}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"o_orderkey", DataType::kInt64},
+                                       {"o_custkey", DataType::kInt64},
+                                       {"o_orderstatus", DataType::kString},
+                                       {"o_totalprice", DataType::kFloat64},
+                                       {"o_orderdate", DataType::kString},
+                                       {"o_orderpriority", DataType::kString},
+                                       {"o_comment", DataType::kString}}));
   const int64_t n = TpchRowCount("orders", config.scale_factor);
   const int64_t customers = TpchRowCount("customer", config.scale_factor);
   for (int64_t i = 1; i <= n; ++i) {
@@ -219,33 +222,35 @@ std::shared_ptr<Table> TpchOrders(const TpchConfig& config) {
     // only custkeys not divisible by 3.
     int64_t cust = rng.UniformInt(1, customers);
     if (cust % 3 == 0) cust = std::max<int64_t>(1, cust - 1);
-    t->rows.push_back(
-        {Value(i), Value(cust), Value(rng.Bernoulli(0.5) ? "O" : "F"),
-         Value(Round2(rng.Uniform(850.0, 450000.0))),
-         Value(DateFromSerial(
-             static_cast<int>(rng.UniformInt(0, kMaxOrderSerial)))),
-         Value(kPriorities[static_cast<std::size_t>(rng.UniformInt(0, 4))]),
-         Value(kOrderComments[static_cast<std::size_t>(rng.UniformInt(0, 2))])});
+    b.columns[0].AppendInt64(i);
+    b.columns[1].AppendInt64(cust);
+    b.columns[2].AppendString(rng.Bernoulli(0.5) ? "O" : "F");
+    b.columns[3].AppendFloat64(Round2(rng.Uniform(850.0, 450000.0)));
+    b.columns[4].AppendString(
+        DateFromSerial(static_cast<int>(rng.UniformInt(0, kMaxOrderSerial))));
+    b.columns[5].AppendString(
+        kPriorities[static_cast<std::size_t>(rng.UniformInt(0, 4))]);
+    b.columns[6].AppendString(
+        kOrderComments[static_cast<std::size_t>(rng.UniformInt(0, 2))]);
   }
-  return t;
+  b.physical_rows = static_cast<std::size_t>(n);
+  return std::make_shared<Table>("tpch_orders", std::move(b));
 }
 
 std::shared_ptr<Table> TpchLineitem(const TpchConfig& config) {
   Rng rng(config.seed ^ 0x11E1);
-  auto t = std::make_shared<Table>();
-  t->name = "tpch_lineitem";
-  t->schema = Schema({{"l_orderkey", DataType::kInt64},
-                      {"l_partkey", DataType::kInt64},
-                      {"l_suppkey", DataType::kInt64},
-                      {"l_linenumber", DataType::kInt64},
-                      {"l_quantity", DataType::kFloat64},
-                      {"l_extendedprice", DataType::kFloat64},
-                      {"l_discount", DataType::kFloat64},
-                      {"l_tax", DataType::kFloat64},
-                      {"l_returnflag", DataType::kString},
-                      {"l_linestatus", DataType::kString},
-                      {"l_shipdate", DataType::kString},
-                      {"l_shipmode", DataType::kString}});
+  ColumnBatch b = EmptyBatchOf(Schema({{"l_orderkey", DataType::kInt64},
+                                       {"l_partkey", DataType::kInt64},
+                                       {"l_suppkey", DataType::kInt64},
+                                       {"l_linenumber", DataType::kInt64},
+                                       {"l_quantity", DataType::kFloat64},
+                                       {"l_extendedprice", DataType::kFloat64},
+                                       {"l_discount", DataType::kFloat64},
+                                       {"l_tax", DataType::kFloat64},
+                                       {"l_returnflag", DataType::kString},
+                                       {"l_linestatus", DataType::kString},
+                                       {"l_shipdate", DataType::kString},
+                                       {"l_shipmode", DataType::kString}}));
   const int64_t orders = TpchRowCount("orders", config.scale_factor);
   const int64_t parts = TpchRowCount("part", config.scale_factor);
   const int64_t suppliers = TpchRowCount("supplier", config.scale_factor);
@@ -260,17 +265,24 @@ std::shared_ptr<Table> TpchLineitem(const TpchConfig& config) {
       const double qty = static_cast<double>(rng.UniformInt(1, 50));
       const double price = Round2(qty * (900.0 + static_cast<double>(part % 1000)) / 10.0);
       const char* rf = rng.Bernoulli(0.5) ? "N" : (rng.Bernoulli(0.5) ? "A" : "R");
-      t->rows.push_back(
-          {Value(o), Value(part), Value(supp), Value(l), Value(qty),
-           Value(price), Value(Round2(rng.Uniform(0.0, 0.10))),
-           Value(Round2(rng.Uniform(0.0, 0.08))), Value(rf),
-           Value(rng.Bernoulli(0.5) ? "O" : "F"),
-           Value(DateFromSerial(
-               static_cast<int>(rng.UniformInt(0, kMaxOrderSerial + 60)))),
-           Value(kShipModes[static_cast<std::size_t>(rng.UniformInt(0, 6))])});
+      b.columns[0].AppendInt64(o);
+      b.columns[1].AppendInt64(part);
+      b.columns[2].AppendInt64(supp);
+      b.columns[3].AppendInt64(l);
+      b.columns[4].AppendFloat64(qty);
+      b.columns[5].AppendFloat64(price);
+      b.columns[6].AppendFloat64(Round2(rng.Uniform(0.0, 0.10)));
+      b.columns[7].AppendFloat64(Round2(rng.Uniform(0.0, 0.08)));
+      b.columns[8].AppendString(rf);
+      b.columns[9].AppendString(rng.Bernoulli(0.5) ? "O" : "F");
+      b.columns[10].AppendString(DateFromSerial(
+          static_cast<int>(rng.UniformInt(0, kMaxOrderSerial + 60))));
+      b.columns[11].AppendString(
+          kShipModes[static_cast<std::size_t>(rng.UniformInt(0, 6))]);
+      ++b.physical_rows;
     }
   }
-  return t;
+  return std::make_shared<Table>("tpch_lineitem", std::move(b));
 }
 
 Status GenerateTpch(const TpchConfig& config, Catalog* catalog) {

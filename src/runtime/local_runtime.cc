@@ -883,20 +883,9 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
   if (!program.scan_table.empty()) {
     SWIFT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                            catalog_.Lookup(program.scan_table));
-    // The slice streams straight out of the table as ~morsel_rows-row
+    // The slice streams out of the table's store as ~morsel_rows-row
     // morsels of just the columns the stage reads; the task slice is
-    // never materialized whole. The cursor reads cells unchecked, so a
-    // row that is not of table width fails the task here.
-    const auto [begin, end] =
-        table->TaskSliceBounds(task.task, program.task_count);
-    const std::size_t width = table->schema.num_fields();
-    for (std::size_t r = begin; r < end; ++r) {
-      if (table->rows[r].size() != width) {
-        return Status::InvalidArgument(StrFormat(
-            "table %s: row %zu has %zu cells, schema has %zu",
-            table->name.c_str(), r, table->rows[r].size(), width));
-      }
-    }
+    // never materialized whole.
     sources.push_back(MakeTableMorselSource(table, task.task,
                                             program.task_count,
                                             program.scan_schema, morsel_rows,

@@ -311,7 +311,7 @@ class PlanBuilder {
     scan.stage = AllocId();
     scan.name = "M" + std::to_string(scan.stage + 1);
     scan.scan_table = table->name;
-    const int64_t rows = static_cast<int64_t>(table->rows.size());
+    const int64_t rows = static_cast<int64_t>(table->num_rows());
     scan.task_count = static_cast<int>(std::clamp<int64_t>(
         (rows + config_.rows_per_scan_task - 1) / config_.rows_per_scan_task,
         1, config_.max_scan_tasks));

@@ -80,7 +80,7 @@ TEST_F(CoreTest, InjectFailureStillCorrect) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto customer = *system_.catalog()->Lookup("tpch_customer");
   EXPECT_EQ(r->rows[0][0].int64(),
-            static_cast<int64_t>(customer->rows.size()));
+            static_cast<int64_t>(customer->num_rows()));
 }
 
 }  // namespace

@@ -17,10 +17,10 @@ TEST(CsvTest, BasicHeaderAndTypes) {
   auto t = ReadCsvString("t", "id,price,name\n1,2.5,apple\n2,3,pear\n");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   EXPECT_EQ((*t)->schema.ToString(), "(id:int64, price:float64, name:string)");
-  ASSERT_EQ((*t)->rows.size(), 2u);
-  EXPECT_EQ((*t)->rows[0][0].int64(), 1);
-  EXPECT_DOUBLE_EQ((*t)->rows[0][1].float64(), 2.5);
-  EXPECT_EQ((*t)->rows[1][2].str(), "pear");
+  ASSERT_EQ((*t)->num_rows(), 2u);
+  EXPECT_EQ((*t)->column(0).GetValue(0).int64(), 1);
+  EXPECT_DOUBLE_EQ((*t)->column(1).GetValue(0).float64(), 2.5);
+  EXPECT_EQ((*t)->column(2).GetValue(1).str(), "pear");
 }
 
 TEST(CsvTest, NoHeaderGeneratesColumnNames) {
@@ -30,17 +30,17 @@ TEST(CsvTest, NoHeaderGeneratesColumnNames) {
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->schema.field(0).name, "c0");
   EXPECT_EQ((*t)->schema.field(1).name, "c1");
-  EXPECT_EQ((*t)->rows.size(), 2u);
+  EXPECT_EQ((*t)->num_rows(), 2u);
 }
 
 TEST(CsvTest, QuotedFieldsWithDelimitersQuotesAndNewlines) {
   auto t = ReadCsvString(
       "t", "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n\"line1\nline2\",plain\n");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  ASSERT_EQ((*t)->rows.size(), 2u);
-  EXPECT_EQ((*t)->rows[0][0].str(), "x,y");
-  EXPECT_EQ((*t)->rows[0][1].str(), "he said \"hi\"");
-  EXPECT_EQ((*t)->rows[1][0].str(), "line1\nline2");
+  ASSERT_EQ((*t)->num_rows(), 2u);
+  EXPECT_EQ((*t)->column(0).GetValue(0).str(), "x,y");
+  EXPECT_EQ((*t)->column(1).GetValue(0).str(), "he said \"hi\"");
+  EXPECT_EQ((*t)->column(0).GetValue(1).str(), "line1\nline2");
 }
 
 TEST(CsvTest, NullTokenBecomesNull) {
@@ -49,22 +49,22 @@ TEST(CsvTest, NullTokenBecomesNull) {
   auto t = ReadCsvString("t", "v\n1\nNA\n3\n", opts);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->schema.field(0).type, DataType::kInt64);  // inferred
-  EXPECT_TRUE((*t)->rows[1][0].is_null());
-  EXPECT_EQ((*t)->rows[2][0].int64(), 3);
+  EXPECT_TRUE((*t)->column(0).GetValue(1).is_null());
+  EXPECT_EQ((*t)->column(0).GetValue(2).int64(), 3);
 }
 
 TEST(CsvTest, EmptyStringNullDefault) {
   auto t = ReadCsvString("t", "a,b\n1,\n,2\n");
   ASSERT_TRUE(t.ok());
-  EXPECT_TRUE((*t)->rows[0][1].is_null());
-  EXPECT_TRUE((*t)->rows[1][0].is_null());
+  EXPECT_TRUE((*t)->column(1).GetValue(0).is_null());
+  EXPECT_TRUE((*t)->column(0).GetValue(1).is_null());
 }
 
 TEST(CsvTest, MixedColumnFallsBackToString) {
   auto t = ReadCsvString("t", "v\n1\nx\n2\n");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->schema.field(0).type, DataType::kString);
-  EXPECT_EQ((*t)->rows[0][0].str(), "1");
+  EXPECT_EQ((*t)->column(0).GetValue(0).str(), "1");
 }
 
 TEST(CsvTest, TypeInferenceOff) {
@@ -78,8 +78,8 @@ TEST(CsvTest, TypeInferenceOff) {
 TEST(CsvTest, CrLfLineEndings) {
   auto t = ReadCsvString("t", "a,b\r\n1,2\r\n3,4\r\n");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  ASSERT_EQ((*t)->rows.size(), 2u);
-  EXPECT_EQ((*t)->rows[1][1].int64(), 4);
+  ASSERT_EQ((*t)->num_rows(), 2u);
+  EXPECT_EQ((*t)->column(1).GetValue(1).int64(), 4);
 }
 
 TEST(CsvTest, RaggedRowRejected) {
@@ -101,7 +101,7 @@ TEST(CsvTest, CustomDelimiter) {
   opts.delimiter = ';';
   auto t = ReadCsvString("t", "a;b\n1;2\n", opts);
   ASSERT_TRUE(t.ok());
-  EXPECT_EQ((*t)->rows[0][1].int64(), 2);
+  EXPECT_EQ((*t)->column(1).GetValue(0).int64(), 2);
 }
 
 TEST(CsvTest, LoadFileAndQueryEndToEnd) {

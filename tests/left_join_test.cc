@@ -11,6 +11,7 @@
 #include "runtime/local_runtime.h"
 #include "sql/parser.h"
 #include "sql/tpch_queries.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -122,11 +123,11 @@ TEST_F(LeftJoinRuntimeTest, CustomersWithoutOrdersAreKept) {
       "group by c_custkey");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   auto customer = *runtime_.catalog()->Lookup("tpch_customer");
-  EXPECT_EQ(got->num_rows(), customer->rows.size());
+  EXPECT_EQ(got->num_rows(), customer->num_rows());
   // Reference counts.
   auto orders = *runtime_.catalog()->Lookup("tpch_orders");
   std::map<int64_t, int64_t> ref;
-  for (const Row& r : orders->rows) ++ref[r[1].int64()];
+  for (const Row& r : ref::Rows(*orders)) ++ref[r[1].int64()];
   int zero_customers = 0;
   for (const Row& r : got->rows) {
     const int64_t want = ref.count(r[0].int64()) ? ref[r[0].int64()] : 0;
@@ -156,8 +157,8 @@ TEST_F(LeftJoinRuntimeTest, TpchQ13MatchesReference) {
   auto customer = *runtime_.catalog()->Lookup("tpch_customer");
   auto orders = *runtime_.catalog()->Lookup("tpch_orders");
   std::map<int64_t, int64_t> per_customer;
-  for (const Row& r : customer->rows) per_customer[r[0].int64()] = 0;
-  for (const Row& r : orders->rows) {
+  for (const Row& r : ref::Rows(*customer)) per_customer[r[0].int64()] = 0;
+  for (const Row& r : ref::Rows(*orders)) {
     if (SqlLikeMatch(r[6].str(), "%special%requests%")) continue;
     ++per_customer[r[1].int64()];
   }

@@ -52,17 +52,18 @@ double BestSeconds(Fn&& fn) {
 
 std::shared_ptr<Table> GuardTable(int nrows) {
   Rng rng(0x5EED);
-  auto t = std::make_shared<Table>();
-  t->name = "guard";
-  t->schema = Schema({{"k", DataType::kInt64},
-                      {"v", DataType::kFloat64},
-                      {"s", DataType::kString}});
+  std::vector<Row> rows;
   for (int r = 0; r < nrows; ++r) {
-    t->rows.push_back({Value(rng.UniformInt(0, 999)),
-                       Value(rng.Uniform(0.0, 1.0)),
-                       Value("s" + std::to_string(rng.UniformInt(0, 31)))});
+    rows.push_back({Value(rng.UniformInt(0, 999)),
+                    Value(rng.Uniform(0.0, 1.0)),
+                    Value("s" + std::to_string(rng.UniformInt(0, 31)))});
   }
-  return t;
+  return MakeTable("guard",
+                   Schema({{"k", DataType::kInt64},
+                           {"v", DataType::kFloat64},
+                           {"s", DataType::kString}}),
+                   std::move(rows))
+      .ValueOrDie();
 }
 
 ExprPtr GuardPredicate() {
@@ -102,16 +103,13 @@ std::size_t DrainCountRows(PhysicalOperator* op) {
   return rows;
 }
 
-// Serial whole-slice columnar — the pre-morsel scan shape the runtime
-// used: materialize the task slice (Table::TaskSlice), convert it to
-// one ColumnBatch, then FilterOp + ProjectOp. Slice + conversion are
-// inside the timed region; that is the cost morselization replaces.
+// Serial whole-slice columnar — the pre-morsel scan shape: the task
+// slice as one store slice (one batch), then FilterOp + ProjectOp. The
+// slice is inside the timed region; it is what morselization replaces.
 std::size_t RunWholeSlice(const Table& table) {
-  Batch slice = table.TaskSlice(0, 1);
-  auto cb = ToColumnBatch(slice);
-  EXPECT_TRUE(cb.ok());
+  const auto [begin, end] = table.TaskSliceBounds(0, 1);
   std::vector<ColumnBatch> v;
-  v.push_back(*std::move(cb));
+  v.push_back(table.data().SliceRows(begin, end - begin));
   auto op = MakeProject(
       MakeFilter(MakeColumnBatchSource(table.schema, std::move(v)),
                  GuardPredicate()),
@@ -119,9 +117,8 @@ std::size_t RunWholeSlice(const Table& table) {
   return DrainCountRows(op.get());
 }
 
-// Morselized scan: TableMorselSource builds <= 1K-row morsels straight
-// from the table rows (per-morsel construction replaces the whole-slice
-// copy + conversion) and the pipeline streams them.
+// Morselized scan: TableMorselSource slices <= 1K-row morsels out of the
+// store and the pipeline streams them.
 std::size_t RunMorselized(const std::shared_ptr<const Table>& table,
                           ThreadPool* pool, int lanes) {
   auto op = MakeParallelMorselPipeline(

@@ -86,17 +86,18 @@ Result<std::vector<Row>> DrainColumnarRows(PhysicalOperator* op,
   return rows;
 }
 
-std::shared_ptr<Table> MakeTable(int nrows) {
-  auto t = std::make_shared<Table>();
-  t->name = "t";
-  t->schema = Schema({{"k", DataType::kInt64},
-                      {"v", DataType::kFloat64},
-                      {"s", DataType::kString}});
+std::shared_ptr<Table> CountingTable(int nrows) {
+  std::vector<Row> rows;
   for (int r = 0; r < nrows; ++r) {
-    t->rows.push_back({Value(int64_t{r}), Value(r * 0.5),
-                       Value("s" + std::to_string(r % 7))});
+    rows.push_back({Value(int64_t{r}), Value(r * 0.5),
+                    Value("s" + std::to_string(r % 7))});
   }
-  return t;
+  return MakeTable("t",
+                   Schema({{"k", DataType::kInt64},
+                           {"v", DataType::kFloat64},
+                           {"s", DataType::kString}}),
+                   std::move(rows))
+      .ValueOrDie();
 }
 
 Batch RandomBatch(uint64_t seed, int nrows) {
@@ -122,7 +123,7 @@ Batch RandomBatch(uint64_t seed, int nrows) {
 // ---- Morselized sources ---------------------------------------------
 
 TEST(TableMorselSourceTest, SplitsSliceIntoBoundedMorsels) {
-  auto table = MakeTable(10);
+  auto table = CountingTable(10);
   for (int task = 0; task < 2; ++task) {
     auto src = MakeTableMorselSource(table, task, 2, table->schema, 4);
     ASSERT_TRUE(src->Open().ok());
@@ -131,13 +132,16 @@ TEST(TableMorselSourceTest, SplitsSliceIntoBoundedMorsels) {
     ASSERT_TRUE(rows.ok());
     // 5 rows per task at morsel_rows = 4 -> morsels of 4 then 1.
     EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 1}));
-    ExpectRowsBitEq(*rows, table->TaskSlice(task, 2).rows);
+    const auto [begin, end] = table->TaskSliceBounds(task, 2);
+    const Batch want =
+        ToRowBatch(table->data().SliceRows(begin, end - begin));
+    ExpectRowsBitEq(*rows, want.rows);
   }
 }
 
 TEST(TableMorselSourceTest, EmptySingleRowAndOversubscribedTasks) {
   {
-    auto empty = MakeTable(0);
+    auto empty = CountingTable(0);
     auto src = MakeTableMorselSource(empty, 0, 1, empty->schema, 4);
     ASSERT_TRUE(src->Open().ok());
     auto rows = DrainColumnarRows(src.get(), nullptr);
@@ -145,18 +149,18 @@ TEST(TableMorselSourceTest, EmptySingleRowAndOversubscribedTasks) {
     EXPECT_TRUE(rows->empty());
   }
   {
-    auto one = MakeTable(1);
+    auto one = CountingTable(1);
     auto src = MakeTableMorselSource(one, 0, 1, one->schema, 1024);
     ASSERT_TRUE(src->Open().ok());
     std::vector<std::size_t> sizes;
     auto rows = DrainColumnarRows(src.get(), &sizes);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(sizes, (std::vector<std::size_t>{1}));
-    ExpectRowsBitEq(*rows, one->rows);
+    ExpectRowsBitEq(*rows, ref::Rows(*one));
   }
   {
     // More tasks than rows: the surplus tasks see empty slices.
-    auto small = MakeTable(3);
+    auto small = CountingTable(3);
     std::vector<Row> all;
     for (int task = 0; task < 8; ++task) {
       auto src = MakeTableMorselSource(small, task, 8, small->schema, 2);
@@ -165,7 +169,7 @@ TEST(TableMorselSourceTest, EmptySingleRowAndOversubscribedTasks) {
       ASSERT_TRUE(rows.ok());
       for (Row& r : *rows) all.push_back(std::move(r));
     }
-    ExpectRowsBitEq(all, small->rows);
+    ExpectRowsBitEq(all, ref::Rows(*small));
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -61,7 +62,7 @@ TEST_P(RuntimeMatrixTest, FilteredScanCount) {
       "select count(*) from tpch_lineitem where l_quantity >= 25");
   auto lineitem = *runtime_->catalog()->Lookup("tpch_lineitem");
   int64_t want = 0;
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     if (r[4].float64() >= 25) ++want;
   }
   ASSERT_EQ(got.num_rows(), 1u);
@@ -87,7 +88,7 @@ TEST_P(RuntimeMatrixTest, ThreeWayJoinRowCount) {
   // Every supplier has exactly one nation and region.
   ASSERT_EQ(got.num_rows(), 1u);
   EXPECT_EQ(got.rows[0][0].int64(),
-            static_cast<int64_t>(supplier->rows.size()));
+            static_cast<int64_t>(supplier->num_rows()));
 }
 
 // A computed join key is evaluated into a key column and encoded like a
@@ -129,7 +130,7 @@ TEST_P(RuntimeMatrixTest, ArithmeticProjection) {
       "'1994-12-31'");
   auto lineitem = *runtime_->catalog()->Lookup("tpch_lineitem");
   double want = 0;
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     const std::string& d = r[10].str();
     if (d >= "1994-01-01" && d <= "1994-12-31") {
       want += r[5].float64() * (1 - r[6].float64());

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "exec/tpch.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -43,7 +44,7 @@ TEST_F(RuntimeTest, ScanFilterProject) {
   // Reference by hand over the generated table.
   auto nation = *runtime_.catalog()->Lookup("tpch_nation");
   std::vector<std::string> want;
-  for (const Row& r : nation->rows) {
+  for (const Row& r : ref::Rows(*nation)) {
     if (r[2].int64() == 3) want.push_back(r[1].str() + "|");
   }
   std::sort(want.begin(), want.end());
@@ -57,7 +58,7 @@ TEST_F(RuntimeTest, GlobalAggregate) {
   auto orders = *runtime_.catalog()->Lookup("tpch_orders");
   ASSERT_EQ(got->num_rows(), 1u);
   EXPECT_EQ((*got).rows[0][0].int64(),
-            static_cast<int64_t>(orders->rows.size()));
+            static_cast<int64_t>(orders->num_rows()));
 }
 
 TEST_F(RuntimeTest, GroupByMatchesReference) {
@@ -67,7 +68,7 @@ TEST_F(RuntimeTest, GroupByMatchesReference) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   auto nation = *runtime_.catalog()->Lookup("tpch_nation");
   std::map<int64_t, std::pair<int64_t, std::string>> ref;
-  for (const Row& r : nation->rows) {
+  for (const Row& r : ref::Rows(*nation)) {
     auto& [count, name] = ref[r[2].int64()];
     ++count;
     if (name.empty() || r[1].str() < name) name = r[1].str();
@@ -88,8 +89,8 @@ TEST_F(RuntimeTest, JoinMatchesReference) {
   auto nation = *runtime_.catalog()->Lookup("tpch_nation");
   auto region = *runtime_.catalog()->Lookup("tpch_region");
   std::vector<std::string> want;
-  for (const Row& n : nation->rows) {
-    for (const Row& r : region->rows) {
+  for (const Row& n : ref::Rows(*nation)) {
+    for (const Row& r : ref::Rows(*region)) {
       if (n[2].int64() == r[0].int64()) {
         want.push_back(n[1].str() + "|" + r[1].str() + "|");
       }
@@ -111,7 +112,7 @@ TEST_F(RuntimeTest, OrderByLimitIsGloballySorted) {
   // The first row is the global maximum.
   auto orders = *runtime_.catalog()->Lookup("tpch_orders");
   double max_price = 0;
-  for (const Row& r : orders->rows) {
+  for (const Row& r : ref::Rows(*orders)) {
     max_price = std::max(max_price, r[3].float64());
   }
   EXPECT_DOUBLE_EQ(got->rows[0][1].float64(), max_price);
@@ -205,7 +206,7 @@ TEST_F(RuntimeTest, RecoversFromInjectedCrash) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   auto orders = *runtime_.catalog()->Lookup("tpch_orders");
   EXPECT_EQ(report->result.rows[0][0].int64(),
-            static_cast<int64_t>(orders->rows.size()));
+            static_cast<int64_t>(orders->num_rows()));
   EXPECT_GE(report->stats.recoveries, 1);
   EXPECT_GE(report->stats.tasks_rerun, 1);
 }
@@ -295,25 +296,27 @@ TEST_F(RuntimeTest, PaperQ9EndToEnd) {
   auto nation = *runtime_.catalog()->Lookup("tpch_nation");
 
   std::map<int64_t, bool> green_part;
-  for (const Row& r : part->rows) {
+  for (const Row& r : ref::Rows(*part)) {
     green_part[r[0].int64()] = r[1].str().find("green") != std::string::npos;
   }
   std::map<int64_t, int64_t> supp_nation;
-  for (const Row& r : supplier->rows) {
+  for (const Row& r : ref::Rows(*supplier)) {
     supp_nation[r[0].int64()] = r[2].int64();
   }
   std::map<int64_t, std::string> nation_name;
-  for (const Row& r : nation->rows) nation_name[r[0].int64()] = r[1].str();
+  for (const Row& r : ref::Rows(*nation)) {
+    nation_name[r[0].int64()] = r[1].str();
+  }
   std::map<std::pair<int64_t, int64_t>, double> ps_cost;
-  for (const Row& r : partsupp->rows) {
+  for (const Row& r : ref::Rows(*partsupp)) {
     ps_cost[{r[0].int64(), r[1].int64()}] = r[2].float64();
   }
   std::map<int64_t, std::string> order_year;
-  for (const Row& r : orders->rows) {
+  for (const Row& r : ref::Rows(*orders)) {
     order_year[r[0].int64()] = r[4].str().substr(0, 4);
   }
   std::map<std::pair<std::string, std::string>, double> ref;
-  for (const Row& l : lineitem->rows) {
+  for (const Row& l : ref::Rows(*lineitem)) {
     const int64_t pk = l[1].int64();
     if (!green_part[pk]) continue;
     const int64_t sk = l[2].int64();

@@ -6,6 +6,7 @@
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
 #include "sql/parser.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -69,14 +70,14 @@ class SqlExtensionRuntimeTest : public ::testing::Test {
     cfg.scale_factor = 0.001;
     ASSERT_TRUE(GenerateTpch(cfg, runtime_.catalog()).ok());
     // A table with NULLs for IS NULL / coalesce tests.
-    auto t = std::make_shared<Table>();
-    t->name = "sparse";
-    t->schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
-    t->rows = {{Value(int64_t{1}), Value(int64_t{10})},
-               {Value(int64_t{2}), Value::Null()},
-               {Value(int64_t{3}), Value(int64_t{30})},
-               {Value(int64_t{4}), Value::Null()}};
-    ASSERT_TRUE(runtime_.catalog()->Register(t).ok());
+    auto t = MakeTable(
+        "sparse", Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}),
+        {{Value(int64_t{1}), Value(int64_t{10})},
+         {Value(int64_t{2}), Value::Null()},
+         {Value(int64_t{3}), Value(int64_t{30})},
+         {Value(int64_t{4}), Value::Null()}});
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_TRUE(runtime_.catalog()->Register(*t).ok());
   }
   LocalRuntime runtime_;
 };
@@ -129,7 +130,7 @@ TEST_F(SqlExtensionRuntimeTest, HavingFiltersGroups) {
   // Verify against reference.
   auto customer = *runtime_.catalog()->Lookup("tpch_customer");
   std::map<int64_t, int64_t> counts;
-  for (const Row& r : customer->rows) ++counts[r[2].int64()];
+  for (const Row& r : ref::Rows(*customer)) ++counts[r[2].int64()];
   std::size_t expected = 0;
   for (const auto& [k, n] : counts) {
     if (n >= 5) ++expected;

@@ -1,4 +1,5 @@
 #include "exec/terasort.h"
+#include "reference_ops.h"
 
 #include <gtest/gtest.h>
 
@@ -9,13 +10,13 @@ namespace {
 
 TEST(TerasortTest, GeneratesRequestedCount) {
   auto t = GenerateTerasort(1000, 90, 5);
-  EXPECT_EQ(t->rows.size(), 1000u);
+  EXPECT_EQ(t->num_rows(), 1000u);
   EXPECT_EQ(t->schema.num_fields(), 2u);
 }
 
 TEST(TerasortTest, KeysAreTenCharsFromAlphabet) {
   auto t = GenerateTerasort(500, 10, 6);
-  for (const Row& r : t->rows) {
+  for (const Row& r : ref::Rows(*t)) {
     const std::string& k = r[0].str();
     ASSERT_EQ(k.size(), 10u);
     for (char c : k) {
@@ -27,7 +28,7 @@ TEST(TerasortTest, KeysAreTenCharsFromAlphabet) {
 TEST(TerasortTest, PayloadsAreUnique) {
   auto t = GenerateTerasort(2000, 10, 7);
   std::set<std::string> seen;
-  for (const Row& r : t->rows) {
+  for (const Row& r : ref::Rows(*t)) {
     EXPECT_TRUE(seen.insert(r[1].str()).second);
   }
 }
@@ -37,11 +38,13 @@ TEST(TerasortTest, DeterministicPerSeed) {
   auto b = GenerateTerasort(100, 10, 42);
   auto c = GenerateTerasort(100, 10, 43);
   for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(a->rows[i][0].str(), b->rows[i][0].str());
+    EXPECT_EQ(a->column(0).GetValue(i).str(), b->column(0).GetValue(i).str());
   }
   int diff = 0;
   for (std::size_t i = 0; i < 100; ++i) {
-    if (a->rows[i][0].str() != c->rows[i][0].str()) ++diff;
+    if (a->column(0).GetValue(i).str() != c->column(0).GetValue(i).str()) {
+      ++diff;
+    }
   }
   EXPECT_GT(diff, 90);
 }
@@ -59,7 +62,7 @@ TEST(TerasortTest, SplitPointsAreSortedAndCorrectCount) {
 TEST(TerasortTest, PartitioningIsOrderPreserving) {
   auto splits = TerasortSplitPoints(16);
   auto t = GenerateTerasort(3000, 0, 11);
-  for (const Row& r : t->rows) {
+  for (const Row& r : ref::Rows(*t)) {
     const int p = TerasortPartitionOf(r[0].str(), splits);
     EXPECT_GE(p, 0);
     EXPECT_LT(p, 16);
@@ -78,7 +81,7 @@ TEST(TerasortTest, PartitionsRoughlyBalanced) {
   auto splits = TerasortSplitPoints(parts);
   auto t = GenerateTerasort(20000, 0, 13);
   std::vector<int> counts(parts, 0);
-  for (const Row& r : t->rows) {
+  for (const Row& r : ref::Rows(*t)) {
     ++counts[static_cast<std::size_t>(TerasortPartitionOf(r[0].str(), splits))];
   }
   for (int c : counts) {

@@ -1,6 +1,7 @@
 // Standing perf gate (ctest label perf_guard): TPC-H at a larger scale
 // factor than the correctness suites, forced onto the compressed Remote
-// path, plus codec-throughput floors on real TPC-H shuffle payloads.
+// path, codec-throughput floors on real TPC-H shuffle payloads, and a
+// heap ceiling on the generated table store.
 // Guards catch order-of-magnitude regressions (a quadratic match loop,
 // an accidental copy per block), so the floors sit well under the
 // steady-state numbers in EXPERIMENTS.md; timing is best-of-N against
@@ -8,6 +9,8 @@
 // byte-level codec cost by an order of magnitude.
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -46,11 +49,7 @@ double BestSeconds(Fn&& fn) {
 std::string LineitemWire(double scale_factor) {
   TpchConfig cfg;
   cfg.scale_factor = scale_factor;
-  auto table = TpchLineitem(cfg);
-  Batch b;
-  b.schema = table->schema;
-  b.rows = table->rows;
-  return SerializeBatch(b);
+  return SerializeColumnBatch(TpchLineitem(cfg)->data());
 }
 
 TEST(TpchPerfGuardTest, CodecThroughputFloorsOnTpchPayload) {
@@ -80,6 +79,28 @@ TEST(TpchPerfGuardTest, CodecThroughputFloorsOnTpchPayload) {
   // The plane only pays for frames that win; TPC-H payloads must keep
   // winning big or the ≥30% byte-savings acceptance dies silently.
   EXPECT_LE(frame.size(), (wire.size() * 7) / 10);
+}
+
+// Heap held by malloc: small chunks plus the mmapped large ones.
+std::size_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+// The generated catalog lives in the columnar store: 8-byte numerics
+// and one string heap per column. Measured 4.4 MB at sf 0.005; holding
+// it as boxed rows took 18.8 MB, so a return to per-cell boxing trips
+// the 6 MB ceiling.
+TEST(TpchPerfGuardTest, GeneratedCatalogHeapBound) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators skew heap figures";
+  TpchConfig tpch;
+  tpch.scale_factor = 0.005;
+  const std::size_t before = HeapInUse();
+  Catalog catalog;
+  ASSERT_TRUE(GenerateTpch(tpch, &catalog).ok());
+  const std::size_t after = HeapInUse();
+  const double mb = static_cast<double>(after - before) / (1024.0 * 1024.0);
+  EXPECT_LE(mb, 6.0) << "generated catalog holds " << mb << " MB of heap";
 }
 
 TEST(TpchPerfGuardTest, LargerScaleTpchOverCompressedRemotePath) {

@@ -11,6 +11,7 @@
 
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -61,7 +62,7 @@ TEST_F(TpchQueriesTest, Q1MatchesReference) {
     int64_t n = 0;
   };
   std::map<std::pair<std::string, std::string>, Agg> ref;
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     if (r[10].str() > "1998-09-02") continue;
     Agg& a = ref[{r[8].str(), r[9].str()}];
     a.qty += r[4].float64();
@@ -93,7 +94,7 @@ TEST_F(TpchQueriesTest, Q6MatchesReference) {
   Batch got = Run(6);
   auto lineitem = T("tpch_lineitem");
   double want = 0;
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     const std::string& d = r[10].str();
     const double disc = r[6].float64();
     if (d >= "1994-01-01" && d < "1995-01-01" && disc >= 0.05 &&
@@ -109,7 +110,7 @@ TEST_F(TpchQueriesTest, Q12MatchesReference) {
   Batch got = Run(12);
   auto lineitem = T("tpch_lineitem");
   std::map<std::string, int64_t> ref;
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     const std::string& mode = r[11].str();
     const std::string& d = r[10].str();
     if ((mode == "MAIL" || mode == "SHIP") && d >= "1994-01-01" &&
@@ -142,22 +143,26 @@ TEST_F(TpchQueriesTest, Q5RevenuePerNationConsistent) {
   auto nation = T("tpch_nation");
   auto region = T("tpch_region");
   std::map<int64_t, std::string> region_name;
-  for (const Row& r : region->rows) region_name[r[0].int64()] = r[1].str();
+  for (const Row& r : ref::Rows(*region)) {
+    region_name[r[0].int64()] = r[1].str();
+  }
   std::map<int64_t, std::pair<std::string, std::string>> nation_info;
-  for (const Row& r : nation->rows) {
+  for (const Row& r : ref::Rows(*nation)) {
     nation_info[r[0].int64()] = {r[1].str(), region_name[r[2].int64()]};
   }
   std::map<int64_t, int64_t> supp_nation;
-  for (const Row& r : supplier->rows) supp_nation[r[0].int64()] = r[2].int64();
+  for (const Row& r : ref::Rows(*supplier)) {
+    supp_nation[r[0].int64()] = r[2].int64();
+  }
   std::set<int64_t> building_window_orders;
   std::map<int64_t, bool> order_in_window;
-  for (const Row& r : orders->rows) {
+  for (const Row& r : ref::Rows(*orders)) {
     order_in_window[r[0].int64()] =
         r[4].str() >= "1994-01-01" && r[4].str() < "1995-01-01";
   }
   (void)customer;
   std::map<std::string, double> ref;
-  for (const Row& l : lineitem->rows) {
+  for (const Row& l : ref::Rows(*lineitem)) {
     if (!order_in_window[l[0].int64()]) continue;
     const auto& [nname, rname] = nation_info[supp_nation[l[2].int64()]];
     if (rname != "ASIA") continue;
@@ -186,9 +191,9 @@ TEST_F(TpchQueriesTest, Q19PredicateCombination) {
   auto lineitem = T("tpch_lineitem");
   auto part = T("tpch_part");
   std::map<int64_t, std::string> brand;
-  for (const Row& r : part->rows) brand[r[0].int64()] = r[3].str();
+  for (const Row& r : ref::Rows(*part)) brand[r[0].int64()] = r[3].str();
   double want = 0;
-  for (const Row& l : lineitem->rows) {
+  for (const Row& l : ref::Rows(*lineitem)) {
     const double q = l[4].float64();
     const std::string& mode = l[11].str();
     if (brand[l[1].int64()] == "Brand#12" && q >= 1 && q <= 11 &&

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "reference_ops.h"
+
 namespace swift {
 namespace {
 
@@ -21,17 +23,17 @@ TEST(TpchTest, GeneratesAllEightTables) {
         "tpch_partsupp", "tpch_customer", "tpch_orders", "tpch_lineitem"}) {
     auto t = catalog.Lookup(name);
     ASSERT_TRUE(t.ok()) << name;
-    EXPECT_FALSE((*t)->rows.empty()) << name;
+    EXPECT_GT((*t)->num_rows(), 0u) << name;
   }
 }
 
 TEST(TpchTest, NationAndRegionAreFixed) {
   auto nation = TpchNation();
   auto region = TpchRegion();
-  EXPECT_EQ(nation->rows.size(), 25u);
-  EXPECT_EQ(region->rows.size(), 5u);
+  EXPECT_EQ(nation->num_rows(), 25u);
+  EXPECT_EQ(region->num_rows(), 5u);
   // Every n_regionkey references an existing region.
-  for (const Row& r : nation->rows) {
+  for (const Row& r : ref::Rows(*nation)) {
     const int64_t rk = r[2].int64();
     EXPECT_GE(rk, 0);
     EXPECT_LT(rk, 5);
@@ -51,9 +53,9 @@ TEST(TpchTest, DeterministicForSameSeed) {
   TpchConfig c = SmallConfig();
   auto a = TpchOrders(c);
   auto b = TpchOrders(c);
-  ASSERT_EQ(a->rows.size(), b->rows.size());
-  for (std::size_t i = 0; i < std::min<std::size_t>(a->rows.size(), 50); ++i) {
-    EXPECT_EQ(a->rows[i][4].str(), b->rows[i][4].str());
+  ASSERT_EQ(a->num_rows(), b->num_rows());
+  for (std::size_t i = 0; i < std::min<std::size_t>(a->num_rows(), 50); ++i) {
+    EXPECT_EQ(a->column(4).GetValue(i).str(), b->column(4).GetValue(i).str());
   }
 }
 
@@ -65,10 +67,10 @@ TEST(TpchTest, ForeignKeysResolve) {
   auto lineitem = *catalog.Lookup("tpch_lineitem");
   auto part = *catalog.Lookup("tpch_part");
   auto supplier = *catalog.Lookup("tpch_supplier");
-  const int64_t max_order = static_cast<int64_t>(orders->rows.size());
-  const int64_t max_part = static_cast<int64_t>(part->rows.size());
-  const int64_t max_supp = static_cast<int64_t>(supplier->rows.size());
-  for (const Row& r : lineitem->rows) {
+  const int64_t max_order = static_cast<int64_t>(orders->num_rows());
+  const int64_t max_part = static_cast<int64_t>(part->num_rows());
+  const int64_t max_supp = static_cast<int64_t>(supplier->num_rows());
+  for (const Row& r : ref::Rows(*lineitem)) {
     EXPECT_GE(r[0].int64(), 1);
     EXPECT_LE(r[0].int64(), max_order);
     EXPECT_GE(r[1].int64(), 1);
@@ -85,10 +87,10 @@ TEST(TpchTest, LineitemSupplierMatchesPartsupp) {
   auto partsupp = TpchPartsupp(c);
   auto lineitem = TpchLineitem(c);
   std::set<std::pair<int64_t, int64_t>> pairs;
-  for (const Row& r : partsupp->rows) {
+  for (const Row& r : ref::Rows(*partsupp)) {
     pairs.insert({r[0].int64(), r[1].int64()});
   }
-  for (const Row& r : lineitem->rows) {
+  for (const Row& r : ref::Rows(*lineitem)) {
     EXPECT_TRUE(pairs.count({r[1].int64(), r[2].int64()}) > 0)
         << "lineitem (part=" << r[1].int64() << ", supp=" << r[2].int64()
         << ") missing from partsupp";
@@ -97,7 +99,7 @@ TEST(TpchTest, LineitemSupplierMatchesPartsupp) {
 
 TEST(TpchTest, DatesAreIsoFormattedWithinRange) {
   auto orders = TpchOrders(SmallConfig());
-  for (const Row& r : orders->rows) {
+  for (const Row& r : ref::Rows(*orders)) {
     const std::string& d = r[4].str();
     ASSERT_EQ(d.size(), 10u);
     EXPECT_EQ(d[4], '-');
@@ -111,16 +113,16 @@ TEST(TpchTest, PartNamesIncludeGreen) {
   // Q9 filters p_name like '%green%'; the color vocabulary must hit.
   auto part = TpchPart(SmallConfig());
   int green = 0;
-  for (const Row& r : part->rows) {
+  for (const Row& r : ref::Rows(*part)) {
     if (r[1].str().find("green") != std::string::npos) ++green;
   }
   EXPECT_GT(green, 0);
-  EXPECT_LT(green, static_cast<int>(part->rows.size()));
+  EXPECT_LT(green, static_cast<int>(part->num_rows()));
 }
 
 TEST(TpchTest, DiscountAndTaxInRange) {
   auto li = TpchLineitem(SmallConfig());
-  for (const Row& r : li->rows) {
+  for (const Row& r : ref::Rows(*li)) {
     EXPECT_GE(r[6].float64(), 0.0);
     EXPECT_LE(r[6].float64(), 0.10);
     EXPECT_GE(r[7].float64(), 0.0);
@@ -140,14 +142,18 @@ TEST(TpchTest, CatalogRejectsDuplicateRegister) {
 TEST(TpchTest, TaskSlicePartitionsAllRows) {
   auto part = TpchPart(SmallConfig());
   const int tasks = 7;
-  std::size_t total = 0;
+  std::size_t next = 0;
   for (int i = 0; i < tasks; ++i) {
-    total += part->TaskSlice(i, tasks).num_rows();
+    const auto [begin, end] = part->TaskSliceBounds(i, tasks);
+    EXPECT_EQ(begin, next) << "task " << i;
+    EXPECT_LE(begin, end) << "task " << i;
+    next = end;
   }
-  EXPECT_EQ(total, part->rows.size());
+  EXPECT_EQ(next, part->num_rows());
   // Out-of-range slices are empty, not fatal.
-  EXPECT_EQ(part->TaskSlice(-1, tasks).num_rows(), 0u);
-  EXPECT_EQ(part->TaskSlice(tasks, tasks).num_rows(), 0u);
+  using Bounds = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(part->TaskSliceBounds(-1, tasks), Bounds(0, 0));
+  EXPECT_EQ(part->TaskSliceBounds(tasks, tasks), Bounds(0, 0));
 }
 
 }  // namespace
