@@ -3,9 +3,9 @@
 // driver counts. "before" is drivers=1 — the pre-service contract where
 // the runtime executed one RunPlan at a time, so the makespan is the
 // serial sum of job runtimes. The concurrent variants interleave jobs
-// over ONE shared executor pool through the GangArbiter; makespan drops
-// while weighted fair queuing keeps per-tenant executor grants balanced
-// and the latency tail bounded. Feeds BENCH_PR9.json.
+// over ONE shared executor pool through the runtime's GangArbiter;
+// makespan drops while weighted fair queuing keeps per-tenant executor
+// grants balanced and the latency tail bounded. Feeds BENCH_PR9.json.
 
 #include <chrono>
 #include <cstdio>
@@ -73,8 +73,8 @@ Outcome RunVariant(int drivers, const std::vector<std::string>& pool) {
   Outcome out;
   out.report = *std::move(report);
   out.wall_ms = wall_ms;
-  out.preemptions = service.arbiter()->preemptions();
-  out.tenant_units = service.arbiter()->TenantGangUnits();
+  out.preemptions = service.runtime()->arbiter()->preemptions();
+  out.tenant_units = service.runtime()->arbiter()->TenantGangUnits();
   out.tenant_completed = out.report.completed_by_tenant;
   return out;
 }

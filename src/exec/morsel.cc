@@ -206,7 +206,7 @@ class PipelineCore {
 
   void Configure(std::vector<BoundStep> steps, std::size_t window) {
     steps_ = std::move(steps);
-    window_ = std::max<std::size_t>(window, 2);
+    window_ = window;
   }
 
   // Claims the next morsel from the source and runs the steps over it.
@@ -407,9 +407,7 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
       bound.push_back(std::move(b));
     }
     output_schema_ = schema;
-    core_->Configure(std::move(bound),
-                     std::max<std::size_t>(2 * static_cast<std::size_t>(lanes_),
-                                           4));
+    core_->Configure(std::move(bound), MorselClaimWindow(lanes_));
     // Helper lanes are best-effort: spawn one per currently-free pool
     // slot (never more than lanes - 1). When the wave already saturates
     // the pool there is nothing to steal, so no helper jobs are queued

@@ -1,6 +1,7 @@
 #ifndef SWIFT_EXEC_MORSEL_H_
 #define SWIFT_EXEC_MORSEL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,6 +65,14 @@ struct MorselObs {
   int span_sample_every = 64;
 };
 
+/// \brief Claim-gate width of a morsel pipeline with `lanes` lanes: at
+/// any time at most this many morsels have been pulled from its source
+/// and not yet re-emitted downstream, whatever the slice size.
+inline std::size_t MorselClaimWindow(int lanes) {
+  return std::max<std::size_t>(2 * static_cast<std::size_t>(std::max(1, lanes)),
+                               4);
+}
+
 /// \brief Parallel pipeline segment: pulls morsels from `source`, runs
 /// `steps` over each, and re-emits the results in claim (source) order,
 /// so the stream is byte-identical to serial execution (hash-aggregate
@@ -78,7 +87,7 @@ struct MorselObs {
 /// jobs hold shared ownership of the pipeline state, so destroying the
 /// operator never blocks on the pool either (stragglers see the stop
 /// flag and exit). A claim gate bounds in-flight + buffered morsels to
-/// a small window, keeping peak memory O(lanes * morsel).
+/// MorselClaimWindow(lanes), keeping peak memory O(lanes * morsel).
 ///
 /// `pool` may be null and `lanes` <= 1: the segment then degrades to a
 /// serial morsel-at-a-time pipeline with identical output.

@@ -101,28 +101,24 @@ LocalRuntime::LocalRuntime(LocalRuntimeConfig config)
     : config_(std::move(config)),
       heartbeat_(config_.machines),
       health_(config_.health_failure_threshold, config_.health_window_seconds,
-              config_.health_probation_seconds) {
+              config_.health_probation_seconds),
+      arbiter_(GangArbiterConfig{
+          .machines = config_.machines,
+          .executors_per_machine = config_.executors_per_machine,
+          .fair_share = config_.fair_share,
+          .metrics = config_.metrics}) {
   ShuffleService::Config sc;
   sc.machines = config_.machines;
   sc.cache_memory_per_worker = config_.cache_memory_per_worker;
   sc.spill_root = config_.spill_root;
-  sc.thresholds = config_.shuffle_thresholds;
   sc.force_kind = config_.force_shuffle_kind;
   sc.retain_for_recovery = true;
-  sc.max_read_attempts = config_.shuffle_read_attempts;
-  sc.cache_soft_watermark = config_.cache_soft_watermark;
-  sc.cache_hard_watermark = config_.cache_hard_watermark;
-  sc.cache_per_job_quota = config_.cache_per_job_quota;
   sc.spill_disk_budget_bytes = config_.spill_disk_budget_bytes;
   sc.put_retry_budget = config_.shuffle_put_retry_budget;
   sc.put_wait_ms = config_.shuffle_put_wait_ms;
-  sc.spill_io_retries = config_.spill_io_retries;
   sc.compression = config_.shuffle_compression;
-  sc.compress_min_bytes = config_.shuffle_compress_min_bytes;
   sc.spill_compression = config_.shuffle_compression;
-  sc.spill_compress_min_bytes = config_.shuffle_compress_min_bytes;
   sc.replica_fanout = config_.shuffle_replica_fanout;
-  sc.load_aware_placement = config_.shuffle_load_aware_placement;
   sc.metrics = config_.metrics;
   shuffle_ = std::make_unique<ShuffleService>(sc);
   tracer_ = config_.tracer;
@@ -158,13 +154,6 @@ LocalRuntime::LocalRuntime(LocalRuntimeConfig config)
     injector_ = std::make_unique<FaultInjector>(*config_.fault_schedule);
     shuffle_->set_fault_injector(injector_.get());
   }
-  if (config_.gang_scheduler != nullptr) {
-    gangs_ = config_.gang_scheduler;
-  } else {
-    owned_gangs_ = std::make_unique<ExclusiveGangScheduler>(
-        config_.machines, config_.executors_per_machine);
-    gangs_ = owned_gangs_.get();
-  }
   pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(config_.worker_threads));
   obs::InstallThreadPoolMetrics(pool_.get(), config_.metrics);
@@ -197,7 +186,7 @@ void LocalRuntime::RestoreMachine(int machine) {
     heartbeat_.ReportHeartbeat(machine, clock_);
   }
   shuffle_->RestoreMachine(machine);
-  gangs_->RestoreMachine(machine);
+  arbiter_.RestoreMachine(machine);
 }
 
 std::vector<int> LocalRuntime::DownMachines() {
@@ -245,7 +234,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
     }
   }
   JobContext ctx(job, &plan, std::move(graphlets));
-  gangs_->BeginJob(job, opts);
+  arbiter_.BeginJob(job, opts);
   obs::Span job_meta;
   if (tracer_ != nullptr) {
     job_meta.name = opts.label.empty()
@@ -305,7 +294,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
   }
 
   shuffle_->RemoveJob(job);
-  gangs_->EndJob(job);
+  arbiter_.EndJob(job);
   {
     // An unconsumed one-shot injection must not leak into a later job —
     // but only this job's claims are swept; injections claimed by a
@@ -348,7 +337,7 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
   // Cluster state feeds the arbiter: dead machines hold no executors,
   // drained machines take no new tasks. Read the health picture under
   // mu_, push it without the lock held (mu_ -> arbiter mutex is the one
-  // permitted lock order; see GangScheduler's threading contract).
+  // permitted lock order; see GangArbiter's threading contract).
   {
     std::vector<int> revoked;
     std::vector<std::pair<int, bool>> read_only;
@@ -362,8 +351,8 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
         }
       }
     }
-    for (int m : revoked) gangs_->RevokeMachine(m);
-    for (auto [m, ro] : read_only) gangs_->SetReadOnly(m, ro);
+    for (int m : revoked) arbiter_.RevokeMachine(m);
+    for (auto [m, ro] : read_only) arbiter_.SetReadOnly(m, ro);
   }
 
   // Gang allocation: one executor per task of the graphlet, with
@@ -389,7 +378,7 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
       gang_meta.job = ctx->job;
     }
     obs::ScopedSpan gang_span(tracer_, std::move(gang_meta));
-    return gangs_->AcquireGang(ctx->job, prefs);
+    return arbiter_.AcquireGang(ctx->job, prefs);
   }();
   if (!gang.ok()) {
     return gang.status().WithContext(StrFormat(
@@ -434,14 +423,14 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
       }
       Status st = RunStageWave(ctx, sid, pending);
       if (!st.ok()) {
-        gangs_->ReleaseGang(ctx->job, *gang);
+        arbiter_.ReleaseGang(ctx->job, *gang);
         return st;
       }
       progressed = true;
     }
     if (all_done) break;
     if (!progressed) {
-      gangs_->ReleaseGang(ctx->job, *gang);
+      arbiter_.ReleaseGang(ctx->job, *gang);
       if (blocked_external) return Status::OK();  // suspended
       return Status::Internal(
           StrFormat("graphlet %d stalled: no runnable stage", gid));
@@ -450,8 +439,8 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
     // gang back at a wave boundary so a higher-class job can run. The
     // graphlet stays incomplete, which routes it through the same
     // "suspended -> re-queue" path recovery already exercises.
-    if (gangs_->ShouldYield(ctx->job)) {
-      gangs_->ReleaseGang(ctx->job, *gang);
+    if (arbiter_.ShouldYield(ctx->job)) {
+      arbiter_.ReleaseGang(ctx->job, *gang);
       {
         std::lock_guard<std::mutex> lock(ctx->mu);
         ctx->stats.gang_yields += 1;
@@ -461,7 +450,7 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
       return Status::OK();  // suspended by preemption
     }
   }
-  gangs_->ReleaseGang(ctx->job, *gang);
+  arbiter_.ReleaseGang(ctx->job, *gang);
   if (metrics_.graphlet_idle_ratio != nullptr && !members.empty()) {
     // Executor idle ratio over this graphlet's gang (Fig. 3): wall time
     // the gang held its executors minus time actually spent in tasks.
@@ -745,7 +734,7 @@ Status LocalRuntime::TickClusterHealth(JobContext* ctx) {
                       << " back in rotation after clean probation";
     }
   }
-  for (int m : restored) gangs_->SetReadOnly(m, false);
+  for (int m : restored) arbiter_.SetReadOnly(m, false);
   for (int m : lost) {
     SWIFT_RETURN_NOT_OK(HandleMachineLoss(ctx, m));
   }
@@ -778,7 +767,7 @@ Status LocalRuntime::DetectDownMachines(JobContext* ctx) {
 Status LocalRuntime::HandleMachineLoss(JobContext* ctx, int machine) {
   SWIFT_LOG(Warn) << "machine " << machine
                   << " loss detected: replanning its retained outputs";
-  gangs_->RevokeMachine(machine);
+  arbiter_.RevokeMachine(machine);
   // The drain's last-machine rule (RecordMachineFailure) also holds on
   // loss: when no live machine still takes new tasks, the lowest-id live
   // one rejoins rotation, or every later gang request would strand.
@@ -796,7 +785,7 @@ Status LocalRuntime::HandleMachineLoss(JobContext* ctx, int machine) {
     if (rejoin >= 0) health_.Clear(rejoin);
   }
   if (rejoin >= 0) {
-    gangs_->SetReadOnly(rejoin, false);
+    arbiter_.SetReadOnly(rejoin, false);
     SWIFT_LOG(Info) << "machine " << rejoin
                     << " back in rotation: no other live machine takes tasks";
   }
@@ -844,7 +833,7 @@ void LocalRuntime::RecordMachineFailure(int machine) {
     health_.Clear(machine);
     return;
   }
-  gangs_->SetReadOnly(machine, true);
+  arbiter_.SetReadOnly(machine, true);
   SWIFT_LOG(Info) << "machine " << machine
                   << " drained read-only after repeated task failures";
 }

@@ -19,7 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "partition/partitioners.h"
-#include "scheduler/gang_scheduler.h"
+#include "scheduler/gang_arbiter.h"
 #include "scheduler/resource_pool.h"
 #include "shuffle/shuffle_service.h"
 #include "sql/distributed_plan.h"
@@ -38,15 +38,6 @@ struct LocalRuntimeConfig {
   int64_t cache_memory_per_worker = 256LL << 20;
   std::string spill_root;  ///< "" = no spill
   std::optional<ShuffleKind> force_shuffle_kind;
-  ShuffleThresholds shuffle_thresholds;
-  /// Cache Worker flow control (DESIGN.md Sec. 15): LRU spill begins at
-  /// soft_watermark × budget; puts past hard_watermark × budget are
-  /// refused with a retryable kBackpressure that WritePartition absorbs
-  /// by blocking (bounded) until readers drain. Eviction prefers jobs
-  /// holding more than cache_per_job_quota of the budget.
-  double cache_soft_watermark = 0.75;
-  double cache_hard_watermark = 1.0;
-  double cache_per_job_quota = 0.5;
   /// Cap on live spill-file bytes per Cache Worker (0 = unbounded); a
   /// full spill disk degrades to backpressure instead of failing jobs.
   int64_t spill_disk_budget_bytes = 0;
@@ -56,28 +47,18 @@ struct LocalRuntimeConfig {
   int shuffle_put_retry_budget = 64;
   double shuffle_put_wait_ms = 2.0;
   /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges
-  /// (Remote, and Local when not pipelined) at least
-  /// shuffle_compress_min_bytes long ship as CRC-framed SWZ1 frames
-  /// when that shrinks them; readers auto-detect the frame magic, so
-  /// the knob is writer-side only. Spill files compress under the same
-  /// rule and charge the disk budget at stored (compressed) size.
+  /// (Remote, and Local when not pipelined) of at least 4 KiB ship as
+  /// CRC-framed SWZ1 frames when that shrinks them; readers auto-detect
+  /// the frame magic, so the knob is writer-side only. Spill files
+  /// compress under the same rule and charge the disk budget at stored
+  /// (compressed) size.
   bool shuffle_compression = true;
-  int64_t shuffle_compress_min_bytes = 4096;
   /// Write-side replica fan-out for worker-held partitions: each write
-  /// also lands on replica_fanout - 1 other live workers (least-loaded
-  /// when load-aware, else round-robin), so single-machine failure
-  /// costs no shuffle data. 1 = off (paper-exact byte/connection
-  /// accounting).
+  /// also lands on the replica_fanout - 1 least-loaded other live
+  /// workers, so single-machine failure costs no shuffle data. 1 = off
+  /// (paper-exact byte/connection accounting).
   int shuffle_replica_fanout = 1;
-  bool shuffle_load_aware_placement = true;
-  /// Transient spill-file IO errors retried in place per operation;
-  /// beyond this the slot is treated as lost and recovery re-runs the
-  /// producer.
-  int spill_io_retries = 3;
   int max_task_attempts = 3;
-  /// Bounded exponential-backoff retry budget for one shuffle read
-  /// (transient timeouts retry in place; permanent loss escalates).
-  int shuffle_read_attempts = 4;
   /// Re-fetches of a payload whose CRC-32C footer failed verification.
   int max_corrupt_rereads = 2;
   /// Read-only drain (Sec. IV-A): this many non-application failures on
@@ -101,13 +82,11 @@ struct LocalRuntimeConfig {
   int morsel_lanes = 0;
   /// Seeded chaos engine driving injected faults (nullopt = none).
   std::optional<FaultSchedule> fault_schedule;
-  /// Executor-pool arbitration (not owned). Null keeps the historical
-  /// behavior: every job gets a private full-size pool, so concurrent
-  /// jobs never contend for executors. The multi-tenant job service
-  /// installs its GangArbiter here, which shares ONE pool across all
-  /// in-flight jobs with per-tenant fair-share queueing, priority
-  /// classes, and cooperative gang preemption (DESIGN.md Sec. 16).
-  GangScheduler* gang_scheduler = nullptr;
+  /// Fair share of the one executor pool every job gangs from
+  /// (DESIGN.md Sec. 16): per-tenant weights and the priority boost the
+  /// runtime's GangArbiter orders gang requests by, and that the job
+  /// service's admission queue orders pending jobs by.
+  FairShareConfig fair_share;
   /// Optional observability sinks (not owned). The registry feeds the
   /// metric catalog of DESIGN.md Sec. 11 (task/recovery counters,
   /// detection-delay histogram, scheduler gauges, shuffle byte
@@ -178,8 +157,8 @@ class LocalRuntime {
   /// options flow into gang arbitration (fair share, priority class)
   /// and into the job-level trace span. RunPlan is safe to call from
   /// multiple threads concurrently — jobs share the shuffle fabric,
-  /// worker threads, and (under a service-installed GangScheduler) the
-  /// executor pool, while all per-job state lives in the JobContext.
+  /// worker threads, and the executor pool (one GangArbiter), while all
+  /// per-job state lives in the JobContext.
   Result<JobRunReport> RunPlan(const DistributedPlan& plan,
                                const JobRunOptions& opts);
 
@@ -203,6 +182,8 @@ class LocalRuntime {
   ShuffleService* shuffle_service() { return shuffle_.get(); }
   FaultInjector* fault_injector() { return injector_.get(); }
   MachineHealthMonitor* health_monitor() { return &health_; }
+  /// \brief The one gang arbiter over the cluster's executor pool.
+  GangArbiter* arbiter() { return &arbiter_; }
 
  private:
   struct JobContext;
@@ -259,10 +240,7 @@ class LocalRuntime {
   std::unique_ptr<FaultInjector> injector_;
   HeartbeatMonitor heartbeat_;
   MachineHealthMonitor health_;
-  /// Gang arbitration: config_.gang_scheduler, or the owned exclusive
-  /// default. Never null after construction.
-  GangScheduler* gangs_ = nullptr;
-  std::unique_ptr<GangScheduler> owned_gangs_;
+  GangArbiter arbiter_;
   std::mutex mu_;
   /// One-shot fault injections. An injection is claimed by the next job
   /// to enter RunPlan and fires only within that job; the job clears its

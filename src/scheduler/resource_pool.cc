@@ -30,6 +30,15 @@ int ResourcePool::free_executors() const {
   return total;
 }
 
+int ResourcePool::schedulable_executors() const {
+  int total = 0;
+  for (int m = 0; m < machines_; ++m) {
+    if (read_only_.count(m) || revoked_.count(m)) continue;
+    total += per_machine_;
+  }
+  return total;
+}
+
 int ResourcePool::free_on_machine(int machine) const {
   if (machine < 0 || machine >= machines_) return 0;
   if (read_only_.count(machine) || revoked_.count(machine)) return 0;
@@ -111,6 +120,10 @@ void ResourcePool::SetReadOnly(int machine, bool read_only) {
 
 bool ResourcePool::IsReadOnly(int machine) const {
   return read_only_.count(machine) > 0;
+}
+
+bool ResourcePool::IsRevoked(int machine) const {
+  return revoked_.count(machine) > 0;
 }
 
 std::vector<ExecutorId> ResourcePool::RevokeMachine(int machine) {

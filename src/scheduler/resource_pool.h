@@ -38,6 +38,9 @@ class ResourcePool {
   int total_executors() const { return machines_ * per_machine_; }
   int free_executors() const;
   int running_executors() const { return total_executors() - free_executors(); }
+  /// \brief Executors on live, non-read-only machines, busy or free: the
+  /// largest gang AllocateGang can ever grant before the cluster changes.
+  int schedulable_executors() const;
   int free_on_machine(int machine) const;
 
   /// \brief Gang allocation for `prefs.size()` tasks: every task gets an
@@ -63,6 +66,7 @@ class ResourcePool {
 
   /// \brief Re-adds a previously revoked machine (repair).
   void RestoreMachine(int machine);
+  bool IsRevoked(int machine) const;
 
  private:
   int LeastLoadedMachine(const std::vector<int>& free_per_machine) const;

@@ -30,17 +30,9 @@ void JobTicket::Deliver(JobOutcome outcome) {
 }
 
 JobService::JobService(JobServiceConfig config)
-    : config_(std::move(config)), admit_policy_(config_.fair_share) {
-  GangArbiterConfig ac;
-  ac.machines = config_.runtime.machines;
-  ac.executors_per_machine = config_.runtime.executors_per_machine;
-  ac.fair_share = config_.fair_share;
-  ac.enable_preemption = config_.enable_preemption;
-  ac.acquire_timeout_s = config_.gang_acquire_timeout_s;
-  ac.metrics = config_.runtime.metrics;
-  arbiter_ = std::make_unique<GangArbiter>(ac);
-  config_.runtime.gang_scheduler = arbiter_.get();
-  runtime_ = std::make_unique<LocalRuntime>(config_.runtime);
+    : config_(std::move(config)),
+      runtime_(std::make_unique<LocalRuntime>(config_.runtime)),
+      admit_policy_(config_.runtime.fair_share) {
   if (config_.runtime.metrics != nullptr) {
     obs::MetricsRegistry* reg = config_.runtime.metrics;
     m_submitted_ = reg->counter("service.jobs.submitted");

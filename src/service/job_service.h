@@ -12,17 +12,16 @@
 #include <vector>
 
 #include "runtime/local_runtime.h"
-#include "service/fair_share.h"
-#include "service/gang_arbiter.h"
+#include "scheduler/fair_share.h"
 
 namespace swift {
 
 /// \brief Multi-tenant front end over one LocalRuntime (DESIGN.md
 /// Sec. 16).
 struct JobServiceConfig {
-  /// The in-process cluster the service arbitrates. `gang_scheduler` is
-  /// overwritten: the service always installs its own GangArbiter so all
-  /// concurrent jobs share ONE executor pool.
+  /// The in-process cluster the service drives. Its GangArbiter shares
+  /// ONE executor pool across all concurrent jobs, and its `fair_share`
+  /// also orders the admission queue.
   LocalRuntimeConfig runtime;
   /// Driver threads == jobs executing concurrently. Admitted jobs beyond
   /// this wait in the fair-share queue.
@@ -30,9 +29,6 @@ struct JobServiceConfig {
   /// Bounded admission queue; Submit on a full queue is rejected with
   /// kBackpressure (the PR 8 retryable admission-control signal).
   int admission_queue_capacity = 64;
-  FairShareConfig fair_share;
-  bool enable_preemption = true;
-  double gang_acquire_timeout_s = 120.0;
 };
 
 /// \brief One job submission.
@@ -76,9 +72,9 @@ class JobTicket {
 /// with per-tenant weighted fair gang scheduling.
 ///
 /// Two fairness points, one policy: the admission queue orders which
-/// pending job starts next (cost 1 per admission), and the GangArbiter
-/// orders which running job's graphlet gets freed executors (cost =
-/// gang size). Priorities are strict within a tenant — a tenant's
+/// pending job starts next (cost 1 per admission), and the runtime's
+/// GangArbiter orders which running job's graphlet gets freed executors
+/// (cost = gang size). Priorities are strict within a tenant — a tenant's
 /// higher class is always picked before its lower class — and act as a
 /// weight boost plus preemption rights across tenants.
 ///
@@ -98,7 +94,6 @@ class JobService {
   /// before submitting jobs that scan them).
   LocalRuntime* runtime() { return runtime_.get(); }
   Catalog* catalog() { return runtime_->catalog(); }
-  GangArbiter* arbiter() { return arbiter_.get(); }
 
   /// \brief Non-blocking admission: a ticket, or kBackpressure when the
   /// admission queue is full (open-loop callers count the rejection and
@@ -135,7 +130,6 @@ class JobService {
   void Execute(Pending pending);
 
   JobServiceConfig config_;
-  std::unique_ptr<GangArbiter> arbiter_;
   std::unique_ptr<LocalRuntime> runtime_;
 
   mutable std::mutex mu_;

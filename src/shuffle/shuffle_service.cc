@@ -228,32 +228,20 @@ void ShuffleService::PlaceReplicas(const ShuffleSlotKey& key,
   if (config_.replica_fanout <= 1 || !config_.retain_for_recovery) return;
   const int want = std::min(config_.replica_fanout - 1, machines() - 1);
   if (want <= 0) return;
+  // Least-loaded live workers first: a hot worker (resident bytes +
+  // spill backlog) is both slower to admit the replica and the most
+  // likely to evict it, so fan out to where the capacity actually is.
+  std::vector<ShuffleWorkerLoad> load = per_worker_load();
+  std::stable_sort(load.begin(), load.end(),
+                   [](const ShuffleWorkerLoad& a, const ShuffleWorkerLoad& b) {
+                     return a.resident_bytes + a.spill_disk_bytes <
+                            b.resident_bytes + b.spill_disk_bytes;
+                   });
   std::vector<int> targets;
-  if (config_.load_aware_placement) {
-    // Least-loaded live workers first: a hot worker (resident bytes +
-    // spill backlog) is both slower to admit the replica and the most
-    // likely to evict it, so fan out to where the capacity actually is.
-    std::vector<ShuffleWorkerLoad> load = per_worker_load();
-    std::stable_sort(load.begin(), load.end(),
-                     [](const ShuffleWorkerLoad& a, const ShuffleWorkerLoad& b) {
-                       return a.resident_bytes + a.spill_disk_bytes <
-                              b.resident_bytes + b.spill_disk_bytes;
-                     });
-    for (const ShuffleWorkerLoad& l : load) {
-      if (static_cast<int>(targets.size()) >= want) break;
-      if (l.machine == writer_machine || l.dead) continue;
-      targets.push_back(l.machine);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int probe = 0;
-         probe < machines() && static_cast<int>(targets.size()) < want;
-         ++probe) {
-      const int m = replica_rr_;
-      replica_rr_ = (replica_rr_ + 1) % machines();
-      if (m == writer_machine || IsMachineDeadLocked(m)) continue;
-      targets.push_back(m);
-    }
+  for (const ShuffleWorkerLoad& l : load) {
+    if (static_cast<int>(targets.size()) >= want) break;
+    if (l.machine == writer_machine || l.dead) continue;
+    targets.push_back(l.machine);
   }
   for (int m : targets) {
     // Best-effort and un-forced: a worker over its watermark simply

@@ -138,10 +138,9 @@ class ShuffleService {
     /// data even before any reader replicated it. 1 (default) disables —
     /// the paper's connection formulas and byte accounting are
     /// unchanged. Replicas require retain_for_recovery.
-    int replica_fanout = 1;
     /// Replica targets are the least-loaded live workers (resident +
-    /// spill-disk bytes, see per_worker_load()) instead of round-robin.
-    bool load_aware_placement = true;
+    /// spill-disk bytes, see per_worker_load()).
+    int replica_fanout = 1;
     /// Bounded exponential-backoff retry of transient read errors
     /// (timeouts, spill IO races). Permanent loss — NotFound with no
     /// surviving replica — is never retried; it escalates to recovery.
@@ -257,7 +256,7 @@ class ShuffleService {
   ShuffleBuffer MaybeCompress(ShuffleKind kind, bool pipelined,
                               ShuffleBuffer buffer);
   /// Places best-effort extra replicas of a worker-held partition on
-  /// the replica_fanout - 1 least-loaded (or round-robin) live workers.
+  /// the replica_fanout - 1 least-loaded live workers.
   void PlaceReplicas(const ShuffleSlotKey& key, const ShuffleBuffer& buffer,
                      int writer_machine);
   bool IsMachineDeadLocked(int machine) const {
@@ -277,8 +276,6 @@ class ShuffleService {
   std::set<int> dead_;
   std::set<std::pair<int64_t, int64_t>> connections_;
   ShuffleServiceStats stats_;
-  /// Next round-robin replica target (load_aware_placement = false).
-  int replica_rr_ = 0;
 
   // Cached registry handles (nullptr when Config::metrics is null).
   struct Instruments {

@@ -10,8 +10,8 @@
 #include "common/rng.h"
 #include "exec/tpch.h"
 #include "obs/trace_recorder.h"
-#include "service/fair_share.h"
-#include "service/gang_arbiter.h"
+#include "scheduler/fair_share.h"
+#include "scheduler/gang_arbiter.h"
 #include "service/job_service.h"
 #include "sql/tpch_queries.h"
 
