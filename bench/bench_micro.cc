@@ -552,27 +552,19 @@ BENCHMARK(BM_MorselMergeJoinColumnar)->Arg(4096)->Arg(65536);
 
 // The scan-task pipeline shapes: whole-slice (the task slice as one
 // store slice + filter/project over one big batch) vs morselized
-// (TableMorselSource streaming 1K-row morsels through the same steps).
+// (TableMorselSource streaming 1K-row morsels through the same chain).
 // peak_rows is the resident-row footprint at the source boundary.
 std::shared_ptr<Table> MakeMorselTable(int rows) {
   return std::make_shared<Table>("bench", *ToColumnBatch(MakeVecBatch(rows)));
 }
 
-std::vector<MorselStep> MorselBenchSteps() {
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
-  f.predicate = VecPredicate();
-  steps.push_back(std::move(f));
-  MorselStep p;
-  p.kind = MorselStep::Kind::kProject;
-  p.exprs = {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
-                          Expr::Literal(Value(int64_t{7}))),
-             Expr::Binary(BinaryOp::kMul, Expr::Column("v"),
-                          Expr::Column("v"))};
-  p.names = {"k7", "v2"};
-  steps.push_back(std::move(p));
-  return steps;
+OperatorPtr MorselBenchChain(OperatorPtr in) {
+  return MakeProject(
+      MakeFilter(std::move(in), VecPredicate()),
+      {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
+                    Expr::Literal(Value(int64_t{7}))),
+       Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v"))},
+      {"k7", "v2"});
 }
 
 std::size_t DrainMorselBench(PhysicalOperator* op) {
@@ -589,15 +581,12 @@ std::size_t DrainMorselBench(PhysicalOperator* op) {
 void BM_MorselPipelineWholeSlice(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   auto table = MakeMorselTable(rows);
-  const auto steps = MorselBenchSteps();
   for (auto _ : state) {
     const auto [begin, end] = table->TaskSliceBounds(0, 1);
     std::vector<ColumnBatch> batches;
     batches.push_back(table->data().SliceRows(begin, end - begin));
-    auto op = MakeProject(
-        MakeFilter(MakeColumnBatchSource(table->schema, std::move(batches)),
-                   steps[0].predicate),
-        steps[1].exprs, steps[1].names);
+    auto op = MorselBenchChain(
+        MakeColumnBatchSource(table->schema, std::move(batches)));
     benchmark::DoNotOptimize(DrainMorselBench(op.get()));
   }
   state.counters["peak_rows"] = static_cast<double>(rows);
@@ -611,7 +600,7 @@ void BM_MorselPipelineStreamed(benchmark::State& state) {
   for (auto _ : state) {
     auto op = MakeParallelMorselPipeline(
         MakeTableMorselSource(table, 0, 1, table->schema, kDefaultMorselRows),
-        MorselBenchSteps(), nullptr, 1);
+        MorselBenchChain, nullptr, 1);
     benchmark::DoNotOptimize(DrainMorselBench(op.get()));
   }
   state.counters["peak_rows"] = static_cast<double>(kDefaultMorselRows);
@@ -627,7 +616,7 @@ void BM_MorselPipelineParallel(benchmark::State& state) {
   for (auto _ : state) {
     auto op = MakeParallelMorselPipeline(
         MakeTableMorselSource(table, 0, 1, table->schema, kDefaultMorselRows),
-        MorselBenchSteps(), &pool, lanes);
+        MorselBenchChain, &pool, lanes);
     benchmark::DoNotOptimize(DrainMorselBench(op.get()));
   }
   state.counters["peak_rows"] =

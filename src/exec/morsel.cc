@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "exec/bound_expr.h"
 
 namespace swift {
 namespace {
@@ -111,77 +110,46 @@ class MorselSource final : public PhysicalOperator {
 
 // ---- Parallel pipeline segment --------------------------------------
 
-// Predicate truthiness, identical to FilterOp's: NULL is false,
-// numeric nonzero / non-empty string true.
-bool MorselTruthy(const ColumnVector& col, std::size_t i) {
-  switch (col.rep()) {
-    case ColumnRep::kNull:
-      return false;
-    case ColumnRep::kInt64:
-      return !col.IsNull(i) && col.Int64At(i) != 0;
-    case ColumnRep::kFloat64:
-      return !col.IsNull(i) && col.Float64At(i) != 0.0;
-    case ColumnRep::kString:
-      return !col.IsNull(i) && !col.StrAt(i).empty();
-    case ColumnRep::kBoxed: {
-      const Value& v = col.BoxedAt(i);
-      if (v.is_null()) return false;
-      if (v.is_int64()) return v.int64() != 0;
-      if (v.is_float64()) return v.float64() != 0.0;
-      return !v.str().empty();
-    }
-  }
-  return false;
-}
+// Every Nth claimed morsel records a "morsel" span.
+constexpr uint64_t kMorselSpanSampleEvery = 64;
 
-// One bound (compiled) step. BoundExprPtr is shared_ptr<const>, so the
-// same bound step is safely shared by every lane; only the scratch
-// predicate buffer is per-lane.
-struct BoundStep {
-  MorselStep::Kind kind = MorselStep::Kind::kFilter;
-  BoundExprPtr predicate;
-  std::vector<BoundExprPtr> exprs;
-  Schema out_schema;  // schema after this step
+// Re-armable one-morsel source under each lane's chain: the lane pushes
+// a claimed morsel in and pulls the chain once, which drains the feed.
+class MorselFeed final : public PhysicalOperator {
+ public:
+  explicit MorselFeed(Schema schema) { output_schema_ = std::move(schema); }
+
+  Status Open() override { return Status::OK(); }
+
+  Result<std::optional<ColumnBatch>> Next() override {
+    return std::exchange(morsel_, std::nullopt);
+  }
+
+  void Push(ColumnBatch m) { morsel_ = std::move(m); }
+
+ private:
+  std::optional<ColumnBatch> morsel_;
 };
 
-struct LaneScratch {
-  ColumnVector pred;
+// One lane's operator chain over its own feed, built and opened on the
+// consuming thread, then driven by exactly one thread.
+struct Lane {
+  MorselFeed* feed = nullptr;  // owned by `chain`
+  OperatorPtr chain;
+
+  Result<std::optional<ColumnBatch>> Run(ColumnBatch m) {
+    feed->Push(std::move(m));
+    return chain->Next();
+  }
 };
 
-// Applies the segment's steps to one morsel in place. Filter composes a
-// selection vector over the input's physical storage (exactly like
-// FilterOp::Next); project emits dense columns (like
-// ProjectOp). A fully-filtered morsel becomes logically empty and is
-// dropped by the merge sink, matching FilterOp's never-emit-empties
-// contract.
-Status RunSteps(const std::vector<BoundStep>& steps, LaneScratch* scratch,
-                ColumnBatch* m) {
-  for (const BoundStep& st : steps) {
-    if (st.kind == MorselStep::Kind::kFilter) {
-      SWIFT_RETURN_NOT_OK(st.predicate->EvaluateVector(*m, &scratch->pred));
-      const std::size_t n = m->num_rows();
-      std::vector<uint32_t> sel;
-      sel.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (MorselTruthy(scratch->pred, i)) {
-          sel.push_back(static_cast<uint32_t>(m->PhysicalIndex(i)));
-        }
-      }
-      m->selection = std::move(sel);
-    } else {
-      ColumnBatch out;
-      out.schema = st.out_schema;
-      out.physical_rows = m->num_rows();
-      out.columns.reserve(st.exprs.size());
-      for (const BoundExprPtr& e : st.exprs) {
-        ColumnVector col;
-        SWIFT_RETURN_NOT_OK(e->EvaluateVector(*m, &col));
-        out.columns.push_back(std::move(col));
-      }
-      *m = std::move(out);
-    }
-  }
-  return Status::OK();
+Result<Lane> OpenLane(const MorselChain& chain, const Schema& schema) {
+  auto feed = std::make_unique<MorselFeed>(schema);
+  Lane lane;
+  lane.feed = feed.get();
+  lane.chain = chain(std::move(feed));
+  SWIFT_RETURN_NOT_OK(lane.chain->Open());
+  return lane;
 }
 
 // Shared state of one parallel segment. Held by shared_ptr from the
@@ -193,8 +161,8 @@ Status RunSteps(const std::vector<BoundStep>& steps, LaneScratch* scratch,
 // helpers).
 class PipelineCore {
  public:
-  PipelineCore(OperatorPtr source, MorselObs obs)
-      : source_(std::move(source)), obs_(obs) {
+  PipelineCore(OperatorPtr source, std::size_t window, MorselObs obs)
+      : source_(std::move(source)), obs_(obs), window_(window) {
     if (obs_.metrics != nullptr) {
       depth_gauge_ = obs_.metrics->gauge("exec.morsel.queue_depth");
       morsels_ = obs_.metrics->counter("exec.morsel.processed");
@@ -204,16 +172,11 @@ class PipelineCore {
 
   PhysicalOperator* source() { return source_.get(); }
 
-  void Configure(std::vector<BoundStep> steps, std::size_t window) {
-    steps_ = std::move(steps);
-    window_ = window;
-  }
-
-  // Claims the next morsel from the source and runs the steps over it.
+  // Claims the next morsel from the source and runs `lane` over it.
   // Returns false when nothing was claimed: stream exhausted, an error
   // is pending, the operator is being destroyed, or the claim gate is
   // closed (window full of in-flight/buffered morsels).
-  bool TryProcessOne(LaneScratch* scratch) {
+  bool TryProcessOne(Lane* lane) {
     ColumnBatch m;
     uint64_t seq = 0;
     {
@@ -221,7 +184,7 @@ class PipelineCore {
       if (stop_ || error_flag_ || exhausted_) return false;
       if (next_claim_ - retired_ >= window_) return false;
       // Pull under the lock: operator sources are not thread-safe. The
-      // pull is cheap relative to the step work, which runs unlocked.
+      // pull is cheap relative to the chain's work, which runs unlocked.
       Result<std::optional<ColumnBatch>> r = source_->Next();
       if (!r.ok()) {
         // Surface the source error at its sequence position, exactly
@@ -243,28 +206,29 @@ class PipelineCore {
       m = *std::move(*r);
       ++inflight_;
     }
-    Status st;
+    Result<std::optional<ColumnBatch>> out = std::optional<ColumnBatch>();
     {
       obs::Span meta;
-      const bool sample = obs_.tracer != nullptr && obs_.span_sample_every > 0 &&
-                          seq % static_cast<uint64_t>(obs_.span_sample_every) == 0;
+      const bool sample =
+          obs_.tracer != nullptr && seq % kMorselSpanSampleEvery == 0;
       if (sample) {
         meta.name = "morsel";
         meta.category = "morsel";
         meta.task = static_cast<int>(seq);
       }
       obs::ScopedSpan span(sample ? obs_.tracer : nullptr, std::move(meta));
-      st = RunSteps(steps_, scratch, &m);
+      out = lane->Run(std::move(m));
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
       --inflight_;
       Slot s;
-      s.status = st;
-      if (st.ok()) {
+      s.status = out.status();
+      if (out.ok()) {
+        // A fully filtered morsel leaves an empty slot; the merge drops it.
+        if (out->has_value()) s.batch = std::move(**out);
         obs::Add(morsels_);
-        obs::Add(rows_, static_cast<int64_t>(m.num_rows()));
-        s.batch = std::move(m);
+        obs::Add(rows_, static_cast<int64_t>(s.batch.num_rows()));
       } else {
         error_flag_ = true;
       }
@@ -279,8 +243,7 @@ class PipelineCore {
   // opens, exit for good once the stream ends, errors, or the operator
   // goes away. Helpers are pure accelerators — the consumer never
   // depends on one running.
-  void HelperLoop() {
-    LaneScratch scratch;
+  void HelperLoop(Lane* lane) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mu_);
@@ -290,7 +253,7 @@ class PipelineCore {
         });
         if (stop_ || error_flag_ || exhausted_) return;
       }
-      TryProcessOne(&scratch);
+      TryProcessOne(lane);
     }
   }
 
@@ -298,7 +261,7 @@ class PipelineCore {
   // sink). The consumer helps process whenever its next morsel is not
   // ready and the gate allows a claim, so the pipeline makes progress
   // even if no helper ever gets a pool slot.
-  Result<std::optional<ColumnBatch>> Pull(LaneScratch* scratch) {
+  Result<std::optional<ColumnBatch>> Pull(Lane* lane) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mu_);
@@ -318,7 +281,7 @@ class PipelineCore {
           return std::optional<ColumnBatch>();
         }
       }
-      if (!TryProcessOne(scratch)) {
+      if (!TryProcessOne(lane)) {
         // Nothing claimable: wait for an in-flight morsel to land (the
         // gate guarantees whatever we are waiting for is claimed by a
         // live thread) or for the end of the stream.
@@ -353,8 +316,7 @@ class PipelineCore {
   obs::Counter* morsels_ = nullptr;
   obs::Counter* rows_ = nullptr;
 
-  std::vector<BoundStep> steps_;  // immutable after Configure()
-  std::size_t window_ = 4;
+  const std::size_t window_;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -370,10 +332,11 @@ class PipelineCore {
 
 class ParallelMorselPipelineOp final : public PhysicalOperator {
  public:
-  ParallelMorselPipelineOp(OperatorPtr source, std::vector<MorselStep> steps,
+  ParallelMorselPipelineOp(OperatorPtr source, MorselChain chain,
                            ThreadPool* pool, int lanes, MorselObs obs)
-      : core_(std::make_shared<PipelineCore>(std::move(source), obs)),
-        raw_steps_(std::move(steps)),
+      : core_(std::make_shared<PipelineCore>(
+            std::move(source), MorselClaimWindow(lanes), obs)),
+        chain_(std::move(chain)),
         pool_(pool),
         lanes_(std::max(1, lanes)) {}
 
@@ -381,59 +344,41 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
 
   Status Open() override {
     SWIFT_RETURN_NOT_OK(core_->source()->Open());
-    Schema schema = core_->source()->output_schema();
-    std::vector<BoundStep> bound;
-    bound.reserve(raw_steps_.size());
-    for (const MorselStep& st : raw_steps_) {
-      BoundStep b;
-      b.kind = st.kind;
-      if (st.kind == MorselStep::Kind::kFilter) {
-        SWIFT_ASSIGN_OR_RETURN(b.predicate, Bind(st.predicate, schema));
-        b.out_schema = schema;
-      } else {
-        if (st.exprs.size() != st.names.size()) {
-          return Status::InvalidArgument("project exprs/names size mismatch");
-        }
-        std::vector<Field> fields;
-        fields.reserve(st.exprs.size());
-        for (std::size_t i = 0; i < st.exprs.size(); ++i) {
-          SWIFT_ASSIGN_OR_RETURN(DataType t, st.exprs[i]->OutputType(schema));
-          fields.push_back(Field{st.names[i], t});
-        }
-        SWIFT_ASSIGN_OR_RETURN(b.exprs, BindAll(st.exprs, schema));
-        b.out_schema = Schema(std::move(fields));
-        schema = b.out_schema;
-      }
-      bound.push_back(std::move(b));
-    }
-    output_schema_ = schema;
-    core_->Configure(std::move(bound), MorselClaimWindow(lanes_));
+    const Schema schema = core_->source()->output_schema();
+    SWIFT_ASSIGN_OR_RETURN(consumer_, OpenLane(chain_, schema));
+    output_schema_ = consumer_.chain->output_schema();
     // Helper lanes are best-effort: spawn one per currently-free pool
     // slot (never more than lanes - 1). When the wave already saturates
     // the pool there is nothing to steal, so no helper jobs are queued
     // and the segment costs nothing extra; small waves get real
-    // intra-task parallelism. Jobs share ownership of the core.
+    // intra-task parallelism. Jobs share ownership of the core and own
+    // their lane, whose chain is bound here, before the job is queued.
     if (pool_ != nullptr && lanes_ > 1) {
       const std::size_t want = std::min<std::size_t>(
           static_cast<std::size_t>(lanes_ - 1), pool_->free_slots());
       for (std::size_t i = 0; i < want; ++i) {
+        SWIFT_ASSIGN_OR_RETURN(Lane helper, OpenLane(chain_, schema));
+        auto lane = std::make_shared<Lane>(std::move(helper));
         std::shared_ptr<PipelineCore> core = core_;
-        if (!pool_->Submit([core] { core->HelperLoop(); })) break;
+        if (!pool_->Submit([core, lane] { core->HelperLoop(lane.get()); })) {
+          break;
+        }
       }
     }
+    chain_ = nullptr;  // every lane is built; drop what the factory holds
     return Status::OK();
   }
 
   Result<std::optional<ColumnBatch>> Next() override {
-    return core_->Pull(&scratch_);
+    return core_->Pull(&consumer_);
   }
 
  private:
   std::shared_ptr<PipelineCore> core_;
-  std::vector<MorselStep> raw_steps_;
+  MorselChain chain_;
   ThreadPool* pool_;
   int lanes_;
-  LaneScratch scratch_;
+  Lane consumer_;
 };
 
 }  // namespace
@@ -453,12 +398,11 @@ OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,
                                         morsel_rows);
 }
 
-OperatorPtr MakeParallelMorselPipeline(OperatorPtr source,
-                                       std::vector<MorselStep> steps,
+OperatorPtr MakeParallelMorselPipeline(OperatorPtr source, MorselChain chain,
                                        ThreadPool* pool, int lanes,
                                        MorselObs obs) {
   return std::make_unique<ParallelMorselPipelineOp>(
-      std::move(source), std::move(steps), pool, lanes, obs);
+      std::move(source), std::move(chain), pool, lanes, obs);
 }
 
 }  // namespace swift

@@ -2,8 +2,8 @@
 #define SWIFT_EXEC_MORSEL_H_
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -22,8 +22,8 @@ namespace swift {
 /// of intra-task parallelism (pipeline-breaker-free segments fan
 /// independent morsels across the shared ThreadPool).
 
-/// \brief Default logical rows per morsel (LocalRuntimeConfig::
-/// morsel_rows mirrors this).
+/// \brief Logical rows per morsel of every runtime scan and shuffle
+/// input.
 inline constexpr std::size_t kDefaultMorselRows = 1024;
 
 /// \brief Scan cursor: emits the rows of scan task `task_index` of
@@ -45,24 +45,17 @@ OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
 OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,
                              std::size_t morsel_rows);
 
-/// \brief One pipeline-breaker-free transform inside a parallel
-/// segment. Only filter and project qualify: they map one morsel to one
-/// morsel with no cross-morsel state, so morsels are independent.
-struct MorselStep {
-  enum class Kind { kFilter, kProject };
-  Kind kind = Kind::kFilter;
-  ExprPtr predicate;                // kFilter
-  std::vector<ExprPtr> exprs;       // kProject
-  std::vector<std::string> names;   // kProject
-};
+/// \brief Builds one lane's copy of a parallel segment's operator
+/// chain on top of `input`. Only pipeline-breaker-free operators
+/// (filter, project) qualify: each maps one morsel to at most one batch
+/// with no cross-morsel state, so morsels are independent.
+using MorselChain = std::function<OperatorPtr(OperatorPtr input)>;
 
 /// \brief Observability hooks for a parallel morsel pipeline. All
 /// pointers optional (null = no-op).
 struct MorselObs {
   obs::MetricsRegistry* metrics = nullptr;  ///< exec.morsel.* instruments
-  obs::TraceRecorder* tracer = nullptr;     ///< per-morsel span sampling
-  /// Every Nth processed morsel records a "morsel" span (0 = never).
-  int span_sample_every = 64;
+  obs::TraceRecorder* tracer = nullptr;     ///< samples "morsel" spans
 };
 
 /// \brief Claim-gate width of a morsel pipeline with `lanes` lanes: at
@@ -74,10 +67,10 @@ inline std::size_t MorselClaimWindow(int lanes) {
 }
 
 /// \brief Parallel pipeline segment: pulls morsels from `source`, runs
-/// `steps` over each, and re-emits the results in claim (source) order,
-/// so the stream is byte-identical to serial execution (hash-aggregate
-/// first-seen group order and partition row order are
-/// input-order-sensitive).
+/// each through a lane's own copy of `chain`, and re-emits the results
+/// in claim (source) order, so the stream is byte-identical to serial
+/// execution (hash-aggregate first-seen group order and partition row
+/// order are input-order-sensitive).
 ///
 /// Concurrency model (deadlock-free by construction on a shared pool):
 /// the consuming thread — which already occupies a pool slot when the
@@ -89,10 +82,15 @@ inline std::size_t MorselClaimWindow(int lanes) {
 /// flag and exit). A claim gate bounds in-flight + buffered morsels to
 /// MorselClaimWindow(lanes), keeping peak memory O(lanes * morsel).
 ///
+/// Open() calls `chain` once for the consumer lane and once per helper
+/// it spawns, each over a feed that holds one morsel at a time, and
+/// opens every chain on the calling thread: helpers never bind. Per
+/// morsel a lane pushes the morsel into its feed and pulls its chain
+/// once. The segment's output schema is the consumer chain's.
+///
 /// `pool` may be null and `lanes` <= 1: the segment then degrades to a
 /// serial morsel-at-a-time pipeline with identical output.
-OperatorPtr MakeParallelMorselPipeline(OperatorPtr source,
-                                       std::vector<MorselStep> steps,
+OperatorPtr MakeParallelMorselPipeline(OperatorPtr source, MorselChain chain,
                                        ThreadPool* pool, int lanes,
                                        MorselObs obs = {});
 

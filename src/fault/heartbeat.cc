@@ -18,8 +18,6 @@ void HeartbeatMonitor::ReportHeartbeat(int machine, double now) {
   last_beat_[machine] = now;
 }
 
-void HeartbeatMonitor::Remove(int machine) { last_beat_.erase(machine); }
-
 std::vector<int> HeartbeatMonitor::DetectFailed(double now) const {
   std::vector<int> failed;
   const double deadline = interval_ * static_cast<double>(miss_threshold_);
@@ -45,17 +43,12 @@ void MachineHealthMonitor::RecordTaskFailure(int machine, double now) {
                              [&](double t) { return now - t > window_; }),
               times.end());
   if (static_cast<int>(times.size()) >= failure_threshold_) {
-    read_only_[machine] = true;
+    read_only_.insert(machine);
   }
 }
 
 bool MachineHealthMonitor::IsReadOnly(int machine) const {
-  auto it = read_only_.find(machine);
-  return it != read_only_.end() && it->second;
-}
-
-void MachineHealthMonitor::MarkReadOnly(int machine) {
-  read_only_[machine] = true;
+  return read_only_.count(machine) > 0;
 }
 
 void MachineHealthMonitor::Clear(int machine) {
@@ -67,24 +60,13 @@ void MachineHealthMonitor::Clear(int machine) {
 std::vector<int> MachineHealthMonitor::ClearExpired(double now) {
   std::vector<int> cleared;
   if (probation_ <= 0.0) return cleared;
-  for (const auto& [m, ro] : read_only_) {
-    if (!ro) continue;
-    // Machines without a recorded failure were marked manually (machine
-    // failure handling); those stay drained until an explicit Clear.
-    auto it = last_failure_.find(m);
-    if (it == last_failure_.end()) continue;
-    if (now - it->second >= probation_) cleared.push_back(m);
+  for (int m : read_only_) {
+    // Only a failure burst drains a machine, so its last failure is
+    // always recorded.
+    if (now - last_failure_.at(m) >= probation_) cleared.push_back(m);
   }
   for (int m : cleared) Clear(m);
   return cleared;
-}
-
-std::vector<int> MachineHealthMonitor::ReadOnlyMachines() const {
-  std::vector<int> out;
-  for (const auto& [m, ro] : read_only_) {
-    if (ro) out.push_back(m);
-  }
-  return out;
 }
 
 }  // namespace swift

@@ -2,6 +2,7 @@
 #define SWIFT_FAULT_HEARTBEAT_H_
 
 #include <map>
+#include <set>
 #include <vector>
 
 namespace swift {
@@ -26,9 +27,6 @@ class HeartbeatMonitor {
 
   /// \brief Heartbeat from `machine`'s manager at time `now` (seconds).
   void ReportHeartbeat(int machine, double now);
-
-  /// \brief Machine removed from monitoring (revoked).
-  void Remove(int machine);
 
   /// \brief Machines whose last beat is older than
   /// miss_threshold * interval at time `now`.
@@ -60,10 +58,6 @@ class MachineHealthMonitor {
 
   bool IsReadOnly(int machine) const;
 
-  /// \brief Manually mark (machine failure handling path). Manual marks
-  /// never auto-clear; only Clear() lifts them.
-  void MarkReadOnly(int machine);
-
   /// \brief Back in rotation after repair.
   void Clear(int machine);
 
@@ -73,14 +67,12 @@ class MachineHealthMonitor {
   /// Returns the machines cleared at `now`. No-op when probation is 0.
   std::vector<int> ClearExpired(double now);
 
-  std::vector<int> ReadOnlyMachines() const;
-
  private:
   int failure_threshold_;
   double window_;
   double probation_;
   std::map<int, std::vector<double>> failures_;
-  std::map<int, bool> read_only_;
+  std::set<int> read_only_;
   std::map<int, double> last_failure_;
 };
 

@@ -12,12 +12,18 @@
 #include "exec/morsel.h"
 #include "exec/serde.h"
 #include "obs/pool_metrics.h"
-#include "scheduler/graphlet_tracker.h"
 #include "scheduler/task_tracker.h"
 
 namespace swift {
 
 namespace {
+
+// Re-fetches of a shuffle payload whose CRC-32C footer failed.
+constexpr int kMaxCorruptRereads = 2;
+// Read-only drain (Sec. IV-A): the sliding window failures count in, and
+// the clean time after which a drained machine returns to rotation.
+constexpr double kHealthWindowSeconds = 60.0;
+constexpr double kHealthProbationSeconds = 120.0;
 
 Status StatusForFailure(FailureKind kind, const TaskRef& task) {
   const std::string what =
@@ -62,6 +68,33 @@ std::vector<SortKey> AscendingKeys(const std::vector<ExprPtr>& exprs) {
   return keys;
 }
 
+// Puts the operator `op` describes on top of `tree`.
+Result<OperatorPtr> AppendOp(OperatorPtr tree, const LocalOpDesc& op) {
+  switch (op.kind) {
+    case LocalOpDesc::Kind::kFilter:
+      return MakeFilter(std::move(tree), op.predicate);
+    case LocalOpDesc::Kind::kProject:
+      return MakeProject(std::move(tree), op.exprs, op.names);
+    case LocalOpDesc::Kind::kSort:
+      return MakeSort(std::move(tree), op.sort_keys);
+    case LocalOpDesc::Kind::kHashAggregate:
+      return MakeHashAggregate(std::move(tree), op.exprs, op.names, op.aggs);
+    case LocalOpDesc::Kind::kStreamedAggregate:
+      return MakeStreamedAggregate(
+          MakeSort(std::move(tree), AscendingKeys(op.exprs)), op.exprs,
+          op.names, op.aggs);
+    case LocalOpDesc::Kind::kLimit:
+      return MakeLimit(std::move(tree), op.limit);
+    case LocalOpDesc::Kind::kWindow:
+      return MakeWindow(std::move(tree), op.partition_by, op.sort_keys,
+                        op.window_func, op.window_arg, op.output_name);
+    case LocalOpDesc::Kind::kHashJoin:
+    case LocalOpDesc::Kind::kMergeJoin:
+      break;
+  }
+  return Status::Internal("join must be the first stage operator");
+}
+
 }  // namespace
 
 struct LocalRuntime::JobContext {
@@ -70,15 +103,13 @@ struct LocalRuntime::JobContext {
         plan(p),
         graphlets(std::move(g)),
         recovery(&p->dag, &graphlets),
-        tracker(&p->dag),
-        gtracker(&graphlets) {}
+        tracker(&p->dag) {}
 
   JobId job;
   const DistributedPlan* plan;
   GraphletPlan graphlets;
   RecoveryPlanner recovery;
   TaskTracker tracker;
-  GraphletTracker gtracker;
   /// Wave-boundary yields taken so far (driver thread only); extends the
   /// scheduling-round bound so cooperative preemption cannot trip the
   /// recovery-convergence guard.
@@ -100,8 +131,8 @@ struct LocalRuntime::JobContext {
 LocalRuntime::LocalRuntime(LocalRuntimeConfig config)
     : config_(std::move(config)),
       heartbeat_(config_.machines),
-      health_(config_.health_failure_threshold, config_.health_window_seconds,
-              config_.health_probation_seconds),
+      health_(config_.health_failure_threshold, kHealthWindowSeconds,
+              kHealthProbationSeconds),
       arbiter_(GangArbiterConfig{
           .machines = config_.machines,
           .executors_per_machine = config_.executors_per_machine,
@@ -259,7 +290,23 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
       8;
   int rounds = 0;
   Status failure = Status::OK();
-  while (!ctx.gtracker.AllComplete() && failure.ok()) {
+  while (failure.ok()) {
+    // Graphlet progress is derived from task states: a graphlet is
+    // submittable once every graphlet it depends on has all tasks
+    // completed ("all its input data are ready", Sec. III-A-2).
+    std::vector<GraphletId> ready;
+    bool all_complete = true;
+    for (const Graphlet& g : ctx.graphlets.graphlets) {
+      if (GraphletComplete(&ctx, g.id)) continue;
+      all_complete = false;
+      const auto& deps = ctx.graphlets.deps[static_cast<std::size_t>(g.id)];
+      if (std::all_of(deps.begin(), deps.end(), [&](GraphletId dep) {
+            return GraphletComplete(&ctx, dep);
+          })) {
+        ready.push_back(g.id);
+      }
+    }
+    if (all_complete) break;
     // Yield rounds extend the bound: a graphlet re-queued by cooperative
     // preemption made no recovery "attempt".
     if (++rounds > max_rounds + ctx.yields) {
@@ -267,7 +314,6 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
                                  "resubmission limit reached");
       break;
     }
-    std::vector<GraphletId> ready = ctx.gtracker.Submittable();
     if (ready.empty()) {
       failure = Status::Internal("no submittable graphlet but job incomplete");
       break;
@@ -275,21 +321,12 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
     // Submit in dependency order, one at a time (the paper's
     // conservative submission order, Sec. III-A-2).
     for (GraphletId gid : ready) {
-      ctx.gtracker.MarkSubmitted(gid);
-      Status st = RunGraphlet(&ctx, gid);
-      if (!st.ok()) {
-        failure = st;
-        break;
-      }
-      if (GraphletComplete(&ctx, gid)) {
-        ctx.gtracker.MarkComplete(gid);
-      } else {
-        // Recovery reset one of its dependencies mid-run (a machine
-        // died with cross-graphlet inputs): leave the graphlet open and
-        // re-enter the scheduler so upstream work re-runs first.
-        ctx.gtracker.Reset(gid);
-        break;
-      }
+      failure = RunGraphlet(&ctx, gid);
+      // A graphlet left incomplete was suspended: recovery reset one of
+      // its dependencies mid-run (a machine died with cross-graphlet
+      // inputs) or it yielded its gang. Re-enter the scheduler so
+      // upstream work re-runs first.
+      if (!failure.ok() || !GraphletComplete(&ctx, gid)) break;
     }
   }
 
@@ -611,6 +648,8 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
     RecordMachineFailure(it != ctx->placement.end() ? it->second.machine
                                                      : 0);
   }
+  const auto restart_equivalent = static_cast<int64_t>(
+      ctx->recovery.JobRestartRerunSet(rctx).size());
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->stats.recoveries += 1;
@@ -618,16 +657,14 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
     ctx->stats.resend_notifications +=
         static_cast<int>(decision.resend_upstream.size());
     ctx->stats.tasks_rerun += static_cast<int>(decision.rerun.size());
-    ctx->stats.job_restart_equivalent_tasks +=
-        static_cast<int64_t>(ctx->recovery.JobRestartRerunSet(rctx).size());
+    ctx->stats.job_restart_equivalent_tasks += restart_equivalent;
     obs::Add(metrics_.recoveries);
     obs::Add(metrics_.recovery_by_case[static_cast<int>(decision.kase)]);
     obs::Add(metrics_.resend_notifications,
              static_cast<int64_t>(decision.resend_upstream.size()));
     obs::Add(metrics_.tasks_rerun,
              static_cast<int64_t>(decision.rerun.size()));
-    obs::Add(metrics_.restart_equivalent_tasks,
-             static_cast<int64_t>(ctx->recovery.JobRestartRerunSet(rctx).size()));
+    obs::Add(metrics_.restart_equivalent_tasks, restart_equivalent);
   }
   SWIFT_LOG(Info) << "recovered " << task.ToString() << " via "
                   << RecoveryCaseToString(decision.kase) << " (rerun "
@@ -659,8 +696,6 @@ void LocalRuntime::ResetTask(JobContext* ctx, const TaskRef& t) {
       consumers.erase(t);
     }
   }
-  // Re-open the task's graphlet so the scheduler resubmits it.
-  ctx->gtracker.Reset(ctx->graphlets.GraphletOf(t.stage));
 }
 
 bool LocalRuntime::OutputsAvailable(JobContext* ctx, const TaskRef& task) {
@@ -865,20 +900,16 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
                                                 const TaskRef& task,
                                                 int machine) {
   const JobDag& dag = ctx->plan->dag;
-  const std::size_t morsel_rows =
-      config_.morsel_rows <= 0 ? kDefaultMorselRows
-                               : static_cast<std::size_t>(config_.morsel_rows);
   std::vector<OperatorPtr> sources;
   if (!program.scan_table.empty()) {
     SWIFT_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                            catalog_.Lookup(program.scan_table));
-    // The slice streams out of the table's store as ~morsel_rows-row
+    // The slice streams out of the table's store as kDefaultMorselRows-row
     // morsels of just the columns the stage reads; the task slice is
     // never materialized whole.
-    sources.push_back(MakeTableMorselSource(table, task.task,
-                                            program.task_count,
-                                            program.scan_schema, morsel_rows,
-                                            program.scan_columns));
+    sources.push_back(MakeTableMorselSource(
+        table, task.task, program.task_count, program.scan_schema,
+        kDefaultMorselRows, program.scan_columns));
   } else {
     for (StageId src : program.inputs) {
       const StageProgram& producer = ctx->plan->program(src);
@@ -911,7 +942,8 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
       // Decoded shuffle batches re-enter the tree as morsels so
       // downstream pipelines stay O(morsel)-resident here too.
       sources.push_back(MakeMorselSource(producer.output_schema,
-                                         std::move(batches), morsel_rows));
+                                         std::move(batches),
+                                         kDefaultMorselRows));
     }
   }
 
@@ -947,78 +979,42 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
     tree = std::move(sources[0]);
   }
 
-  std::size_t first_chain_op = first_op;
+  // Intra-task morsel parallelism: the leading filter/project chain has
+  // no pipeline breakers, so with more than one worker thread each lane
+  // runs its own copy of the chain over independent morsels, merged back
+  // in order — results stay byte-identical to serial execution. Breakers
+  // (sort, aggregate, window, limit) and everything after them run on
+  // the merged stream.
+  std::size_t chain_end = first_op;
   if (first_op == 0) {
-    // Intra-task morsel parallelism: the leading filter/project chain
-    // has no pipeline breakers, so independent morsels fan out across
-    // idle pool workers with an order-restoring merge — results stay
-    // byte-identical to serial execution. Breakers (sort, aggregate,
-    // window, limit) and everything after them run on the merged stream
-    // as before.
-    std::vector<MorselStep> steps;
-    while (first_chain_op < program.ops.size()) {
-      const LocalOpDesc& op = program.ops[first_chain_op];
-      if (op.kind == LocalOpDesc::Kind::kFilter) {
-        MorselStep st;
-        st.kind = MorselStep::Kind::kFilter;
-        st.predicate = op.predicate;
-        steps.push_back(std::move(st));
-      } else if (op.kind == LocalOpDesc::Kind::kProject) {
-        MorselStep st;
-        st.kind = MorselStep::Kind::kProject;
-        st.exprs = op.exprs;
-        st.names = op.names;
-        steps.push_back(std::move(st));
-      } else {
-        break;
-      }
-      ++first_chain_op;
+    while (chain_end < program.ops.size() &&
+           (program.ops[chain_end].kind == LocalOpDesc::Kind::kFilter ||
+            program.ops[chain_end].kind == LocalOpDesc::Kind::kProject)) {
+      ++chain_end;
     }
-    const int lanes = config_.morsel_lanes <= 0 ? config_.worker_threads
-                                                : config_.morsel_lanes;
-    if (!steps.empty() && lanes > 1) {
+  }
+  if (chain_end > first_op) {
+    // Called only while the segment opens, inside this task's run.
+    MorselChain chain = [&program, first_op, chain_end](OperatorPtr in) {
+      for (std::size_t i = first_op; i < chain_end; ++i) {
+        // Filter and project always append.
+        in = AppendOp(std::move(in), program.ops[i]).ValueOrDie();
+      }
+      return in;
+    };
+    if (config_.worker_threads > 1) {
       MorselObs mobs;
       mobs.metrics = config_.metrics;
       mobs.tracer = config_.tracer;
-      tree = MakeParallelMorselPipeline(std::move(tree), std::move(steps),
-                                        pool_.get(), lanes, mobs);
+      tree = MakeParallelMorselPipeline(std::move(tree), std::move(chain),
+                                        pool_.get(), config_.worker_threads,
+                                        mobs);
     } else {
-      first_chain_op = first_op;  // serial: keep the plain operator chain
+      tree = chain(std::move(tree));
     }
   }
-
-  for (std::size_t i = first_chain_op; i < program.ops.size(); ++i) {
-    const LocalOpDesc& op = program.ops[i];
-    switch (op.kind) {
-      case LocalOpDesc::Kind::kFilter:
-        tree = MakeFilter(std::move(tree), op.predicate);
-        break;
-      case LocalOpDesc::Kind::kProject:
-        tree = MakeProject(std::move(tree), op.exprs, op.names);
-        break;
-      case LocalOpDesc::Kind::kSort:
-        tree = MakeSort(std::move(tree), op.sort_keys);
-        break;
-      case LocalOpDesc::Kind::kHashAggregate:
-        tree = MakeHashAggregate(std::move(tree), op.exprs, op.names,
-                                 op.aggs);
-        break;
-      case LocalOpDesc::Kind::kStreamedAggregate:
-        tree = MakeSort(std::move(tree), AscendingKeys(op.exprs));
-        tree = MakeStreamedAggregate(std::move(tree), op.exprs, op.names,
-                                     op.aggs);
-        break;
-      case LocalOpDesc::Kind::kLimit:
-        tree = MakeLimit(std::move(tree), op.limit);
-        break;
-      case LocalOpDesc::Kind::kWindow:
-        tree = MakeWindow(std::move(tree), op.partition_by, op.sort_keys,
-                          op.window_func, op.window_arg, op.output_name);
-        break;
-      case LocalOpDesc::Kind::kHashJoin:
-      case LocalOpDesc::Kind::kMergeJoin:
-        return Status::Internal("join must be the first stage operator");
-    }
+  for (std::size_t i = chain_end; i < program.ops.size(); ++i) {
+    SWIFT_ASSIGN_OR_RETURN(tree, AppendOp(std::move(tree), program.ops[i]));
   }
   return tree;
 }
@@ -1058,7 +1054,7 @@ Result<ColumnBatch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
       NoteDecompressed(ctx, buffer->view());
       return batch;
     }
-    if (refetch >= config_.max_corrupt_rereads) {
+    if (refetch >= kMaxCorruptRereads) {
       return batch.status().WithContext(StrFormat(
           "payload %s rejected %d times", key.ToString().c_str(),
           refetch + 1));

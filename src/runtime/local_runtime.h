@@ -59,27 +59,10 @@ struct LocalRuntimeConfig {
   /// (paper-exact byte/connection accounting).
   int shuffle_replica_fanout = 1;
   int max_task_attempts = 3;
-  /// Re-fetches of a payload whose CRC-32C footer failed verification.
-  int max_corrupt_rereads = 2;
   /// Read-only drain (Sec. IV-A): this many non-application failures on
-  /// one machine within `health_window_seconds` stop new placements
-  /// there; after `health_probation_seconds` without further failures
-  /// the machine returns to rotation.
+  /// one machine within a 60 s window stop new placements there; after
+  /// 120 s without further failures the machine returns to rotation.
   int health_failure_threshold = 3;
-  double health_window_seconds = 60.0;
-  double health_probation_seconds = 120.0;
-  /// Morsel-driven streaming (DESIGN.md Sec. 14): scan slices and
-  /// decoded shuffle inputs enter the operator tree as ~morsel_rows-row
-  /// ColumnBatches, so pipeline-only trees keep O(morsel) rows resident,
-  /// and leading filter/project chains fan independent morsels across
-  /// idle worker threads (order-restoring merge — results stay
-  /// byte-identical to serial execution).
-  /// Logical rows per morsel (<= 0 picks kDefaultMorselRows).
-  int morsel_rows = 1024;
-  /// Max threads cooperating on one task's morsel pipeline, including
-  /// the task's own thread; helpers only spawn onto currently-idle pool
-  /// workers. 0 = auto (worker_threads); 1 = serial morsels.
-  int morsel_lanes = 0;
   /// Seeded chaos engine driving injected faults (nullopt = none).
   std::optional<FaultSchedule> fault_schedule;
   /// Fair share of the one executor pool every job gangs from
@@ -203,7 +186,7 @@ class LocalRuntime {
   /// Reads one shuffle payload and decodes it into a ColumnBatch. A
   /// missing slot (NotFound) maps to MachineUnhealthy so recovery re-runs
   /// the producer; a payload the CRC-32C footer rejects is re-fetched up
-  /// to max_corrupt_rereads times.
+  /// to kMaxCorruptRereads times.
   Result<ColumnBatch> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
                                         const ShuffleSlotKey& key, int reader,
                                         int writer);

@@ -2,22 +2,6 @@
 
 namespace swift {
 
-std::string_view TaskStateToString(TaskState s) {
-  switch (s) {
-    case TaskState::kPending:
-      return "pending";
-    case TaskState::kScheduled:
-      return "scheduled";
-    case TaskState::kRunning:
-      return "running";
-    case TaskState::kCompleted:
-      return "completed";
-    case TaskState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 TaskTracker::TaskTracker(const JobDag* dag) : dag_(dag) {
   for (const StageDef& s : dag_->stages()) {
     completed_per_stage_[s.id] = 0;
@@ -70,14 +54,6 @@ std::set<TaskRef> TaskTracker::CompletedTasks() const {
     if (s == TaskState::kCompleted) out.insert(t);
   }
   return out;
-}
-
-int TaskTracker::CountInState(TaskState s) const {
-  int n = 0;
-  for (const auto& [t, st] : states_) {
-    if (st == s) ++n;
-  }
-  return n;
 }
 
 void TaskTracker::Reset(const TaskRef& t) { SetState(t, TaskState::kPending); }

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "dag/job_dag.h"
@@ -14,13 +13,10 @@ namespace swift {
 /// \brief Lifecycle of one task instance.
 enum class TaskState : int {
   kPending = 0,
-  kScheduled = 1,
-  kRunning = 2,
-  kCompleted = 3,
-  kFailed = 4,
+  kRunning = 1,
+  kCompleted = 2,
+  kFailed = 3,
 };
-
-std::string_view TaskStateToString(TaskState s);
 
 /// \brief Job Monitor state: per-task states and stage roll-ups.
 class TaskTracker {
@@ -40,8 +36,6 @@ class TaskTracker {
 
   /// \brief Completed task set (recovery context).
   std::set<TaskRef> CompletedTasks() const;
-
-  int CountInState(TaskState s) const;
 
   /// \brief Back to pending (re-run).
   void Reset(const TaskRef& t);

@@ -39,21 +39,15 @@ std::shared_ptr<const Table> FootprintTable() {
 }
 
 // Filter k > 300 (keeps ~70% of every morsel), then project two columns.
-std::vector<MorselStep> FootprintSteps() {
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
-  f.predicate = Expr::Binary(BinaryOp::kGt, Expr::Column("k"),
-                             Expr::Literal(Value(int64_t{300})));
-  steps.push_back(std::move(f));
-  MorselStep p;
-  p.kind = MorselStep::Kind::kProject;
-  p.exprs = {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
-                          Expr::Literal(Value(int64_t{7}))),
-             Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v"))};
-  p.names = {"k7", "v2"};
-  steps.push_back(std::move(p));
-  return steps;
+OperatorPtr FootprintChain(OperatorPtr in) {
+  return MakeProject(
+      MakeFilter(std::move(in),
+                 Expr::Binary(BinaryOp::kGt, Expr::Column("k"),
+                              Expr::Literal(Value(int64_t{300})))),
+      {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
+                    Expr::Literal(Value(int64_t{7}))),
+       Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v"))},
+      {"k7", "v2"});
 }
 
 // Passes its child's batches through and counts the rows pulled out of
@@ -88,7 +82,7 @@ void ExpectWithinClaimWindow(ThreadPool* pool, int lanes) {
           MakeTableMorselSource(table, 0, 1, table->schema,
                                 kDefaultMorselRows),
           &pulled),
-      FootprintSteps(), pool, lanes);
+      FootprintChain, pool, lanes);
   ASSERT_TRUE(op->Open().ok());
   const std::size_t window = MorselClaimWindow(lanes);
   std::size_t emitted = 0;

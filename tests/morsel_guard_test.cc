@@ -102,13 +102,7 @@ class MorselGuardTest : public ::testing::Test {
 // work dwarfs the pipeline's claim/merge bookkeeping. Light pipelines
 // run serial-equivalent (helpers just add lock traffic); the lanes are
 // there for exactly this kind of expression-bound segment.
-std::vector<MorselStep> HeavySteps() {
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
-  f.predicate = GuardPredicate();
-  steps.push_back(std::move(f));
-  MorselStep p;
+OperatorPtr HeavyChain(OperatorPtr in) {
   ExprPtr acc = Expr::Column("v");
   for (int i = 0; i < 24; ++i) {
     acc = Expr::Binary(
@@ -116,18 +110,15 @@ std::vector<MorselStep> HeavySteps() {
         Expr::Binary(BinaryOp::kMul, Expr::Column("k"),
                      Expr::Literal(Value(0.001 * (i + 1)))));
   }
-  p.kind = MorselStep::Kind::kProject;
-  p.exprs = {acc, Expr::Column("k")};
-  p.names = {"acc", "k"};
-  steps.push_back(std::move(p));
-  return steps;
+  return MakeProject(MakeFilter(std::move(in), GuardPredicate()),
+                     {acc, Expr::Column("k")}, {"acc", "k"});
 }
 
 std::size_t RunHeavy(const std::shared_ptr<const Table>& table,
                      ThreadPool* pool, int lanes) {
   auto op = MakeParallelMorselPipeline(
       MakeTableMorselSource(table, 0, 1, table->schema, kDefaultMorselRows),
-      HeavySteps(), pool, lanes);
+      HeavyChain, pool, lanes);
   return DrainCountRows(op.get());
 }
 

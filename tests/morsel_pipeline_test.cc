@@ -7,10 +7,11 @@
 //     straddle morsel boundaries.
 //  2. Operators stay correct across morsel boundaries: LimitOp counts
 //     logical rows, filters compose selections per morsel.
-//  3. The parallel morsel pipeline is byte-identical to serial
-//     execution in ordered mode (randomized parity, real thread pool),
-//     row-multiset-identical in unordered mode, and surfaces source and
-//     step errors exactly where serial execution would.
+//  3. The parallel morsel pipeline, each lane running its own copy of
+//     the stage's operator chain, is byte-identical to serial execution
+//     (randomized parity, real thread pool, boxed and all-null predicate
+//     columns) and surfaces source errors exactly where serial
+//     execution would.
 //  4. Sort / Window / MergeJoin agree with the naive reference executor
 //     in reference_ops.h (NULLs, strings, duplicates, descending keys,
 //     left-outer padding) and SortOp emits a permutation selection
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,54 +250,117 @@ TEST(MorselBoundaryTest, LimitCountsLogicalRowsAcrossMorsels) {
 
 // ---- Parallel morsel pipeline ---------------------------------------
 
-std::vector<MorselStep> FilterProjectSteps() {
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
-  f.predicate = Expr::Binary(BinaryOp::kGt, Expr::Column("k"),
-                             Expr::Literal(Value(int64_t{-20})));
-  steps.push_back(std::move(f));
-  MorselStep p;
-  p.kind = MorselStep::Kind::kProject;
-  p.exprs = {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
-                          Expr::Literal(Value(int64_t{7}))),
-             Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v")),
-             Expr::Column("s")};
-  p.names = {"k7", "v2", "s"};
-  steps.push_back(std::move(p));
-  return steps;
+ExprPtr KeepPredicate() {
+  return Expr::Binary(BinaryOp::kGt, Expr::Column("k"),
+                      Expr::Literal(Value(int64_t{-20})));
 }
 
-// Reference answer of FilterProjectSteps over `b`.
+std::vector<ExprPtr> ProjectExprs() {
+  return {Expr::Binary(BinaryOp::kAdd, Expr::Column("k"),
+                       Expr::Literal(Value(int64_t{7}))),
+          Expr::Binary(BinaryOp::kMul, Expr::Column("v"), Expr::Column("v")),
+          Expr::Column("s")};
+}
+
+// The stage chain every lane runs: filter, then project.
+OperatorPtr FilterProjectChain(OperatorPtr in) {
+  return MakeProject(MakeFilter(std::move(in), KeepPredicate()),
+                     ProjectExprs(), {"k7", "v2", "s"});
+}
+
+// Reference answer of FilterProjectChain over `b`.
 std::vector<Row> RowOracle(const Batch& b) {
-  std::vector<MorselStep> steps = FilterProjectSteps();
   Batch filtered;
   filtered.schema = b.schema;
-  filtered.rows = ref::Filter(b, steps[0].predicate);
-  return ref::Project(filtered, steps[1].exprs);
+  filtered.rows = ref::Filter(b, KeepPredicate());
+  return ref::Project(filtered, ProjectExprs());
+}
+
+OperatorPtr MorselizedInput(const std::vector<Batch>& parts,
+                            std::size_t morsel_rows) {
+  std::vector<ColumnBatch> batches;
+  for (const Batch& b : parts) {
+    auto cb = ToColumnBatch(b);
+    EXPECT_TRUE(cb.ok());
+    batches.push_back(*std::move(cb));
+  }
+  return MakeMorselSource(parts.front().schema, std::move(batches),
+                          morsel_rows);
 }
 
 OperatorPtr MorselizedInput(const Batch& b, std::size_t morsel_rows) {
-  auto cb = ToColumnBatch(b);
-  EXPECT_TRUE(cb.ok());
-  std::vector<ColumnBatch> batches;
-  batches.push_back(*std::move(cb));
-  return MakeMorselSource(b.schema, std::move(batches), morsel_rows);
+  return MorselizedInput(std::vector<Batch>{b}, morsel_rows);
 }
 
+// A predicate column whose morsels are kBoxed (ints, floats, strings and
+// NULLs under one int64 field) or kNull (every cell NULL, as a decoded
+// all-null shuffle column arrives): the filter's truthiness has no typed
+// loop to lean on.
+std::vector<Batch> LooseTruthBatches() {
+  const Schema schema({{"p", DataType::kInt64}, {"k", DataType::kInt64}});
+  const std::vector<Value> cells = {Value(int64_t{0}), Value(int64_t{3}),
+                                    Value(0.0),        Value(-0.5),
+                                    Value(""),         Value("x"),
+                                    Value::Null()};
+  Batch boxed;
+  boxed.schema = schema;
+  for (int64_t r = 0; r < 91; ++r) {
+    boxed.rows.push_back({cells[static_cast<std::size_t>(r) % cells.size()],
+                          Value(r)});
+  }
+  Batch nulls;
+  nulls.schema = Schema({{"p", DataType::kNull}, {"k", DataType::kInt64}});
+  for (int64_t r = 0; r < 40; ++r) {
+    nulls.rows.push_back({Value::Null(), Value(r)});
+  }
+  return {boxed, nulls, boxed};
+}
+
+// One input of the parity test: the stream, the chain every lane runs
+// over it, and the answer serial execution gives.
+struct ParityInput {
+  std::string name;
+  std::function<OperatorPtr()> source;
+  MorselChain chain;
+  std::vector<Row> want;
+};
+
 TEST(ParallelMorselPipelineTest, OrderedParityAcrossSeedsAndLanes) {
-  ThreadPool pool(4);
+  std::vector<ParityInput> inputs;
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     const Batch b = RandomBatch(seed, 777);
-    const std::vector<Row> want = RowOracle(b);
+    inputs.push_back({"seed " + std::to_string(seed),
+                      [b] { return MorselizedInput(b, 13); },
+                      FilterProjectChain, RowOracle(b)});
+  }
+  {
+    const std::vector<Batch> parts = LooseTruthBatches();
+    ASSERT_EQ(ToColumnBatch(parts[0])->columns[0].rep(), ColumnRep::kBoxed);
+    ASSERT_EQ(ToColumnBatch(parts[1])->columns[0].rep(), ColumnRep::kNull);
+    ParityInput loose{"boxed/null predicate",
+                      [parts] { return MorselizedInput(parts, 13); },
+                      [](OperatorPtr in) {
+                        return MakeFilter(std::move(in), Expr::Column("p"));
+                      },
+                      {}};
+    auto serial = loose.chain(loose.source());
+    ASSERT_TRUE(serial->Open().ok());
+    auto want = DrainColumnarRows(serial.get(), nullptr);
+    ASSERT_TRUE(want.ok());
+    ASSERT_FALSE(want->empty());
+    loose.want = *std::move(want);
+    inputs.push_back(std::move(loose));
+  }
+  ThreadPool pool(4);
+  for (const ParityInput& in : inputs) {
     for (int lanes : {1, 4}) {
-      auto op = MakeParallelMorselPipeline(
-          MorselizedInput(b, 13), FilterProjectSteps(),
-          lanes > 1 ? &pool : nullptr, lanes);
+      SCOPED_TRACE(in.name + ", lanes=" + std::to_string(lanes));
+      auto op = MakeParallelMorselPipeline(in.source(), in.chain,
+                                           lanes > 1 ? &pool : nullptr, lanes);
       ASSERT_TRUE(op->Open().ok());
       auto rows = DrainColumnarRows(op.get(), nullptr);
       ASSERT_TRUE(rows.ok());
-      ExpectRowsBitEq(*rows, want);
+      ExpectRowsBitEq(*rows, in.want);
     }
   }
 }
@@ -305,20 +370,18 @@ TEST(ParallelMorselPipelineTest, FullyFilteredMorselsAreSkipped) {
   Batch b;
   b.schema = Schema({{"k", DataType::kInt64}});
   for (int64_t r = 0; r < 64; ++r) b.rows.push_back({Value(r)});
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
   // Only k in [24, 32) survives: most morsels filter to empty and the
   // sink must swallow them, like FilterOp never emitting empty batches.
-  f.predicate = Expr::Binary(
-      BinaryOp::kAnd,
-      Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
-                   Expr::Literal(Value(int64_t{24}))),
-      Expr::Binary(BinaryOp::kLt, Expr::Column("k"),
-                   Expr::Literal(Value(int64_t{32}))));
-  steps.push_back(std::move(f));
-  auto op = MakeParallelMorselPipeline(MorselizedInput(b, 8), std::move(steps),
-                                       &pool, 4);
+  auto chain = [](OperatorPtr in) {
+    return MakeFilter(
+        std::move(in),
+        Expr::Binary(BinaryOp::kAnd,
+                     Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
+                                  Expr::Literal(Value(int64_t{24}))),
+                     Expr::Binary(BinaryOp::kLt, Expr::Column("k"),
+                                  Expr::Literal(Value(int64_t{32})))));
+  };
+  auto op = MakeParallelMorselPipeline(MorselizedInput(b, 8), chain, &pool, 4);
   ASSERT_TRUE(op->Open().ok());
   std::vector<std::size_t> sizes;
   auto rows = DrainColumnarRows(op.get(), &sizes);
@@ -359,15 +422,14 @@ class FailingSource final : public PhysicalOperator {
 TEST(ParallelMorselPipelineTest, SourceErrorSurfacesAfterPriorMorsels) {
   ThreadPool pool(4);
   Schema schema({{"k", DataType::kInt64}});
-  std::vector<MorselStep> steps;
-  MorselStep f;
-  f.kind = MorselStep::Kind::kFilter;
-  f.predicate = Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
-                             Expr::Literal(Value(int64_t{0})));
-  steps.push_back(std::move(f));
+  auto chain = [](OperatorPtr in) {
+    return MakeFilter(std::move(in),
+                      Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
+                                   Expr::Literal(Value(int64_t{0}))));
+  };
   for (int lanes : {1, 4}) {
     auto op = MakeParallelMorselPipeline(
-        std::make_unique<FailingSource>(schema, 3), steps,
+        std::make_unique<FailingSource>(schema, 3), chain,
         lanes > 1 ? &pool : nullptr, lanes);
     ASSERT_TRUE(op->Open().ok());
     // Ordered mode must deliver all three good morsels (6 rows), then
@@ -398,7 +460,7 @@ TEST(ParallelMorselPipelineTest, DestructionMidStreamDoesNotHang) {
   ThreadPool pool(4);
   const Batch b = RandomBatch(0xBEEF, 4096);
   auto op = MakeParallelMorselPipeline(MorselizedInput(b, 16),
-                                       FilterProjectSteps(), &pool, 4);
+                                       FilterProjectChain, &pool, 4);
   ASSERT_TRUE(op->Open().ok());
   auto first = op->Next();
   ASSERT_TRUE(first.ok());

@@ -715,7 +715,9 @@ TEST_F(PlacementScopeTest, OuterWhereFiltersLimitedSubquery) {
 }
 
 // Placement changes where predicates run, never what a query returns:
-// the digests are the sf 0.002 golden answers recorded before it.
+// the digests are the sf 0.002 golden answers recorded before it. One
+// worker thread runs each stage's plain operator chain; four run its
+// leading filters and projects as a parallel morsel segment.
 TEST(PlacementAnswers, SuiteAnswersAreUnchanged) {
   const std::map<int, std::pair<uint32_t, std::size_t>> golden = {
       {1, {0xa02a98f2, 6}},   {3, {0x086ed09b, 10}},  {5, {0x184097f1, 3}},
@@ -724,18 +726,23 @@ TEST(PlacementAnswers, SuiteAnswersAreUnchanged) {
       {18, {0x159bb146, 100}}, {19, {0x1b96cd90, 1}},
   };
   ASSERT_EQ(RunnableTpchQueries().size(), golden.size());
-  LocalRuntime rt;
-  TpchConfig cfg;
-  cfg.scale_factor = 0.002;
-  ASSERT_TRUE(GenerateTpch(cfg, rt.catalog()).ok());
-  for (const auto& [q, want] : golden) {
-    auto got = rt.ExecuteSql(*TpchQuerySql(q));
-    ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status().ToString();
-    const std::string wire = SerializeBatch(*got);
-    EXPECT_EQ(Crc32(std::string_view(wire).substr(0, wire.size() - 4)),
-              want.first)
-        << "Q" << q;
-    EXPECT_EQ(got->num_rows(), want.second) << "Q" << q;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(threads));
+    LocalRuntimeConfig rcfg;
+    rcfg.worker_threads = threads;
+    LocalRuntime rt(rcfg);
+    TpchConfig cfg;
+    cfg.scale_factor = 0.002;
+    ASSERT_TRUE(GenerateTpch(cfg, rt.catalog()).ok());
+    for (const auto& [q, want] : golden) {
+      auto got = rt.ExecuteSql(*TpchQuerySql(q));
+      ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status().ToString();
+      const std::string wire = SerializeBatch(*got);
+      EXPECT_EQ(Crc32(std::string_view(wire).substr(0, wire.size() - 4)),
+                want.first)
+          << "Q" << q;
+      EXPECT_EQ(got->num_rows(), want.second) << "Q" << q;
+    }
   }
 }
 

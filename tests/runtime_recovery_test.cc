@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/hash64.h"
+#include "common/string_util.h"
 #include "exec/tpch.h"
+#include "obs/trace_recorder.h"
+#include "partition/partitioners.h"
 #include "runtime/local_runtime.h"
 #include "sql/tpch_queries.h"
 
@@ -362,6 +366,94 @@ TEST(RuntimeRecoveryMatrix, ChaosScheduleCompletesAtDefaultConfig) {
     EXPECT_EQ(rt->fault_injector()->stats().machine_kills, 1);
     EXPECT_GE(no_step_recoveries, 1);
   }
+}
+
+// ---- Graphlet scheduling -------------------------------------------
+
+// A sort-mode group-by with ORDER BY plans three graphlets in a chain.
+const char* kChainSql =
+    "select n_regionkey, count(*) as n from tpch_nation group by "
+    "n_regionkey order by n desc";
+
+// The chain's graphlets in dependency order, as "graphlet<id>" span names.
+std::vector<std::string> ChainOrder(const GraphletPlan& gp) {
+  std::vector<std::string> order;
+  std::set<GraphletId> done;
+  while (done.size() < gp.graphlets.size()) {
+    std::vector<GraphletId> ready;
+    for (const Graphlet& g : gp.graphlets) {
+      const auto& deps = gp.deps[static_cast<std::size_t>(g.id)];
+      if (done.count(g.id) == 0 &&
+          std::all_of(deps.begin(), deps.end(),
+                      [&](GraphletId d) { return done.count(d) > 0; })) {
+        ready.push_back(g.id);
+      }
+    }
+    EXPECT_EQ(ready.size(), 1u) << "not a chain";
+    if (ready.empty()) break;
+    done.insert(ready[0]);
+    order.push_back(StrFormat("graphlet%d", ready[0]));
+  }
+  return order;
+}
+
+std::vector<std::string> GraphletSpans(const obs::TraceRecorder& tracer) {
+  std::vector<std::string> names;
+  for (const obs::Span& s : tracer.Spans()) {
+    if (s.category == "graphlet") names.push_back(s.name);
+  }
+  return names;
+}
+
+TEST(RuntimeGraphletTest, SubmitsInDependencyOrder) {
+  obs::TraceRecorder tracer;
+  LocalRuntimeConfig cfg;
+  cfg.tracer = &tracer;
+  auto rt = MakeRuntime(cfg);
+  auto plan = PlanSql(kChainSql, *rt->catalog(), PlannerConfig{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto gp = ShuffleModeAwarePartitioner().Partition(plan->dag);
+  ASSERT_TRUE(gp.ok());
+  ASSERT_EQ(gp->graphlets.size(), 3u);
+  const std::vector<std::string> order = ChainOrder(*gp);
+  auto report = rt->RunPlan(*plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // Each graphlet runs once, only after the one it depends on completed.
+  EXPECT_EQ(GraphletSpans(tracer), order);
+}
+
+TEST(RuntimeGraphletTest, CrossGraphletRecoveryRerunsUpstreamGraphlet) {
+  const std::vector<std::string> want = CleanResult(kGroupBySql);
+  auto planned = PlanSql(kGroupBySql, *MakeRuntime()->catalog());
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto gp = ShuffleModeAwarePartitioner().Partition(planned->dag);
+  ASSERT_TRUE(gp.ok());
+  const std::vector<std::string> order = ChainOrder(*gp);
+  ASSERT_EQ(order.size(), 2u);
+  // Lose a machine when the downstream graphlet's first task starts: the
+  // upstream aggregate output it retained dies with it.
+  int upstream_tasks = 0;
+  for (StageId sid :
+       gp->graphlets[static_cast<std::size_t>(gp->GraphletOf(
+                         FindScanStage(*planned)))].stages) {
+    upstream_tasks += planned->program(sid).task_count;
+  }
+  obs::TraceRecorder tracer;
+  LocalRuntimeConfig cfg;
+  cfg.tracer = &tracer;
+  FaultSchedule fs;
+  fs.kill_machine = 1;
+  fs.kill_after_task_starts = upstream_tasks + 1;
+  cfg.fault_schedule = fs;
+  auto rt = MakeRuntime(cfg);
+  auto report = rt->RunPlan(*planned);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(Canonical(report->result), want);
+  EXPECT_GE(report->stats.machine_failures, 1);
+  // The downstream graphlet suspends, the upstream one re-runs the lost
+  // tasks, then the downstream one completes.
+  EXPECT_EQ(GraphletSpans(tracer),
+            (std::vector<std::string>{order[0], order[1], order[0], order[1]}));
 }
 
 }  // namespace

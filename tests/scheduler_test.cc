@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dag/dag_builder.h"
-#include "partition/partitioners.h"
-#include "scheduler/graphlet_tracker.h"
 #include "scheduler/resource_pool.h"
 #include "scheduler/task_tracker.h"
 
@@ -109,41 +107,12 @@ JobDag ChainDag() {
   return std::move(b.Build()).ValueOrDie();
 }
 
-TEST(GraphletTrackerTest, SubmitsInDependencyOrder) {
-  JobDag dag = ChainDag();
-  auto plan = ShuffleModeAwarePartitioner().Partition(dag);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->graphlets.size(), 3u);
-  GraphletTracker tracker(&*plan);
-  auto ready = tracker.Submittable();
-  ASSERT_EQ(ready.size(), 1u);
-  tracker.MarkSubmitted(ready[0]);
-  EXPECT_TRUE(tracker.Submittable().empty());  // dep not complete yet
-  tracker.MarkComplete(ready[0]);
-  auto next = tracker.Submittable();
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_NE(next[0], ready[0]);
-  tracker.MarkComplete(next[0]);
-  tracker.MarkComplete(tracker.Submittable()[0]);
-  EXPECT_TRUE(tracker.AllComplete());
-}
-
-TEST(GraphletTrackerTest, ResetReopensGraphlet) {
-  JobDag dag = ChainDag();
-  auto plan = ShuffleModeAwarePartitioner().Partition(dag);
-  ASSERT_TRUE(plan.ok());
-  GraphletTracker tracker(&*plan);
-  GraphletId g = tracker.Submittable()[0];
-  tracker.MarkComplete(g);
-  tracker.Reset(g);
-  EXPECT_FALSE(tracker.IsComplete(g));
-  EXPECT_EQ(tracker.Submittable()[0], g);
-}
-
 TEST(TaskTrackerTest, StageCompletion) {
   JobDag dag = ChainDag();
   TaskTracker tracker(&dag);
-  EXPECT_EQ(tracker.CountInState(TaskState::kPending), 3);
+  for (StageId s : {0, 1, 2}) {
+    EXPECT_EQ(tracker.state(TaskRef{s, 0}), TaskState::kPending);
+  }
   EXPECT_FALSE(tracker.StageComplete(0));
   tracker.SetState(TaskRef{0, 0}, TaskState::kRunning);
   tracker.SetState(TaskRef{0, 0}, TaskState::kCompleted);
