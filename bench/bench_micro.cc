@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <random>
 
 #include "common/thread_pool.h"
 #include "dag/dag_builder.h"
@@ -367,6 +368,28 @@ void BM_VecHashPartitionColumnar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
 BENCHMARK(BM_VecHashPartitionColumnar)->Arg(4096)->Arg(65536);
+
+// The selection gather under every drain, join output and partition
+// scatter (ColumnVector::AppendSelected): SliceRows of a batch of int64,
+// float64 and string columns through a selection of every other row in
+// shuffled order.
+void BM_GatherSelected(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  ColumnBatch base = *ToColumnBatch(MakeVecBatch(rows));
+  std::vector<uint32_t> sel;
+  for (int i = 0; i < rows; i += 2) sel.push_back(static_cast<uint32_t>(i));
+  std::mt19937 rng(7);
+  std::shuffle(sel.begin(), sel.end(), rng);
+  const std::size_t n = sel.size();
+  base.selection = std::move(sel);
+  for (auto _ : state) {
+    ColumnBatch out = base.SliceRows(0, n);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_GatherSelected)->Arg(4096)->Arg(65536);
 
 // Composite-int64-keyed batch (the realistic join/group-by shape —
 // TPC-H joins on (orderkey, ...), Q9 groups by (nation, year)): two

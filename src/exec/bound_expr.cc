@@ -1,5 +1,6 @@
 #include "exec/bound_expr.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -174,9 +175,7 @@ class BoundColumn final : public BoundExpr {
       return Status::OK();
     }
     *out = ColumnVector::OfRep(src.rep());
-    const std::vector<uint32_t>& sel = *in.selection;
-    out->Reserve(sel.size());
-    for (const uint32_t phys : sel) out->AppendFrom(src, phys);
+    out->AppendSelected(src, in.selection->data(), in.selection->size());
     return Status::OK();
   }
 
@@ -191,10 +190,30 @@ class BoundLiteral final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    *out = ColumnVector::OfType(v_.type());
+    // Typed fill: the numeric reps size their storage once and fill it.
     const std::size_t n = in.num_rows();
-    out->Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out->Append(v_);
+    switch (v_.type()) {
+      case DataType::kNull:
+        *out = ColumnVector::MakeNull(n);
+        break;
+      case DataType::kInt64:
+        *out = ColumnVector();
+        out->ResizeFixedWidth(ColumnRep::kInt64, n);
+        std::fill_n(out->MutableInt64Data(), n, v_.int64_unchecked());
+        break;
+      case DataType::kFloat64:
+        *out = ColumnVector();
+        out->ResizeFixedWidth(ColumnRep::kFloat64, n);
+        std::fill_n(out->MutableFloat64Data(), n, v_.float64_unchecked());
+        break;
+      case DataType::kString:
+        *out = ColumnVector::OfType(DataType::kString);
+        out->Reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          out->AppendString(v_.str_unchecked());
+        }
+        break;
+    }
     return Status::OK();
   }
 

@@ -1,5 +1,6 @@
 #include "exec/column_batch.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -238,7 +239,7 @@ void ColumnVector::AppendNull() {
   ++size_;
 }
 
-void ColumnVector::AppendInt64(int64_t v) {
+void ColumnVector::AppendInt64Slow(int64_t v) {
   if (rep_ == ColumnRep::kNull) RetypeFromNull(ColumnRep::kInt64);
   if (rep_ != ColumnRep::kInt64) {
     Append(Value(v));
@@ -249,7 +250,7 @@ void ColumnVector::AppendInt64(int64_t v) {
   ++size_;
 }
 
-void ColumnVector::AppendFloat64(double v) {
+void ColumnVector::AppendFloat64Slow(double v) {
   if (rep_ == ColumnRep::kNull) RetypeFromNull(ColumnRep::kFloat64);
   if (rep_ != ColumnRep::kFloat64) {
     Append(Value(v));
@@ -322,6 +323,145 @@ void ColumnVector::AppendFrom(const ColumnVector& src, std::size_t i) {
   Append(src.GetValue(i));
 }
 
+namespace {
+
+inline bool BitSet(const uint8_t* bits, std::size_t i) {
+  return (bits[i >> 3] & (1u << (i & 7))) != 0;
+}
+
+// Copies src[rows[k]] for k < n to dst[k]; a NULL source cell (a clear
+// bit in `valid`, when there is one) writes 0, as AppendNull does.
+template <typename T>
+void GatherFixed(const T* src, const uint8_t* valid, const uint32_t* rows,
+                 std::size_t n, T* dst) {
+  if (valid == nullptr) {
+    for (std::size_t k = 0; k < n; ++k) dst[k] = src[rows[k]];
+    return;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const uint32_t r = rows[k];
+    dst[k] = BitSet(valid, r) ? src[r] : T{0};
+  }
+}
+
+}  // namespace
+
+void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
+                                  std::size_t n) {
+  if (n == 0) return;
+  if (rep_ == ColumnRep::kNull && src.rep_ != ColumnRep::kNull &&
+      src.rep_ != ColumnRep::kBoxed) {
+    // An all-null column stays kNull through the leading NULLs and
+    // retypes to the source's rep at the first non-null cell.
+    std::size_t k = 0;
+    while (k < n && src.IsNull(rows[k])) ++k;
+    size_ += k;
+    null_count_ += k;
+    if (k == n) return;
+    RetypeFromNull(src.rep_);
+    rows += k;
+    n -= k;
+  }
+  if (rep_ != src.rep_ || rep_ == ColumnRep::kBoxed) {
+    for (std::size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
+    return;
+  }
+  if (rep_ == ColumnRep::kNull) {
+    size_ += n;
+    null_count_ += n;
+    return;
+  }
+  // One pass over the source bitmap finds the selected NULLs, so the
+  // value loops below know whether they need a bit test at all.
+  const uint8_t* sv = src.valid_.empty() ? nullptr : src.valid_.data();
+  std::size_t nulls = 0;
+  std::size_t first_null = n;
+  if (sv != nullptr) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!BitSet(sv, rows[k]) && nulls++ == 0) first_null = k;
+    }
+    if (nulls == 0) sv = nullptr;
+  }
+  switch (rep_) {
+    case ColumnRep::kInt64:
+      i64_.reserve(size_ + n);
+      i64_.resize(size_ + n);
+      GatherFixed(src.i64_.data(), sv, rows, n, i64_.data() + size_);
+      break;
+    case ColumnRep::kFloat64:
+      f64_.reserve(size_ + n);
+      f64_.resize(size_ + n);
+      GatherFixed(src.f64_.data(), sv, rows, n, f64_.data() + size_);
+      break;
+    case ColumnRep::kString: {
+      const uint32_t* so = src.offsets_.data();
+      const auto len = [&](uint32_t r) -> uint32_t {
+        return sv != nullptr && !BitSet(sv, r) ? 0 : so[r + 1] - so[r];
+      };
+      std::size_t bytes = 0;
+      for (std::size_t k = 0; k < n; ++k) bytes += len(rows[k]);
+      if (heap_.size() + bytes >
+          static_cast<std::size_t>(std::numeric_limits<uint32_t>::max())) {
+        // Offsets would overflow: AppendString boxifies at the same wall.
+        for (std::size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
+        return;
+      }
+      const std::size_t base = heap_.size();
+      heap_.resize(base + bytes);
+      char* h = heap_.data() + base;
+      offsets_.reserve(size_ + n + 1);
+      uint32_t off = static_cast<uint32_t>(base);
+      for (std::size_t k = 0; k < n; ++k) {
+        const uint32_t r = rows[k];
+        const uint32_t l = len(r);
+        std::memcpy(h, src.heap_.data() + so[r], l);
+        h += l;
+        off += l;
+        offsets_.push_back(off);
+      }
+      break;
+    }
+    case ColumnRep::kNull:
+    case ColumnRep::kBoxed:
+      break;  // handled above
+  }
+  AppendGatheredValidity(sv, rows, 0, n, first_null, nulls);
+}
+
+void ColumnVector::AppendGatheredValidity(const uint8_t* src_valid,
+                                          const uint32_t* rows,
+                                          std::size_t begin, std::size_t n,
+                                          std::size_t first_null,
+                                          std::size_t nulls) {
+  if (valid_.empty() && nulls == 0) {
+    size_ += n;  // still all-valid: no bitmap
+    return;
+  }
+  // Same bytes the per-cell appends leave: cells before the first NULL
+  // add no bits to an all-valid column, the first NULL materializes the
+  // all-ones bitmap (EnsureValidity) and each later cell writes its bit.
+  std::size_t from = 0;
+  if (valid_.empty()) {
+    from = first_null;
+    const std::size_t at = size_ + first_null;
+    if (at > 0) valid_.assign((at + 7) / 8, 0xFF);
+  }
+  valid_.resize(std::max(valid_.size(), (size_ + n + 7) / 8), 0);
+  for (std::size_t k = from; k < n; ++k) {
+    const std::size_t i = size_ + k;
+    const uint8_t mask = static_cast<uint8_t>(1u << (i & 7));
+    uint8_t& byte = valid_[i >> 3];
+    const std::size_t r = rows != nullptr ? rows[k] : begin + k;
+    if (nulls == 0 || BitSet(src_valid, r)) {
+      byte = static_cast<uint8_t>(byte | mask);
+    } else {
+      byte = static_cast<uint8_t>(byte & ~mask);
+    }
+  }
+  null_count_ += nulls;
+  size_ += n;
+}
+
 void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                                    std::size_t len) {
   if (len == 0) return;
@@ -329,6 +469,7 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
     for (std::size_t i = 0; i < len; ++i) AppendFrom(src, begin + i);
     return;
   }
+  Reserve(size_ + len);  // exact, like AppendSelected
   switch (rep_) {
     case ColumnRep::kNull:
       size_ += len;
@@ -372,29 +513,15 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
       break;
     }
   }
-  // Validity for the typed reps: an empty bitmap means all-valid, so
-  // bits are only materialized when either side already tracks nulls.
-  const auto put_bit = [this](std::size_t i, bool valid) {
-    const std::size_t byte = i >> 3;
-    if (byte >= valid_.size()) valid_.resize(byte + 1, 0);
-    if (valid) {
-      valid_[byte] = static_cast<uint8_t>(valid_[byte] | (1u << (i & 7)));
-    } else {
-      valid_[byte] = static_cast<uint8_t>(valid_[byte] & ~(1u << (i & 7)));
-    }
-  };
-  if (!src.valid_.empty()) {
-    EnsureValidity();
+  const uint8_t* sv = src.valid_.empty() ? nullptr : src.valid_.data();
+  std::size_t nulls = 0;
+  std::size_t first_null = len;
+  if (sv != nullptr) {
     for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t s = begin + i;
-      const bool valid = (src.valid_[s >> 3] & (1u << (s & 7))) != 0;
-      put_bit(size_ + i, valid);
-      if (!valid) ++null_count_;
+      if (!BitSet(sv, begin + i) && nulls++ == 0) first_null = i;
     }
-  } else if (!valid_.empty()) {
-    for (std::size_t i = 0; i < len; ++i) put_bit(size_ + i, true);
   }
-  size_ += len;
+  AppendGatheredValidity(sv, nullptr, begin, len, first_null, nulls);
 }
 
 void ColumnVector::ResizeFixedWidth(ColumnRep rep, std::size_t n) {
@@ -422,8 +549,7 @@ void ColumnBatch::Flatten() {
   dense.reserve(columns.size());
   for (const ColumnVector& col : columns) {
     ColumnVector nc = ColumnVector::OfRep(col.rep());
-    nc.Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) nc.AppendFrom(col, (*selection)[i]);
+    nc.AppendSelected(col, selection->data(), n);
     dense.push_back(std::move(nc));
   }
   columns = std::move(dense);
@@ -453,10 +579,7 @@ ColumnBatch ColumnBatch::SliceRows(std::size_t begin, std::size_t len) const {
   for (const ColumnVector& col : columns) {
     ColumnVector c = ColumnVector::OfRep(col.rep());
     if (selection) {
-      c.Reserve(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        c.AppendFrom(col, (*selection)[begin + i]);
-      }
+      c.AppendSelected(col, selection->data() + begin, len);
     } else {
       c.AppendRangeFrom(col, begin, len);
     }
@@ -525,9 +648,10 @@ void AppendColumnBatch(const ColumnBatch& src, ColumnBatch* dst) {
   const std::size_t n = src.num_rows();
   for (std::size_t c = 0; c < src.columns.size(); ++c) {
     ColumnVector& out = dst->columns[c];
-    out.Reserve(out.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.AppendFrom(src.columns[c], src.PhysicalIndex(i));
+    if (src.selection) {
+      out.AppendSelected(src.columns[c], src.selection->data(), n);
+    } else {
+      out.AppendRangeFrom(src.columns[c], 0, n);
     }
   }
   dst->physical_rows += n;

@@ -105,20 +105,52 @@ class ColumnVector {
   /// non-null value; degrades to kBoxed on a type mismatch.
   void Append(const Value& v);
   void AppendNull();
-  void AppendInt64(int64_t v);    // pre: rep kInt64 (or all-null; retypes)
-  void AppendFloat64(double v);   // pre: rep kFloat64 (or all-null)
+  // pre: rep kInt64 (or all-null; retypes). Inline while no NULL has
+  // arrived; the bitmap bookkeeping path is out of line.
+  void AppendInt64(int64_t v) {
+    if (rep_ == ColumnRep::kInt64 && valid_.empty()) {
+      i64_.push_back(v);
+      ++size_;
+      return;
+    }
+    AppendInt64Slow(v);
+  }
+  void AppendFloat64(double v) {  // pre: rep kFloat64 (or all-null)
+    if (rep_ == ColumnRep::kFloat64 && valid_.empty()) {
+      f64_.push_back(v);
+      ++size_;
+      return;
+    }
+    AppendFloat64Slow(v);
+  }
   void AppendString(std::string_view v);  // pre: rep kString (or all-null)
 
   /// \brief Appends src[i]; typed copy when reps match, boxed otherwise.
   void AppendFrom(const ColumnVector& src, std::size_t i);
+
+  /// \brief Appends src[rows[0]], ..., src[rows[n-1]] (rows may repeat
+  /// and come in any order): the gather kernel behind every selection
+  /// flatten, batch concatenation, join output and partition scatter.
+  /// The result equals n AppendFrom calls field for field (rep, size,
+  /// null count, validity bitmap, storage), but matching typed reps copy
+  /// in one loop per call, with a no-NULL fast path and the bitmap
+  /// written in one pass. Storage grows to exactly size()+n (the string
+  /// heap grows as std::string does). kNull/kBoxed sources, mismatched
+  /// reps and a string heap that would pass 4 GiB take AppendFrom cell
+  /// by cell.
+  void AppendSelected(const ColumnVector& src, const uint32_t* rows,
+                      std::size_t n);
 
   /// \brief Bulk-appends the physical subrange src[begin, begin+len):
   /// one memcpy for matching fixed-width reps, one heap substring copy
   /// (plus rebased offsets) for strings. When the reps differ (a kBoxed
   /// source, or this column under a kNull field) it appends cell by
   /// cell through AppendFrom, so the result has the rep converting the
-  /// same cells would give. Used to carve ~1K-row morsels out of
-  /// decoded batches and out of the table store.
+  /// same cells would give. Like AppendSelected, the result equals
+  /// per-cell AppendFrom calls field for field and storage grows to
+  /// exactly size()+len. Used to carve ~1K-row morsels out of decoded
+  /// batches and out of the table store, and to concatenate dense
+  /// batches.
   void AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                        std::size_t len);
 
@@ -135,6 +167,15 @@ class ColumnVector {
   void Boxify();
 
  private:
+  void AppendInt64Slow(int64_t v);
+  void AppendFloat64Slow(double v);
+  // Validity of the n cells just written at positions size_..: cell k
+  // came from source row rows[k] (begin + k when rows is null) under the
+  // source bitmap src_valid, and `nulls` of them (the first at index
+  // first_null) are NULL. Advances size_ and null_count_.
+  void AppendGatheredValidity(const uint8_t* src_valid, const uint32_t* rows,
+                              std::size_t begin, std::size_t n,
+                              std::size_t first_null, std::size_t nulls);
   void EnsureValidity();           // materialize the all-valid bitmap
   void MarkValid(std::size_t i);   // append-position bookkeeping
   void MarkNull(std::size_t i);

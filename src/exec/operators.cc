@@ -91,15 +91,79 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
   return a.GetValue(i).Compare(b.GetValue(j));
 }
 
-// Lexicographic CompareCells over parallel key columns.
-int CompareKeys(const std::vector<ColumnVector>& a, std::size_t i,
-                const std::vector<ColumnVector>& b, std::size_t j) {
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const int c = CompareCells(a[k], i, b[k], j);
-    if (c != 0) return c;
-  }
-  return 0;
+template <typename T>
+int ThreeWay(T x, T y) {
+  return x < y ? -1 : (x > y ? 1 : 0);
 }
+
+// Lexicographic CompareCells over parallel key columns, resolved once
+// per pair of key batches: a column pair of one typed rep with no NULLs
+// on either side compares its storage directly, every other pair goes
+// through CompareCells. The three-way formula is CompareCells' own, so
+// answers are identical (a NaN still compares equal to everything).
+// `a` and `b` may be the same columns.
+class KeyComparator {
+ public:
+  KeyComparator(const std::vector<ColumnVector>& a,
+                const std::vector<ColumnVector>& b,
+                const std::vector<SortKey>* directions = nullptr) {
+    keys_.reserve(a.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      Kind kind = Kind::kCells;
+      if (a[k].rep() == b[k].rep() && !a[k].has_nulls() &&
+          !b[k].has_nulls()) {
+        switch (a[k].rep()) {
+          case ColumnRep::kInt64:
+            kind = Kind::kInt64;
+            break;
+          case ColumnRep::kFloat64:
+            kind = Kind::kFloat64;
+            break;
+          case ColumnRep::kString:
+            kind = Kind::kString;
+            break;
+          default:
+            break;
+        }
+      }
+      const bool desc = directions != nullptr && !(*directions)[k].ascending;
+      keys_.push_back(Key{kind, desc, &a[k], &b[k]});
+    }
+  }
+
+  // Three-way comparison of row i of `a` with row j of `b`.
+  int operator()(std::size_t i, std::size_t j) const {
+    for (const Key& k : keys_) {
+      int c = 0;
+      switch (k.kind) {
+        case Kind::kInt64:
+          c = ThreeWay(k.a->Int64At(i), k.b->Int64At(j));
+          break;
+        case Kind::kFloat64:
+          c = ThreeWay(k.a->Float64At(i), k.b->Float64At(j));
+          break;
+        case Kind::kString:
+          c = ThreeWay(k.a->StrAt(i).compare(k.b->StrAt(j)), 0);
+          break;
+        case Kind::kCells:
+          c = CompareCells(*k.a, i, *k.b, j);
+          break;
+      }
+      if (c != 0) return k.descending ? -c : c;
+    }
+    return 0;
+  }
+
+ private:
+  enum class Kind : uint8_t { kInt64, kFloat64, kString, kCells };
+  struct Key {
+    Kind kind;
+    bool descending;
+    const ColumnVector* a;
+    const ColumnVector* b;
+  };
+  std::vector<Key> keys_;
+};
 
 bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
   for (const ColumnVector& c : keys) {
@@ -108,15 +172,42 @@ bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
   return false;
 }
 
-// Drains `child` into one dense batch seeded from its output schema
-// (selections are gathered away by the appends).
-Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
-  *out = EmptyBatchOf(child->output_schema());
+// Appends every remaining batch of `child` onto the dense `*out`.
+Status DrainRest(PhysicalOperator* child, ColumnBatch* out) {
   for (;;) {
     SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child->Next());
     if (!b.has_value()) return Status::OK();
     AppendColumnBatch(*b, out);
   }
+}
+
+// Drains `child` into one dense batch seeded from its output schema
+// (selections are gathered away by the appends).
+Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
+  *out = EmptyBatchOf(child->output_schema());
+  return DrainRest(child, out);
+}
+
+// DrainColumnar for a consumer that gathers its output anyway: a child
+// that emits a single batch (a SortOp's permutation view) is handed
+// over as is, selection and all, so the consumer composes the selection
+// into its own row indices instead of flattening first.
+Status DrainView(PhysicalOperator* child, ColumnBatch* out) {
+  SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> first, child->Next());
+  if (first.has_value()) {
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> second, child->Next());
+    if (!second.has_value()) {
+      *out = std::move(*first);
+      return Status::OK();
+    }
+    *out = EmptyBatchOf(child->output_schema());
+    AppendColumnBatch(*first, out);
+    first.reset();
+    AppendColumnBatch(*second, out);
+  } else {
+    *out = EmptyBatchOf(child->output_schema());
+  }
+  return DrainRest(child, out);
 }
 
 // Evaluates each bound key expression over `in`: a dense batch of
@@ -163,9 +254,9 @@ Status EvalAggArgs(const std::vector<BoundExprPtr>& args, const ColumnBatch& in,
   return Status::OK();
 }
 
-// Join output: row k is left row lidx[k] next to right row ridx[k],
-// gathered one column at a time; kPad marks a NULL-padded right side
-// (left outer).
+// Join output: row k is physical left row lidx[k] next to physical
+// right row ridx[k], gathered one column at a time; kPad marks a
+// NULL-padded right side (left outer).
 constexpr uint32_t kPad = UINT32_MAX;
 
 void GatherJoinOutput(const ColumnBatch& l, const ColumnBatch& r,
@@ -176,21 +267,35 @@ void GatherJoinOutput(const ColumnBatch& l, const ColumnBatch& r,
   out->columns.reserve(l.columns.size() + r.columns.size());
   for (const ColumnVector& src : l.columns) {
     ColumnVector v = ColumnVector::OfRep(src.rep());
-    v.Reserve(lidx.size());
-    for (const uint32_t i : lidx) v.AppendFrom(src, i);
+    v.AppendSelected(src, lidx.data(), lidx.size());
     out->columns.push_back(std::move(v));
   }
+  const bool padded = std::find(ridx.begin(), ridx.end(), kPad) != ridx.end();
   for (const ColumnVector& src : r.columns) {
     ColumnVector v = ColumnVector::OfRep(src.rep());
-    v.Reserve(ridx.size());
-    for (const uint32_t j : ridx) {
-      if (j == kPad) {
-        v.AppendNull();
-      } else {
-        v.AppendFrom(src, j);
+    if (!padded) {
+      v.AppendSelected(src, ridx.data(), ridx.size());
+    } else {
+      v.Reserve(ridx.size());
+      for (const uint32_t j : ridx) {
+        if (j == kPad) {
+          v.AppendNull();
+        } else {
+          v.AppendFrom(src, j);
+        }
       }
     }
     out->columns.push_back(std::move(v));
+  }
+}
+
+// Maps logical row indices of `b` to physical ones in place; kPad
+// entries stay kPad.
+void ComposeSelection(const ColumnBatch& b, std::vector<uint32_t>* idx) {
+  if (!b.selection) return;
+  const std::vector<uint32_t>& sel = *b.selection;
+  for (uint32_t& i : *idx) {
+    if (i != kPad) i = sel[i];
   }
 }
 
@@ -467,9 +572,11 @@ class HashJoinOp final : public MaterializingOperator {
   std::vector<BoundExprPtr> bound_right_;
 };
 
-// Merge join: both inputs drain into dense batches, the keys evaluate
-// column-at-a-time, the merge walk emits (left, right) index pairs, and
-// the output gathers each column once.
+// Merge join: the keys of both inputs evaluate column-at-a-time, the
+// merge walk emits (left, right) logical index pairs, and the output
+// gathers each column once. An input that arrives as one batch (the
+// sort's permutation view) is not flattened: its selection composes
+// into the index pairs, so each input row is gathered exactly once.
 class MergeJoinOp final : public MaterializingOperator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right, std::vector<ExprPtr> lk,
@@ -497,21 +604,24 @@ class MergeJoinOp final : public MaterializingOperator {
  protected:
   Status Build(ColumnBatch* out) override {
     ColumnBatch l, r, lkb, rkb;
-    SWIFT_RETURN_NOT_OK(DrainColumnar(left_.get(), &l));
-    SWIFT_RETURN_NOT_OK(DrainColumnar(right_.get(), &r));
+    SWIFT_RETURN_NOT_OK(DrainView(left_.get(), &l));
+    SWIFT_RETURN_NOT_OK(DrainView(right_.get(), &r));
     SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_left_, l, &lkb));
     SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_right_, r, &rkb));
     const std::vector<ColumnVector>& lk = lkb.columns;
     const std::vector<ColumnVector>& rk = rkb.columns;
-    const std::size_t ln = l.physical_rows;
-    const std::size_t rn = r.physical_rows;
+    const KeyComparator left_cmp(lk, lk);
+    const KeyComparator right_cmp(rk, rk);
+    const KeyComparator cross_cmp(lk, rk);
+    const std::size_t ln = l.num_rows();
+    const std::size_t rn = r.num_rows();
     for (std::size_t i = 1; i < ln; ++i) {
-      if (CompareKeys(lk, i - 1, lk, i) > 0) {
+      if (left_cmp(i - 1, i) > 0) {
         return Status::Internal("MergeJoin left input not sorted");
       }
     }
     for (std::size_t i = 1; i < rn; ++i) {
-      if (CompareKeys(rk, i - 1, rk, i) > 0) {
+      if (right_cmp(i - 1, i) > 0) {
         return Status::Internal("MergeJoin right input not sorted");
       }
     }
@@ -532,7 +642,7 @@ class MergeJoinOp final : public MaterializingOperator {
         ++ri;
         continue;
       }
-      const int c = CompareKeys(lk, li, rk, ri);
+      const int c = cross_cmp(li, ri);
       if (c < 0) {
         if (join_type_ == JoinType::kLeftOuter) emit_padded(li);
         ++li;
@@ -541,9 +651,9 @@ class MergeJoinOp final : public MaterializingOperator {
       } else {
         // Emit the cross product of the equal-key runs.
         std::size_t lend = li;
-        while (lend < ln && CompareKeys(lk, lend, lk, li) == 0) ++lend;
+        while (lend < ln && left_cmp(lend, li) == 0) ++lend;
         std::size_t rend = ri;
-        while (rend < rn && CompareKeys(rk, rend, rk, ri) == 0) ++rend;
+        while (rend < rn && right_cmp(rend, ri) == 0) ++rend;
         for (std::size_t i = li; i < lend; ++i) {
           for (std::size_t j = ri; j < rend; ++j) {
             lidx.push_back(static_cast<uint32_t>(i));
@@ -557,6 +667,8 @@ class MergeJoinOp final : public MaterializingOperator {
     if (join_type_ == JoinType::kLeftOuter) {
       for (; li < ln; ++li) emit_padded(li);
     }
+    ComposeSelection(l, &lidx);
+    ComposeSelection(r, &ridx);
     GatherJoinOutput(l, r, lidx, ridx, out);
     return Status::OK();
   }
@@ -572,9 +684,12 @@ class MergeJoinOp final : public MaterializingOperator {
 };
 
 // Sort: drain dense, evaluate the key columns once, stable-sort an index
-// permutation with typed cell comparisons, and emit the input storage
-// UNCHANGED under a selection vector — the sorted batch is a permutation
-// view, zero gathers.
+// permutation with the resolved key comparator, and emit the input
+// storage UNCHANGED under a selection vector — the sorted batch is a
+// permutation view, zero gathers. A single ascending int64 key without
+// NULLs sorts (key, row) pairs with std::sort instead: ties fall in row
+// order, which is exactly the stable order. Float keys never take that
+// path (NaN is not a strict weak order).
 class SortOp final : public MaterializingOperator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
@@ -597,18 +712,25 @@ class SortOp final : public MaterializingOperator {
     SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), out));
     ColumnBatch keys;
     SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_keys_, *out, &keys));
-    std::vector<uint32_t> perm(out->physical_rows);
-    std::iota(perm.begin(), perm.end(), 0u);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       for (std::size_t k = 0; k < keys_.size(); ++k) {
-                         int c = CompareCells(keys.columns[k], a,
-                                              keys.columns[k], b);
-                         if (!keys_[k].ascending) c = -c;
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
+    const std::size_t n = out->physical_rows;
+    std::vector<uint32_t> perm(n);
+    if (keys_.size() == 1 && keys_[0].ascending &&
+        keys.columns[0].rep() == ColumnRep::kInt64 &&
+        !keys.columns[0].has_nulls()) {
+      const int64_t* key = keys.columns[0].Int64Data();
+      std::vector<std::pair<int64_t, uint32_t>> pairs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        pairs[i] = {key[i], static_cast<uint32_t>(i)};
+      }
+      std::sort(pairs.begin(), pairs.end());
+      for (std::size_t i = 0; i < n; ++i) perm[i] = pairs[i].second;
+    } else {
+      std::iota(perm.begin(), perm.end(), 0u);
+      const KeyComparator cmp(keys.columns, keys.columns, &keys_);
+      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+        return cmp(a, b) < 0;
+      });
+    }
     out->selection = std::move(perm);
     return Status::OK();
   }
@@ -814,10 +936,12 @@ class HashAggregateOp final : public AggregateOperator {
 };
 
 // Streamed GROUP BY over input sorted by the group keys: batches stream
-// through with O(1) state — the current group's first key, held as one
-// cell per key column, and its aggregate states — so a group may span
-// any number of input batches. Keys compare with CompareCells, i.e.
-// Value::Compare: NULL keys form one group and 3 equals 3.0.
+// through with O(1) state — the current group's first key and its
+// aggregate states — so a group may span any number of input batches.
+// Each row compares with its group's first key under Value::Compare
+// (NULL keys form one group and 3 equals 3.0): as a row of the same
+// batch while the group opened in it, and as a one-cell-per-column copy
+// for a group that opened in an earlier batch.
 class StreamedAggregateOp final : public AggregateOperator {
  public:
   using AggregateOperator::AggregateOperator;
@@ -825,29 +949,29 @@ class StreamedAggregateOp final : public AggregateOperator {
  protected:
   Status Build(ColumnBatch* out) override {
     *out = EmptyBatchOf(output_schema_);
-    std::vector<ColumnVector> current;  // the open group's key, one cell each
+    // The open group's first key: row `first` of `keys` while it is in
+    // the current batch (kEarlier: copied into `carried`, one cell per
+    // key column, when its batch ended).
+    constexpr std::size_t kEarlier = SIZE_MAX;
+    std::vector<ColumnVector> carried;
+    std::size_t first = kEarlier;
     std::vector<AggState> states(aggs_.size());
     bool have_group = false;
     std::size_t ngroups = 0;
+    ColumnBatch keys;
     auto flush = [&]() {
-      for (std::size_t g = 0; g < current.size(); ++g) {
-        out->columns[g].AppendFrom(current[g], 0);
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        if (first == kEarlier) {
+          out->columns[g].AppendFrom(carried[g], 0);
+        } else {
+          out->columns[g].AppendFrom(keys.columns[g], first);
+        }
       }
       EmitAggs(states.data(), out);
       states.assign(aggs_.size(), AggState{});
       ++ngroups;
     };
-    auto open_group = [&](const ColumnBatch& keys, std::size_t i) {
-      current.clear();
-      for (const ColumnVector& c : keys.columns) {
-        ColumnVector cell = ColumnVector::OfRep(c.rep());
-        cell.AppendFrom(c, i);
-        current.push_back(std::move(cell));
-      }
-      have_group = true;
-    };
 
-    ColumnBatch keys;
     std::vector<ColumnVector> args;
     for (;;) {
       SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
@@ -855,21 +979,34 @@ class StreamedAggregateOp final : public AggregateOperator {
       if (b->num_rows() == 0) continue;
       SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_groups_, *b, &keys));
       SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
+      const KeyComparator cmp(keys.columns, keys.columns);
+      const KeyComparator carried_cmp(carried, keys.columns);
       for (std::size_t i = 0; i < keys.physical_rows; ++i) {
-        if (!have_group) {
-          open_group(keys, i);
-        } else {
-          const int c = CompareKeys(current, 0, keys.columns, i);
+        if (have_group) {
+          const int c =
+              first == kEarlier ? carried_cmp(0, i) : cmp(first, i);
           if (c > 0) {
             return Status::Internal(
                 "StreamedAggregate input not sorted by group keys");
           }
           if (c != 0) {
             flush();
-            open_group(keys, i);
+            first = i;
           }
+        } else {
+          first = i;
+          have_group = true;
         }
         Update(args, i, states.data());
+      }
+      if (have_group && first != kEarlier) {
+        carried.clear();
+        for (const ColumnVector& c : keys.columns) {
+          ColumnVector cell = ColumnVector::OfRep(c.rep());
+          cell.AppendFrom(c, first);
+          carried.push_back(std::move(cell));
+        }
+        first = kEarlier;
       }
     }
     // The last group; a global aggregate over empty input still emits
@@ -957,21 +1094,14 @@ class WindowOp final : public MaterializingOperator {
     }
     std::vector<uint32_t> gorder(groups.size());
     std::iota(gorder.begin(), gorder.end(), 0u);
+    const KeyComparator part_cmp(part.columns, part.columns);
     std::sort(gorder.begin(), gorder.end(), [&](uint32_t a, uint32_t b) {
-      const int c = CompareKeys(part.columns, group_first[a], part.columns,
-                                group_first[b]);
+      const int c = part_cmp(group_first[a], group_first[b]);
       if (c != 0) return c < 0;
       return a < b;  // tie across distinct encodings: first-seen order
     });
 
-    auto cmp_order = [&](std::size_t a, std::size_t b) {
-      for (std::size_t k = 0; k < order_by_.size(); ++k) {
-        int oc = CompareCells(order.columns[k], a, order.columns[k], b);
-        if (!order_by_[k].ascending) oc = -oc;
-        if (oc != 0) return oc;
-      }
-      return 0;
-    };
+    const KeyComparator cmp_order(order.columns, order.columns, &order_by_);
 
     std::vector<uint32_t> emit_order;
     emit_order.reserve(n);
@@ -995,8 +1125,7 @@ class WindowOp final : public MaterializingOperator {
       for (std::size_t j = 0; j < idxs.size(); ++j) {
         const std::size_t row = idxs[j];
         ++row_number;
-        if (j == 0 ||
-            CompareKeys(order.columns, row, order.columns, idxs[j - 1]) != 0) {
+        if (j == 0 || cmp_order(row, idxs[j - 1]) != 0) {
           rank = row_number;
         }
         switch (func_) {
@@ -1142,7 +1271,7 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
   const std::size_t nparts = static_cast<std::size_t>(num_partitions);
   const uint32_t n32 = static_cast<uint32_t>(num_partitions);
   const std::size_t n = batch.num_rows();
-  std::vector<std::size_t> dest(n, 0);
+  std::vector<uint32_t> dest(n, 0);
   if (!bound.empty()) {
     // Normalized hashing + multiply-shift range reduction: strided and
     // sequential keys spread uniformly, and NULL keys stay at 0. The
@@ -1159,25 +1288,24 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
       if (nulls[i] == 0) dest[i] = RangeReduce(hashes[i], n32);
     }
   }
+  // Per-partition physical row lists (exactly sized), then one gather
+  // per (partition, column).
   std::vector<std::size_t> counts(nparts, 0);
   for (std::size_t i = 0; i < n; ++i) ++counts[dest[i]];
+  std::vector<std::vector<uint32_t>> rows(nparts);
+  for (std::size_t p = 0; p < nparts; ++p) rows[p].reserve(counts[p]);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[dest[i]].push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
+  }
   std::vector<ColumnBatch> out(nparts);
-  const std::size_t ncols = batch.columns.size();
   for (std::size_t p = 0; p < nparts; ++p) {
     out[p].schema = batch.schema;
     out[p].physical_rows = counts[p];
-    out[p].columns.reserve(ncols);
-    for (const ColumnVector& col : batch.columns) {
-      ColumnVector c = ColumnVector::OfRep(col.rep());
-      c.Reserve(counts[p]);
+    out[p].columns.reserve(batch.columns.size());
+    for (const ColumnVector& src : batch.columns) {
+      ColumnVector c = ColumnVector::OfRep(src.rep());
+      c.AppendSelected(src, rows[p].data(), rows[p].size());
       out[p].columns.push_back(std::move(c));
-    }
-  }
-  // Column-at-a-time scatter: each source column streams once.
-  for (std::size_t c = 0; c < ncols; ++c) {
-    const ColumnVector& src = batch.columns[c];
-    for (std::size_t i = 0; i < n; ++i) {
-      out[dest[i]].columns[c].AppendFrom(src, batch.PhysicalIndex(i));
     }
   }
   return out;

@@ -143,9 +143,9 @@ Result<Batch> CollectAll(PhysicalOperator* op);
 /// \brief Hash-partitions `batch` into `num_partitions` by key
 /// expressions (shuffle-write partitioning): one vectorized hash pass
 /// over the evaluated key columns (KeyEncoder::HashBatchColumns), exact
-/// per-partition counts, then a column-at-a-time scatter into dense
-/// output batches. NULL keys go to partition 0; row order within a
-/// partition is input order.
+/// per-partition row lists, then one gather (AppendSelected) per
+/// partition and column into dense output batches. NULL keys go to
+/// partition 0; row order within a partition is input order.
 Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
     int num_partitions);

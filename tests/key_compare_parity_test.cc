@@ -1,0 +1,324 @@
+// Key comparator parity suite (ctest label vec_smoke).
+//
+// SortOp, MergeJoin, StreamedAggregate and Window order and group rows
+// through one comparator resolved per key batch (typed int64, float64
+// and string compares for NULL-free columns, CompareCells otherwise),
+// and SortOp sorts a single ascending NULL-free int64 key as (key, row)
+// pairs. Every answer must stay the one Value::Compare gives, so each
+// operator is checked against the naive executor of reference_ops.h
+// over int64, float64 and string keys with NULLs, ties (stability),
+// DESC, multi-key mixed reps, -0.0 vs 0.0 and INT64_MIN/INT64_MAX. The
+// reference excludes NaN, so NaN keys get their own cases: SortOp must
+// equal std::stable_sort under Value::Compare, the comparison
+// CompareCells implements, and StreamedAggregate must compare each row
+// with its group's first key.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "exec/column_batch.h"
+#include "exec/morsel.h"
+#include "exec/operators.h"
+#include "reference_ops.h"
+
+namespace swift {
+namespace {
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+bool ValueBitEq(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_float64()) {
+    const double x = a.float64(), y = b.float64();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+void ExpectRowsBitEq(const std::vector<Row>& got, const std::vector<Row>& want,
+                     const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << ctx << " row " << r;
+    for (std::size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_TRUE(ValueBitEq(got[r][c], want[r][c]))
+          << ctx << " row " << r << " col " << c << ": got "
+          << got[r][c].ToString() << ", want " << want[r][c].ToString();
+    }
+  }
+}
+
+Schema KeySchema() {
+  return Schema({{"id", DataType::kInt64},   // row number: shows stability
+                 {"i", DataType::kInt64},    // NULLs, ties, INT64 extremes
+                 {"j", DataType::kInt64},    // no NULLs: the pair-sort path
+                 {"f", DataType::kFloat64},  // NULLs, ties, -0.0 vs 0.0
+                 {"g", DataType::kFloat64},  // no NULLs, -0.0 vs 0.0
+                 {"s", DataType::kString},   // NULLs, ties, empty strings
+                 {"t", DataType::kString}}); // no NULLs
+}
+
+// Few distinct values per key, so ties are everywhere.
+Batch KeyBatch(std::size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Batch b;
+  b.schema = KeySchema();
+  const int64_t ints[] = {kMin, -3, 0, 2, 7, kMax};
+  const double floats[] = {-0.0, 0.0, -1.5, 2.0, 1e300, -1e-300};
+  const char* strs[] = {"", "a", "ab", "b", "ba"};
+  auto pick = [&](int64_t hi) { return rng.UniformInt(0, hi); };
+  for (std::size_t r = 0; r < n; ++r) {
+    Row row;
+    row.push_back(Value(static_cast<int64_t>(r)));
+    row.push_back(pick(6) == 0 ? Value::Null() : Value(ints[pick(5)]));
+    row.push_back(Value(ints[pick(5)]));
+    row.push_back(pick(6) == 0 ? Value::Null() : Value(floats[pick(5)]));
+    row.push_back(Value(floats[pick(5)]));
+    row.push_back(pick(6) == 0 ? Value::Null()
+                               : Value(std::string(strs[pick(4)])));
+    row.push_back(Value(std::string(strs[pick(4)])));
+    b.rows.push_back(std::move(row));
+  }
+  return b;
+}
+
+// `b` as 9-row morsels, so the operators concatenate their input.
+OperatorPtr Source(const Batch& b) {
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok());
+  std::vector<ColumnBatch> batches;
+  batches.push_back(*std::move(cb));
+  return MakeMorselSource(b.schema, std::move(batches), 9);
+}
+
+std::vector<Row> Collect(OperatorPtr op) {
+  Result<Batch> out = CollectAll(op.get());
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? out->rows : std::vector<Row>{};
+}
+
+std::vector<SortKey> Keys(const std::vector<std::pair<std::string, bool>>& ks) {
+  std::vector<SortKey> out;
+  for (const auto& [name, asc] : ks) out.push_back({Expr::Column(name), asc});
+  return out;
+}
+
+std::vector<ExprPtr> Exprs(const std::vector<SortKey>& keys) {
+  std::vector<ExprPtr> out;
+  for (const SortKey& k : keys) out.push_back(k.expr);
+  return out;
+}
+
+const std::vector<std::vector<std::pair<std::string, bool>>>& KeySets() {
+  static const std::vector<std::vector<std::pair<std::string, bool>>> sets = {
+      {{"i", true}},
+      {{"i", false}},
+      {{"j", true}},  // the (key, row) pair sort
+      {{"j", false}},
+      {{"f", true}},
+      {{"f", false}},
+      {{"g", true}},
+      {{"g", false}},
+      {{"s", true}},
+      {{"t", false}},
+      {{"s", false}, {"i", true}},
+      {{"t", true}, {"g", false}, {"j", true}},
+      {{"f", true}, {"s", true}, {"i", false}},
+  };
+  return sets;
+}
+
+std::string Describe(const std::vector<std::pair<std::string, bool>>& ks) {
+  std::string out;
+  for (const auto& [name, asc] : ks) out += name + (asc ? "+" : "-") + " ";
+  return out;
+}
+
+class KeyCompareParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KeyCompareParityTest, SortMatchesReference) {
+  const Batch b = KeyBatch(300, GetParam());
+  for (const auto& ks : KeySets()) {
+    const std::vector<SortKey> keys = Keys(ks);
+    ExpectRowsBitEq(Collect(MakeSort(Source(b), keys)), ref::Sort(b, keys),
+                    "sort " + Describe(ks));
+  }
+}
+
+TEST_P(KeyCompareParityTest, MergeJoinMatchesReference) {
+  const Batch left = KeyBatch(120, GetParam());
+  const Batch right = KeyBatch(90, GetParam() + 1000);
+  std::vector<std::vector<std::pair<std::string, bool>>> sets;
+  for (const auto& ks : KeySets()) {
+    bool asc = true;
+    for (const auto& k : ks) asc = asc && k.second;
+    if (asc) sets.push_back(ks);
+  }
+  for (const auto& ks : sets) {
+    const std::vector<SortKey> keys = Keys(ks);
+    const std::vector<ExprPtr> exprs = Exprs(keys);
+    for (const JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      Batch ls, rs;
+      ls.schema = rs.schema = left.schema;
+      ls.rows = ref::Sort(left, keys);
+      rs.rows = ref::Sort(right, keys);
+      ExpectRowsBitEq(
+          Collect(MakeMergeJoin(MakeSort(Source(left), keys),
+                                MakeSort(Source(right), keys), exprs, exprs,
+                                type)),
+          ref::Join(ls, rs, exprs, exprs, type), "merge join " + Describe(ks));
+    }
+  }
+  // Mixed reps across the sides: int64 keys on the left, float64 on the
+  // right (-0.0 and 0.0 both match 0).
+  const std::vector<SortKey> lk = Keys({{"j", true}});
+  const std::vector<SortKey> rk = Keys({{"g", true}});
+  Batch ls, rs;
+  ls.schema = rs.schema = left.schema;
+  ls.rows = ref::Sort(left, lk);
+  rs.rows = ref::Sort(right, rk);
+  ExpectRowsBitEq(
+      Collect(MakeMergeJoin(MakeSort(Source(left), lk),
+                            MakeSort(Source(right), rk), Exprs(lk), Exprs(rk),
+                            JoinType::kLeftOuter)),
+      ref::Join(ls, rs, Exprs(lk), Exprs(rk), JoinType::kLeftOuter),
+      "merge join int64 vs float64");
+}
+
+TEST_P(KeyCompareParityTest, StreamedAggregateMatchesReference) {
+  const Batch b = KeyBatch(300, GetParam());
+  const std::vector<AggSpec> aggs = {
+      {AggKind::kCount, nullptr, "n"},
+      {AggKind::kMin, Expr::Column("id"), "first"},
+      {AggKind::kSum, Expr::Column("g"), "sg"}};
+  for (const auto& ks : KeySets()) {
+    std::vector<SortKey> keys = Keys(ks);
+    for (SortKey& k : keys) k.ascending = true;
+    const std::vector<ExprPtr> groups = Exprs(keys);
+    std::vector<std::string> names;
+    for (const auto& k : ks) names.push_back("k_" + k.first);
+    Batch sorted;
+    sorted.schema = b.schema;
+    sorted.rows = ref::Sort(b, keys);
+    const std::vector<Row> want = ref::Aggregate(sorted, groups, aggs);
+    // Behind a SortOp (one batch) and over pre-sorted 9-row morsels
+    // (groups straddle batches).
+    ExpectRowsBitEq(Collect(MakeStreamedAggregate(MakeSort(Source(b), keys),
+                                                  groups, names, aggs)),
+                    want, "streamed agg over sort " + Describe(ks));
+    ExpectRowsBitEq(
+        Collect(MakeStreamedAggregate(Source(sorted), groups, names, aggs)),
+        want, "streamed agg over morsels " + Describe(ks));
+  }
+}
+
+TEST_P(KeyCompareParityTest, WindowMatchesReference) {
+  const Batch b = KeyBatch(200, GetParam());
+  const std::vector<std::vector<std::string>> partitions = {
+      {}, {"s"}, {"i"}, {"f", "t"}, {"g"}};
+  for (const std::vector<std::string>& part : partitions) {
+    std::vector<ExprPtr> pby;
+    for (const std::string& p : part) pby.push_back(Expr::Column(p));
+    for (const auto& ks : KeySets()) {
+      const std::vector<SortKey> order = Keys(ks);
+      for (const WindowFunc func :
+           {WindowFunc::kRowNumber, WindowFunc::kRank, WindowFunc::kSum}) {
+        const ExprPtr arg = Expr::Column("j");
+        ExpectRowsBitEq(
+            Collect(MakeWindow(Source(b), pby, order, func, arg, "w")),
+            ref::Window(b, pby, order, func, arg),
+            "window parts=" + std::to_string(part.size()) + " order " +
+                Describe(ks));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeyCompareParityTest,
+                         ::testing::Range<uint64_t>(1, 7));
+
+// NaN keys: the reference excludes them, so SortOp is checked against
+// std::stable_sort under Value::Compare itself, with and without NULLs
+// (the typed float compare and the CompareCells path), ascending and
+// descending, alone and behind another key.
+TEST(KeyCompareNaNTest, SortEqualsStableSortUnderCompareCells) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Batch b;
+    b.schema = Schema({{"id", DataType::kInt64},
+                       {"x", DataType::kFloat64},
+                       {"y", DataType::kFloat64},
+                       {"s", DataType::kString}});
+    const double vals[] = {nan, -0.0, 0.0, 1.0, -2.0, nan};
+    for (int64_t r = 0; r < 200; ++r) {
+      b.rows.push_back(
+          {Value(r), Value(vals[rng.UniformInt(0, 5)]),
+           rng.UniformInt(0, 5) == 0 ? Value::Null()
+                                     : Value(vals[rng.UniformInt(0, 5)]),
+           Value(std::string(
+               1, static_cast<char>('a' + rng.UniformInt(0, 2))))});
+    }
+    const std::vector<std::vector<std::pair<std::string, bool>>> sets = {
+        {{"x", true}}, {{"x", false}}, {{"y", true}}, {{"y", false}},
+        {{"s", true}, {"x", true}}, {{"x", false}, {"s", true}}};
+    for (const auto& ks : sets) {
+      const std::vector<SortKey> keys = Keys(ks);
+      std::vector<Row> keyrows;
+      for (const Row& r : b.rows) {
+        keyrows.push_back(ref::EvalAll(Exprs(keys), b.schema, r));
+      }
+      std::vector<uint32_t> perm(b.rows.size());
+      std::iota(perm.begin(), perm.end(), 0u);
+      std::vector<bool> asc;
+      for (const SortKey& k : keys) asc.push_back(k.ascending);
+      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t c) {
+        return ref::CompareRows(keyrows[a], keyrows[c], asc) < 0;
+      });
+      std::vector<Row> want;
+      for (const uint32_t p : perm) want.push_back(b.rows[p]);
+      ExpectRowsBitEq(Collect(MakeSort(Source(b), keys)), want,
+                      "NaN sort " + Describe(ks));
+    }
+  }
+}
+
+TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
+  // NaN compares equal to everything, so it joins the open group, and
+  // the next row is compared with the group's first key (1.0), not with
+  // the NaN before it: 2.0 opens a new group. Same across batches.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Batch b;
+  b.schema = Schema({{"x", DataType::kFloat64}});
+  for (const double v : {1.0, nan, 1.0, nan, 2.0, 2.0, nan, 3.0}) {
+    b.rows.push_back({Value(v)});
+  }
+  const std::vector<ExprPtr> groups = {Expr::Column("x")};
+  const std::vector<AggSpec> aggs = {{AggKind::kCount, nullptr, "n"}};
+  for (const std::size_t morsel : {std::size_t{1}, std::size_t{3},
+                                   std::size_t{100}}) {
+    Result<ColumnBatch> cb = ToColumnBatch(b);
+    ASSERT_TRUE(cb.ok());
+    std::vector<ColumnBatch> batches;
+    batches.push_back(*std::move(cb));
+    const std::vector<Row> got = Collect(MakeStreamedAggregate(
+        MakeMorselSource(b.schema, std::move(batches), morsel), groups, {"x"},
+        aggs));
+    ExpectRowsBitEq(got,
+                    {{Value(1.0), Value(int64_t{4})},
+                     {Value(2.0), Value(int64_t{3})},
+                     {Value(3.0), Value(int64_t{1})}},
+                    "morsel " + std::to_string(morsel));
+  }
+}
+
+}  // namespace
+}  // namespace swift
