@@ -14,7 +14,6 @@ namespace swift {
 namespace {
 
 using expr_eval::Arith;
-using expr_eval::Compare;
 using expr_eval::FuncId;
 using expr_eval::Truth;
 
@@ -22,47 +21,20 @@ bool IsNumericType(DataType t) {
   return t == DataType::kInt64 || t == DataType::kFloat64;
 }
 
-// ---- Scalar kernels for the generic (cell-by-cell) tails -------------
-// The typed loops and the generic tails must agree bit-for-bit, so the
-// non-null scalar semantics live here and in exec/expr_eval.h.
-
-Result<Value> NumericArithScalar(BinaryOp op, const Value& lv,
-                                 const Value& rv) {
-  if (lv.is_float64() && rv.is_float64()) {
-    const double a = lv.float64_unchecked();
-    const double b = rv.float64_unchecked();
-    switch (op) {
-      case BinaryOp::kAdd:
-        return Value(a + b);
-      case BinaryOp::kSub:
-        return Value(a - b);
-      case BinaryOp::kMul:
-        return Value(a * b);
-      case BinaryOp::kDiv:
-        if (b == 0.0) return Status::Application("division by zero");
-        return Value(a / b);
-      default:
-        break;
-    }
-  } else if (lv.is_int64() && rv.is_int64()) {
-    const int64_t a = lv.int64_unchecked();
-    const int64_t b = rv.int64_unchecked();
-    switch (op) {
-      case BinaryOp::kAdd:
-        return Value(a + b);
-      case BinaryOp::kSub:
-        return Value(a - b);
-      case BinaryOp::kMul:
-        return Value(a * b);
-      case BinaryOp::kDiv:
-        if (b == 0) return Status::Application("division by zero");
-        return Value(static_cast<double>(a) / static_cast<double>(b));
-      default:
-        break;
-    }
-  }
-  return Arith(op, lv, rv);
+// The checker's operand classes: an all-NULL (kNull) operand fits both.
+bool NumericOrNull(DataType t) {
+  return t == DataType::kNull || IsNumericType(t);
 }
+bool StringOrNull(DataType t) {
+  return t == DataType::kNull || t == DataType::kString;
+}
+
+Status TypeError(const ExprPtr& expr, const std::string& why) {
+  return Status::InvalidArgument(StrFormat(
+      "type error in %s: %s", expr->ToString().c_str(), why.c_str()));
+}
+
+std::string TypeName(DataType t) { return std::string(DataTypeToString(t)); }
 
 // Whether a three-way comparison result `c` (-1/0/1) satisfies `op`.
 bool CompareHolds(BinaryOp op, int c) {
@@ -82,30 +54,13 @@ bool CompareHolds(BinaryOp op, int c) {
   }
 }
 
-Result<Value> NumericCompareScalar(BinaryOp op, const Value& lv,
-                                   const Value& rv) {
-  if (lv.is_numeric() && rv.is_numeric()) {
-    int c;
-    if (lv.is_int64() && rv.is_int64()) {
-      const int64_t a = lv.int64_unchecked();
-      const int64_t b = rv.int64_unchecked();
-      c = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      const double a = lv.AsDouble();
-      const double b = rv.AsDouble();
-      c = a < b ? -1 : (a > b ? 1 : 0);
-    }
-    return Value(static_cast<int64_t>(CompareHolds(op, c) ? 1 : 0));
-  }
-  return Compare(op, lv, rv);
-}
-
-Result<Value> NegateScalar(const Value& v) {
-  if (!v.is_numeric()) {
-    return Status::Application("negation of non-numeric value");
-  }
-  if (v.is_int64()) return Value(-v.int64_unchecked());
-  return Value(-v.float64_unchecked());
+// The generic path of a node whose typed loops do not apply: Bind's
+// types leave that only when an operand is an all-NULL (kNull) column,
+// so every result cell is NULL.
+void AppendAllNull(DataType t, std::size_t n, ColumnVector* out) {
+  *out = ColumnVector::OfType(t);
+  out->Reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out->AppendNull();
 }
 
 // Truth() over a column cell without boxing: -1 NULL, 0 false, 1 true.
@@ -119,8 +74,6 @@ int TruthAt(const ColumnVector& c, std::size_t i) {
       return c.IsNull(i) ? -1 : (c.Float64At(i) != 0.0 ? 1 : 0);
     case ColumnRep::kString:
       return c.IsNull(i) ? -1 : (!c.StrAt(i).empty() ? 1 : 0);
-    case ColumnRep::kBoxed:
-      return Truth(c.BoxedAt(i));
   }
   return -1;
 }
@@ -142,20 +95,6 @@ bool IsCompareOp(BinaryOp op) {
     default:
       return false;
   }
-}
-
-// Any non-AND/OR binary op over non-null operands.
-Result<Value> BinaryScalar(BinaryOp op, const Value& lv, const Value& rv) {
-  if (IsArithOp(op)) return Arith(op, lv, rv);
-  if (IsCompareOp(op)) return Compare(op, lv, rv);
-  if (op == BinaryOp::kLike) {
-    if (!lv.is_string() || !rv.is_string()) {
-      return Status::Application("LIKE requires string operands");
-    }
-    return Value(
-        static_cast<int64_t>(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0));
-  }
-  return Status::Internal("unhandled binary op");
 }
 
 class BoundColumn final : public BoundExpr {
@@ -184,9 +123,12 @@ class BoundColumn final : public BoundExpr {
   std::string name_;
 };
 
+// A literal, or a folded constant subtree: `t` is the subtree's type,
+// which a folded NULL keeps.
 class BoundLiteral final : public BoundExpr {
  public:
-  explicit BoundLiteral(Value v) : BoundExpr(v.type()), v_(std::move(v)) {}
+  explicit BoundLiteral(Value v) : BoundLiteral(v.type(), std::move(v)) {}
+  BoundLiteral(DataType t, Value v) : BoundExpr(t), v_(std::move(v)) {}
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -227,8 +169,7 @@ class BoundLiteral final : public BoundExpr {
 // stays an eval-time error, raised by any non-empty batch.
 class BoundError final : public BoundExpr {
  public:
-  explicit BoundError(Status st)
-      : BoundExpr(DataType::kNull), st_(std::move(st)) {}
+  BoundError(DataType t, Status st) : BoundExpr(t), st_(std::move(st)) {}
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -311,7 +252,8 @@ class BoundAndOr final : public BoundExpr {
   BoundExprPtr rhs_;
 };
 
-// Generic binary node: delegates to the shared kernels.
+// Every other binary node (not AND/OR): string comparison and LIKE, and
+// the nodes Bind typed with an all-NULL side.
 class BoundBinary final : public BoundExpr {
  public:
   BoundBinary(BinaryOp op, DataType t, BoundExprPtr lhs, BoundExprPtr rhs)
@@ -324,10 +266,10 @@ class BoundBinary final : public BoundExpr {
     SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
     SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
     const std::size_t n = in.num_rows();
-    if (lv.rep() == ColumnRep::kString && rv.rep() == ColumnRep::kString &&
-        (IsCompareOp(op_) || op_ == BinaryOp::kLike)) {
-      // Both sides are strings: compare the heap bytes in place. The
-      // string_view order is unsigned byte-wise, as in Value::Compare.
+    if (lv.rep() == ColumnRep::kString && rv.rep() == ColumnRep::kString) {
+      // Both sides are strings (so the op compares or is LIKE): compare
+      // the heap bytes in place. The string_view order is unsigned
+      // byte-wise, as in Value::Compare.
       *out = ColumnVector::OfType(DataType::kInt64);
       out->Reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -343,18 +285,7 @@ class BoundBinary final : public BoundExpr {
       }
       return Status::OK();
     }
-    *out = ColumnVector::OfType(static_type_);
-    out->Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value a = lv.GetValue(i);
-      const Value b = rv.GetValue(i);
-      if (a.is_null() || b.is_null()) {
-        out->AppendNull();
-        continue;
-      }
-      SWIFT_ASSIGN_OR_RETURN(Value v, BinaryScalar(op_, a, b));
-      out->Append(v);
-    }
+    AppendAllNull(static_type_, n, out);
     return Status::OK();
   }
 
@@ -366,8 +297,8 @@ class BoundBinary final : public BoundExpr {
 
 // Fast path for arithmetic when both subtrees are statically numeric:
 // the matched-type cases compute inline; anything else (mixed int/float,
-// runtime type surprises) falls back to the shared kernel for identical
-// results and error text.
+// int64 division, an all-NULL side) goes cell by cell through the shared
+// kernel (exec/expr_eval.h) for identical results and error text.
 class BoundNumericArith final : public BoundExpr {
  public:
   BoundNumericArith(BinaryOp op, DataType t, BoundExprPtr lhs,
@@ -451,7 +382,7 @@ class BoundNumericArith final : public BoundExpr {
         out->AppendNull();
         continue;
       }
-      SWIFT_ASSIGN_OR_RETURN(Value v, NumericArithScalar(op_, a, b));
+      SWIFT_ASSIGN_OR_RETURN(Value v, Arith(op_, a, b));
       out->Append(v);
     }
     return Status::OK();
@@ -512,18 +443,7 @@ class BoundNumericCompare final : public BoundExpr {
       }
       return Status::OK();
     }
-    *out = ColumnVector::OfType(DataType::kInt64);
-    out->Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value a = lv.GetValue(i);
-      const Value b = rv.GetValue(i);
-      if (a.is_null() || b.is_null()) {
-        out->AppendNull();
-        continue;
-      }
-      SWIFT_ASSIGN_OR_RETURN(Value v, NumericCompareScalar(op_, a, b));
-      out->Append(v);
-    }
+    AppendAllNull(DataType::kInt64, n, out);
     return Status::OK();
   }
 
@@ -580,17 +500,7 @@ class BoundUnary final : public BoundExpr {
       }
       return Status::OK();
     }
-    *out = ColumnVector::OfType(static_type_);
-    out->Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value a = v.GetValue(i);
-      if (a.is_null()) {
-        out->AppendNull();
-        continue;
-      }
-      SWIFT_ASSIGN_OR_RETURN(Value r, NegateScalar(a));
-      out->Append(r);
-    }
+    AppendAllNull(static_type_, n, out);
     return Status::OK();
   }
 
@@ -651,33 +561,97 @@ BoundExprPtr FoldIfConst(BoundExprPtr node, bool children_const) {
   one_row.physical_rows = 1;
   ColumnVector v;
   const Status st = node->EvaluateVector(one_row, &v);
-  if (!st.ok()) return std::make_shared<BoundError>(st);
-  return std::make_shared<BoundLiteral>(v.GetValue(0));
+  if (!st.ok()) return std::make_shared<BoundError>(node->static_type(), st);
+  return std::make_shared<BoundLiteral>(node->static_type(), v.GetValue(0));
 }
 
-DataType ArithStaticType(BinaryOp op, const BoundExprPtr& lhs,
-                         const BoundExprPtr& rhs) {
-  if (op == BinaryOp::kDiv) return DataType::kFloat64;
-  return (lhs->static_type() == DataType::kFloat64 ||
-          rhs->static_type() == DataType::kFloat64)
-             ? DataType::kFloat64
-             : DataType::kInt64;
+}  // namespace
+
+Result<DataType> BinaryResultType(const ExprPtr& expr, BinaryOp op,
+                                  DataType l, DataType r) {
+  const std::string got = TypeName(l) + " and " + TypeName(r);
+  const std::string sym(BinaryOpToString(op));
+  if (IsArithOp(op)) {
+    if (!NumericOrNull(l) || !NumericOrNull(r)) {
+      return TypeError(expr, "'" + sym + "' needs numeric operands, got " +
+                                 got);
+    }
+    if (op == BinaryOp::kDiv) return DataType::kFloat64;
+    return l == DataType::kFloat64 || r == DataType::kFloat64
+               ? DataType::kFloat64
+               : DataType::kInt64;
+  }
+  if (op == BinaryOp::kLike) {
+    if (!StringOrNull(l) || !StringOrNull(r)) {
+      return TypeError(expr, "'like' needs string operands, got " + got);
+    }
+    return DataType::kInt64;
+  }
+  if ((NumericOrNull(l) && NumericOrNull(r)) ||
+      (StringOrNull(l) && StringOrNull(r))) {
+    return DataType::kInt64;
+  }
+  return TypeError(expr, "cannot compare " + got + " with '" + sym + "'");
 }
 
-DataType FunctionStaticType(FuncId id, const std::vector<BoundExprPtr>& args) {
+namespace {
+
+// The type rules of one function call over bound arguments.
+Result<DataType> FunctionType(const ExprPtr& expr, FuncId id,
+                              const std::vector<BoundExprPtr>& args) {
+  const auto arity = [&](std::size_t n) -> Status {
+    if (args.size() == n) return Status::OK();
+    return TypeError(expr, StrFormat("expected %zu argument(s), got %zu", n,
+                                     args.size()));
+  };
+  const auto arg = [&](std::size_t i) { return args[i]->static_type(); };
   switch (id) {
+    case FuncId::kIsNull:
+      SWIFT_RETURN_NOT_OK(arity(1));
+      return DataType::kInt64;
+    case FuncId::kCoalesce: {
+      if (args.empty()) return TypeError(expr, "expected an argument");
+      // Every typed argument numeric (promoting int64 to float64), or
+      // every one a string.
+      DataType t = DataType::kNull;
+      for (const BoundExprPtr& a : args) {
+        const DataType at = a->static_type();
+        if (at == DataType::kNull) continue;
+        if (t != DataType::kNull && IsNumericType(t) != IsNumericType(at)) {
+          return TypeError(expr, "mixes " + TypeName(t) + " and " +
+                                     TypeName(at) + " arguments");
+        }
+        if (t == DataType::kNull || at == DataType::kFloat64) t = at;
+      }
+      return t;
+    }
     case FuncId::kSubstr:
+      SWIFT_RETURN_NOT_OK(arity(3));
+      if (!StringOrNull(arg(0)) || !NumericOrNull(arg(1)) ||
+          !NumericOrNull(arg(2))) {
+        return TypeError(expr, "expected (string, number, number), got (" +
+                                   TypeName(arg(0)) + ", " +
+                                   TypeName(arg(1)) + ", " +
+                                   TypeName(arg(2)) + ")");
+      }
+      return DataType::kString;
     case FuncId::kLower:
     case FuncId::kUpper:
+      SWIFT_RETURN_NOT_OK(arity(1));
+      if (!StringOrNull(arg(0))) {
+        return TypeError(expr, "expected a string, got " + TypeName(arg(0)));
+      }
       return DataType::kString;
-    case FuncId::kIsNull:
-      return DataType::kInt64;
     case FuncId::kAbs:
-    case FuncId::kCoalesce:
-      return args.empty() ? DataType::kNull : args[0]->static_type();
-    default:
-      return DataType::kNull;
+      SWIFT_RETURN_NOT_OK(arity(1));
+      if (!NumericOrNull(arg(0))) {
+        return TypeError(expr, "expected a number, got " + TypeName(arg(0)));
+      }
+      return arg(0);
+    case FuncId::kUnknown:
+      break;
   }
+  return TypeError(expr, "unknown function");
 }
 
 Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
@@ -716,12 +690,15 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
                            both_const);
       }
       SWIFT_ASSIGN_OR_RETURN(BoundExprPtr rhs, BindImpl(parts.rhs, schema));
+      SWIFT_ASSIGN_OR_RETURN(
+          const DataType t, BinaryResultType(expr, parts.op,
+                                             lhs->static_type(),
+                                             rhs->static_type()));
       const bool both_const = IsConstNode(lhs) && IsConstNode(rhs);
       const bool numeric_children = IsNumericType(lhs->static_type()) &&
                                     IsNumericType(rhs->static_type());
       BoundExprPtr node;
       if (IsArithOp(parts.op) && numeric_children) {
-        const DataType t = ArithStaticType(parts.op, lhs, rhs);
         node = std::make_shared<BoundNumericArith>(parts.op, t,
                                                    std::move(lhs),
                                                    std::move(rhs));
@@ -729,9 +706,6 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
         node = std::make_shared<BoundNumericCompare>(parts.op, std::move(lhs),
                                                      std::move(rhs));
       } else {
-        const DataType t = IsArithOp(parts.op)
-                               ? ArithStaticType(parts.op, lhs, rhs)
-                               : DataType::kInt64;
         node = std::make_shared<BoundBinary>(parts.op, t, std::move(lhs),
                                              std::move(rhs));
       }
@@ -744,6 +718,9 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
       const bool operand_const = IsConstNode(operand);
       const DataType t = parts.op == UnaryOp::kNot ? DataType::kInt64
                                                    : operand->static_type();
+      if (!NumericOrNull(t)) {
+        return TypeError(expr, "negation needs a number, got " + TypeName(t));
+      }
       return FoldIfConst(
           std::make_shared<BoundUnary>(parts.op, t, std::move(operand)),
           operand_const);
@@ -759,7 +736,7 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
         args.push_back(std::move(b));
       }
       const FuncId id = expr_eval::ResolveFunction(parts.name);
-      const DataType t = FunctionStaticType(id, args);
+      SWIFT_ASSIGN_OR_RETURN(const DataType t, FunctionType(expr, id, args));
       return FoldIfConst(std::make_shared<BoundFunction>(id, parts.name, t,
                                                          std::move(args)),
                          all_const);

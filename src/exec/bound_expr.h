@@ -18,18 +18,36 @@ struct ColumnBatch;
 /// form of Expr, and the only way an expression is evaluated.
 ///
 /// Bind() resolves each column reference to a column ordinal exactly
-/// once, constant-folds literal subtrees, and specializes typed kernels
-/// for int64/float64 arithmetic and comparisons and for string
-/// comparison and LIKE, so EvaluateVector() is column access plus kernel
-/// dispatch: no name lookups, no lowercasing, no hash probes per row.
+/// once, type-checks every node, constant-folds literal subtrees, and
+/// specializes typed kernels for int64/float64 arithmetic and
+/// comparisons and for string comparison and LIKE, so EvaluateVector()
+/// is column access plus kernel dispatch: no name lookups, no
+/// lowercasing, no hash probes per row.
+///
+/// The type rules ("numeric" is int64 or float64; an all-NULL kNull
+/// operand fits wherever a typed one does):
+///  - a column has its field's type; a literal its value's (NULL: kNull);
+///  - `+ - *` take numbers and give float64 if either side is float64,
+///    else int64; `/` gives float64; unary `-` and abs() keep the type;
+///  - `= <> < <= > >=` compare numbers with numbers or strings with
+///    strings, LIKE takes strings; AND/OR/NOT take anything (truthiness);
+///    all give int64;
+///  - coalesce() takes all-numeric arguments (promoted to float64 if any
+///    is) or all-string ones; is_null() gives int64; substr(string,
+///    number, number), lower() and upper() give string.
+/// An unknown function, a wrong arity or any other operand type is
+/// InvalidArgument naming the offending expression. The one exception
+/// is the dead rhs of a constant-dominated AND/OR (`0 AND x`), which row
+/// semantics never evaluate, so it is not bound at all.
 ///
 /// Errors split by when they are detectable:
 ///  - bind time: unresolvable / ambiguous column references (NotFound /
-///    InvalidArgument from Schema::IndexOf), surfaced from Bind() so
-///    operators fail at Open();
-///  - eval time: data-dependent type errors (Status::Application),
-///    including errors inside constant subtrees (a folded `1/0` still
-///    errors at evaluation, not at Bind()).
+///    InvalidArgument from Schema::IndexOf) and type errors
+///    (InvalidArgument), surfaced from Bind() so the planner rejects the
+///    query and operators fail at Open();
+///  - eval time: division by zero (Status::Application), including inside
+///    constant subtrees (a folded `1/0` still errors at evaluation, not
+///    at Bind()).
 /// Scalar semantics (NULL propagation, numeric promotion, error text)
 /// live in exec/expr_eval.h; the parity property test in
 /// tests/bound_expr_test.cc checks every node against the row-at-a-time
@@ -51,7 +69,9 @@ class BoundExpr {
   virtual Status EvaluateVector(const ColumnBatch& in,
                                 ColumnVector* out) const = 0;
 
-  /// \brief Best-effort static result type (kNull when data dependent).
+  /// \brief The checked result type. EvaluateVector's column has this
+  /// rep, or kNull when every cell is NULL; kNull here means the
+  /// expression is always NULL.
   DataType static_type() const { return static_type_; }
 
   /// \brief The folded constant value, or nullptr for non-constant
@@ -67,8 +87,16 @@ class BoundExpr {
 using BoundExprPtr = std::shared_ptr<const BoundExpr>;
 
 /// \brief Compiles `expr` against `schema`. Column resolution errors
-/// (NotFound, ambiguous InvalidArgument) surface here instead of per row.
+/// (NotFound, ambiguous InvalidArgument) and type errors
+/// (InvalidArgument) surface here instead of per row.
 Result<BoundExprPtr> Bind(const ExprPtr& expr, const Schema& schema);
+
+/// \brief The type Bind gives the binary node `expr` (any op but AND/OR)
+/// over operands of types `l` and `r`, or its InvalidArgument naming
+/// `expr`. The planner checks equi-join key pairs, which bind against
+/// different inputs, with it.
+Result<DataType> BinaryResultType(const ExprPtr& expr, BinaryOp op,
+                                  DataType l, DataType r);
 
 /// \brief Binds a vector of expressions (join keys, group keys, ...).
 Result<std::vector<BoundExprPtr>> BindAll(const std::vector<ExprPtr>& exprs,

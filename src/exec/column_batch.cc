@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 // GCC 12 reports a spurious -Wmaybe-uninitialized inside std::variant's
@@ -18,19 +18,7 @@ namespace swift {
 
 namespace {
 
-inline ColumnRep RepForValue(const Value& v) {
-  switch (v.type()) {
-    case DataType::kInt64:
-      return ColumnRep::kInt64;
-    case DataType::kFloat64:
-      return ColumnRep::kFloat64;
-    case DataType::kString:
-      return ColumnRep::kString;
-    case DataType::kNull:
-      break;
-  }
-  return ColumnRep::kNull;
-}
+inline ColumnRep RepOf(DataType t) { return static_cast<ColumnRep>(t); }
 
 }  // namespace
 
@@ -54,11 +42,6 @@ ColumnVector ColumnVector::OfType(DataType t) {
 }
 
 ColumnVector ColumnVector::OfRep(ColumnRep r) {
-  if (r == ColumnRep::kBoxed) {
-    ColumnVector c;
-    c.rep_ = ColumnRep::kBoxed;
-    return c;
-  }
   return OfType(static_cast<DataType>(r));
 }
 
@@ -79,8 +62,6 @@ Value ColumnVector::GetValue(std::size_t i) const {
       return IsNull(i) ? Value::Null() : Value(f64_[i]);
     case ColumnRep::kString:
       return IsNull(i) ? Value::Null() : Value(std::string(StrAt(i)));
-    case ColumnRep::kBoxed:
-      return boxed_[i];
   }
   return Value::Null();
 }
@@ -97,9 +78,6 @@ void ColumnVector::Reserve(std::size_t n) {
       break;
     case ColumnRep::kString:
       offsets_.reserve(n + 1);
-      break;
-    case ColumnRep::kBoxed:
-      boxed_.reserve(n);
       break;
   }
 }
@@ -139,79 +117,38 @@ void ColumnVector::RetypeFromNull(ColumnRep r) {
     case ColumnRep::kString:
       offsets_.assign(size_ + 1, 0);
       break;
-    case ColumnRep::kBoxed:
-      boxed_.assign(size_, Value::Null());
-      return;  // boxed tracks nulls in the Values
     case ColumnRep::kNull:
       return;
   }
   if (size_ > 0) valid_.assign((size_ + 7) / 8, 0);
 }
 
-void ColumnVector::Boxify() {
-  if (rep_ == ColumnRep::kBoxed) return;
-  std::vector<Value> b;
-  b.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) b.push_back(GetValue(i));
-  boxed_ = std::move(b);
-  rep_ = ColumnRep::kBoxed;
-  valid_.clear();
-  i64_.clear();
-  f64_.clear();
-  offsets_.clear();
-  heap_.clear();
-}
-
 void ColumnVector::Append(const Value& v) {
+  if (v.is_null()) {
+    AppendNull();
+    return;
+  }
+  if (rep_ == ColumnRep::kNull) RetypeFromNull(RepOf(v.type()));
+  if (rep_ == ColumnRep::kFloat64 && v.is_int64()) {
+    AppendFloat64(static_cast<double>(v.int64_unchecked()));  // promotion
+    return;
+  }
+  SWIFT_CHECK(RepOf(v.type()) == rep_)
+      << "appending a " << DataTypeToString(v.type()) << " value to a "
+      << DataTypeToString(static_cast<DataType>(rep_)) << " column";
   switch (rep_) {
-    case ColumnRep::kNull:
-      if (v.is_null()) {
-        ++size_;
-        ++null_count_;
-        return;
-      }
-      RetypeFromNull(RepForValue(v));
-      Append(v);
-      return;
     case ColumnRep::kInt64:
-      if (v.is_null()) {
-        AppendNull();
-        return;
-      }
-      if (v.is_int64()) {
-        AppendInt64(v.int64_unchecked());
-        return;
-      }
+      AppendInt64(v.int64_unchecked());
       break;
     case ColumnRep::kFloat64:
-      if (v.is_null()) {
-        AppendNull();
-        return;
-      }
-      if (v.is_float64()) {
-        AppendFloat64(v.float64_unchecked());
-        return;
-      }
+      AppendFloat64(v.float64_unchecked());
       break;
     case ColumnRep::kString:
-      if (v.is_null()) {
-        AppendNull();
-        return;
-      }
-      if (v.is_string()) {
-        AppendString(v.str_unchecked());
-        return;
-      }
+      AppendString(v.str_unchecked());
       break;
-    case ColumnRep::kBoxed:
-      if (v.is_null()) ++null_count_;
-      boxed_.push_back(v);
-      ++size_;
-      return;
+    case ColumnRep::kNull:
+      break;  // retyped above
   }
-  // Type deviation: degrade to boxed and retry.
-  Boxify();
-  Append(v);
 }
 
 void ColumnVector::AppendNull() {
@@ -229,11 +166,6 @@ void ColumnVector::AppendNull() {
     case ColumnRep::kString:
       offsets_.push_back(offsets_.back());
       break;
-    case ColumnRep::kBoxed:
-      boxed_.push_back(Value::Null());
-      ++null_count_;
-      ++size_;
-      return;
   }
   MarkNull(size_);
   ++size_;
@@ -267,21 +199,14 @@ void ColumnVector::AppendString(std::string_view v) {
     Append(Value(std::string(v)));
     return;
   }
-  // A >4 GiB heap would overflow the uint32 offsets; fall back to boxed
-  // storage for such pathological columns.
-  if (heap_.size() + v.size() >
-      static_cast<std::size_t>(std::numeric_limits<uint32_t>::max())) {
-    Boxify();
-    Append(Value(std::string(v)));
-    return;
-  }
   heap_.append(v.data(), v.size());
-  offsets_.push_back(static_cast<uint32_t>(heap_.size()));
+  offsets_.push_back(heap_.size());
   MarkValid(size_);
   ++size_;
 }
 
 void ColumnVector::AppendFrom(const ColumnVector& src, std::size_t i) {
+  if (rep_ == ColumnRep::kNull && !src.IsNull(i)) RetypeFromNull(src.rep_);
   if (rep_ == src.rep_) {
     switch (rep_) {
       case ColumnRep::kNull:
@@ -309,17 +234,9 @@ void ColumnVector::AppendFrom(const ColumnVector& src, std::size_t i) {
           AppendString(src.StrAt(i));
         }
         return;
-      case ColumnRep::kBoxed:
-        Append(src.boxed_[i]);
-        return;
     }
   }
-  // Cross-rep gather: cheap typed bridges before boxing through Value.
-  if (src.rep_ == ColumnRep::kString && rep_ == ColumnRep::kNull &&
-      !src.IsNull(i)) {
-    AppendString(src.StrAt(i));
-    return;
-  }
+  // Cross-rep: a NULL cell, or an int64 widening into float64.
   Append(src.GetValue(i));
 }
 
@@ -349,8 +266,7 @@ void GatherFixed(const T* src, const uint8_t* valid, const uint32_t* rows,
 void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
                                   std::size_t n) {
   if (n == 0) return;
-  if (rep_ == ColumnRep::kNull && src.rep_ != ColumnRep::kNull &&
-      src.rep_ != ColumnRep::kBoxed) {
+  if (rep_ == ColumnRep::kNull && src.rep_ != ColumnRep::kNull) {
     // An all-null column stays kNull through the leading NULLs and
     // retypes to the source's rep at the first non-null cell.
     std::size_t k = 0;
@@ -362,7 +278,7 @@ void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
     rows += k;
     n -= k;
   }
-  if (rep_ != src.rep_ || rep_ == ColumnRep::kBoxed) {
+  if (rep_ != src.rep_) {
     for (std::size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
     return;
   }
@@ -394,26 +310,20 @@ void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
       GatherFixed(src.f64_.data(), sv, rows, n, f64_.data() + size_);
       break;
     case ColumnRep::kString: {
-      const uint32_t* so = src.offsets_.data();
-      const auto len = [&](uint32_t r) -> uint32_t {
+      const uint64_t* so = src.offsets_.data();
+      const auto len = [&](uint32_t r) -> uint64_t {
         return sv != nullptr && !BitSet(sv, r) ? 0 : so[r + 1] - so[r];
       };
       std::size_t bytes = 0;
       for (std::size_t k = 0; k < n; ++k) bytes += len(rows[k]);
-      if (heap_.size() + bytes >
-          static_cast<std::size_t>(std::numeric_limits<uint32_t>::max())) {
-        // Offsets would overflow: AppendString boxifies at the same wall.
-        for (std::size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
-        return;
-      }
       const std::size_t base = heap_.size();
       heap_.resize(base + bytes);
       char* h = heap_.data() + base;
       offsets_.reserve(size_ + n + 1);
-      uint32_t off = static_cast<uint32_t>(base);
+      uint64_t off = base;
       for (std::size_t k = 0; k < n; ++k) {
         const uint32_t r = rows[k];
-        const uint32_t l = len(r);
+        const uint64_t l = len(r);
         std::memcpy(h, src.heap_.data() + so[r], l);
         h += l;
         off += l;
@@ -422,7 +332,6 @@ void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
       break;
     }
     case ColumnRep::kNull:
-    case ColumnRep::kBoxed:
       break;  // handled above
   }
   AppendGatheredValidity(sv, rows, 0, n, first_null, nulls);
@@ -475,16 +384,6 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
       size_ += len;
       null_count_ += len;
       return;
-    case ColumnRep::kBoxed:
-      boxed_.insert(boxed_.end(),
-                    src.boxed_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    src.boxed_.begin() +
-                        static_cast<std::ptrdiff_t>(begin + len));
-      for (std::size_t i = 0; i < len; ++i) {
-        if (src.boxed_[begin + i].is_null()) ++null_count_;
-      }
-      size_ += len;
-      return;
     case ColumnRep::kInt64:
       i64_.insert(i64_.end(),
                   src.i64_.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -496,16 +395,9 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                   src.f64_.begin() + static_cast<std::ptrdiff_t>(begin + len));
       break;
     case ColumnRep::kString: {
-      const uint32_t s0 = src.offsets_[begin];
-      const uint32_t s1 = src.offsets_[begin + len];
-      if (heap_.size() + (s1 - s0) >
-          static_cast<std::size_t>(std::numeric_limits<uint32_t>::max())) {
-        // Offsets would overflow: fall back to the adaptive path, which
-        // boxifies when it hits the same wall.
-        for (std::size_t i = 0; i < len; ++i) AppendFrom(src, begin + i);
-        return;
-      }
-      const uint32_t base = static_cast<uint32_t>(heap_.size());
+      const uint64_t s0 = src.offsets_[begin];
+      const uint64_t s1 = src.offsets_[begin + len];
+      const uint64_t base = heap_.size();
       heap_.append(src.heap_.data() + s0, s1 - s0);
       for (std::size_t i = 1; i <= len; ++i) {
         offsets_.push_back(base + (src.offsets_[begin + i] - s0));
@@ -612,9 +504,20 @@ Result<ColumnBatch> ToColumnBatch(const Batch& batch) {
   out.physical_rows = batch.rows.size();
   out.columns.reserve(width);
   for (std::size_t c = 0; c < width; ++c) {
-    ColumnVector col = ColumnVector::OfType(batch.schema.field(c).type);
+    const Field& field = batch.schema.field(c);
+    ColumnVector col = ColumnVector::OfType(field.type);
     col.Reserve(batch.rows.size());
-    for (const Row& row : batch.rows) col.Append(row[c]);
+    for (std::size_t r = 0; r < batch.rows.size(); ++r) {
+      const Value& v = batch.rows[r][c];
+      const bool widens = v.is_int64() && field.type == DataType::kFloat64;
+      if (!v.is_null() && v.type() != field.type && !widens) {
+        return Status::InvalidArgument(StrFormat(
+            "row %zu column '%s': %s cell under a %s field", r,
+            field.name.c_str(), std::string(DataTypeToString(v.type())).c_str(),
+            std::string(DataTypeToString(field.type)).c_str()));
+      }
+      col.Append(v);
+    }
     out.columns.push_back(std::move(col));
   }
   return out;

@@ -16,16 +16,15 @@ namespace swift {
 /// \brief Physical representation of one column (DESIGN.md Sec. 13).
 ///
 /// kInt64/kFloat64/kString hold typed contiguous storage plus a validity
-/// bitmap; kNull is an all-null column of known length; kBoxed is the
-/// escape hatch — a vector<Value> — for columns whose cells deviate from
-/// one type (mirrors wire format v2's per-column tagged mode), so every
-/// uniform row batch converts losslessly.
+/// bitmap; kNull is an all-null column of known length. The values equal
+/// DataType's: Bind gives every expression one type (exec/bound_expr.h),
+/// so a column's rep is its field's type, or kNull while every cell is
+/// NULL.
 enum class ColumnRep : uint8_t {
   kNull = 0,
   kInt64 = 1,
   kFloat64 = 2,
   kString = 3,
-  kBoxed = 4,
 };
 
 /// \brief One typed column: contiguous values + validity bitmap.
@@ -33,20 +32,20 @@ enum class ColumnRep : uint8_t {
 /// Layout per rep:
 ///  - kInt64/kFloat64: data vector of `size()` elements; null slots hold
 ///    0 so kernels may read them unconditionally.
-///  - kString: offsets (size()+1 uint32 entries) into one string heap;
-///    cell i is heap[offsets[i], offsets[i+1]). Null cells are empty
-///    ranges.
+///  - kString: offsets (size()+1 uint64 entries, so the heap has no
+///    4 GiB wall) into one string heap; cell i is
+///    heap[offsets[i], offsets[i+1]). Null cells are empty ranges.
 ///  - kNull: no storage, every cell NULL.
-///  - kBoxed: vector<Value>; nulls live in the Values themselves.
 ///
 /// Validity is a packed little-endian bitmap, bit set = non-null (same
 /// convention as wire format v2). An empty bitmap on a typed column
 /// means "all valid" — the common no-null fast path allocates nothing.
 ///
-/// Append(const Value&) is adaptive: an all-null column retypes itself
-/// on the first non-null value, and a typed column falls back to kBoxed
-/// when a cell of a different type arrives. Typed appends
-/// (AppendInt64 etc.) are for kernels that already know the rep.
+/// The rep ladder has one step: an all-null column retypes itself on the
+/// first non-null value. Append(const Value&) widens an int64 value into
+/// a float64 column (numeric promotion); any other value of a type other
+/// than the column's is a program bug and aborts (SWIFT_CHECK). Typed
+/// appends (AppendInt64 etc.) are for kernels that already know the rep.
 class ColumnVector {
  public:
   ColumnVector() = default;
@@ -66,14 +65,8 @@ class ColumnVector {
   bool has_nulls() const { return null_count_ != 0; }
 
   bool IsNull(std::size_t i) const {
-    switch (rep_) {
-      case ColumnRep::kNull:
-        return true;
-      case ColumnRep::kBoxed:
-        return boxed_[i].is_null();
-      default:
-        return !valid_.empty() && (valid_[i >> 3] & (1u << (i & 7))) == 0;
-    }
+    return rep_ == ColumnRep::kNull ||
+           (!valid_.empty() && (valid_[i >> 3] & (1u << (i & 7))) == 0);
   }
 
   // Unchecked typed accessors: valid only for the matching rep (and, for
@@ -85,7 +78,6 @@ class ColumnVector {
     return std::string_view(heap_.data() + offsets_[i],
                             offsets_[i + 1] - offsets_[i]);
   }
-  const Value& BoxedAt(std::size_t i) const { return boxed_[i]; }
 
   /// \brief Boxes cell i into a Value (allocates for strings).
   Value GetValue(std::size_t i) const;
@@ -93,16 +85,15 @@ class ColumnVector {
   // Raw storage, for serde's near-memcpy paths and typed kernels.
   const int64_t* Int64Data() const { return i64_.data(); }
   const double* Float64Data() const { return f64_.data(); }
-  const uint32_t* Offsets() const { return offsets_.data(); }
   const std::string& Heap() const { return heap_; }
   /// Empty means all-valid (for typed reps).
   const std::vector<uint8_t>& ValidityBits() const { return valid_; }
-  const std::vector<Value>& BoxedValues() const { return boxed_; }
 
   void Reserve(std::size_t n);
 
-  /// \brief Adaptive append: retypes an all-null column on the first
-  /// non-null value; degrades to kBoxed on a type mismatch.
+  /// \brief Appends a NULL or a value of the column's type; retypes an
+  /// all-null column on the first non-null value and widens an int64
+  /// value into a float64 column. Aborts on any other type.
   void Append(const Value& v);
   void AppendNull();
   // pre: rep kInt64 (or all-null; retypes). Inline while no NULL has
@@ -125,7 +116,8 @@ class ColumnVector {
   }
   void AppendString(std::string_view v);  // pre: rep kString (or all-null)
 
-  /// \brief Appends src[i]; typed copy when reps match, boxed otherwise.
+  /// \brief Appends src[i]; typed copy when reps match, Append(Value)
+  /// otherwise.
   void AppendFrom(const ColumnVector& src, std::size_t i);
 
   /// \brief Appends src[rows[0]], ..., src[rows[n-1]] (rows may repeat
@@ -135,18 +127,17 @@ class ColumnVector {
   /// null count, validity bitmap, storage), but matching typed reps copy
   /// in one loop per call, with a no-NULL fast path and the bitmap
   /// written in one pass. Storage grows to exactly size()+n (the string
-  /// heap grows as std::string does). kNull/kBoxed sources, mismatched
-  /// reps and a string heap that would pass 4 GiB take AppendFrom cell
-  /// by cell.
+  /// heap grows as std::string does). A kNull source and mismatched reps
+  /// (a kNull destination before its first non-null cell, an int64
+  /// source widening into float64) take AppendFrom cell by cell.
   void AppendSelected(const ColumnVector& src, const uint32_t* rows,
                       std::size_t n);
 
   /// \brief Bulk-appends the physical subrange src[begin, begin+len):
   /// one memcpy for matching fixed-width reps, one heap substring copy
-  /// (plus rebased offsets) for strings. When the reps differ (a kBoxed
-  /// source, or this column under a kNull field) it appends cell by
-  /// cell through AppendFrom, so the result has the rep converting the
-  /// same cells would give. Like AppendSelected, the result equals
+  /// (plus rebased offsets) for strings. When the reps differ (a kNull
+  /// source or destination) it appends cell by cell through AppendFrom,
+  /// so the result has the rep converting the same cells would give. Like AppendSelected, the result equals
   /// per-cell AppendFrom calls field for field and storage grows to
   /// exactly size()+len. Used to carve ~1K-row morsels out of decoded
   /// batches and out of the table store, and to concatenate dense
@@ -161,10 +152,6 @@ class ColumnVector {
   int64_t* MutableInt64Data() { return i64_.data(); }
   double* MutableFloat64Data() { return f64_.data(); }
   void SetValidity(std::vector<uint8_t> bits, std::size_t null_count);
-
-  /// \brief Converts storage to kBoxed in place (used on type deviation
-  /// and by tests).
-  void Boxify();
 
  private:
   void AppendInt64Slow(int64_t v);
@@ -187,9 +174,8 @@ class ColumnVector {
   std::vector<uint8_t> valid_;  // packed bits; empty = all valid
   std::vector<int64_t> i64_;
   std::vector<double> f64_;
-  std::vector<uint32_t> offsets_;  // size_+1 entries when rep kString
+  std::vector<uint64_t> offsets_;  // size_+1 entries when rep kString
   std::string heap_;
-  std::vector<Value> boxed_;
 };
 
 /// \brief A columnar morsel: schema + one ColumnVector per field,
@@ -235,10 +221,11 @@ struct ColumnBatch {
 /// \brief Empty batch with one column per field, pre-typed from `schema`.
 ColumnBatch EmptyBatchOf(const Schema& schema);
 
-/// \brief Converts a row batch. Errors (InvalidArgument) on ragged rows
-/// — every row must have schema-width cells; cells whose type deviates
-/// from the declared field type land in kBoxed columns, so conversion of
-/// uniform batches is total.
+/// \brief Converts a row batch into columns of the schema's field types.
+/// An int64 cell under a float64 field widens; any other non-null cell
+/// whose type differs from its field's (a kNull field takes only NULLs)
+/// is InvalidArgument naming the row and the column, and so is a ragged
+/// row (one whose cell count differs from the schema width).
 Result<ColumnBatch> ToColumnBatch(const Batch& batch);
 
 /// \brief Boxes back to rows, gathering through the selection vector.

@@ -15,7 +15,8 @@ enum class BinaryOp : int;
 /// tails and the row-at-a-time reference interpreter the tests check it
 /// against (tests/reference_ops.h). Keeping both on one set of kernels
 /// guarantees they cannot diverge on error text, NULL handling, or
-/// numeric promotion.
+/// numeric promotion. Their type errors (Status::Application) only the
+/// interpreter meets: Bind rejects an ill-typed tree before it runs.
 namespace expr_eval {
 
 /// \brief +,-,*,/ over non-null operands. Non-numeric operands and

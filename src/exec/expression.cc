@@ -44,11 +44,6 @@ class ColumnExpr final : public Expr {
   explicit ColumnExpr(std::string name) : name_(std::move(name)) {}
   ExprKind kind() const override { return ExprKind::kColumn; }
 
-  Result<DataType> OutputType(const Schema& schema) const override {
-    SWIFT_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name_));
-    return schema.field(idx).type;
-  }
-
   std::string ToString() const override { return name_; }
   void CollectColumns(std::vector<std::string>* out) const override {
     out->push_back(name_);
@@ -65,9 +60,6 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value v) : v_(std::move(v)) {}
   ExprKind kind() const override { return ExprKind::kLiteral; }
 
-  Result<DataType> OutputType(const Schema&) const override {
-    return v_.type();
-  }
   std::string ToString() const override {
     return v_.is_string() ? "'" + v_.str() + "'" : v_.ToString();
   }
@@ -88,24 +80,6 @@ class BinaryExpr final : public Expr {
   BinaryOp op() const { return op_; }
   const ExprPtr& lhs() const { return lhs_; }
   const ExprPtr& rhs() const { return rhs_; }
-
-  Result<DataType> OutputType(const Schema& schema) const override {
-    switch (op_) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul: {
-        SWIFT_ASSIGN_OR_RETURN(DataType lt, lhs_->OutputType(schema));
-        SWIFT_ASSIGN_OR_RETURN(DataType rt, rhs_->OutputType(schema));
-        return (lt == DataType::kFloat64 || rt == DataType::kFloat64)
-                   ? DataType::kFloat64
-                   : DataType::kInt64;
-      }
-      case BinaryOp::kDiv:
-        return DataType::kFloat64;
-      default:
-        return DataType::kInt64;  // boolean-as-int
-    }
-  }
 
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " +
@@ -128,11 +102,6 @@ class UnaryExpr final : public Expr {
       : op_(op), operand_(std::move(operand)) {}
   ExprKind kind() const override { return ExprKind::kUnary; }
 
-  Result<DataType> OutputType(const Schema& schema) const override {
-    if (op_ == UnaryOp::kNot) return DataType::kInt64;
-    return operand_->OutputType(schema);
-  }
-
   std::string ToString() const override {
     return std::string(op_ == UnaryOp::kNot ? "not " : "-") +
            operand_->ToString();
@@ -154,18 +123,6 @@ class FunctionExpr final : public Expr {
   FunctionExpr(std::string name, std::vector<ExprPtr> args)
       : name_(ToLower(name)), args_(std::move(args)) {}
   ExprKind kind() const override { return ExprKind::kFunction; }
-
-  Result<DataType> OutputType(const Schema& schema) const override {
-    if (name_ == "substr" || name_ == "substring" || name_ == "lower" ||
-        name_ == "upper") {
-      return DataType::kString;
-    }
-    if (name_ == "is_null") return DataType::kInt64;
-    if ((name_ == "abs" || name_ == "coalesce") && !args_.empty()) {
-      return args_[0]->OutputType(schema);
-    }
-    return DataType::kNull;
-  }
 
   std::string ToString() const override {
     std::string s = name_ + "(";

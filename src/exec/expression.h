@@ -39,19 +39,15 @@ std::string_view BinaryOpToString(BinaryOp op);
 
 /// \brief Immutable scalar expression tree, as parsed and planned.
 ///
-/// Expr is not evaluated itself: Bind() (exec/bound_expr.h) compiles it
-/// against a schema. SQL three-valued logic: any NULL operand of an
-/// arithmetic/comparison/LIKE node yields NULL; AND/OR use Kleene
-/// semantics; predicates treat a NULL result as false. Type errors are
-/// Status::Application (the paper's non-recoverable failure class).
+/// Expr is neither typed nor evaluated itself: Bind() (exec/bound_expr.h)
+/// type-checks and compiles it against a schema, so a type error is
+/// InvalidArgument at plan time. SQL three-valued logic: any NULL operand
+/// of an arithmetic/comparison/LIKE node yields NULL; AND/OR use Kleene
+/// semantics; predicates treat a NULL result as false.
 class Expr {
  public:
   virtual ~Expr() = default;
   virtual ExprKind kind() const = 0;
-
-  /// \brief Output type given an input schema (best effort; kNull when
-  /// data dependent).
-  virtual Result<DataType> OutputType(const Schema& schema) const = 0;
 
   virtual std::string ToString() const = 0;
 

@@ -24,8 +24,8 @@ struct TagBits {
   uint64_t bits;
 };
 
-// One normalization for every double, boxed or not, so the
-// cross-numeric-type contract cannot drift between column reps:
+// One normalization for every double, so the cross-numeric-type
+// contract holds between int64 and float64 columns:
 // integral doubles in int64 range normalize to the int64 encoding so
 // 3.0 == 3 (and -0.0 == 0) hold under memcmp, matching
 // Value::Compare()'s cross-numeric-type equality.
@@ -40,15 +40,6 @@ inline TagBits NormalizeDouble(double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   return {KeyEncoder::kTagFloat64, bits};
-}
-
-// Tag and payload of a non-string boxed value.
-inline TagBits NormalizeScalar(const Value& v) {
-  if (v.is_null()) return {KeyEncoder::kTagNull, 0};
-  if (v.is_int64()) {
-    return {KeyEncoder::kTagInt64, static_cast<uint64_t>(v.int64_unchecked())};
-  }
-  return NormalizeDouble(v.float64_unchecked());
 }
 
 // Little-endian store without per-byte capacity checks (the fast path
@@ -116,20 +107,6 @@ bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
           }
         }
         break;
-      case ColumnRep::kBoxed:
-        for (std::size_t i = 0; i < n; ++i) {
-          const Value& v = col.BoxedAt(sel ? sel[i] : i);
-          if (v.is_null()) {
-            out->offsets[i + 1] += 1;
-            out->null_key[i] = 1;
-          } else if (v.is_string()) {
-            out->offsets[i + 1] +=
-                5 + static_cast<uint32_t>(v.str_unchecked().size());
-          } else {
-            out->offsets[i + 1] += 9;
-          }
-        }
-        break;
     }
   }
   std::size_t total = 0;
@@ -179,21 +156,6 @@ bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
             p += s.size();
           }
           break;
-        case ColumnRep::kBoxed: {
-          const Value& v = col.BoxedAt(phys);
-          if (v.is_string()) {
-            const std::string& s = v.str_unchecked();
-            *p++ = static_cast<char>(kTagString);
-            p = StoreRaw32(static_cast<uint32_t>(s.size()), p);
-            std::memcpy(p, s.data(), s.size());
-            p += s.size();
-          } else {
-            const TagBits tb = NormalizeScalar(v);
-            *p++ = static_cast<char>(tb.tag);
-            if (tb.tag != kTagNull) p = StoreRaw64(tb.bits, p);
-          }
-          break;
-        }
       }
       cur[i] = static_cast<uint32_t>(p - base);
     }
@@ -257,7 +219,7 @@ bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
             bits = tb.bits;
           }
           break;
-        case ColumnRep::kString:
+        default:  // kString
           if (col.IsNull(phys)) {
             tag = kTagNull;
             bits = 0;
@@ -268,20 +230,6 @@ bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
             bits = Hash64(s.data(), s.size());
           }
           break;
-        default: {  // kBoxed
-          const Value& v = col.BoxedAt(phys);
-          if (v.is_string()) {
-            const std::string& s = v.str_unchecked();
-            tag = kTagString;
-            bits = Hash64(s.data(), s.size());
-          } else {
-            const TagBits tb = NormalizeScalar(v);
-            if (tb.tag == kTagNull) nil[i] = 1;
-            tag = tb.tag;
-            bits = tb.bits;
-          }
-          break;
-        }
       }
       h[i] = Mum(h[i] ^ (bits + tag * kTagMul), kSecret2);
     }

@@ -25,8 +25,8 @@ struct ColumnBatch;
 /// collides with ["a","bc"]).
 ///
 /// Both functions see values, not column reps: a cell encodes and hashes
-/// the same whether its column is kInt64, kFloat64, kString, kNull or
-/// kBoxed. Numeric normalization keeps the executor's cross-numeric-type
+/// the same whether its column is kInt64, kFloat64, kString or kNull.
+/// Numeric normalization keeps the executor's cross-numeric-type
 /// equality (Value::Compare()==0 implies equal bytes and equal hashes):
 /// a float64 whose value is integral and exactly representable as int64
 /// is encoded as that int64 (so 3.0 and 3, and -0.0 and 0, produce

@@ -5,6 +5,7 @@
 
 #include "common/hash64.h"
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "exec/bound_expr.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
@@ -13,16 +14,8 @@ namespace swift {
 
 namespace {
 
-// Predicate truthiness of an evaluated value: NULL is false, numeric
-// nonzero / non-empty string true.
-bool IsTruthy(const Value& v) {
-  if (v.is_null()) return false;
-  if (v.is_int64()) return v.int64() != 0;
-  if (v.is_float64()) return v.float64() != 0.0;
-  return !v.str().empty();
-}
-
-// Truthiness of a dense predicate column's cell without boxing.
+// Predicate truthiness of a dense predicate column's cell: NULL is
+// false, numeric nonzero / non-empty string true.
 bool TruthyAt(const ColumnVector& col, std::size_t i) {
   switch (col.rep()) {
     case ColumnRep::kNull:
@@ -33,8 +26,6 @@ bool TruthyAt(const ColumnVector& col, std::size_t i) {
       return !col.IsNull(i) && col.Float64At(i) != 0.0;
     case ColumnRep::kString:
       return !col.IsNull(i) && !col.StrAt(i).empty();
-    case ColumnRep::kBoxed:
-      return IsTruthy(col.BoxedAt(i));
   }
   return false;
 }
@@ -53,6 +44,26 @@ std::string_view KindName(AggKind k) {
       return "avg";
   }
   return "?";
+}
+
+// The result type of one aggregate whose argument has type `arg`
+// (ignored for COUNT); see AggOutputSchema.
+Result<DataType> AggResultType(const AggSpec& spec, DataType arg) {
+  if (spec.kind == AggKind::kCount) return DataType::kInt64;
+  const std::string name =
+      std::string(KindName(spec.kind)) + "(" +
+      (spec.arg == nullptr ? "*" : spec.arg->ToString()) + ")";
+  if (spec.arg == nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("type error in %s: only count takes *", name.c_str()));
+  }
+  if (spec.kind == AggKind::kMin || spec.kind == AggKind::kMax) return arg;
+  if (arg == DataType::kString) {
+    return Status::InvalidArgument(StrFormat(
+        "type error in %s: %s needs a numeric argument, got string",
+        name.c_str(), std::string(KindName(spec.kind)).c_str()));
+  }
+  return spec.kind == AggKind::kAvg ? DataType::kFloat64 : arg;
 }
 
 // Cell-level comparison with Value::Compare semantics exactly — NULLs
@@ -87,8 +98,8 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
     const int c = a.StrAt(i).compare(b.StrAt(j));
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
-  // Boxed or mixed-rep cells: defer to the boxed comparison.
-  return a.GetValue(i).Compare(b.GetValue(j));
+  // A number against a string: numbers sort first, as in Value::Compare.
+  return ra == ColumnRep::kString ? 1 : -1;
 }
 
 template <typename T>
@@ -417,15 +428,14 @@ class ProjectOp final : public PhysicalOperator {
       return Status::InvalidArgument("project exprs/names size mismatch");
     }
     SWIFT_RETURN_NOT_OK(child_->Open());
-    const Schema& in = child_->output_schema();
+    SWIFT_ASSIGN_OR_RETURN(bound_exprs_,
+                           BindAll(exprs_, child_->output_schema()));
     std::vector<Field> fields;
     fields.reserve(exprs_.size());
     for (std::size_t i = 0; i < exprs_.size(); ++i) {
-      SWIFT_ASSIGN_OR_RETURN(DataType t, exprs_[i]->OutputType(in));
-      fields.push_back(Field{names_[i], t});
+      fields.push_back(Field{names_[i], bound_exprs_[i]->static_type()});
     }
     output_schema_ = Schema(std::move(fields));
-    SWIFT_ASSIGN_OR_RETURN(bound_exprs_, BindAll(exprs_, in));
     return Status::OK();
   }
   Result<std::optional<ColumnBatch>> Next() override {
@@ -786,30 +796,6 @@ struct AggState {
   }
 };
 
-Result<Schema> AggOutputSchema(const Schema& in,
-                               const std::vector<ExprPtr>& groups,
-                               const std::vector<std::string>& group_names,
-                               const std::vector<AggSpec>& aggs) {
-  std::vector<Field> fields;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    SWIFT_ASSIGN_OR_RETURN(DataType t, groups[i]->OutputType(in));
-    fields.push_back(Field{group_names[i], t});
-  }
-  for (const AggSpec& a : aggs) {
-    DataType t = DataType::kFloat64;
-    if (a.kind == AggKind::kCount) {
-      t = DataType::kInt64;
-    } else if (a.arg != nullptr) {
-      SWIFT_ASSIGN_OR_RETURN(DataType at, a.arg->OutputType(in));
-      t = (a.kind == AggKind::kMin || a.kind == AggKind::kMax)
-              ? at
-              : (a.kind == AggKind::kAvg ? DataType::kFloat64 : at);
-    }
-    fields.push_back(Field{a.output_name, t});
-  }
-  return Schema(std::move(fields));
-}
-
 // Binds the aggregate argument expressions; COUNT(*) slots stay null.
 Result<std::vector<BoundExprPtr>> BindAggArgs(const std::vector<AggSpec>& aggs,
                                               const Schema& schema) {
@@ -840,9 +826,6 @@ class AggregateOperator : public MaterializingOperator {
         aggs_(std::move(aggs)) {}
 
   Status Open() override {
-    if (groups_.size() != group_names_.size()) {
-      return Status::InvalidArgument("group exprs/names size mismatch");
-    }
     SWIFT_RETURN_NOT_OK(child_->Open());
     const Schema& in = child_->output_schema();
     SWIFT_ASSIGN_OR_RETURN(output_schema_,
@@ -1037,10 +1020,9 @@ class WindowOp final : public MaterializingOperator {
   Status Open() override {
     SWIFT_RETURN_NOT_OK(child_->Open());
     const Schema in = child_->output_schema();
+    SWIFT_ASSIGN_OR_RETURN(DataType t, WindowResultType(func_, arg_, in));
     std::vector<Field> fields = in.fields();
-    fields.push_back(Field{output_name_, func_ == WindowFunc::kSum
-                                             ? DataType::kFloat64
-                                             : DataType::kInt64});
+    fields.push_back(Field{output_name_, t});
     output_schema_ = Schema(std::move(fields));
 
     SWIFT_ASSIGN_OR_RETURN(bound_partition_, BindAll(partition_by_, in));
@@ -1068,9 +1050,6 @@ class WindowOp final : public MaterializingOperator {
     SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_order_, in, &order));
     ColumnVector arg_col;
     if (func_ == WindowFunc::kSum) {
-      if (bound_arg_ == nullptr) {
-        return Status::InvalidArgument("window sum requires an argument");
-      }
       SWIFT_RETURN_NOT_OK(bound_arg_->EvaluateVector(in, &arg_col));
     }
 
@@ -1136,18 +1115,11 @@ class WindowOp final : public MaterializingOperator {
             win_i64[row] = rank;
             break;
           case WindowFunc::kSum: {
+            // The argument is numeric (WindowResultType) or all NULL.
             if (!arg_col.IsNull(row)) {
-              switch (arg_col.rep()) {
-                case ColumnRep::kInt64:
-                  running_sum += static_cast<double>(arg_col.Int64At(row));
-                  break;
-                case ColumnRep::kFloat64:
-                  running_sum += arg_col.Float64At(row);
-                  break;
-                default:
-                  running_sum += arg_col.GetValue(row).AsDouble();
-                  break;
-              }
+              running_sum += arg_col.rep() == ColumnRep::kInt64
+                                 ? static_cast<double>(arg_col.Int64At(row))
+                                 : arg_col.Float64At(row);
             }
             win_f64[row] = running_sum;
             break;
@@ -1186,6 +1158,45 @@ class WindowOp final : public MaterializingOperator {
 }  // namespace
 
 std::string_view AggKindToString(AggKind kind) { return KindName(kind); }
+
+Result<Schema> AggOutputSchema(const Schema& in,
+                               const std::vector<ExprPtr>& groups,
+                               const std::vector<std::string>& group_names,
+                               const std::vector<AggSpec>& aggs) {
+  if (groups.size() != group_names.size()) {
+    return Status::InvalidArgument("group exprs/names size mismatch");
+  }
+  std::vector<Field> fields;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    SWIFT_ASSIGN_OR_RETURN(BoundExprPtr g, Bind(groups[i], in));
+    fields.push_back(Field{group_names[i], g->static_type()});
+  }
+  for (const AggSpec& a : aggs) {
+    DataType arg = DataType::kNull;
+    if (a.arg != nullptr) {
+      SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(a.arg, in));
+      arg = b->static_type();
+    }
+    SWIFT_ASSIGN_OR_RETURN(DataType t, AggResultType(a, arg));
+    fields.push_back(Field{a.output_name, t});
+  }
+  return Schema(std::move(fields));
+}
+
+Result<DataType> WindowResultType(WindowFunc func, const ExprPtr& arg,
+                                  const Schema& in) {
+  if (func != WindowFunc::kSum) return DataType::kInt64;
+  if (arg == nullptr) {
+    return Status::InvalidArgument("window sum requires an argument");
+  }
+  SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(arg, in));
+  if (b->static_type() == DataType::kString) {
+    return Status::InvalidArgument(StrFormat(
+        "type error in sum(%s): window sum needs a numeric argument, got "
+        "string", arg->ToString().c_str()));
+  }
+  return DataType::kFloat64;
+}
 
 OperatorPtr MakeBatchSource(Schema schema, std::vector<Batch> batches) {
   return std::make_unique<BatchSource>(std::move(schema), std::move(batches));

@@ -54,6 +54,17 @@ struct AggSpec {
   std::string output_name;
 };
 
+/// \brief Output schema of a GROUP BY: one field per group expression
+/// (its bound type), then one per aggregate: COUNT int64, AVG float64,
+/// SUM/MIN/MAX their argument's bound type. SUM/AVG over a string, any
+/// aggregate but COUNT without an argument, and bind errors are
+/// InvalidArgument naming the expression. The aggregate operators and
+/// the planner both type through this one rule.
+Result<Schema> AggOutputSchema(const Schema& in,
+                               const std::vector<ExprPtr>& groups,
+                               const std::vector<std::string>& group_names,
+                               const std::vector<AggSpec>& aggs);
+
 // ---- Sources --------------------------------------------------------
 
 /// \brief Emits row batches converted through ToColumnBatch (a test and
@@ -123,6 +134,13 @@ OperatorPtr MakeStreamedAggregate(OperatorPtr child,
 /// \brief Window functions computable per partition.
 enum class WindowFunc : int { kRowNumber, kRank, kSum };
 
+/// \brief Type of a window function's column: float64 for kSum, whose
+/// argument must bind to a number (or all-NULL), int64 otherwise.
+/// InvalidArgument, naming the expression, for a string or missing
+/// kSum argument.
+Result<DataType> WindowResultType(WindowFunc func, const ExprPtr& arg,
+                                  const Schema& in);
+
 /// \brief Appends one column `output_name` computed over partitions of
 /// `partition_by`, ordered by `order_by` (the paper's Window operator).
 /// kSum computes a running (cumulative) sum of `arg`.
@@ -133,8 +151,8 @@ OperatorPtr MakeWindow(OperatorPtr child, std::vector<ExprPtr> partition_by,
 // ---- Helpers --------------------------------------------------------
 
 /// \brief Drains an operator tree into one dense ColumnBatch (columns
-/// pre-typed from the output schema, so the result always conforms for
-/// SerializeColumnBatch's fast path).
+/// pre-typed from the output schema, so an all-NULL or empty result
+/// still has its fields' reps).
 Result<ColumnBatch> CollectAllColumnar(PhysicalOperator* op);
 
 /// \brief CollectAllColumnar boxed into rows (tests, benches, results).

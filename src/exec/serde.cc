@@ -22,9 +22,9 @@ namespace {
 /// encoding implied by the schema; varint lengths/counts; CRC32 footer.
 constexpr uint32_t kMagicV2 = 0x53574632;
 
-/// Per-column encodings.
-constexpr uint8_t kColTyped = 0;   ///< bitmap + schema-typed values
-constexpr uint8_t kColTagged = 1;  ///< per-value type tags (mixed column)
+/// The one per-column encoding: bitmap + schema-typed values. Mode 1
+/// (per-value type tags) is retired; the decoder rejects it as corrupt.
+constexpr uint8_t kColTyped = 0;
 
 std::size_t VarintSize(uint64_t v) {
   std::size_t n = 1;
@@ -51,13 +51,6 @@ class Reader {
     uint32_t v;
     std::memcpy(&v, buf_.data() + pos_, sizeof(v));
     pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (buf_.size() - pos_ < 8) return Truncated();
-    uint64_t v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(v));
-    pos_ += 8;
     return v;
   }
   Result<uint64_t> Varint() {
@@ -125,55 +118,7 @@ std::size_t HeaderSize(const Schema& schema, std::size_t nrows) {
   return n + VarintSize(nrows);
 }
 
-// Cell accessors for the generic column path: they read any rep, kBoxed
-// included, and are called for non-null cells only.
-
-DataType CellType(const ColumnVector& col, std::size_t i) {
-  return col.rep() == ColumnRep::kBoxed ? col.BoxedAt(i).type()
-                                        : static_cast<DataType>(col.rep());
-}
-
-std::string_view CellStr(const ColumnVector& col, std::size_t i) {
-  return col.rep() == ColumnRep::kBoxed
-             ? std::string_view(col.BoxedAt(i).str_unchecked())
-             : col.StrAt(i);
-}
-
-/// The 8 wire bytes of a numeric cell.
-uint64_t CellBits(const ColumnVector& col, std::size_t i) {
-  if (col.rep() == ColumnRep::kBoxed) {
-    const Value& v = col.BoxedAt(i);
-    return v.is_int64() ? static_cast<uint64_t>(v.int64_unchecked())
-                        : std::bit_cast<uint64_t>(v.float64_unchecked());
-  }
-  return col.rep() == ColumnRep::kInt64
-             ? static_cast<uint64_t>(col.Int64At(i))
-             : std::bit_cast<uint64_t>(col.Float64At(i));
-}
-
-/// Untagged payload size of a non-null cell.
-std::size_t CellSize(const ColumnVector& col, std::size_t i) {
-  if (CellType(col, i) != DataType::kString) return 8;
-  const std::size_t len = CellStr(col, i).size();
-  return VarintSize(len) + len;
-}
-
-void PutCellAt(char*& p, const ColumnVector& col, std::size_t i) {
-  if (CellType(col, i) == DataType::kString) {
-    const std::string_view s = CellStr(col, i);
-    PutVarintAt(p, s.size());
-    std::memcpy(p, s.data(), s.size());
-    p += s.size();
-  } else {
-    const uint64_t bits = CellBits(col, i);
-    std::memcpy(p, &bits, 8);
-    p += 8;
-  }
-}
-
-/// A column whose rep is its field type's (or kNull) takes the typed fast
-/// paths; any other (kBoxed, or retyped such as kInt64 under a kNull
-/// field) takes the generic per-cell path.
+/// A column's rep is its field type's, or kNull (every cell NULL).
 bool Conforms(const ColumnVector& col, DataType field_type) {
   return col.rep() == ColumnRep::kNull ||
          static_cast<uint8_t>(col.rep()) == static_cast<uint8_t>(field_type);
@@ -182,8 +127,8 @@ bool Conforms(const ColumnVector& col, DataType field_type) {
 /// Decodes one v2 buffer (magic checked by the caller): CRC first, then
 /// header and per-column bounds. Each column decodes in one pass straight
 /// into ColumnVector storage — a fixed-width column with no nulls is a
-/// single memcpy off the wire, one with nulls scatters through the
-/// bitmap, and a tagged (mixed) column lands in kBoxed.
+/// single memcpy off the wire and one with nulls scatters through the
+/// bitmap. Any column mode but typed is IOError.
 Result<ColumnBatch> DeserializeV2(std::string_view bytes) {
   if (bytes.size() < 8) {
     return Status::IOError("v2 batch buffer shorter than magic + CRC");
@@ -236,101 +181,71 @@ Result<ColumnBatch> DeserializeV2(std::string_view bytes) {
   for (std::size_t c = 0; c < nfields; ++c) {
     const DataType ft = out.schema.field(c).type;
     SWIFT_ASSIGN_OR_RETURN(uint8_t mode, rd.U8());
-    if (mode == kColTyped) {
-      SWIFT_ASSIGN_OR_RETURN(std::string_view bitmap,
-                             rd.Bytes((nrows + 7) / 8));
-      const uint8_t* bits = reinterpret_cast<const uint8_t*>(bitmap.data());
-      std::size_t nonnull = 0;
-      for (const char b : bitmap) {
-        nonnull +=
-            std::popcount(static_cast<unsigned>(static_cast<uint8_t>(b)));
-      }
-      if ((nrows & 7) != 0 && !bitmap.empty() &&
-          (static_cast<uint8_t>(bitmap.back()) >> (nrows & 7)) != 0) {
-        return Status::IOError("bitmap padding bits set");
-      }
-      switch (ft) {
-        case DataType::kNull:
-          if (nonnull != 0) {
-            return Status::IOError("non-null cell in null-typed column");
-          }
-          out.columns.push_back(ColumnVector::MakeNull(nrows));
-          break;
-        case DataType::kInt64:
-        case DataType::kFloat64: {
-          // One bounds check covers the whole fixed-width column.
-          SWIFT_ASSIGN_OR_RETURN(std::string_view data,
-                                 rd.Bytes(nonnull * 8));
-          ColumnVector col;
-          col.ResizeFixedWidth(ft == DataType::kInt64 ? ColumnRep::kInt64
-                                                      : ColumnRep::kFloat64,
-                               nrows);
-          char* dst = ft == DataType::kInt64
-                          ? reinterpret_cast<char*>(col.MutableInt64Data())
-                          : reinterpret_cast<char*>(col.MutableFloat64Data());
-          if (nonnull == nrows) {
-            // A zero-row column has no storage: memcpy from null is UB.
-            if (nrows > 0) std::memcpy(dst, data.data(), 8 * nrows);
-          } else {
-            const char* src = data.data();
-            for (std::size_t r = 0; r < nrows; ++r) {
-              if ((bits[r >> 3] >> (r & 7)) & 1) {
-                std::memcpy(dst + 8 * r, src, 8);
-                src += 8;
-              }
-            }
-            col.SetValidity(std::vector<uint8_t>(bits, bits + bitmap.size()),
-                            nrows - nonnull);
-          }
-          out.columns.push_back(std::move(col));
-          break;
+    if (mode != kColTyped) {
+      return Status::IOError(StrFormat("bad column mode %u in column %zu",
+                                       static_cast<unsigned>(mode), c));
+    }
+    SWIFT_ASSIGN_OR_RETURN(std::string_view bitmap,
+                           rd.Bytes((nrows + 7) / 8));
+    const uint8_t* bits = reinterpret_cast<const uint8_t*>(bitmap.data());
+    std::size_t nonnull = 0;
+    for (const char b : bitmap) {
+      nonnull += std::popcount(static_cast<unsigned>(static_cast<uint8_t>(b)));
+    }
+    if ((nrows & 7) != 0 && !bitmap.empty() &&
+        (static_cast<uint8_t>(bitmap.back()) >> (nrows & 7)) != 0) {
+      return Status::IOError("bitmap padding bits set");
+    }
+    switch (ft) {
+      case DataType::kNull:
+        if (nonnull != 0) {
+          return Status::IOError("non-null cell in null-typed column");
         }
-        case DataType::kString: {
-          ColumnVector col = ColumnVector::OfType(DataType::kString);
-          col.Reserve(nrows);
+        out.columns.push_back(ColumnVector::MakeNull(nrows));
+        break;
+      case DataType::kInt64:
+      case DataType::kFloat64: {
+        // One bounds check covers the whole fixed-width column.
+        SWIFT_ASSIGN_OR_RETURN(std::string_view data,
+                               rd.Bytes(nonnull * 8));
+        ColumnVector col;
+        col.ResizeFixedWidth(ft == DataType::kInt64 ? ColumnRep::kInt64
+                                                    : ColumnRep::kFloat64,
+                             nrows);
+        char* dst = ft == DataType::kInt64
+                        ? reinterpret_cast<char*>(col.MutableInt64Data())
+                        : reinterpret_cast<char*>(col.MutableFloat64Data());
+        if (nonnull == nrows) {
+          // A zero-row column has no storage: memcpy from null is UB.
+          if (nrows > 0) std::memcpy(dst, data.data(), 8 * nrows);
+        } else {
+          const char* src = data.data();
           for (std::size_t r = 0; r < nrows; ++r) {
             if ((bits[r >> 3] >> (r & 7)) & 1) {
-              SWIFT_ASSIGN_OR_RETURN(std::string_view s, rd.Str());
-              col.AppendString(s);
-            } else {
-              col.AppendNull();
+              std::memcpy(dst + 8 * r, src, 8);
+              src += 8;
             }
           }
-          out.columns.push_back(std::move(col));
-          break;
+          col.SetValidity(std::vector<uint8_t>(bits, bits + bitmap.size()),
+                          nrows - nonnull);
         }
+        out.columns.push_back(std::move(col));
+        break;
       }
-    } else if (mode == kColTagged) {
-      ColumnVector col = ColumnVector::OfRep(ColumnRep::kBoxed);
-      col.Reserve(nrows);
-      for (std::size_t r = 0; r < nrows; ++r) {
-        SWIFT_ASSIGN_OR_RETURN(uint8_t tag, rd.U8());
-        switch (static_cast<DataType>(tag)) {
-          case DataType::kNull:
-            col.AppendNull();
-            break;
-          case DataType::kInt64: {
-            SWIFT_ASSIGN_OR_RETURN(uint64_t v, rd.U64());
-            col.Append(Value(static_cast<int64_t>(v)));
-            break;
-          }
-          case DataType::kFloat64: {
-            SWIFT_ASSIGN_OR_RETURN(uint64_t vbits, rd.U64());
-            col.Append(Value(std::bit_cast<double>(vbits)));
-            break;
-          }
-          case DataType::kString: {
+      case DataType::kString: {
+        ColumnVector col = ColumnVector::OfType(DataType::kString);
+        col.Reserve(nrows);
+        for (std::size_t r = 0; r < nrows; ++r) {
+          if ((bits[r >> 3] >> (r & 7)) & 1) {
             SWIFT_ASSIGN_OR_RETURN(std::string_view s, rd.Str());
-            col.Append(Value(std::string(s)));
-            break;
+            col.AppendString(s);
+          } else {
+            col.AppendNull();
           }
-          default:
-            return Status::IOError("bad value type tag");
         }
+        out.columns.push_back(std::move(col));
+        break;
       }
-      out.columns.push_back(std::move(col));
-    } else {
-      return Status::IOError("bad column mode");
     }
   }
   if (!rd.AtEnd()) {
@@ -349,35 +264,19 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
   const std::size_t nrows = batch.num_rows();
   const std::size_t bitmap_len = (nrows + 7) / 8;
   const uint32_t* sel = batch.selection ? batch.selection->data() : nullptr;
-  // Sizing pass: header + per column (mode byte + bitmap + payload, or
-  // mode byte + tagged payload) + CRC. A conforming column is always
-  // typed; a generic one is typed iff every selected non-null cell has
-  // the field type.
-  std::vector<uint8_t> mode(nfields, kColTyped);
+  // Sizing pass: header + per column (mode byte + bitmap + payload) +
+  // CRC.
   std::size_t total = HeaderSize(batch.schema, nrows) + 4;
   for (std::size_t c = 0; c < nfields; ++c) {
     const ColumnVector& col = batch.columns[c];
-    const DataType ft = batch.schema.field(c).type;
-    if (!Conforms(col, ft)) {
-      std::size_t typed = bitmap_len, tagged = 0;
-      for (std::size_t j = 0; j < nrows; ++j) {
-        const std::size_t i = sel ? sel[j] : j;
-        if (col.IsNull(i)) {
-          tagged += 1;
-          continue;
-        }
-        if (CellType(col, i) != ft) mode[c] = kColTagged;
-        const std::size_t n = CellSize(col, i);
-        typed += n;
-        tagged += 1 + n;
-      }
-      total += 1 + (mode[c] == kColTyped ? typed : tagged);
-      continue;
-    }
+    const Field& field = batch.schema.field(c);
+    SWIFT_CHECK(Conforms(col, field.type))
+        << "column '" << field.name << "' holds "
+        << DataTypeToString(static_cast<DataType>(col.rep()))
+        << " cells under a " << DataTypeToString(field.type) << " field";
     total += 1 + bitmap_len;
     switch (col.rep()) {
       case ColumnRep::kNull:
-      case ColumnRep::kBoxed:  // kBoxed never conforms
         break;
       case ColumnRep::kInt64:
       case ColumnRep::kFloat64: {
@@ -407,30 +306,9 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
   char* p = WriteHeader(batch.schema, nrows, base);
   for (std::size_t c = 0; c < nfields; ++c) {
     const ColumnVector& col = batch.columns[c];
-    *p++ = static_cast<char>(mode[c]);
-    if (mode[c] == kColTagged) {
-      for (std::size_t j = 0; j < nrows; ++j) {
-        const std::size_t i = sel ? sel[j] : j;
-        if (col.IsNull(i)) {
-          *p++ = static_cast<char>(DataType::kNull);
-          continue;
-        }
-        *p++ = static_cast<char>(CellType(col, i));
-        PutCellAt(p, col, i);
-      }
-      continue;
-    }
+    *p++ = static_cast<char>(kColTyped);
     char* const bitmap = p;  // pre-zeroed by the string fill
     p += bitmap_len;
-    if (!Conforms(col, batch.schema.field(c).type)) {
-      for (std::size_t j = 0; j < nrows; ++j) {
-        const std::size_t i = sel ? sel[j] : j;
-        if (col.IsNull(i)) continue;
-        bitmap[j >> 3] |= static_cast<char>(1u << (j & 7));
-        PutCellAt(p, col, i);
-      }
-      continue;
-    }
     const bool dense = sel == nullptr && !col.has_nulls();
     if (dense && bitmap_len != 0 && col.rep() != ColumnRep::kNull) {
       std::memset(bitmap, 0xFF, bitmap_len);
@@ -441,7 +319,6 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
     }
     switch (col.rep()) {
       case ColumnRep::kNull:
-      case ColumnRep::kBoxed:
         break;  // all-zero bitmap, no payload
       case ColumnRep::kInt64:
       case ColumnRep::kFloat64: {

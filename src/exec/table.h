@@ -69,9 +69,10 @@ struct Table {
 };
 
 /// \brief Builds a table from hand-written rows (tests, examples,
-/// tools). InvalidArgument naming the table and the row when a row is
-/// not of schema width; a cell whose type deviates from its field lands
-/// in a kBoxed column, as in ToColumnBatch.
+/// tools), converting as ToColumnBatch does: an int64 cell under a
+/// float64 field widens. InvalidArgument naming the table, the row and,
+/// for a cell of another type, the column, when a row is not of schema
+/// width or a cell cannot take its field's type.
 Result<std::shared_ptr<Table>> MakeTable(std::string name, Schema schema,
                                          std::vector<Row> rows);
 

@@ -19,8 +19,8 @@ std::string_view DataTypeToString(DataType t);
 ///
 /// Comparison places NULL before every non-null value and orders mixed
 /// numeric types by numeric value; comparing a number with a string is a
-/// type error surfaced by the expression evaluator, but Compare() falls
-/// back to type-tag order so sorting heterogeneous data is total.
+/// type error Bind rejects (exec/bound_expr.h), but Compare() falls back
+/// to type-tag order so sorting heterogeneous data is total.
 class Value {
  public:
   Value() : v_(std::monostate{}) {}

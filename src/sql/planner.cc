@@ -7,6 +7,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "dag/dag_builder.h"
+#include "exec/bound_expr.h"
 #include "sql/parser.h"
 
 namespace swift {
@@ -84,50 +85,75 @@ bool AddReferences(const ExprPtr& expr, const Schema& schema, FieldSet* out) {
   return true;
 }
 
+// Binds (and so type-checks) every sort key against `in`.
+Status BindKeys(const std::vector<SortKey>& keys, const Schema& in) {
+  for (const SortKey& k : keys) SWIFT_RETURN_NOT_OK(Bind(k.expr, in).status());
+  return Status::OK();
+}
+
+// The schema leaving `op` given the schema entering it, typed the way
+// the runtime's operator types it: every expression the op evaluates is
+// bound, so a type error surfaces here as the plan's error. Join keys
+// are checked per input where the planner matches them (PlanJoin).
+Result<Schema> OpOutputSchema(const LocalOpDesc& op, const Schema& in) {
+  switch (op.kind) {
+    case LocalOpDesc::Kind::kFilter:
+      SWIFT_RETURN_NOT_OK(Bind(op.predicate, in).status());
+      return in;
+    case LocalOpDesc::Kind::kSort:
+      SWIFT_RETURN_NOT_OK(BindKeys(op.sort_keys, in));
+      return in;
+    case LocalOpDesc::Kind::kProject: {
+      std::vector<Field> fields;
+      for (std::size_t i = 0; i < op.exprs.size(); ++i) {
+        SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(op.exprs[i], in));
+        fields.push_back(Field{op.names[i], b->static_type()});
+      }
+      return Schema(std::move(fields));
+    }
+    case LocalOpDesc::Kind::kHashAggregate:
+    case LocalOpDesc::Kind::kStreamedAggregate:
+      return AggOutputSchema(in, op.exprs, op.names, op.aggs);
+    case LocalOpDesc::Kind::kWindow: {
+      SWIFT_RETURN_NOT_OK(BindAll(op.partition_by, in).status());
+      SWIFT_RETURN_NOT_OK(BindKeys(op.sort_keys, in));
+      SWIFT_ASSIGN_OR_RETURN(DataType t,
+                             WindowResultType(op.window_func, op.window_arg,
+                                              in));
+      std::vector<Field> fields = in.fields();
+      fields.push_back(Field{op.output_name, t});
+      return Schema(std::move(fields));
+    }
+    case LocalOpDesc::Kind::kLimit:
+    case LocalOpDesc::Kind::kHashJoin:
+    case LocalOpDesc::Kind::kMergeJoin:
+      break;
+  }
+  return in;
+}
+
 // The schema entering each op of `p` given its (concatenated) input;
-// the last entry is the stage's output. Only field names are exact,
-// which is all column resolution looks at.
-std::vector<Schema> ChainSchemas(const StageProgram& p, const Schema& input) {
+// the last entry is the stage's output.
+Result<std::vector<Schema>> ChainSchemas(const StageProgram& p,
+                                         const Schema& input) {
   std::vector<Schema> at = {input};
   for (const LocalOpDesc& op : p.ops) {
-    std::vector<Field> fields;
-    switch (op.kind) {
-      case LocalOpDesc::Kind::kProject:
-        for (const std::string& n : op.names) {
-          fields.push_back(Field{n, DataType::kNull});
-        }
-        break;
-      case LocalOpDesc::Kind::kHashAggregate:
-      case LocalOpDesc::Kind::kStreamedAggregate:
-        for (const std::string& n : op.names) {
-          fields.push_back(Field{n, DataType::kNull});
-        }
-        for (const AggSpec& a : op.aggs) {
-          fields.push_back(Field{a.output_name, DataType::kNull});
-        }
-        break;
-      case LocalOpDesc::Kind::kWindow:
-        fields = at.back().fields();
-        fields.push_back(Field{op.output_name, DataType::kNull});
-        break;
-      default:  // filter, sort, limit and joins pass their input through
-        fields = at.back().fields();
-        break;
-    }
-    at.emplace_back(std::move(fields));
+    SWIFT_ASSIGN_OR_RETURN(Schema next, OpOutputSchema(op, at.back()));
+    at.push_back(std::move(next));
   }
   return at;
 }
 
 // The fields of each of `inputs` that `p` reads to produce its whole
 // output: liveness walked backward through the op chain.
-std::vector<FieldSet> InputReads(const StageProgram& p,
-                                 const std::vector<Schema>& inputs) {
+Result<std::vector<FieldSet>> InputReads(const StageProgram& p,
+                                         const std::vector<Schema>& inputs) {
   Schema joined = inputs[0];
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     joined = joined.Concat(inputs[i]);
   }
-  const std::vector<Schema> at = ChainSchemas(p, joined);
+  SWIFT_ASSIGN_OR_RETURN(const std::vector<Schema> at,
+                         ChainSchemas(p, joined));
   FieldSet live = AllFields(at.back());
   for (std::size_t i = p.ops.size(); i-- > 0;) {
     const LocalOpDesc& op = p.ops[i];
@@ -236,7 +262,7 @@ bool NarrowOutput(StageProgram* p, FieldSet keep) {
 // Narrows a scan to the table columns `reads` (at least one, for the row
 // count). A projection NarrowOutput appended is dropped when the narrowed
 // scan already yields exactly the shipped columns.
-void NarrowScan(StageProgram* p, FieldSet reads, bool projected) {
+Status NarrowScan(StageProgram* p, FieldSet reads, bool projected) {
   if (reads.empty()) reads.insert(0);
   std::vector<Field> fields;
   std::vector<std::size_t> columns;
@@ -246,14 +272,17 @@ void NarrowScan(StageProgram* p, FieldSet reads, bool projected) {
   }
   p->scan_schema = Schema(std::move(fields));
   p->scan_columns = std::move(columns);
-  if (!projected) return;
-  const Schema before = ChainSchemas(*p, p->scan_schema)[p->ops.size() - 1];
+  if (!projected) return Status::OK();
+  SWIFT_ASSIGN_OR_RETURN(const std::vector<Schema> at,
+                         ChainSchemas(*p, p->scan_schema));
+  const Schema& before = at[p->ops.size() - 1];
   const std::vector<std::string>& shipped = p->ops.back().names;
-  if (before.num_fields() != shipped.size()) return;
+  if (before.num_fields() != shipped.size()) return Status::OK();
   for (std::size_t f = 0; f < shipped.size(); ++f) {
-    if (before.field(f).name != shipped[f]) return;
+    if (before.field(f).name != shipped[f]) return Status::OK();
   }
   p->ops.pop_back();
+  return Status::OK();
 }
 
 class PlanBuilder {
@@ -273,7 +302,7 @@ class PlanBuilder {
     is_sink_[sink.stage] = true;
     const StageId sink_id = sink.stage;
     stages_[sink_id] = std::move(sink);
-    PruneColumns();
+    SWIFT_RETURN_NOT_OK(PruneColumns());
     return Finalize(sink_name_, sink_id);
   }
 
@@ -443,6 +472,16 @@ class PlanBuilder {
           "join without equi-condition: '%s'",
           on == nullptr ? "<none>" : on->ToString().c_str()));
     }
+    // Each key pair is typed like the `=` conjunct it came from.
+    for (std::size_t k = 0; k < lkeys.size(); ++k) {
+      SWIFT_ASSIGN_OR_RETURN(BoundExprPtr l, Bind(lkeys[k], ls));
+      SWIFT_ASSIGN_OR_RETURN(BoundExprPtr r, Bind(rkeys[k], rs));
+      SWIFT_RETURN_NOT_OK(BinaryResultType(
+                              Expr::Binary(BinaryOp::kEq, lkeys[k], rkeys[k]),
+                              BinaryOp::kEq, l->static_type(),
+                              r->static_type())
+                              .status());
+    }
 
     StageProgram join;
     join.stage = AllocId();
@@ -600,27 +639,10 @@ class PlanBuilder {
       }
     }
 
-    // Compute the natural output schema types.
-    std::vector<Field> natural_fields;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      auto t = groups[gi]->OutputType(in);
-      natural_fields.push_back(
-          Field{group_names[gi], t.ok() ? *t : DataType::kNull});
-    }
-    for (const AggSpec& a : aggs) {
-      DataType t = DataType::kFloat64;
-      if (a.kind == AggKind::kCount) {
-        t = DataType::kInt64;
-      } else if (a.arg != nullptr) {
-        auto at = a.arg->OutputType(in);
-        if (at.ok() && (a.kind == AggKind::kMin || a.kind == AggKind::kMax ||
-                        a.kind == AggKind::kSum)) {
-          t = *at;
-        }
-      }
-      natural_fields.push_back(Field{a.output_name, t});
-    }
-    Schema natural_schema(natural_fields);
+    // The natural output schema, typed as the aggregate operator types
+    // it.
+    SWIFT_ASSIGN_OR_RETURN(const Schema natural_schema,
+                           AggOutputSchema(in, groups, group_names, aggs));
 
     if (want_names != natural) {
       LocalOpDesc proj;
@@ -724,10 +746,9 @@ class PlanBuilder {
         return Status::PlanError("window sum() argument unresolvable");
       }
       w.output_name = ItemName(it, i);
-      fields.push_back(Field{w.output_name,
-                             spec.func == WindowFunc::kSum
-                                 ? DataType::kFloat64
-                                 : DataType::kInt64});
+      SWIFT_ASSIGN_OR_RETURN(DataType t,
+                             WindowResultType(spec.func, spec.arg, in));
+      fields.push_back(Field{w.output_name, t});
       win.ops.push_back(std::move(w));
     }
     const Schema extended(fields);
@@ -748,8 +769,8 @@ class PlanBuilder {
             "SELECT item '%s' references unknown columns",
             e->ToString().c_str()));
       }
-      auto t = e->OutputType(extended);
-      out_fields.push_back(Field{name, t.ok() ? *t : DataType::kNull});
+      SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(e, extended));
+      out_fields.push_back(Field{name, b->static_type()});
       proj.exprs.push_back(std::move(e));
       proj.names.push_back(name);
     }
@@ -785,8 +806,8 @@ class PlanBuilder {
       proj.exprs.push_back(it.expr);
       const std::string name = ItemName(it, i);
       proj.names.push_back(name);
-      auto t = it.expr->OutputType(p.output_schema);
-      fields.push_back(Field{name, t.ok() ? *t : DataType::kNull});
+      SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(it.expr, p.output_schema));
+      fields.push_back(Field{name, b->static_type()});
     }
     p.ops.push_back(std::move(proj));
     p.output_schema = Schema(std::move(fields));
@@ -829,26 +850,32 @@ class PlanBuilder {
   // ships exactly the columns its consumer reads plus its own partition
   // keys, and each scan reads only the table columns its stage uses.
   // Stage ids grow from producer to consumer, so descending id order
-  // visits every consumer before its inputs.
-  void PruneColumns() {
+  // visits every consumer before its inputs. Walking each stage's chain
+  // binds every expression of the plan once, so a type error the planner
+  // did not meet earlier surfaces here.
+  Status PruneColumns() {
     std::map<StageId, FieldSet> consumer_reads;
     for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
       StageProgram& p = it->second;
       const bool projected = is_sink_.count(p.stage) == 0 &&
                              NarrowOutput(&p, consumer_reads[p.stage]);
       if (!p.scan_table.empty()) {
-        NarrowScan(&p, InputReads(p, {p.scan_schema})[0], projected);
+        SWIFT_ASSIGN_OR_RETURN(std::vector<FieldSet> reads,
+                               InputReads(p, {p.scan_schema}));
+        SWIFT_RETURN_NOT_OK(NarrowScan(&p, std::move(reads[0]), projected));
         continue;
       }
       std::vector<Schema> inputs;
       for (StageId in : p.inputs) {
         inputs.push_back(stages_.at(in).output_schema);
       }
-      std::vector<FieldSet> reads = InputReads(p, inputs);
+      SWIFT_ASSIGN_OR_RETURN(std::vector<FieldSet> reads,
+                             InputReads(p, inputs));
       for (std::size_t i = 0; i < p.inputs.size(); ++i) {
         consumer_reads[p.inputs[i]] = std::move(reads[i]);
       }
     }
+    return Status::OK();
   }
 
   // ---- DAG assembly ----------------------------------------------------

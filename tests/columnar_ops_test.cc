@@ -3,9 +3,11 @@
 // Two families of guarantees are pinned here:
 //  1. Batch <-> ColumnBatch conversion is lossless for every Value shape
 //     the engine can hold — all four types, NULLs, NaN and -0.0, empty
-//     and multi-KB strings — including when columns degrade to kBoxed,
-//     and SerializeColumnBatch emits the reference encoder's exact bytes
-//     (reference_serde.h).
+//     and multi-KB strings — with int64 cells under float64 fields
+//     widened and any other ill-typed cell rejected, and
+//     SerializeColumnBatch emits the reference encoder's exact bytes
+//     (reference_serde.h), while a tagged column (the retired wire mode,
+//     under a valid CRC) fails to decode.
 //  2. Every operator agrees with the naive reference executor in
 //     reference_ops.h: filter, project, limit, hash and streamed
 //     aggregate, hash join, and hash partitioning.
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "exec/column_batch.h"
 #include "exec/morsel.h"
@@ -87,10 +90,10 @@ void ExpectBatchesBitEq(const Batch& got, const Batch& want) {
   }
 }
 
-// A uniform-width random batch. Cells usually match their field type
-// (with NULLs mixed in); with `deviant`, a slice of cells carries the
-// wrong type so conversion exercises the kBoxed escape hatch.
-Batch RandomUniformBatch(uint64_t seed, bool deviant) {
+// A uniform-width random batch. Cells match their field type, with
+// NULLs mixed in; with `widened`, a slice of the cells under float64
+// fields are int64s, which conversion widens (ToFieldTypes).
+Batch RandomUniformBatch(uint64_t seed, bool widened) {
   Rng rng(seed);
   const int ncols = static_cast<int>(rng.UniformInt(1, 5));
   std::vector<Field> fields;
@@ -109,8 +112,8 @@ Batch RandomUniformBatch(uint64_t seed, bool deviant) {
         row.push_back(Value::Null());
         continue;
       }
-      if (deviant && rng.UniformInt(0, 19) == 0) {
-        t = static_cast<DataType>(rng.UniformInt(1, 3));
+      if (widened && t == DataType::kFloat64 && rng.UniformInt(0, 4) == 0) {
+        t = DataType::kInt64;
       }
       switch (t) {
         case DataType::kNull:
@@ -148,6 +151,43 @@ Batch RandomUniformBatch(uint64_t seed, bool deviant) {
   return b;
 }
 
+// `b` with every int64 cell under a float64 field widened: the rows a
+// converted batch holds.
+Batch ToFieldTypes(Batch b) {
+  for (Row& row : b.rows) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (row[c].is_int64() && b.schema.field(c).type == DataType::kFloat64) {
+        row[c] = Value(static_cast<double>(row[c].int64()));
+      }
+    }
+  }
+  return b;
+}
+
+// `b` plus one row holding, in one random column, a cell of a type its
+// field cannot take (nothing under kNull, no narrowing, no numbers under
+// strings and back). Returns that row and column.
+std::pair<std::size_t, std::size_t> AddIllTypedCell(Batch* b, uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t c = static_cast<std::size_t>(rng.UniformInt(
+      0, static_cast<int64_t>(b->schema.num_fields()) - 1));
+  Row row(b->schema.num_fields(), Value::Null());
+  switch (b->schema.field(c).type) {
+    case DataType::kNull:
+    case DataType::kString:
+      row[c] = rng.Bernoulli(0.5) ? Value(int64_t{7}) : Value(0.5);
+      break;
+    default:
+      row[c] = Value("seven");
+      break;
+  }
+  const std::size_t r = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(b->rows.size())));
+  b->rows.insert(b->rows.begin() + static_cast<std::ptrdiff_t>(r),
+                 std::move(row));
+  return {r, c};
+}
+
 OperatorPtr ColSourceOf(const Batch& b) {
   Result<ColumnBatch> cb = ToColumnBatch(b);
   EXPECT_TRUE(cb.ok()) << cb.status().ToString();
@@ -165,28 +205,43 @@ Batch CollectColumnar(OperatorPtr op) {
 class ColumnarPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ColumnarPropertyTest, RoundTripBitExact) {
-  for (const bool deviant : {false, true}) {
-    Batch b = RandomUniformBatch(GetParam(), deviant);
+  for (const bool widened : {false, true}) {
+    Batch b = RandomUniformBatch(GetParam(), widened);
     Result<ColumnBatch> cb = ToColumnBatch(b);
     ASSERT_TRUE(cb.ok()) << cb.status().ToString();
     EXPECT_EQ(cb->num_rows(), b.num_rows());
-    ExpectBatchesBitEq(ToRowBatch(*cb), b);
+    ExpectBatchesBitEq(ToRowBatch(*cb), ToFieldTypes(b));
   }
 }
 
+TEST_P(ColumnarPropertyTest, IllTypedCellIsRejected) {
+  // The conversion names the row and column of a cell its field cannot
+  // take instead of building a column for it.
+  Batch b = RandomUniformBatch(GetParam(), /*widened=*/true);
+  const auto [row, col] = AddIllTypedCell(&b, GetParam());
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  ASSERT_FALSE(cb.ok());
+  EXPECT_EQ(cb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cb.status().message().find(
+                "row " + std::to_string(row) + " column '" +
+                b.schema.field(col).name + "'"),
+            std::string::npos)
+      << cb.status().ToString();
+}
+
 TEST_P(ColumnarPropertyTest, SerializeColumnBatchMatchesRowSerializer) {
-  for (const bool deviant : {false, true}) {
-    Batch b = RandomUniformBatch(GetParam(), deviant);
+  for (const bool widened : {false, true}) {
+    Batch b = RandomUniformBatch(GetParam(), widened);
     Result<ColumnBatch> cb = ToColumnBatch(b);
     ASSERT_TRUE(cb.ok()) << cb.status().ToString();
     // Byte identity with the naive reference encoder is the wire
-    // contract, kBoxed columns included.
-    EXPECT_EQ(SerializeColumnBatch(*cb), ref::Serialize(b));
+    // contract, widened columns included.
+    EXPECT_EQ(SerializeColumnBatch(*cb), ref::Serialize(ToFieldTypes(b)));
   }
 }
 
 TEST_P(ColumnarPropertyTest, DeserializeColumnBatchMatchesRowDecoder) {
-  Batch b = RandomUniformBatch(GetParam(), /*deviant=*/true);
+  Batch b = ToFieldTypes(RandomUniformBatch(GetParam(), /*widened=*/true));
   const std::string bytes = ref::Serialize(b);
   Result<ColumnBatch> cb = DeserializeColumnBatch(bytes);
   ASSERT_TRUE(cb.ok()) << cb.status().ToString();
@@ -196,10 +251,55 @@ TEST_P(ColumnarPropertyTest, DeserializeColumnBatchMatchesRowDecoder) {
   ExpectBatchesBitEq(*rows, b);
   // And re-encoding the columnar decode reproduces the buffer.
   EXPECT_EQ(SerializeColumnBatch(*cb), bytes);
+  // The same batch with one ill-typed cell: the reference encoder writes
+  // that column in the retired tagged mode under a valid CRC, and the
+  // decoder refuses it rather than decode a column of mixed types.
+  AddIllTypedCell(&b, GetParam());
+  Result<ColumnBatch> tagged = DeserializeColumnBatch(ref::Serialize(b));
+  ASSERT_FALSE(tagged.ok());
+  EXPECT_EQ(tagged.status().code(), StatusCode::kIOError);
+}
+
+TEST(ColumnarSerdeTest, HandBuiltTaggedColumnFailsClosed) {
+  // A v2 buffer byte by byte: one int64 field "x", two rows, the column
+  // in the retired tagged mode (1) holding an int64 and a string, and a
+  // valid CRC footer. The decoder must refuse it, not decode it.
+  std::string header;
+  ref::AppendLittleEndian(&header, 0x53574632, 4);  // "SWF2"
+  ref::AppendVarint(&header, 1);                    // one field
+  ref::AppendVarint(&header, 1);
+  header += "x";
+  header.push_back(static_cast<char>(DataType::kInt64));
+  ref::AppendVarint(&header, 2);  // two rows
+  std::string tagged = header;
+  tagged.push_back(1);  // tagged mode
+  tagged.push_back(static_cast<char>(DataType::kInt64));
+  ref::AppendLittleEndian(&tagged, 42, 8);
+  tagged.push_back(static_cast<char>(DataType::kString));
+  ref::AppendVarint(&tagged, 2);
+  tagged += "ab";
+  ref::AppendLittleEndian(&tagged, Crc32(tagged), 4);
+  Result<ColumnBatch> got = DeserializeColumnBatch(tagged);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+  EXPECT_NE(got.status().message().find("bad column mode 1"),
+            std::string::npos)
+      << got.status().ToString();
+  // The same header with the column typed (mode 0, bitmap 0b01, the one
+  // int64) decodes, so it is the mode that is refused.
+  std::string typed = header;
+  typed.push_back(0);
+  typed.push_back(1);
+  ref::AppendLittleEndian(&typed, 42, 8);
+  ref::AppendLittleEndian(&typed, Crc32(typed), 4);
+  Result<ColumnBatch> ok = DeserializeColumnBatch(typed);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->columns[0].GetValue(0).int64(), 42);
+  EXPECT_TRUE(ok->columns[0].IsNull(1));
 }
 
 TEST_P(ColumnarPropertyTest, SelectionAwareSerialization) {
-  Batch b = RandomUniformBatch(GetParam(), /*deviant=*/false);
+  Batch b = RandomUniformBatch(GetParam(), /*widened=*/false);
   Result<ColumnBatch> cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok()) << cb.status().ToString();
   // Keep every other physical row, in order.
@@ -508,10 +608,10 @@ TEST(StreamedAggregateTest, NullGroupKeysFormOneGroup) {
 }
 
 TEST(StreamedAggregateTest, IntAndFloatKeysShareAGroup) {
-  // 3 and 3.0 compare equal, so they are one group keyed by the first
-  // row's value.
+  // int64 cells under a float64 key field widen as they load, so 3 and
+  // 3.0 are one group, keyed 3.0.
   Batch in;
-  in.schema = Schema({{"g", DataType::kNull}, {"x", DataType::kInt64}});
+  in.schema = Schema({{"g", DataType::kFloat64}, {"x", DataType::kInt64}});
   in.rows = {{Value(int64_t{3}), Value(int64_t{1})},
              {Value(3.0), Value(int64_t{10})},
              {Value(int64_t{3}), Value(int64_t{100})},
@@ -519,13 +619,15 @@ TEST(StreamedAggregateTest, IntAndFloatKeysShareAGroup) {
   Batch got = StreamedAgg(in, {Expr::Column("g")}, {"g"},
                           {{AggKind::kSum, Expr::Column("x"), "s"}});
   ASSERT_EQ(got.num_rows(), 2u);
-  EXPECT_TRUE(got.rows[0][0].is_int64());
-  EXPECT_EQ(got.rows[0][0].int64(), 3);
+  EXPECT_TRUE(got.rows[0][0].is_float64());
+  EXPECT_EQ(got.rows[0][0].float64(), 3.0);
   EXPECT_EQ(got.rows[0][1], Value(int64_t{111}));
   EXPECT_EQ(got.rows[1][0], Value(3.5));
+  Result<ColumnBatch> widened = ToColumnBatch(in);
+  ASSERT_TRUE(widened.ok()) << widened.status().ToString();
   ExpectBatchesBitEq(
       got, RowsOf(got.schema,
-                  ref::Aggregate(in, {Expr::Column("g")},
+                  ref::Aggregate(ToRowBatch(*widened), {Expr::Column("g")},
                                  {{AggKind::kSum, Expr::Column("x"), "s"}})));
 }
 

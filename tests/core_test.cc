@@ -46,6 +46,45 @@ TEST_F(CoreTest, ExplainShowsGraphlets) {
   EXPECT_NE(text->find("barrier"), std::string::npos);
 }
 
+TEST_F(CoreTest, IllTypedQueriesFailAtPlanTime) {
+  // One query per type rule Bind enforces: each fails to plan with
+  // InvalidArgument naming the offending expression, before any task
+  // runs.
+  const struct {
+    const char* sql;
+    const char* names;
+  } cases[] = {
+      {"select n_name + 1 from tpch_nation", "(n_name + 1)"},
+      {"select -n_name from tpch_nation", "-n_name"},
+      {"select n_name from tpch_nation where n_name = 5", "(n_name = 5)"},
+      {"select n_name from tpch_nation where n_nationkey like '1%'",
+       "(n_nationkey like '1%')"},
+      {"select coalesce(n_name, n_nationkey) from tpch_nation",
+       "coalesce(n_name, n_nationkey)"},
+      {"select lower(n_nationkey) from tpch_nation", "lower(n_nationkey)"},
+      {"select substr(n_name, 1) from tpch_nation", "substr(n_name, 1)"},
+      {"select frobnicate(n_name) from tpch_nation", "frobnicate(n_name)"},
+      {"select sum(n_name) from tpch_nation", "sum(n_name)"},
+      {"select n_regionkey, avg(n_name) from tpch_nation "
+       "group by n_regionkey",
+       "avg(n_name)"},
+      {"select n_regionkey, count(*) as c from tpch_nation "
+       "group by n_regionkey having c > 'x'",
+       "(c > 'x')"},
+      {"select n_name from tpch_nation join tpch_region "
+       "on n_name = r_regionkey",
+       "(n_name = r_regionkey)"},
+  };
+  for (const auto& c : cases) {
+    auto plan = system_.Plan(c.sql);
+    ASSERT_FALSE(plan.ok()) << c.sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+        << c.sql << ": " << plan.status().ToString();
+    EXPECT_NE(plan.status().message().find(c.names), std::string::npos)
+        << c.sql << ": " << plan.status().ToString();
+  }
+}
+
 TEST_F(CoreTest, ParseErrorsSurface) {
   EXPECT_EQ(system_.Query("selectx").status().code(),
             StatusCode::kParseError);

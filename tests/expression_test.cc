@@ -1,6 +1,6 @@
 // Expression semantics, checked through the only evaluator: each case
 // binds the tree (exec/bound_expr.h) and evaluates it on a one-row
-// ColumnBatch.
+// ColumnBatch. Ill-typed trees never evaluate: Bind rejects them.
 
 #include "exec/expression.h"
 
@@ -48,6 +48,15 @@ Value Eval(const ExprPtr& e) {
   return r.ok() ? *r : Value::Null();
 }
 
+// Expects Bind to reject `e` as ill-typed, naming the expression.
+void ExpectRejectedAtBind(const ExprPtr& e) {
+  auto bound = Bind(e, TestSchema());
+  ASSERT_FALSE(bound.ok()) << e->ToString();
+  EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bound.status().message().find(e->ToString()), std::string::npos)
+      << bound.status().ToString();
+}
+
 TEST(ExpressionTest, ColumnAndLiteral) {
   EXPECT_EQ(Eval(Expr::Column("i")).int64(), 6);
   EXPECT_DOUBLE_EQ(Eval(Expr::Column("f")).float64(), 2.5);
@@ -87,10 +96,9 @@ TEST(ExpressionTest, DivisionByZeroIsApplicationError) {
   EXPECT_EQ(r.status().code(), StatusCode::kApplication);
 }
 
-TEST(ExpressionTest, ArithmeticOnStringIsApplicationError) {
-  auto e = Expr::Binary(BinaryOp::kAdd, Expr::Column("s"), Expr::Column("i"));
-  EXPECT_EQ(Evaluate(e).status().code(),
-            StatusCode::kApplication);
+TEST(ExpressionTest, ArithmeticOnStringFailsAtBind) {
+  ExpectRejectedAtBind(
+      Expr::Binary(BinaryOp::kAdd, Expr::Column("s"), Expr::Column("i")));
 }
 
 TEST(ExpressionTest, NullPropagatesThroughArithmetic) {
@@ -139,11 +147,9 @@ TEST(ExpressionTest, LikeOperator) {
   EXPECT_EQ(Eval(miss).int64(), 0);
 }
 
-TEST(ExpressionTest, LikeOnNumberIsApplicationError) {
-  auto e = Expr::Binary(BinaryOp::kLike, Expr::Column("i"),
-                        Expr::Literal(Value("%1%")));
-  EXPECT_EQ(Evaluate(e).status().code(),
-            StatusCode::kApplication);
+TEST(ExpressionTest, LikeOnNumberFailsAtBind) {
+  ExpectRejectedAtBind(Expr::Binary(BinaryOp::kLike, Expr::Column("i"),
+                                    Expr::Literal(Value("%1%"))));
 }
 
 TEST(ExpressionTest, NotAndNegate) {
@@ -180,10 +186,8 @@ TEST(ExpressionTest, LowerUpperAbs) {
       4);
 }
 
-TEST(ExpressionTest, UnknownFunctionIsApplicationError) {
-  auto e = Expr::Function("frobnicate", {});
-  EXPECT_EQ(Evaluate(e).status().code(),
-            StatusCode::kApplication);
+TEST(ExpressionTest, UnknownFunctionFailsAtBind) {
+  ExpectRejectedAtBind(Expr::Function("frobnicate", {}));
 }
 
 TEST(ExpressionTest, EvaluatePredicateTreatsNullAsFalse) {
@@ -227,16 +231,41 @@ TEST(ExpressionTest, AsColumnName) {
 }
 
 TEST(ExpressionTest, OutputTypes) {
-  const Schema& s = TestSchema();
-  EXPECT_EQ(*Expr::Column("i")->OutputType(s), DataType::kInt64);
-  EXPECT_EQ(*Expr::Binary(BinaryOp::kDiv, Expr::Column("i"), Expr::Column("i"))
-                 ->OutputType(s),
+  // The one type of an expression is its bound static type.
+  const auto type_of = [](const ExprPtr& e) {
+    auto b = Bind(e, TestSchema());
+    EXPECT_TRUE(b.ok()) << b.status().ToString();
+    return b.ok() ? (*b)->static_type() : DataType::kNull;
+  };
+  EXPECT_EQ(type_of(Expr::Column("i")), DataType::kInt64);
+  EXPECT_EQ(type_of(Expr::Binary(BinaryOp::kDiv, Expr::Column("i"),
+                                 Expr::Column("i"))),
             DataType::kFloat64);
-  EXPECT_EQ(*Expr::Binary(BinaryOp::kAdd, Expr::Column("i"), Expr::Column("f"))
-                 ->OutputType(s),
+  EXPECT_EQ(type_of(Expr::Binary(BinaryOp::kAdd, Expr::Column("i"),
+                                 Expr::Column("f"))),
             DataType::kFloat64);
-  EXPECT_EQ(*Expr::Function("substr", {Expr::Column("s")})->OutputType(s),
+  EXPECT_EQ(type_of(Expr::Function(
+                "substr", {Expr::Column("s"), Expr::Literal(Value(int64_t{1})),
+                           Expr::Column("f")})),
             DataType::kString);
+  EXPECT_EQ(type_of(Expr::Function("coalesce",
+                                   {Expr::Column("n"), Expr::Column("i"),
+                                    Expr::Column("f")})),
+            DataType::kFloat64);
+  EXPECT_EQ(type_of(Expr::Literal(Value::Null())), DataType::kNull);
+  // A folded NULL keeps its subtree's type.
+  EXPECT_EQ(type_of(Expr::Binary(BinaryOp::kAdd, Expr::Literal(Value::Null()),
+                                 Expr::Literal(Value(2.0)))),
+            DataType::kFloat64);
+}
+
+TEST(ExpressionTest, CoalescePromotesIntToFloat) {
+  // The int64 argument wins but lands in the float64 result column.
+  Value v = Eval(Expr::Function("coalesce", {Expr::Column("n"),
+                                             Expr::Column("i"),
+                                             Expr::Column("f")}));
+  ASSERT_TRUE(v.is_float64());
+  EXPECT_DOUBLE_EQ(v.float64(), 6.0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Randomized parity property test: the flat-table hash kernels
 // (HashJoinOp / HashAggregateOp / HashPartitionColumnar) against the legacy
 // node-based row-map implementations they replaced, kept verbatim here
-// as the oracle. Inputs mix int64 / float64 / string keys with NULLs,
-// duplicate keys, cross-numeric-type equal keys (3 vs 3.0), and
+// as the oracle. Inputs draw int64 / float64 / string key columns with
+// NULLs, duplicate keys, cross-numeric-type equal keys (an int64 key
+// column joined with a float64 one holding 3 vs 3.0), and
 // collision-adversarial strided keys. Runs under the asan/ubsan presets
 // like every other test.
 
@@ -227,47 +228,83 @@ std::vector<std::string> RowMultiset(const std::vector<Row>& rows) {
 
 // ---- Random input generation ----------------------------------------
 
-// Mixed-type key values drawn to force duplicates, cross-type equality
-// (k and (double)k), NULLs, and collision-adversarial stride patterns.
-Value RandomKeyValue(Rng& rng) {
-  const double roll = rng.Uniform();
-  if (roll < 0.15) return Value::Null();
-  if (roll < 0.45) {
-    const int64_t k = rng.UniformInt(-8, 8);
-    return Value(k * (rng.Bernoulli(0.5) ? 1 : 1024));  // strided collisions
-  }
-  if (roll < 0.65) {
-    // Half integral-valued floats (equal to int64 keys), half fractional.
-    const int64_t k = rng.UniformInt(-8, 8);
-    return rng.Bernoulli(0.5) ? Value(static_cast<double>(k))
-                              : Value(k + 0.5);
+// Key values of `type` drawn to force duplicates, cross-type equality
+// (k in an int64 column, (double)k in a float64 one), NULLs, and
+// collision-adversarial stride patterns.
+Value RandomKeyValue(Rng& rng, DataType type) {
+  if (rng.Uniform() < 0.15) return Value::Null();
+  const int64_t k = rng.UniformInt(-8, 8);
+  switch (type) {
+    case DataType::kInt64:
+      return Value(k * (rng.Bernoulli(0.5) ? 1 : 1024));  // strided
+    case DataType::kFloat64:
+      // Half integral-valued floats (equal to int64 keys), half
+      // fractional.
+      return rng.Bernoulli(0.5) ? Value(static_cast<double>(k))
+                                : Value(k + 0.5);
+    default:
+      break;
   }
   static const char* kPool[] = {"", "a", "b", "ab", "3", "key", "KEY"};
   return Value(kPool[rng.UniformInt(0, 6)]);
 }
 
-Value RandomPayloadValue(Rng& rng) {
-  const double roll = rng.Uniform();
-  if (roll < 0.1) return Value::Null();
-  if (roll < 0.5) return Value(rng.UniformInt(-1000, 1000));
-  if (roll < 0.8) return Value(rng.Uniform(-10.0, 10.0));
-  return Value("p" + std::to_string(rng.UniformInt(0, 99)));
+Value RandomPayloadValue(Rng& rng, DataType type) {
+  if (rng.Uniform() < 0.1) return Value::Null();
+  switch (type) {
+    case DataType::kInt64:
+      return Value(rng.UniformInt(-1000, 1000));
+    case DataType::kFloat64:
+      return Value(rng.Uniform(-10.0, 10.0));
+    default:
+      return Value("p" + std::to_string(rng.UniformInt(0, 99)));
+  }
 }
 
-Batch RandomBatch(Rng& rng, int rows, int key_cols, int payload_cols) {
+DataType RandomNumericType(Rng& rng) {
+  return rng.Bernoulli(0.5) ? DataType::kInt64 : DataType::kFloat64;
+}
+
+// One type per key column, comparable across the inputs of one trial:
+// each is string for every input or numeric for every input, and a
+// numeric column is int64 or float64 per input (KeyTypesFor).
+std::vector<bool> RandomKeyKinds(Rng& rng, int key_cols) {
+  std::vector<bool> numeric;
+  for (int c = 0; c < key_cols; ++c) numeric.push_back(rng.Uniform() < 0.7);
+  return numeric;
+}
+
+std::vector<DataType> KeyTypesFor(Rng& rng, const std::vector<bool>& numeric) {
+  std::vector<DataType> types;
+  for (const bool n : numeric) {
+    types.push_back(n ? RandomNumericType(rng) : DataType::kString);
+  }
+  return types;
+}
+
+// Keys k0.. of `key_types`, then payloads: p0 numeric (SUM/AVG take it),
+// the rest of any type.
+Batch RandomBatch(Rng& rng, int rows, const std::vector<DataType>& key_types,
+                  int payload_cols) {
   Batch b;
   std::vector<Field> fields;
-  for (int c = 0; c < key_cols; ++c) {
-    fields.push_back({"k" + std::to_string(c), DataType::kNull});
+  for (std::size_t c = 0; c < key_types.size(); ++c) {
+    fields.push_back({"k" + std::to_string(c), key_types[c]});
   }
   for (int c = 0; c < payload_cols; ++c) {
-    fields.push_back({"p" + std::to_string(c), DataType::kNull});
+    const DataType t =
+        c == 0 ? RandomNumericType(rng)
+               : static_cast<DataType>(rng.UniformInt(1, 3));
+    fields.push_back({"p" + std::to_string(c), t});
   }
   b.schema = Schema(std::move(fields));
   for (int i = 0; i < rows; ++i) {
     Row r;
-    for (int c = 0; c < key_cols; ++c) r.push_back(RandomKeyValue(rng));
-    for (int c = 0; c < payload_cols; ++c) r.push_back(RandomPayloadValue(rng));
+    for (std::size_t c = 0; c < b.schema.num_fields(); ++c) {
+      const DataType t = b.schema.field(c).type;
+      r.push_back(c < key_types.size() ? RandomKeyValue(rng, t)
+                                       : RandomPayloadValue(rng, t));
+    }
     b.rows.push_back(std::move(r));
   }
   return b;
@@ -307,10 +344,13 @@ TEST(HashKernelsParityTest, JoinMatchesLegacyRowMap) {
     const int key_cols = 1 + static_cast<int>(rng.UniformInt(0, 1));
     const JoinType jt =
         rng.Bernoulli(0.5) ? JoinType::kInner : JoinType::kLeftOuter;
+    const std::vector<bool> kinds = RandomKeyKinds(rng, key_cols);
+    const std::vector<DataType> left_types = KeyTypesFor(rng, kinds);
+    const std::vector<DataType> right_types = KeyTypesFor(rng, kinds);
     Batch left = RandomBatch(rng, static_cast<int>(rng.UniformInt(0, 120)),
-                             key_cols, 1);
+                             left_types, 1);
     Batch right = RandomBatch(rng, static_cast<int>(rng.UniformInt(0, 120)),
-                              key_cols, 1);
+                              right_types, 1);
     const std::vector<ExprPtr> keys = KeyExprs(key_cols);
 
     std::vector<Row> expect = LegacyHashJoin(left, right, keys, keys, jt);
@@ -333,7 +373,8 @@ TEST(HashKernelsParityTest, AggregateMatchesLegacyRowMapExactly) {
   for (int trial = 0; trial < 30; ++trial) {
     const int key_cols = 1 + static_cast<int>(rng.UniformInt(0, 1));
     Batch in = RandomBatch(rng, static_cast<int>(rng.UniformInt(0, 300)),
-                           key_cols, 2);
+                           KeyTypesFor(rng, RandomKeyKinds(rng, key_cols)),
+                           2);
     std::vector<ExprPtr> groups = KeyExprs(key_cols);
     std::vector<std::string> names;
     for (int c = 0; c < key_cols; ++c) names.push_back("k" + std::to_string(c));
@@ -370,7 +411,8 @@ TEST(HashKernelsParityTest, PartitionPreservesRowsAndRoutesNullsToZero) {
     const int key_cols = 1 + static_cast<int>(rng.UniformInt(0, 1));
     const int n = 1 + static_cast<int>(rng.UniformInt(0, 15));
     Batch in = RandomBatch(rng, static_cast<int>(rng.UniformInt(0, 400)),
-                           key_cols, 1);
+                           KeyTypesFor(rng, RandomKeyKinds(rng, key_cols)),
+                           1);
     const std::vector<ExprPtr> keys = KeyExprs(key_cols);
 
     auto parts = PartitionRows(in, keys, n);
@@ -400,34 +442,45 @@ TEST(HashKernelsParityTest, PartitionPreservesRowsAndRoutesNullsToZero) {
   }
 }
 
-// Cross-numeric-type keys: rows keyed 3 (int64) and 3.0 (float64) must
-// join with each other and aggregate into one group, exactly like the
-// legacy Compare()-based maps.
+// Cross-numeric-type keys: an int64 key column keyed 3 and a float64
+// one keyed 3.0 must join with each other, and int64 cells loaded under
+// a float64 key field (widened) aggregate into one group with the
+// floats, -0.0 with 0, exactly like the legacy Compare()-based maps.
 TEST(HashKernelsParityTest, CrossNumericTypeKeysShareOneGroup) {
-  Batch in;
-  in.schema = Schema({{"k0", DataType::kNull}, {"p0", DataType::kInt64}});
-  in.rows = {{Value(int64_t{3}), Value(int64_t{1})},
-             {Value(3.0), Value(int64_t{10})},
-             {Value(int64_t{3}), Value(int64_t{100})},
-             {Value(-0.0), Value(int64_t{7})},
-             {Value(int64_t{0}), Value(int64_t{70})}};
+  Batch ints;
+  ints.schema = Schema({{"k0", DataType::kInt64}, {"p0", DataType::kInt64}});
+  ints.rows = {{Value(int64_t{3}), Value(int64_t{1})},
+               {Value(int64_t{3}), Value(int64_t{100})},
+               {Value(int64_t{0}), Value(int64_t{70})}};
+  Batch floats;
+  floats.schema =
+      Schema({{"k0", DataType::kFloat64}, {"p0", DataType::kInt64}});
+  floats.rows = {{Value(int64_t{3}), Value(int64_t{1})},
+                 {Value(3.0), Value(int64_t{10})},
+                 {Value(int64_t{3}), Value(int64_t{100})},
+                 {Value(-0.0), Value(int64_t{7})},
+                 {Value(int64_t{0}), Value(int64_t{70})}};
   const std::vector<ExprPtr> keys = {Expr::Column("k0")};
 
   std::vector<AggSpec> aggs = {AggSpec{AggKind::kSum, Expr::Column("p0"), "s"}};
-  std::vector<Row> expect = LegacyHashAggregate(in, keys, aggs);
-  Batch got = RunOperator(
-      MakeHashAggregate(MakeBatchSource(in.schema, {in}), keys, {"k0"}, aggs));
+  Result<ColumnBatch> widened = ToColumnBatch(floats);
+  ASSERT_TRUE(widened.ok()) << widened.status().ToString();
+  std::vector<Row> expect =
+      LegacyHashAggregate(ToRowBatch(*widened), keys, aggs);
+  Batch got = RunOperator(MakeHashAggregate(
+      MakeBatchSource(floats.schema, {floats}), keys, {"k0"}, aggs));
   ASSERT_EQ(got.rows.size(), 2u);
   EXPECT_EQ(RowMultiset(got.rows), RowMultiset(expect));
   EXPECT_EQ(got.rows[0][1].int64(), 111);  // 3-group, first seen
   EXPECT_EQ(got.rows[1][1].int64(), 77);   // 0-group
 
-  Batch joined = RunOperator(MakeHashJoin(MakeBatchSource(in.schema, {in}),
-                                          MakeBatchSource(in.schema, {in}),
-                                          keys, keys, JoinType::kInner));
-  std::vector<Row> jexpect = LegacyHashJoin(in, in, keys, keys,
-                                            JoinType::kInner);
-  EXPECT_EQ(joined.rows.size(), 13u);  // 3x3 for the 3-group + 2x2 for 0
+  Batch joined = RunOperator(MakeHashJoin(
+      MakeBatchSource(ints.schema, {ints}),
+      MakeBatchSource(floats.schema, {floats}), keys, keys,
+      JoinType::kInner));
+  std::vector<Row> jexpect = LegacyHashJoin(ints, ToRowBatch(*widened), keys,
+                                            keys, JoinType::kInner);
+  EXPECT_EQ(joined.rows.size(), 8u);  // 2x3 for the 3-group + 1x2 for 0
   EXPECT_EQ(RowMultiset(joined.rows), RowMultiset(jexpect));
 }
 

@@ -237,52 +237,46 @@ TEST(KeyEncoderTest, BatchKeyBytesArePinned) {
   ColumnVector floats = ColumnVector::OfType(DataType::kFloat64);
   floats.Append(Value(2.5));
   floats.Append(Value(3.0));
-  ColumnVector boxed = ColumnVector::OfType(DataType::kString);
-  boxed.Append(Value("x"));
-  boxed.Append(Value(int64_t{-2}));
-  ASSERT_EQ(boxed.rep(), ColumnRep::kBoxed);
-  cb.columns = {ints, strs, floats, boxed};
+  ColumnVector negs = ColumnVector::MakeNull(1);
+  negs.Append(Value(int64_t{-2}));
+  ASSERT_EQ(negs.rep(), ColumnRep::kInt64);
+  cb.columns = {ints, strs, floats, negs};
   KeyEncoder::BatchKeys bk;
   ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1, 2, 3}, &bk));
   ASSERT_EQ(bk.size(), 2u);
-  // int 1 | "ab" | 2.5 | boxed "x"
+  // int 1 | "ab" | 2.5 | NULL (retyped to int64 by row 1)
   EXPECT_EQ(Hex(bk.key(0)),
             "010100000000000000"
             "03020000006162"
             "020000000000000440"
-            "030100000078");
-  // NULL | "" | 3.0 (as int64 3) | boxed int -2
+            "00");
+  // NULL | "" | 3.0 (as int64 3) | int -2
   EXPECT_EQ(Hex(bk.key(1)),
             "00"
             "0300000000"
             "010300000000000000"
             "01feffffffffffffff");
-  EXPECT_EQ(bk.null_key, (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(bk.null_key, (std::vector<uint8_t>{1, 1}));
 }
 
-// One key column holding the same values as kInt64, as kFloat64 and as
-// kBoxed encodes to the same bytes and hashes to the same partition:
-// two producers whose batches carry different reps must agree.
+// One key column holding the same values as kInt64 and as kFloat64
+// encodes to the same bytes and hashes to the same partition: two
+// producers whose batches carry different reps must agree.
 TEST(KeyEncoderTest, CrossRepKeysEncodeAndHashAlike) {
   const std::vector<int64_t> vals = {3, -7, 0, int64_t{1} << 40, 12345};
   ColumnVector as_int = ColumnVector::OfType(DataType::kInt64);
   ColumnVector as_float = ColumnVector::OfType(DataType::kFloat64);
-  ColumnVector as_boxed = ColumnVector::OfType(DataType::kInt64);
   for (const int64_t v : vals) {
     as_int.Append(Value(v));
     // -0.0 stands in for 0: it must normalize like +0.
     as_float.Append(Value(v == 0 ? -0.0 : static_cast<double>(v)));
-    as_boxed.Append(v % 2 == 0 ? Value(static_cast<double>(v)) : Value(v));
   }
   as_int.AppendNull();
   as_float.AppendNull();
-  as_boxed.Append(Value::Null());
-  as_boxed.Boxify();
   ASSERT_EQ(as_float.rep(), ColumnRep::kFloat64);
-  ASSERT_EQ(as_boxed.rep(), ColumnRep::kBoxed);
   std::vector<KeyEncoder::BatchKeys> keys;
   std::vector<std::vector<uint64_t>> hashes;
-  for (const ColumnVector* col : {&as_int, &as_float, &as_boxed}) {
+  for (const ColumnVector* col : {&as_int, &as_float}) {
     ColumnBatch cb;
     cb.physical_rows = vals.size() + 1;
     cb.columns = {*col};
@@ -327,27 +321,15 @@ double RandomDouble(Rng* rng) {
 
 const char* const kKeyStrings[] = {"", "a", "ab", "\xc3\xa9", "3"};
 
-Value RandomKeyValue(Rng* rng) {
-  switch (rng->UniformInt(0, 3)) {
-    case 0:
-      return Value::Null();
-    case 1:
-      return Value(rng->UniformInt(-3, 3));
-    case 2:
-      return Value(RandomDouble(rng));
-    default:
-      return Value(kKeyStrings[rng->UniformInt(0, 4)]);
-  }
-}
-
-// A column of `n` cells in a random rep. Typed reps hold NULLs and
-// their own type only; kBoxed holds anything.
+// A column of `n` cells in a random rep: kNull, or a typed rep holding
+// NULLs (none, in a third of the columns) and its own type only.
 ColumnVector RandomKeyColumn(Rng* rng, std::size_t n) {
-  const auto rep = static_cast<ColumnRep>(rng->UniformInt(0, 4));
+  const auto rep = static_cast<ColumnRep>(rng->UniformInt(0, 3));
   if (rep == ColumnRep::kNull) return ColumnVector::MakeNull(n);
   ColumnVector col = ColumnVector::OfRep(rep);
+  const double null_rate = rng->Bernoulli(1.0 / 3) ? 0.0 : 0.2;
   for (std::size_t i = 0; i < n; ++i) {
-    if (rng->Bernoulli(0.2)) {
+    if (rng->Bernoulli(null_rate)) {
       col.Append(Value::Null());
       continue;
     }
@@ -358,11 +340,8 @@ ColumnVector RandomKeyColumn(Rng* rng, std::size_t n) {
       case ColumnRep::kFloat64:
         col.Append(Value(RandomDouble(rng)));
         break;
-      case ColumnRep::kString:
-        col.Append(Value(kKeyStrings[rng->UniformInt(0, 4)]));
-        break;
       default:
-        col.Append(RandomKeyValue(rng));
+        col.Append(Value(kKeyStrings[rng->UniformInt(0, 4)]));
         break;
     }
   }
@@ -380,9 +359,7 @@ TEST_P(BatchKeyEncoderPropertyTest, MatchesReferenceEncoder) {
     cb.physical_rows = n;
     const int width = static_cast<int>(rng.UniformInt(1, 4));
     for (int c = 0; c < width; ++c) {
-      ColumnVector col = RandomKeyColumn(&rng, n);
-      if (rng.Bernoulli(0.1)) col.Boxify();  // a uniform kBoxed column
-      cb.columns.push_back(std::move(col));
+      cb.columns.push_back(RandomKeyColumn(&rng, n));
     }
     if (n > 0 && rng.Bernoulli(0.5)) {
       std::vector<uint32_t> sel;

@@ -292,20 +292,28 @@ OperatorPtr MorselizedInput(const Batch& b, std::size_t morsel_rows) {
   return MorselizedInput(std::vector<Batch>{b}, morsel_rows);
 }
 
-// A predicate column whose morsels are kBoxed (ints, floats, strings and
-// NULLs under one int64 field) or kNull (every cell NULL, as a decoded
-// all-null shuffle column arrives): the filter's truthiness has no typed
-// loop to lean on.
-std::vector<Batch> LooseTruthBatches() {
-  const Schema schema({{"p", DataType::kInt64}, {"k", DataType::kInt64}});
-  const std::vector<Value> cells = {Value(int64_t{0}), Value(int64_t{3}),
-                                    Value(0.0),        Value(-0.5),
-                                    Value(""),         Value("x"),
-                                    Value::Null()};
-  Batch boxed;
-  boxed.schema = schema;
+// A predicate column of type `t` (true, false and NULL cells) whose
+// middle morsels are kNull (every cell NULL, as a decoded all-null
+// shuffle column arrives), so the filter's truthiness meets every rep.
+std::vector<Batch> LooseTruthBatches(DataType t) {
+  const Schema schema({{"p", t}, {"k", DataType::kInt64}});
+  std::vector<Value> cells = {Value::Null()};
+  switch (t) {
+    case DataType::kInt64:
+      cells.insert(cells.end(), {Value(int64_t{0}), Value(int64_t{3})});
+      break;
+    case DataType::kFloat64:  // int64 cells widen under the float field
+      cells.insert(cells.end(), {Value(0.0), Value(-0.5), Value(int64_t{3}),
+                                 Value(-0.0)});
+      break;
+    default:
+      cells.insert(cells.end(), {Value(""), Value("x"), Value("0")});
+      break;
+  }
+  Batch typed;
+  typed.schema = schema;
   for (int64_t r = 0; r < 91; ++r) {
-    boxed.rows.push_back({cells[static_cast<std::size_t>(r) % cells.size()],
+    typed.rows.push_back({cells[static_cast<std::size_t>(r) % cells.size()],
                           Value(r)});
   }
   Batch nulls;
@@ -313,7 +321,7 @@ std::vector<Batch> LooseTruthBatches() {
   for (int64_t r = 0; r < 40; ++r) {
     nulls.rows.push_back({Value::Null(), Value(r)});
   }
-  return {boxed, nulls, boxed};
+  return {typed, nulls, typed};
 }
 
 // One input of the parity test: the stream, the chain every lane runs
@@ -333,11 +341,13 @@ TEST(ParallelMorselPipelineTest, OrderedParityAcrossSeedsAndLanes) {
                       [b] { return MorselizedInput(b, 13); },
                       FilterProjectChain, RowOracle(b)});
   }
-  {
-    const std::vector<Batch> parts = LooseTruthBatches();
-    ASSERT_EQ(ToColumnBatch(parts[0])->columns[0].rep(), ColumnRep::kBoxed);
+  for (const DataType t :
+       {DataType::kInt64, DataType::kFloat64, DataType::kString}) {
+    const std::vector<Batch> parts = LooseTruthBatches(t);
+    ASSERT_EQ(ToColumnBatch(parts[0])->columns[0].rep(),
+              static_cast<ColumnRep>(t));
     ASSERT_EQ(ToColumnBatch(parts[1])->columns[0].rep(), ColumnRep::kNull);
-    ParityInput loose{"boxed/null predicate",
+    ParityInput loose{std::string(DataTypeToString(t)) + "/null predicate",
                       [parts] { return MorselizedInput(parts, 13); },
                       [](OperatorPtr in) {
                         return MakeFilter(std::move(in), Expr::Column("p"));

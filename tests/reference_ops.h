@@ -10,9 +10,8 @@
 //    them with std::stable_sort. No KeyEncoder, no hash tables, no
 //    selection vectors. Inputs must not hold NaN in sort or group keys
 //    (Value::Compare is not a strict weak order over NaN).
-//  - A table's rows, boxed a cell at a time out of its store (ref::Rows),
-//    and the column rep converting those rows gives (ref::RepOf): the
-//    oracle every scan morsel is checked against.
+//  - A table's rows, boxed a cell at a time out of its store (ref::Rows):
+//    the oracle every scan morsel is checked against.
 //  - The key encoding, one value at a time (ref::EncodeKey,
 //    ref::Decode, ref::HashKey), which KeyEncoder's column-at-a-time
 //    EncodeBatchColumns and HashBatchColumns must reproduce for every
@@ -56,20 +55,6 @@ inline std::vector<Row> Rows(const Table& t) {
     }
   }
   return out;
-}
-
-/// The ColumnRep a column of `cells` under a field of type `type`
-/// converts to: the field's rep when every non-null cell has that type;
-/// under a kNull field, kNull when every cell is NULL, else the one type
-/// every non-null cell shares; kBoxed otherwise.
-inline ColumnRep RepOf(DataType type, const std::vector<Value>& cells) {
-  DataType seen = type;
-  for (const Value& v : cells) {
-    if (v.is_null()) continue;
-    if (seen == DataType::kNull) seen = v.type();
-    if (v.type() != seen) return ColumnRep::kBoxed;
-  }
-  return static_cast<ColumnRep>(seen);
 }
 
 // ---- Expressions ------------------------------------------------------

@@ -10,7 +10,10 @@
 //   per column: u8 mode, then
 //     mode 0 (typed):  (nrows+7)/8 bitmap bytes, bit r set iff row r is
 //                      non-null, then the non-null values in row order
-//     mode 1 (tagged): per row a u8 type tag, then that value
+//     mode 1 (tagged): per row a u8 type tag, then that value. Retired:
+//                      the engine never writes it and its decoder
+//                      rejects it; the encoder here still does, so tests
+//                      can build such a buffer with a valid CRC.
 //   u32 CRC32 of every preceding byte
 //
 // Integers are little-endian. A value is nothing for NULL, 8 bytes for

@@ -1,9 +1,10 @@
 // Property tests: random batches must round-trip through the shuffle
 // wire format byte-exactly, the encoder must match the naive reference
-// encoder in reference_serde.h for every column representation, and
-// corrupt input (truncations, byte flips, random garbage) must never
-// crash or OOM the decoder. The format carries a CRC32 footer, so any
-// byte flip past the magic must come back as IOError.
+// encoder in reference_serde.h for every column shape (rep, NULLs,
+// selection), and corrupt input (truncations, byte flips, random
+// garbage, a tagged column under a valid CRC) must never crash or OOM
+// the decoder. The format carries a CRC32 footer, so any byte flip past
+// the magic must come back as IOError.
 
 #include <gtest/gtest.h>
 
@@ -16,46 +17,6 @@
 
 namespace swift {
 namespace {
-
-Batch RandomBatch(uint64_t seed) {
-  Rng rng(seed);
-  const int ncols = static_cast<int>(rng.UniformInt(1, 6));
-  std::vector<Field> fields;
-  for (int c = 0; c < ncols; ++c) {
-    fields.push_back(Field{
-        "c" + std::to_string(c),
-        static_cast<DataType>(rng.UniformInt(0, 3))});
-  }
-  Batch b;
-  b.schema = Schema(std::move(fields));
-  const int nrows = static_cast<int>(rng.UniformInt(0, 200));
-  for (int r = 0; r < nrows; ++r) {
-    Row row;
-    for (int c = 0; c < ncols; ++c) {
-      switch (rng.UniformInt(0, 3)) {
-        case 0:
-          row.push_back(Value::Null());
-          break;
-        case 1:
-          row.push_back(Value(static_cast<int64_t>(rng.Next())));
-          break;
-        case 2:
-          row.push_back(Value(rng.Uniform(-1e12, 1e12)));
-          break;
-        default: {
-          std::string s(static_cast<std::size_t>(rng.UniformInt(0, 64)),
-                        'x');
-          for (char& ch : s) {
-            ch = static_cast<char>(rng.UniformInt(0, 255));
-          }
-          row.push_back(Value(std::move(s)));
-        }
-      }
-    }
-    b.rows.push_back(std::move(row));
-  }
-  return b;
-}
 
 Value RandomCell(Rng& rng, DataType type) {
   switch (type) {
@@ -75,20 +36,56 @@ Value RandomCell(Rng& rng, DataType type) {
     case DataType::kString:
       break;
   }
-  std::string s(static_cast<std::size_t>(rng.UniformInt(0, 24)), 'x');
+  std::string s(static_cast<std::size_t>(rng.UniformInt(0, 64)), 'x');
   for (char& ch : s) ch = static_cast<char>(rng.UniformInt(0, 255));
   return Value(std::move(s));
 }
 
-// A ColumnBatch holding any representation the encoder can be handed.
-// Each column is one of: typed (rep = field type, NULLs mixed in);
-// all-NULL as a kNull rep; all-NULL in the field type's rep; retyped (a
-// typed rep other than the field type's, e.g. kInt64 under a kNull
-// field); kBoxed with every cell of the field type; kBoxed with some
-// cells of other types. A third of the batches carry a selection that
-// drops every row holding such a deviating cell, after which the kBoxed
-// column must come out typed. Zero-field and zero-row batches come up
-// too.
+// A row batch whose cells are NULL or of their field's type, except that
+// a float64 field also gets int64 cells, which the encoder widens.
+Batch RandomBatch(uint64_t seed) {
+  Rng rng(seed);
+  const int ncols = static_cast<int>(rng.UniformInt(1, 6));
+  std::vector<Field> fields;
+  for (int c = 0; c < ncols; ++c) {
+    fields.push_back(Field{
+        "c" + std::to_string(c),
+        static_cast<DataType>(rng.UniformInt(0, 3))});
+  }
+  Batch b;
+  b.schema = Schema(std::move(fields));
+  const int nrows = static_cast<int>(rng.UniformInt(0, 200));
+  for (int r = 0; r < nrows; ++r) {
+    Row row;
+    for (int c = 0; c < ncols; ++c) {
+      const DataType t = b.schema.field(static_cast<std::size_t>(c)).type;
+      if (rng.UniformInt(0, 3) == 0) {
+        row.push_back(Value::Null());
+      } else if (t == DataType::kFloat64 && rng.UniformInt(0, 3) == 0) {
+        row.push_back(Value(rng.UniformInt(-(int64_t{1} << 53),
+                                           int64_t{1} << 53)));
+      } else {
+        row.push_back(RandomCell(rng, t));
+      }
+    }
+    b.rows.push_back(std::move(row));
+  }
+  return b;
+}
+
+// The cell `v` of a float64 field comes back as: int64 cells widened.
+Value AsField(const Value& v, DataType type) {
+  return type == DataType::kFloat64 && v.is_int64()
+             ? Value(static_cast<double>(v.int64()))
+             : v;
+}
+
+// A ColumnBatch of any shape the encoder can be handed: column k of
+// batch `seed` is, in turn, typed with NULLs mixed in, typed without
+// NULLs, a kNull rep, or all-NULL in the field type's rep; batch `seed`
+// has no selection, a random subset or an empty one (seed % 3); and
+// zero-field and zero-row batches come up too. Bind types every column,
+// so a column's rep is its field's type or kNull: no other shape exists.
 ColumnBatch RandomColumnBatch(uint64_t seed) {
   Rng rng(seed);
   const int ncols = static_cast<int>(rng.UniformInt(0, 5));
@@ -97,46 +94,32 @@ ColumnBatch RandomColumnBatch(uint64_t seed) {
           ? 0
           : static_cast<std::size_t>(rng.UniformInt(1, 120));
   std::vector<Field> fields;
-  std::vector<bool> deviant(nrows, false);
   ColumnBatch cb;
   for (int c = 0; c < ncols; ++c) {
     const DataType type = static_cast<DataType>(rng.UniformInt(0, 3));
     fields.push_back(Field{"c" + std::to_string(c), type});
-    enum { kTyped, kNullRep, kAllNull, kRetyped, kBoxed, kBoxedDeviant };
-    const int kind = static_cast<int>(rng.UniformInt(0, 5));
-    DataType cell_type = type;
-    while (kind == kRetyped && cell_type == type) {
-      cell_type = static_cast<DataType>(rng.UniformInt(1, 3));
-    }
+    enum { kTyped, kDense, kNullRep, kAllNull };
+    const int kind = static_cast<int>((seed + static_cast<uint64_t>(c)) % 4);
     if (kind == kNullRep) {
       cb.columns.push_back(ColumnVector::MakeNull(nrows));
       continue;
     }
-    ColumnVector col = ColumnVector::OfType(cell_type);
+    ColumnVector col = ColumnVector::OfType(type);
     for (std::size_t r = 0; r < nrows; ++r) {
-      if (kind == kAllNull || rng.UniformInt(0, 5) == 0) {
+      if (kind == kAllNull || (kind == kTyped && rng.UniformInt(0, 5) == 0)) {
         col.AppendNull();
-        continue;
+      } else {
+        col.Append(RandomCell(rng, type));
       }
-      DataType t = cell_type;
-      if (kind == kBoxedDeviant && rng.UniformInt(0, 4) == 0) {
-        t = static_cast<DataType>(rng.UniformInt(1, 3));
-        if (t != type) deviant[r] = true;
-      }
-      col.Append(RandomCell(rng, t));
     }
-    if (kind == kBoxed || kind == kBoxedDeviant) col.Boxify();
     cb.columns.push_back(std::move(col));
   }
   cb.schema = Schema(std::move(fields));
   cb.physical_rows = nrows;
-  const int selection = static_cast<int>(rng.UniformInt(0, 2));
-  if (selection != 0) {
+  if (seed % 3 != 0) {
     std::vector<uint32_t> sel;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const bool keep =
-          selection == 1 ? rng.UniformInt(0, 1) == 0 : !deviant[r];
-      if (keep) sel.push_back(static_cast<uint32_t>(r));
+    for (std::size_t r = 0; r < nrows && seed % 3 == 1; ++r) {
+      if (rng.UniformInt(0, 1) == 0) sel.push_back(static_cast<uint32_t>(r));
     }
     cb.selection = std::move(sel);
   }
@@ -154,8 +137,9 @@ TEST_P(SerdePropertyTest, RoundTripExact) {
   ASSERT_EQ(back->num_rows(), b.num_rows());
   for (std::size_t r = 0; r < b.rows.size(); ++r) {
     for (std::size_t c = 0; c < b.rows[r].size(); ++c) {
-      EXPECT_EQ(back->rows[r][c].type(), b.rows[r][c].type());
-      EXPECT_EQ(back->rows[r][c].Compare(b.rows[r][c]), 0);
+      const Value want = AsField(b.rows[r][c], b.schema.field(c).type);
+      EXPECT_EQ(back->rows[r][c].type(), want.type());
+      EXPECT_EQ(back->rows[r][c].Compare(want), 0);
     }
   }
   // Serialization is deterministic.
@@ -300,6 +284,31 @@ TEST_P(SerdePropertyTest, ColumnBatchMatchesReferenceEncoder) {
     // included), so a bit-exact decode re-encodes to the same bytes.
     EXPECT_EQ(ref::Serialize(ToRowBatch(*back)), bytes) << "batch " << k;
     EXPECT_EQ(SerializeColumnBatch(*back), bytes) << "batch " << k;
+  }
+}
+
+TEST_P(SerdePropertyTest, TaggedColumnFailsClosed) {
+  // One column of batch `seed` carries a cell its field cannot take, so
+  // the reference encoder writes that column in the retired tagged mode
+  // under a valid CRC. The decoder refuses it, raw and framed.
+  Batch b = RandomBatch(GetParam());
+  Rng rng(GetParam() ^ 0x7A66);
+  const std::size_t c = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(b.schema.num_fields()) - 1));
+  const DataType type = b.schema.field(c).type;
+  Row row(b.schema.num_fields(), Value::Null());
+  row[c] = type == DataType::kString ? Value(int64_t{7}) : Value("seven");
+  const int64_t at =
+      rng.UniformInt(0, static_cast<int64_t>(b.num_rows()));
+  b.rows.insert(b.rows.begin() + at, std::move(row));
+  const std::string bytes = ref::Serialize(b);
+  for (const std::string& buf : {bytes, CompressFrame(bytes)}) {
+    Result<ColumnBatch> got = DeserializeColumnBatch(buf);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+    EXPECT_NE(got.status().message().find("bad column mode 1"),
+              std::string::npos)
+        << got.status().ToString();
   }
 }
 

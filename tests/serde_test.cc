@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/compress.h"
 #include "reference_serde.h"
 
@@ -15,7 +17,7 @@ Batch SampleBatch() {
                      {"name", DataType::kString},
                      {"opt", DataType::kNull}});
   b.rows = {{Value(int64_t{1}), Value(3.25), Value("widget"), Value::Null()},
-            {Value(int64_t{-7}), Value(-0.5), Value(""), Value(int64_t{9})}};
+            {Value(int64_t{-7}), Value(-0.5), Value(""), Value::Null()}};
   return b;
 }
 
@@ -105,9 +107,10 @@ TEST(SerdeTest, V1MagicFailsClosed) {
 }
 
 TEST(SerdeTest, WireBytesArePinned) {
-  // Checked-in bytes for three tiny batches. Both the engine's encoder
-  // and the reference encoder must reproduce them, so a change to either
-  // (or to the format) fails here.
+  // Checked-in bytes for two tiny batches. Both the engine's encoder and
+  // the reference encoder must reproduce them, so a change to either (or
+  // to the format) fails here. A third buffer pins the retired tagged
+  // column mode, which only the reference encoder still writes.
   Batch typed;  // typed int/float/string columns with NULLs
   typed.schema = Schema({{"i", DataType::kInt64},
                          {"f", DataType::kFloat64},
@@ -120,6 +123,9 @@ TEST(SerdeTest, WireBytesArePinned) {
   mixed.rows = {{Value(int64_t{1}), Value::Null()},
                 {Value("a"), Value::Null()},
                 {Value(2.5), Value::Null()}};
+  Batch one_row;  // an int64 column and a kNull column
+  one_row.schema = mixed.schema;
+  one_row.rows = {{Value(int64_t{1}), Value::Null()}};
   const std::string kTyped =
       "32465753"                                       // magic "SWF2"
       "03" "016901" "016602" "017303"                  // 3 fields
@@ -133,23 +139,23 @@ TEST(SerdeTest, WireBytesArePinned) {
       "01" "010100000000000000" "030161" "020000000000000440"  // x: tagged
       "00" "00"                                                // n: NULLs
       "03e61f30";
-  const std::string kBoxedTyped =
+  const std::string kOneRow =
       "32465753" "02" "017801" "016e00" "01"
       "00" "01" "0100000000000000"  // x: typed, one int64
       "00" "00"                     // n: NULL
       "76358744";
   EXPECT_EQ(Hex(SerializeBatch(typed)), kTyped);
   EXPECT_EQ(Hex(ref::Serialize(typed)), kTyped);
-  EXPECT_EQ(Hex(SerializeBatch(mixed)), kMixed);
+  EXPECT_EQ(Hex(SerializeBatch(one_row)), kOneRow);
+  EXPECT_EQ(Hex(ref::Serialize(one_row)), kOneRow);
+  // `mixed` cannot become a ColumnBatch, and its tagged bytes, CRC and
+  // all, decode to nothing.
+  EXPECT_EQ(ToColumnBatch(mixed).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(Hex(ref::Serialize(mixed)), kMixed);
-  // The kBoxed column of `mixed` with a selection that drops both
-  // deviating cells: every selected cell is an int64, so it goes typed.
-  Result<ColumnBatch> boxed = ToColumnBatch(mixed);
-  ASSERT_TRUE(boxed.ok());
-  ASSERT_EQ(boxed->columns[0].rep(), ColumnRep::kBoxed);
-  boxed->selection = std::vector<uint32_t>{0};
-  EXPECT_EQ(Hex(SerializeColumnBatch(*boxed)), kBoxedTyped);
-  EXPECT_EQ(Hex(ref::Serialize(ToRowBatch(*boxed))), kBoxedTyped);
+  Result<ColumnBatch> tagged = DeserializeColumnBatch(ref::Serialize(mixed));
+  ASSERT_FALSE(tagged.ok());
+  EXPECT_EQ(tagged.status().code(), StatusCode::kIOError);
 }
 
 TEST(SerdeTest, V2CrcDetectsEveryByteFlip) {
@@ -164,17 +170,19 @@ TEST(SerdeTest, V2CrcDetectsEveryByteFlip) {
 }
 
 TEST(SerdeTest, MixedTypeColumnRoundTrips) {
-  // A column whose cells deviate from the schema type falls back to
-  // per-value tags inside v2; values and types survive exactly.
+  // The one mixed column a batch may hold: int64 cells under a float64
+  // field widen on the way in, so the column goes typed and comes back
+  // all float64.
   Batch b;
-  b.schema = Schema({{"x", DataType::kInt64}});
-  b.rows = {{Value(int64_t{1})}, {Value("not an int")}, {Value::Null()},
+  b.schema = Schema({{"x", DataType::kFloat64}});
+  b.rows = {{Value(int64_t{1})}, {Value(-0.0)}, {Value::Null()},
             {Value(2.5)}};
   auto r = DeserializeBatch(SerializeBatch(b));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 4u);
-  EXPECT_EQ(r->rows[0][0].int64(), 1);
-  EXPECT_EQ(r->rows[1][0].str(), "not an int");
+  EXPECT_EQ(r->rows[0][0].type(), DataType::kFloat64);
+  EXPECT_EQ(r->rows[0][0].float64(), 1.0);
+  EXPECT_TRUE(std::signbit(r->rows[1][0].float64()));
   EXPECT_TRUE(r->rows[2][0].is_null());
   EXPECT_EQ(r->rows[3][0].float64(), 2.5);
 }
@@ -187,6 +195,15 @@ TEST(SerdeDeathTest, RaggedBatchIsACallerBug) {
   b.rows = {{Value(int64_t{1}), Value("a")}, {Value(int64_t{2})}};
   EXPECT_DEATH(SerializeBatch(b),
                "ragged batch: row 1 has 1 cells, schema has 2");
+}
+
+TEST(SerdeDeathTest, IllTypedBatchIsACallerBug) {
+  // Nor does any build a cell its field cannot take.
+  Batch b;
+  b.schema = Schema({{"x", DataType::kInt64}});
+  b.rows = {{Value(int64_t{1})}, {Value("a")}};
+  EXPECT_DEATH(SerializeBatch(b),
+               "row 1 column 'x': string cell under a int64 field");
 }
 
 TEST(SerdeTest, AllNullTypedColumnRoundTrips) {

@@ -2,14 +2,15 @@
 //
 // Pins DESIGN.md Sec. 14.5: a scan slices the store, and every morsel
 // it emits is the row slice it stands for. Each morsel is checked
-// against the row oracles in reference_ops.h (ref::Rows boxes the store
-// a cell at a time; ref::RepOf is the rep converting those rows gives)
-// on value, type, null bit and column rep, and its wire bytes against
-// the naive encoder in reference_serde.h. Covered: every TPC-H table,
-// 1/3/7 scan tasks, morsels of 1, 1000, 1024 and rows+1 rows, all
-// columns and a reordered subset; hand-built all-NULL, type-deviating
-// (kBoxed) and kNull-field columns, CSV null_token columns, and zero
-// rows. The boxed rows view must encode to the store's bytes.
+// against the row oracle in reference_ops.h (ref::Rows boxes the store
+// a cell at a time) on value, type, null bit and column rep (always the
+// field's type), and its wire bytes against the naive encoder in
+// reference_serde.h. Covered: every TPC-H table, 1/3/7 scan tasks,
+// morsels of 1, 1000, 1024 and rows+1 rows, all columns and a reordered
+// subset; hand-built all-NULL, widened (int64 cells under a float64
+// field) and kNull-field columns, CSV null_token columns, and zero rows.
+// A cell no field type can take is rejected when the table is built.
+// The boxed rows view must encode to the store's bytes.
 
 #include <gtest/gtest.h>
 
@@ -90,7 +91,7 @@ void ExpectScanMatchesRows(const std::shared_ptr<Table>& t,
         ASSERT_EQ(col.size(), n) << where;
         std::vector<Value> cells;
         for (const Row& row : slice.rows) cells.push_back(row[c]);
-        EXPECT_EQ(col.rep(), ref::RepOf(scan_schema.field(c).type, cells))
+        EXPECT_EQ(col.rep(), static_cast<ColumnRep>(scan_schema.field(c).type))
             << where << " at " << at << " col " << columns[c];
         for (std::size_t i = 0; i < n; ++i) {
           const Value got = col.GetValue(i);
@@ -167,20 +168,19 @@ TEST(TableStoreTest, TpchRowsViewEncodesAsTheStore) {
 }
 
 // Columns the generators never build: all NULL under a typed field, a
-// typed field with cells of another type, and a kNull field holding
-// int64 cells in some rows only.
+// float64 field given int64 cells in some rows (they widen), and a kNull
+// field (all NULL).
 std::shared_ptr<Table> EdgeTable() {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 23; ++i) {
     rows.push_back({Value(i), Value::Null(),
-                    i == 17 ? Value("seventeen") : Value(i * 2),
-                    i >= 9 && i < 14 ? Value(i) : Value::Null()});
+                    i % 4 == 1 ? Value(i) : Value(i * 0.5), Value::Null()});
   }
   auto t = MakeTable("edge",
                      Schema({{"k", DataType::kInt64},
                              {"all_null", DataType::kFloat64},
-                             {"mixed", DataType::kInt64},
-                             {"late", DataType::kNull}}),
+                             {"widened", DataType::kFloat64},
+                             {"gone", DataType::kNull}}),
                      std::move(rows));
   EXPECT_TRUE(t.ok()) << t.status().ToString();
   return *std::move(t);
@@ -190,10 +190,38 @@ TEST(TableStoreTest, HandBuiltEdgeColumnsScanAsTheirRows) {
   auto t = EdgeTable();
   EXPECT_EQ(t->column(1).rep(), ColumnRep::kFloat64);
   EXPECT_EQ(t->column(1).null_count(), t->num_rows());
-  EXPECT_EQ(t->column(2).rep(), ColumnRep::kBoxed);
-  EXPECT_EQ(t->column(3).rep(), ColumnRep::kInt64);
+  EXPECT_EQ(t->column(2).rep(), ColumnRep::kFloat64);
+  EXPECT_EQ(t->column(2).GetValue(17).float64(), 17.0);
+  EXPECT_EQ(t->column(3).rep(), ColumnRep::kNull);
+  EXPECT_EQ(t->column(3).null_count(), t->num_rows());
   ExpectEveryScanMatchesRows(t);
   ExpectRowsViewWireIsStoreWire(*t);
+}
+
+TEST(TableStoreTest, MakeTableRejectsCellsOfAnotherType) {
+  // A string under an int64 field, a float under an int64 field (no
+  // narrowing) and a value under a kNull field ("late", once a kNull
+  // field holding int64 cells in some rows) each name the table, the
+  // row and the column.
+  const Schema schema({{"k", DataType::kInt64}, {"late", DataType::kNull}});
+  const struct {
+    Row bad;
+    const char* column;
+  } cases[] = {{{Value("seventeen"), Value::Null()}, "'k'"},
+               {{Value(1.5), Value::Null()}, "'k'"},
+               {{Value(int64_t{9}), Value(int64_t{9})}, "'late'"}};
+  for (const auto& c : cases) {
+    std::vector<Row> rows = {{Value(int64_t{0}), Value::Null()},
+                             {Value(int64_t{1}), Value::Null()}};
+    rows.push_back(c.bad);
+    auto t = MakeTable("edge", schema, std::move(rows));
+    ASSERT_FALSE(t.ok()) << c.column;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+    const std::string msg = t.status().message();
+    EXPECT_NE(msg.find("table edge"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("row 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.column), std::string::npos) << msg;
+  }
 }
 
 TEST(TableStoreTest, CsvNullTokenColumnsScanAsTheirRows) {

@@ -88,9 +88,9 @@ std::size_t HeapInUse() {
 }
 
 // The generated catalog lives in the columnar store: 8-byte numerics
-// and one string heap per column. Measured 4.4 MB at sf 0.005; holding
-// it as boxed rows took 18.8 MB, so a return to per-cell boxing trips
-// the 6 MB ceiling.
+// and one string heap per column with 8-byte offsets. Measured 5.0 MB at
+// sf 0.005; holding it as boxed rows took 18.8 MB, so a return to
+// per-cell boxing trips the 6 MB ceiling.
 TEST(TpchPerfGuardTest, GeneratedCatalogHeapBound) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocators skew heap figures";
   TpchConfig tpch;
