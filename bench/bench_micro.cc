@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dag/dag_builder.h"
 #include "exec/bound_expr.h"
@@ -214,31 +216,107 @@ void BM_PlanQ9(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanQ9);
 
-Batch MakeShuffledBatch(int rows) {
-  Batch b = MakeBatch(rows);
-  // Shuffle rows deterministically.
-  for (std::size_t i = b.rows.size(); i > 1; --i) {
-    std::swap(b.rows[i - 1], b.rows[(i * 7919) % i]);
+// The sort-key shapes of the TPC-H suite's SortOps, over rows in
+// random order: 0 one int64 (an order key); 1 two one-letter strings
+// (Q1's l_returnflag, l_linestatus); 2 two int64s (a part key and a
+// supplier key); 3 Q18's c_name, c_custkey, o_orderkey, o_orderdate,
+// o_totalprice.
+struct SortShape {
+  Schema schema;
+  std::vector<SortKey> keys;
+};
+
+SortShape SortShapeOf(int shape) {
+  const auto key = [](const char* name) {
+    return SortKey{Expr::Column(name), true};
+  };
+  switch (shape) {
+    case 0:
+      return {Schema({{"k", DataType::kInt64}, {"v", DataType::kFloat64}}),
+              {key("k")}};
+    case 1:
+      return {Schema({{"f", DataType::kString},
+                      {"s", DataType::kString},
+                      {"v", DataType::kFloat64}}),
+              {key("f"), key("s")}};
+    case 2:
+      return {Schema({{"p", DataType::kInt64},
+                      {"s", DataType::kInt64},
+                      {"v", DataType::kFloat64}}),
+              {key("p"), key("s")}};
+    default:
+      return {Schema({{"name", DataType::kString},
+                      {"cust", DataType::kInt64},
+                      {"order", DataType::kInt64},
+                      {"date", DataType::kString},
+                      {"price", DataType::kFloat64}}),
+              {key("name"), key("cust"), key("order"), key("date"),
+               key("price")}};
   }
-  return b;
 }
 
+ColumnBatch MakeSortInput(int shape, int rows) {
+  Rng rng(42);
+  Batch b;
+  b.schema = SortShapeOf(shape).schema;
+  const char* const flags = "ANR";
+  const char* const status = "FO";
+  char buf[32];
+  for (int i = 0; i < rows; ++i) {
+    switch (shape) {
+      case 0:
+        b.rows.push_back({Value(rng.UniformInt(1, 6000000)), Value(i * 0.5)});
+        break;
+      case 1:
+        b.rows.push_back({Value(std::string(1, flags[rng.UniformInt(0, 2)])),
+                          Value(std::string(1, status[rng.UniformInt(0, 1)])),
+                          Value(i * 0.5)});
+        break;
+      case 2:
+        b.rows.push_back({Value(rng.UniformInt(1, 200000)),
+                          Value(rng.UniformInt(1, 10000)), Value(i * 0.5)});
+        break;
+      default: {
+        const int64_t cust = rng.UniformInt(1, 150000);
+        std::snprintf(buf, sizeof(buf), "Customer#%09lld",
+                      static_cast<long long>(cust));
+        std::string name = buf;
+        std::snprintf(buf, sizeof(buf), "199%lld-%02lld-%02lld",
+                      static_cast<long long>(rng.UniformInt(2, 8)),
+                      static_cast<long long>(rng.UniformInt(1, 12)),
+                      static_cast<long long>(rng.UniformInt(1, 28)));
+        b.rows.push_back({Value(std::move(name)), Value(cust),
+                          Value(rng.UniformInt(1, 6000000)),
+                          Value(std::string(buf)),
+                          Value(rng.Uniform(1000.0, 500000.0))});
+        break;
+      }
+    }
+  }
+  return *ToColumnBatch(b);
+}
+
+// args: rows, shape. One SortOp over a one-batch source: drain, key
+// evaluation and the sort permutation; items/s is rows sorted.
 void BM_SortOperator(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
+  const int shape = static_cast<int>(state.range(1));
+  const SortShape s = SortShapeOf(shape);
+  const ColumnBatch input = MakeSortInput(shape, rows);
   for (auto _ : state) {
     state.PauseTiming();
-    Batch b = MakeShuffledBatch(rows);
-    std::vector<Batch> batches;
-    Schema schema = b.schema;
-    batches.push_back(std::move(b));
+    std::vector<ColumnBatch> batches = {input};
     state.ResumeTiming();
-    auto op = MakeSort(MakeBatchSource(schema, std::move(batches)),
-                       {SortKey{Expr::Column("k"), true}});
-    auto out = CollectAll(op.get());
+    auto op =
+        MakeSort(MakeColumnBatchSource(s.schema, std::move(batches)), s.keys);
+    benchmark::DoNotOptimize(op->Open());
+    auto out = op->Next();
     benchmark::DoNotOptimize(out);
   }
+  state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_SortOperator)->Arg(1000)->Arg(20000);
+BENCHMARK(BM_SortOperator)
+    ->ArgsProduct({{1000, 20000}, {0, 1, 2, 3}});
 
 void BM_HashAggregateOperator(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));

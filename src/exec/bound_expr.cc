@@ -1,6 +1,9 @@
 #include "exec/bound_expr.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -509,11 +512,28 @@ class BoundUnary final : public BoundExpr {
   BoundExprPtr operand_;
 };
 
+// A numeric cell as a double (pre: rep kInt64 or kFloat64, non-NULL).
+double NumberAt(const ColumnVector& c, std::size_t i) {
+  return c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
+                                      : c.Float64At(i);
+}
+
+// substr's start/length argument: the double value truncated toward
+// zero, saturating where the int64 range ends (NaN reads as 0).
+int64_t TruncToInt64(double d) {
+  if (!(d == d)) return 0;
+  if (d >= 9223372036854775807.0) return INT64_MAX;
+  if (d <= -9223372036854775808.0) return INT64_MIN;
+  return static_cast<int64_t>(d);
+}
+
+// Column kernels of the scalar functions, one per FuncId, over argument
+// columns of the bound types; each equals expr_eval::ApplyFunction
+// applied row by row. NULL propagates except through is_null/coalesce.
 class BoundFunction final : public BoundExpr {
  public:
-  BoundFunction(FuncId id, std::string name, DataType t,
-                std::vector<BoundExprPtr> args)
-      : BoundExpr(t), id_(id), name_(std::move(name)), args_(std::move(args)) {}
+  BoundFunction(FuncId id, DataType t, std::vector<BoundExprPtr> args)
+      : BoundExpr(t), id_(id), args_(std::move(args)) {}
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -521,26 +541,121 @@ class BoundFunction final : public BoundExpr {
     for (std::size_t a = 0; a < args_.size(); ++a) {
       SWIFT_RETURN_NOT_OK(args_[a]->EvaluateVector(in, &cols[a]));
     }
-    // Semantics stay defined once, in expr_eval: box only this row's
-    // argument cells and apply the function to them.
     const std::size_t n = in.num_rows();
     *out = ColumnVector::OfType(static_type_);
-    out->Reserve(n);
-    std::vector<Value> vals(args_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t a = 0; a < cols.size(); ++a) {
-        vals[a] = cols[a].GetValue(i);
-      }
-      SWIFT_ASSIGN_OR_RETURN(Value v,
-                             expr_eval::ApplyFunction(id_, name_, vals));
-      out->Append(v);
+    switch (id_) {
+      case FuncId::kIsNull:
+        out->ResizeFixedWidth(ColumnRep::kInt64, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          out->MutableInt64Data()[i] = cols[0].IsNull(i) ? 1 : 0;
+        }
+        return Status::OK();
+      case FuncId::kCoalesce:
+        Coalesce(cols, n, out);
+        return Status::OK();
+      case FuncId::kSubstr:
+        Substr(cols[0], cols[1], cols[2], n, out);
+        return Status::OK();
+      case FuncId::kLower:
+      case FuncId::kUpper:
+        ChangeCase(cols[0], n, out);
+        return Status::OK();
+      case FuncId::kAbs:
+        Abs(cols[0], n, out);
+        return Status::OK();
+      case FuncId::kUnknown:
+        break;
     }
-    return Status::OK();
+    return Status::Internal("an unknown function passed Bind");
   }
 
  private:
+  // The first non-NULL argument cell of each row (an int64 cell widens
+  // when the result is float64).
+  void Coalesce(const std::vector<ColumnVector>& cols, std::size_t n,
+                ColumnVector* out) const {
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ColumnVector* src = nullptr;
+      for (const ColumnVector& c : cols) {
+        if (!c.IsNull(i)) {
+          src = &c;
+          break;
+        }
+      }
+      if (src == nullptr) {
+        out->AppendNull();
+      } else if (static_type_ == DataType::kFloat64) {
+        out->AppendFloat64(NumberAt(*src, i));
+      } else {
+        out->AppendFrom(*src, i);
+      }
+    }
+  }
+
+  // 1-based start (below 1 counts from 1) and length (below 0 is 0),
+  // both truncated toward zero; a start past the end gives "".
+  static void Substr(const ColumnVector& str, const ColumnVector& start,
+                     const ColumnVector& len, std::size_t n,
+                     ColumnVector* out) {
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (str.IsNull(i) || start.IsNull(i) || len.IsNull(i)) {
+        out->AppendNull();
+        continue;
+      }
+      const std::string_view s = str.StrAt(i);
+      const int64_t from = std::max<int64_t>(
+          TruncToInt64(NumberAt(start, i)), 1);
+      const int64_t count = std::max<int64_t>(
+          TruncToInt64(NumberAt(len, i)), 0);
+      const uint64_t pos = static_cast<uint64_t>(from) - 1;
+      if (pos >= s.size()) {
+        out->AppendString(std::string_view());
+      } else {
+        out->AppendString(s.substr(pos, static_cast<uint64_t>(count)));
+      }
+    }
+  }
+
+  // Byte-wise std::tolower/std::toupper.
+  void ChangeCase(const ColumnVector& str, std::size_t n,
+                  ColumnVector* out) const {
+    out->Reserve(n);
+    std::string buf;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (str.IsNull(i)) {
+        out->AppendNull();
+        continue;
+      }
+      buf.assign(str.StrAt(i));
+      for (char& c : buf) {
+        const auto u = static_cast<unsigned char>(c);
+        c = static_cast<char>(id_ == FuncId::kLower ? std::tolower(u)
+                                                    : std::toupper(u));
+      }
+      out->AppendString(buf);
+    }
+  }
+
+  // |x| in the argument's type; |INT64_MIN| wraps to itself.
+  static void Abs(const ColumnVector& x, std::size_t n, ColumnVector* out) {
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (x.IsNull(i)) {
+        out->AppendNull();
+      } else if (x.rep() == ColumnRep::kInt64) {
+        const int64_t v = x.Int64At(i);
+        out->AppendInt64(v < 0 ? static_cast<int64_t>(
+                                     0 - static_cast<uint64_t>(v))
+                               : v);
+      } else {
+        out->AppendFloat64(std::fabs(x.Float64At(i)));
+      }
+    }
+  }
+
   FuncId id_;
-  std::string name_;
   std::vector<BoundExprPtr> args_;
 };
 
@@ -737,9 +852,8 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
       }
       const FuncId id = expr_eval::ResolveFunction(parts.name);
       SWIFT_ASSIGN_OR_RETURN(const DataType t, FunctionType(expr, id, args));
-      return FoldIfConst(std::make_shared<BoundFunction>(id, parts.name, t,
-                                                         std::move(args)),
-                         all_const);
+      return FoldIfConst(
+          std::make_shared<BoundFunction>(id, t, std::move(args)), all_const);
     }
   }
   return Status::Internal("unhandled expression kind in Bind");

@@ -9,6 +9,7 @@
 #include "exec/bound_expr.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
+#include "exec/key_order.h"
 
 namespace swift {
 
@@ -65,116 +66,6 @@ Result<DataType> AggResultType(const AggSpec& spec, DataType arg) {
   }
   return spec.kind == AggKind::kAvg ? DataType::kFloat64 : arg;
 }
-
-// Cell-level comparison with Value::Compare semantics exactly — NULLs
-// first (and equal to each other), int64/int64 exact, mixed numerics by
-// double value, strings lexicographic, numbers before strings — but
-// reading typed storage directly, so the sort/merge-join/window/
-// aggregate comparators never box the common reps.
-int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
-                 std::size_t j) {
-  const bool ln = a.IsNull(i);
-  const bool rn = b.IsNull(j);
-  if (ln || rn) return ln == rn ? 0 : (ln ? -1 : 1);
-  const ColumnRep ra = a.rep();
-  const ColumnRep rb = b.rep();
-  if (ra == ColumnRep::kInt64 && rb == ColumnRep::kInt64) {
-    const int64_t x = a.Int64At(i);
-    const int64_t y = b.Int64At(j);
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  const bool na = ra == ColumnRep::kInt64 || ra == ColumnRep::kFloat64;
-  const bool nb = rb == ColumnRep::kInt64 || rb == ColumnRep::kFloat64;
-  if (na && nb) {
-    const double x =
-        ra == ColumnRep::kInt64 ? static_cast<double>(a.Int64At(i))
-                                : a.Float64At(i);
-    const double y =
-        rb == ColumnRep::kInt64 ? static_cast<double>(b.Int64At(j))
-                                : b.Float64At(j);
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  if (ra == ColumnRep::kString && rb == ColumnRep::kString) {
-    const int c = a.StrAt(i).compare(b.StrAt(j));
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  // A number against a string: numbers sort first, as in Value::Compare.
-  return ra == ColumnRep::kString ? 1 : -1;
-}
-
-template <typename T>
-int ThreeWay(T x, T y) {
-  return x < y ? -1 : (x > y ? 1 : 0);
-}
-
-// Lexicographic CompareCells over parallel key columns, resolved once
-// per pair of key batches: a column pair of one typed rep with no NULLs
-// on either side compares its storage directly, every other pair goes
-// through CompareCells. The three-way formula is CompareCells' own, so
-// answers are identical (a NaN still compares equal to everything).
-// `a` and `b` may be the same columns.
-class KeyComparator {
- public:
-  KeyComparator(const std::vector<ColumnVector>& a,
-                const std::vector<ColumnVector>& b,
-                const std::vector<SortKey>* directions = nullptr) {
-    keys_.reserve(a.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      Kind kind = Kind::kCells;
-      if (a[k].rep() == b[k].rep() && !a[k].has_nulls() &&
-          !b[k].has_nulls()) {
-        switch (a[k].rep()) {
-          case ColumnRep::kInt64:
-            kind = Kind::kInt64;
-            break;
-          case ColumnRep::kFloat64:
-            kind = Kind::kFloat64;
-            break;
-          case ColumnRep::kString:
-            kind = Kind::kString;
-            break;
-          default:
-            break;
-        }
-      }
-      const bool desc = directions != nullptr && !(*directions)[k].ascending;
-      keys_.push_back(Key{kind, desc, &a[k], &b[k]});
-    }
-  }
-
-  // Three-way comparison of row i of `a` with row j of `b`.
-  int operator()(std::size_t i, std::size_t j) const {
-    for (const Key& k : keys_) {
-      int c = 0;
-      switch (k.kind) {
-        case Kind::kInt64:
-          c = ThreeWay(k.a->Int64At(i), k.b->Int64At(j));
-          break;
-        case Kind::kFloat64:
-          c = ThreeWay(k.a->Float64At(i), k.b->Float64At(j));
-          break;
-        case Kind::kString:
-          c = ThreeWay(k.a->StrAt(i).compare(k.b->StrAt(j)), 0);
-          break;
-        case Kind::kCells:
-          c = CompareCells(*k.a, i, *k.b, j);
-          break;
-      }
-      if (c != 0) return k.descending ? -c : c;
-    }
-    return 0;
-  }
-
- private:
-  enum class Kind : uint8_t { kInt64, kFloat64, kString, kCells };
-  struct Key {
-    Kind kind;
-    bool descending;
-    const ColumnVector* a;
-    const ColumnVector* b;
-  };
-  std::vector<Key> keys_;
-};
 
 bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
   for (const ColumnVector& c : keys) {
@@ -693,13 +584,10 @@ class MergeJoinOp final : public MaterializingOperator {
   std::vector<BoundExprPtr> bound_right_;
 };
 
-// Sort: drain dense, evaluate the key columns once, stable-sort an index
-// permutation with the resolved key comparator, and emit the input
-// storage UNCHANGED under a selection vector — the sorted batch is a
-// permutation view, zero gathers. A single ascending int64 key without
-// NULLs sorts (key, row) pairs with std::sort instead: ties fall in row
-// order, which is exactly the stable order. Float keys never take that
-// path (NaN is not a strict weak order).
+// Sort: drain dense, evaluate the key columns once, compute the stable
+// sort permutation from the encoded keys (SortPermutation), and emit the
+// input storage UNCHANGED under a selection vector — the sorted batch is
+// a permutation view, zero gathers.
 class SortOp final : public MaterializingOperator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
@@ -722,26 +610,10 @@ class SortOp final : public MaterializingOperator {
     SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), out));
     ColumnBatch keys;
     SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_keys_, *out, &keys));
-    const std::size_t n = out->physical_rows;
-    std::vector<uint32_t> perm(n);
-    if (keys_.size() == 1 && keys_[0].ascending &&
-        keys.columns[0].rep() == ColumnRep::kInt64 &&
-        !keys.columns[0].has_nulls()) {
-      const int64_t* key = keys.columns[0].Int64Data();
-      std::vector<std::pair<int64_t, uint32_t>> pairs(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        pairs[i] = {key[i], static_cast<uint32_t>(i)};
-      }
-      std::sort(pairs.begin(), pairs.end());
-      for (std::size_t i = 0; i < n; ++i) perm[i] = pairs[i].second;
-    } else {
-      std::iota(perm.begin(), perm.end(), 0u);
-      const KeyComparator cmp(keys.columns, keys.columns, &keys_);
-      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-        return cmp(a, b) < 0;
-      });
-    }
-    out->selection = std::move(perm);
+    std::vector<bool> descending;
+    for (const SortKey& k : keys_) descending.push_back(!k.ascending);
+    out->selection =
+        SortPermutation(keys.columns, descending, out->physical_rows);
     return Status::OK();
   }
 
@@ -751,30 +623,66 @@ class SortOp final : public MaterializingOperator {
   std::vector<BoundExprPtr> bound_keys_;
 };
 
-// Incremental aggregate state shared by hash and streamed variants.
+// Incremental aggregate state shared by hash and streamed variants, fed
+// typed non-NULL cells: SUM/AVG add in double (a SUM whose cells were
+// all int64 casts back to int64), MIN/MAX keep the best cell so far in
+// its own rep, a string one as one owned string.
 struct AggState {
   double sum = 0.0;
   int64_t count = 0;
   bool all_int = true;
-  Value min;
-  Value max;
+  ColumnRep best_rep = ColumnRep::kNull;  // kNull: no MIN/MAX cell yet
+  int64_t best_i64 = 0;
+  double best_f64 = 0.0;
+  std::string best_str;
 
-  void Update(AggKind kind, const Value& v) {
-    if (kind == AggKind::kCount) {
-      // COUNT(*) passes a non-null marker; COUNT(x) skips nulls upstream.
-      ++count;
-      return;
-    }
-    if (v.is_null()) return;
+  // Folds non-NULL cell i of `c`.
+  void Update(AggKind kind, const ColumnVector& c, std::size_t i) {
     ++count;
-    if (v.is_numeric()) {
-      sum += v.AsDouble();
-      if (!v.is_int64()) all_int = false;
-    } else {
-      all_int = false;
+    switch (kind) {
+      case AggKind::kCount:
+        return;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        // Numeric by AggResultType.
+        if (c.rep() == ColumnRep::kInt64) {
+          sum += static_cast<double>(c.Int64At(i));
+        } else {
+          sum += c.Float64At(i);
+          all_int = false;
+        }
+        return;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        UpdateBest(kind == AggKind::kMin, c, i);
+        return;
     }
-    if (min.is_null() || v.Compare(min) < 0) min = v;
-    if (max.is_null() || v.Compare(max) > 0) max = v;
+  }
+
+  // Replaces the best cell when cell i is strictly better, as
+  // Value::Compare orders them (a NaN never replaces, nor is replaced).
+  void UpdateBest(bool min, const ColumnVector& c, std::size_t i) {
+    const bool first = best_rep == ColumnRep::kNull;
+    best_rep = c.rep();
+    switch (c.rep()) {
+      case ColumnRep::kInt64: {
+        const int64_t v = c.Int64At(i);
+        if (first || (min ? v < best_i64 : v > best_i64)) best_i64 = v;
+        return;
+      }
+      case ColumnRep::kFloat64: {
+        const double v = c.Float64At(i);
+        if (first || (min ? v < best_f64 : v > best_f64)) best_f64 = v;
+        return;
+      }
+      case ColumnRep::kString: {
+        const std::string_view v = c.StrAt(i);
+        if (first || (min ? v < best_str : v > best_str)) best_str.assign(v);
+        return;
+      }
+      case ColumnRep::kNull:
+        return;
+    }
   }
 
   Value Finish(AggKind kind) const {
@@ -785,9 +693,18 @@ struct AggState {
         if (count == 0) return Value::Null();
         return all_int ? Value(static_cast<int64_t>(sum)) : Value(sum);
       case AggKind::kMin:
-        return min;
       case AggKind::kMax:
-        return max;
+        switch (best_rep) {
+          case ColumnRep::kInt64:
+            return Value(best_i64);
+          case ColumnRep::kFloat64:
+            return Value(best_f64);
+          case ColumnRep::kString:
+            return Value(best_str);
+          case ColumnRep::kNull:
+            break;
+        }
+        return Value::Null();
       case AggKind::kAvg:
         if (count == 0) return Value::Null();
         return Value(sum / static_cast<double>(count));
@@ -841,12 +758,10 @@ class AggregateOperator : public MaterializingOperator {
               AggState* slot) const {
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
       if (bound_args_[a] == nullptr) {
-        slot[a].Update(aggs_[a].kind, Value(int64_t{1}));  // COUNT(*)
-        continue;
+        ++slot[a].count;  // COUNT(*)
+      } else if (!args[a].IsNull(i)) {
+        slot[a].Update(aggs_[a].kind, args[a], i);
       }
-      const Value v = args[a].GetValue(i);
-      if (aggs_[a].kind == AggKind::kCount && v.is_null()) continue;
-      slot[a].Update(aggs_[a].kind, v);
     }
   }
 
@@ -1080,7 +995,9 @@ class WindowOp final : public MaterializingOperator {
       return a < b;  // tie across distinct encodings: first-seen order
     });
 
-    const KeyComparator cmp_order(order.columns, order.columns, &order_by_);
+    std::vector<bool> order_desc;
+    for (const SortKey& k : order_by_) order_desc.push_back(!k.ascending);
+    const KeyComparator cmp_order(order.columns, order.columns, order_desc);
 
     std::vector<uint32_t> emit_order;
     emit_order.reserve(n);

@@ -80,9 +80,13 @@ Result<OperatorPtr> AppendOp(OperatorPtr tree, const LocalOpDesc& op) {
     case LocalOpDesc::Kind::kHashAggregate:
       return MakeHashAggregate(std::move(tree), op.exprs, op.names, op.aggs);
     case LocalOpDesc::Kind::kStreamedAggregate:
-      return MakeStreamedAggregate(
-          MakeSort(std::move(tree), AscendingKeys(op.exprs)), op.exprs,
-          op.names, op.aggs);
+      // A global aggregate (no GROUP BY) has nothing to sort by: a
+      // zero-key sort would only drain and copy its input.
+      if (!op.exprs.empty()) {
+        tree = MakeSort(std::move(tree), AscendingKeys(op.exprs));
+      }
+      return MakeStreamedAggregate(std::move(tree), op.exprs, op.names,
+                                   op.aggs);
     case LocalOpDesc::Kind::kLimit:
       return MakeLimit(std::move(tree), op.limit);
     case LocalOpDesc::Kind::kWindow:

@@ -657,6 +657,72 @@ TEST_P(BoundExprParityTest, BoundMatchesInterpreted) {
   }
 }
 
+// The function kernels on their edges, every argument combination of
+// the cells below: NULLs (and the kNull column), substr starts below 1
+// and past the end, negative and fractional starts and lengths, and
+// strings with NUL bytes and bytes >= 0x80 (which lower/upper keep).
+TEST_P(BoundExprParityTest, FunctionKernelsMatchInterpreted) {
+  Rng rng(GetParam());
+  const std::vector<Value> ints = {Value::Null(), Value(int64_t{-2}),
+                                   Value(int64_t{0}), Value(int64_t{1}),
+                                   Value(int64_t{3}), Value(int64_t{100})};
+  const std::vector<Value> doubles = {Value::Null(), Value(-1.5), Value(-0.0),
+                                      Value(0.5),    Value(1.7),  Value(2.9),
+                                      Value(250.0)};
+  const std::vector<Value> strings = {
+      Value::Null(),       Value(""),
+      Value("abc"),        Value("h\xc3\xa9LLo"),
+      Value("\xff\xfe" "AbC"), Value(std::string("a\0B", 3)),
+      Value("MiXeD cAsE")};
+  std::vector<Row> rows;
+  for (const Value& a : ints) {
+    for (const Value& b : doubles) {
+      for (const Value& str : strings) rows.push_back({a, b, str, Value::Null()});
+    }
+  }
+  const auto col = [](const char* name) { return Expr::Column(name); };
+  const auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  const auto fn = [](const char* name, std::vector<ExprPtr> args) {
+    return Expr::Function(name, std::move(args));
+  };
+  const std::vector<ExprPtr> exprs = {
+      fn("substr", {col("s"), col("a"), col("a")}),
+      fn("substr", {col("s"), col("b"), col("b")}),
+      fn("substr", {col("s"), col("a"), col("b")}),
+      fn("substr", {col("s"), col("b"), col("a")}),
+      fn("substr", {col("s"), lit(Value(1.7)), lit(Value(2.5))}),
+      fn("substr", {col("s"), lit(Value(-0.5)), lit(Value(-0.5))}),
+      fn("substr", {col("s"), lit(Value(int64_t{0})), lit(Value(int64_t{2}))}),
+      fn("substr", {col("s"), lit(Value(int64_t{100})), lit(Value(int64_t{1}))}),
+      fn("substr", {col("s"), lit(Value(int64_t{2})), lit(Value(int64_t{-3}))}),
+      fn("substr", {col("s"), lit(Value::Null()), lit(Value(int64_t{1}))}),
+      fn("substr", {col("s"), col("n"), lit(Value(int64_t{1}))}),
+      fn("substr", {col("n"), lit(Value(int64_t{1})), lit(Value(int64_t{1}))}),
+      fn("lower", {col("s")}),
+      fn("upper", {col("s")}),
+      fn("lower", {col("n")}),
+      fn("upper", {fn("substr", {col("s"), lit(Value(int64_t{2})),
+                                 lit(Value(int64_t{3}))})}),
+      fn("abs", {col("a")}),
+      fn("abs", {col("b")}),
+      fn("abs", {col("n")}),
+      fn("abs", {Expr::Unary(UnaryOp::kNeg, col("a"))}),
+      fn("is_null", {col("a")}),
+      fn("is_null", {col("b")}),
+      fn("is_null", {col("s")}),
+      fn("is_null", {col("n")}),
+      fn("coalesce", {col("a"), col("b")}),
+      fn("coalesce", {col("b"), col("a")}),
+      fn("coalesce", {col("n"), col("a")}),
+      fn("coalesce", {col("a"), lit(Value(int64_t{7}))}),
+      fn("coalesce", {col("n"), col("n"), col("b")}),
+      fn("coalesce", {col("s"), lit(Value("x"))}),
+      fn("coalesce", {col("n"), col("s")}),
+      fn("coalesce", {col("n")}),
+  };
+  for (const ExprPtr& e : exprs) ExpectAllFormsMatch(e, rows, &rng);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundExprParityTest,
                          ::testing::Range<uint64_t>(1, 21));
 

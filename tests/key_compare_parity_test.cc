@@ -1,17 +1,20 @@
-// Key comparator parity suite (ctest label vec_smoke).
+// Key order parity suite (ctest label vec_smoke).
 //
-// SortOp, MergeJoin, StreamedAggregate and Window order and group rows
-// through one comparator resolved per key batch (typed int64, float64
-// and string compares for NULL-free columns, CompareCells otherwise),
-// and SortOp sorts a single ascending NULL-free int64 key as (key, row)
-// pairs. Every answer must stay the one Value::Compare gives, so each
-// operator is checked against the naive executor of reference_ops.h
-// over int64, float64 and string keys with NULLs, ties (stability),
-// DESC, multi-key mixed reps, -0.0 vs 0.0 and INT64_MIN/INT64_MAX. The
-// reference excludes NaN, so NaN keys get their own cases: SortOp must
-// equal std::stable_sort under Value::Compare, the comparison
-// CompareCells implements, and StreamedAggregate must compare each row
-// with its group's first key.
+// MergeJoin, StreamedAggregate and Window order and group rows through
+// one comparator resolved per key batch (typed int64, float64 and
+// string compares for NULL-free columns, CompareCells otherwise), and
+// SortOp sorts through SortPermutation: order-preserving encoded keys,
+// radix-sorted. Every answer must stay the one Value::Compare gives, so
+// each operator is checked against the naive executor of
+// reference_ops.h over int64, float64 and string keys with NULLs, ties
+// (stability), DESC, multi-key mixed reps, -0.0 vs 0.0 and
+// INT64_MIN/INT64_MAX; SortKernelParityTest aims at the encoder's edges
+// (full int64 range with NULLs, infinities and denormals, embedded NUL
+// bytes, strings past the encoder's cap, kNull keys, tiny batches,
+// every direction mix). The reference excludes NaN, so NaN keys get
+// their own cases: SortOp must equal std::stable_sort under
+// Value::Compare, the comparison CompareCells implements, and
+// StreamedAggregate must compare each row with its group's first key.
 
 #include <gtest/gtest.h>
 
@@ -59,7 +62,7 @@ void ExpectRowsBitEq(const std::vector<Row>& got, const std::vector<Row>& want,
 Schema KeySchema() {
   return Schema({{"id", DataType::kInt64},   // row number: shows stability
                  {"i", DataType::kInt64},    // NULLs, ties, INT64 extremes
-                 {"j", DataType::kInt64},    // no NULLs: the pair-sort path
+                 {"j", DataType::kInt64},    // no NULLs
                  {"f", DataType::kFloat64},  // NULLs, ties, -0.0 vs 0.0
                  {"g", DataType::kFloat64},  // no NULLs, -0.0 vs 0.0
                  {"s", DataType::kString},   // NULLs, ties, empty strings
@@ -121,7 +124,7 @@ const std::vector<std::vector<std::pair<std::string, bool>>>& KeySets() {
   static const std::vector<std::vector<std::pair<std::string, bool>>> sets = {
       {{"i", true}},
       {{"i", false}},
-      {{"j", true}},  // the (key, row) pair sort
+      {{"j", true}},
       {{"j", false}},
       {{"f", true}},
       {{"f", false}},
@@ -244,6 +247,160 @@ TEST_P(KeyCompareParityTest, WindowMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KeyCompareParityTest,
                          ::testing::Range<uint64_t>(1, 7));
+
+// ---------------------------------------------------------------------
+// Sort kernel edges: each batch below is sorted under every direction
+// mix of each key set, as 9-row morsels, and must equal ref::Sort row
+// for row (the `id` column shows stability).
+// ---------------------------------------------------------------------
+
+Schema EdgeSchema() {
+  return Schema({{"id", DataType::kInt64},
+                 {"i", DataType::kInt64},    // full int64 range, NULLs
+                 {"k", DataType::kInt64},    // small range, NULLs
+                 {"f", DataType::kFloat64},  // +-0, +-inf, denormals, NULLs
+                 {"z", DataType::kFloat64},  // only -0.0 and 0.0
+                 {"s", DataType::kString},   // NUL bytes, high bytes, NULLs
+                 {"l", DataType::kString},   // tails past the cap, NULLs
+                 {"n", DataType::kNull}});
+}
+
+// Long strings share "comment:" and, past it, 40 'x's or more, so their
+// first 32 tail bytes tie; the bytes after them, or the next key, decide.
+std::string LongString(Rng* rng) {
+  const std::string xs(40, 'x');
+  const std::string tails[] = {"", "a", "b", std::string("a\0", 2), "\xff"};
+  switch (rng->UniformInt(0, 5)) {
+    case 0:
+      return "comment:";
+    case 1:
+      return "comment:" + std::string(32, 'x');
+    case 2:
+      return "comment:" + std::string(33, 'x');
+    case 3:
+      return "comment:" + std::string(31, 'x') + std::string(1, '\0');
+    default:
+      return "comment:" + xs + tails[rng->UniformInt(0, 4)];
+  }
+}
+
+Batch EdgeBatch(std::size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Batch b;
+  b.schema = EdgeSchema();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double minnorm = std::numeric_limits<double>::min();
+  const int64_t ints[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  const double floats[] = {-0.0, 0.0,     inf,          -inf,
+                           tiny, -tiny,   minnorm / 4,  -minnorm,
+                           1.0,  -1e308,  minnorm};
+  const std::string strs[] = {"",     std::string(1, '\0'),
+                              "a",    std::string("a\0", 2),
+                              std::string("a\0\0", 3),
+                              "ab",   "\xc3\xa9", "\xff",
+                              "abc\xff", "b"};
+  const auto pick = [&](int64_t hi) { return rng.UniformInt(0, hi); };
+  const auto maybe_null = [&](Value v) {
+    return pick(5) == 0 ? Value::Null() : std::move(v);
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    b.rows.push_back({Value(static_cast<int64_t>(r)),
+                      maybe_null(Value(ints[pick(6)])),
+                      maybe_null(Value(pick(3) - 1)),
+                      maybe_null(Value(floats[pick(10)])),
+                      Value(pick(1) == 0 ? -0.0 : 0.0),
+                      maybe_null(Value(strs[pick(9)])),
+                      maybe_null(Value(LongString(&rng))),
+                      Value::Null()});
+  }
+  return b;
+}
+
+// Every ascending/descending assignment of `names`.
+std::vector<std::vector<std::pair<std::string, bool>>> DirectionMixes(
+    const std::vector<std::string>& names) {
+  std::vector<std::vector<std::pair<std::string, bool>>> out;
+  for (std::size_t mask = 0; mask < (std::size_t{1} << names.size());
+       ++mask) {
+    std::vector<std::pair<std::string, bool>> ks;
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      ks.push_back({names[k], ((mask >> k) & 1) == 0});
+    }
+    out.push_back(std::move(ks));
+  }
+  return out;
+}
+
+const std::vector<std::vector<std::string>>& EdgeKeySets() {
+  static const std::vector<std::vector<std::string>> sets = {
+      {"i"},      {"k"},           {"f"},           {"z"},
+      {"s"},      {"l"},           {"n"},           {"id"},
+      {"l", "k"}, {"l", "s", "z"}, {"n", "s"},      {"z", "i"},
+      {"k", "f"}, {"s", "f", "i"}, {"i", "n", "l"}, {"z", "k", "s"},
+  };
+  return sets;
+}
+
+void ExpectEdgeSortsMatch(const Batch& b, const std::string& ctx) {
+  for (const std::vector<std::string>& names : EdgeKeySets()) {
+    for (const auto& ks : DirectionMixes(names)) {
+      const std::vector<SortKey> keys = Keys(ks);
+      ExpectRowsBitEq(Collect(MakeSort(Source(b), keys)), ref::Sort(b, keys),
+                      ctx + " sort " + Describe(ks));
+    }
+  }
+}
+
+class SortKernelParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+// 600 rows take the radix passes, 40 rows the small-batch sort.
+TEST_P(SortKernelParityTest, EdgeBatchesMatchReference) {
+  for (const std::size_t n : {std::size_t{600}, std::size_t{40}}) {
+    ExpectEdgeSortsMatch(EdgeBatch(n, GetParam()),
+                         std::to_string(n) + " rows");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortKernelParityTest,
+                         ::testing::Range<uint64_t>(1, 4));
+
+TEST(SortKernelEdgeTest, EmptyAndOneRowBatches) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}}) {
+    ExpectEdgeSortsMatch(EdgeBatch(n, 5), std::to_string(n) + " rows");
+  }
+}
+
+// Over-cap tails that tie on their first 32 bytes ("comment" is the
+// common prefix): rows whose whole strings are equal are decided by the
+// next key, the others by the bytes past the cap, whatever the next key
+// says.
+TEST(SortKernelEdgeTest, OverCapTiesAreDecidedByTheComparator) {
+  Batch b;
+  b.schema = Schema({{"id", DataType::kInt64},
+                     {"l", DataType::kString},
+                     {"k", DataType::kInt64}});
+  const std::string head = "comment:" + std::string(40, 'x');
+  const std::vector<std::pair<std::string, int64_t>> rows = {
+      {head + "b", 1}, {head + "a", 9}, {head + "b", 0},
+      {head + "a", 2}, {head, 5},       {head + "ab", -4},
+      {"comment", 3}};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    b.rows.push_back({Value(static_cast<int64_t>(r)), Value(rows[r].first),
+                      Value(rows[r].second)});
+  }
+  for (const auto& ks : DirectionMixes({"l", "k"})) {
+    const std::vector<SortKey> keys = Keys(ks);
+    ExpectRowsBitEq(Collect(MakeSort(Source(b), keys)), ref::Sort(b, keys),
+                    "over-cap sort " + Describe(ks));
+  }
+  // Spelled out once: l ascending, then k ascending.
+  const std::vector<Row> got =
+      Collect(MakeSort(Source(b), Keys({{"l", true}, {"k", true}})));
+  std::vector<int64_t> ids;
+  for (const Row& r : got) ids.push_back(r[0].int64());
+  EXPECT_EQ(ids, (std::vector<int64_t>{6, 4, 3, 1, 5, 2, 0}));
+}
 
 // NaN keys: the reference excludes them, so SortOp is checked against
 // std::stable_sort under Value::Compare itself, with and without NULLs
