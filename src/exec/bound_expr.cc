@@ -486,7 +486,7 @@ class BoundUnary final : public BoundExpr {
         if (v.IsNull(i)) {
           out->AppendNull();
         } else {
-          out->AppendInt64(-v.Int64At(i));
+          out->AppendInt64(expr_eval::NegateWrapping(v.Int64At(i)));
         }
       }
       return Status::OK();
@@ -516,15 +516,6 @@ class BoundUnary final : public BoundExpr {
 double NumberAt(const ColumnVector& c, std::size_t i) {
   return c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
                                       : c.Float64At(i);
-}
-
-// substr's start/length argument: the double value truncated toward
-// zero, saturating where the int64 range ends (NaN reads as 0).
-int64_t TruncToInt64(double d) {
-  if (!(d == d)) return 0;
-  if (d >= 9223372036854775807.0) return INT64_MAX;
-  if (d <= -9223372036854775808.0) return INT64_MIN;
-  return static_cast<int64_t>(d);
 }
 
 // Column kernels of the scalar functions, one per FuncId, over argument
@@ -606,9 +597,9 @@ class BoundFunction final : public BoundExpr {
       }
       const std::string_view s = str.StrAt(i);
       const int64_t from = std::max<int64_t>(
-          TruncToInt64(NumberAt(start, i)), 1);
+          expr_eval::TruncToInt64(NumberAt(start, i)), 1);
       const int64_t count = std::max<int64_t>(
-          TruncToInt64(NumberAt(len, i)), 0);
+          expr_eval::TruncToInt64(NumberAt(len, i)), 0);
       const uint64_t pos = static_cast<uint64_t>(from) - 1;
       if (pos >= s.size()) {
         out->AppendString(std::string_view());
@@ -646,9 +637,7 @@ class BoundFunction final : public BoundExpr {
         out->AppendNull();
       } else if (x.rep() == ColumnRep::kInt64) {
         const int64_t v = x.Int64At(i);
-        out->AppendInt64(v < 0 ? static_cast<int64_t>(
-                                     0 - static_cast<uint64_t>(v))
-                               : v);
+        out->AppendInt64(v < 0 ? expr_eval::NegateWrapping(v) : v);
       } else {
         out->AppendFloat64(std::fabs(x.Float64At(i)));
       }

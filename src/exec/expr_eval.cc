@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 
 #include "common/string_util.h"
 #include "exec/expression.h"
@@ -107,6 +108,17 @@ FuncId ResolveFunction(const std::string& lower_name) {
   return FuncId::kUnknown;
 }
 
+int64_t NegateWrapping(int64_t v) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(v));
+}
+
+int64_t TruncToInt64(double d) {
+  if (!(d == d)) return 0;
+  if (d >= 9223372036854775807.0) return INT64_MAX;
+  if (d <= -9223372036854775808.0) return INT64_MIN;
+  return static_cast<int64_t>(d);
+}
+
 Result<Value> ApplyFunction(FuncId id, const std::string& name,
                             const std::vector<Value>& vals) {
   // NULL-aware functions evaluate before NULL propagation.
@@ -132,8 +144,8 @@ Result<Value> ApplyFunction(FuncId id, const std::string& name,
         return Status::Application("substr(str, start, len) expected");
       }
       const std::string& s = vals[0].str();
-      int64_t start = static_cast<int64_t>(vals[1].AsDouble());
-      int64_t len = static_cast<int64_t>(vals[2].AsDouble());
+      int64_t start = TruncToInt64(vals[1].AsDouble());
+      int64_t len = TruncToInt64(vals[2].AsDouble());
       if (start < 1) start = 1;
       if (len < 0) len = 0;
       if (static_cast<std::size_t>(start - 1) >= s.size()) {
@@ -161,7 +173,8 @@ Result<Value> ApplyFunction(FuncId id, const std::string& name,
         return Status::Application("abs(x) expected");
       }
       if (vals[0].is_int64()) {
-        return Value(vals[0].int64() < 0 ? -vals[0].int64() : vals[0].int64());
+        const int64_t v = vals[0].int64();
+        return Value(v < 0 ? NegateWrapping(v) : v);
       }
       return Value(std::fabs(vals[0].float64()));
     }

@@ -27,6 +27,14 @@ Result<Value> Arith(BinaryOp op, const Value& l, const Value& r);
 /// Mixed number/string comparison is Status::Application.
 Result<Value> Compare(BinaryOp op, const Value& l, const Value& r);
 
+/// \brief -v in two's complement: -INT64_MIN wraps to INT64_MIN instead
+/// of overflowing (negation and abs share the rule).
+int64_t NegateWrapping(int64_t v);
+
+/// \brief substr's start/length argument: `d` truncated toward zero,
+/// saturating where the int64 range ends (NaN reads as 0).
+int64_t TruncToInt64(double d);
+
 /// \brief Kleene truth value: 0 false, 1 true, -1 unknown (NULL).
 int Truth(const Value& v);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace swift {
@@ -36,16 +37,64 @@ void GangArbiter::BeginJob(JobId job, const JobRunOptions& opts) {
 
 void GangArbiter::EndJob(JobId job) {
   std::lock_guard<std::mutex> lock(mu_);
-  jobs_.erase(job);
-  // A job never ends while parked in AcquireGang, but stay defensive:
-  // drop any stale waiter entry so PickIndex never sees a dead job.
-  waiters_.erase(std::remove_if(waiters_.begin(), waiters_.end(),
-                                [&](const Waiter& w) { return w.job == job; }),
-                 waiters_.end());
+  auto it = jobs_.find(job);
+  if (it == jobs_.end()) return;
+  // A runtime job never ends while parked in AcquireGang; a simulated
+  // one may end (abort, restart) with graphlets still queued.
+  const std::set<Ticket> waiting = it->second.waiting;
+  for (Ticket t : waiting) WithdrawLocked(t);
+  jobs_.erase(it);
   cv_.notify_all();
 }
 
+Status GangArbiter::CannotFit(std::size_t need) const {
+  return Status::ResourceExhausted(StrFormat(
+      "gang of %zu executors cannot fit: %d schedulable executors "
+      "remain (machines dead or drained)",
+      need, pool_.schedulable_executors()));
+}
+
+Result<GangArbiter::Ticket> GangArbiter::RequestGang(
+    JobId job, std::vector<LocalityPref> prefs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RequestGangLocked(job, std::move(prefs));
+}
+
+Result<GangArbiter::Ticket> GangArbiter::RequestGangLocked(
+    JobId job, std::vector<LocalityPref> prefs) {
+  auto jit = jobs_.find(job);
+  if (jit == jobs_.end()) {
+    return Status::Internal("gang request for a job without BeginJob");
+  }
+  // The most any amount of waiting can reach: executors on live,
+  // schedulable machines, busy or free.
+  if (prefs.size() >
+      static_cast<std::size_t>(pool_.schedulable_executors())) {
+    return CannotFit(prefs.size());
+  }
+  JobInfo& info = jit->second;
+  const Ticket ticket = policy_.NextSeq();
+  queues_[info.tenant].emplace(-info.priority, ticket);
+  waiters_.emplace(ticket, Waiter{job, std::move(prefs)});
+  info.waiting.insert(ticket);
+  obs::Set(m_waiters_, static_cast<double>(waiters_.size()));
+  return ticket;
+}
+
+void GangArbiter::WithdrawLocked(Ticket ticket) {
+  auto it = waiters_.find(ticket);
+  if (it == waiters_.end()) return;
+  JobInfo& info = jobs_.at(it->second.job);
+  auto qit = queues_.find(info.tenant);
+  qit->second.erase({-info.priority, ticket});
+  if (qit->second.empty()) queues_.erase(qit);
+  info.waiting.erase(ticket);
+  waiters_.erase(it);
+  obs::Set(m_waiters_, static_cast<double>(waiters_.size()));
+}
+
 void GangArbiter::RequestPreemptionLocked(const JobInfo& claimant) {
+  if (claimant.priority == 0) return;  // no lower class exists
   for (auto& [id, info] : jobs_) {
     if (info.holding == 0 || info.yield_requested) continue;
     if (info.priority >= claimant.priority) continue;
@@ -55,6 +104,50 @@ void GangArbiter::RequestPreemptionLocked(const JobInfo& claimant) {
   }
 }
 
+std::optional<GangArbiter::Grant> GangArbiter::GrantHead() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GrantHeadLocked();
+}
+
+std::optional<GangArbiter::Grant> GangArbiter::GrantHeadLocked() {
+  if (queues_.empty()) return std::nullopt;
+  // Each tenant's first waiter is what PickIndex would choose within
+  // that tenant, so picking among them picks the head of every waiter.
+  std::vector<FairSharePolicy::Entry> heads;
+  heads.reserve(queues_.size());
+  for (const auto& [tenant, queue] : queues_) {
+    const auto& [neg_priority, ticket] = *queue.begin();
+    heads.push_back({tenant, -neg_priority, ticket});
+  }
+  const Ticket ticket = heads[policy_.PickIndex(heads)].seq;
+  const Waiter& w = waiters_.at(ticket);
+  const std::size_t need = w.prefs.size();
+  JobInfo& info = jobs_.at(w.job);
+  if (need > static_cast<std::size_t>(pool_.schedulable_executors())) {
+    Grant failed{ticket, w.job, CannotFit(need)};
+    WithdrawLocked(ticket);
+    return failed;
+  }
+  Result<std::vector<ExecutorId>> gang = pool_.AllocateGang(w.prefs);
+  if (!gang.ok()) {
+    // Capacity is busy in other jobs' gangs: flag lower classes to
+    // yield at their next wave boundary, then wait for a release.
+    RequestPreemptionLocked(info);
+    return std::nullopt;
+  }
+  policy_.Charge(info.tenant, info.priority, static_cast<double>(need));
+  tenant_units_[info.tenant] += static_cast<double>(need);
+  auto cit = tenant_unit_counters_.find(info.tenant);
+  if (cit != tenant_unit_counters_.end()) {
+    obs::Add(cit->second, static_cast<int64_t>(need));
+  }
+  info.holding += static_cast<int>(need);
+  info.yield_requested = false;
+  Grant granted{ticket, w.job, std::move(gang)};
+  WithdrawLocked(ticket);
+  return granted;
+}
+
 Result<std::vector<ExecutorId>> GangArbiter::AcquireGang(
     JobId job, const std::vector<LocalityPref>& prefs) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -62,70 +155,37 @@ Result<std::vector<ExecutorId>> GangArbiter::AcquireGang(
       t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                std::chrono::duration<double>(kGangAcquireWatchdogSeconds));
   std::unique_lock<std::mutex> lock(mu_);
-  auto jit = jobs_.find(job);
-  if (jit == jobs_.end()) {
-    return Status::Internal("AcquireGang for a job without BeginJob");
-  }
-  Waiter me;
-  me.job = job;
-  me.need = prefs.size();
-  me.entry = {jit->second.tenant, jit->second.priority, policy_.NextSeq()};
-  waiters_.push_back(me);
-  obs::Set(m_waiters_, static_cast<double>(waiters_.size()));
-  auto unregister = [&] {
-    waiters_.erase(
-        std::remove_if(waiters_.begin(), waiters_.end(),
-                       [&](const Waiter& w) { return w.job == job; }),
-        waiters_.end());
-    obs::Set(m_waiters_, static_cast<double>(waiters_.size()));
-    // The fairness head may have changed: wake the room to re-elect.
-    cv_.notify_all();
-  };
+  SWIFT_ASSIGN_OR_RETURN(const Ticket me, RequestGangLocked(job, prefs));
   for (;;) {
-    // The most any amount of waiting can reach: executors on live,
-    // schedulable machines, busy or free.
-    const int capacity = pool_.schedulable_executors();
-    if (static_cast<int>(me.need) > capacity) {
-      unregister();
-      return Status::ResourceExhausted(StrFormat(
-          "gang of %zu executors cannot fit: %d schedulable executors "
-          "remain (machines dead or drained)",
-          me.need, capacity));
+    // Whoever wakes runs the grant loop; each decision waits in
+    // outcomes_ for its owner.
+    bool decided_other = false;
+    while (std::optional<Grant> grant = GrantHeadLocked()) {
+      decided_other |= grant->ticket != me;
+      outcomes_.emplace(grant->ticket, std::move(grant->gang));
     }
-    // Strict head-of-line: only the fairness head tries to allocate.
-    std::vector<FairSharePolicy::Entry> entries;
-    entries.reserve(waiters_.size());
-    for (const Waiter& w : waiters_) entries.push_back(w.entry);
-    if (waiters_[policy_.PickIndex(entries)].job == job) {
-      Result<std::vector<ExecutorId>> gang = pool_.AllocateGang(prefs);
+    if (decided_other) cv_.notify_all();
+    auto it = outcomes_.find(me);
+    if (it != outcomes_.end()) {
+      Result<std::vector<ExecutorId>> gang = std::move(it->second);
+      outcomes_.erase(it);
       if (gang.ok()) {
-        JobInfo& info = jobs_[job];
-        policy_.Charge(info.tenant, info.priority,
-                       static_cast<double>(me.need));
-        tenant_units_[info.tenant] += static_cast<double>(me.need);
-        auto cit = tenant_unit_counters_.find(info.tenant);
-        if (cit != tenant_unit_counters_.end()) {
-          obs::Add(cit->second, static_cast<int64_t>(me.need));
-        }
-        info.holding = static_cast<int>(me.need);
-        info.yield_requested = false;
-        unregister();
         obs::Record(
             m_gang_wait_,
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
                 .count());
-        return gang;
       }
-      // Capacity is busy in other jobs' gangs: flag lower classes to
-      // yield at their next wave boundary, then wait for a release.
-      RequestPreemptionLocked(jobs_[job]);
+      return gang;
     }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      unregister();
+    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
+        outcomes_.count(me) == 0) {
+      WithdrawLocked(me);
+      // The fairness head may have changed: wake the room to re-elect.
+      cv_.notify_all();
       return Status::ResourceExhausted(StrFormat(
           "gang of %zu executors starved for %.0f s (acquire watchdog)",
-          me.need, kGangAcquireWatchdogSeconds));
+          prefs.size(), kGangAcquireWatchdogSeconds));
     }
   }
 }
@@ -136,7 +196,8 @@ void GangArbiter::ReleaseGang(JobId job,
   pool_.ReleaseAll(gang);
   auto it = jobs_.find(job);
   if (it != jobs_.end()) {
-    it->second.holding = 0;
+    it->second.holding =
+        std::max(0, it->second.holding - static_cast<int>(gang.size()));
     it->second.yield_requested = false;
   }
   cv_.notify_all();
@@ -148,12 +209,13 @@ bool GangArbiter::ShouldYield(JobId job) {
   return it != jobs_.end() && it->second.yield_requested;
 }
 
-void GangArbiter::RevokeMachine(int machine) {
+bool GangArbiter::RevokeMachine(int machine) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pool_.IsRevoked(machine)) return;
+  if (pool_.IsRevoked(machine)) return false;
   pool_.RevokeMachine(machine);
-  // Waiters re-check feasibility against the shrunk cluster.
+  // The head re-checks feasibility against the shrunk cluster.
   cv_.notify_all();
+  return true;
 }
 
 void GangArbiter::RestoreMachine(int machine) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,22 +51,36 @@ struct GangArbiterConfig {
 
 /// \brief The Resource Scheduler's gang arbiter (Fig. 2): ONE
 /// ResourcePool of pre-launched executors shared by every in-flight job,
-/// with blocking gang acquisition ordered by weighted fair queuing over
-/// tenants and cooperative preemption of lower priority classes.
+/// with gang grants ordered by weighted fair queuing over tenants and
+/// cooperative preemption of lower priority classes. The runtime and the
+/// cluster simulator both admit graphlets through it, so the figures and
+/// the system run one admission discipline (DESIGN.md Sec. 16.3).
 ///
-/// Acquisition discipline: all waiters park on a condition variable and
-/// only the fairness head (FairSharePolicy::PickIndex over the waiter
-/// set) attempts allocation. Strict head-of-line service is what makes
-/// large gangs starvation-free — backfilling smaller gangs around a big
-/// waiter would be work-conserving but could starve it indefinitely.
+/// Decision surface: non-blocking and clock-free. RequestGang registers a
+/// waiter; GrantHead picks the fairness head (FairSharePolicy::PickIndex
+/// over each tenant's first waiter) and grants it when its gang fits the
+/// pool. Strict head-of-line service is what makes large gangs
+/// starvation-free — backfilling smaller gangs around a big waiter would
+/// be work-conserving but could starve it indefinitely — so when the
+/// head does not fit, nothing is granted and running lower-class jobs are
+/// asked to yield. A gang larger than the schedulable executors (live,
+/// non-read-only machines, busy or free) fails fast with
+/// ResourceExhausted: at RequestGang, or, if the cluster shrank after
+/// that, as the head's decision. An event loop drives this surface
+/// directly, calling GrantHead after every event until it returns
+/// nothing; the grants go to whoever calls it, so such a loop owns its
+/// arbiter and never mixes with AcquireGang callers.
 ///
-/// Deadlock-freedom: a job holds at most one gang and never waits while
-/// holding (the runtime acquires, runs the graphlet, releases), so the
-/// head's wait is always on jobs that release in bounded time. A gang
-/// that cannot fit even on an idle cluster (machines dead or drained
-/// below the request size) fails fast with ResourceExhausted instead of
-/// waiting for capacity that cannot appear. A job alone on the cluster
-/// therefore gets exactly ResourcePool::AllocateGang's answer at once.
+/// AcquireGang is the blocking shell over the same surface for driver
+/// threads: every parked caller runs the grant loop when woken, hands
+/// each decision to its ticket's owner, and gives up only after the
+/// kGangAcquireWatchdogSeconds watchdog.
+///
+/// Deadlock-freedom: a runtime job holds at most one gang and never waits
+/// while holding (it acquires, runs the graphlet, releases), so the
+/// head's wait is always on jobs that release in bounded time. A job
+/// alone on the cluster therefore gets exactly ResourcePool::AllocateGang's
+/// answer at once.
 ///
 /// Threading contract: one job calls BeginJob / AcquireGang /
 /// ReleaseGang / EndJob from its own driver thread. Machine-state calls
@@ -73,12 +89,34 @@ struct GangArbiterConfig {
 /// back into the runtime.
 class GangArbiter {
  public:
+  /// One registered gang request; also its FIFO sequence number.
+  using Ticket = uint64_t;
+  /// \brief The decision GrantHead made for one waiter.
+  struct Grant {
+    Ticket ticket = 0;
+    JobId job = 0;
+    /// The gang, or ResourceExhausted when the cluster shrank below the
+    /// request while it waited.
+    Result<std::vector<ExecutorId>> gang;
+  };
+
   explicit GangArbiter(GangArbiterConfig config);
 
-  /// \brief A job was admitted to the runtime scheduling loop.
+  /// \brief A job was admitted to the scheduling loop.
   void BeginJob(JobId job, const JobRunOptions& opts);
-  /// \brief The job left the scheduling loop (completed or failed).
+  /// \brief The job left the scheduling loop (completed, failed or, in
+  /// the simulator, restarted); its waiters are withdrawn.
   void EndJob(JobId job);
+
+  /// \brief Registers a waiter for `prefs.size()` executors. Fails fast
+  /// with ResourceExhausted when the gang exceeds every schedulable
+  /// executor.
+  Result<Ticket> RequestGang(JobId job, std::vector<LocalityPref> prefs);
+  /// \brief Decides the fairness head: its grant, or its failure when the
+  /// cluster shrank below it. Nothing (nullopt) when there are no waiters
+  /// or the head's gang does not fit the free executors.
+  std::optional<Grant> GrantHead();
+
   /// \brief Gang allocation: all `prefs.size()` executors or an error.
   /// Blocks while other jobs hold the capacity; a gang that can never
   /// fit fails at once with ResourceExhausted.
@@ -92,7 +130,8 @@ class GangArbiter {
   bool ShouldYield(JobId job);
 
   /// \brief Machine lifecycle fan-in (machine death / repair / drain).
-  void RevokeMachine(int machine);
+  /// RevokeMachine returns false when the machine was already revoked.
+  bool RevokeMachine(int machine);
   void RestoreMachine(int machine);
   void SetReadOnly(int machine, bool read_only);
 
@@ -107,16 +146,20 @@ class GangArbiter {
     std::string tenant = "default";
     int priority = 0;
     bool yield_requested = false;
-    int holding = 0;  ///< executors currently held (0 or one gang)
+    int holding = 0;  ///< executors currently held over all its gangs
+    std::set<Ticket> waiting;  ///< its registered, undecided requests
   };
   struct Waiter {
     JobId job = 0;
-    std::size_t need = 0;
-    FairSharePolicy::Entry entry;
+    std::vector<LocalityPref> prefs;
   };
 
+  Result<Ticket> RequestGangLocked(JobId job, std::vector<LocalityPref> prefs);
+  std::optional<Grant> GrantHeadLocked();
+  void WithdrawLocked(Ticket ticket);
   /// Ask running lower-class jobs to yield until `need` could fit.
   void RequestPreemptionLocked(const JobInfo& claimant);
+  Status CannotFit(std::size_t need) const;
 
   const GangArbiterConfig config_;
   mutable std::mutex mu_;
@@ -124,7 +167,13 @@ class GangArbiter {
   ResourcePool pool_;
   FairSharePolicy policy_;
   std::map<JobId, JobInfo> jobs_;
-  std::vector<Waiter> waiters_;
+  std::map<Ticket, Waiter> waiters_;
+  /// Each tenant's waiters in service order, (-priority, ticket): the
+  /// first is the tenant's candidate for PickIndex. Tenants without
+  /// waiters have no entry.
+  std::map<std::string, std::set<std::pair<int, Ticket>>> queues_;
+  /// Decisions the grant loop made for parked AcquireGang callers.
+  std::map<Ticket, Result<std::vector<ExecutorId>>> outcomes_;
   int64_t preemptions_ = 0;
   std::map<std::string, double> tenant_units_;
   std::map<std::string, obs::Counter*> tenant_unit_counters_;

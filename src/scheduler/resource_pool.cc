@@ -1,7 +1,5 @@
 #include "scheduler/resource_pool.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace swift {
@@ -12,98 +10,79 @@ std::string ExecutorId::ToString() const {
 
 ResourcePool::ResourcePool(int machines, int executors_per_machine)
     : machines_(machines), per_machine_(executors_per_machine) {
-  free_count_.assign(static_cast<std::size_t>(machines_), per_machine_);
-  free_slots_.resize(static_cast<std::size_t>(machines_));
+  state_.resize(static_cast<std::size_t>(machines_));
   for (int m = 0; m < machines_; ++m) {
     for (int s = 0; s < per_machine_; ++s) {
-      free_slots_[static_cast<std::size_t>(m)].insert(s);
+      state_[static_cast<std::size_t>(m)].free_slots.insert(s);
     }
+    Index(m);
   }
 }
 
-int ResourcePool::free_executors() const {
-  int total = 0;
-  for (int m = 0; m < machines_; ++m) {
-    if (read_only_.count(m) || revoked_.count(m)) continue;
-    total += free_count_[static_cast<std::size_t>(m)];
-  }
-  return total;
+void ResourcePool::Unindex(int machine) {
+  const Machine& st = state_[static_cast<std::size_t>(machine)];
+  if (!st.schedulable()) return;
+  const int free = static_cast<int>(st.free_slots.size());
+  by_free_.erase({-free, machine});
+  free_total_ -= free;
+  schedulable_total_ -= per_machine_;
 }
 
-int ResourcePool::schedulable_executors() const {
-  int total = 0;
-  for (int m = 0; m < machines_; ++m) {
-    if (read_only_.count(m) || revoked_.count(m)) continue;
-    total += per_machine_;
-  }
-  return total;
+void ResourcePool::Index(int machine) {
+  const Machine& st = state_[static_cast<std::size_t>(machine)];
+  if (!st.schedulable()) return;
+  const int free = static_cast<int>(st.free_slots.size());
+  if (free > 0) by_free_.insert({-free, machine});
+  free_total_ += free;
+  schedulable_total_ += per_machine_;
 }
 
 int ResourcePool::free_on_machine(int machine) const {
   if (machine < 0 || machine >= machines_) return 0;
-  if (read_only_.count(machine) || revoked_.count(machine)) return 0;
-  return free_count_[static_cast<std::size_t>(machine)];
-}
-
-int ResourcePool::LeastLoadedMachine(
-    const std::vector<int>& free_per_machine) const {
-  int best = -1;
-  int best_free = 0;
-  for (int m = 0; m < machines_; ++m) {
-    if (read_only_.count(m) || revoked_.count(m)) continue;
-    const int f = free_per_machine[static_cast<std::size_t>(m)];
-    if (f > best_free) {
-      best_free = f;
-      best = m;
-    }
-  }
-  return best;
+  const Machine& st = state_[static_cast<std::size_t>(machine)];
+  return st.schedulable() ? static_cast<int>(st.free_slots.size()) : 0;
 }
 
 Result<std::vector<ExecutorId>> ResourcePool::AllocateGang(
     const std::vector<LocalityPref>& prefs) {
-  // Plan against a scratch copy so failure allocates nothing.
-  std::vector<int> scratch = free_count_;
-  std::vector<int> chosen_machine(prefs.size(), -1);
-  for (std::size_t i = 0; i < prefs.size(); ++i) {
+  // Any task may land on any schedulable machine, so the gang fits iff
+  // the free total covers it; placement below then never fails.
+  if (prefs.size() > static_cast<std::size_t>(free_total_)) {
+    return Status::ResourceExhausted(
+        StrFormat("gang allocation of %zu executors failed: %d free",
+                  prefs.size(), free_total_));
+  }
+  std::vector<ExecutorId> out;
+  out.reserve(prefs.size());
+  for (const LocalityPref& pref : prefs) {
     int machine = -1;
-    for (int pref : prefs[i]) {
-      if (pref >= 0 && pref < machines_ && !read_only_.count(pref) &&
-          !revoked_.count(pref) && scratch[static_cast<std::size_t>(pref)] > 0) {
-        machine = pref;
+    for (int m : pref) {
+      if (free_on_machine(m) > 0) {
+        machine = m;
         break;
       }
     }
-    if (machine < 0) machine = LeastLoadedMachine(scratch);
-    if (machine < 0) {
-      return Status::ResourceExhausted(StrFormat(
-          "gang allocation of %zu executors failed at task %zu",
-          prefs.size(), i));
-    }
-    --scratch[static_cast<std::size_t>(machine)];
-    chosen_machine[i] = machine;
-  }
-  // Commit.
-  std::vector<ExecutorId> out;
-  out.reserve(prefs.size());
-  for (std::size_t i = 0; i < prefs.size(); ++i) {
-    const int m = chosen_machine[i];
-    auto& slots = free_slots_[static_cast<std::size_t>(m)];
-    const int slot = *slots.begin();
-    slots.erase(slots.begin());
-    --free_count_[static_cast<std::size_t>(m)];
-    out.push_back(ExecutorId{m, slot});
+    if (machine < 0) machine = by_free_.begin()->second;
+    Machine& st = state_[static_cast<std::size_t>(machine)];
+    Unindex(machine);
+    const int slot = *st.free_slots.begin();
+    st.free_slots.erase(st.free_slots.begin());
+    Index(machine);
+    out.push_back(ExecutorId{machine, slot, st.epoch});
   }
   return out;
 }
 
 void ResourcePool::Release(const ExecutorId& id) {
   if (id.machine < 0 || id.machine >= machines_) return;
-  if (revoked_.count(id.machine)) return;  // machine gone with its slots
-  auto& slots = free_slots_[static_cast<std::size_t>(id.machine)];
-  if (slots.insert(id.slot).second) {
-    ++free_count_[static_cast<std::size_t>(id.machine)];
-  }
+  Machine& st = state_[static_cast<std::size_t>(id.machine)];
+  // A revoked machine took its slots with it; a restored one started
+  // over with every slot free, so releases from before are stale.
+  if (st.revoked || id.epoch != st.epoch) return;
+  if (st.free_slots.count(id.slot) > 0) return;
+  Unindex(id.machine);
+  st.free_slots.insert(id.slot);
+  Index(id.machine);
 }
 
 void ResourcePool::ReleaseAll(const std::vector<ExecutorId>& ids) {
@@ -111,45 +90,49 @@ void ResourcePool::ReleaseAll(const std::vector<ExecutorId>& ids) {
 }
 
 void ResourcePool::SetReadOnly(int machine, bool read_only) {
-  if (read_only) {
-    read_only_.insert(machine);
-  } else {
-    read_only_.erase(machine);
-  }
+  if (machine < 0 || machine >= machines_) return;
+  Unindex(machine);
+  state_[static_cast<std::size_t>(machine)].read_only = read_only;
+  Index(machine);
 }
 
 bool ResourcePool::IsReadOnly(int machine) const {
-  return read_only_.count(machine) > 0;
+  return machine >= 0 && machine < machines_ &&
+         state_[static_cast<std::size_t>(machine)].read_only;
 }
 
 bool ResourcePool::IsRevoked(int machine) const {
-  return revoked_.count(machine) > 0;
+  return machine >= 0 && machine < machines_ &&
+         state_[static_cast<std::size_t>(machine)].revoked;
 }
 
 std::vector<ExecutorId> ResourcePool::RevokeMachine(int machine) {
   std::vector<ExecutorId> busy;
   if (machine < 0 || machine >= machines_) return busy;
+  Machine& st = state_[static_cast<std::size_t>(machine)];
   // Idempotent: a second revocation (e.g. the runtime re-syncing pool
   // state every graphlet while a machine stays down) reports no busy
   // executors instead of re-reporting every slot.
-  if (revoked_.count(machine) > 0) return busy;
-  auto& slots = free_slots_[static_cast<std::size_t>(machine)];
+  if (st.revoked) return busy;
   for (int s = 0; s < per_machine_; ++s) {
-    if (slots.count(s) == 0) busy.push_back(ExecutorId{machine, s});
+    if (st.free_slots.count(s) == 0) {
+      busy.push_back(ExecutorId{machine, s, st.epoch});
+    }
   }
-  slots.clear();
-  free_count_[static_cast<std::size_t>(machine)] = 0;
-  revoked_.insert(machine);
+  Unindex(machine);
+  st.free_slots.clear();
+  st.revoked = true;
   return busy;
 }
 
 void ResourcePool::RestoreMachine(int machine) {
   if (machine < 0 || machine >= machines_) return;
-  if (revoked_.erase(machine) == 0) return;
-  auto& slots = free_slots_[static_cast<std::size_t>(machine)];
-  slots.clear();
-  for (int s = 0; s < per_machine_; ++s) slots.insert(s);
-  free_count_[static_cast<std::size_t>(machine)] = per_machine_;
+  Machine& st = state_[static_cast<std::size_t>(machine)];
+  if (!st.revoked) return;
+  st.revoked = false;
+  st.epoch += 1;
+  for (int s = 0; s < per_machine_; ++s) st.free_slots.insert(s);
+  Index(machine);
 }
 
 }  // namespace swift

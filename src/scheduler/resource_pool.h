@@ -2,9 +2,9 @@
 #define SWIFT_SCHEDULER_RESOURCE_POOL_H_
 
 #include <compare>
-#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -15,6 +15,11 @@ namespace swift {
 struct ExecutorId {
   int machine = -1;
   int slot = -1;
+  /// Incarnation of `machine` the slot was granted in. Restoring a
+  /// revoked machine starts a new incarnation, so a late release of a
+  /// slot granted before the failure cannot free the same slot number a
+  /// later gang holds.
+  int epoch = 0;
 
   auto operator<=>(const ExecutorId&) const = default;
   std::string ToString() const;
@@ -29,6 +34,11 @@ using LocalityPref = std::vector<int>;
 /// graphlets are gang-allocated — all requested executors or none — with
 /// data locality and machine load balancing (Sec. III-A-2). Machines
 /// marked read-only by the health monitor receive no new tasks.
+///
+/// Placement keeps an index of schedulable machines ordered by free
+/// executors, so a task's least-loaded machine costs O(log machines)
+/// rather than a scan (the simulator allocates from pools of thousands
+/// of machines).
 class ResourcePool {
  public:
   /// \param executors_per_machine slots pre-launched on each machine.
@@ -36,22 +46,24 @@ class ResourcePool {
 
   int machines() const { return machines_; }
   int total_executors() const { return machines_ * per_machine_; }
-  int free_executors() const;
-  int running_executors() const { return total_executors() - free_executors(); }
+  /// \brief Free executors on live, non-read-only machines.
+  int free_executors() const { return free_total_; }
   /// \brief Executors on live, non-read-only machines, busy or free: the
   /// largest gang AllocateGang can ever grant before the cluster changes.
-  int schedulable_executors() const;
+  int schedulable_executors() const { return schedulable_total_; }
   int free_on_machine(int machine) const;
 
   /// \brief Gang allocation for `prefs.size()` tasks: every task gets an
   /// executor or the call fails with ResourceExhausted and allocates
   /// nothing. A task with a locality preference is placed on the first
-  /// preferred machine with a free executor; ties and unconstrained
-  /// tasks go to the least-loaded machine ("the most free machine").
+  /// preferred machine with a free executor; other tasks go to the
+  /// least-loaded machine ("the most free machine"; ties to the lowest
+  /// index). Each machine hands out its lowest free slot.
   Result<std::vector<ExecutorId>> AllocateGang(
       const std::vector<LocalityPref>& prefs);
 
-  /// \brief Returns one executor to the pool.
+  /// \brief Returns one executor to the pool. Ignored when the machine is
+  /// revoked or `id` comes from an earlier incarnation of it.
   void Release(const ExecutorId& id);
 
   void ReleaseAll(const std::vector<ExecutorId>& ids);
@@ -64,19 +76,34 @@ class ResourcePool {
   /// returns the executors that were running tasks there (busy ones).
   std::vector<ExecutorId> RevokeMachine(int machine);
 
-  /// \brief Re-adds a previously revoked machine (repair).
+  /// \brief Re-adds a previously revoked machine (repair) as a new
+  /// incarnation with every slot free.
   void RestoreMachine(int machine);
   bool IsRevoked(int machine) const;
 
  private:
-  int LeastLoadedMachine(const std::vector<int>& free_per_machine) const;
+  struct Machine {
+    std::set<int> free_slots;
+    int epoch = 0;
+    bool read_only = false;
+    bool revoked = false;
+    bool schedulable() const { return !read_only && !revoked; }
+  };
+
+  /// Every change to a machine's state or free slots happens between
+  /// Unindex and Index, which keep the placement index and the cached
+  /// totals in step with it.
+  void Unindex(int machine);
+  void Index(int machine);
 
   int machines_;
   int per_machine_;
-  std::vector<int> free_count_;        // per machine
-  std::vector<std::set<int>> free_slots_;
-  std::set<int> read_only_;
-  std::set<int> revoked_;
+  std::vector<Machine> state_;
+  /// (-free, machine) for schedulable machines with a free executor:
+  /// begin() is the least-loaded machine, ties to the lowest index.
+  std::set<std::pair<int, int>> by_free_;
+  int free_total_ = 0;
+  int schedulable_total_ = 0;
 };
 
 }  // namespace swift

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "fault/heartbeat.h"
@@ -29,9 +30,13 @@ std::unique_ptr<Partitioner> MakePartitioner(const SimConfig& config) {
 ClusterSim::ClusterSim(SimConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      partitioner_(MakePartitioner(config_)) {
-  free_executors_ = config_.machines * config_.executors_per_machine;
-}
+      partitioner_(MakePartitioner(config_)),
+      arbiter_(GangArbiterConfig{
+          .machines = config_.machines,
+          .executors_per_machine = config_.executors_per_machine,
+          .fair_share = FairShareConfig{},
+          // The sim publishes its own sim.* metrics, not service.*.
+          .metrics = nullptr}) {}
 
 Status ClusterSim::SubmitJob(SimJobSpec spec) {
   if (ran_) return Status::Internal("SubmitJob after Run");
@@ -50,12 +55,12 @@ Status ClusterSim::SubmitJob(SimJobSpec spec) {
 Result<SimReport> ClusterSim::Run() {
   if (ran_) return Status::Internal("Run called twice");
   ran_ = true;
-  jobs_remaining_ = static_cast<int>(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const int job = static_cast<int>(j);
     engine_.ScheduleAt(jobs_[j].spec.submit_time, [this, job] {
+      arbiter_.BeginJob(job, JobRunOptions{});
       EnqueueReadyUnits(job);
-      TrySchedule();
+      Schedule();
       // Bubble Execution pays its data-size partitioning cost up front.
       if (config_.policy == SchedulingPolicy::kDataSizeBubble) {
         jobs_[static_cast<std::size_t>(job)].extra_delay +=
@@ -103,48 +108,37 @@ void ClusterSim::EnqueueReadyUnits(int job) {
         break;
       }
     }
-    if (ready) {
-      js.queued_units.insert(g.id);
-      request_queue_.push_back(UnitRequest{job, g.id, engine_.Now()});
+    if (!ready) continue;
+    // Simulated tasks carry no data placement: the pool spreads each
+    // gang over the least-loaded machines.
+    Result<GangArbiter::Ticket> ticket = arbiter_.RequestGang(
+        job, std::vector<LocalityPref>(
+                 static_cast<std::size_t>(g.TotalTasks(js.spec.dag))));
+    if (!ticket.ok()) {  // larger than every schedulable executor
+      CompleteJob(job, /*aborted=*/true);
+      return;
     }
+    js.queued_units.emplace(g.id, *ticket);
   }
 }
 
-void ClusterSim::TrySchedule() {
-  // First-fit over the FIFO queue: requests that do not fit are skipped
-  // so smaller units backfill free executors (the Resource Scheduler's
-  // event-driven assignment). To avoid starving a large request, once
-  // the queue head has aged past `kMaxHeadSkipAge` the scan stops at it
-  // (the cluster drains until the head fits).
-  constexpr double kMaxHeadSkipAge = 60.0;
-  for (auto it = request_queue_.begin(); it != request_queue_.end();) {
-    const UnitRequest req = *it;
-    JobState& js = jobs_[static_cast<std::size_t>(req.job)];
-    if (js.result.completed || js.result.aborted ||
-        js.queued_units.count(req.gid) == 0) {
-      it = request_queue_.erase(it);  // stale request
+void ClusterSim::Schedule() {
+  while (std::optional<GangArbiter::Grant> grant = arbiter_.GrantHead()) {
+    const int job = static_cast<int>(grant->job);
+    JobState& js = jobs_[static_cast<std::size_t>(job)];
+    auto it = std::find_if(
+        js.queued_units.begin(), js.queued_units.end(),
+        [&](const auto& queued) { return queued.second == grant->ticket; });
+    SWIFT_CHECK(it != js.queued_units.end());
+    const GraphletId gid = it->first;
+    js.queued_units.erase(it);
+    if (!grant->gang.ok()) {
+      // The cluster shrank below the unit while it queued. The abort
+      // only returns capacity, which the next head test sees.
+      CompleteJob(job, /*aborted=*/true);
       continue;
     }
-    const Graphlet& g = js.plan.graphlets[static_cast<std::size_t>(req.gid)];
-    const int needed = static_cast<int>(g.TotalTasks(js.spec.dag));
-    if (needed > config_.machines * config_.executors_per_machine) {
-      js.queued_units.erase(req.gid);
-      it = request_queue_.erase(it);
-      CompleteJob(req.job, /*aborted=*/true);
-      continue;
-    }
-    if (needed > free_executors_) {
-      if (it == request_queue_.begin() &&
-          engine_.Now() - req.enqueue_time > kMaxHeadSkipAge) {
-        break;  // aged head: stop backfilling, let the cluster drain
-      }
-      ++it;
-      continue;
-    }
-    js.queued_units.erase(req.gid);
-    it = request_queue_.erase(it);
-    free_executors_ -= needed;
-    StartUnit(req.job, req.gid);
+    StartUnit(job, gid, std::move(grant->gang).ValueOrDie());
   }
 }
 
@@ -329,15 +323,23 @@ void ClusterSim::ComputeUnitSchedule(JobState* js, UnitRun* unit) {
   unit->finish = unit_finish;
 }
 
-void ClusterSim::StartUnit(int job, GraphletId gid) {
+void ClusterSim::StartUnit(int job, GraphletId gid,
+                           std::vector<ExecutorId> gang) {
   JobState& js = jobs_[static_cast<std::size_t>(job)];
   UnitRun unit;
   unit.job = job;
   unit.gid = gid;
   unit.alloc_time = engine_.Now() + js.extra_delay;
   js.extra_delay = 0.0;
-  unit.executors = static_cast<int>(
-      js.plan.graphlets[static_cast<std::size_t>(gid)].TotalTasks(js.spec.dag));
+  unit.gang = std::move(gang);
+  std::size_t offset = 0;
+  for (StageId sid :
+       js.plan.graphlets[static_cast<std::size_t>(gid)].stages) {
+    if (offset < unit.gang.size()) {
+      js.stage_machine[sid] = unit.gang[offset].machine;
+    }
+    offset += static_cast<std::size_t>(js.spec.dag.stage(sid).task_count);
+  }
   if (js.result.first_alloc_time < 0) {
     js.result.first_alloc_time = unit.alloc_time;
     ScheduleFailures(job);
@@ -354,7 +356,7 @@ void ClusterSim::FinishUnit(int job, GraphletId gid) {
   if (it == js.running_units.end()) return;
   UnitRun unit = std::move(it->second);
   js.running_units.erase(it);
-  free_executors_ += unit.executors;
+  arbiter_.ReleaseGang(job, unit.gang);
   js.done_units.insert(gid);
 
   const JobDag& dag = js.spec.dag;
@@ -383,7 +385,19 @@ void ClusterSim::FinishUnit(int job, GraphletId gid) {
   } else {
     EnqueueReadyUnits(job);
   }
-  TrySchedule();
+  Schedule();
+}
+
+void ClusterSim::ReleaseRunningUnits(JobState* js, bool count_as_rerun) {
+  for (auto& [gid, unit] : js->running_units) {
+    engine_.Cancel(unit.finish_event);
+    arbiter_.ReleaseGang(unit.job, unit.gang);
+    // Partial work on killed units is also wasted.
+    if (count_as_rerun) {
+      js->result.tasks_rerun += static_cast<int64_t>(unit.gang.size());
+    }
+  }
+  js->running_units.clear();
 }
 
 void ClusterSim::CompleteJob(int job, bool aborted) {
@@ -396,13 +410,9 @@ void ClusterSim::CompleteJob(int job, bool aborted) {
     js.result.mean_idle_ratio /= static_cast<double>(js.result.tasks_run);
   }
   // Abandon anything still queued or running.
-  for (auto& [gid, unit] : js.running_units) {
-    engine_.Cancel(unit.finish_event);
-    free_executors_ += unit.executors;
-  }
-  js.running_units.clear();
+  ReleaseRunningUnits(&js, /*count_as_rerun=*/false);
   js.queued_units.clear();
-  --jobs_remaining_;
+  arbiter_.EndJob(job);
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry* reg = config_.metrics;
     reg->counter(aborted ? "sim.jobs.aborted" : "sim.jobs.completed")->Add(1);
@@ -414,7 +424,6 @@ void ClusterSim::CompleteJob(int job, bool aborted) {
       reg->series("sim.job.idle_ratio")->Record(js.result.mean_idle_ratio);
     }
   }
-  TrySchedule();
 }
 
 void ClusterSim::ScheduleFailures(int job) {
@@ -423,7 +432,10 @@ void ClusterSim::ScheduleFailures(int job) {
   js.failures_scheduled = true;
   for (const FailureInjection& f : js.spec.failures) {
     engine_.ScheduleAt(js.result.first_alloc_time + f.time,
-                       [this, job, f] { OnFailure(job, f); });
+                       [this, job, f] {
+                         OnFailure(job, f);
+                         Schedule();
+                       });
   }
 }
 
@@ -453,19 +465,18 @@ void ClusterSim::OnFailure(int job, const FailureInjection& f) {
     CompleteJob(job, /*aborted=*/true);
     return;
   }
+  if (f.kind == FailureKind::kMachineFailure) FailMachine(js, f.stage);
 
   if (!config_.fine_grained_recovery) {
     // Whole-job restart baseline: throw away everything done so far.
     js.result.recoveries += 1;
     js.result.tasks_rerun += js.result.tasks_run;
-    for (auto& [gid, unit] : js.running_units) {
-      engine_.Cancel(unit.finish_event);
-      free_executors_ += unit.executors;
-      // Partial work on killed units is also wasted.
-      js.result.tasks_rerun += unit.executors;
-    }
-    js.running_units.clear();
+    ReleaseRunningUnits(&js, /*count_as_rerun=*/true);
     js.queued_units.clear();
+    // Leaving and re-entering the scheduling loop withdraws the job's
+    // queued gang requests.
+    arbiter_.EndJob(job);
+    arbiter_.BeginJob(job, JobRunOptions{});
     js.done_units.clear();
     js.stage_start.clear();
     js.stage_finish.clear();
@@ -473,20 +484,9 @@ void ClusterSim::OnFailure(int job, const FailureInjection& f) {
     js.extra_delay = detect;
     engine_.ScheduleAfter(detect, [this, job] {
       EnqueueReadyUnits(job);
-      TrySchedule();
+      Schedule();
     });
     return;
-  }
-
-  if (f.kind == FailureKind::kMachineFailure) {
-    // The Admin revokes every executor on the machine (Sec. IV-A third
-    // mechanism); capacity returns after repair.
-    const int lost = std::min(free_executors_, config_.executors_per_machine);
-    free_executors_ -= lost;
-    engine_.ScheduleAfter(config_.machine_repair_seconds, [this, lost] {
-      free_executors_ += lost;
-      TrySchedule();
-    });
   }
 
   // Fine-grained recovery (Sec. IV-B).
@@ -577,6 +577,23 @@ void ClusterSim::OnFailure(int job, const FailureInjection& f) {
     }
   }
   js.extra_delay += detect + rerun_time;
+}
+
+void ClusterSim::FailMachine(const JobState& js, StageId stage) {
+  // The failure hits task 0 of `stage` (as RecoveryPlanner is told), so
+  // the machine lost is the one that holds or last held that task; a
+  // stage not placed yet fails on its job's lowest placed stage's
+  // machine. The Admin revokes every executor there (Sec. IV-A third
+  // mechanism), busy or free, until repair.
+  auto it = js.stage_machine.find(stage);
+  if (it == js.stage_machine.end()) it = js.stage_machine.begin();
+  if (it == js.stage_machine.end()) return;
+  const int machine = it->second;
+  if (!arbiter_.RevokeMachine(machine)) return;  // down; repair pending
+  engine_.ScheduleAfter(config_.machine_repair_seconds, [this, machine] {
+    arbiter_.RestoreMachine(machine);
+    Schedule();
+  });
 }
 
 void ClusterSim::RecordBusyInterval(double start, double finish, int tasks) {

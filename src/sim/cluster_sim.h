@@ -13,6 +13,7 @@
 #include "fault/recovery.h"
 #include "obs/metrics.h"
 #include "partition/partitioners.h"
+#include "scheduler/gang_arbiter.h"
 #include "sim/event_engine.h"
 #include "sim/models.h"
 #include "sim/sim_job.h"
@@ -61,8 +62,9 @@ struct SimConfig {
   /// considerably cheaper than the stage (calibrated to Fig. 14/15).
   double rerun_cost_fraction = 0.35;
   int heartbeat_miss_threshold = 2;
-  /// A failed machine is revoked (capacity lost) for this long before
-  /// repair returns it to the pool (read-only drain + re-provision).
+  /// A failed machine is revoked from the pool (every executor on it,
+  /// busy or free) for this long before repair returns it (read-only
+  /// drain + re-provision).
   double machine_repair_seconds = 300.0;
   NetworkModel net;
   DiskModel disk;
@@ -83,6 +85,12 @@ struct SimConfig {
 /// set of DAG jobs under a scheduling policy and shuffle medium. The
 /// substitution substrate for the paper's 100/2,000-node clusters; see
 /// DESIGN.md.
+///
+/// Admission is the runtime's own: one GangArbiter over machines x
+/// executors_per_machine. Each job runs as tenant "default" at priority
+/// 0 (so service is FIFO and preemption never fires) and queues one
+/// gang request per ready scheduling unit; after every event the sim
+/// grants fairness heads until the head does not fit.
 class ClusterSim {
  public:
   explicit ClusterSim(SimConfig config);
@@ -108,7 +116,9 @@ class ClusterSim {
     int job = -1;
     GraphletId gid = -1;
     double alloc_time = 0.0;
-    int executors = 0;
+    /// One executor per task: member stages in ascending id order, each
+    /// stage's tasks in index order.
+    std::vector<ExecutorId> gang;
     double finish = 0.0;
     std::map<StageId, StageTiming> stages;
     EventEngine::EventId finish_event = -1;
@@ -119,25 +129,26 @@ class ClusterSim {
     GraphletPlan plan;
     std::unique_ptr<RecoveryPlanner> recovery;
     std::set<GraphletId> done_units;
-    std::set<GraphletId> queued_units;
+    std::map<GraphletId, GangArbiter::Ticket> queued_units;
     std::map<GraphletId, UnitRun> running_units;
     std::map<StageId, double> stage_finish;  // completed stages
     std::map<StageId, double> stage_start;
+    /// Machine of task 0 of every stage placed so far (kept after the
+    /// unit finishes: its retained output lives there).
+    std::map<StageId, int> stage_machine;
     SimJobResult result;
     double extra_delay = 0.0;  // recovery debt applied at next launch
     bool failures_scheduled = false;
   };
 
-  struct UnitRequest {
-    int job = -1;
-    GraphletId gid = -1;
-    double enqueue_time = 0.0;
-  };
-
   // --- scheduling -----------------------------------------------------
   void EnqueueReadyUnits(int job);
-  void TrySchedule();
-  void StartUnit(int job, GraphletId gid);
+  /// Grants fairness heads until the head does not fit. Called once at
+  /// the end of every event; nothing it calls schedules again.
+  void Schedule();
+  void StartUnit(int job, GraphletId gid, std::vector<ExecutorId> gang);
+  /// Cancels the job's running units and returns their gangs.
+  void ReleaseRunningUnits(JobState* js, bool count_as_rerun);
   void FinishUnit(int job, GraphletId gid);
   void ComputeUnitSchedule(JobState* js, UnitRun* unit);
   void CompleteJob(int job, bool aborted);
@@ -157,6 +168,7 @@ class ClusterSim {
   // --- failures -------------------------------------------------------
   void ScheduleFailures(int job);
   void OnFailure(int job, const FailureInjection& f);
+  void FailMachine(const JobState& js, StageId stage);
   double DetectionDelay(FailureKind kind) const;
 
   // --- accounting -----------------------------------------------------
@@ -169,9 +181,7 @@ class ClusterSim {
   /// Deque: growth must not relocate JobStates, whose RecoveryPlanners
   /// point into their own spec/plan members.
   std::deque<JobState> jobs_;
-  std::deque<UnitRequest> request_queue_;
-  int free_executors_ = 0;
-  int jobs_remaining_ = 0;
+  GangArbiter arbiter_;
   std::vector<std::pair<double, int>> busy_deltas_;
   bool ran_ = false;
 };

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -659,16 +661,21 @@ TEST_P(BoundExprParityTest, BoundMatchesInterpreted) {
 
 // The function kernels on their edges, every argument combination of
 // the cells below: NULLs (and the kNull column), substr starts below 1
-// and past the end, negative and fractional starts and lengths, and
-// strings with NUL bytes and bytes >= 0x80 (which lower/upper keep).
+// and past the end, negative and fractional starts and lengths, starts
+// and lengths beyond the int64 range or NaN (they saturate), INT64_MIN
+// under negation and abs (both wrap), and strings with NUL bytes and
+// bytes >= 0x80 (which lower/upper keep).
 TEST_P(BoundExprParityTest, FunctionKernelsMatchInterpreted) {
   Rng rng(GetParam());
-  const std::vector<Value> ints = {Value::Null(), Value(int64_t{-2}),
-                                   Value(int64_t{0}), Value(int64_t{1}),
-                                   Value(int64_t{3}), Value(int64_t{100})};
-  const std::vector<Value> doubles = {Value::Null(), Value(-1.5), Value(-0.0),
-                                      Value(0.5),    Value(1.7),  Value(2.9),
-                                      Value(250.0)};
+  const std::vector<Value> ints = {
+      Value::Null(),     Value(int64_t{-2}),  Value(int64_t{0}),
+      Value(int64_t{1}), Value(int64_t{3}),   Value(int64_t{100}),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max())};
+  const std::vector<Value> doubles = {
+      Value::Null(), Value(-1.5),  Value(-0.0),   Value(0.5),
+      Value(1.7),    Value(2.9),   Value(250.0),  Value(std::nan("")),
+      Value(1e300),  Value(-1e300)};
   const std::vector<Value> strings = {
       Value::Null(),       Value(""),
       Value("abc"),        Value("h\xc3\xa9LLo"),

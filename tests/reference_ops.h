@@ -119,7 +119,7 @@ inline Result<Value> Evaluate(const ExprPtr& e, const Schema& schema,
       if (!v.is_numeric()) {
         return Status::Application("negation of non-numeric value");
       }
-      if (v.is_int64()) return Value(-v.int64());
+      if (v.is_int64()) return Value(expr_eval::NegateWrapping(v.int64()));
       return Value(-v.float64());
     }
     case ExprKind::kFunction: {

@@ -368,12 +368,15 @@ TEST(ClusterSimTest, DeterministicForSameSeed) {
 }
 
 TEST(ClusterSimTest, MachineFailureRemovesCapacityUntilRepair) {
-  // A tiny job suffers a machine failure; a later full-cluster job can
-  // only gang-allocate after the machine is repaired.
+  // A hog holds 9 of 27 executors (3 on each machine) for the whole run.
+  // A tiny job loses the machine running its first task; a later
+  // 18-executor gang still fits the two survivors, but only the repair
+  // frees enough of them.
   auto run = [&](bool with_machine_failure) {
-    SimConfig cfg = MakeSwiftSimConfig(2, 9);  // capacity 18
+    SimConfig cfg = MakeSwiftSimConfig(3, 9);  // capacity 27
     cfg.machine_repair_seconds = 120.0;
     ClusterSim sim(cfg);
+    SimJobSpec hog = TwoStageJob("hog", 6, 3, 20000, /*barrier=*/false);
     SimJobSpec tiny = TwoStageJob("tiny", 2, 1, 50);
     if (with_machine_failure) {
       FailureInjection f;
@@ -384,6 +387,7 @@ TEST(ClusterSimTest, MachineFailureRemovesCapacityUntilRepair) {
     }
     SimJobSpec big = TwoStageJob("big", 9, 9, 50, /*barrier=*/false);
     big.submit_time = 30.0;  // after the tiny job is done
+    EXPECT_TRUE(sim.SubmitJob(hog).ok());
     EXPECT_TRUE(sim.SubmitJob(tiny).ok());
     EXPECT_TRUE(sim.SubmitJob(big).ok());
     auto report = sim.Run();
@@ -392,13 +396,77 @@ TEST(ClusterSimTest, MachineFailureRemovesCapacityUntilRepair) {
   };
   const SimReport clean = run(false);
   const SimReport failed = run(true);
-  ASSERT_TRUE(clean.jobs[1].completed);
-  ASSERT_TRUE(failed.jobs[1].completed);
-  // Without the failure the big job starts right away; with 9 executors
+  ASSERT_TRUE(clean.jobs[2].completed);
+  ASSERT_TRUE(failed.jobs[2].completed);
+  // The hog outlives the repair, so only the repair can make room.
+  ASSERT_GT(failed.jobs[0].finish_time, 130.0);
+  // Without the failure the big job starts right away; with a machine
   // revoked it waits for the 120 s repair.
-  EXPECT_LT(clean.jobs[1].first_alloc_time, 40.0);
-  EXPECT_GT(failed.jobs[1].first_alloc_time, 100.0);
+  EXPECT_LT(clean.jobs[2].first_alloc_time, 40.0);
+  EXPECT_GT(failed.jobs[2].first_alloc_time, 100.0);
   EXPECT_TRUE(failed.jobs[0].completed);
+  EXPECT_TRUE(failed.jobs[1].completed);
+}
+
+// Mirrors RuntimeGangTest.OversizedGangFailsFastOnBareRuntime: once a
+// machine is revoked, a gang larger than the surviving executors aborts
+// its job instead of waiting out the repair — whether it arrives after
+// the failure or was already queued when the cluster shrank.
+TEST(ClusterSimTest, GangLargerThanSurvivorsAborts) {
+  SimConfig cfg = MakeSwiftSimConfig(2, 9);  // capacity 18
+  cfg.machine_repair_seconds = 120.0;
+  ClusterSim sim(cfg);
+  SimJobSpec tiny = TwoStageJob("tiny", 2, 1, 50);
+  FailureInjection f;
+  f.time = 0.5;
+  f.stage = 0;
+  f.kind = FailureKind::kMachineFailure;
+  tiny.failures.push_back(f);
+  SimJobSpec queued = TwoStageJob("queued", 9, 9, 50, /*barrier=*/false);
+  queued.submit_time = 0.2;  // waits behind the tiny job's gang
+  SimJobSpec late = TwoStageJob("late", 9, 9, 50, /*barrier=*/false);
+  late.submit_time = 30.0;
+  ASSERT_TRUE(sim.SubmitJob(tiny).ok());
+  ASSERT_TRUE(sim.SubmitJob(queued).ok());
+  ASSERT_TRUE(sim.SubmitJob(late).ok());
+  auto report = sim.Run();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->jobs[0].completed);
+  for (std::size_t j : {1u, 2u}) {
+    const SimJobResult& r = report->jobs[j];
+    EXPECT_TRUE(r.aborted) << r.name;
+    EXPECT_LT(r.first_alloc_time, 0.0) << r.name << " was granted";
+  }
+  EXPECT_NEAR(report->jobs[1].finish_time, 0.5, 1e-9)
+      << "the queued gang fails as soon as the machine is revoked";
+  EXPECT_NEAR(report->jobs[2].finish_time, 30.0, 1e-9)
+      << "the late gang fails at its request";
+}
+
+// An oversized arrival aborts while other gangs are queued and running;
+// the abort must not re-enter the grant loop (it once erased from the
+// request queue under a live iterator). Every job ends.
+TEST(ClusterSimTest, OversizedArrivalAbortsAmidQueuedGangs) {
+  ClusterSim sim(MakeJetScopeSimConfig(2, 4));  // capacity 8
+  SimJobSpec hog = TwoStageJob("hog", 3, 3, 4000);
+  SimJobSpec pair = TwoStageJob("pair", 2, 2, 10);
+  pair.submit_time = 0.1;
+  SimJobSpec huge = TwoStageJob("huge", 64, 64, 10);
+  huge.submit_time = 70.0;
+  ASSERT_TRUE(sim.SubmitJob(hog).ok());
+  ASSERT_TRUE(sim.SubmitJob(pair).ok());
+  ASSERT_TRUE(sim.SubmitJob(huge).ok());
+  for (int i = 0; i < 3; ++i) {
+    SimJobSpec one = TwoStageJob("one" + std::to_string(i), 1, 1, 10);
+    one.submit_time = 71.0 + i;
+    ASSERT_TRUE(sim.SubmitJob(one).ok());
+  }
+  auto report = sim.Run();
+  ASSERT_TRUE(report.ok());
+  for (const SimJobResult& r : report->jobs) {
+    EXPECT_TRUE(r.completed != r.aborted) << r.name;
+    EXPECT_EQ(r.aborted, r.name == "huge") << r.name;
+  }
 }
 
 TEST(ClusterSimTest, MachineFailureDetectionUsesHeartbeat) {
