@@ -7,8 +7,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <random>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dag/dag_builder.h"
@@ -144,8 +150,10 @@ void BM_HashPartitionBound(benchmark::State& state) {
   const ColumnBatch b = *ToColumnBatch(MakeBatch(static_cast<int>(state.range(0))));
   std::vector<ExprPtr> keys = {Expr::Column("k")};
   for (auto _ : state) {
-    auto parts = HashPartitionColumnar(b, keys, 16);
-    benchmark::DoNotOptimize(parts);
+    auto p = HashPartitioner::Make(b.schema, keys, 16);
+    PartitionedRows routed;
+    benchmark::DoNotOptimize(p->Route(b, &routed));
+    benchmark::DoNotOptimize(routed);
   }
 }
 BENCHMARK(BM_HashPartitionBound)->Arg(1000)->Arg(10000);
@@ -435,17 +443,19 @@ void BM_VecHashAggregateColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_VecHashAggregateColumnar)->Arg(4096)->Arg(65536);
 
-void BM_VecHashPartitionColumnar(benchmark::State& state) {
+void BM_VecHashPartitionRoute(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const ColumnBatch cbase = *ToColumnBatch(MakeVecBatch(rows));
-  std::vector<ExprPtr> keys = {Expr::Column("k")};
+  const HashPartitioner p =
+      *HashPartitioner::Make(cbase.schema, {Expr::Column("k")}, 16);
+  PartitionedRows routed;
   for (auto _ : state) {
-    auto parts = HashPartitionColumnar(cbase, keys, 16);
-    benchmark::DoNotOptimize(parts);
+    benchmark::DoNotOptimize(p.Route(cbase, &routed));
+    benchmark::DoNotOptimize(routed);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
 }
-BENCHMARK(BM_VecHashPartitionColumnar)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_VecHashPartitionRoute)->Arg(4096)->Arg(65536);
 
 // The selection gather under every drain, join output and partition
 // scatter (ColumnVector::AppendSelected): SliceRows of a batch of int64,
@@ -563,6 +573,177 @@ void BM_VecSerializeIntsColumnar(benchmark::State& state) {
       static_cast<int64_t>(SerializeColumnBatch(cb).size()));
 }
 BENCHMARK(BM_VecSerializeIntsColumnar)->Arg(10000);
+
+// ---------------------------------------------------------------------
+// One copy per shuffle hop. Each pair times the kernel the runtime runs
+// next to the path it replaced, rebuilt here from public pieces:
+//  - BM_Crc32c (three interleaved crc32q streams) vs BM_Crc32cOneChain
+//    (one serial chain), 4 KiB to 1 MiB;
+//  - BM_EncodePieces (route each 1,024-row morsel, encode 16 payloads
+//    straight from the morsels) vs BM_EncodeGathered (concatenate the
+//    morsels, once, as drains now do; gather 16 partition batches;
+//    encode each);
+//  - BM_DecodeMorsels (validate once, decode 1,024-row morsels off the
+//    wire) vs BM_DecodeWholeThenSlice (decode the whole payload, slice
+//    it into morsels).
+// Args: bytes for the CRC pair, rows of the MakeVecBatch shape (int64,
+// float64, string) for the others.
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Crc32cOneChain(
+    std::string_view data) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  uint64_t c = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t v;
+    std::memcpy(&v, p, 8);
+    c = _mm_crc32_u64(c, v);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (n--) c32 = _mm_crc32_u8(c32, *p++);
+  return c32 ^ 0xFFFFFFFFu;
+}
+#else
+uint32_t Crc32cOneChain(std::string_view data) { return Crc32(data); }
+#endif
+
+std::string CrcInput(int64_t bytes) {
+  std::string s(static_cast<std::size_t>(bytes), '\0');
+  Rng rng(17);
+  for (char& c : s) c = static_cast<char>(rng.UniformInt(0, 255));
+  return s;
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const std::string data = CrcInput(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->RangeMultiplier(4)->Range(4 << 10, 1 << 20);
+
+void BM_Crc32cOneChain(benchmark::State& state) {
+  const std::string data = CrcInput(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32cOneChain(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32cOneChain)->RangeMultiplier(4)->Range(4 << 10, 1 << 20);
+
+constexpr int kEncodePartitions = 16;
+
+// `rows` rows of the MakeVecBatch shape as 1,024-row morsels.
+std::vector<ColumnBatch> VecMorsels(int rows) {
+  const ColumnBatch all = *ToColumnBatch(MakeVecBatch(rows));
+  std::vector<ColumnBatch> out;
+  for (std::size_t b = 0; b < all.num_rows(); b += kDefaultMorselRows) {
+    out.push_back(all.SliceRows(b, kDefaultMorselRows));
+  }
+  return out;
+}
+
+int64_t WireBytes(const std::vector<std::string>& wires) {
+  int64_t n = 0;
+  for (const std::string& w : wires) n += static_cast<int64_t>(w.size());
+  return n;
+}
+
+void BM_EncodePieces(benchmark::State& state) {
+  const std::vector<ColumnBatch> morsels =
+      VecMorsels(static_cast<int>(state.range(0)));
+  const Schema& schema = morsels.front().schema;
+  const HashPartitioner p =
+      *HashPartitioner::Make(schema, {Expr::Column("k")}, kEncodePartitions);
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    std::vector<PartitionedRows> routes(morsels.size());
+    for (std::size_t m = 0; m < morsels.size(); ++m) {
+      (void)p.Route(morsels[m], &routes[m]);
+    }
+    std::vector<std::string> wires;
+    std::vector<WirePiece> pieces;
+    for (int d = 0; d < kEncodePartitions; ++d) {
+      pieces.clear();
+      for (std::size_t m = 0; m < morsels.size(); ++m) {
+        const uint32_t b = routes[m].starts[d];
+        const uint32_t e = routes[m].starts[d + 1];
+        if (e > b) {
+          pieces.push_back(
+              WirePiece{&morsels[m], routes[m].rows.data() + b, e - b});
+        }
+      }
+      wires.push_back(SerializePieces(schema, pieces));
+    }
+    bytes = WireBytes(wires);
+    benchmark::DoNotOptimize(wires);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_EncodePieces)->Arg(16384)->Arg(131072);
+
+void BM_EncodeGathered(benchmark::State& state) {
+  const std::vector<ColumnBatch> morsels =
+      VecMorsels(static_cast<int>(state.range(0)));
+  const Schema& schema = morsels.front().schema;
+  const HashPartitioner p =
+      *HashPartitioner::Make(schema, {Expr::Column("k")}, kEncodePartitions);
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<ColumnBatch> parts = morsels;  // the drain's input
+    state.ResumeTiming();
+    const ColumnBatch all = ConcatBatches(schema, std::move(parts));
+    PartitionedRows routed;
+    (void)p.Route(all, &routed);
+    std::vector<std::string> wires;
+    for (int d = 0; d < kEncodePartitions; ++d) {
+      ColumnBatch part = EmptyBatchOf(schema);
+      const uint32_t b = routed.starts[d];
+      const std::size_t n = routed.starts[d + 1] - b;
+      for (std::size_t c = 0; c < part.columns.size(); ++c) {
+        part.columns[c].AppendSelected(all.columns[c], routed.rows.data() + b,
+                                       n);
+      }
+      part.physical_rows = n;
+      wires.push_back(SerializeColumnBatch(part));
+    }
+    bytes = WireBytes(wires);
+    benchmark::DoNotOptimize(wires);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_EncodeGathered)->Arg(16384)->Arg(131072);
+
+void BM_DecodeMorsels(benchmark::State& state) {
+  const std::string wire = SerializeBatch(
+      MakeVecBatch(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    WirePayload p = *WirePayload::Open(wire);
+    while (p.rows_left() > 0) {
+      ColumnBatch m = p.Next(kDefaultMorselRows);
+      benchmark::DoNotOptimize(m);
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(wire.size()));
+}
+BENCHMARK(BM_DecodeMorsels)->Arg(16384)->Arg(131072);
+
+void BM_DecodeWholeThenSlice(benchmark::State& state) {
+  const std::string wire = SerializeBatch(
+      MakeVecBatch(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    const ColumnBatch all = *DeserializeColumnBatch(wire);
+    for (std::size_t b = 0; b < all.num_rows(); b += kDefaultMorselRows) {
+      ColumnBatch m = all.SliceRows(b, kDefaultMorselRows);
+      benchmark::DoNotOptimize(m);
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(wire.size()));
+}
+BENCHMARK(BM_DecodeWholeThenSlice)->Arg(16384)->Arg(131072);
 
 // ---------------------------------------------------------------------
 // Morsel-driven streaming: the columnar sort / window / merge join

@@ -11,8 +11,9 @@ namespace swift {
 ///
 /// The Castagnoli polynomial is used (rather than the zip/IEEE one)
 /// because x86 carries a dedicated instruction for it; on SSE4.2 hosts
-/// the checksum runs at ~8 bytes/cycle, with a slice-by-8 table fallback
-/// elsewhere. `seed` allows incremental computation: Crc32(ab) ==
+/// three interleaved `crc32q` streams run at about 16 GB/s on 2 GHz
+/// Xeon cores (one serial chain: 5 GB/s), with a slice-by-8 table
+/// fallback elsewhere. `seed` allows incremental computation: Crc32(ab) ==
 /// Crc32(b, Crc32(a)). Used as the corruption-detection footer of the
 /// shuffle wire format (serde v2) and verified before any allocation is
 /// sized from decoded counts.

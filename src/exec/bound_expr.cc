@@ -121,6 +121,8 @@ class BoundColumn final : public BoundExpr {
     return Status::OK();
   }
 
+  std::optional<std::size_t> column_ordinal() const override { return idx_; }
+
  private:
   std::size_t idx_;
   std::string name_;

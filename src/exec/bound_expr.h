@@ -2,6 +2,7 @@
 #define SWIFT_EXEC_BOUND_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -77,6 +78,13 @@ class BoundExpr {
   /// \brief The folded constant value, or nullptr for non-constant
   /// nodes (introspection for tests and the planner).
   virtual const Value* literal() const { return nullptr; }
+
+  /// \brief The input column ordinal of a plain column reference, or
+  /// nullopt for every other node: key consumers read such a column in
+  /// place instead of evaluating it.
+  virtual std::optional<std::size_t> column_ordinal() const {
+    return std::nullopt;
+  }
 
  protected:
   explicit BoundExpr(DataType t) : static_type_(t) {}

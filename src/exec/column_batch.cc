@@ -66,10 +66,10 @@ Value ColumnVector::GetValue(std::size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::Reserve(std::size_t n) {
+void ColumnVector::Reserve(std::size_t n, std::size_t heap_bytes, bool nulls) {
   switch (rep_) {
     case ColumnRep::kNull:
-      break;
+      return;
     case ColumnRep::kInt64:
       i64_.reserve(n);
       break;
@@ -78,8 +78,10 @@ void ColumnVector::Reserve(std::size_t n) {
       break;
     case ColumnRep::kString:
       offsets_.reserve(n + 1);
+      if (heap_bytes > heap_.capacity()) heap_.reserve(heap_bytes);
       break;
   }
+  if (nulls) valid_.reserve((n + 7) / 8);
 }
 
 void ColumnVector::EnsureValidity() {
@@ -428,6 +430,15 @@ void ColumnVector::ResizeFixedWidth(ColumnRep rep, std::size_t n) {
   }
 }
 
+void ColumnVector::ResizeString(std::size_t n, std::size_t heap_bytes) {
+  rep_ = ColumnRep::kString;
+  size_ = n;
+  null_count_ = 0;
+  valid_.clear();
+  offsets_.assign(n + 1, 0);
+  heap_.resize(heap_bytes);
+}
+
 void ColumnVector::SetValidity(std::vector<uint8_t> bits,
                                std::size_t null_count) {
   valid_ = std::move(bits);
@@ -540,24 +551,51 @@ Batch ToRowBatch(const ColumnBatch& batch) {
   return out;
 }
 
-void AppendColumnBatch(const ColumnBatch& src, ColumnBatch* dst) {
-  if (dst->columns.empty() && dst->physical_rows == 0) {
-    dst->schema = src.schema;
-    dst->columns.reserve(src.columns.size());
-    for (const ColumnVector& col : src.columns) {
-      dst->columns.push_back(ColumnVector::OfRep(col.rep()));
+ColumnBatch ConcatBatches(const Schema& schema,
+                          std::vector<ColumnBatch> parts) {
+  const std::size_t width = schema.num_fields();
+  if (parts.size() == 1 && !parts[0].selection &&
+      parts[0].columns.size() == width) {
+    bool reps_match = true;
+    for (std::size_t c = 0; c < width; ++c) {
+      reps_match &= parts[0].columns[c].rep() == RepOf(schema.field(c).type);
+    }
+    if (reps_match) {
+      ColumnBatch out = std::move(parts[0]);
+      out.schema = schema;
+      return out;
     }
   }
-  const std::size_t n = src.num_rows();
-  for (std::size_t c = 0; c < src.columns.size(); ++c) {
-    ColumnVector& out = dst->columns[c];
-    if (src.selection) {
-      out.AppendSelected(src.columns[c], src.selection->data(), n);
-    } else {
-      out.AppendRangeFrom(src.columns[c], 0, n);
+  ColumnBatch out = EmptyBatchOf(schema);
+  std::size_t rows = 0;
+  for (const ColumnBatch& p : parts) rows += p.num_rows();
+  for (std::size_t c = 0; c < width; ++c) {
+    ColumnVector& dst = out.columns[c];
+    std::size_t heap_bytes = 0;
+    bool nulls = false;
+    for (const ColumnBatch& p : parts) {
+      const ColumnVector& src = p.columns[c];
+      nulls |= src.has_nulls();
+      if (src.rep() != ColumnRep::kString) continue;
+      if (!p.selection) {
+        heap_bytes += src.Heap().size();
+        continue;
+      }
+      for (const uint32_t r : *p.selection) heap_bytes += src.StrAt(r).size();
+    }
+    dst.Reserve(rows, heap_bytes, nulls);
+    for (ColumnBatch& p : parts) {
+      if (p.selection) {
+        dst.AppendSelected(p.columns[c], p.selection->data(),
+                           p.selection->size());
+      } else {
+        dst.AppendRangeFrom(p.columns[c], 0, p.physical_rows);
+      }
+      p.columns[c] = ColumnVector();  // freed as soon as it is copied
     }
   }
-  dst->physical_rows += n;
+  out.physical_rows = rows;
+  return out;
 }
 
 }  // namespace swift

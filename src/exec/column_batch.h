@@ -89,7 +89,10 @@ class ColumnVector {
   /// Empty means all-valid (for typed reps).
   const std::vector<uint8_t>& ValidityBits() const { return valid_; }
 
-  void Reserve(std::size_t n);
+  /// \brief Reserves storage for `n` cells in all: their values, for a
+  /// string column `heap_bytes` of heap, and with `nulls` a validity
+  /// bitmap. Appends within the reservation never reallocate.
+  void Reserve(std::size_t n, std::size_t heap_bytes = 0, bool nulls = false);
 
   /// \brief Appends a NULL or a value of the column's type; retypes an
   /// all-null column on the first non-null value and widens an int64
@@ -145,12 +148,17 @@ class ColumnVector {
   void AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                        std::size_t len);
 
-  // Bulk construction for serde's fixed-width decode: sizes the data
-  // array (callers then memcpy into MutableInt64Data()/...) with an
-  // all-valid bitmap; SetValidity installs a decoded bitmap afterwards.
+  // Bulk construction for serde's decode: ResizeFixedWidth sizes the
+  // data array (callers then memcpy into MutableInt64Data()/...) and
+  // ResizeString the offsets (n+1 entries, the first 0) and a heap of
+  // exactly `heap_bytes`, each with an all-valid bitmap; SetValidity
+  // installs a decoded bitmap afterwards.
   void ResizeFixedWidth(ColumnRep rep, std::size_t n);
+  void ResizeString(std::size_t n, std::size_t heap_bytes);
   int64_t* MutableInt64Data() { return i64_.data(); }
   double* MutableFloat64Data() { return f64_.data(); }
+  uint64_t* MutableStringOffsets() { return offsets_.data(); }
+  char* MutableHeap() { return heap_.data(); }
   void SetValidity(std::vector<uint8_t> bits, std::size_t null_count);
 
  private:
@@ -210,11 +218,10 @@ struct ColumnBatch {
   /// \brief Truncates to the first k logical rows (LIMIT).
   void TruncateLogical(std::size_t k);
 
-  /// \brief Dense copy of the logical row subrange [begin, begin+len):
-  /// the morsel splitter for decoded shuffle batches. Fixed-width
-  /// columns slice with one memcpy per column; a selection vector (even
-  /// one straddling the requested range) is gathered away, so the
-  /// result never aliases and never carries a selection.
+  /// \brief Dense copy of the logical row subrange [begin, begin+len).
+  /// Fixed-width columns slice with one memcpy per column; a selection
+  /// vector (even one straddling the requested range) is gathered away,
+  /// so the result never aliases and never carries a selection.
   ColumnBatch SliceRows(std::size_t begin, std::size_t len) const;
 };
 
@@ -231,9 +238,15 @@ Result<ColumnBatch> ToColumnBatch(const Batch& batch);
 /// \brief Boxes back to rows, gathering through the selection vector.
 Batch ToRowBatch(const ColumnBatch& batch);
 
-/// \brief Gather-appends all logical rows of `src` onto `*dst` (schema
-/// taken from the first append). Used to concatenate columnar streams.
-void AppendColumnBatch(const ColumnBatch& src, ColumnBatch* dst);
+/// \brief Concatenates the logical rows of `parts`, in order, into one
+/// dense batch of `schema` whose columns have the fields' reps (so an
+/// all-NULL or empty result still has them): the drain of every
+/// pipeline breaker. Each output column is reserved once to the summed
+/// size (a string column's heap too) and filled part by part, and each
+/// part's column is freed as soon as it is copied, so the transient
+/// beyond the parts is one column, not one batch. A single dense part
+/// whose columns already have the fields' reps is moved, not copied.
+ColumnBatch ConcatBatches(const Schema& schema, std::vector<ColumnBatch> parts);
 
 }  // namespace swift
 

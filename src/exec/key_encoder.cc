@@ -54,24 +54,51 @@ inline char* StoreRaw32(uint32_t bits, char* p) {
   return p + 4;
 }
 
+// The key columns `cols` of `batch` in place, or false on a bad ordinal.
+bool ResolveColumns(const ColumnBatch& batch, const std::vector<uint32_t>& cols,
+                    std::vector<const ColumnVector*>* out) {
+  out->clear();
+  for (const uint32_t c : cols) {
+    if (c >= batch.columns.size()) return false;
+    out->push_back(&batch.columns[c]);
+  }
+  return true;
+}
+
+const uint32_t* SelectionOf(const ColumnBatch& batch) {
+  return batch.selection ? batch.selection->data() : nullptr;
+}
+
 }  // namespace
 
 bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
                                     const std::vector<uint32_t>& cols,
                                     BatchKeys* out) {
-  const std::size_t n = batch.num_rows();
-  for (const uint32_t c : cols) {
-    if (c >= batch.columns.size()) return false;
-  }
-  const uint32_t* sel =
-      batch.selection ? batch.selection->data() : nullptr;
+  std::vector<const ColumnVector*> keys;
+  return ResolveColumns(batch, cols, &keys) &&
+         EncodeColumns(keys, SelectionOf(batch), batch.num_rows(), out);
+}
+
+bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
+                                  const std::vector<uint32_t>& cols,
+                                  std::vector<uint64_t>* hashes,
+                                  std::vector<uint8_t>* has_null) {
+  std::vector<const ColumnVector*> keys;
+  if (!ResolveColumns(batch, cols, &keys)) return false;
+  HashColumns(keys, SelectionOf(batch), batch.num_rows(), hashes, has_null);
+  return true;
+}
+
+bool KeyEncoder::EncodeColumns(const std::vector<const ColumnVector*>& cols,
+                               const uint32_t* sel, std::size_t n,
+                               BatchKeys* out) {
   out->offsets.assign(n + 1, 0);
   out->null_key.assign(n, 0);
   // Pass 1: per-key encoded length, column at a time (offsets[i+1]
   // accumulates key i's length; prefix-summed below). Scalars are 9
   // bytes (tag + payload) or 1 (NULL tag); strings 5 + len.
-  for (const uint32_t c : cols) {
-    const ColumnVector& col = batch.columns[c];
+  for (const ColumnVector* key : cols) {
+    const ColumnVector& col = *key;
     switch (col.rep()) {
       case ColumnRep::kNull:
         for (std::size_t i = 0; i < n; ++i) {
@@ -119,8 +146,8 @@ bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
   // Pass 2: write each column's encoding at every key's running cursor.
   std::vector<uint32_t> cur(out->offsets.begin(), out->offsets.end() - 1);
   char* base = out->bytes.data();
-  for (const uint32_t c : cols) {
-    const ColumnVector& col = batch.columns[c];
+  for (const ColumnVector* key : cols) {
+    const ColumnVector& col = *key;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t phys = sel ? sel[i] : i;
       char* p = base + cur[i];
@@ -169,25 +196,19 @@ bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
   return true;
 }
 
-bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
-                                  const std::vector<uint32_t>& cols,
-                                  std::vector<uint64_t>* hashes,
-                                  std::vector<uint8_t>* has_null) {
+void KeyEncoder::HashColumns(const std::vector<const ColumnVector*>& cols,
+                             const uint32_t* sel, std::size_t n,
+                             std::vector<uint64_t>* hashes,
+                             std::vector<uint8_t>* has_null) {
   using hash_internal::Mum;
   using hash_internal::kSecret2;
-  const std::size_t n = batch.num_rows();
-  for (const uint32_t c : cols) {
-    if (c >= batch.columns.size()) return false;
-  }
-  const uint32_t* sel =
-      batch.selection ? batch.selection->data() : nullptr;
   hashes->assign(n, 0x58a3b1c96f0d2e47ULL);  // arbitrary nonzero seed
   has_null->assign(n, 0);
   uint64_t* h = hashes->data();
   uint8_t* nil = has_null->data();
   constexpr uint64_t kTagMul = 0x9E3779B97F4A7C15ULL;
-  for (const uint32_t c : cols) {
-    const ColumnVector& col = batch.columns[c];
+  for (const ColumnVector* key : cols) {
+    const ColumnVector& col = *key;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t phys = sel ? sel[i] : i;
       uint64_t tag;
@@ -234,7 +255,6 @@ bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
       h[i] = Mum(h[i] ^ (bits + tag * kTagMul), kSecret2);
     }
   }
-  return true;
 }
 
 }  // namespace swift

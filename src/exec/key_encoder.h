@@ -11,6 +11,7 @@
 namespace swift {
 
 struct ColumnBatch;
+class ColumnVector;
 
 /// \brief Encodes the key columns of a ColumnBatch into one contiguous,
 /// memcmp-comparable byte string per logical row (DESIGN.md Sec. 12),
@@ -84,6 +85,20 @@ class KeyEncoder {
                                const std::vector<uint32_t>& cols,
                                std::vector<uint64_t>* hashes,
                                std::vector<uint8_t>* has_null);
+
+  /// \brief EncodeBatchColumns over key columns read in place: key i
+  /// is row sel[i] (row i when `sel` is null) of every column in `cols`,
+  /// for i < n. False when the keys exceed the 4 GiB offset range.
+  static bool EncodeColumns(const std::vector<const ColumnVector*>& cols,
+                            const uint32_t* sel, std::size_t n,
+                            BatchKeys* out);
+
+  /// \brief HashBatchColumns over key columns read in place, as
+  /// EncodeColumns reads them.
+  static void HashColumns(const std::vector<const ColumnVector*>& cols,
+                          const uint32_t* sel, std::size_t n,
+                          std::vector<uint64_t>* hashes,
+                          std::vector<uint8_t>* has_null);
 
   /// \brief Hashes an encoded key with the shared 64-bit mixer.
   static uint64_t HashEncoded(std::string_view encoded) {

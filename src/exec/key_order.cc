@@ -44,14 +44,15 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
   return ra == ColumnRep::kString ? 1 : -1;
 }
 
-KeyComparator::KeyComparator(const std::vector<ColumnVector>& a,
-                             const std::vector<ColumnVector>& b,
+KeyComparator::KeyComparator(const std::vector<const ColumnVector*>& a,
+                             const std::vector<const ColumnVector*>& b,
                              const std::vector<bool>& descending) {
   keys_.reserve(a.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
     Kind kind = Kind::kCells;
-    if (a[k].rep() == b[k].rep() && !a[k].has_nulls() && !b[k].has_nulls()) {
-      switch (a[k].rep()) {
+    if (a[k]->rep() == b[k]->rep() && !a[k]->has_nulls() &&
+        !b[k]->has_nulls()) {
+      switch (a[k]->rep()) {
         case ColumnRep::kInt64:
           kind = Kind::kInt64;
           break;
@@ -66,7 +67,7 @@ KeyComparator::KeyComparator(const std::vector<ColumnVector>& a,
       }
     }
     const bool desc = k < descending.size() && descending[k];
-    keys_.push_back(Key{kind, desc, &a[k], &b[k]});
+    keys_.push_back(Key{kind, desc, a[k], b[k]});
   }
 }
 
@@ -390,7 +391,7 @@ void SortItems(const Layout& layout, int key_bytes,
 // bytes past the first 8 decide the rows that tie on them.
 template <typename Layout>
 std::vector<uint32_t> SortEncoded(const Layout& layout,
-                                  const std::vector<ColumnVector>& keys,
+                                  const std::vector<const ColumnVector*>& keys,
                                   const std::vector<bool>& descending,
                                   const std::vector<ColumnCode>& codes,
                                   std::size_t width, bool exact,
@@ -462,9 +463,9 @@ std::vector<uint32_t> SortEncoded(const Layout& layout,
 
 }  // namespace
 
-std::vector<uint32_t> SortPermutation(const std::vector<ColumnVector>& keys,
-                                      const std::vector<bool>& descending,
-                                      std::size_t n) {
+std::vector<uint32_t> SortPermutation(
+    const std::vector<const ColumnVector*>& keys,
+    const std::vector<bool>& descending, std::size_t n) {
   const auto identity = [n] {
     std::vector<uint32_t> perm(n);
     std::iota(perm.begin(), perm.end(), 0u);
@@ -480,17 +481,17 @@ std::vector<uint32_t> SortPermutation(const std::vector<ColumnVector>& keys,
   bool exact = true;
   for (std::size_t k = 0; k < keys.size(); ++k) {
     ColumnCode cc;
-    cc.col = &keys[k];
+    cc.col = keys[k];
     cc.descending = k < descending.size() && descending[k];
     bool ordered = true;
-    switch (keys[k].rep()) {
+    switch (keys[k]->rep()) {
       case ColumnRep::kNull:
         break;
       case ColumnRep::kInt64:
-        ordered = PlanFixed(keys[k].Int64Data(), n, &cc);
+        ordered = PlanFixed(keys[k]->Int64Data(), n, &cc);
         break;
       case ColumnRep::kFloat64:
-        ordered = PlanFixed(keys[k].Float64Data(), n, &cc);
+        ordered = PlanFixed(keys[k]->Float64Data(), n, &cc);
         break;
       case ColumnRep::kString:
         PlanString(n, &cc);

@@ -26,8 +26,8 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
 /// columns; `descending[k]` (absent = false) flips key k.
 class KeyComparator {
  public:
-  KeyComparator(const std::vector<ColumnVector>& a,
-                const std::vector<ColumnVector>& b,
+  KeyComparator(const std::vector<const ColumnVector*>& a,
+                const std::vector<const ColumnVector*>& b,
                 const std::vector<bool>& descending = {});
 
   /// \brief Three-way comparison of row i of `a` with row j of `b`.
@@ -84,9 +84,9 @@ class KeyComparator {
 /// a NaN key is sorted by std::stable_sort under the comparator, since
 /// NaN's "equal to everything" has no byte encoding. Key buffers live
 /// only inside the call.
-std::vector<uint32_t> SortPermutation(const std::vector<ColumnVector>& keys,
-                                      const std::vector<bool>& descending,
-                                      std::size_t n);
+std::vector<uint32_t> SortPermutation(
+    const std::vector<const ColumnVector*>& keys,
+    const std::vector<bool>& descending, std::size_t n);
 
 }  // namespace swift
 

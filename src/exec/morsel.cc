@@ -62,14 +62,13 @@ class TableMorselSource final : public PhysicalOperator {
   std::size_t end_ = 0;
 };
 
-// Carves pre-decoded columnar batches (shuffle input) into
-// <= morsel_rows dense morsels, releasing each source batch after its
-// last morsel. Whole batches that already fit are moved, not copied.
-class MorselSource final : public PhysicalOperator {
+// Decodes validated shuffle payloads into <= morsel_rows dense morsels,
+// releasing each payload after its last morsel.
+class WireMorselSource final : public PhysicalOperator {
  public:
-  MorselSource(Schema schema, std::vector<ColumnBatch> batches,
-               std::size_t morsel_rows)
-      : batches_(std::move(batches)),
+  WireMorselSource(Schema schema, std::vector<WirePayload> payloads,
+                   std::size_t morsel_rows)
+      : payloads_(std::move(payloads)),
         morsel_rows_(morsel_rows == 0 ? kDefaultMorselRows : morsel_rows) {
     output_schema_ = std::move(schema);
   }
@@ -77,35 +76,23 @@ class MorselSource final : public PhysicalOperator {
   Status Open() override { return Status::OK(); }
 
   Result<std::optional<ColumnBatch>> Next() override {
-    for (;;) {
-      if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
-      ColumnBatch& cur = batches_[idx_];
-      const std::size_t n = cur.num_rows();
-      if (offset_ >= n) {
-        cur = ColumnBatch{};  // release as soon as fully emitted
-        ++idx_;
-        offset_ = 0;
+    for (; idx_ < payloads_.size(); ++idx_) {
+      WirePayload& cur = payloads_[idx_];
+      if (cur.rows_left() == 0) {
+        cur = WirePayload();  // release as soon as fully emitted
         continue;
       }
-      if (offset_ == 0 && n <= morsel_rows_) {
-        ColumnBatch out = std::move(cur);
-        cur = ColumnBatch{};
-        ++idx_;
-        out.schema = output_schema_;
-        return std::optional<ColumnBatch>(std::move(out));
-      }
-      ColumnBatch out = cur.SliceRows(offset_, morsel_rows_);
-      offset_ += out.num_rows();
+      ColumnBatch out = cur.Next(morsel_rows_);
       out.schema = output_schema_;
       return std::optional<ColumnBatch>(std::move(out));
     }
+    return std::optional<ColumnBatch>();
   }
 
  private:
-  std::vector<ColumnBatch> batches_;
+  std::vector<WirePayload> payloads_;
   std::size_t morsel_rows_;
   std::size_t idx_ = 0;
-  std::size_t offset_ = 0;
 };
 
 // ---- Parallel pipeline segment --------------------------------------
@@ -392,10 +379,11 @@ OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
       morsel_rows, std::move(columns));
 }
 
-OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,
-                             std::size_t morsel_rows) {
-  return std::make_unique<MorselSource>(std::move(schema), std::move(batches),
-                                        morsel_rows);
+OperatorPtr MakeWireMorselSource(Schema schema,
+                                 std::vector<WirePayload> payloads,
+                                 std::size_t morsel_rows) {
+  return std::make_unique<WireMorselSource>(
+      std::move(schema), std::move(payloads), morsel_rows);
 }
 
 OperatorPtr MakeParallelMorselPipeline(OperatorPtr source, MorselChain chain,

@@ -8,6 +8,7 @@
 
 #include "common/thread_pool.h"
 #include "exec/operators.h"
+#include "exec/serde.h"
 #include "exec/table.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -37,13 +38,14 @@ OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   Schema schema, std::size_t morsel_rows,
                                   std::vector<std::size_t> columns = {});
 
-/// \brief Morselizing wrapper over pre-decoded columnar batches (shuffle
-/// input): each input batch is carved into dense morsels of at most
-/// `morsel_rows` rows (ColumnBatch::SliceRows — one memcpy per
-/// fixed-width column) and the source batch is released as soon as its
-/// last morsel is emitted. Batch and row order are preserved.
-OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,
-                             std::size_t morsel_rows);
+/// \brief Shuffle input as morsels: decodes each payload (validated in
+/// full by WirePayload::Open when it was fetched) straight into dense
+/// morsels of at most `morsel_rows` rows, in payload and row order, and
+/// releases each payload after its last morsel. No payload is decoded
+/// whole, and an empty payload emits nothing.
+OperatorPtr MakeWireMorselSource(Schema schema,
+                                 std::vector<WirePayload> payloads,
+                                 std::size_t morsel_rows);
 
 /// \brief Builds one lane's copy of a parallel segment's operator
 /// chain on top of `input`. Only pipeline-breaker-free operators

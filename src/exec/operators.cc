@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/hash64.h"
 #include "common/macros.h"
@@ -67,27 +66,32 @@ Result<DataType> AggResultType(const AggSpec& spec, DataType arg) {
   return spec.kind == AggKind::kAvg ? DataType::kFloat64 : arg;
 }
 
-bool KeyHasNull(const std::vector<ColumnVector>& keys, std::size_t i) {
-  for (const ColumnVector& c : keys) {
-    if (c.IsNull(i)) return true;
+bool KeyHasNull(const std::vector<const ColumnVector*>& keys, std::size_t i) {
+  for (const ColumnVector* c : keys) {
+    if (c->IsNull(i)) return true;
   }
   return false;
 }
 
-// Appends every remaining batch of `child` onto the dense `*out`.
-Status DrainRest(PhysicalOperator* child, ColumnBatch* out) {
+// Pulls every remaining batch of `child`, then concatenates them once
+// (ConcatBatches: each output column sized once, a lone dense batch
+// moved).
+Status DrainRest(PhysicalOperator* child, std::vector<ColumnBatch> parts,
+                 ColumnBatch* out) {
   for (;;) {
     SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child->Next());
-    if (!b.has_value()) return Status::OK();
-    AppendColumnBatch(*b, out);
+    if (!b.has_value()) break;
+    if (b->num_rows() == 0) continue;
+    parts.push_back(std::move(*b));
   }
+  *out = ConcatBatches(child->output_schema(), std::move(parts));
+  return Status::OK();
 }
 
-// Drains `child` into one dense batch seeded from its output schema
-// (selections are gathered away by the appends).
+// Drains `child` into one dense batch of its output schema (selections
+// are gathered away by the concatenation).
 Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
-  *out = EmptyBatchOf(child->output_schema());
-  return DrainRest(child, out);
+  return DrainRest(child, {}, out);
 }
 
 // DrainColumnar for a consumer that gathers its output anyway: a child
@@ -96,53 +100,78 @@ Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
 // into its own row indices instead of flattening first.
 Status DrainView(PhysicalOperator* child, ColumnBatch* out) {
   SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> first, child->Next());
-  if (first.has_value()) {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> second, child->Next());
-    if (!second.has_value()) {
-      *out = std::move(*first);
-      return Status::OK();
+  if (!first.has_value()) return DrainRest(child, {}, out);
+  SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> second, child->Next());
+  if (!second.has_value()) {
+    *out = std::move(*first);
+    return Status::OK();
+  }
+  std::vector<ColumnBatch> parts;
+  parts.push_back(std::move(*first));
+  parts.push_back(std::move(*second));
+  return DrainRest(child, std::move(parts), out);
+}
+
+// The key columns of one batch, one per key expression, read in place
+// where they can be: a plain-column key of a dense batch is the input
+// column itself, and any other key evaluates into an owned column. With
+// `through_selection`, a key set of plain columns over a selected batch
+// is read in place too, through the selection (the hash consumers take
+// that; the comparators need dense keys). Valid while the input lives.
+class KeyColumns {
+ public:
+  Status Eval(const std::vector<BoundExprPtr>& keys, const ColumnBatch& in,
+              bool through_selection = false) {
+    cols_.clear();
+    owned_.clear();
+    owned_.reserve(keys.size());  // stable addresses for cols_
+    sel_ = nullptr;
+    n_ = in.num_rows();
+    bool plain = true;
+    for (const BoundExprPtr& e : keys) {
+      const std::optional<std::size_t> ord = e->column_ordinal();
+      plain &= ord.has_value() && *ord < in.columns.size();
     }
-    *out = EmptyBatchOf(child->output_schema());
-    AppendColumnBatch(*first, out);
-    first.reset();
-    AppendColumnBatch(*second, out);
-  } else {
-    *out = EmptyBatchOf(child->output_schema());
+    const bool in_place = !in.selection || (through_selection && plain);
+    if (in_place && in.selection) sel_ = in.selection->data();
+    for (const BoundExprPtr& e : keys) {
+      const std::optional<std::size_t> ord = e->column_ordinal();
+      if (in_place && ord.has_value() && *ord < in.columns.size()) {
+        cols_.push_back(&in.columns[*ord]);
+        continue;
+      }
+      owned_.emplace_back();
+      SWIFT_RETURN_NOT_OK(e->EvaluateVector(in, &owned_.back()));
+      cols_.push_back(&owned_.back());
+    }
+    return Status::OK();
   }
-  return DrainRest(child, out);
-}
 
-// Evaluates each bound key expression over `in`: a dense batch of
-// in.num_rows() rows whose column k is key k. Plain column references
-// and computed keys take the same path.
-Status EvalKeyBatch(const std::vector<BoundExprPtr>& keys,
-                    const ColumnBatch& in, ColumnBatch* out) {
-  out->columns.clear();
-  out->columns.reserve(keys.size());
-  out->physical_rows = in.num_rows();
-  out->selection.reset();
-  for (const BoundExprPtr& e : keys) {
-    ColumnVector c;
-    SWIFT_RETURN_NOT_OK(e->EvaluateVector(in, &c));
-    out->columns.push_back(std::move(c));
+  const std::vector<const ColumnVector*>& cols() const { return cols_; }
+  const ColumnVector& col(std::size_t k) const { return *cols_[k]; }
+  std::size_t num_rows() const { return n_; }
+  // Column row of key row i.
+  std::size_t Phys(std::size_t i) const { return sel_ ? sel_[i] : i; }
+
+  // Encodes and hashes every key row.
+  Status Encode(KeyEncoder::BatchKeys* out) const {
+    if (!KeyEncoder::EncodeColumns(cols_, sel_, n_, out)) {
+      return Status::ResourceExhausted(
+          "encoded keys of one batch exceed the 4 GiB offset range");
+    }
+    return Status::OK();
   }
-  return Status::OK();
-}
 
-std::vector<uint32_t> KeyOrdinals(const ColumnBatch& keys) {
-  std::vector<uint32_t> ords(keys.columns.size());
-  std::iota(ords.begin(), ords.end(), 0u);
-  return ords;
-}
-
-// Encodes and hashes every row of an EvalKeyBatch result.
-Status EncodeKeys(const ColumnBatch& keys, KeyEncoder::BatchKeys* out) {
-  if (!KeyEncoder::EncodeBatchColumns(keys, KeyOrdinals(keys), out)) {
-    return Status::ResourceExhausted(
-        "encoded keys of one batch exceed the 4 GiB offset range");
+  void Hash(std::vector<uint64_t>* hashes, std::vector<uint8_t>* nulls) const {
+    KeyEncoder::HashColumns(cols_, sel_, n_, hashes, nulls);
   }
-  return Status::OK();
-}
+
+ private:
+  std::vector<const ColumnVector*> cols_;
+  std::vector<ColumnVector> owned_;
+  const uint32_t* sel_ = nullptr;
+  std::size_t n_ = 0;
+};
 
 // Evaluates the aggregate arguments over `in`; COUNT(*) slots stay empty.
 Status EvalAggArgs(const std::vector<BoundExprPtr>& args, const ColumnBatch& in,
@@ -412,11 +441,12 @@ class HashJoinOp final : public MaterializingOperator {
 
  protected:
   Status Build(ColumnBatch* out) override {
-    ColumnBatch build, keys;
+    ColumnBatch build;
+    KeyColumns keys;
     KeyEncoder::BatchKeys bk;
     SWIFT_RETURN_NOT_OK(DrainColumnar(right_.get(), &build));
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_right_, build, &keys));
-    SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
+    SWIFT_RETURN_NOT_OK(keys.Eval(bound_right_, build));
+    SWIFT_RETURN_NOT_OK(keys.Encode(&bk));
     const std::size_t build_n = build.physical_rows;
     FlatKeyTable table(build_n);
     std::vector<int32_t> chain_head;  // per dense key: first build row
@@ -438,8 +468,8 @@ class HashJoinOp final : public MaterializingOperator {
 
     ColumnBatch probe;
     SWIFT_RETURN_NOT_OK(DrainColumnar(left_.get(), &probe));
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_left_, probe, &keys));
-    SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
+    SWIFT_RETURN_NOT_OK(keys.Eval(bound_left_, probe));
+    SWIFT_RETURN_NOT_OK(keys.Encode(&bk));
     std::vector<uint32_t> lidx, ridx;
     for (std::size_t i = 0; i < probe.physical_rows; ++i) {
       bool matched = false;
@@ -504,13 +534,14 @@ class MergeJoinOp final : public MaterializingOperator {
 
  protected:
   Status Build(ColumnBatch* out) override {
-    ColumnBatch l, r, lkb, rkb;
+    ColumnBatch l, r;
+    KeyColumns lkc, rkc;
     SWIFT_RETURN_NOT_OK(DrainView(left_.get(), &l));
     SWIFT_RETURN_NOT_OK(DrainView(right_.get(), &r));
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_left_, l, &lkb));
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_right_, r, &rkb));
-    const std::vector<ColumnVector>& lk = lkb.columns;
-    const std::vector<ColumnVector>& rk = rkb.columns;
+    SWIFT_RETURN_NOT_OK(lkc.Eval(bound_left_, l));
+    SWIFT_RETURN_NOT_OK(rkc.Eval(bound_right_, r));
+    const std::vector<const ColumnVector*>& lk = lkc.cols();
+    const std::vector<const ColumnVector*>& rk = rkc.cols();
     const KeyComparator left_cmp(lk, lk);
     const KeyComparator right_cmp(rk, rk);
     const KeyComparator cross_cmp(lk, rk);
@@ -608,12 +639,12 @@ class SortOp final : public MaterializingOperator {
  protected:
   Status Build(ColumnBatch* out) override {
     SWIFT_RETURN_NOT_OK(DrainColumnar(child_.get(), out));
-    ColumnBatch keys;
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_keys_, *out, &keys));
+    KeyColumns keys;
+    SWIFT_RETURN_NOT_OK(keys.Eval(bound_keys_, *out));
     std::vector<bool> descending;
     for (const SortKey& k : keys_) descending.push_back(!k.ascending);
     out->selection =
-        SortPermutation(keys.columns, descending, out->physical_rows);
+        SortPermutation(keys.cols(), descending, out->physical_rows);
     return Status::OK();
   }
 
@@ -796,24 +827,24 @@ class HashAggregateOp final : public AggregateOperator {
     const std::size_t naggs = aggs_.size();
     FlatKeyTable table;
     std::vector<AggState> states;  // table.size() * naggs, dense-major
-    ColumnBatch keys;
+    KeyColumns keys;
     KeyEncoder::BatchKeys bk;
     std::vector<ColumnVector> args;
     for (;;) {
       SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
       if (!b.has_value()) break;
       if (b->num_rows() == 0) continue;
-      SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_groups_, *b, &keys));
-      SWIFT_RETURN_NOT_OK(EncodeKeys(keys, &bk));
+      SWIFT_RETURN_NOT_OK(keys.Eval(bound_groups_, *b, true));
+      SWIFT_RETURN_NOT_OK(keys.Encode(&bk));
       SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
-      for (std::size_t i = 0; i < keys.physical_rows; ++i) {
+      for (std::size_t i = 0; i < keys.num_rows(); ++i) {
         // NULL group keys form real groups (null_key ignored).
         const FlatKeyTable::FindResult fr =
             table.FindOrInsert(bk.key(i), bk.hashes[i]);
         if (fr.inserted) {
           states.resize(states.size() + naggs);
-          for (std::size_t g = 0; g < keys.columns.size(); ++g) {
-            out->columns[g].AppendFrom(keys.columns[g], i);
+          for (std::size_t g = 0; g < keys.cols().size(); ++g) {
+            out->columns[g].AppendFrom(keys.col(g), keys.Phys(i));
           }
         }
         Update(args, i, states.data() + std::size_t{fr.index} * naggs);
@@ -852,17 +883,18 @@ class StreamedAggregateOp final : public AggregateOperator {
     // key column, when its batch ended).
     constexpr std::size_t kEarlier = SIZE_MAX;
     std::vector<ColumnVector> carried;
+    std::vector<const ColumnVector*> carried_cols;
     std::size_t first = kEarlier;
     std::vector<AggState> states(aggs_.size());
     bool have_group = false;
     std::size_t ngroups = 0;
-    ColumnBatch keys;
+    KeyColumns keys;
     auto flush = [&]() {
       for (std::size_t g = 0; g < groups_.size(); ++g) {
         if (first == kEarlier) {
           out->columns[g].AppendFrom(carried[g], 0);
         } else {
-          out->columns[g].AppendFrom(keys.columns[g], first);
+          out->columns[g].AppendFrom(keys.col(g), first);
         }
       }
       EmitAggs(states.data(), out);
@@ -875,11 +907,11 @@ class StreamedAggregateOp final : public AggregateOperator {
       SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
       if (!b.has_value()) break;
       if (b->num_rows() == 0) continue;
-      SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_groups_, *b, &keys));
+      SWIFT_RETURN_NOT_OK(keys.Eval(bound_groups_, *b));
       SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
-      const KeyComparator cmp(keys.columns, keys.columns);
-      const KeyComparator carried_cmp(carried, keys.columns);
-      for (std::size_t i = 0; i < keys.physical_rows; ++i) {
+      const KeyComparator cmp(keys.cols(), keys.cols());
+      const KeyComparator carried_cmp(carried_cols, keys.cols());
+      for (std::size_t i = 0; i < keys.num_rows(); ++i) {
         if (have_group) {
           const int c =
               first == kEarlier ? carried_cmp(0, i) : cmp(first, i);
@@ -899,11 +931,13 @@ class StreamedAggregateOp final : public AggregateOperator {
       }
       if (have_group && first != kEarlier) {
         carried.clear();
-        for (const ColumnVector& c : keys.columns) {
-          ColumnVector cell = ColumnVector::OfRep(c.rep());
-          cell.AppendFrom(c, first);
+        carried_cols.clear();
+        for (const ColumnVector* c : keys.cols()) {
+          ColumnVector cell = ColumnVector::OfRep(c->rep());
+          cell.AppendFrom(*c, first);
           carried.push_back(std::move(cell));
         }
+        for (const ColumnVector& c : carried) carried_cols.push_back(&c);
         first = kEarlier;
       }
     }
@@ -915,11 +949,12 @@ class StreamedAggregateOp final : public AggregateOperator {
   }
 };
 
-// Window: the frame evaluation (partition grouping, per-group ordering,
-// running function state) runs over key columns with typed cell
-// comparisons; the output reuses the drained input storage under an
-// emission-order selection vector, plus one dense window column
-// scattered back to physical positions — no input gathers at all.
+// Window: partitions group through the flat table, rows order through
+// SortPermutation over (partition position, order keys) and the running
+// function state walks that order; the output reuses the drained input
+// storage under an emission-order selection vector, plus one dense
+// window column scattered back to physical positions — no input
+// gathers at all.
 class WindowOp final : public MaterializingOperator {
  public:
   WindowOp(OperatorPtr child, std::vector<ExprPtr> partition_by,
@@ -960,47 +995,60 @@ class WindowOp final : public MaterializingOperator {
     const std::size_t n = in.physical_rows;
     if (n == 0) return Status::OK();
 
-    ColumnBatch part, order;
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_partition_, in, &part));
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound_order_, in, &order));
+    KeyColumns part, order;
+    SWIFT_RETURN_NOT_OK(part.Eval(bound_partition_, in));
+    SWIFT_RETURN_NOT_OK(order.Eval(bound_order_, in));
     ColumnVector arg_col;
     if (func_ == WindowFunc::kSum) {
       SWIFT_RETURN_NOT_OK(bound_arg_->EvaluateVector(in, &arg_col));
     }
 
-    // Group rows per partition through the flat table (one hash lookup
-    // per row), then order the groups by key and sort only within each
-    // group.
+    // Partitions are the distinct encoded partition keys, one hash
+    // lookup per row; each row records its partition's dense index.
     FlatKeyTable table;
-    std::vector<std::vector<std::size_t>> groups;  // dense -> row idxs
-    std::vector<std::size_t> group_first;          // dense -> first row
+    std::vector<uint32_t> group(n);
+    std::vector<uint32_t> group_first;  // dense -> first row
     KeyEncoder::BatchKeys bk;
-    SWIFT_RETURN_NOT_OK(EncodeKeys(part, &bk));
+    SWIFT_RETURN_NOT_OK(part.Encode(&bk));
     for (std::size_t i = 0; i < n; ++i) {
       // NULL partition keys form real partitions (null_key ignored).
       const FlatKeyTable::FindResult fr =
           table.FindOrInsert(bk.key(i), bk.hashes[i]);
-      if (fr.inserted) {
-        groups.emplace_back();
-        group_first.push_back(i);
-      }
-      groups[fr.index].push_back(i);
+      if (fr.inserted) group_first.push_back(static_cast<uint32_t>(i));
+      group[i] = static_cast<uint32_t>(fr.index);
     }
-    std::vector<uint32_t> gorder(groups.size());
-    std::iota(gorder.begin(), gorder.end(), 0u);
-    const KeyComparator part_cmp(part.columns, part.columns);
-    std::sort(gorder.begin(), gorder.end(), [&](uint32_t a, uint32_t b) {
-      const int c = part_cmp(group_first[a], group_first[b]);
-      if (c != 0) return c < 0;
-      return a < b;  // tie across distinct encodings: first-seen order
-    });
-
+    // Partitions in key order, ties across distinct encodings in
+    // first-seen order: SortPermutation over each partition's first key.
+    const std::size_t ngroups = group_first.size();
+    std::vector<ColumnVector> firsts;
+    std::vector<const ColumnVector*> first_cols;
+    firsts.reserve(part.cols().size());
+    for (const ColumnVector* c : part.cols()) {
+      ColumnVector f = ColumnVector::OfRep(c->rep());
+      f.AppendSelected(*c, group_first.data(), ngroups);
+      firsts.push_back(std::move(f));
+      first_cols.push_back(&firsts.back());
+    }
+    const std::vector<uint32_t> gorder =
+        SortPermutation(first_cols, {}, ngroups);
+    // Rows sort by (partition position, order keys), stably: within a
+    // partition, rows with equal order keys keep input order.
+    std::vector<int64_t> gpos(ngroups);
+    for (std::size_t r = 0; r < ngroups; ++r) {
+      gpos[gorder[r]] = static_cast<int64_t>(r);
+    }
+    ColumnVector row_gpos = ColumnVector::OfType(DataType::kInt64);
+    row_gpos.Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) row_gpos.AppendInt64(gpos[group[i]]);
+    std::vector<const ColumnVector*> sort_cols = {&row_gpos};
+    sort_cols.insert(sort_cols.end(), order.cols().begin(), order.cols().end());
     std::vector<bool> order_desc;
     for (const SortKey& k : order_by_) order_desc.push_back(!k.ascending);
-    const KeyComparator cmp_order(order.columns, order.columns, order_desc);
+    std::vector<bool> sort_desc = {false};
+    sort_desc.insert(sort_desc.end(), order_desc.begin(), order_desc.end());
+    std::vector<uint32_t> emit_order = SortPermutation(sort_cols, sort_desc, n);
+    const KeyComparator cmp_order(order.cols(), order.cols(), order_desc);
 
-    std::vector<uint32_t> emit_order;
-    emit_order.reserve(n);
     std::vector<int64_t> win_i64;
     std::vector<double> win_f64;
     if (func_ == WindowFunc::kSum) {
@@ -1008,41 +1056,37 @@ class WindowOp final : public MaterializingOperator {
     } else {
       win_i64.resize(n);
     }
-    for (const uint32_t g : gorder) {
-      std::vector<std::size_t>& idxs = groups[g];
-      // Stable: rows with equal order keys keep input order.
-      std::stable_sort(idxs.begin(), idxs.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return cmp_order(a, b) < 0;
-                       });
-      int64_t row_number = 0;
-      int64_t rank = 0;
-      double running_sum = 0.0;
-      for (std::size_t j = 0; j < idxs.size(); ++j) {
-        const std::size_t row = idxs[j];
-        ++row_number;
-        if (j == 0 || cmp_order(row, idxs[j - 1]) != 0) {
-          rank = row_number;
-        }
-        switch (func_) {
-          case WindowFunc::kRowNumber:
-            win_i64[row] = row_number;
-            break;
-          case WindowFunc::kRank:
-            win_i64[row] = rank;
-            break;
-          case WindowFunc::kSum: {
-            // The argument is numeric (WindowResultType) or all NULL.
-            if (!arg_col.IsNull(row)) {
-              running_sum += arg_col.rep() == ColumnRep::kInt64
-                                 ? static_cast<double>(arg_col.Int64At(row))
-                                 : arg_col.Float64At(row);
-            }
-            win_f64[row] = running_sum;
-            break;
+    int64_t row_number = 0;
+    int64_t rank = 0;
+    double running_sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t row = emit_order[j];
+      const bool new_group = j == 0 || group[row] != group[emit_order[j - 1]];
+      if (new_group) {
+        row_number = 0;
+        running_sum = 0.0;
+      }
+      ++row_number;
+      if (new_group || cmp_order(row, emit_order[j - 1]) != 0) {
+        rank = row_number;
+      }
+      switch (func_) {
+        case WindowFunc::kRowNumber:
+          win_i64[row] = row_number;
+          break;
+        case WindowFunc::kRank:
+          win_i64[row] = rank;
+          break;
+        case WindowFunc::kSum: {
+          // The argument is numeric (WindowResultType) or all NULL.
+          if (!arg_col.IsNull(row)) {
+            running_sum += arg_col.rep() == ColumnRep::kInt64
+                               ? static_cast<double>(arg_col.Int64At(row))
+                               : arg_col.Float64At(row);
           }
+          win_f64[row] = running_sum;
+          break;
         }
-        emit_order.push_back(static_cast<uint32_t>(row));
       }
     }
 
@@ -1188,55 +1232,50 @@ Result<Batch> CollectAll(PhysicalOperator* op) {
   return ToRowBatch(out);
 }
 
-Result<std::vector<ColumnBatch>> HashPartitionColumnar(
-    const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
-    int num_partitions) {
+Result<HashPartitioner> HashPartitioner::Make(const Schema& schema,
+                                              const std::vector<ExprPtr>& keys,
+                                              int num_partitions) {
   if (num_partitions <= 0) {
     return Status::InvalidArgument("num_partitions must be positive");
   }
-  SWIFT_ASSIGN_OR_RETURN(std::vector<BoundExprPtr> bound,
-                         BindAll(keys, batch.schema));
-  const std::size_t nparts = static_cast<std::size_t>(num_partitions);
-  const uint32_t n32 = static_cast<uint32_t>(num_partitions);
+  HashPartitioner p;
+  SWIFT_ASSIGN_OR_RETURN(p.keys_, BindAll(keys, schema));
+  p.num_partitions_ = static_cast<uint32_t>(num_partitions);
+  return p;
+}
+
+Status HashPartitioner::Route(const ColumnBatch& batch,
+                              PartitionedRows* out) const {
   const std::size_t n = batch.num_rows();
   std::vector<uint32_t> dest(n, 0);
-  if (!bound.empty()) {
-    // Normalized hashing + multiply-shift range reduction: strided and
-    // sequential keys spread uniformly, and NULL keys stay at 0. The
-    // hash needs no key bytes, so none are materialized.
-    ColumnBatch key_batch;
-    SWIFT_RETURN_NOT_OK(EvalKeyBatch(bound, batch, &key_batch));
+  if (!keys_.empty()) {
+    // Normalized hashing + multiply-shift range reduction over the key
+    // columns read in place: strided and sequential keys spread
+    // uniformly, and NULL keys stay at 0. The hash needs no key bytes,
+    // so none are materialized.
+    KeyColumns kc;
+    SWIFT_RETURN_NOT_OK(kc.Eval(keys_, batch, true));
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> nulls;
-    if (!KeyEncoder::HashBatchColumns(key_batch, KeyOrdinals(key_batch),
-                                      &hashes, &nulls)) {
-      return Status::Internal("partition key ordinal out of range");
-    }
+    kc.Hash(&hashes, &nulls);
     for (std::size_t i = 0; i < n; ++i) {
-      if (nulls[i] == 0) dest[i] = RangeReduce(hashes[i], n32);
+      if (nulls[i] == 0) dest[i] = RangeReduce(hashes[i], num_partitions_);
     }
   }
-  // Per-partition physical row lists (exactly sized), then one gather
-  // per (partition, column).
-  std::vector<std::size_t> counts(nparts, 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts[dest[i]];
-  std::vector<std::vector<uint32_t>> rows(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) rows[p].reserve(counts[p]);
+  // Counting sort by destination: stable, so each partition keeps input
+  // order.
+  out->starts.assign(num_partitions_ + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++out->starts[dest[i] + 1];
+  for (uint32_t p = 0; p < num_partitions_; ++p) {
+    out->starts[p + 1] += out->starts[p];
+  }
+  out->rows.resize(n);
+  std::vector<uint32_t> cursor(out->starts.begin(), out->starts.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    rows[dest[i]].push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
+    out->rows[cursor[dest[i]]++] =
+        static_cast<uint32_t>(batch.PhysicalIndex(i));
   }
-  std::vector<ColumnBatch> out(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    out[p].schema = batch.schema;
-    out[p].physical_rows = counts[p];
-    out[p].columns.reserve(batch.columns.size());
-    for (const ColumnVector& src : batch.columns) {
-      ColumnVector c = ColumnVector::OfRep(src.rep());
-      c.AppendSelected(src, rows[p].data(), rows[p].size());
-      out[p].columns.push_back(std::move(c));
-    }
-  }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace swift

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/bound_expr.h"
 #include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "exec/schema.h"
@@ -158,15 +159,37 @@ Result<ColumnBatch> CollectAllColumnar(PhysicalOperator* op);
 /// \brief CollectAllColumnar boxed into rows (tests, benches, results).
 Result<Batch> CollectAll(PhysicalOperator* op);
 
-/// \brief Hash-partitions `batch` into `num_partitions` by key
-/// expressions (shuffle-write partitioning): one vectorized hash pass
-/// over the evaluated key columns (KeyEncoder::HashBatchColumns), exact
-/// per-partition row lists, then one gather (AppendSelected) per
-/// partition and column into dense output batches. NULL keys go to
-/// partition 0; row order within a partition is input order.
-Result<std::vector<ColumnBatch>> HashPartitionColumnar(
-    const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
-    int num_partitions);
+/// \brief Rows of one batch routed to shuffle partitions: partition p
+/// holds the physical rows rows[starts[p], starts[p+1]), in input order.
+struct PartitionedRows {
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> starts;  // num_partitions + 1 entries
+};
+
+/// \brief The shuffle-write partition kernel. Make binds the key
+/// expressions once; Route sends every logical row of a batch to
+/// partition RangeReduce(hash of its keys, num_partitions): one
+/// vectorized hash pass (KeyEncoder::HashColumns) over the key columns,
+/// a plain-column key read in place, then a stable counting sort into
+/// exact per-partition row lists. A row with a NULL key goes to
+/// partition 0, and so does every row when there are no keys. The
+/// shuffle sink encodes each partition straight from these row lists
+/// (SerializePieces); nothing gathers a partition into a batch.
+class HashPartitioner {
+ public:
+  /// InvalidArgument for num_partitions <= 0; bind errors as Bind's.
+  static Result<HashPartitioner> Make(const Schema& schema,
+                                      const std::vector<ExprPtr>& keys,
+                                      int num_partitions);
+
+  /// \brief Routes `batch` (of the schema Make bound against) into
+  /// `*out`. Errors are key evaluation errors (division by zero).
+  Status Route(const ColumnBatch& batch, PartitionedRows* out) const;
+
+ private:
+  std::vector<BoundExprPtr> keys_;
+  uint32_t num_partitions_ = 1;
+};
 
 }  // namespace swift
 

@@ -1,5 +1,6 @@
 #include "exec/serde.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -76,8 +77,26 @@ class Reader {
     if (len > buf_.size() - pos_) return Truncated();
     return Bytes(static_cast<std::size_t>(len));
   }
+  /// Steps over `count` strings, bounds-checking each length prefix and
+  /// payload: the validation pass of a string column.
+  Status SkipStrings(std::size_t count) {
+    const std::size_t size = buf_.size();
+    for (std::size_t k = 0; k < count; ++k) {
+      if (pos_ < size && static_cast<uint8_t>(buf_[pos_]) < 0x80) {
+        const std::size_t len = static_cast<uint8_t>(buf_[pos_++]);
+        if (len > size - pos_) return Truncated();
+        pos_ += len;
+        continue;
+      }
+      SWIFT_ASSIGN_OR_RETURN(uint64_t len, Varint());
+      if (len > size - pos_) return Truncated();
+      pos_ += static_cast<std::size_t>(len);
+    }
+    return Status::OK();
+  }
   bool AtEnd() const { return pos_ == buf_.size(); }
   std::size_t Remaining() const { return buf_.size() - pos_; }
+  const char* Here() const { return buf_.data() + pos_; }
 
  private:
   Status Truncated() const {
@@ -124,27 +143,293 @@ bool Conforms(const ColumnVector& col, DataType field_type) {
          static_cast<uint8_t>(col.rep()) == static_cast<uint8_t>(field_type);
 }
 
-/// Decodes one v2 buffer (magic checked by the caller): CRC first, then
-/// header and per-column bounds. Each column decodes in one pass straight
-/// into ColumnVector storage — a fixed-width column with no nulls is a
-/// single memcpy off the wire and one with nulls scatters through the
-/// bitmap. Any column mode but typed is IOError.
-Result<ColumnBatch> DeserializeV2(std::string_view bytes) {
-  if (bytes.size() < 8) {
+
+// ---- Bitmaps ----------------------------------------------------------
+
+// Bits set in a 64-bit word, without the libgcc call a plain
+// std::popcount compiles to when the target lacks POPCNT.
+inline std::size_t Popcount64(uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
+}
+
+// Set bits among bits [start, start+len) of `bits`, a word at a time.
+std::size_t CountBits(const uint8_t* bits, std::size_t start,
+                      std::size_t len) {
+  std::size_t n = 0;
+  for (; len > 0 && (start & 7) != 0; ++start, --len) {
+    n += (bits[start >> 3] >> (start & 7)) & 1u;
+  }
+  const uint8_t* p = bits + (start >> 3);
+  for (; len >= 64; p += 8, len -= 64) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    n += Popcount64(w);
+  }
+  for (; len >= 8; ++p, len -= 8) n += Popcount64(*p);
+  if (len > 0) n += Popcount64(*p & ((1u << len) - 1));
+  return n;
+}
+
+// Bits [start, start+len) of `bits` as a bitmap of their own, bit 0
+// first; the padding bits of its last byte are zero.
+std::vector<uint8_t> CopyBits(const uint8_t* bits, std::size_t start,
+                              std::size_t len) {
+  const std::size_t nbytes = (len + 7) / 8;
+  std::vector<uint8_t> out(nbytes);
+  if (nbytes == 0) return out;
+  const uint8_t* src = bits + (start >> 3);
+  const unsigned shift = start & 7;
+  if (shift == 0) {
+    std::memcpy(out.data(), src, nbytes);
+  } else {
+    for (std::size_t i = 0; i < nbytes; ++i) {
+      unsigned byte = src[i] >> shift;
+      // The next source byte holds this byte's high bits, when any of
+      // them is still inside the range.
+      if (8 * i + 8 - shift < len) byte |= src[i + 1] << (8 - shift);
+      out[i] = static_cast<uint8_t>(byte);
+    }
+  }
+  if ((len & 7) != 0) {
+    out[nbytes - 1] &= static_cast<uint8_t>((1u << (len & 7)) - 1);
+  }
+  return out;
+}
+
+// Sets bits [start, start+len) of `bitmap`: whole bytes by memset.
+void SetBitRun(char* bitmap, std::size_t start, std::size_t len) {
+  if (len == 0) return;
+  uint8_t* b = reinterpret_cast<uint8_t*>(bitmap);
+  const std::size_t end = start + len;
+  const std::size_t first_full = (start + 7) / 8;
+  const std::size_t last_full = end / 8;  // exclusive
+  if (first_full > last_full) {
+    // The whole run sits inside one byte.
+    b[start >> 3] |= static_cast<uint8_t>(((1u << len) - 1) << (start & 7));
+    return;
+  }
+  if ((start & 7) != 0) {
+    b[start >> 3] |= static_cast<uint8_t>(0xFFu << (start & 7));
+  }
+  std::memset(b + first_full, 0xFF, last_full - first_full);
+  if ((end & 7) != 0) {
+    b[last_full] |= static_cast<uint8_t>((1u << (end & 7)) - 1);
+  }
+}
+
+inline bool BitAt(const uint8_t* bits, std::size_t i) {
+  return (bits[i >> 3] >> (i & 7)) & 1u;
+}
+
+inline void SetBit(char* bitmap, std::size_t i) {
+  bitmap[i >> 3] = static_cast<char>(bitmap[i >> 3] | (1u << (i & 7)));
+}
+
+// ---- Encoder ----------------------------------------------------------
+
+// Payload bytes (past mode byte and bitmap) of `piece`'s cells of `col`.
+std::size_t PiecePayloadSize(const ColumnVector& col, const WirePiece& piece) {
+  const uint32_t* rows = piece.rows;
+  switch (col.rep()) {
+    case ColumnRep::kNull:
+      return 0;
+    case ColumnRep::kInt64:
+    case ColumnRep::kFloat64: {
+      std::size_t nonnull = piece.n;
+      if (col.has_nulls()) {
+        for (std::size_t k = 0; k < piece.n; ++k) {
+          nonnull -= col.IsNull(rows ? rows[k] : k) ? 1 : 0;
+        }
+      }
+      return 8 * nonnull;
+    }
+    case ColumnRep::kString: {
+      std::size_t total = 0;
+      const bool nulls = col.has_nulls();
+      for (std::size_t k = 0; k < piece.n; ++k) {
+        const std::size_t i = rows ? rows[k] : k;
+        if (nulls && col.IsNull(i)) continue;
+        const std::size_t len = col.StrAt(i).size();
+        total += VarintSize(len) + len;
+      }
+      return total;
+    }
+  }
+  return 0;
+}
+
+// Writes the piece's cells of `col` at global rows [at, at+n): bitmap
+// bits into `bitmap` (pre-zeroed) and values from `p` on; returns the
+// end of the values written.
+char* EncodePiece(const ColumnVector& col, const WirePiece& piece,
+                  std::size_t at, char* bitmap, char* p) {
+  const uint32_t* rows = piece.rows;
+  const std::size_t n = piece.n;
+  const bool nulls = col.has_nulls();
+  if (!nulls && col.rep() != ColumnRep::kNull) SetBitRun(bitmap, at, n);
+  switch (col.rep()) {
+    case ColumnRep::kNull:
+      return p;  // all-zero bits, no payload
+    case ColumnRep::kInt64:
+    case ColumnRep::kFloat64: {
+      const char* data =
+          col.rep() == ColumnRep::kInt64
+              ? reinterpret_cast<const char*>(col.Int64Data())
+              : reinterpret_cast<const char*>(col.Float64Data());
+      if (!nulls) {
+        if (rows == nullptr) {
+          // Contiguous host storage is already the wire encoding.
+          if (n > 0) std::memcpy(p, data, 8 * n);
+          return p + 8 * n;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          std::memcpy(p + 8 * k, data + 8 * std::size_t{rows[k]}, 8);
+        }
+        return p + 8 * n;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = rows ? rows[k] : k;
+        if (col.IsNull(i)) continue;
+        SetBit(bitmap, at + k);
+        std::memcpy(p, data + 8 * i, 8);
+        p += 8;
+      }
+      return p;
+    }
+    case ColumnRep::kString: {
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = rows ? rows[k] : k;
+        if (nulls) {
+          if (col.IsNull(i)) continue;
+          SetBit(bitmap, at + k);
+        }
+        const std::string_view s = col.StrAt(i);
+        PutVarintAt(p, s.size());
+        std::memcpy(p, s.data(), s.size());
+        p += s.size();
+      }
+      return p;
+    }
+  }
+  return p;
+}
+
+// ---- Decoder ----------------------------------------------------------
+
+// A varint the validation pass already bounds-checked.
+inline uint64_t VarintUnchecked(const char*& p) {
+  uint64_t v = static_cast<uint8_t>(*p++);
+  if (v < 0x80) return v;
+  v &= 0x7F;
+  for (int shift = 7;; shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(*p++);
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+}
+
+}  // namespace
+
+std::string SerializePieces(const Schema& schema,
+                            const std::vector<WirePiece>& pieces) {
+  const std::size_t nfields = schema.num_fields();
+  std::size_t nrows = 0;
+  for (const WirePiece& piece : pieces) {
+    SWIFT_CHECK(piece.batch->columns.size() == nfields)
+        << "batch has " << piece.batch->columns.size()
+        << " columns, schema has " << nfields;
+    nrows += piece.n;
+  }
+  const std::size_t bitmap_len = (nrows + 7) / 8;
+  // Sizing pass: header + per column (mode byte + bitmap + payload) +
+  // CRC.
+  std::size_t total =
+      HeaderSize(schema, nrows) + 4 + nfields * (1 + bitmap_len);
+  for (std::size_t c = 0; c < nfields; ++c) {
+    const Field& field = schema.field(c);
+    for (const WirePiece& piece : pieces) {
+      const ColumnVector& col = piece.batch->columns[c];
+      SWIFT_CHECK(Conforms(col, field.type))
+          << "column '" << field.name << "' holds "
+          << DataTypeToString(static_cast<DataType>(col.rep()))
+          << " cells under a " << DataTypeToString(field.type) << " field";
+      total += PiecePayloadSize(col, piece);
+    }
+  }
+  std::string out(total, '\0');
+  char* const base = out.data();
+  char* p = WriteHeader(schema, nrows, base);
+  for (std::size_t c = 0; c < nfields; ++c) {
+    *p++ = static_cast<char>(kColTyped);
+    char* const bitmap = p;  // pre-zeroed by the string fill
+    p += bitmap_len;
+    std::size_t at = 0;
+    for (const WirePiece& piece : pieces) {
+      p = EncodePiece(piece.batch->columns[c], piece, at, bitmap, p);
+      at += piece.n;
+    }
+  }
+  const uint32_t crc = Crc32(std::string_view(base, total - 4));
+  std::memcpy(base + total - 4, &crc, 4);
+  return out;
+}
+
+std::string SerializeColumnBatch(const ColumnBatch& batch) {
+  WirePiece piece;
+  piece.batch = &batch;
+  piece.rows = batch.selection ? batch.selection->data() : nullptr;
+  piece.n = batch.num_rows();
+  return SerializePieces(batch.schema, {piece});
+}
+
+Result<WirePayload> WirePayload::Open(std::string_view bytes) {
+  WirePayload w;
+  if (IsCompressedFrame(bytes)) {
+    // The compressed bytes are the shared zero-copy buffer all the way
+    // from the writer; this decompression is the one accounted copy.
+    // The inner payload must be a plain v2 batch — a nested frame is
+    // rejected here, so corrupt input cannot recurse.
+    SWIFT_ASSIGN_OR_RETURN(std::string raw, DecompressFrame(bytes));
+    if (IsCompressedFrame(raw)) {
+      return Status::IOError("nested compressed frame");
+    }
+    w.owner_ = ShuffleBuffer(std::move(raw));
+    w.bytes_ = w.owner_.view();
+  } else {
+    w.bytes_ = bytes;
+  }
+  SWIFT_RETURN_NOT_OK(w.Validate());
+  return w;
+}
+
+Result<WirePayload> WirePayload::Open(ShuffleBuffer buffer) {
+  SWIFT_ASSIGN_OR_RETURN(WirePayload w, Open(buffer.view()));
+  if (!w.owner_.valid()) w.owner_ = std::move(buffer);
+  return w;
+}
+
+Status WirePayload::Validate() {
+  Reader magic_rd(bytes_);
+  SWIFT_ASSIGN_OR_RETURN(uint32_t magic, magic_rd.U32());
+  if (magic != kMagicV2) return Status::IOError("bad batch magic");
+  if (bytes_.size() < 8) {
     return Status::IOError("v2 batch buffer shorter than magic + CRC");
   }
   // Verify the footer before trusting any decoded count: corruption is
-  // caught here, so the size guards below only defend against the
-  // astronomically unlikely CRC collision.
+  // caught here, so the bounds checks below only defend against the
+  // astronomically unlikely CRC collision (and hand-made payloads).
   uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  const uint32_t actual_crc = Crc32(bytes.substr(0, bytes.size() - 4));
+  std::memcpy(&stored_crc, bytes_.data() + bytes_.size() - 4, 4);
+  const uint32_t actual_crc = Crc32(bytes_.substr(0, bytes_.size() - 4));
   if (stored_crc != actual_crc) {
     return Status::IOError(
         StrFormat("batch CRC32 mismatch (stored %08x, computed %08x)",
                   stored_crc, actual_crc));
   }
-  Reader rd(bytes.substr(4, bytes.size() - 8));  // body: magic..footer
+  Reader rd(bytes_.substr(4, bytes_.size() - 8));  // body: magic..footer
   SWIFT_ASSIGN_OR_RETURN(uint64_t nfields64, rd.Varint());
   // Every field needs at least 2 bytes (name length + type tag).
   if (nfields64 > rd.Remaining() / 2) {
@@ -173,210 +458,120 @@ Result<ColumnBatch> DeserializeV2(std::string_view bytes) {
   if (nfields == 0 && nrows64 > (1u << 28)) {
     return Status::IOError("row count exceeds buffer");
   }
-  const std::size_t nrows = static_cast<std::size_t>(nrows64);
-  ColumnBatch out;
-  out.schema = Schema(std::move(fields));
-  out.physical_rows = nrows;
-  out.columns.reserve(nfields);
+  num_rows_ = static_cast<std::size_t>(nrows64);
+  schema_ = Schema(std::move(fields));
+  columns_.resize(nfields);
   for (std::size_t c = 0; c < nfields; ++c) {
-    const DataType ft = out.schema.field(c).type;
+    Column& col = columns_[c];
+    col.type = schema_.field(c).type;
     SWIFT_ASSIGN_OR_RETURN(uint8_t mode, rd.U8());
     if (mode != kColTyped) {
       return Status::IOError(StrFormat("bad column mode %u in column %zu",
                                        static_cast<unsigned>(mode), c));
     }
     SWIFT_ASSIGN_OR_RETURN(std::string_view bitmap,
-                           rd.Bytes((nrows + 7) / 8));
-    const uint8_t* bits = reinterpret_cast<const uint8_t*>(bitmap.data());
-    std::size_t nonnull = 0;
-    for (const char b : bitmap) {
-      nonnull += std::popcount(static_cast<unsigned>(static_cast<uint8_t>(b)));
-    }
-    if ((nrows & 7) != 0 && !bitmap.empty() &&
-        (static_cast<uint8_t>(bitmap.back()) >> (nrows & 7)) != 0) {
+                           rd.Bytes((num_rows_ + 7) / 8));
+    col.bits = reinterpret_cast<const uint8_t*>(bitmap.data());
+    if ((num_rows_ & 7) != 0 && !bitmap.empty() &&
+        (static_cast<uint8_t>(bitmap.back()) >> (num_rows_ & 7)) != 0) {
       return Status::IOError("bitmap padding bits set");
     }
-    switch (ft) {
+    const std::size_t nonnull = CountBits(col.bits, 0, num_rows_);
+    col.values = rd.Here();
+    switch (col.type) {
       case DataType::kNull:
         if (nonnull != 0) {
           return Status::IOError("non-null cell in null-typed column");
         }
-        out.columns.push_back(ColumnVector::MakeNull(nrows));
         break;
       case DataType::kInt64:
-      case DataType::kFloat64: {
+      case DataType::kFloat64:
         // One bounds check covers the whole fixed-width column.
-        SWIFT_ASSIGN_OR_RETURN(std::string_view data,
-                               rd.Bytes(nonnull * 8));
-        ColumnVector col;
-        col.ResizeFixedWidth(ft == DataType::kInt64 ? ColumnRep::kInt64
-                                                    : ColumnRep::kFloat64,
-                             nrows);
-        char* dst = ft == DataType::kInt64
-                        ? reinterpret_cast<char*>(col.MutableInt64Data())
-                        : reinterpret_cast<char*>(col.MutableFloat64Data());
-        if (nonnull == nrows) {
-          // A zero-row column has no storage: memcpy from null is UB.
-          if (nrows > 0) std::memcpy(dst, data.data(), 8 * nrows);
-        } else {
-          const char* src = data.data();
-          for (std::size_t r = 0; r < nrows; ++r) {
-            if ((bits[r >> 3] >> (r & 7)) & 1) {
-              std::memcpy(dst + 8 * r, src, 8);
-              src += 8;
-            }
-          }
-          col.SetValidity(std::vector<uint8_t>(bits, bits + bitmap.size()),
-                          nrows - nonnull);
-        }
-        out.columns.push_back(std::move(col));
+        SWIFT_RETURN_NOT_OK(rd.Bytes(nonnull * 8).status());
         break;
-      }
-      case DataType::kString: {
-        ColumnVector col = ColumnVector::OfType(DataType::kString);
-        col.Reserve(nrows);
-        for (std::size_t r = 0; r < nrows; ++r) {
-          if ((bits[r >> 3] >> (r & 7)) & 1) {
-            SWIFT_ASSIGN_OR_RETURN(std::string_view s, rd.Str());
-            col.AppendString(s);
-          } else {
-            col.AppendNull();
-          }
-        }
-        out.columns.push_back(std::move(col));
+      case DataType::kString:
+        SWIFT_RETURN_NOT_OK(rd.SkipStrings(nonnull));
         break;
-      }
     }
   }
   if (!rd.AtEnd()) {
     return Status::IOError("trailing bytes after batch");
   }
-  return out;
+  return Status::OK();
 }
 
-}  // namespace
-
-std::string SerializeColumnBatch(const ColumnBatch& batch) {
-  SWIFT_CHECK(batch.columns.size() == batch.schema.num_fields())
-      << "batch has " << batch.columns.size() << " columns, schema has "
-      << batch.schema.num_fields();
-  const std::size_t nfields = batch.schema.num_fields();
-  const std::size_t nrows = batch.num_rows();
-  const std::size_t bitmap_len = (nrows + 7) / 8;
-  const uint32_t* sel = batch.selection ? batch.selection->data() : nullptr;
-  // Sizing pass: header + per column (mode byte + bitmap + payload) +
-  // CRC.
-  std::size_t total = HeaderSize(batch.schema, nrows) + 4;
-  for (std::size_t c = 0; c < nfields; ++c) {
-    const ColumnVector& col = batch.columns[c];
-    const Field& field = batch.schema.field(c);
-    SWIFT_CHECK(Conforms(col, field.type))
-        << "column '" << field.name << "' holds "
-        << DataTypeToString(static_cast<DataType>(col.rep()))
-        << " cells under a " << DataTypeToString(field.type) << " field";
-    total += 1 + bitmap_len;
-    switch (col.rep()) {
-      case ColumnRep::kNull:
-        break;
-      case ColumnRep::kInt64:
-      case ColumnRep::kFloat64: {
-        std::size_t nonnull = nrows;
-        if (col.has_nulls()) {
-          nonnull = 0;
-          for (std::size_t j = 0; j < nrows; ++j) {
-            nonnull += col.IsNull(sel ? sel[j] : j) ? 0 : 1;
+ColumnBatch WirePayload::Next(std::size_t max_rows) {
+  const std::size_t start = row_;
+  const std::size_t len = std::min(max_rows, rows_left());
+  row_ += len;
+  ColumnBatch out;
+  out.schema = schema_;
+  out.physical_rows = len;
+  out.columns.reserve(columns_.size());
+  for (Column& c : columns_) {
+    if (c.type == DataType::kNull) {
+      out.columns.push_back(ColumnVector::MakeNull(len));
+      continue;
+    }
+    const std::size_t nonnull = CountBits(c.bits, start, len);
+    ColumnVector col;
+    if (c.type == DataType::kString) {
+      // Pass 1 over the (validated) lengths sizes the heap exactly;
+      // pass 2 fills offsets and heap.
+      const char* q = c.values;
+      std::size_t heap = 0;
+      for (std::size_t k = 0; k < nonnull; ++k) {
+        const uint64_t l = VarintUnchecked(q);
+        heap += l;
+        q += l;
+      }
+      col.ResizeString(len, heap);
+      uint64_t* off = col.MutableStringOffsets();
+      char* h = col.MutableHeap();
+      q = c.values;
+      uint64_t at = 0;
+      for (std::size_t r = 0; r < len; ++r) {
+        if (nonnull == len || BitAt(c.bits, start + r)) {
+          const uint64_t l = VarintUnchecked(q);
+          std::memcpy(h + at, q, l);
+          q += l;
+          at += l;
+        }
+        off[r + 1] = at;
+      }
+      c.values = q;
+    } else {
+      const ColumnRep rep = c.type == DataType::kInt64 ? ColumnRep::kInt64
+                                                       : ColumnRep::kFloat64;
+      col.ResizeFixedWidth(rep, len);
+      char* dst = rep == ColumnRep::kInt64
+                      ? reinterpret_cast<char*>(col.MutableInt64Data())
+                      : reinterpret_cast<char*>(col.MutableFloat64Data());
+      if (nonnull == len) {
+        // A zero-row column has no storage: memcpy from null is UB.
+        if (len > 0) std::memcpy(dst, c.values, 8 * len);
+      } else {
+        const char* src = c.values;
+        for (std::size_t r = 0; r < len; ++r) {
+          if (BitAt(c.bits, start + r)) {
+            std::memcpy(dst + 8 * r, src, 8);
+            src += 8;
           }
         }
-        total += 8 * nonnull;
-        break;
       }
-      case ColumnRep::kString: {
-        for (std::size_t j = 0; j < nrows; ++j) {
-          const std::size_t i = sel ? sel[j] : j;
-          if (col.IsNull(i)) continue;
-          const std::size_t len = col.StrAt(i).size();
-          total += VarintSize(len) + len;
-        }
-        break;
-      }
+      c.values += 8 * nonnull;
     }
+    if (nonnull != len) {
+      col.SetValidity(CopyBits(c.bits, start, len), len - nonnull);
+    }
+    out.columns.push_back(std::move(col));
   }
-  std::string out(total, '\0');
-  char* const base = out.data();
-  char* p = WriteHeader(batch.schema, nrows, base);
-  for (std::size_t c = 0; c < nfields; ++c) {
-    const ColumnVector& col = batch.columns[c];
-    *p++ = static_cast<char>(kColTyped);
-    char* const bitmap = p;  // pre-zeroed by the string fill
-    p += bitmap_len;
-    const bool dense = sel == nullptr && !col.has_nulls();
-    if (dense && bitmap_len != 0 && col.rep() != ColumnRep::kNull) {
-      std::memset(bitmap, 0xFF, bitmap_len);
-      if ((nrows & 7) != 0) {
-        bitmap[bitmap_len - 1] =
-            static_cast<char>((1u << (nrows & 7)) - 1);
-      }
-    }
-    switch (col.rep()) {
-      case ColumnRep::kNull:
-        break;  // all-zero bitmap, no payload
-      case ColumnRep::kInt64:
-      case ColumnRep::kFloat64: {
-        const char* data =
-            col.rep() == ColumnRep::kInt64
-                ? reinterpret_cast<const char*>(col.Int64Data())
-                : reinterpret_cast<const char*>(col.Float64Data());
-        if (dense) {
-          // The near-memcpy fast path: contiguous host storage is
-          // already the wire encoding. A zero-row column has no storage.
-          if (nrows > 0) std::memcpy(p, data, 8 * nrows);
-          p += 8 * nrows;
-          break;
-        }
-        for (std::size_t j = 0; j < nrows; ++j) {
-          const std::size_t i = sel ? sel[j] : j;
-          if (col.IsNull(i)) continue;
-          bitmap[j >> 3] |= static_cast<char>(1u << (j & 7));
-          std::memcpy(p, data + 8 * i, 8);
-          p += 8;
-        }
-        break;
-      }
-      case ColumnRep::kString: {
-        for (std::size_t j = 0; j < nrows; ++j) {
-          const std::size_t i = sel ? sel[j] : j;
-          if (col.IsNull(i)) continue;
-          if (!dense) bitmap[j >> 3] |= static_cast<char>(1u << (j & 7));
-          const std::string_view s = col.StrAt(i);
-          PutVarintAt(p, s.size());
-          std::memcpy(p, s.data(), s.size());
-          p += s.size();
-        }
-        break;
-      }
-    }
-  }
-  const uint32_t crc = Crc32(std::string_view(base, total - 4));
-  std::memcpy(base + total - 4, &crc, 4);
   return out;
 }
 
 Result<ColumnBatch> DeserializeColumnBatch(std::string_view bytes) {
-  if (IsCompressedFrame(bytes)) {
-    // Lazy decompression: the compressed bytes are the shared zero-copy
-    // buffer all the way from the writer; this decode is the one
-    // accounted copy. The inner payload must be a plain v2 batch — a
-    // nested frame is rejected here, so corrupt input cannot recurse.
-    SWIFT_ASSIGN_OR_RETURN(std::string raw, DecompressFrame(bytes));
-    if (IsCompressedFrame(raw)) {
-      return Status::IOError("nested compressed frame");
-    }
-    return DeserializeColumnBatch(raw);
-  }
-  Reader rd(bytes);
-  SWIFT_ASSIGN_OR_RETURN(uint32_t magic, rd.U32());
-  if (magic != kMagicV2) return Status::IOError("bad batch magic");
-  return DeserializeV2(bytes);
+  SWIFT_ASSIGN_OR_RETURN(WirePayload payload, WirePayload::Open(bytes));
+  return payload.Next(payload.num_rows());
 }
 
 std::string SerializeBatch(const Batch& batch) {

@@ -919,7 +919,7 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
       const StageProgram& producer = ctx->plan->program(src);
       const ShuffleKind kind =
           shuffle_->KindFor(dag.ShuffleEdgeSize(src, task.stage));
-      std::vector<ColumnBatch> batches;
+      std::vector<WirePayload> payloads;
       for (int st = 0; st < producer.task_count; ++st) {
         ShuffleSlotKey key{ctx->job, src, st, task.stage, task.task};
         int writer = 0;
@@ -934,8 +934,8 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           writer = it->second;
         }
         SWIFT_ASSIGN_OR_RETURN(
-            ColumnBatch b, FetchShuffleInput(ctx, kind, key, machine, writer));
-        batches.push_back(std::move(b));
+            WirePayload p, FetchShuffleInput(ctx, kind, key, machine, writer));
+        payloads.push_back(std::move(p));
         {
           // This task now holds the producer's output — the planner's
           // received_output set for any later failure of that producer.
@@ -943,11 +943,11 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           ctx->received_by[TaskRef{src, st}].insert(task);
         }
       }
-      // Decoded shuffle batches re-enter the tree as morsels so
-      // downstream pipelines stay O(morsel)-resident here too.
-      sources.push_back(MakeMorselSource(producer.output_schema,
-                                         std::move(batches),
-                                         kDefaultMorselRows));
+      // Validated payloads decode straight into morsels, so downstream
+      // pipelines stay O(morsel)-resident here too.
+      sources.push_back(MakeWireMorselSource(producer.output_schema,
+                                             std::move(payloads),
+                                             kDefaultMorselRows));
     }
   }
 
@@ -1036,7 +1036,7 @@ void LocalRuntime::NoteDecompressed(JobContext* ctx, std::string_view wire) {
   obs::Add(metrics_.decompress_bytes, raw_len);
 }
 
-Result<ColumnBatch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
+Result<WirePayload> LocalRuntime::FetchShuffleInput(JobContext* ctx,
                                                     ShuffleKind kind,
                                                     const ShuffleSlotKey& key,
                                                     int reader, int writer) {
@@ -1053,18 +1053,19 @@ Result<ColumnBatch> LocalRuntime::FetchShuffleInput(JobContext* ctx,
       }
       return buffer.status();  // timeout budget exhausted etc.
     }
-    Result<ColumnBatch> batch = DeserializeColumnBatch(buffer->view());
-    if (batch.ok()) {
+    Result<WirePayload> payload = WirePayload::Open(*buffer);
+    if (payload.ok()) {
       NoteDecompressed(ctx, buffer->view());
-      return batch;
+      return payload;
     }
     if (refetch >= kMaxCorruptRereads) {
-      return batch.status().WithContext(StrFormat(
+      return payload.status().WithContext(StrFormat(
           "payload %s rejected %d times", key.ToString().c_str(),
           refetch + 1));
     }
-    // The CRC-32C footer rejected the payload (bit flip in flight):
-    // drop this copy and re-fetch from the shuffle fabric.
+    // Validation rejected the payload (a bit flip in flight, caught by
+    // the CRC-32C footer): drop this copy and re-fetch from the shuffle
+    // fabric.
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->stats.corrupt_read_retries += 1;
     obs::Add(metrics_.corrupt_read_retries);
@@ -1124,50 +1125,83 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
   const StageProgram& program = ctx->plan->program(task.stage);
   SWIFT_ASSIGN_OR_RETURN(OperatorPtr tree,
                          BuildTaskTree(ctx, program, task, machine));
-  SWIFT_ASSIGN_OR_RETURN(ColumnBatch out, CollectAllColumnar(tree.get()));
-  {
-    // A machine killed mid-run takes its in-flight task results along.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (down_.count(machine) > 0) {
-      return Status::MachineUnhealthy(StrFormat(
-          "machine %d died while %s ran", machine,
-          task.ToString().c_str()));
-    }
-  }
-
-  const JobDag& dag = ctx->plan->dag;
   const StageId consumer = ctx->plan->ConsumerOf(task.stage);
-  if (consumer < 0) {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->final_result = ToRowBatch(out);
-    ctx->has_result = true;
-    ctx->writer_machine[task] = machine;
-    return Status::OK();
+  if (consumer >= 0) return WriteTaskOutput(ctx, task, machine, tree.get());
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch out, CollectAllColumnar(tree.get()));
+  SWIFT_RETURN_NOT_OK(CheckSurvivedRun(task, machine));
+  std::lock_guard<std::mutex> lock(ctx->mu);
+  ctx->final_result = ToRowBatch(out);
+  ctx->has_result = true;
+  ctx->writer_machine[task] = machine;
+  return Status::OK();
+}
+
+Status LocalRuntime::CheckSurvivedRun(const TaskRef& task, int machine) {
+  // A machine killed mid-run takes its in-flight task results along.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (down_.count(machine) > 0) {
+    return Status::MachineUnhealthy(StrFormat(
+        "machine %d died while %s ran", machine, task.ToString().c_str()));
   }
+  return Status::OK();
+}
+
+Status LocalRuntime::WriteTaskOutput(JobContext* ctx, const TaskRef& task,
+                                     int machine, PhysicalOperator* tree) {
+  const JobDag& dag = ctx->plan->dag;
+  const StageProgram& program = ctx->plan->program(task.stage);
+  const StageId consumer = ctx->plan->ConsumerOf(task.stage);
   const StageProgram& consumer_prog = ctx->plan->program(consumer);
+  const int ndst = consumer_prog.task_count;
+  SWIFT_RETURN_NOT_OK(tree->Open());
+  const Schema& schema = tree->output_schema();
+  SWIFT_ASSIGN_OR_RETURN(
+      HashPartitioner partitioner,
+      HashPartitioner::Make(schema, program.output_partition_keys, ndst));
+  // The sink: every output morsel is held with its rows routed per
+  // consumer task (all to consumer 0 when the stage has no partition
+  // keys); no batch of the whole output is ever built. A morsel whose
+  // selection keeps under half its rows is compacted first, so what is
+  // held stays within twice the rows that ship.
+  std::vector<ColumnBatch> morsels;
+  std::vector<PartitionedRows> routes;
+  for (;;) {
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> m, tree->Next());
+    if (!m.has_value()) break;
+    if (m->num_rows() == 0) continue;
+    if (m->selection && 2 * m->selection->size() < m->physical_rows) {
+      m->Flatten();
+    }
+    routes.emplace_back();
+    SWIFT_RETURN_NOT_OK(partitioner.Route(*m, &routes.back()));
+    morsels.push_back(std::move(*m));
+  }
+  SWIFT_RETURN_NOT_OK(CheckSurvivedRun(task, machine));
+
   const ShuffleKind kind =
       shuffle_->KindFor(dag.ShuffleEdgeSize(task.stage, consumer));
   const bool pipelined =
       dag.EdgeKindOf(task.stage, consumer) == EdgeKind::kPipeline;
-
-  std::vector<ColumnBatch> parts;
-  if (program.output_partition_keys.empty()) {
-    parts.resize(static_cast<std::size_t>(consumer_prog.task_count));
-    for (ColumnBatch& p : parts) p.schema = out.schema;
-    parts[0] = std::move(out);
-  } else {
-    SWIFT_ASSIGN_OR_RETURN(
-        parts, HashPartitionColumnar(out, program.output_partition_keys,
-                                     consumer_prog.task_count));
-  }
-  for (int dst = 0; dst < consumer_prog.task_count; ++dst) {
+  std::vector<WirePiece> pieces;
+  for (int dst = 0; dst < ndst; ++dst) {
+    // Each consumer's payload gathers its rows straight out of the held
+    // morsels.
+    pieces.clear();
+    for (std::size_t k = 0; k < morsels.size(); ++k) {
+      const PartitionedRows& r = routes[k];
+      const uint32_t begin = r.starts[static_cast<std::size_t>(dst)];
+      const uint32_t end = r.starts[static_cast<std::size_t>(dst) + 1];
+      if (end > begin) {
+        pieces.push_back(
+            WirePiece{&morsels[k], r.rows.data() + begin, end - begin});
+      }
+    }
     ShuffleSlotKey key{ctx->job, task.stage, task.task, consumer, dst};
     // One allocation per partition: the shuffle plane (direct slot,
     // workers, retained recovery slots, re-sends) shares this buffer.
-    std::string payload =
-        SerializeColumnBatch(parts[static_cast<std::size_t>(dst)]);
     SWIFT_RETURN_NOT_OK(shuffle_->WritePartition(
-        kind, key, ShuffleBuffer(std::move(payload)), machine, pipelined));
+        kind, key, ShuffleBuffer(SerializePieces(schema, pieces)), machine,
+        pipelined));
   }
   {
     std::lock_guard<std::mutex> lock(ctx->mu);

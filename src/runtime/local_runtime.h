@@ -11,6 +11,8 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "exec/column_batch.h"
+#include "exec/operators.h"
+#include "exec/serde.h"
 #include "exec/table.h"
 #include "fault/failure.h"
 #include "fault/fault_injector.h"
@@ -183,13 +185,22 @@ class LocalRuntime {
   /// Books a successfully decoded compressed frame into the job stats
   /// and the shuffle.decompress.* counters (no-op for raw payloads).
   void NoteDecompressed(JobContext* ctx, std::string_view wire);
-  /// Reads one shuffle payload and decodes it into a ColumnBatch. A
-  /// missing slot (NotFound) maps to MachineUnhealthy so recovery re-runs
-  /// the producer; a payload the CRC-32C footer rejects is re-fetched up
-  /// to kMaxCorruptRereads times.
-  Result<ColumnBatch> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
+  /// Reads one shuffle payload and validates it in full
+  /// (WirePayload::Open) before any row is decoded. A missing slot
+  /// (NotFound) maps to MachineUnhealthy so recovery re-runs the
+  /// producer; a payload validation rejects (CRC-32C footer, header,
+  /// bounds) is re-fetched up to kMaxCorruptRereads times.
+  Result<WirePayload> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
                                         const ShuffleSlotKey& key, int reader,
                                         int writer);
+  /// MachineUnhealthy when `machine` died while `task` ran on it: its
+  /// in-flight results die with it. Checked after the tree finishes,
+  /// before any result is published.
+  Status CheckSurvivedRun(const TaskRef& task, int machine);
+  /// Runs a non-final task's tree and writes one payload per consumer
+  /// task, encoded straight from the retained output morsels.
+  Status WriteTaskOutput(JobContext* ctx, const TaskRef& task, int machine,
+                         PhysicalOperator* tree);
   /// Advance the logical cluster clock one heartbeat interval, run
   /// detection, and handle newly detected machine losses and probation
   /// expirations. Called between stage waves.

@@ -58,14 +58,16 @@ Result<SimReport> ClusterSim::Run() {
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const int job = static_cast<int>(j);
     engine_.ScheduleAt(jobs_[j].spec.submit_time, [this, job] {
-      arbiter_.BeginJob(job, JobRunOptions{});
-      EnqueueReadyUnits(job);
-      Schedule();
-      // Bubble Execution pays its data-size partitioning cost up front.
+      // Bubble Execution pays its data-size partitioning cost up front:
+      // booked before the first grant, so a unit granted at submit
+      // starts after it.
       if (config_.policy == SchedulingPolicy::kDataSizeBubble) {
         jobs_[static_cast<std::size_t>(job)].extra_delay +=
             config_.bubble_partition_overhead;
       }
+      arbiter_.BeginJob(job, JobRunOptions{});
+      EnqueueReadyUnits(job);
+      Schedule();
     });
   }
   engine_.Run();

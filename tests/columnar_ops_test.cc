@@ -23,8 +23,10 @@
 #include "exec/column_batch.h"
 #include "exec/morsel.h"
 #include "exec/operators.h"
+#include "partition_gather.h"
 #include "exec/serde.h"
 #include "reference_ops.h"
+#include "sliced_source.h"
 #include "reference_serde.h"
 
 namespace swift {
@@ -505,7 +507,7 @@ TEST_P(OperatorParityTest, StreamedAggregateParity) {
   std::vector<ColumnBatch> batches;
   batches.push_back(*std::move(cb));
   Batch got = CollectColumnar(MakeStreamedAggregate(
-      MakeMorselSource(b.schema, std::move(batches), 7), groups, names,
+      MakeSlicedSource(b.schema, std::move(batches), 7), groups, names,
       AllAggs()));
   ExpectBatchesBitEq(
       got, RowsOf(got.schema, ref::Aggregate(sorted, groups, AllAggs())));
@@ -531,7 +533,7 @@ TEST_P(OperatorParityTest, HashPartitionParity) {
   Result<ColumnBatch> cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok());
   Result<std::vector<ColumnBatch>> got =
-      HashPartitionColumnar(*cb, keys, nparts);
+      GatherPartitions(*cb, keys, nparts);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got->size(), static_cast<std::size_t>(nparts));
   ExpectValidPartitioning(b, keys, *got);
@@ -541,7 +543,7 @@ TEST_P(OperatorParityTest, HashPartitionParity) {
                    Expr::Literal(Value(int64_t{0}))),
       Expr::Column("s")};
   Result<std::vector<ColumnBatch>> again =
-      HashPartitionColumnar(*cb, computed, nparts);
+      GatherPartitions(*cb, computed, nparts);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   for (std::size_t p = 0; p < got->size(); ++p) {
     ExpectBatchesBitEq(ToRowBatch((*again)[p]), ToRowBatch((*got)[p]));
@@ -562,12 +564,12 @@ TEST_P(OperatorParityTest, FilteredPartitionParity) {
   ASSERT_TRUE(filtered->has_value());
   ASSERT_TRUE((*filtered)->selection.has_value());  // no row copies made
   Result<std::vector<ColumnBatch>> got =
-      HashPartitionColumnar(**filtered, keys, 5);
+      GatherPartitions(**filtered, keys, 5);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectValidPartitioning(RowsOf(b.schema, ref::Filter(b, pred)), keys, *got);
   ColumnBatch dense = **filtered;
   dense.Flatten();
-  Result<std::vector<ColumnBatch>> want = HashPartitionColumnar(dense, keys, 5);
+  Result<std::vector<ColumnBatch>> want = GatherPartitions(dense, keys, 5);
   ASSERT_TRUE(want.ok());
   for (std::size_t p = 0; p < want->size(); ++p) {
     ExpectBatchesBitEq(ToRowBatch((*got)[p]), ToRowBatch((*want)[p]));
@@ -588,7 +590,7 @@ Batch StreamedAgg(const Batch& in, std::vector<ExprPtr> groups,
   std::vector<ColumnBatch> batches;
   batches.push_back(*std::move(cb));
   return CollectColumnar(MakeStreamedAggregate(
-      MakeMorselSource(in.schema, std::move(batches), morsel_rows),
+      MakeSlicedSource(in.schema, std::move(batches), morsel_rows),
       std::move(groups), std::move(names), std::move(aggs)));
 }
 

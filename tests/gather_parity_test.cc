@@ -7,10 +7,11 @@
 // every well-typed (destination rep, source rep) pair — equal reps, a
 // kNull side, and int64 widening into float64 — with NULLs on either
 // side, over empty, in-order, reversed and repeating row lists; every
-// other pair is a program bug that aborts. It then
-// checks each caller (Flatten, SliceRows, AppendColumnBatch,
-// HashPartitionColumnar, and the join output gather with its NULL-padded
-// right side) against the same per-cell oracle.
+// other pair is a program bug that aborts. It then checks each caller
+// (Flatten, SliceRows, the breaker drain's ConcatBatches, the partition
+// gather of tests/partition_gather.h over HashPartitioner's routing,
+// and the join output gather with its NULL-padded right side) against
+// the same per-cell oracle.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "exec/column_batch.h"
 #include "exec/key_encoder.h"
 #include "exec/operators.h"
+#include "partition_gather.h"
 
 namespace swift {
 namespace {
@@ -355,16 +357,14 @@ TEST(GatherCallerTest, FlattenAndSliceRowsGatherPerCell) {
   }
 }
 
-TEST(GatherCallerTest, AppendColumnBatchGathersPerCell) {
+TEST(GatherCallerTest, ConcatBatchesGathersPerCell) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const ColumnBatch dense = MixedBatch(30, seed * 100);
     ColumnBatch selected = MixedBatch(40, seed * 100 + 50);
     const std::vector<uint32_t> sel = RandomSelection(40, 25, seed);
     selected.selection = sel;
-    ColumnBatch got;
-    AppendColumnBatch(dense, &got);
-    AppendColumnBatch(selected, &got);
-    AppendColumnBatch(dense, &got);
+    std::vector<ColumnBatch> parts = {dense, selected, dense};
+    const ColumnBatch got = ConcatBatches(dense.schema, std::move(parts));
 
     std::vector<uint32_t> all(30);
     for (uint32_t i = 0; i < 30; ++i) all[i] = i;
@@ -374,7 +374,7 @@ TEST(GatherCallerTest, AppendColumnBatchGathersPerCell) {
       want.columns[c] = PerCell(want.columns[c], dense.columns[c], all);
     }
     want.physical_rows = 30 + 25 + 30;
-    ExpectSameBatch(got, want, "append seed " + std::to_string(seed));
+    ExpectSameBatch(got, want, "concat seed " + std::to_string(seed));
   }
 }
 
@@ -386,7 +386,7 @@ TEST(GatherCallerTest, HashPartitionScatterGathersPerCell) {
     // Partition on the int64 column (NULL keys go to partition 0).
     const std::vector<ExprPtr> keys = {Expr::Column("cInt64")};
     Result<std::vector<ColumnBatch>> got =
-        HashPartitionColumnar(b, keys, nparts);
+        GatherPartitions(b, keys, nparts);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
 
     // Route with the same hash the partitioner uses; the gather is what

@@ -1,5 +1,5 @@
 // Randomized parity property test: the flat-table hash kernels
-// (HashJoinOp / HashAggregateOp / HashPartitionColumnar) against the legacy
+// (HashJoinOp / HashAggregateOp / HashPartitioner) against the legacy
 // node-based row-map implementations they replaced, kept verbatim here
 // as the oracle. Inputs draw int64 / float64 / string key columns with
 // NULLs, duplicate keys, cross-numeric-type equal keys (an int64 key
@@ -19,6 +19,7 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "exec/operators.h"
+#include "partition_gather.h"
 #include "reference_ops.h"
 
 namespace swift {
@@ -318,13 +319,13 @@ std::vector<ExprPtr> KeyExprs(int key_cols) {
   return keys;
 }
 
-// HashPartitionColumnar over a row batch, boxed back into rows.
+// GatherPartitions over a row batch, boxed back into rows.
 Result<std::vector<Batch>> PartitionRows(const Batch& in,
                                          const std::vector<ExprPtr>& keys,
                                          int n) {
   SWIFT_ASSIGN_OR_RETURN(ColumnBatch cb, ToColumnBatch(in));
   SWIFT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> parts,
-                         HashPartitionColumnar(cb, keys, n));
+                         GatherPartitions(cb, keys, n));
   std::vector<Batch> out;
   for (const ColumnBatch& p : parts) out.push_back(ToRowBatch(p));
   return out;

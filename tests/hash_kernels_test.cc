@@ -19,6 +19,7 @@
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
 #include "exec/operators.h"
+#include "partition_gather.h"
 #include "reference_ops.h"
 
 namespace swift {
@@ -502,7 +503,7 @@ TEST(KeyArenaTest, StoredViewsStayValidAcrossChunkGrowth) {
 
 // ---- HashPartition skew ---------------------------------------------
 
-// HashPartitionColumnar over a row batch, boxed back into rows.
+// GatherPartitions over a row batch, boxed back into rows.
 Result<std::vector<Batch>> PartitionRows(const Batch& batch,
                                          const std::vector<ExprPtr>& keys,
                                          int num_partitions,
@@ -516,7 +517,7 @@ Result<std::vector<Batch>> PartitionRows(const Batch& batch,
     cb.selection = std::move(all);
   }
   SWIFT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> parts,
-                         HashPartitionColumnar(cb, keys, num_partitions));
+                         GatherPartitions(cb, keys, num_partitions));
   std::vector<Batch> out;
   for (const ColumnBatch& p : parts) out.push_back(ToRowBatch(p));
   return out;

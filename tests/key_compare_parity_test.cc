@@ -30,6 +30,7 @@
 #include "exec/morsel.h"
 #include "exec/operators.h"
 #include "reference_ops.h"
+#include "sliced_source.h"
 
 namespace swift {
 namespace {
@@ -99,7 +100,7 @@ OperatorPtr Source(const Batch& b) {
   EXPECT_TRUE(cb.ok());
   std::vector<ColumnBatch> batches;
   batches.push_back(*std::move(cb));
-  return MakeMorselSource(b.schema, std::move(batches), 9);
+  return MakeSlicedSource(b.schema, std::move(batches), 9);
 }
 
 std::vector<Row> Collect(OperatorPtr op) {
@@ -352,6 +353,29 @@ void ExpectEdgeSortsMatch(const Batch& b, const std::string& ctx) {
   }
 }
 
+// WindowOp orders rows through SortPermutation over (partition
+// position, order keys): each key set partitions by its first key and
+// orders by the rest (or by `id`) under every direction mix.
+void ExpectEdgeWindowsMatch(const Batch& b, const std::string& ctx) {
+  for (const std::vector<std::string>& names : EdgeKeySets()) {
+    const std::vector<ExprPtr> pby = {Expr::Column(names[0])};
+    std::vector<std::string> rest(names.begin() + 1, names.end());
+    if (rest.empty()) rest.push_back("id");
+    for (const auto& ks : DirectionMixes(rest)) {
+      const std::vector<SortKey> order = Keys(ks);
+      for (const WindowFunc func :
+           {WindowFunc::kRowNumber, WindowFunc::kRank, WindowFunc::kSum}) {
+        const ExprPtr arg =
+            func == WindowFunc::kSum ? Expr::Column("k") : nullptr;
+        ExpectRowsBitEq(
+            Collect(MakeWindow(Source(b), pby, order, func, arg, "w")),
+            ref::Window(b, pby, order, func, arg),
+            ctx + " window over " + names[0] + " by " + Describe(ks));
+      }
+    }
+  }
+}
+
 class SortKernelParityTest : public ::testing::TestWithParam<uint64_t> {};
 
 // 600 rows take the radix passes, 40 rows the small-batch sort.
@@ -359,6 +383,8 @@ TEST_P(SortKernelParityTest, EdgeBatchesMatchReference) {
   for (const std::size_t n : {std::size_t{600}, std::size_t{40}}) {
     ExpectEdgeSortsMatch(EdgeBatch(n, GetParam()),
                          std::to_string(n) + " rows");
+    ExpectEdgeWindowsMatch(EdgeBatch(n, GetParam()),
+                           std::to_string(n) + " rows");
   }
 }
 
@@ -467,7 +493,7 @@ TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
     std::vector<ColumnBatch> batches;
     batches.push_back(*std::move(cb));
     const std::vector<Row> got = Collect(MakeStreamedAggregate(
-        MakeMorselSource(b.schema, std::move(batches), morsel), groups, {"x"},
+        MakeSlicedSource(b.schema, std::move(batches), morsel), groups, {"x"},
         aggs));
     ExpectRowsBitEq(got,
                     {{Value(1.0), Value(int64_t{4})},

@@ -33,8 +33,10 @@
 #include "exec/column_batch.h"
 #include "exec/morsel.h"
 #include "exec/operators.h"
+#include "exec/serde.h"
 #include "exec/table.h"
 #include "reference_ops.h"
+#include "sliced_source.h"
 
 namespace swift {
 namespace {
@@ -175,23 +177,33 @@ TEST(TableMorselSourceTest, EmptySingleRowAndOversubscribedTasks) {
   }
 }
 
+// Shuffle input reaches a task as validated wire payloads
+// (WirePayload) that the wire source decodes straight into morsels.
+std::vector<WirePayload> Payloads(const std::vector<std::string>& wires) {
+  std::vector<WirePayload> out;
+  for (const std::string& w : wires) {
+    Result<WirePayload> p = WirePayload::Open(ShuffleBuffer(w));
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    if (p.ok()) out.push_back(*std::move(p));
+  }
+  return out;
+}
+
 TEST(MorselSourceTest, RaggedTailsAndWholeBatchMoves) {
-  // Input batches of 0, 1, 5, 4 and 9 rows at morsel_rows = 4: empty
-  // batches vanish, fitting batches pass through whole, oversized ones
-  // split with ragged tails — and concatenation order is untouched.
+  // Payloads of 0, 1, 5, 4 and 9 rows at morsel_rows = 4: empty
+  // payloads vanish, fitting payloads decode whole, larger ones split
+  // with ragged tails — and concatenation order is untouched.
   Batch all = RandomBatch(0xA11, 19);
-  std::vector<ColumnBatch> batches;
+  std::vector<std::string> wires;
   std::size_t off = 0;
   for (std::size_t n : {0u, 1u, 5u, 4u, 9u}) {
     Batch part;
     part.schema = all.schema;
     for (std::size_t i = 0; i < n; ++i) part.rows.push_back(all.rows[off + i]);
     off += n;
-    auto cb = ToColumnBatch(part);
-    ASSERT_TRUE(cb.ok());
-    batches.push_back(*std::move(cb));
+    wires.push_back(SerializeBatch(part));
   }
-  auto src = MakeMorselSource(all.schema, std::move(batches), 4);
+  auto src = MakeWireMorselSource(all.schema, Payloads(wires), 4);
   ASSERT_TRUE(src->Open().ok());
   std::vector<std::size_t> sizes;
   auto rows = DrainColumnarRows(src.get(), &sizes);
@@ -201,16 +213,21 @@ TEST(MorselSourceTest, RaggedTailsAndWholeBatchMoves) {
 }
 
 TEST(MorselSourceTest, SliceRowsGathersSelectionStraddlingMorsels) {
-  // A selection picking every other physical row, sliced at a morsel
-  // boundary that lands mid-selection: each slice must gather exactly
-  // its logical subrange and come out dense.
+  // A selection picking every other physical row is encoded (the
+  // encoder gathers it) and decoded in runs that start mid-byte of the
+  // validity bitmaps: each run must hold exactly its logical subrange,
+  // dense, and the wire source's morsels must too.
   Batch b = RandomBatch(0x5E1, 12);
   auto cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok());
   cb->selection = std::vector<uint32_t>{1, 3, 5, 7, 9, 11};
   const Batch logical = ToRowBatch(*cb);
+  const std::string wire = SerializeColumnBatch(*cb);
   for (std::size_t begin : {0u, 2u, 4u, 5u}) {
-    const ColumnBatch m = cb->SliceRows(begin, 4);
+    Result<WirePayload> p = WirePayload::Open(wire);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    (void)p->Next(begin);
+    const ColumnBatch m = p->Next(4);
     EXPECT_FALSE(m.selection.has_value());
     const std::size_t want =
         std::min<std::size_t>(4, logical.rows.size() - begin);
@@ -219,6 +236,13 @@ TEST(MorselSourceTest, SliceRowsGathersSelectionStraddlingMorsels) {
                             logical.rows.begin() + begin + want);
     ExpectRowsBitEq(ToRowBatch(m).rows, expect);
   }
+  auto src = MakeWireMorselSource(b.schema, Payloads({wire}), 4);
+  ASSERT_TRUE(src->Open().ok());
+  std::vector<std::size_t> sizes;
+  auto rows = DrainColumnarRows(src.get(), &sizes);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 2}));
+  ExpectRowsBitEq(*rows, logical.rows);
 }
 
 // ---- Operators across morsel boundaries -----------------------------
@@ -238,7 +262,7 @@ TEST(MorselBoundaryTest, LimitCountsLogicalRowsAcrossMorsels) {
   auto pred = Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
                            Expr::Literal(Value(int64_t{3})));
   auto op = MakeLimit(
-      MakeFilter(MakeMorselSource(b.schema, std::move(batches), 4), pred), 7);
+      MakeFilter(MakeSlicedSource(b.schema, std::move(batches), 4), pred), 7);
   ASSERT_TRUE(op->Open().ok());
   auto rows = DrainColumnarRows(op.get(), nullptr);
   ASSERT_TRUE(rows.ok());
@@ -284,7 +308,7 @@ OperatorPtr MorselizedInput(const std::vector<Batch>& parts,
     EXPECT_TRUE(cb.ok());
     batches.push_back(*std::move(cb));
   }
-  return MakeMorselSource(parts.front().schema, std::move(batches),
+  return MakeSlicedSource(parts.front().schema, std::move(batches),
                           morsel_rows);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/operators.h"
+#include "partition_gather.h"
 
 namespace swift {
 namespace {
@@ -163,7 +164,7 @@ TEST(OperatorEdgeTest, HashPartitionSinglePartitionIsIdentity) {
   b.rows = Ints({1, 2, 3});
   auto cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok());
-  auto parts = HashPartitionColumnar(*cb, {Expr::Column("k")}, 1);
+  auto parts = GatherPartitions(*cb, {Expr::Column("k")}, 1);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ((*parts)[0].num_rows(), 3u);

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "partition_gather.h"
+
 namespace swift {
 namespace {
 
@@ -25,7 +27,7 @@ Result<std::vector<ColumnBatch>> Partition(const Batch& b,
                                            int n) {
   Result<ColumnBatch> cb = ToColumnBatch(b);
   EXPECT_TRUE(cb.ok()) << cb.status().ToString();
-  return HashPartitionColumnar(*cb, keys, n);
+  return GatherPartitions(*cb, keys, n);
 }
 
 Batch Collect(OperatorPtr op) {

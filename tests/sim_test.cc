@@ -162,6 +162,36 @@ TEST(ClusterSimTest, SingleJobCompletes) {
   EXPECT_EQ(report->total_tasks, 24);
 }
 
+// Bubble Execution's planning overhead is paid before the first unit
+// starts, even when that unit is granted the moment the job arrives: a
+// one-stage job's latency grows by exactly the overhead.
+TEST(ClusterSimTest, BubbleOverheadDelaysFirstUnit) {
+  auto latency = [](double overhead) {
+    SimConfig cfg = MakeBubbleSimConfig(10, 8);
+    cfg.bubble_partition_overhead = overhead;
+    ClusterSim sim(cfg);
+    DagBuilder b("one");
+    StageDef scan;
+    scan.name = "scan";
+    scan.task_count = 8;
+    scan.operators = {OK::kTableScan, OK::kAdhocSink};
+    scan.input_bytes_per_task = 100e6;
+    scan.output_bytes_per_task = 0;
+    b.AddStage(scan);
+    SimJobSpec job;
+    job.name = "one";
+    job.dag = std::move(b.Build()).ValueOrDie();
+    EXPECT_TRUE(sim.SubmitJob(std::move(job)).ok());
+    auto report = sim.Run();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->jobs[0].completed);
+    return report->jobs[0].finish_time - report->jobs[0].submit_time;
+  };
+  const double base = latency(0.0);
+  EXPECT_NEAR(latency(0.3) - base, 0.3, 1e-9);
+  EXPECT_NEAR(latency(30.0) - base, 30.0, 1e-9);
+}
+
 TEST(ClusterSimTest, PhasesAreRecorded) {
   ClusterSim sim(MakeSwiftSimConfig(10, 8));
   ASSERT_TRUE(sim.SubmitJob(TwoStageJob("j", 16, 8, 300)).ok());
