@@ -159,7 +159,9 @@ void BM_HashPartitionBound(benchmark::State& state) {
 BENCHMARK(BM_HashPartitionBound)->Arg(1000)->Arg(10000);
 
 void BM_CacheWorkerPutGet(benchmark::State& state) {
-  CacheWorker cw(1LL << 30, "");
+  CacheWorkerOptions options;
+  options.memory_budget_bytes = 1LL << 30;
+  CacheWorker cw(options);
   std::string payload(4096, 'x');
   int64_t i = 0;
   for (auto _ : state) {

@@ -358,7 +358,7 @@ std::string CompressFrame(std::string_view src) {
   out.resize(CompressFrameBound(src.size()));
   uint8_t* dst = reinterpret_cast<uint8_t*>(out.data());
   Store32(dst, kCompressFrameMagic);
-  dst[4] = static_cast<uint8_t>(CompressCodec::kSwz1);
+  dst[4] = kSwz1CodecTag;
   Store64(dst + 5, src.size());
   std::size_t op = kCompressFrameHeaderBytes;  // CRC patched at the end
   const uint8_t* ip = reinterpret_cast<const uint8_t*>(src.data());
@@ -398,9 +398,7 @@ Status CheckFrameHeader(std::string_view frame, uint64_t* raw_len,
   if (Read32(p) != kCompressFrameMagic) {
     return Status::IOError("compressed frame: bad magic");
   }
-  const uint8_t codec = p[4];
-  if (codec != static_cast<uint8_t>(CompressCodec::kSwz1) &&
-      codec != static_cast<uint8_t>(CompressCodec::kRaw)) {
+  if (p[4] != kSwz1CodecTag) {
     return Status::IOError("compressed frame: unknown codec tag");
   }
   *raw_len = Read64(p + 5);

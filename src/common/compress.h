@@ -34,7 +34,7 @@ namespace swift {
 ///   u32  magic      kCompressFrameMagic ("SWZ1"; distinct from the
 ///                   "SWF2" batch magic so DeserializeColumnBatch can
 ///                   dispatch on the first 4 bytes)
-///   u8   codec      CompressCodec tag (raw passthrough or SWZ1)
+///   u8   codec      kSwz1CodecTag, the one codec a frame may carry
 ///   u64  raw_len    uncompressed payload length
 ///   u32  crc        CRC-32C over the block section that follows
 ///   then per 64-KiB input chunk:
@@ -48,14 +48,15 @@ namespace swift {
 /// First four bytes of a compressed frame ("SWZ1" on the wire).
 inline constexpr uint32_t kCompressFrameMagic = 0x315A5753u;
 
-/// Codec tag carried in the frame header.
-enum class CompressCodec : uint8_t {
-  /// Every block stored raw (used when a caller forces framing of
-  /// incompressible data; blocks may still set the raw bit under kSwz1).
-  kRaw = 0,
-  /// LZ4-class block codec described above.
-  kSwz1 = 1,
-};
+/// Codec tag carried in the frame header: the LZ4-class block codec
+/// described above (a block it cannot shrink sets its own raw bit). A
+/// frame carrying any other tag is rejected.
+inline constexpr uint8_t kSwz1CodecTag = 1;
+
+/// Payloads shorter than this ship (and spill) unframed: the header and
+/// codec cost are not amortized. Used by both the shuffle writer's
+/// per-edge negotiation and the Cache Worker's spill path.
+inline constexpr int64_t kCompressMinBytes = 4096;
 
 /// Uncompressed bytes per independently-coded block.
 inline constexpr std::size_t kCompressBlockSize = 64u * 1024u;

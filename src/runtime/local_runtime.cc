@@ -152,7 +152,6 @@ LocalRuntime::LocalRuntime(LocalRuntimeConfig config)
   sc.put_retry_budget = config_.shuffle_put_retry_budget;
   sc.put_wait_ms = config_.shuffle_put_wait_ms;
   sc.compression = config_.shuffle_compression;
-  sc.spill_compression = config_.shuffle_compression;
   sc.replica_fanout = config_.shuffle_replica_fanout;
   sc.metrics = config_.metrics;
   shuffle_ = std::make_unique<ShuffleService>(sc);

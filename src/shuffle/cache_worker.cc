@@ -38,7 +38,6 @@ uint32_t DecodeFooter(const char in[4]) {
 }
 
 int64_t WatermarkBytes(int64_t budget, double fraction) {
-  if (fraction <= 0.0) return 0;
   return static_cast<int64_t>(static_cast<double>(budget) * fraction);
 }
 
@@ -51,11 +50,11 @@ std::string ShuffleSlotKey::ToString() const {
 
 CacheWorker::CacheWorker(CacheWorkerOptions options)
     : options_(std::move(options)),
-      budget_(options_.memory_budget_bytes),
-      soft_bytes_(std::min(WatermarkBytes(budget_, options_.soft_watermark),
-                           WatermarkBytes(budget_, options_.hard_watermark))),
-      hard_bytes_(WatermarkBytes(budget_, options_.hard_watermark)),
-      job_quota_bytes_(WatermarkBytes(budget_, options_.per_job_quota)) {
+      soft_bytes_(
+          WatermarkBytes(options_.memory_budget_bytes, kCacheSoftWatermark)),
+      hard_bytes_(options_.memory_budget_bytes),
+      job_quota_bytes_(
+          WatermarkBytes(options_.memory_budget_bytes, kCachePerJobQuota)) {
   if (!options_.spill_dir.empty()) {
     // A private directory per worker: spill file names come from a
     // per-worker counter, so workers sharing spill_dir must not share
@@ -92,16 +91,6 @@ CacheWorker::CacheWorker(CacheWorkerOptions options)
     metrics_.spill_lost_slots = metrics->counter("shuffle.spill.lost_slots");
   }
 }
-
-CacheWorker::CacheWorker(int64_t memory_budget_bytes, std::string spill_dir,
-                         obs::MetricsRegistry* metrics)
-    : CacheWorker([&] {
-        CacheWorkerOptions o;
-        o.memory_budget_bytes = memory_budget_bytes;
-        o.spill_dir = std::move(spill_dir);
-        o.metrics = metrics;
-        return o;
-      }()) {}
 
 CacheWorker::~CacheWorker() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -368,8 +357,7 @@ Status CacheWorker::SpillLocked(const ShuffleSlotKey& key, Slot* slot) {
   // budget. Payloads already framed by the shuffle writer stay as-is.
   std::string compressed;
   bool spill_compressed = false;
-  if (options_.spill_compression &&
-      slot->size >= options_.spill_compress_min_bytes &&
+  if (options_.spill_compression && slot->size >= kCompressMinBytes &&
       !IsCompressedFrame(slot->buffer.view())) {
     compressed = CompressFrame(slot->buffer.view());
     spill_compressed =
@@ -393,7 +381,7 @@ Status CacheWorker::SpillLocked(const ShuffleSlotKey& key, Slot* slot) {
   EncodeFooter(Crc32(bytes), footer);
   Status last;
   bool written = false;
-  for (int attempt = 0; attempt <= options_.spill_io_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kSpillIoRetries; ++attempt) {
     SpillFault fault = injector_ != nullptr
                            ? injector_->OnSpillWrite(key, attempt, slot->size)
                            : SpillFault::kNone;
@@ -418,7 +406,7 @@ Status CacheWorker::SpillLocked(const ShuffleSlotKey& key, Slot* slot) {
     }
     stats_.spill_io_errors += 1;
     obs::Add(metrics_.spill_io_errors);
-    if (attempt < options_.spill_io_retries) {
+    if (attempt < kSpillIoRetries) {
       stats_.spill_io_retries += 1;
       obs::Add(metrics_.spill_retries);
     }
@@ -456,7 +444,7 @@ Result<ShuffleBuffer> CacheWorker::LoadLocked(const ShuffleSlotKey& key,
   Status last;
   std::string bytes;
   bool loaded = false;
-  for (int attempt = 0; attempt <= options_.spill_io_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kSpillIoRetries; ++attempt) {
     SpillFault fault = injector_ != nullptr
                            ? injector_->OnSpillRead(key, attempt)
                            : SpillFault::kNone;
@@ -509,7 +497,7 @@ Result<ShuffleBuffer> CacheWorker::LoadLocked(const ShuffleSlotKey& key,
     }
     stats_.spill_io_errors += 1;
     obs::Add(metrics_.spill_io_errors);
-    if (attempt < options_.spill_io_retries) {
+    if (attempt < kSpillIoRetries) {
       stats_.spill_io_retries += 1;
       obs::Add(metrics_.spill_retries);
     }

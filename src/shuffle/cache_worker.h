@@ -67,38 +67,66 @@ struct CacheWorkerStats {
   // also what spill_disk_in_use and the disk budget charge.
   int64_t spill_compressed_slots = 0;  ///< spills written as a frame
   int64_t spill_stored_bytes = 0;      ///< payload bytes written to disk
+
+  /// Field-wise sum (the service's cluster-wide view). A field added
+  /// above must be added here too; the size check below enforces it.
+  CacheWorkerStats& operator+=(const CacheWorkerStats& o) {
+    puts += o.puts;
+    gets += o.gets;
+    bytes_written += o.bytes_written;
+    bytes_read += o.bytes_read;
+    spilled_slots += o.spilled_slots;
+    spilled_bytes += o.spilled_bytes;
+    reloads += o.reloads;
+    deletions += o.deletions;
+    memory_in_use += o.memory_in_use;
+    peak_memory_in_use += o.peak_memory_in_use;
+    spill_disk_in_use += o.spill_disk_in_use;
+    bytes_consumed += o.bytes_consumed;
+    bytes_evicted_unconsumed += o.bytes_evicted_unconsumed;
+    backpressure_rejections += o.backpressure_rejections;
+    bytes_rejected += o.bytes_rejected;
+    forced_admits += o.forced_admits;
+    quota_evictions += o.quota_evictions;
+    spill_io_errors += o.spill_io_errors;
+    spill_io_retries += o.spill_io_retries;
+    spill_lost_slots += o.spill_lost_slots;
+    spill_compressed_slots += o.spill_compressed_slots;
+    spill_stored_bytes += o.spill_stored_bytes;
+    return *this;
+  }
 };
+static_assert(sizeof(CacheWorkerStats) == 22 * sizeof(int64_t),
+              "CacheWorkerStats::operator+= must sum every field");
+
+/// Cache Worker admission policy (DESIGN.md Sec. 15), as fractions of the
+/// memory budget. LRU spill runs ahead of demand from the soft watermark;
+/// un-forced puts that would exceed the budget itself (the hard
+/// watermark, 1.0) get kBackpressure; and eviction prefers the slots of
+/// jobs holding more than the per-job quota.
+inline constexpr double kCacheSoftWatermark = 0.75;
+inline constexpr double kCachePerJobQuota = 0.5;
+/// Transient spill write/read IO errors are retried in place this many
+/// times before the error is treated as permanent.
+inline constexpr int kSpillIoRetries = 3;
 
 /// \brief Construction knobs for a Cache Worker.
 struct CacheWorkerOptions {
-  /// In-memory capacity; the hard watermark is a fraction of this.
+  /// In-memory capacity, which is also the hard watermark.
   int64_t memory_budget_bytes = 64LL << 20;
   /// Directory for spill files ("" disables spilling: over-budget puts
   /// then return kBackpressure instead of storing anything).
   std::string spill_dir;
-  /// Fraction of the budget at which LRU spill starts running ahead of
-  /// demand; resident bytes are pushed back under soft on every Put.
-  double soft_watermark = 0.75;
-  /// Fraction of the budget that un-forced Puts may not exceed: a Put
-  /// that cannot spill down below hard returns kBackpressure.
-  double hard_watermark = 1.0;
-  /// Fraction of the budget one job may hold resident before eviction
-  /// prefers its slots over other jobs' (LRU within the job).
-  double per_job_quota = 0.5;
   /// Cap on live spill-file bytes; 0 = unbounded. When the cap is hit
   /// the worker stops spilling and degrades to backpressure.
   int64_t spill_disk_budget_bytes = 0;
-  /// Transient spill write/read IO errors are retried in place this many
-  /// times before the error is treated as permanent.
-  int spill_io_retries = 3;
-  /// Spill-time compression: slots at least spill_compress_min_bytes
-  /// whose payload is not already a compressed frame go to disk as one
+  /// Spill-time compression: slots of at least kCompressMinBytes whose
+  /// payload is not already a compressed frame go to disk as one
   /// (common/compress.h) when the frame shrinks the payload. The disk
   /// budget and spill_disk_in_use charge the stored (compressed) size;
   /// reload CRC-verifies the file, decompresses, and re-admits the
   /// original bytes — callers always see the bytes they stored.
   bool spill_compression = true;
-  int64_t spill_compress_min_bytes = 4096;
   /// Optional registry (not owned); all workers of one service share the
   /// same counters, so registry values are cluster-wide aggregates.
   obs::MetricsRegistry* metrics = nullptr;
@@ -135,10 +163,6 @@ struct CacheWorkerOptions {
 class CacheWorker {
  public:
   explicit CacheWorker(CacheWorkerOptions options);
-
-  /// Legacy convenience constructor (budget + spill dir + registry).
-  CacheWorker(int64_t memory_budget_bytes, std::string spill_dir,
-              obs::MetricsRegistry* metrics = nullptr);
   ~CacheWorker();
 
   CacheWorker(const CacheWorker&) = delete;
@@ -237,9 +261,8 @@ class CacheWorker {
   void NoteResidentShrankLocked();
 
   const CacheWorkerOptions options_;
-  const int64_t budget_;
   const int64_t soft_bytes_;
-  const int64_t hard_bytes_;
+  const int64_t hard_bytes_;  // the memory budget
   const int64_t job_quota_bytes_;
   std::string spill_path_;  // private spill directory under spill_dir
   std::mutex mu_;

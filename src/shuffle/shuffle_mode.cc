@@ -14,10 +14,9 @@ std::string_view ShuffleKindToString(ShuffleKind kind) {
   return "?";
 }
 
-ShuffleKind SelectShuffleKind(int64_t shuffle_edge_size,
-                              const ShuffleThresholds& thresholds) {
-  if (shuffle_edge_size < thresholds.direct_max) return ShuffleKind::kDirect;
-  if (shuffle_edge_size >= thresholds.local_min) return ShuffleKind::kLocal;
+ShuffleKind SelectShuffleKind(int64_t shuffle_edge_size) {
+  if (shuffle_edge_size < kDirectShuffleMaxEdges) return ShuffleKind::kDirect;
+  if (shuffle_edge_size >= kLocalShuffleMinEdges) return ShuffleKind::kLocal;
   return ShuffleKind::kRemote;
 }
 

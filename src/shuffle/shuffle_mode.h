@@ -16,16 +16,13 @@ enum class ShuffleKind : int {
 std::string_view ShuffleKindToString(ShuffleKind kind);
 
 /// \brief The production thresholds the paper reports: Direct below
-/// 10,000 shuffle edges, Local above 90,000, Remote in between.
-struct ShuffleThresholds {
-  int64_t direct_max = 10000;
-  int64_t local_min = 90000;
-};
+/// 10,000 shuffle edges, Local from 90,000, Remote in between.
+inline constexpr int64_t kDirectShuffleMaxEdges = 10000;
+inline constexpr int64_t kLocalShuffleMinEdges = 90000;
 
 /// \brief Adaptive selection by shuffle edge size (M*N, "the number of
 /// edges between all source stage tasks and the sink ones").
-ShuffleKind SelectShuffleKind(int64_t shuffle_edge_size,
-                              const ShuffleThresholds& thresholds = {});
+ShuffleKind SelectShuffleKind(int64_t shuffle_edge_size);
 
 /// \brief TCP connections Direct Shuffle establishes: M*N.
 int64_t DirectShuffleConnections(int64_t producers, int64_t consumers);

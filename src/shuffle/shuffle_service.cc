@@ -12,23 +12,17 @@ namespace swift {
 
 namespace {
 
-// A corrupted wire payload: one bit flipped in the CRC-covered region,
-// on a private copy — the retained slot keeps the good bytes, so the
-// re-fetch after the CRC failure succeeds.
-ShuffleBuffer CorruptCopy(const ShuffleBuffer& buffer) {
+// A corrupted wire payload, on a private copy: the retained slot keeps
+// the good bytes, so the re-fetch after the rejection succeeds.
+// kFrameCorrupt mangles a compressed frame's codec tag (byte 4) so the
+// reader's DecompressFrame rejects the envelope itself rather than the
+// inner serde CRC. kCorrupt, and kFrameCorrupt on a raw payload (the
+// writer negotiated no compression for this edge), flip one bit in the
+// CRC-covered region — the fault still fires and still fails closed.
+ShuffleBuffer CorruptCopy(const ShuffleBuffer& buffer, ReadFault fault) {
   std::string bytes(buffer.view());
-  if (!bytes.empty()) bytes[bytes.size() / 2] ^= 0x01;
-  return ShuffleBuffer(std::move(bytes));
-}
-
-// Frame-targeted corruption: mangle the compressed frame's codec tag
-// (byte 4) so the reader's DecompressFrame rejects the envelope itself
-// rather than the inner serde CRC. Raw payloads (the writer negotiated
-// no compression for this edge) degrade to the plain bit flip — the
-// fault still fires and still fails closed.
-ShuffleBuffer FrameCorruptCopy(const ShuffleBuffer& buffer) {
-  std::string bytes(buffer.view());
-  if (IsCompressedFrame(bytes) && bytes.size() > 4) {
+  if (fault == ReadFault::kFrameCorrupt && IsCompressedFrame(bytes) &&
+      bytes.size() > 4) {
     bytes[4] ^= 0x7F;
   } else if (!bytes.empty()) {
     bytes[bytes.size() / 2] ^= 0x01;
@@ -47,13 +41,8 @@ ShuffleService::ShuffleService(Config config) : config_(std::move(config)) {
     if (!config_.spill_root.empty()) {
       wo.spill_dir = StrFormat("%s/cw%d", config_.spill_root.c_str(), m);
     }
-    wo.soft_watermark = config_.cache_soft_watermark;
-    wo.hard_watermark = config_.cache_hard_watermark;
-    wo.per_job_quota = config_.cache_per_job_quota;
     wo.spill_disk_budget_bytes = config_.spill_disk_budget_bytes;
-    wo.spill_io_retries = config_.spill_io_retries;
-    wo.spill_compression = config_.spill_compression;
-    wo.spill_compress_min_bytes = config_.spill_compress_min_bytes;
+    wo.spill_compression = config_.compression;
     wo.metrics = config_.metrics;
     workers_.push_back(std::make_unique<CacheWorker>(std::move(wo)));
   }
@@ -120,11 +109,9 @@ Status ShuffleService::PutWithFlowControl(int machine,
     if (!w->WaitForCapacity(size, config_.put_wait_ms) && size > 0) {
       // Either the wait timed out (keep retrying: a reader may drain
       // between our probe and the next Put) or the payload can never
-      // fit under the hard watermark — detect the latter and escalate.
-      const CacheWorkerOptions& o = w->options();
-      const auto hard = static_cast<int64_t>(
-          static_cast<double>(o.memory_budget_bytes) * o.hard_watermark);
-      if (size > hard) break;
+      // fit under the hard watermark, which is the whole budget —
+      // detect the latter and escalate.
+      if (size > w->options().memory_budget_bytes) break;
     }
   }
   // Retry budget spent, or waiting provably cannot help. This writer may
@@ -136,7 +123,7 @@ Status ShuffleService::PutWithFlowControl(int machine,
 
 ShuffleKind ShuffleService::KindFor(int64_t shuffle_edge_size) const {
   if (config_.force_kind.has_value()) return *config_.force_kind;
-  return SelectShuffleKind(shuffle_edge_size, config_.thresholds);
+  return SelectShuffleKind(shuffle_edge_size);
 }
 
 int64_t ShuffleService::TaskEndpoint(const ShuffleSlotKey& key,
@@ -162,22 +149,13 @@ void ShuffleService::Connect(int64_t from, int64_t to, ShuffleKind kind) {
   }
 }
 
-void ShuffleService::DirectConsumedLocked(const ShuffleSlotKey& key) {
-  auto it = direct_.find(key);
-  if (it == direct_.end()) return;
-  if (!direct_touched_.insert(key).second) return;  // already consumed
-  const auto size = static_cast<int64_t>(it->second.size());
-  obs::Add(metrics_.bytes_consumed, size);
-}
-
-void ShuffleService::DirectDropLocked(const ShuffleSlotKey& key) {
-  auto it = direct_.find(key);
-  if (it == direct_.end()) return;
-  if (direct_touched_.count(key) == 0) {
+ShuffleService::DirectMap::iterator ShuffleService::EraseDirectLocked(
+    DirectMap::iterator it) {
+  if (!it->second.touched) {
     obs::Add(metrics_.bytes_evicted_unconsumed,
-             static_cast<int64_t>(it->second.size()));
+             static_cast<int64_t>(it->second.buffer.size()));
   }
-  direct_touched_.erase(key);
+  return direct_.erase(it);
 }
 
 Result<ShuffleBuffer> ShuffleService::CountRead(ShuffleKind kind,
@@ -200,7 +178,7 @@ ShuffleBuffer ShuffleService::MaybeCompress(ShuffleKind kind, bool pipelined,
       kind == ShuffleKind::kRemote ||
       (kind == ShuffleKind::kLocal && !pipelined);
   if (!config_.compression || !barrier_edge ||
-      static_cast<int64_t>(buffer.size()) < config_.compress_min_bytes ||
+      static_cast<int64_t>(buffer.size()) < kCompressMinBytes ||
       IsCompressedFrame(buffer.view())) {
     return buffer;
   }
@@ -271,131 +249,76 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
           "cannot write %s: machine %d is down", key.ToString().c_str(),
           writer_machine));
     }
-  }
-  switch (kind) {
-    case ShuffleKind::kDirect: {
-      std::lock_guard<std::mutex> lock(mu_);
+    stats_.bytes_transferred += size;
+    stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
+    obs::Add(metrics_.bytes_written[static_cast<std::size_t>(kind)], size);
+    if (kind == ShuffleKind::kDirect) {
       Connect(TaskEndpoint(key, true), TaskEndpoint(key, false), kind);
-      DirectDropLocked(key);  // overwrite of an unread slot drops its bytes
-      direct_[key] = std::move(buffer);
-      direct_writer_[key] = writer_machine;
       stats_.direct_writes += 1;
-      stats_.bytes_transferred += size;
-      stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
-      obs::Add(metrics_.bytes_written[0], size);
       obs::Add(metrics_.bytes_written_total, size);
+      // An overwrite of an unread slot drops its bytes.
+      auto old = direct_.find(key);
+      if (old != direct_.end()) EraseDirectLocked(old);
+      direct_.emplace(key, DirectSlot{std::move(buffer), writer_machine});
       return Status::OK();
     }
-    case ShuffleKind::kLocal: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        Connect(TaskEndpoint(key, true), WorkerEndpoint(writer_machine), kind);
-        stats_.local_writes += 1;
-        stats_.bytes_transferred += size;
-        stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
-        obs::Add(metrics_.bytes_written[1], size);
-      }
-      // Pipeline edge: the writer-side worker forwards immediately; we
-      // model this by parking the data on the writer's worker either
-      // way — the read path replicates the shared allocation onto the
-      // reader-side worker, so the bytes still only exist once.
-      (void)pipelined;
-      Status st =
-          PutWithFlowControl(writer_machine, key, buffer, expected_reads);
-      if (st.ok()) PlaceReplicas(key, buffer, writer_machine);
-      return st;
-    }
-    case ShuffleKind::kRemote: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        Connect(TaskEndpoint(key, true), WorkerEndpoint(writer_machine), kind);
-        stats_.remote_writes += 1;
-        stats_.bytes_transferred += size;
-        stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
-        obs::Add(metrics_.bytes_written[2], size);
-      }
-      Status st =
-          PutWithFlowControl(writer_machine, key, buffer, expected_reads);
-      if (st.ok()) PlaceReplicas(key, buffer, writer_machine);
-      return st;
-    }
+    Connect(TaskEndpoint(key, true), WorkerEndpoint(writer_machine), kind);
+    int64_t& writes = kind == ShuffleKind::kLocal ? stats_.local_writes
+                                                  : stats_.remote_writes;
+    writes += 1;
   }
-  return Status::Internal("unknown shuffle kind");
+  // A Local pipeline edge's writer-side worker forwards immediately; we
+  // model this by parking the data on the writer's worker either way —
+  // the read path replicates the shared allocation onto the reader-side
+  // worker, so the bytes still only exist once.
+  Status st = PutWithFlowControl(writer_machine, key, buffer, expected_reads);
+  if (st.ok()) PlaceReplicas(key, buffer, writer_machine);
+  return st;
 }
 
 Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
                                                     const ShuffleSlotKey& key,
                                                     int reader_machine,
                                                     int writer_machine) {
-  const int max_attempts = std::max(1, config_.max_read_attempts);
   for (int attempt = 0;; ++attempt) {
-    if (injector_ != nullptr) {
-      switch (injector_->OnShuffleRead(key, attempt)) {
-        case ReadFault::kTimeout: {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.read_timeouts += 1;
-          obs::Add(metrics_.read_timeouts);
-          if (attempt + 1 >= max_attempts) {
-            return Status::Timeout(StrFormat(
-                "shuffle read %s timed out %d times, giving up",
-                key.ToString().c_str(), attempt + 1));
-          }
-          stats_.read_retries += 1;
-          obs::Add(metrics_.read_retries);
-          break;  // fall through to backoff + retry
-        }
-        case ReadFault::kCorrupt: {
-          Result<ShuffleBuffer> buffer =
-              ReadPartitionOnce(kind, key, reader_machine, writer_machine);
-          if (buffer.ok()) {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.corrupt_payloads += 1;
-            obs::Add(metrics_.corrupt_payloads);
-            return CorruptCopy(*buffer);
-          }
-          return buffer;
-        }
-        case ReadFault::kFrameCorrupt: {
-          Result<ShuffleBuffer> buffer =
-              ReadPartitionOnce(kind, key, reader_machine, writer_machine);
-          if (buffer.ok()) {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.corrupt_payloads += 1;
-            obs::Add(metrics_.corrupt_payloads);
-            return FrameCorruptCopy(*buffer);
-          }
-          return buffer;
-        }
-        case ReadFault::kNone: {
-          Result<ShuffleBuffer> buffer =
-              ReadPartitionOnce(kind, key, reader_machine, writer_machine);
-          // Transient-looking errors (spill IO) retry in place; NotFound
-          // is permanent loss and escalates to recovery immediately.
-          if (!buffer.ok() && buffer.status().code() == StatusCode::kIOError &&
-              attempt + 1 < max_attempts) {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.read_retries += 1;
-            obs::Add(metrics_.read_retries);
-            break;
-          }
-          return buffer;
-        }
+    const ReadFault fault = injector_ != nullptr
+                                ? injector_->OnShuffleRead(key, attempt)
+                                : ReadFault::kNone;
+    const bool last_attempt = attempt + 1 >= kMaxReadAttempts;
+    if (fault == ReadFault::kTimeout) {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.read_timeouts += 1;
+      obs::Add(metrics_.read_timeouts);
+      if (last_attempt) {
+        return Status::Timeout(StrFormat(
+            "shuffle read %s timed out %d times, giving up",
+            key.ToString().c_str(), attempt + 1));
       }
     } else {
       Result<ShuffleBuffer> buffer =
           ReadPartitionOnce(kind, key, reader_machine, writer_machine);
-      if (!buffer.ok() && buffer.status().code() == StatusCode::kIOError &&
-          attempt + 1 < max_attempts) {
+      if (fault != ReadFault::kNone) {  // kCorrupt or kFrameCorrupt
+        if (!buffer.ok()) return buffer;
         std::lock_guard<std::mutex> lock(mu_);
-        stats_.read_retries += 1;
-        obs::Add(metrics_.read_retries);
-      } else {
+        stats_.corrupt_payloads += 1;
+        obs::Add(metrics_.corrupt_payloads);
+        return CorruptCopy(*buffer, fault);
+      }
+      // Transient-looking errors (spill IO) retry in place; NotFound is
+      // permanent loss and escalates to recovery immediately.
+      if (buffer.ok() || buffer.status().code() != StatusCode::kIOError ||
+          last_attempt) {
         return buffer;
       }
     }
-    const double ms = std::min(
-        config_.read_backoff_max_ms,
-        config_.read_backoff_base_ms * static_cast<double>(1 << attempt));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.read_retries += 1;
+      obs::Add(metrics_.read_retries);
+    }
+    const double ms =
+        std::min(kReadBackoffMaxMs,
+                 kReadBackoffBaseMs * static_cast<double>(1 << attempt));
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<int64_t>(ms * 1000.0)));
   }
@@ -440,14 +363,17 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
           return Status::NotFound("direct shuffle slot " + key.ToString());
         }
         stats_.reads += 1;
-        DirectConsumedLocked(key);
+        DirectSlot& slot = it->second;
+        if (!slot.touched) {
+          slot.touched = true;
+          obs::Add(metrics_.bytes_consumed,
+                   static_cast<int64_t>(slot.buffer.size()));
+        }
         if (config_.retain_for_recovery) {
-          buffer = it->second;  // shared handle, not a payload copy
+          buffer = slot.buffer;  // shared handle, not a payload copy
         } else {
-          buffer = std::move(it->second);
+          buffer = std::move(slot.buffer);
           direct_.erase(it);
-          direct_writer_.erase(key);
-          direct_touched_.erase(key);
         }
       }
       return CountRead(kind, std::move(buffer));
@@ -512,15 +438,7 @@ void ShuffleService::RemoveJob(JobId job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = direct_.begin(); it != direct_.end();) {
-      if (it->first.job == job) {
-        DirectDropLocked(it->first);
-        it = direct_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = direct_writer_.begin(); it != direct_writer_.end();) {
-      it = it->first.job == job ? direct_writer_.erase(it) : std::next(it);
+      it = it->first.job == job ? EraseDirectLocked(it) : std::next(it);
     }
   }
   for (auto& w : workers_) w->RemoveJob(job);
@@ -530,16 +448,8 @@ void ShuffleService::RemoveStageOutput(JobId job, StageId stage) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = direct_.begin(); it != direct_.end();) {
-      if (it->first.job == job && it->first.src_stage == stage) {
-        DirectDropLocked(it->first);
-        it = direct_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = direct_writer_.begin(); it != direct_writer_.end();) {
-      it = (it->first.job == job && it->first.src_stage == stage)
-               ? direct_writer_.erase(it)
+      it = it->first.job == job && it->first.src_stage == stage
+               ? EraseDirectLocked(it)
                : std::next(it);
     }
   }
@@ -568,14 +478,8 @@ void ShuffleService::FailMachine(int machine) {
     obs::Add(metrics_.machine_failures);
     // Direct slots live in the producing task's process, so they die
     // with the machine too.
-    for (auto it = direct_writer_.begin(); it != direct_writer_.end();) {
-      if (it->second == machine) {
-        DirectDropLocked(it->first);
-        direct_.erase(it->first);
-        it = direct_writer_.erase(it);
-      } else {
-        ++it;
-      }
+    for (auto it = direct_.begin(); it != direct_.end();) {
+      it = it->second.writer == machine ? EraseDirectLocked(it) : std::next(it);
     }
   }
   workers_[static_cast<std::size_t>(machine)]->Clear();
@@ -599,29 +503,7 @@ ShuffleServiceStats ShuffleService::stats() {
 
 CacheWorkerStats ShuffleService::worker_stats() {
   CacheWorkerStats total;
-  for (auto& w : workers_) {
-    const CacheWorkerStats s = w->stats();
-    total.puts += s.puts;
-    total.gets += s.gets;
-    total.bytes_written += s.bytes_written;
-    total.bytes_read += s.bytes_read;
-    total.spilled_slots += s.spilled_slots;
-    total.spilled_bytes += s.spilled_bytes;
-    total.reloads += s.reloads;
-    total.deletions += s.deletions;
-    total.memory_in_use += s.memory_in_use;
-    total.peak_memory_in_use += s.peak_memory_in_use;
-    total.spill_disk_in_use += s.spill_disk_in_use;
-    total.bytes_consumed += s.bytes_consumed;
-    total.bytes_evicted_unconsumed += s.bytes_evicted_unconsumed;
-    total.backpressure_rejections += s.backpressure_rejections;
-    total.bytes_rejected += s.bytes_rejected;
-    total.forced_admits += s.forced_admits;
-    total.quota_evictions += s.quota_evictions;
-    total.spill_io_errors += s.spill_io_errors;
-    total.spill_io_retries += s.spill_io_retries;
-    total.spill_lost_slots += s.spill_lost_slots;
-  }
+  for (auto& w : workers_) total += w->stats();
   return total;
 }
 

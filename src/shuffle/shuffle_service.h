@@ -72,6 +72,15 @@ struct ShuffleWorkerLoad {
   int64_t spill_disk_bytes = 0;
 };
 
+/// Bounded exponential-backoff retry of transient shuffle read errors
+/// (timeouts, spill IO races): at most kMaxReadAttempts attempts, the
+/// wait between them doubling from kReadBackoffBaseMs up to
+/// kReadBackoffMaxMs. Permanent loss — NotFound with no surviving
+/// replica — is never retried; it escalates to recovery.
+inline constexpr int kMaxReadAttempts = 4;
+inline constexpr double kReadBackoffBaseMs = 0.2;
+inline constexpr double kReadBackoffMaxMs = 5.0;
+
 /// \brief The cluster-wide shuffle fabric of the local runtime: one
 /// Cache Worker per machine plus a direct task-to-task path, with the
 /// three schemes of Fig. 5 and connection accounting matching the
@@ -87,18 +96,10 @@ class ShuffleService {
     int machines = 4;
     int64_t cache_memory_per_worker = 64LL << 20;
     std::string spill_root;  ///< "" disables spill
-    ShuffleThresholds thresholds;
-    /// Cache Worker admission control (see CacheWorkerOptions): LRU
-    /// spill starts at soft, un-forced puts are refused with
-    /// kBackpressure past hard, and eviction prefers jobs holding more
-    /// than per_job_quota of the budget.
-    double cache_soft_watermark = 0.75;
-    double cache_hard_watermark = 1.0;
-    double cache_per_job_quota = 0.5;
-    /// Cap on live spill-file bytes per worker; 0 = unbounded.
+    /// Cap on live spill-file bytes per worker; 0 = unbounded. The
+    /// Cache Workers' watermarks, per-job quota and spill IO retries
+    /// are constants (shuffle/cache_worker.h).
     int64_t spill_disk_budget_bytes = 0;
-    /// Transient spill IO errors retried in place per operation.
-    int spill_io_retries = 3;
     /// Writer-side flow control: a backpressured put blocks up to
     /// put_wait_ms waiting for readers to drain, retried up to
     /// put_retry_budget times; after that the put is forced through
@@ -109,29 +110,22 @@ class ShuffleService {
     int put_retry_budget = 64;
     double put_wait_ms = 2.0;
     /// Force one scheme for all edges (Fig. 12 experiments); nullopt =
-    /// adaptive selection by edge size.
+    /// adaptive selection by edge size (SelectShuffleKind).
     std::optional<ShuffleKind> force_kind;
     /// Pin shuffle data until RemoveJob instead of freeing on first read
     /// (enables fine-grained failure recovery re-reads).
     bool retain_for_recovery = true;
     /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges —
     /// Remote, and Local when not pipelined — whose payload is at least
-    /// compress_min_bytes go out as a CompressFrame (common/compress.h)
+    /// kCompressMinBytes go out as a CompressFrame (common/compress.h)
     /// when the frame actually shrinks the payload; Direct edges,
     /// pipeline pushes, and small payloads ship raw. Readers need no
     /// negotiation: serde dispatches on the frame magic. All byte
     /// accounting (bytes_transferred, per-mode counters, Cache Worker
     /// budgets, conservation laws) sees the framed size — compressed
-    /// bytes ARE the wire/resident bytes.
+    /// bytes ARE the wire/resident bytes. The same flag turns on the
+    /// Cache Workers' spill compression (CacheWorkerOptions).
     bool compression = true;
-    int64_t compress_min_bytes = 4096;
-    /// Cache Workers spill compressed (same codec/frame) when the slot
-    /// payload is at least spill_compress_min_bytes and is not already
-    /// a frame; the disk budget and spill gauges charge the stored
-    /// (compressed) bytes. Reload verifies the footer CRC over the
-    /// stored bytes, then decodes back to the original payload.
-    bool spill_compression = true;
-    int64_t spill_compress_min_bytes = 4096;
     /// Extra write-side replicas for worker-held (Local/Remote)
     /// partitions: each write lands on the writer's worker plus up to
     /// replica_fanout - 1 other live workers, so FailMachine costs no
@@ -141,12 +135,6 @@ class ShuffleService {
     /// Replica targets are the least-loaded live workers (resident +
     /// spill-disk bytes, see per_worker_load()).
     int replica_fanout = 1;
-    /// Bounded exponential-backoff retry of transient read errors
-    /// (timeouts, spill IO races). Permanent loss — NotFound with no
-    /// surviving replica — is never retried; it escalates to recovery.
-    int max_read_attempts = 4;
-    double read_backoff_base_ms = 0.2;
-    double read_backoff_max_ms = 5.0;
     /// Optional metrics sink (not owned): per-mode byte/connection
     /// counters plus the byte-conservation accounting shared with the
     /// Cache Workers (see DESIGN.md Sec. 11).
@@ -262,17 +250,24 @@ class ShuffleService {
   bool IsMachineDeadLocked(int machine) const {
     return dead_.count(machine) > 0;
   }
-  /// Direct-slot byte-conservation bookkeeping; all require mu_.
-  void DirectConsumedLocked(const ShuffleSlotKey& key);
-  void DirectDropLocked(const ShuffleSlotKey& key);
+
+  /// One Direct-path partition. It lives in the producing task's
+  /// process, so it dies with the writer's machine.
+  struct DirectSlot {
+    ShuffleBuffer buffer;
+    int writer = 0;        ///< machine that wrote it
+    bool touched = false;  ///< read at least once (bytes consumed)
+  };
+  using DirectMap = std::map<ShuffleSlotKey, DirectSlot>;
+  /// Erases one direct slot and returns the next; a slot never read
+  /// counts as evicted unconsumed. Requires mu_.
+  DirectMap::iterator EraseDirectLocked(DirectMap::iterator it);
 
   Config config_;
   std::vector<std::unique_ptr<CacheWorker>> workers_;
   FaultInjector* injector_ = nullptr;
   std::mutex mu_;
-  std::map<ShuffleSlotKey, ShuffleBuffer> direct_;
-  std::map<ShuffleSlotKey, int> direct_writer_;  // machine that wrote it
-  std::set<ShuffleSlotKey> direct_touched_;      // direct slots read >= once
+  DirectMap direct_;
   std::set<int> dead_;
   std::set<std::pair<int64_t, int64_t>> connections_;
   ShuffleServiceStats stats_;

@@ -156,7 +156,7 @@ ShuffleKind ClusterSim::EdgeShuffleKind(const JobDag& dag, StageId src,
   if (config_.medium == ShuffleMedium::kMemoryForcedKind) {
     return config_.forced_kind;
   }
-  return SelectShuffleKind(dag.ShuffleEdgeSize(src, dst), config_.thresholds);
+  return SelectShuffleKind(dag.ShuffleEdgeSize(src, dst));
 }
 
 double ClusterSim::EdgeBytes(const JobDag& dag, StageId src,

@@ -73,7 +73,6 @@ struct SimConfig {
   /// enabled, qualifying Local/Remote edges move WireBytes over the
   /// fabric and add codec CPU to both shuffle phases.
   CompressionModel compress;
-  ShuffleThresholds thresholds;
   double sample_interval = 1.0;
   uint64_t seed = 42;
   /// Optional metrics sink (not owned): per-job latency / idle-ratio

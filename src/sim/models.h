@@ -96,8 +96,8 @@ struct CompressionModel {
   /// measure well under 0.5 with the in-tree SWZ1 codec (EXPERIMENTS.md
   /// compression table); 0.5 is a conservative cross-workload default.
   double ratio = 0.5;
-  /// Mirror of ShuffleService::Config::compress_min_bytes: edges whose
-  /// mean per-partition payload is below this ship raw.
+  /// Mirror of kCompressMinBytes (common/compress.h): edges whose mean
+  /// per-partition payload is below this ship raw.
   double min_edge_bytes = 4096.0;
   /// Codec throughput per machine (bytes/s of uncompressed payload),
   /// calibrated by bench_compress.

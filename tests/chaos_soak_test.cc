@@ -318,6 +318,11 @@ TEST(ChaosSoak, RegistryMatchesInjectorAndRunStats) {
     EXPECT_EQ(reg.CounterValue("shuffle.quota.evictions"), ws.quota_evictions);
     EXPECT_EQ(reg.CounterValue("shuffle.spill.io_errors"), ws.spill_io_errors);
     EXPECT_EQ(reg.CounterValue("shuffle.spill.retries"), ws.spill_io_retries);
+    EXPECT_EQ(reg.CounterValue("cache.spill.stored_bytes"),
+              ws.spill_stored_bytes);
+    if (sched.spill) {
+      EXPECT_GT(ws.spill_stored_bytes, 0) << "a spill schedule spilled nothing";
+    }
     EXPECT_EQ(reg.CounterValue("shuffle.spill.lost_slots"),
               ws.spill_lost_slots);
     ASSERT_NE(rt->fault_injector(), nullptr);

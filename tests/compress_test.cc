@@ -148,7 +148,7 @@ TEST_P(CompressPropertyTest, LengthFieldLiesAreRejectedCheaply) {
 TEST_P(CompressPropertyTest, CodecTagFlipsAlwaysIOError) {
   const std::string src = RandomPayload(GetParam() ^ 0xC0DE, 16 * 1024);
   std::string frame = CompressFrame(src);
-  for (int tag = 2; tag < 256; tag += 17) {
+  for (int tag = 0; tag < 256; tag += 17) {  // every tag but SWZ1's 1
     std::string corrupt = frame;
     corrupt[4] = static_cast<char>(tag);
     auto result = DecompressFrame(corrupt);

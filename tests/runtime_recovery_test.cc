@@ -368,6 +368,39 @@ TEST(RuntimeRecoveryMatrix, ChaosScheduleCompletesAtDefaultConfig) {
   }
 }
 
+// The runtime's write-side replica fan-out under one seeded machine
+// loss: Q9 over Remote shuffle (so every partition lives on a Cache
+// Worker) loses machine 0 at the 20th task start, as tpch-chaos does.
+// At fan-out 2 a live worker holds a copy of each partition the dead
+// one held, so consumers fail over to it instead of re-running its
+// producers; the answer is the clean one at both fan-outs.
+TEST(RuntimeRecoveryMatrix, ReplicaFanoutServesMachineLossFromReplicas) {
+  auto sql = TpchQuerySql(9);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  const std::vector<std::string> want = CleanResult(sql->c_str());
+  std::map<int, JobRunStats> stats;
+  for (const int fanout : {1, 2}) {
+    SCOPED_TRACE("fan-out " + std::to_string(fanout));
+    LocalRuntimeConfig cfg;
+    cfg.force_shuffle_kind = ShuffleKind::kRemote;
+    cfg.shuffle_replica_fanout = fanout;
+    FaultSchedule fs;
+    fs.kill_machine = 0;
+    fs.kill_after_task_starts = 20;
+    cfg.fault_schedule = fs;
+    auto rt = MakeRuntime(cfg);
+    auto report = rt->RunSql(*sql);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(Canonical(report->result), want);
+    EXPECT_EQ(rt->fault_injector()->stats().machine_kills, 1);
+    stats[fanout] = report->stats;
+  }
+  EXPECT_EQ(stats[1].shuffle.replica_writes, 0);
+  EXPECT_GE(stats[2].shuffle.replica_writes, 1);
+  EXPECT_GE(stats[2].shuffle.failover_reads, 1);
+  EXPECT_LE(stats[2].tasks_rerun, stats[1].tasks_rerun);
+}
+
 // ---- Graphlet scheduling -------------------------------------------
 
 // A sort-mode group-by with ORDER BY plans three graphlets in a chain.

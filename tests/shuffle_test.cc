@@ -47,8 +47,17 @@ ShuffleSlotKey Key(int src_task, int dst_task, JobId job = 1,
   return ShuffleSlotKey{job, src, src_task, dst, dst_task};
 }
 
+// A Cache Worker's options with the given budget and spill directory
+// ("" disables spilling).
+CacheWorkerOptions Budget(int64_t bytes, std::string spill_dir = "") {
+  CacheWorkerOptions o;
+  o.memory_budget_bytes = bytes;
+  o.spill_dir = std::move(spill_dir);
+  return o;
+}
+
 TEST(CacheWorkerTest, PutGetRoundTrip) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(Key(0, 0), "hello", 1).ok());
   EXPECT_TRUE(cw.Contains(Key(0, 0)));
   auto r = cw.Get(Key(0, 0));
@@ -60,7 +69,7 @@ TEST(CacheWorkerTest, PutGetRoundTrip) {
 }
 
 TEST(CacheWorkerTest, PinnedSlotsSurviveReads) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(Key(0, 0), "data", /*expected_reads=*/0).ok());
   for (int i = 0; i < 3; ++i) {
     auto r = cw.Get(Key(0, 0));
@@ -72,14 +81,14 @@ TEST(CacheWorkerTest, PinnedSlotsSurviveReads) {
 }
 
 TEST(CacheWorkerTest, PeekDoesNotConsume) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(Key(0, 0), "data", 1).ok());
   ASSERT_TRUE(cw.Peek(Key(0, 0)).ok());
   EXPECT_TRUE(cw.Contains(Key(0, 0)));
 }
 
 TEST(CacheWorkerTest, MultiReaderConsumption) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(Key(0, 0), "data", 3).ok());
   ASSERT_TRUE(cw.Get(Key(0, 0)).ok());
   ASSERT_TRUE(cw.Get(Key(0, 0)).ok());
@@ -90,7 +99,7 @@ TEST(CacheWorkerTest, MultiReaderConsumption) {
 }
 
 TEST(CacheWorkerTest, OverwriteReplacesSlot) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(Key(0, 0), "old", 0).ok());
   ASSERT_TRUE(cw.Put(Key(0, 0), "new", 0).ok());
   auto r = cw.Peek(Key(0, 0));
@@ -103,7 +112,7 @@ TEST(CacheWorkerTest, OverBudgetWithoutSpillBackpressuresNotFails) {
   // with spilling disabled used to fail hard with ResourceExhausted.
   // It now returns the retryable kBackpressure signal, nothing is
   // stored, and a forced put (the deadlock guard) still goes through.
-  CacheWorker cw(10, "");
+  CacheWorker cw(Budget(10));
   Status st = cw.Put(Key(0, 0), "0123456789ABCDEF", 1);
   EXPECT_TRUE(st.IsBackpressure()) << st.ToString();
   EXPECT_NE(st.code(), StatusCode::kResourceExhausted);
@@ -118,7 +127,7 @@ TEST(CacheWorkerTest, OverBudgetWithoutSpillBackpressuresNotFails) {
 }
 
 TEST(CacheWorkerTest, WaitForCapacityUnblocksOnDrain) {
-  CacheWorker cw(32, "");
+  CacheWorker cw(Budget(32));
   ASSERT_TRUE(cw.Put(Key(0, 0), std::string(30, 'x'), 1).ok());
   EXPECT_TRUE(cw.Put(Key(1, 0), std::string(30, 'y'), 1).IsBackpressure());
   EXPECT_FALSE(cw.WaitForCapacity(30, 1.0));       // nothing drains: times out
@@ -132,20 +141,20 @@ TEST(CacheWorkerTest, WaitForCapacityUnblocksOnDrain) {
 TEST(CacheWorkerTest, QuotaEvictionPrefersOverQuotaJobs) {
   const std::string dir = ::testing::TempDir() + "/swift_quota_test";
   std::filesystem::remove_all(dir);
-  CacheWorkerOptions o;
-  o.memory_budget_bytes = 100;
-  o.spill_dir = dir;
-  o.soft_watermark = 1.0;  // spill only on demand, to make the test exact
-  o.per_job_quota = 0.5;   // 50 bytes per job
-  CacheWorker cw(std::move(o));
-  // Job 2's slot is the global LRU; job 1 then goes over quota.
-  ASSERT_TRUE(cw.Put(Key(0, 0, /*job=*/2), std::string(20, 'b'), 0).ok());
+  // Budget 100: spill runs ahead from 75 resident bytes
+  // (kCacheSoftWatermark) and a job over 50 (kCachePerJobQuota) is over
+  // quota.
+  CacheWorker cw(Budget(100, dir));
+  // Job 2's slot is the global LRU; job 1 then goes over quota while
+  // everything still fits under the soft watermark (65 resident).
+  ASSERT_TRUE(cw.Put(Key(0, 0, /*job=*/2), std::string(10, 'b'), 0).ok());
   ASSERT_TRUE(cw.Put(Key(0, 0, /*job=*/1), std::string(30, 'a'), 0).ok());
-  ASSERT_TRUE(cw.Put(Key(1, 0, /*job=*/1), std::string(30, 'a'), 0).ok());
-  // 80 resident; +30 exceeds the budget. Plain LRU would spill job 2's
-  // slot, but job 1 is over its 50-byte quota and job 2 is not: the
-  // victim must come from job 1 (LRU within the job).
-  ASSERT_TRUE(cw.Put(Key(2, 0, /*job=*/1), std::string(30, 'a'), 0).ok());
+  ASSERT_TRUE(cw.Put(Key(1, 0, /*job=*/1), std::string(25, 'a'), 0).ok());
+  EXPECT_EQ(cw.stats().spilled_slots, 0);
+  // 65 resident; +20 crosses the soft watermark. Plain LRU would spill
+  // job 2's slot, but job 1 is over its 50-byte quota and job 2 is not:
+  // the victim must come from job 1 (LRU within the job).
+  ASSERT_TRUE(cw.Put(Key(2, 0, /*job=*/1), std::string(20, 'a'), 0).ok());
   auto stats = cw.stats();
   EXPECT_GE(stats.quota_evictions, 1);
   EXPECT_GE(stats.spilled_slots, 1);
@@ -154,7 +163,7 @@ TEST(CacheWorkerTest, QuotaEvictionPrefersOverQuotaJobs) {
   EXPECT_EQ(cw.stats().reloads, 0);
   // RemoveJob reclaims the heavy job's quota charge atomically.
   cw.RemoveJob(1);
-  EXPECT_LE(cw.stats().memory_in_use, 20);
+  EXPECT_LE(cw.stats().memory_in_use, 10);
 }
 
 TEST(CacheWorkerTest, SpillDiskBudgetExhaustionDegradesToBackpressure) {
@@ -180,7 +189,7 @@ TEST(CacheWorkerTest, SpillDiskBudgetExhaustionDegradesToBackpressure) {
 TEST(CacheWorkerTest, LruSpillAndReload) {
   const std::string dir = ::testing::TempDir() + "/swift_spill_test";
   std::filesystem::remove_all(dir);
-  CacheWorker cw(64, dir);  // tiny budget forces spills
+  CacheWorker cw(Budget(64, dir));  // tiny budget forces spills
   const std::string a(40, 'a');
   const std::string b(40, 'b');
   const std::string c(40, 'c');
@@ -212,8 +221,8 @@ TEST(CacheWorkerTest, SharedSpillDirKeepsWorkersApart) {
   const std::string dir = ::testing::TempDir() + "/swift_shared_spill_test";
   std::filesystem::remove_all(dir);
   {
-    CacheWorker w1(64, dir);
-    CacheWorker w2(64, dir);
+    CacheWorker w1(Budget(64, dir));
+    CacheWorker w2(Budget(64, dir));
     const std::string a1(40, 'a'), b1(40, 'b');
     const std::string a2(40, 'x'), b2(40, 'y');
     ASSERT_TRUE(w1.Put(Key(0, 0), a1, 0).ok());
@@ -236,7 +245,7 @@ TEST(CacheWorkerTest, SharedSpillDirKeepsWorkersApart) {
 }
 
 TEST(CacheWorkerTest, RemoveStageOutputIsSelective) {
-  CacheWorker cw(1 << 20, "");
+  CacheWorker cw(Budget(1 << 20));
   ASSERT_TRUE(cw.Put(ShuffleSlotKey{1, 0, 0, 1, 0}, "a", 0).ok());
   ASSERT_TRUE(cw.Put(ShuffleSlotKey{1, 2, 0, 3, 0}, "b", 0).ok());
   cw.RemoveStageOutput(1, 0);
@@ -365,7 +374,7 @@ TEST(CacheWorkerTest, ConcurrentPutGetPeekUnderTightBudget) {
         static_cast<char>('a' + (t * 7 + s) % 26));
   };
   {
-    CacheWorker cw(4096, dir);  // ~130 KB of slots vs a 4 KB budget
+    CacheWorker cw(Budget(4096, dir));  // ~130 KB of slots vs a 4 KB budget
     std::atomic<int> corrupt{0};
     std::atomic<int> errors{0};
     std::vector<std::thread> threads;
