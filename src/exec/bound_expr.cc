@@ -16,7 +16,6 @@ namespace swift {
 
 namespace {
 
-using expr_eval::Arith;
 using expr_eval::FuncId;
 using expr_eval::Truth;
 
@@ -57,9 +56,8 @@ bool CompareHolds(BinaryOp op, int c) {
   }
 }
 
-// The generic path of a node whose typed loops do not apply: Bind's
-// types leave that only when an operand is an all-NULL (kNull) column,
-// so every result cell is NULL.
+// n NULLs of type `t`: a NULL literal, or a node whose operand is an
+// all-NULL (kNull) column, so every result cell is NULL.
 void AppendAllNull(DataType t, std::size_t n, ColumnVector* out) {
   *out = ColumnVector::OfType(t);
   out->Reserve(n);
@@ -116,7 +114,7 @@ class BoundColumn final : public BoundExpr {
       *out = src;  // dense batch: contiguous storage copy, no boxing
       return Status::OK();
     }
-    *out = ColumnVector::OfRep(src.rep());
+    *out = ColumnVector::OfType(static_type_);
     out->AppendSelected(src, in.selection->data(), in.selection->size());
     return Status::OK();
   }
@@ -129,7 +127,7 @@ class BoundColumn final : public BoundExpr {
 };
 
 // A literal, or a folded constant subtree: `t` is the subtree's type,
-// which a folded NULL keeps.
+// which a folded NULL keeps, so its column has that rep too.
 class BoundLiteral final : public BoundExpr {
  public:
   explicit BoundLiteral(Value v) : BoundLiteral(v.type(), std::move(v)) {}
@@ -141,7 +139,7 @@ class BoundLiteral final : public BoundExpr {
     const std::size_t n = in.num_rows();
     switch (v_.type()) {
       case DataType::kNull:
-        *out = ColumnVector::MakeNull(n);
+        AppendAllNull(static_type_, n, out);
         break;
       case DataType::kInt64:
         *out = ColumnVector();
@@ -179,7 +177,7 @@ class BoundError final : public BoundExpr {
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     if (in.num_rows() == 0) {
-      *out = ColumnVector();
+      *out = ColumnVector::OfType(static_type_);
       return Status::OK();
     }
     return st_;
@@ -300,10 +298,34 @@ class BoundBinary final : public BoundExpr {
   BoundExprPtr rhs_;
 };
 
-// Fast path for arithmetic when both subtrees are statically numeric:
-// the matched-type cases compute inline; anything else (mixed int/float,
-// int64 division, an all-NULL side) goes cell by cell through the shared
-// kernel (exec/expr_eval.h) for identical results and error text.
+// An int64 subtree read as float64. Bind wraps the int64 side wherever
+// it meets a float64 one (arithmetic, comparison, coalesce) and both
+// sides of an int64 division, so every kernel sees operands of one rep.
+class BoundPromote final : public BoundExpr {
+ public:
+  explicit BoundPromote(BoundExprPtr operand)
+      : BoundExpr(DataType::kFloat64), operand_(std::move(operand)) {}
+
+  Status EvaluateVector(const ColumnBatch& in,
+                        ColumnVector* out) const override {
+    ColumnVector v;
+    SWIFT_RETURN_NOT_OK(operand_->EvaluateVector(in, &v));
+    const std::size_t n = v.size();
+    *out = ColumnVector();
+    out->ResizeFixedWidth(ColumnRep::kFloat64, n);
+    double* d = out->MutableFloat64Data();
+    const int64_t* src = v.Int64Data();
+    for (std::size_t i = 0; i < n; ++i) d[i] = static_cast<double>(src[i]);
+    if (v.has_nulls()) out->SetValidity(v.ValidityBits(), v.null_count());
+    return Status::OK();
+  }
+
+ private:
+  BoundExprPtr operand_;
+};
+
+// Arithmetic over two statically numeric subtrees of one type (Bind
+// promotes a mixed pair): one int64 loop, one float64 loop.
 class BoundNumericArith final : public BoundExpr {
  public:
   BoundNumericArith(BinaryOp op, DataType t, BoundExprPtr lhs,
@@ -317,10 +339,7 @@ class BoundNumericArith final : public BoundExpr {
     SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
     SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
     const std::size_t n = in.num_rows();
-    // Matched-type typed loops; everything else goes cell-by-cell
-    // through the shared scalar kernel (identical results and errors).
-    if (lv.rep() == ColumnRep::kInt64 && rv.rep() == ColumnRep::kInt64 &&
-        op_ != BinaryOp::kDiv) {
+    if (static_type_ == DataType::kInt64) {  // never `/`: that is float64
       *out = ColumnVector::OfType(DataType::kInt64);
       out->Reserve(n);
       const int64_t* a = lv.Int64Data();
@@ -347,48 +366,33 @@ class BoundNumericArith final : public BoundExpr {
       }
       return Status::OK();
     }
-    if (lv.rep() == ColumnRep::kFloat64 && rv.rep() == ColumnRep::kFloat64) {
-      *out = ColumnVector::OfType(DataType::kFloat64);
-      out->Reserve(n);
-      const double* a = lv.Float64Data();
-      const double* b = rv.Float64Data();
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
-          out->AppendNull();
-          continue;
-        }
-        double r = 0;
-        switch (op_) {
-          case BinaryOp::kAdd:
-            r = a[i] + b[i];
-            break;
-          case BinaryOp::kSub:
-            r = a[i] - b[i];
-            break;
-          case BinaryOp::kMul:
-            r = a[i] * b[i];
-            break;
-          default:
-            if (b[i] == 0.0) return Status::Application("division by zero");
-            r = a[i] / b[i];
-            break;
-        }
-        out->AppendFloat64(r);
-      }
-      return Status::OK();
-    }
-    *out = ColumnVector::OfType(static_type_);
+    *out = ColumnVector::OfType(DataType::kFloat64);
     out->Reserve(n);
+    const double* a = lv.Float64Data();
+    const double* b = rv.Float64Data();
+    const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
     for (std::size_t i = 0; i < n; ++i) {
-      const Value a = lv.GetValue(i);
-      const Value b = rv.GetValue(i);
-      if (a.is_null() || b.is_null()) {
+      if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
         out->AppendNull();
         continue;
       }
-      SWIFT_ASSIGN_OR_RETURN(Value v, Arith(op_, a, b));
-      out->Append(v);
+      double r = 0;
+      switch (op_) {
+        case BinaryOp::kAdd:
+          r = a[i] + b[i];
+          break;
+        case BinaryOp::kSub:
+          r = a[i] - b[i];
+          break;
+        case BinaryOp::kMul:
+          r = a[i] * b[i];
+          break;
+        default:
+          if (b[i] == 0.0) return Status::Application("division by zero");
+          r = a[i] / b[i];
+          break;
+      }
+      out->AppendFloat64(r);
     }
     return Status::OK();
   }
@@ -399,7 +403,15 @@ class BoundNumericArith final : public BoundExpr {
   BoundExprPtr rhs_;
 };
 
-// Fast path for comparisons when both subtrees are statically numeric.
+// Three-way comparison of two numbers of one type (NaN compares equal,
+// as in Value::Compare).
+template <typename T>
+int Compare3(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// Comparison of two statically numeric subtrees of one type (Bind
+// promotes a mixed pair).
 class BoundNumericCompare final : public BoundExpr {
  public:
   BoundNumericCompare(BinaryOp op, BoundExprPtr lhs, BoundExprPtr rhs)
@@ -415,40 +427,19 @@ class BoundNumericCompare final : public BoundExpr {
     SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
     SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
     const std::size_t n = in.num_rows();
-    const bool l_num = lv.rep() == ColumnRep::kInt64 ||
-                       lv.rep() == ColumnRep::kFloat64;
-    const bool r_num = rv.rep() == ColumnRep::kInt64 ||
-                       rv.rep() == ColumnRep::kFloat64;
-    if (l_num && r_num) {
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
-      const bool both_int = lv.rep() == ColumnRep::kInt64 &&
-                            rv.rep() == ColumnRep::kInt64;
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
-          out->AppendNull();
-          continue;
-        }
-        int c;
-        if (both_int) {
-          const int64_t a = lv.Int64At(i);
-          const int64_t b = rv.Int64At(i);
-          c = a < b ? -1 : (a > b ? 1 : 0);
-        } else {
-          const double a = lv.rep() == ColumnRep::kInt64
-                               ? static_cast<double>(lv.Int64At(i))
-                               : lv.Float64At(i);
-          const double b = rv.rep() == ColumnRep::kInt64
-                               ? static_cast<double>(rv.Int64At(i))
-                               : rv.Float64At(i);
-          c = a < b ? -1 : (a > b ? 1 : 0);
-        }
-        out->AppendInt64(CompareHolds(op_, c) ? 1 : 0);
+    *out = ColumnVector::OfType(DataType::kInt64);
+    out->Reserve(n);
+    const bool ints = lv.rep() == ColumnRep::kInt64;
+    const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
+        out->AppendNull();
+        continue;
       }
-      return Status::OK();
+      const int c = ints ? Compare3(lv.Int64At(i), rv.Int64At(i))
+                         : Compare3(lv.Float64At(i), rv.Float64At(i));
+      out->AppendInt64(CompareHolds(op_, c) ? 1 : 0);
     }
-    AppendAllNull(DataType::kInt64, n, out);
     return Status::OK();
   }
 
@@ -521,8 +512,9 @@ double NumberAt(const ColumnVector& c, std::size_t i) {
 }
 
 // Column kernels of the scalar functions, one per FuncId, over argument
-// columns of the bound types; each equals expr_eval::ApplyFunction
-// applied row by row. NULL propagates except through is_null/coalesce.
+// columns of the bound types; each equals the row oracle's function
+// (tests/reference_ops.h) applied row by row. NULL propagates except
+// through is_null/coalesce.
 class BoundFunction final : public BoundExpr {
  public:
   BoundFunction(FuncId id, DataType t, std::vector<BoundExprPtr> args)
@@ -563,8 +555,8 @@ class BoundFunction final : public BoundExpr {
   }
 
  private:
-  // The first non-NULL argument cell of each row (an int64 cell widens
-  // when the result is float64).
+  // The first non-NULL argument cell of each row (Bind promoted int64
+  // arguments of a float64 coalesce).
   void Coalesce(const std::vector<ColumnVector>& cols, std::size_t n,
                 ColumnVector* out) const {
     out->Reserve(n);
@@ -578,8 +570,6 @@ class BoundFunction final : public BoundExpr {
       }
       if (src == nullptr) {
         out->AppendNull();
-      } else if (static_type_ == DataType::kFloat64) {
-        out->AppendFloat64(NumberAt(*src, i));
       } else {
         out->AppendFrom(*src, i);
       }
@@ -669,6 +659,14 @@ BoundExprPtr FoldIfConst(BoundExprPtr node, bool children_const) {
   const Status st = node->EvaluateVector(one_row, &v);
   if (!st.ok()) return std::make_shared<BoundError>(node->static_type(), st);
   return std::make_shared<BoundLiteral>(node->static_type(), v.GetValue(0));
+}
+
+// `e` read as float64: an int64 node is wrapped in a promotion (folded
+// to a float64 literal when constant); any other node is `e` itself.
+BoundExprPtr PromoteToFloat64(BoundExprPtr e) {
+  if (e->static_type() != DataType::kInt64) return e;
+  const bool is_const = IsConstNode(e);
+  return FoldIfConst(std::make_shared<BoundPromote>(std::move(e)), is_const);
 }
 
 }  // namespace
@@ -803,6 +801,12 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
       const bool both_const = IsConstNode(lhs) && IsConstNode(rhs);
       const bool numeric_children = IsNumericType(lhs->static_type()) &&
                                     IsNumericType(rhs->static_type());
+      if (numeric_children && (IsArithOp(parts.op) || IsCompareOp(parts.op)) &&
+          (parts.op == BinaryOp::kDiv ||
+           lhs->static_type() != rhs->static_type())) {
+        lhs = PromoteToFloat64(std::move(lhs));
+        rhs = PromoteToFloat64(std::move(rhs));
+      }
       BoundExprPtr node;
       if (IsArithOp(parts.op) && numeric_children) {
         node = std::make_shared<BoundNumericArith>(parts.op, t,
@@ -843,6 +847,9 @@ Result<BoundExprPtr> BindImpl(const ExprPtr& expr, const Schema& schema) {
       }
       const FuncId id = expr_eval::ResolveFunction(parts.name);
       SWIFT_ASSIGN_OR_RETURN(const DataType t, FunctionType(expr, id, args));
+      if (id == FuncId::kCoalesce && t == DataType::kFloat64) {
+        for (BoundExprPtr& a : args) a = PromoteToFloat64(std::move(a));
+      }
       return FoldIfConst(
           std::make_shared<BoundFunction>(id, t, std::move(args)), all_const);
     }

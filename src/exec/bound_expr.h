@@ -33,9 +33,14 @@ struct ColumnBatch;
 ///  - `= <> < <= > >=` compare numbers with numbers or strings with
 ///    strings, LIKE takes strings; AND/OR/NOT take anything (truthiness);
 ///    all give int64;
-///  - coalesce() takes all-numeric arguments (promoted to float64 if any
-///    is) or all-string ones; is_null() gives int64; substr(string,
+///  - coalesce() takes all-numeric arguments (float64 if any is, else
+///    int64) or all-string ones; is_null() gives int64; substr(string,
 ///    number, number), lower() and upper() give string.
+/// Where an int64 operand meets a float64 one (arithmetic, comparison,
+/// coalesce arguments) and under `/`, Bind wraps each int64 side in a
+/// float64 promotion node (a constant one folds to a float64 literal),
+/// so every kernel reads operands of one rep and every node's column has
+/// its static type: reps are decided here, never per batch.
 /// An unknown function, a wrong arity or any other operand type is
 /// InvalidArgument naming the offending expression. The one exception
 /// is the dead rhs of a constant-dominated AND/OR (`0 AND x`), which row
@@ -49,10 +54,9 @@ struct ColumnBatch;
 ///  - eval time: division by zero (Status::Application), including inside
 ///    constant subtrees (a folded `1/0` still errors at evaluation, not
 ///    at Bind()).
-/// Scalar semantics (NULL propagation, numeric promotion, error text)
-/// live in exec/expr_eval.h; the parity property test in
-/// tests/bound_expr_test.cc checks every node against the row-at-a-time
-/// reference interpreter in tests/reference_ops.h.
+/// The parity property test in tests/bound_expr_test.cc checks every
+/// node against the row-at-a-time reference interpreter in
+/// tests/reference_ops.h: values, NULL propagation and error text.
 class BoundExpr {
  public:
   virtual ~BoundExpr() = default;
@@ -70,8 +74,8 @@ class BoundExpr {
   virtual Status EvaluateVector(const ColumnBatch& in,
                                 ColumnVector* out) const = 0;
 
-  /// \brief The checked result type. EvaluateVector's column has this
-  /// rep, or kNull when every cell is NULL; kNull here means the
+  /// \brief The checked result type. EvaluateVector's column always has
+  /// this rep (a NULL cell is a NULL slot of it); kNull here means the
   /// expression is always NULL.
   DataType static_type() const { return static_type_; }
 

@@ -105,24 +105,12 @@ void ColumnVector::MarkNull(std::size_t i) {
   ++null_count_;
 }
 
-void ColumnVector::RetypeFromNull(ColumnRep r) {
-  // Every existing cell is NULL; install typed storage holding zeros
-  // with an all-zero validity prefix.
-  rep_ = r;
-  switch (r) {
-    case ColumnRep::kInt64:
-      i64_.assign(size_, 0);
-      break;
-    case ColumnRep::kFloat64:
-      f64_.assign(size_, 0.0);
-      break;
-    case ColumnRep::kString:
-      offsets_.assign(size_ + 1, 0);
-      break;
-    case ColumnRep::kNull:
-      return;
-  }
-  if (size_ > 0) valid_.assign((size_ + 7) / 8, 0);
+void ColumnVector::CheckRep(ColumnRep r) const {
+  SWIFT_CHECK(r == rep_) << "rep mismatch: "
+                         << DataTypeToString(static_cast<DataType>(rep_))
+                         << " column, "
+                         << DataTypeToString(static_cast<DataType>(r))
+                         << " cell";
 }
 
 void ColumnVector::Append(const Value& v) {
@@ -130,14 +118,7 @@ void ColumnVector::Append(const Value& v) {
     AppendNull();
     return;
   }
-  if (rep_ == ColumnRep::kNull) RetypeFromNull(RepOf(v.type()));
-  if (rep_ == ColumnRep::kFloat64 && v.is_int64()) {
-    AppendFloat64(static_cast<double>(v.int64_unchecked()));  // promotion
-    return;
-  }
-  SWIFT_CHECK(RepOf(v.type()) == rep_)
-      << "appending a " << DataTypeToString(v.type()) << " value to a "
-      << DataTypeToString(static_cast<DataType>(rep_)) << " column";
+  CheckRep(RepOf(v.type()));
   switch (rep_) {
     case ColumnRep::kInt64:
       AppendInt64(v.int64_unchecked());
@@ -149,7 +130,7 @@ void ColumnVector::Append(const Value& v) {
       AppendString(v.str_unchecked());
       break;
     case ColumnRep::kNull:
-      break;  // retyped above
+      break;  // a non-null value failed CheckRep
   }
 }
 
@@ -174,33 +155,21 @@ void ColumnVector::AppendNull() {
 }
 
 void ColumnVector::AppendInt64Slow(int64_t v) {
-  if (rep_ == ColumnRep::kNull) RetypeFromNull(ColumnRep::kInt64);
-  if (rep_ != ColumnRep::kInt64) {
-    Append(Value(v));
-    return;
-  }
+  CheckRep(ColumnRep::kInt64);
   i64_.push_back(v);
   MarkValid(size_);
   ++size_;
 }
 
 void ColumnVector::AppendFloat64Slow(double v) {
-  if (rep_ == ColumnRep::kNull) RetypeFromNull(ColumnRep::kFloat64);
-  if (rep_ != ColumnRep::kFloat64) {
-    Append(Value(v));
-    return;
-  }
+  CheckRep(ColumnRep::kFloat64);
   f64_.push_back(v);
   MarkValid(size_);
   ++size_;
 }
 
 void ColumnVector::AppendString(std::string_view v) {
-  if (rep_ == ColumnRep::kNull) RetypeFromNull(ColumnRep::kString);
-  if (rep_ != ColumnRep::kString) {
-    Append(Value(std::string(v)));
-    return;
-  }
+  CheckRep(ColumnRep::kString);
   heap_.append(v.data(), v.size());
   offsets_.push_back(heap_.size());
   MarkValid(size_);
@@ -208,38 +177,24 @@ void ColumnVector::AppendString(std::string_view v) {
 }
 
 void ColumnVector::AppendFrom(const ColumnVector& src, std::size_t i) {
-  if (rep_ == ColumnRep::kNull && !src.IsNull(i)) RetypeFromNull(src.rep_);
-  if (rep_ == src.rep_) {
-    switch (rep_) {
-      case ColumnRep::kNull:
-        ++size_;
-        ++null_count_;
-        return;
-      case ColumnRep::kInt64:
-        if (src.IsNull(i)) {
-          AppendNull();
-        } else {
-          AppendInt64(src.i64_[i]);
-        }
-        return;
-      case ColumnRep::kFloat64:
-        if (src.IsNull(i)) {
-          AppendNull();
-        } else {
-          AppendFloat64(src.f64_[i]);
-        }
-        return;
-      case ColumnRep::kString:
-        if (src.IsNull(i)) {
-          AppendNull();
-        } else {
-          AppendString(src.StrAt(i));
-        }
-        return;
-    }
+  CheckRep(src.rep_);
+  if (src.IsNull(i)) {
+    AppendNull();
+    return;
   }
-  // Cross-rep: a NULL cell, or an int64 widening into float64.
-  Append(src.GetValue(i));
+  switch (rep_) {
+    case ColumnRep::kInt64:
+      AppendInt64(src.i64_[i]);
+      return;
+    case ColumnRep::kFloat64:
+      AppendFloat64(src.f64_[i]);
+      return;
+    case ColumnRep::kString:
+      AppendString(src.StrAt(i));
+      return;
+    case ColumnRep::kNull:
+      return;  // every kNull cell is NULL
+  }
 }
 
 namespace {
@@ -267,23 +222,8 @@ void GatherFixed(const T* src, const uint8_t* valid, const uint32_t* rows,
 
 void ColumnVector::AppendSelected(const ColumnVector& src, const uint32_t* rows,
                                   std::size_t n) {
+  CheckRep(src.rep_);
   if (n == 0) return;
-  if (rep_ == ColumnRep::kNull && src.rep_ != ColumnRep::kNull) {
-    // An all-null column stays kNull through the leading NULLs and
-    // retypes to the source's rep at the first non-null cell.
-    std::size_t k = 0;
-    while (k < n && src.IsNull(rows[k])) ++k;
-    size_ += k;
-    null_count_ += k;
-    if (k == n) return;
-    RetypeFromNull(src.rep_);
-    rows += k;
-    n -= k;
-  }
-  if (rep_ != src.rep_) {
-    for (std::size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
-    return;
-  }
   if (rep_ == ColumnRep::kNull) {
     size_ += n;
     null_count_ += n;
@@ -375,11 +315,8 @@ void ColumnVector::AppendGatheredValidity(const uint8_t* src_valid,
 
 void ColumnVector::AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                                    std::size_t len) {
+  CheckRep(src.rep_);
   if (len == 0) return;
-  if (rep_ != src.rep_) {
-    for (std::size_t i = 0; i < len; ++i) AppendFrom(src, begin + i);
-    return;
-  }
   Reserve(size_ + len);  // exact, like AppendSelected
   switch (rep_) {
     case ColumnRep::kNull:
@@ -527,7 +464,11 @@ Result<ColumnBatch> ToColumnBatch(const Batch& batch) {
             field.name.c_str(), std::string(DataTypeToString(v.type())).c_str(),
             std::string(DataTypeToString(field.type)).c_str()));
       }
-      col.Append(v);
+      if (widens) {
+        col.AppendFloat64(static_cast<double>(v.int64_unchecked()));
+      } else {
+        col.Append(v);
+      }
     }
     out.columns.push_back(std::move(col));
   }
@@ -556,15 +497,9 @@ ColumnBatch ConcatBatches(const Schema& schema,
   const std::size_t width = schema.num_fields();
   if (parts.size() == 1 && !parts[0].selection &&
       parts[0].columns.size() == width) {
-    bool reps_match = true;
-    for (std::size_t c = 0; c < width; ++c) {
-      reps_match &= parts[0].columns[c].rep() == RepOf(schema.field(c).type);
-    }
-    if (reps_match) {
-      ColumnBatch out = std::move(parts[0]);
-      out.schema = schema;
-      return out;
-    }
+    ColumnBatch out = std::move(parts[0]);
+    out.schema = schema;
+    return out;
   }
   ColumnBatch out = EmptyBatchOf(schema);
   std::size_t rows = 0;

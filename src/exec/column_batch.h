@@ -18,8 +18,7 @@ namespace swift {
 /// kInt64/kFloat64/kString hold typed contiguous storage plus a validity
 /// bitmap; kNull is an all-null column of known length. The values equal
 /// DataType's: Bind gives every expression one type (exec/bound_expr.h),
-/// so a column's rep is its field's type, or kNull while every cell is
-/// NULL.
+/// and a column's rep is its field's type from creation to drain.
 enum class ColumnRep : uint8_t {
   kNull = 0,
   kInt64 = 1,
@@ -41,11 +40,14 @@ enum class ColumnRep : uint8_t {
 /// convention as wire format v2). An empty bitmap on a typed column
 /// means "all valid" — the common no-null fast path allocates nothing.
 ///
-/// The rep ladder has one step: an all-null column retypes itself on the
-/// first non-null value. Append(const Value&) widens an int64 value into
-/// a float64 column (numeric promotion); any other value of a type other
-/// than the column's is a program bug and aborts (SWIFT_CHECK). Typed
-/// appends (AppendInt64 etc.) are for kernels that already know the rep.
+/// A column never changes rep: it equals the field's type, so kNull
+/// exists only under a kNull field, and a NULL cell of a typed field is a
+/// NULL slot of a typed column. Appending a cell of any other rep (a
+/// value, a typed append, or a copy or gather from another column) is a
+/// program bug and aborts (SWIFT_CHECK). The one widening, an int64 cell
+/// under a float64 field, happens at the row boundary (ToColumnBatch);
+/// inside an expression Bind promotes it. Typed appends (AppendInt64
+/// etc.) are for kernels that already know the rep.
 class ColumnVector {
  public:
   ColumnVector() = default;
@@ -94,13 +96,12 @@ class ColumnVector {
   /// bitmap. Appends within the reservation never reallocate.
   void Reserve(std::size_t n, std::size_t heap_bytes = 0, bool nulls = false);
 
-  /// \brief Appends a NULL or a value of the column's type; retypes an
-  /// all-null column on the first non-null value and widens an int64
-  /// value into a float64 column. Aborts on any other type.
+  /// \brief Appends a NULL or a value of the column's type. Aborts on
+  /// any other type.
   void Append(const Value& v);
   void AppendNull();
-  // pre: rep kInt64 (or all-null; retypes). Inline while no NULL has
-  // arrived; the bitmap bookkeeping path is out of line.
+  // pre: rep kInt64. Inline while no NULL has arrived; the bitmap
+  // bookkeeping path (and the rep check) is out of line.
   void AppendInt64(int64_t v) {
     if (rep_ == ColumnRep::kInt64 && valid_.empty()) {
       i64_.push_back(v);
@@ -109,7 +110,7 @@ class ColumnVector {
     }
     AppendInt64Slow(v);
   }
-  void AppendFloat64(double v) {  // pre: rep kFloat64 (or all-null)
+  void AppendFloat64(double v) {  // pre: rep kFloat64
     if (rep_ == ColumnRep::kFloat64 && valid_.empty()) {
       f64_.push_back(v);
       ++size_;
@@ -117,10 +118,9 @@ class ColumnVector {
     }
     AppendFloat64Slow(v);
   }
-  void AppendString(std::string_view v);  // pre: rep kString (or all-null)
+  void AppendString(std::string_view v);  // pre: rep kString
 
-  /// \brief Appends src[i]; typed copy when reps match, Append(Value)
-  /// otherwise.
+  /// \brief Appends src[i] (pre: src has this column's rep).
   void AppendFrom(const ColumnVector& src, std::size_t i);
 
   /// \brief Appends src[rows[0]], ..., src[rows[n-1]] (rows may repeat
@@ -130,21 +130,18 @@ class ColumnVector {
   /// null count, validity bitmap, storage), but matching typed reps copy
   /// in one loop per call, with a no-NULL fast path and the bitmap
   /// written in one pass. Storage grows to exactly size()+n (the string
-  /// heap grows as std::string does). A kNull source and mismatched reps
-  /// (a kNull destination before its first non-null cell, an int64
-  /// source widening into float64) take AppendFrom cell by cell.
+  /// heap grows as std::string does). Both columns have one rep; a
+  /// mismatch aborts.
   void AppendSelected(const ColumnVector& src, const uint32_t* rows,
                       std::size_t n);
 
   /// \brief Bulk-appends the physical subrange src[begin, begin+len):
   /// one memcpy for matching fixed-width reps, one heap substring copy
-  /// (plus rebased offsets) for strings. When the reps differ (a kNull
-  /// source or destination) it appends cell by cell through AppendFrom,
-  /// so the result has the rep converting the same cells would give. Like AppendSelected, the result equals
-  /// per-cell AppendFrom calls field for field and storage grows to
-  /// exactly size()+len. Used to carve ~1K-row morsels out of decoded
-  /// batches and out of the table store, and to concatenate dense
-  /// batches.
+  /// (plus rebased offsets) for strings; a mismatched rep aborts. Like
+  /// AppendSelected, the result equals per-cell AppendFrom calls field
+  /// for field and storage grows to exactly size()+len. Used to carve
+  /// ~1K-row morsels out of decoded batches and out of the table store,
+  /// and to concatenate dense batches.
   void AppendRangeFrom(const ColumnVector& src, std::size_t begin,
                        std::size_t len);
 
@@ -174,7 +171,8 @@ class ColumnVector {
   void EnsureValidity();           // materialize the all-valid bitmap
   void MarkValid(std::size_t i);   // append-position bookkeeping
   void MarkNull(std::size_t i);
-  void RetypeFromNull(ColumnRep r);
+  // Aborts unless `r` is this column's rep.
+  void CheckRep(ColumnRep r) const;
 
   ColumnRep rep_ = ColumnRep::kNull;
   std::size_t size_ = 0;
@@ -239,13 +237,12 @@ Result<ColumnBatch> ToColumnBatch(const Batch& batch);
 Batch ToRowBatch(const ColumnBatch& batch);
 
 /// \brief Concatenates the logical rows of `parts`, in order, into one
-/// dense batch of `schema` whose columns have the fields' reps (so an
-/// all-NULL or empty result still has them): the drain of every
-/// pipeline breaker. Each output column is reserved once to the summed
-/// size (a string column's heap too) and filled part by part, and each
-/// part's column is freed as soon as it is copied, so the transient
-/// beyond the parts is one column, not one batch. A single dense part
-/// whose columns already have the fields' reps is moved, not copied.
+/// dense batch of `schema` (so an empty result still has the fields'
+/// reps): the drain of every pipeline breaker. Each output column is
+/// reserved once to the summed size (a string column's heap too) and
+/// filled part by part, and each part's column is freed as soon as it is
+/// copied, so the transient beyond the parts is one column, not one
+/// batch. A single dense part is moved, not copied.
 ColumnBatch ConcatBatches(const Schema& schema, std::vector<ColumnBatch> parts);
 
 }  // namespace swift

@@ -124,18 +124,18 @@ Result<std::shared_ptr<Table>> ReadCsv(const std::string& table_name,
   std::vector<DataType> types(ncols, DataType::kString);
   if (options.infer_types) {
     for (std::size_t c = 0; c < ncols; ++c) {
-      bool all_int = true, all_num = true, any_value = false;
+      bool every_int = true, all_num = true, any_value = false;
       for (std::size_t r = first_data; r < records.size(); ++r) {
         const std::string& s = records[r][c];
         if (s == options.null_token) continue;
         any_value = true;
         int64_t iv;
         double dv;
-        if (!ParsesAsInt(s, &iv)) all_int = false;
+        if (!ParsesAsInt(s, &iv)) every_int = false;
         if (!ParsesAsDouble(s, &dv)) all_num = false;
         if (!all_num) break;
       }
-      if (any_value && all_int) {
+      if (any_value && every_int) {
         types[c] = DataType::kInt64;
       } else if (any_value && all_num) {
         types[c] = DataType::kFloat64;

@@ -116,8 +116,10 @@ Status DrainView(PhysicalOperator* child, ColumnBatch* out) {
 // where they can be: a plain-column key of a dense batch is the input
 // column itself, and any other key evaluates into an owned column. With
 // `through_selection`, a key set of plain columns over a selected batch
-// is read in place too, through the selection (the hash consumers take
-// that; the comparators need dense keys). Valid while the input lives.
+// is read in place too, through the selection (the hash consumers and
+// the aggregate arguments take that; the comparators need dense keys).
+// A null expression (an aggregate's COUNT(*)) reads no column: its
+// entry is nullptr. Valid while the input lives.
 class KeyColumns {
  public:
   Status Eval(const std::vector<BoundExprPtr>& keys, const ColumnBatch& in,
@@ -129,12 +131,17 @@ class KeyColumns {
     n_ = in.num_rows();
     bool plain = true;
     for (const BoundExprPtr& e : keys) {
+      if (e == nullptr) continue;
       const std::optional<std::size_t> ord = e->column_ordinal();
       plain &= ord.has_value() && *ord < in.columns.size();
     }
     const bool in_place = !in.selection || (through_selection && plain);
     if (in_place && in.selection) sel_ = in.selection->data();
     for (const BoundExprPtr& e : keys) {
+      if (e == nullptr) {
+        cols_.push_back(nullptr);
+        continue;
+      }
       const std::optional<std::size_t> ord = e->column_ordinal();
       if (in_place && ord.has_value() && *ord < in.columns.size()) {
         cols_.push_back(&in.columns[*ord]);
@@ -172,18 +179,6 @@ class KeyColumns {
   const uint32_t* sel_ = nullptr;
   std::size_t n_ = 0;
 };
-
-// Evaluates the aggregate arguments over `in`; COUNT(*) slots stay empty.
-Status EvalAggArgs(const std::vector<BoundExprPtr>& args, const ColumnBatch& in,
-                   std::vector<ColumnVector>* out) {
-  out->resize(args.size());
-  for (std::size_t a = 0; a < args.size(); ++a) {
-    if (args[a] != nullptr) {
-      SWIFT_RETURN_NOT_OK(args[a]->EvaluateVector(in, &(*out)[a]));
-    }
-  }
-  return Status::OK();
-}
 
 // Join output: row k is physical left row lidx[k] next to physical
 // right row ridx[k], gathered one column at a time; kPad marks a
@@ -655,14 +650,12 @@ class SortOp final : public MaterializingOperator {
 };
 
 // Incremental aggregate state shared by hash and streamed variants, fed
-// typed non-NULL cells: SUM/AVG add in double (a SUM whose cells were
-// all int64 casts back to int64), MIN/MAX keep the best cell so far in
-// its own rep, a string one as one owned string.
+// the non-NULL cells of an argument column, whose rep is the argument's
+// bound type: `count` of them, their sum in double for SUM/AVG, and for
+// MIN/MAX the best cell so far, a string one as one owned string.
 struct AggState {
   double sum = 0.0;
   int64_t count = 0;
-  bool all_int = true;
-  ColumnRep best_rep = ColumnRep::kNull;  // kNull: no MIN/MAX cell yet
   int64_t best_i64 = 0;
   double best_f64 = 0.0;
   std::string best_str;
@@ -676,12 +669,8 @@ struct AggState {
       case AggKind::kSum:
       case AggKind::kAvg:
         // Numeric by AggResultType.
-        if (c.rep() == ColumnRep::kInt64) {
-          sum += static_cast<double>(c.Int64At(i));
-        } else {
-          sum += c.Float64At(i);
-          all_int = false;
-        }
+        sum += c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
+                                            : c.Float64At(i);
         return;
       case AggKind::kMin:
       case AggKind::kMax:
@@ -691,10 +680,10 @@ struct AggState {
   }
 
   // Replaces the best cell when cell i is strictly better, as
-  // Value::Compare orders them (a NaN never replaces, nor is replaced).
+  // Value::Compare orders them (a NaN never replaces, nor is replaced);
+  // the first cell always sets it.
   void UpdateBest(bool min, const ColumnVector& c, std::size_t i) {
-    const bool first = best_rep == ColumnRep::kNull;
-    best_rep = c.rep();
+    const bool first = count == 1;
     switch (c.rep()) {
       case ColumnRep::kInt64: {
         const int64_t v = c.Int64At(i);
@@ -716,31 +705,34 @@ struct AggState {
     }
   }
 
-  Value Finish(AggKind kind) const {
-    switch (kind) {
-      case AggKind::kCount:
-        return Value(count);
-      case AggKind::kSum:
-        if (count == 0) return Value::Null();
-        return all_int ? Value(static_cast<int64_t>(sum)) : Value(sum);
-      case AggKind::kMin:
-      case AggKind::kMax:
-        switch (best_rep) {
-          case ColumnRep::kInt64:
-            return Value(best_i64);
-          case ColumnRep::kFloat64:
-            return Value(best_f64);
-          case ColumnRep::kString:
-            return Value(best_str);
-          case ColumnRep::kNull:
-            break;
-        }
-        return Value::Null();
-      case AggKind::kAvg:
-        if (count == 0) return Value::Null();
-        return Value(sum / static_cast<double>(count));
+  // Appends the result to `out`, whose rep is the aggregate's field type
+  // (AggResultType): a SUM of int64 cells casts its double sum back.
+  void Finish(AggKind kind, ColumnVector* out) const {
+    if (kind == AggKind::kCount) {
+      out->AppendInt64(count);
+      return;
     }
-    return Value::Null();
+    if (count == 0) {
+      out->AppendNull();
+      return;
+    }
+    switch (out->rep()) {
+      case ColumnRep::kInt64:
+        out->AppendInt64(kind == AggKind::kSum ? static_cast<int64_t>(sum)
+                                               : best_i64);
+        return;
+      case ColumnRep::kFloat64:
+        out->AppendFloat64(kind == AggKind::kAvg
+                               ? sum / static_cast<double>(count)
+                               : (kind == AggKind::kSum ? sum : best_f64));
+        return;
+      case ColumnRep::kString:
+        out->AppendString(best_str);
+        return;
+      case ColumnRep::kNull:
+        out->AppendNull();  // a kNull argument has no non-NULL cell
+        return;
+    }
   }
 };
 
@@ -761,8 +753,8 @@ Result<std::vector<BoundExprPtr>> BindAggArgs(const std::vector<AggSpec>& aggs,
 }
 
 // Shared shape of both aggregates: group columns then one column per
-// aggregate, keyed by evaluated group columns and fed by evaluated
-// argument columns.
+// aggregate, keyed by the group key columns and fed by the argument
+// columns, each read in place when it is a plain column (KeyColumns).
 class AggregateOperator : public MaterializingOperator {
  public:
   AggregateOperator(OperatorPtr child, std::vector<ExprPtr> groups,
@@ -784,14 +776,15 @@ class AggregateOperator : public MaterializingOperator {
   }
 
  protected:
-  // Folds logical row i of the evaluated argument columns into `slot`.
-  void Update(const std::vector<ColumnVector>& args, std::size_t i,
-              AggState* slot) const {
+  // Folds logical row i of the argument columns into `slot`.
+  void Update(const KeyColumns& args, std::size_t i, AggState* slot) const {
+    const std::size_t row = args.Phys(i);
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      if (bound_args_[a] == nullptr) {
+      const ColumnVector* c = args.cols()[a];
+      if (c == nullptr) {
         ++slot[a].count;  // COUNT(*)
-      } else if (!args[a].IsNull(i)) {
-        slot[a].Update(aggs_[a].kind, args[a], i);
+      } else if (!c->IsNull(row)) {
+        slot[a].Update(aggs_[a].kind, *c, row);
       }
     }
   }
@@ -800,7 +793,7 @@ class AggregateOperator : public MaterializingOperator {
   // columns (the group columns are the caller's).
   void EmitAggs(const AggState* slot, ColumnBatch* out) const {
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[groups_.size() + a].Append(slot[a].Finish(aggs_[a].kind));
+      slot[a].Finish(aggs_[a].kind, &out->columns[groups_.size() + a]);
     }
   }
 
@@ -829,14 +822,14 @@ class HashAggregateOp final : public AggregateOperator {
     std::vector<AggState> states;  // table.size() * naggs, dense-major
     KeyColumns keys;
     KeyEncoder::BatchKeys bk;
-    std::vector<ColumnVector> args;
+    KeyColumns args;
     for (;;) {
       SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
       if (!b.has_value()) break;
       if (b->num_rows() == 0) continue;
       SWIFT_RETURN_NOT_OK(keys.Eval(bound_groups_, *b, true));
       SWIFT_RETURN_NOT_OK(keys.Encode(&bk));
-      SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
+      SWIFT_RETURN_NOT_OK(args.Eval(bound_args_, *b, true));
       for (std::size_t i = 0; i < keys.num_rows(); ++i) {
         // NULL group keys form real groups (null_key ignored).
         const FlatKeyTable::FindResult fr =
@@ -902,13 +895,13 @@ class StreamedAggregateOp final : public AggregateOperator {
       ++ngroups;
     };
 
-    std::vector<ColumnVector> args;
+    KeyColumns args;
     for (;;) {
       SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child_->Next());
       if (!b.has_value()) break;
       if (b->num_rows() == 0) continue;
       SWIFT_RETURN_NOT_OK(keys.Eval(bound_groups_, *b));
-      SWIFT_RETURN_NOT_OK(EvalAggArgs(bound_args_, *b, &args));
+      SWIFT_RETURN_NOT_OK(args.Eval(bound_args_, *b, true));
       const KeyComparator cmp(keys.cols(), keys.cols());
       const KeyComparator carried_cmp(carried_cols, keys.cols());
       for (std::size_t i = 0; i < keys.num_rows(); ++i) {

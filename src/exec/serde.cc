@@ -137,10 +137,10 @@ std::size_t HeaderSize(const Schema& schema, std::size_t nrows) {
   return n + VarintSize(nrows);
 }
 
-/// A column's rep is its field type's, or kNull (every cell NULL).
+/// A column's rep is its field's type (so kNull only under a kNull
+/// field): the invariant every operator keeps, checked at each hop.
 bool Conforms(const ColumnVector& col, DataType field_type) {
-  return col.rep() == ColumnRep::kNull ||
-         static_cast<uint8_t>(col.rep()) == static_cast<uint8_t>(field_type);
+  return static_cast<uint8_t>(col.rep()) == static_cast<uint8_t>(field_type);
 }
 
 

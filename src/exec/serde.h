@@ -31,8 +31,8 @@ struct WirePiece {
 /// bulk (one memcpy when its rows are contiguous). The bytes equal
 /// SerializeColumnBatch of the pieces concatenated. Aborts
 /// (SWIFT_CHECK) if a piece's column count differs from the schema
-/// width or a column's rep is neither its field's type nor kNull: Bind
-/// types every column, so either is a program bug.
+/// width or a column's rep is not its field's type: Bind types every
+/// column and a column keeps its rep, so either is a program bug.
 std::string SerializePieces(const Schema& schema,
                             const std::vector<WirePiece>& pieces);
 

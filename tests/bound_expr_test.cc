@@ -3,14 +3,17 @@
 // BoundExpr::EvaluateVector against the row-at-a-time reference
 // interpreter (ref::Evaluate in reference_ops.h) on random well-typed
 // expression trees and random well-typed rows, as a dense batch, under a
-// selection vector, and one row at a time: results, NULL propagation,
-// Kleene AND/OR, and error statuses must be identical. The same
-// generator draws ill-typed trees, which Bind must reject.
+// selection vector, and one row at a time: results (float64 ones bit
+// for bit), NULL propagation, Kleene AND/OR, and error statuses must be
+// identical, and every result column must have its node's static type
+// as its rep. The same generator draws ill-typed trees, which Bind must
+// reject.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -41,12 +44,16 @@ ColumnBatch ToColumns(const Schema& schema, std::vector<Row> rows) {
   return cb.ok() ? *std::move(cb) : ColumnBatch();
 }
 
-// Evaluates `bound` on `row` alone, as a one-row batch.
+// Evaluates `bound` on `row` alone, as a one-row batch whose column
+// must have the static type as its rep.
 Result<Value> EvalRow(const BoundExpr& bound, const Schema& schema,
                       const Row& row) {
   ColumnVector out;
   SWIFT_RETURN_NOT_OK(bound.EvaluateVector(ToColumns(schema, {row}), &out));
   if (out.size() != 1) return Status::Internal("expected one output row");
+  if (out.rep() != static_cast<ColumnRep>(bound.static_type())) {
+    return Status::Internal("column rep differs from the static type");
+  }
   return out.GetValue(0);
 }
 
@@ -328,6 +335,18 @@ Value RandomString(Rng* rng) {
   return Value(kStringPool[rng->UniformInt(0, kStringPoolSize - 1)]);
 }
 
+// A float64 for literals and cells: -0.0 and NaN among small values.
+Value RandomDouble(Rng* rng) {
+  switch (rng->UniformInt(0, 7)) {
+    case 0:
+      return Value(-0.0);
+    case 1:
+      return Value(std::numeric_limits<double>::quiet_NaN());
+    default:
+      return Value(rng->Uniform(-4.0, 4.0));
+  }
+}
+
 // The operand class a generated tree must fit: a number, a string, or
 // anything. An all-NULL (kNull) tree fits every class, as in Bind.
 enum class Want { kNumber, kString, kAny };
@@ -358,7 +377,7 @@ ExprPtr RandomLeaf(Rng* rng, Want want) {
     case 2:
       return Expr::Literal(Value(rng->UniformInt(-3, 3)));
     default:
-      return Expr::Literal(Value(rng->Uniform(-4.0, 4.0)));
+      return Expr::Literal(RandomDouble(rng));
   }
 }
 
@@ -514,25 +533,39 @@ ExprPtr RandomIllTyped(Rng* rng, int depth) {
   }
 }
 
-// Rows hold NULLs and values of each column's declared type.
+// Rows hold NULLs and values of each column's declared type. The int64
+// cells stay small, so int64 + - * (whose overflow is undefined) cannot
+// overflow in a random tree; PromotionMatchesInterpreted covers int64
+// cells beyond 2^53.
 Row RandomRow(Rng* rng) {
   const auto null = [&] { return rng->Bernoulli(0.25); };
   return {null() ? Value::Null() : Value(rng->UniformInt(-3, 3)),
-          null() ? Value::Null() : Value(rng->Uniform(-4.0, 4.0)),
+          null() ? Value::Null() : RandomDouble(rng),
           null() ? Value::Null() : RandomString(rng), Value::Null()};
 }
 
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
 // Whether `got`, from a column of type `type`, is the reference's
-// `want`: equal values, and equal types but for numeric promotion (an
-// int64 the reference returns lands in a float64 column).
+// `want`: equal types and values, a float64 bit for bit (-0.0 and NaN
+// included). The reference's coalesce returns its first non-NULL
+// argument as it is, so an int64 of a float64 coalesce is compared as
+// that int64 in double.
 void ExpectSameValue(const Value& got, const Value& want, DataType type,
                      const ExprPtr& e) {
-  const bool promoted = want.is_int64() && type == DataType::kFloat64;
-  EXPECT_EQ(got.type(), promoted ? DataType::kFloat64 : want.type())
-      << e->ToString();
-  EXPECT_EQ(got.Compare(want), 0) << e->ToString() << "\nref:   "
-                                  << want.ToString()
-                                  << "\nbound: " << got.ToString();
+  const Value w = want.is_int64() && type == DataType::kFloat64
+                      ? Value(static_cast<double>(want.int64()))
+                      : want;
+  EXPECT_EQ(got.type(), w.type()) << e->ToString();
+  const bool same = got.is_float64() && w.is_float64()
+                        ? Bits(got.float64()) == Bits(w.float64())
+                        : got.Compare(w) == 0;
+  EXPECT_TRUE(same) << e->ToString() << "\nref:   " << w.ToString()
+                    << "\nbound: " << got.ToString();
 }
 
 class BoundExprParityTest : public ::testing::TestWithParam<uint64_t> {};
@@ -556,6 +589,9 @@ void ExpectBatchMatchesRows(const ExprPtr& e, const BoundExpr& bound,
   ASSERT_EQ(st.ok(), !any_error) << e->ToString() << "\n" << st.ToString();
   if (!st.ok()) return;
   ASSERT_EQ(col.size(), rows.size());
+  // The rep is the static type even when every cell is NULL.
+  ASSERT_EQ(col.rep(), static_cast<ColumnRep>(bound.static_type()))
+      << e->ToString();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     ExpectSameValue(col.GetValue(i), want[i], bound.static_type(), e);
   }
@@ -727,6 +763,76 @@ TEST_P(BoundExprParityTest, FunctionKernelsMatchInterpreted) {
       fn("coalesce", {col("n"), col("s")}),
       fn("coalesce", {col("n")}),
   };
+  for (const ExprPtr& e : exprs) ExpectAllFormsMatch(e, rows, &rng);
+}
+
+// Every node where int64 meets float64 (arithmetic both ways round,
+// int64 / int64 with zero divisors, comparisons, coalesce, and constant
+// int64 sides that fold to float64 literals) over int64 cells beyond
+// 2^53 and at the int64 limits against -0.0, NaN, infinities and
+// doubles near 2^53. No int64 + - * appears: its overflow is undefined.
+TEST_P(BoundExprParityTest, PromotionMatchesInterpreted) {
+  Rng rng(GetParam());
+  constexpr int64_t kBig = (int64_t{1} << 53) + 1;  // not a double
+  const std::vector<Value> ints = {
+      Value::Null(),
+      Value(int64_t{0}),
+      Value(int64_t{1}),
+      Value(int64_t{-3}),
+      Value(kBig),
+      Value(-kBig),
+      Value((int64_t{1} << 62) + 1),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max())};
+  const std::vector<Value> doubles = {
+      Value::Null(),
+      Value(-0.0),
+      Value(0.0),
+      Value(0.5),
+      Value(-2.5),
+      Value(std::numeric_limits<double>::quiet_NaN()),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(9007199254740992.0),  // 2^53
+      Value(9007199254740994.0),
+      Value(1e300)};
+  std::vector<Row> rows;
+  for (const Value& a : ints) {
+    for (const Value& b : doubles) {
+      rows.push_back({a, b, Value("x"), Value::Null()});
+    }
+  }
+  const auto col = [](const char* name) { return Expr::Column(name); };
+  const auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  const auto bin = [](BinaryOp op, ExprPtr l, ExprPtr r) {
+    return Expr::Binary(op, std::move(l), std::move(r));
+  };
+  std::vector<ExprPtr> exprs;
+  for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                            BinaryOp::kDiv, BinaryOp::kEq, BinaryOp::kNe,
+                            BinaryOp::kLt, BinaryOp::kLe, BinaryOp::kGt,
+                            BinaryOp::kGe}) {
+    exprs.push_back(bin(op, col("a"), col("b")));
+    exprs.push_back(bin(op, col("b"), col("a")));
+    exprs.push_back(bin(op, lit(Value(kBig)), col("b")));
+    exprs.push_back(bin(op, col("a"), lit(Value(9007199254740992.0))));
+  }
+  for (const ExprPtr& e :
+       {bin(BinaryOp::kDiv, col("a"), col("a")),
+        bin(BinaryOp::kDiv, col("a"), lit(Value(int64_t{3}))),
+        bin(BinaryOp::kDiv, lit(Value(int64_t{1})), col("a")),
+        bin(BinaryOp::kDiv, col("a"), lit(Value(int64_t{0}))),
+        bin(BinaryOp::kDiv, lit(Value(kBig)), lit(Value(int64_t{3}))),
+        bin(BinaryOp::kSub, lit(Value(int64_t{1})), col("b")),
+        bin(BinaryOp::kMul,
+            bin(BinaryOp::kDiv, col("a"), lit(Value(int64_t{2}))), col("b")),
+        Expr::Function("coalesce", {col("a"), col("b")}),
+        Expr::Function("coalesce", {col("b"), col("a")}),
+        Expr::Function("coalesce", {col("n"), col("a"), col("b")}),
+        Expr::Function("coalesce", {col("a"), lit(Value(1.5))}),
+        Expr::Function("coalesce", {lit(Value::Null()), lit(Value(kBig)),
+                                    col("b")})}) {
+    exprs.push_back(e);
+  }
   for (const ExprPtr& e : exprs) ExpectAllFormsMatch(e, rows, &rng);
 }
 

@@ -238,14 +238,15 @@ TEST(KeyEncoderTest, BatchKeyBytesArePinned) {
   ColumnVector floats = ColumnVector::OfType(DataType::kFloat64);
   floats.Append(Value(2.5));
   floats.Append(Value(3.0));
-  ColumnVector negs = ColumnVector::MakeNull(1);
+  ColumnVector negs = ColumnVector::OfType(DataType::kInt64);
+  negs.AppendNull();
   negs.Append(Value(int64_t{-2}));
   ASSERT_EQ(negs.rep(), ColumnRep::kInt64);
   cb.columns = {ints, strs, floats, negs};
   KeyEncoder::BatchKeys bk;
   ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1, 2, 3}, &bk));
   ASSERT_EQ(bk.size(), 2u);
-  // int 1 | "ab" | 2.5 | NULL (retyped to int64 by row 1)
+  // int 1 | "ab" | 2.5 | NULL
   EXPECT_EQ(Hex(bk.key(0)),
             "010100000000000000"
             "03020000006162"

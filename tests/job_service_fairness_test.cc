@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -329,7 +330,7 @@ TEST(JobService, RandomizedArrivalsAllComplete) {
 
 // With one driver, admission order is completion order, so job-level
 // spans prove the same-tenant priority ordering end to end: a class-2
-// job submitted after two class-0 jobs runs before both.
+// job submitted after queued class-0 jobs runs before all of them.
 TEST(JobService, HighPriorityJobOvertakesQueuedLowPriority) {
   obs::TraceRecorder tracer;
   JobServiceConfig cfg;
@@ -354,12 +355,24 @@ TEST(JobService, HighPriorityJobOvertakesQueuedLowPriority) {
     auto ticket = service.Submit(std::move(req));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   };
-  // The first job occupies the single driver; the rest queue behind it
-  // and are re-ordered by the fair-share admission policy.
+  // Hold every executor under a job id the runtime never issues, so the
+  // single driver can take at most one job (the blocker, or "urgent")
+  // and then parks on its gang: every low job is still queued when
+  // "urgent" arrives, and the fair-share admission policy re-orders
+  // them once the executors are released.
+  GangArbiter* arbiter = service.runtime()->arbiter();
+  constexpr JobId kHolder = std::numeric_limits<JobId>::max();
+  arbiter->BeginJob(kHolder, JobRunOptions{});
+  auto held = arbiter->AcquireGang(
+      kHolder, std::vector<LocalityPref>(static_cast<std::size_t>(
+                   cfg.runtime.machines * cfg.runtime.executors_per_machine)));
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
   constexpr int kLows = 6;
   submit(0, "blocker");
   for (int i = 0; i < kLows; ++i) submit(0, "low-" + std::to_string(i));
   submit(2, "urgent");
+  arbiter->ReleaseGang(kHolder, *held);
+  arbiter->EndJob(kHolder);
   service.Drain();
 
   std::vector<std::string> completion_order;
@@ -373,16 +386,11 @@ TEST(JobService, HighPriorityJobOvertakesQueuedLowPriority) {
     }
     return -1;
   };
-  // The driver may have popped one low job in the instant before
-  // "urgent" was submitted; every low still queued at that point must
-  // run after it.
-  int lows_after_urgent = 0;
+  ASSERT_GE(pos("urgent"), 0);
   for (int i = 0; i < kLows; ++i) {
-    if (pos("low-" + std::to_string(i)) > pos("urgent")) {
-      lows_after_urgent += 1;
-    }
+    const std::string low = "low-" + std::to_string(i);
+    EXPECT_GT(pos(low), pos("urgent")) << low;
   }
-  EXPECT_GE(lows_after_urgent, kLows - 1);
 }
 
 }  // namespace

@@ -317,8 +317,8 @@ OperatorPtr MorselizedInput(const Batch& b, std::size_t morsel_rows) {
 }
 
 // A predicate column of type `t` (true, false and NULL cells) whose
-// middle morsels are kNull (every cell NULL, as a decoded all-null
-// shuffle column arrives), so the filter's truthiness meets every rep.
+// middle morsels have a kNull predicate field (every cell NULL), so the
+// filter's truthiness meets every rep.
 std::vector<Batch> LooseTruthBatches(DataType t) {
   const Schema schema({{"p", t}, {"k", DataType::kInt64}});
   std::vector<Value> cells = {Value::Null()};

@@ -3,7 +3,10 @@
 //  - A row-at-a-time expression interpreter (ref::Evaluate,
 //    ref::Predicate): a tree walk over Expr through the As* accessors
 //    with per-row short-circuiting, resolving column names on every
-//    row. It shares only the scalar kernels of exec/expr_eval.h with
+//    row, over boxed Values with its own arithmetic, comparison and
+//    function kernels (ref::Arith, ref::Compare, ref::ApplyFunction).
+//    It shares only the scalar rules of exec/expr_eval.h (truthiness,
+//    wrapping negation, substr's truncation, function names) with
 //    BoundExpr::EvaluateVector, the evaluator it checks.
 //  - Operators over row Batches (ref::Filter ... ref::Window): groups
 //    and matches rows by linear scans under Value::Compare and orders
@@ -23,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -59,12 +63,161 @@ inline std::vector<Row> Rows(const Table& t) {
 
 // ---- Expressions ------------------------------------------------------
 
+/// +,-,*,/ over non-null operands: int64 op int64 stays int64 (but `/`),
+/// anything else computes in double. Non-numeric operands and division
+/// by zero are Status::Application.
+inline Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
+  if (!l.is_numeric() || !r.is_numeric()) {
+    return Status::Application(StrFormat(
+        "arithmetic '%s' on non-numeric operands (%s, %s)",
+        std::string(BinaryOpToString(op)).c_str(), l.ToString().c_str(),
+        r.ToString().c_str()));
+  }
+  if (l.is_int64() && r.is_int64() && op != BinaryOp::kDiv) {
+    const int64_t a = l.int64();
+    const int64_t b = r.int64();
+    switch (op) {
+      case BinaryOp::kAdd:
+        return Value(a + b);
+      case BinaryOp::kSub:
+        return Value(a - b);
+      case BinaryOp::kMul:
+        return Value(a * b);
+      default:
+        break;
+    }
+  }
+  const double a = l.AsDouble();
+  const double b = r.AsDouble();
+  switch (op) {
+    case BinaryOp::kAdd:
+      return Value(a + b);
+    case BinaryOp::kSub:
+      return Value(a - b);
+    case BinaryOp::kMul:
+      return Value(a * b);
+    case BinaryOp::kDiv:
+      if (b == 0.0) return Status::Application("division by zero");
+      return Value(a / b);
+    default:
+      return Status::Internal("non-arithmetic op in Arith");
+  }
+}
+
+/// =,<>,<,<=,>,>= over non-null operands under Value::Compare; boolean
+/// as int64. Mixed number/string comparison is Status::Application.
+inline Result<Value> Compare(BinaryOp op, const Value& l, const Value& r) {
+  if ((l.is_numeric() && r.is_string()) || (l.is_string() && r.is_numeric())) {
+    return Status::Application(StrFormat(
+        "cannot compare %s with %s",
+        std::string(DataTypeToString(l.type())).c_str(),
+        std::string(DataTypeToString(r.type())).c_str()));
+  }
+  const int c = l.Compare(r);
+  bool out = false;
+  switch (op) {
+    case BinaryOp::kEq:
+      out = c == 0;
+      break;
+    case BinaryOp::kNe:
+      out = c != 0;
+      break;
+    case BinaryOp::kLt:
+      out = c < 0;
+      break;
+    case BinaryOp::kLe:
+      out = c <= 0;
+      break;
+    case BinaryOp::kGt:
+      out = c > 0;
+      break;
+    case BinaryOp::kGe:
+      out = c >= 0;
+      break;
+    default:
+      return Status::Internal("non-comparison op in Compare");
+  }
+  return Value(static_cast<int64_t>(out ? 1 : 0));
+}
+
+/// Inverse of expr_eval::Truth: -1 -> NULL, else int64 0/1.
+inline Value FromTruth(int t) {
+  if (t < 0) return Value::Null();
+  return Value(static_cast<int64_t>(t));
+}
+
+/// Applies `id` to one row's evaluated arguments, in this order:
+/// NULL-aware functions (is_null, coalesce) first, then NULL
+/// propagation, then the rest; kUnknown errors after NULL propagation.
+/// `name` is only used for error text.
+inline Result<Value> ApplyFunction(expr_eval::FuncId id,
+                                   const std::string& name,
+                                   const std::vector<Value>& vals) {
+  using expr_eval::FuncId;
+  if (id == FuncId::kIsNull) {
+    if (vals.size() != 1) return Status::Application("is_null(x) expected");
+    return Value(static_cast<int64_t>(vals[0].is_null() ? 1 : 0));
+  }
+  if (id == FuncId::kCoalesce) {
+    for (const Value& v : vals) {
+      if (!v.is_null()) return v;
+    }
+    return Value::Null();
+  }
+  for (const Value& v : vals) {
+    if (v.is_null()) return Value::Null();
+  }
+  switch (id) {
+    case FuncId::kSubstr: {
+      if (vals.size() != 3 || !vals[0].is_string() || !vals[1].is_numeric() ||
+          !vals[2].is_numeric()) {
+        return Status::Application("substr(str, start, len) expected");
+      }
+      const std::string& s = vals[0].str();
+      int64_t start = expr_eval::TruncToInt64(vals[1].AsDouble());
+      int64_t len = expr_eval::TruncToInt64(vals[2].AsDouble());
+      if (start < 1) start = 1;
+      if (len < 0) len = 0;
+      if (static_cast<std::size_t>(start - 1) >= s.size()) {
+        return Value(std::string());
+      }
+      return Value(s.substr(static_cast<std::size_t>(start - 1),
+                            static_cast<std::size_t>(len)));
+    }
+    case FuncId::kLower:
+    case FuncId::kUpper: {
+      if (vals.size() != 1 || !vals[0].is_string()) {
+        return Status::Application(name + "(str) expected");
+      }
+      std::string s = vals[0].str();
+      for (char& c : s) {
+        const auto u = static_cast<unsigned char>(c);
+        c = static_cast<char>(id == FuncId::kLower ? std::tolower(u)
+                                                   : std::toupper(u));
+      }
+      return Value(std::move(s));
+    }
+    case FuncId::kAbs: {
+      if (vals.size() != 1 || !vals[0].is_numeric()) {
+        return Status::Application("abs(x) expected");
+      }
+      if (vals[0].is_int64()) {
+        const int64_t v = vals[0].int64();
+        return Value(v < 0 ? expr_eval::NegateWrapping(v) : v);
+      }
+      return Value(std::fabs(vals[0].float64()));
+    }
+    default:
+      return Status::Application(
+          StrFormat("unknown function '%s'", name.c_str()));
+  }
+}
+
 /// Evaluates `e` against one row of `schema`. Type errors are
 /// Status::Application; AND/OR evaluate their rhs only when the lhs did
 /// not decide the row.
 inline Result<Value> Evaluate(const ExprPtr& e, const Schema& schema,
                               const Row& row) {
-  using expr_eval::FromTruth;
   using expr_eval::Truth;
   switch (e->kind()) {
     case ExprKind::kColumn: {
@@ -101,14 +254,14 @@ inline Result<Value> Evaluate(const ExprPtr& e, const Schema& schema,
         case BinaryOp::kSub:
         case BinaryOp::kMul:
         case BinaryOp::kDiv:
-          return expr_eval::Arith(b.op, lv, rv);
+          return Arith(b.op, lv, rv);
         case BinaryOp::kLike:
           if (!lv.is_string() || !rv.is_string()) {
             return Status::Application("LIKE requires string operands");
           }
           return FromTruth(SqlLikeMatch(lv.str(), rv.str()) ? 1 : 0);
         default:
-          return expr_eval::Compare(b.op, lv, rv);
+          return Compare(b.op, lv, rv);
       }
     }
     case ExprKind::kUnary: {
@@ -129,8 +282,7 @@ inline Result<Value> Evaluate(const ExprPtr& e, const Schema& schema,
         SWIFT_ASSIGN_OR_RETURN(Value v, Evaluate(a, schema, row));
         vals.push_back(std::move(v));
       }
-      return expr_eval::ApplyFunction(expr_eval::ResolveFunction(f.name),
-                                      f.name, vals);
+      return ApplyFunction(expr_eval::ResolveFunction(f.name), f.name, vals);
     }
   }
   return Status::Internal("unhandled expression kind");

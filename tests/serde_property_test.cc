@@ -82,10 +82,11 @@ Value AsField(const Value& v, DataType type) {
 
 // A ColumnBatch of any shape the encoder can be handed: column k of
 // batch `seed` is, in turn, typed with NULLs mixed in, typed without
-// NULLs, a kNull rep, or all-NULL in the field type's rep; batch `seed`
-// has no selection, a random subset or an empty one (seed % 3); and
-// zero-field and zero-row batches come up too. Bind types every column,
-// so a column's rep is its field's type or kNull: no other shape exists.
+// NULLs, a kNull column under a kNull field, or all-NULL in its field
+// type's rep; batch `seed` has no selection, a random subset or an empty
+// one (seed % 3); and zero-field and zero-row batches come up too. Bind
+// types every column and a column keeps its rep, so a column's rep is
+// its field's type: no other shape exists.
 ColumnBatch RandomColumnBatch(uint64_t seed) {
   Rng rng(seed);
   const int ncols = static_cast<int>(rng.UniformInt(0, 5));
@@ -96,10 +97,11 @@ ColumnBatch RandomColumnBatch(uint64_t seed) {
   std::vector<Field> fields;
   ColumnBatch cb;
   for (int c = 0; c < ncols; ++c) {
-    const DataType type = static_cast<DataType>(rng.UniformInt(0, 3));
-    fields.push_back(Field{"c" + std::to_string(c), type});
+    DataType type = static_cast<DataType>(rng.UniformInt(0, 3));
     enum { kTyped, kDense, kNullRep, kAllNull };
     const int kind = static_cast<int>((seed + static_cast<uint64_t>(c)) % 4);
+    if (kind == kNullRep) type = DataType::kNull;
+    fields.push_back(Field{"c" + std::to_string(c), type});
     if (kind == kNullRep) {
       cb.columns.push_back(ColumnVector::MakeNull(nrows));
       continue;

@@ -3,8 +3,8 @@
 //  - CRC-32C: the three-stream kernel equals a bitwise reference at
 //    every length around its block boundaries, at every alignment, and
 //    chains through its seed.
-//  - Gather encoder: random pieces (NULLs, all-NULL kNull columns under
-//    typed fields, empty pieces, selections, repeated rows) encode to
+//  - Gather encoder: random pieces (NULLs, all-NULL columns of typed
+//    fields, empty pieces, selections, repeated rows) encode to
 //    exactly the bytes SerializeColumnBatch gives the gathered batch,
 //    and the reference encoder of reference_serde.h gives its rows.
 //  - Wire source: the morsels WirePayload decodes, concatenated, equal
@@ -94,8 +94,8 @@ Schema PieceSchema() {
 }
 
 // A batch of `rows` physical rows of PieceSchema. `null_pct` of the
-// nullable cells are NULL; with `all_null`, columns i and s are kNull
-// (every cell NULL), as a morsel of a NULL-only stretch arrives.
+// nullable cells are NULL; with `all_null`, every cell of columns i and
+// s is NULL, as a morsel of a NULL-only stretch arrives.
 ColumnBatch RandomPieceBatch(std::size_t rows, int null_pct, bool all_null,
                              Rng* rng) {
   const Schema schema = PieceSchema();
@@ -127,8 +127,10 @@ ColumnBatch RandomPieceBatch(std::size_t rows, int null_pct, bool all_null,
     b.columns[4].AppendInt64(rng->UniformInt(-5, 5));
   }
   if (all_null) {
-    b.columns[0] = ColumnVector::MakeNull(rows);
-    b.columns[2] = ColumnVector::MakeNull(rows);
+    for (const std::size_t c : {std::size_t{0}, std::size_t{2}}) {
+      b.columns[c] = ColumnVector::OfType(schema.field(c).type);
+      for (std::size_t r = 0; r < rows; ++r) b.columns[c].AppendNull();
+    }
   }
   return b;
 }
