@@ -53,16 +53,4 @@ bool IsGlobalSortOperator(OperatorKind kind) {
   }
 }
 
-bool IsBlockingOperator(OperatorKind kind) {
-  switch (kind) {
-    case OperatorKind::kSortBy:
-    case OperatorKind::kMergeSort:
-    case OperatorKind::kHashAggregate:
-    case OperatorKind::kWindow:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace swift

@@ -35,10 +35,6 @@ std::string_view OperatorKindToString(OperatorKind kind);
 /// outgoing shuffle edges barrier edges.
 bool IsGlobalSortOperator(OperatorKind kind);
 
-/// \brief True for operators that must fully consume input before
-/// emitting any output (used by the local runtime's pipelining logic).
-bool IsBlockingOperator(OperatorKind kind);
-
 }  // namespace swift
 
 #endif  // SWIFT_DAG_OPERATOR_KIND_H_

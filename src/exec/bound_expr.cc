@@ -353,13 +353,13 @@ class BoundNumericArith final : public BoundExpr {
         int64_t r = 0;
         switch (op_) {
           case BinaryOp::kAdd:
-            r = a[i] + b[i];
+            r = expr_eval::AddWrapping(a[i], b[i]);
             break;
           case BinaryOp::kSub:
-            r = a[i] - b[i];
+            r = expr_eval::SubWrapping(a[i], b[i]);
             break;
           default:
-            r = a[i] * b[i];
+            r = expr_eval::MulWrapping(a[i], b[i]);
             break;
         }
         out->AppendInt64(r);

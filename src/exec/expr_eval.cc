@@ -24,10 +24,6 @@ FuncId ResolveFunction(const std::string& lower_name) {
   return FuncId::kUnknown;
 }
 
-int64_t NegateWrapping(int64_t v) {
-  return static_cast<int64_t>(0 - static_cast<uint64_t>(v));
-}
-
 int64_t TruncToInt64(double d) {
   if (!(d == d)) return 0;
   if (d >= 9223372036854775807.0) return INT64_MAX;

@@ -9,17 +9,32 @@
 namespace swift {
 
 /// Scalar rules that BoundExpr's column kernels (exec/bound_expr.h)
-/// apply per cell, and Bind once per tree: truthiness, wrapping
-/// negation, substr's argument truncation and function name resolution.
+/// apply per cell, and Bind once per tree: truthiness, wrapping int64
+/// arithmetic, substr's argument truncation and function name resolution.
 /// The row-at-a-time reference interpreter the tests check BoundExpr
 /// against (tests/reference_ops.h) calls them too, so each rule has one
 /// definition; its boxed arithmetic, comparison and function kernels are
 /// its own.
 namespace expr_eval {
 
-/// \brief -v in two's complement: -INT64_MIN wraps to INT64_MIN instead
-/// of overflowing (negation and abs share the rule).
-int64_t NegateWrapping(int64_t v);
+/// \brief int64 arithmetic wraps modulo 2^64 (two's complement) instead
+/// of overflowing: -INT64_MIN is INT64_MIN, INT64_MAX + 1 is INT64_MIN.
+/// Negation and abs, `+ - *` and an int64 SUM share the rule.
+inline int64_t NegateWrapping(int64_t v) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(v));
+}
+inline int64_t AddWrapping(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t SubWrapping(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t MulWrapping(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
 
 /// \brief substr's start/length argument: `d` truncated toward zero,
 /// saturating where the int64 range ends (NaN reads as 0).

@@ -6,6 +6,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "exec/bound_expr.h"
+#include "exec/expr_eval.h"
 #include "exec/hash_table.h"
 #include "exec/key_encoder.h"
 #include "exec/key_order.h"
@@ -651,10 +652,12 @@ class SortOp final : public MaterializingOperator {
 
 // Incremental aggregate state shared by hash and streamed variants, fed
 // the non-NULL cells of an argument column, whose rep is the argument's
-// bound type: `count` of them, their sum in double for SUM/AVG, and for
-// MIN/MAX the best cell so far, a string one as one owned string.
+// bound type: `count` of them, an int64 SUM's exact sum (wrapping as
+// int64 arithmetic does), the double sum of AVG and a float64 SUM, and
+// for MIN/MAX the best cell so far, a string one as one owned string.
 struct AggState {
   double sum = 0.0;
+  int64_t sum_i64 = 0;
   int64_t count = 0;
   int64_t best_i64 = 0;
   double best_f64 = 0.0;
@@ -669,8 +672,13 @@ struct AggState {
       case AggKind::kSum:
       case AggKind::kAvg:
         // Numeric by AggResultType.
-        sum += c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
-                                            : c.Float64At(i);
+        if (c.rep() == ColumnRep::kFloat64) {
+          sum += c.Float64At(i);
+        } else if (kind == AggKind::kSum) {
+          sum_i64 = expr_eval::AddWrapping(sum_i64, c.Int64At(i));
+        } else {
+          sum += static_cast<double>(c.Int64At(i));
+        }
         return;
       case AggKind::kMin:
       case AggKind::kMax:
@@ -706,7 +714,7 @@ struct AggState {
   }
 
   // Appends the result to `out`, whose rep is the aggregate's field type
-  // (AggResultType): a SUM of int64 cells casts its double sum back.
+  // (AggResultType).
   void Finish(AggKind kind, ColumnVector* out) const {
     if (kind == AggKind::kCount) {
       out->AppendInt64(count);
@@ -718,8 +726,7 @@ struct AggState {
     }
     switch (out->rep()) {
       case ColumnRep::kInt64:
-        out->AppendInt64(kind == AggKind::kSum ? static_cast<int64_t>(sum)
-                                               : best_i64);
+        out->AppendInt64(kind == AggKind::kSum ? sum_i64 : best_i64);
         return;
       case ColumnRep::kFloat64:
         out->AppendFloat64(kind == AggKind::kAvg

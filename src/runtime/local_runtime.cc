@@ -200,9 +200,11 @@ void LocalRuntime::FailMachine(int machine) {
   if (machine < 0 || machine >= config_.machines) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!down_.insert(machine).second) return;
-    down_since_[machine] = clock_;  // detection delay measured from here
+    if (!down_.emplace(machine, clock_).second) return;
   }
+  // Placement and the arbiter stop using the machine at once; detection
+  // (heartbeats or a failed read) decides only when recovery runs.
+  arbiter_.RevokeMachine(machine);
   // The Cache Worker's memory and spill directory die with the machine.
   shuffle_->FailMachine(machine);
   SWIFT_LOG(Warn) << "machine " << machine
@@ -215,17 +217,20 @@ void LocalRuntime::RestoreMachine(int machine) {
     std::lock_guard<std::mutex> lock(mu_);
     down_.erase(machine);
     detected_.erase(machine);
-    down_since_.erase(machine);
     health_.Clear(machine);
     heartbeat_.ReportHeartbeat(machine, clock_);
   }
   shuffle_->RestoreMachine(machine);
+  // Back with a clean health record: schedulable again, drained no more.
   arbiter_.RestoreMachine(machine);
+  arbiter_.SetReadOnly(machine, false);
 }
 
 std::vector<int> LocalRuntime::DownMachines() {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<int>(down_.begin(), down_.end());
+  std::vector<int> out;
+  for (const auto& [m, since] : down_) out.push_back(m);
+  return out;
 }
 
 Result<Batch> LocalRuntime::ExecuteSql(const std::string& sql,
@@ -280,10 +285,10 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
   obs::ScopedSpan job_span(tracer_, std::move(job_meta));
   ctx.stats.job_id = job;
   ctx.stats.graphlets = static_cast<int>(ctx.graphlets.graphlets.size());
-  for (const EdgeDef& e : plan.dag.edges()) {
-    ctx.stats.edges_by_kind[shuffle_->KindFor(
-        plan.dag.ShuffleEdgeSize(e.src, e.dst))] += 1;
-  }
+  auto graphlet_complete = [&ctx](GraphletId gid) {
+    return ctx.tracker.StagesComplete(
+        ctx.graphlets.graphlets[static_cast<std::size_t>(gid)].stages);
+  };
 
   // Cross-graphlet recovery can reset already-complete graphlets, so
   // the scheduling loop is bounded by attempts, not graphlet count.
@@ -300,12 +305,10 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
     std::vector<GraphletId> ready;
     bool all_complete = true;
     for (const Graphlet& g : ctx.graphlets.graphlets) {
-      if (GraphletComplete(&ctx, g.id)) continue;
+      if (graphlet_complete(g.id)) continue;
       all_complete = false;
       const auto& deps = ctx.graphlets.deps[static_cast<std::size_t>(g.id)];
-      if (std::all_of(deps.begin(), deps.end(), [&](GraphletId dep) {
-            return GraphletComplete(&ctx, dep);
-          })) {
+      if (std::all_of(deps.begin(), deps.end(), graphlet_complete)) {
         ready.push_back(g.id);
       }
     }
@@ -329,7 +332,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
       // its dependencies mid-run (a machine died with cross-graphlet
       // inputs) or it yielded its gang. Re-enter the scheduler so
       // upstream work re-runs first.
-      if (!failure.ok() || !GraphletComplete(&ctx, gid)) break;
+      if (!failure.ok() || !graphlet_complete(gid)) break;
     }
   }
 
@@ -373,27 +376,6 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
   obs::ScopedSpan graphlet_span(tracer_, std::move(graphlet_meta));
   const auto graphlet_t0 = std::chrono::steady_clock::now();
   const int64_t busy_before = ctx->busy_ns.load(std::memory_order_relaxed);
-
-  // Cluster state feeds the arbiter: dead machines hold no executors,
-  // drained machines take no new tasks. Read the health picture under
-  // mu_, push it without the lock held (mu_ -> arbiter mutex is the one
-  // permitted lock order; see GangArbiter's threading contract).
-  {
-    std::vector<int> revoked;
-    std::vector<std::pair<int, bool>> read_only;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (int m = 0; m < config_.machines; ++m) {
-        if (down_.count(m) > 0 || detected_.count(m) > 0) {
-          revoked.push_back(m);
-        } else {
-          read_only.emplace_back(m, health_.IsReadOnly(m));
-        }
-      }
-    }
-    for (int m : revoked) arbiter_.RevokeMachine(m);
-    for (auto [m, ro] : read_only) arbiter_.SetReadOnly(m, ro);
-  }
 
   // Gang allocation: one executor per task of the graphlet, with
   // synthetic data locality for scan tasks (spread across machines).
@@ -509,20 +491,6 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
     }
   }
   return Status::OK();
-}
-
-bool LocalRuntime::GraphletComplete(JobContext* ctx, GraphletId gid) {
-  const Graphlet& g =
-      ctx->graphlets.graphlets[static_cast<std::size_t>(gid)];
-  for (StageId sid : g.stages) {
-    const StageProgram& prog = ctx->plan->program(sid);
-    for (int t = 0; t < prog.task_count; ++t) {
-      if (ctx->tracker.state(TaskRef{sid, t}) != TaskState::kCompleted) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 Status LocalRuntime::RunStageWave(JobContext* ctx, StageId stage,
@@ -760,10 +728,7 @@ Status LocalRuntime::TickClusterHealth(JobContext* ctx) {
       }
     }
     for (int m : heartbeat_.DetectFailed(clock_)) {
-      if (detected_.insert(m).second) {
-        lost.push_back(m);
-        RecordDetectionDelayLocked(m);
-      }
+      if (DetectLocked(m)) lost.push_back(m);
     }
     // Probation: drained machines with a clean window rejoin.
     for (int m : health_.ClearExpired(clock_)) {
@@ -779,21 +744,23 @@ Status LocalRuntime::TickClusterHealth(JobContext* ctx) {
   return Status::OK();
 }
 
-void LocalRuntime::RecordDetectionDelayLocked(int machine) {
-  auto it = down_since_.find(machine);
-  if (it == down_since_.end()) return;
+bool LocalRuntime::DetectLocked(int machine) {
+  // Alive means not killed: every live machine beats each tick, so only
+  // a killed one can be detected lost.
+  auto it = down_.find(machine);
+  SWIFT_CHECK(it != down_.end()) << "machine " << machine
+                                 << " detected lost but never killed";
+  if (!detected_.insert(machine).second) return false;
   obs::Record(metrics_.detection_delay, clock_ - it->second);
+  return true;
 }
 
 Status LocalRuntime::DetectDownMachines(JobContext* ctx) {
   std::vector<int> lost;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int m : down_) {
-      if (detected_.insert(m).second) {
-        lost.push_back(m);
-        RecordDetectionDelayLocked(m);
-      }
+    for (const auto& [m, since] : down_) {
+      if (DetectLocked(m)) lost.push_back(m);
     }
   }
   for (int m : lost) {
@@ -805,27 +772,9 @@ Status LocalRuntime::DetectDownMachines(JobContext* ctx) {
 Status LocalRuntime::HandleMachineLoss(JobContext* ctx, int machine) {
   SWIFT_LOG(Warn) << "machine " << machine
                   << " loss detected: replanning its retained outputs";
-  arbiter_.RevokeMachine(machine);
-  // The drain's last-machine rule (RecordMachineFailure) also holds on
-  // loss: when no live machine still takes new tasks, the lowest-id live
-  // one rejoins rotation, or every later gang request would strand.
-  int rejoin = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int m = 0; m < config_.machines; ++m) {
-      if (down_.count(m) > 0 || detected_.count(m) > 0) continue;
-      if (!health_.IsReadOnly(m)) {
-        rejoin = -1;
-        break;
-      }
-      if (rejoin < 0) rejoin = m;
-    }
-    if (rejoin >= 0) health_.Clear(rejoin);
-  }
-  if (rejoin >= 0) {
-    arbiter_.SetReadOnly(rejoin, false);
-    SWIFT_LOG(Info) << "machine " << rejoin
-                    << " back in rotation: no other live machine takes tasks";
+    KeepOneMachineSchedulableLocked(/*prefer=*/-1);
   }
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
@@ -858,31 +807,34 @@ void LocalRuntime::RecordMachineFailure(int machine) {
   const bool was_read_only = health_.IsReadOnly(machine);
   health_.RecordTaskFailure(machine, clock_);
   if (was_read_only || !health_.IsReadOnly(machine)) return;
-  // Drain read-only only while at least one other machine still takes
-  // new tasks; never strand the job.
-  int available = 0;
-  for (int m = 0; m < config_.machines; ++m) {
-    if (m == machine || down_.count(m) > 0 || detected_.count(m) > 0) {
-      continue;
-    }
-    if (!health_.IsReadOnly(m)) available += 1;
-  }
-  if (available == 0) {
-    health_.Clear(machine);
-    return;
-  }
+  // Drain read-only only while another machine still takes new tasks.
+  if (KeepOneMachineSchedulableLocked(machine) == machine) return;
   arbiter_.SetReadOnly(machine, true);
   SWIFT_LOG(Info) << "machine " << machine
                   << " drained read-only after repeated task failures";
+}
+
+int LocalRuntime::KeepOneMachineSchedulableLocked(int prefer) {
+  int rejoin = -1;
+  for (int m = 0; m < config_.machines; ++m) {
+    if (down_.count(m) > 0) continue;
+    if (!health_.IsReadOnly(m)) return -1;  // one still takes tasks
+    if (rejoin < 0) rejoin = m;
+  }
+  if (rejoin < 0) return -1;  // no live machine left
+  if (prefer >= 0 && down_.count(prefer) == 0) rejoin = prefer;
+  health_.Clear(rejoin);
+  arbiter_.SetReadOnly(rejoin, false);
+  SWIFT_LOG(Info) << "machine " << rejoin
+                  << " in rotation: no other live machine takes tasks";
+  return rejoin;
 }
 
 int LocalRuntime::ResolveMachine(JobContext* ctx, const TaskRef& task) {
   auto it = ctx->placement.find(task);
   int preferred = it != ctx->placement.end() ? it->second.machine : 0;
   std::lock_guard<std::mutex> lock(mu_);
-  auto alive = [this](int m) {
-    return down_.count(m) == 0 && detected_.count(m) == 0;
-  };
+  auto alive = [this](int m) { return down_.count(m) == 0; };
   if (alive(preferred) && !health_.IsReadOnly(preferred)) return preferred;
   // Deterministic failover: the next live, undrained machine; if every
   // live machine is drained, any live one (drain is best-effort).
@@ -1029,7 +981,6 @@ void LocalRuntime::NoteDecompressed(JobContext* ctx, std::string_view wire) {
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->stats.decompressed_frames += 1;
-    ctx->stats.decompressed_bytes += raw_len;
   }
   obs::Add(metrics_.decompress_frames);
   obs::Add(metrics_.decompress_bytes, raw_len);

@@ -96,16 +96,13 @@ struct JobRunStats {
   int machine_failures = 0;      ///< machine losses detected and handled
   /// Shuffle payloads re-fetched after the CRC-32C footer rejected them.
   int corrupt_read_retries = 0;
-  /// Compressed shuffle frames decoded on the read side, and the raw
-  /// (post-decode) bytes they carried.
+  /// Compressed shuffle frames decoded on the read side.
   int decompressed_frames = 0;
-  int64_t decompressed_bytes = 0;
   /// Recovery decisions by Sec. IV-B scenario.
   std::map<RecoveryCase, int> recoveries_by_case;
   /// What the job-restart baseline would have re-executed instead: the
   /// count of already-finished tasks summed over every recovery.
   int64_t job_restart_equivalent_tasks = 0;
-  std::map<ShuffleKind, int> edges_by_kind;
   ShuffleServiceStats shuffle;
 };
 
@@ -152,10 +149,11 @@ class LocalRuntime {
   void InjectFailureOnce(const TaskRef& task, FailureKind kind);
 
   /// \brief Kills machine `machine` mid-flight: its Cache Worker state
-  /// and retained partitions are lost, its heartbeats stop, and tasks
-  /// placed there fail. Detection runs through the HeartbeatMonitor (or
-  /// eagerly, when a reader trips over the missing data); recovery then
-  /// replans through the surviving machines.
+  /// and retained partitions are lost, its heartbeats stop, its
+  /// executors leave the gang pool at once, and tasks placed there fail.
+  /// Detection runs through the HeartbeatMonitor (or eagerly, when a
+  /// reader trips over the missing data); recovery then replans through
+  /// the surviving machines.
   void FailMachine(int machine);
 
   /// \brief Brings `machine` back with a fresh, empty Cache Worker.
@@ -205,8 +203,9 @@ class LocalRuntime {
   /// detection, and handle newly detected machine losses and probation
   /// expirations. Called between stage waves.
   Status TickClusterHealth(JobContext* ctx);
-  /// A machine loss was detected: revoke it and replan recovery for
-  /// every completed task whose retained output died with it.
+  /// A machine loss was detected: keep one machine schedulable and
+  /// replan recovery for every completed task whose retained output died
+  /// with it.
   Status HandleMachineLoss(JobContext* ctx, int machine);
   /// Eager detection: machine-flavored failures surface losses before
   /// the heartbeat deadline (the failed-RPC path of Sec. IV-A).
@@ -215,8 +214,6 @@ class LocalRuntime {
   bool OutputsAvailable(JobContext* ctx, const TaskRef& task);
   /// Re-run producers whose retained slots feeding `task` are gone.
   Status EnsureInputsAvailable(JobContext* ctx, const TaskRef& task);
-  /// True once every stage of graphlet `gid` has all tasks completed.
-  bool GraphletComplete(JobContext* ctx, GraphletId gid);
   /// Pick the machine `task` runs on, avoiding dead/drained machines.
   int ResolveMachine(JobContext* ctx, const TaskRef& task);
   /// Reset `task` to pending and forget who consumed its output.
@@ -224,8 +221,14 @@ class LocalRuntime {
   /// Record a non-application failure against `machine`; drains it
   /// read-only when the sliding window fills (never the last machine).
   void RecordMachineFailure(int machine);
-  /// Feeds the fault.detection_delay_s histogram (requires mu_).
-  void RecordDetectionDelayLocked(int machine);
+  /// The last-machine rule, for drain and loss alike: when no live
+  /// machine is left undrained, `prefer` (if live, else the lowest-id
+  /// live machine) rejoins rotation, or every later gang request would
+  /// strand. Returns the machine that rejoined, or -1 (requires mu_).
+  int KeepOneMachineSchedulableLocked(int prefer);
+  /// Marks killed `machine` detected; on the first detection feeds the
+  /// fault.detection_delay_s histogram and returns true (requires mu_).
+  bool DetectLocked(int machine);
 
   LocalRuntimeConfig config_;
   Catalog catalog_;
@@ -252,9 +255,12 @@ class LocalRuntime {
   /// instead of one per wave of every job (which would shrink detection
   /// windows and probation under concurrency).
   int active_jobs_ = 0;
-  std::set<int> down_;      ///< machines killed (heartbeats silent)
-  std::set<int> detected_;  ///< down machines already detected + handled
-  std::map<int, double> down_since_;  ///< machine -> clock_ at failure
+  /// Machines killed and not yet restored (heartbeats silent) -> clock_
+  /// at the kill, which the detection delay is measured from.
+  std::map<int, double> down_;
+  /// The admin's "already handled" set: down machines whose loss was
+  /// detected and recovered from (always a subset of down_'s keys).
+  std::set<int> detected_;
   double clock_ = 0.0;      ///< logical cluster time, one tick per wave
   JobId next_job_id_ = 1;
   obs::TraceRecorder* tracer_ = nullptr;  // == config_.tracer

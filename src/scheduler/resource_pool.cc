@@ -110,9 +110,8 @@ std::vector<ExecutorId> ResourcePool::RevokeMachine(int machine) {
   std::vector<ExecutorId> busy;
   if (machine < 0 || machine >= machines_) return busy;
   Machine& st = state_[static_cast<std::size_t>(machine)];
-  // Idempotent: a second revocation (e.g. the runtime re-syncing pool
-  // state every graphlet while a machine stays down) reports no busy
-  // executors instead of re-reporting every slot.
+  // Idempotent: a second revocation reports no busy executors instead
+  // of re-reporting every slot.
   if (st.revoked) return busy;
   for (int s = 0; s < per_machine_; ++s) {
     if (st.free_slots.count(s) == 0) {

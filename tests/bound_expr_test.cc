@@ -133,6 +133,46 @@ TEST(BoundExprTest, LiteralArithmeticFolds) {
   EXPECT_EQ(out.GetValue(0).int64(), 3);
 }
 
+// int64 + - * wrap modulo 2^64, column and folded literal alike, and the
+// row oracle agrees; neither overflows (the UBSan build aborts if so).
+TEST(BoundExprTest, Int64ArithmeticWrapsAtTheLimits) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const Schema schema = TestSchema();
+  const auto col = Expr::Column("a");
+  const auto lit = [](int64_t v) { return Expr::Literal(Value(v)); };
+  const auto bin = [](BinaryOp op, ExprPtr l, ExprPtr r) {
+    return Expr::Binary(op, std::move(l), std::move(r));
+  };
+  struct Case {
+    ExprPtr e;
+    int64_t a;
+    int64_t want;
+  };
+  const std::vector<Case> cases = {
+      {bin(BinaryOp::kAdd, col, lit(1)), kMax, kMin},
+      {bin(BinaryOp::kAdd, col, col), kMin, 0},
+      {bin(BinaryOp::kSub, col, lit(1)), kMin, kMax},
+      {bin(BinaryOp::kSub, lit(0), col), kMin, kMin},
+      {bin(BinaryOp::kMul, col, lit(2)), kMax, -2},
+      {bin(BinaryOp::kMul, col, lit(-1)), kMin, kMin},
+      {bin(BinaryOp::kMul, col, col), kMin, 0},
+      {bin(BinaryOp::kAdd, lit(kMax), lit(kMax)), 0, -2},
+      {bin(BinaryOp::kSub, lit(kMin), lit(kMax)), 0, 1},
+  };
+  for (const Case& c : cases) {
+    const Row row = {Value(c.a), Value(0.0), Value("x")};
+    auto bound = Bind(c.e, schema);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    auto got = EvalRow(**bound, schema, row);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->int64(), c.want) << c.e->ToString() << " at a=" << c.a;
+    auto want = ref::Evaluate(c.e, schema, row);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->int64(), c.want) << c.e->ToString() << " at a=" << c.a;
+  }
+}
+
 TEST(BoundExprTest, ConstantFunctionFolds) {
   auto bound = Bind(Expr::Function("upper", {Expr::Literal(Value("abc"))}),
                     TestSchema());
@@ -770,7 +810,7 @@ TEST_P(BoundExprParityTest, FunctionKernelsMatchInterpreted) {
 // int64 / int64 with zero divisors, comparisons, coalesce, and constant
 // int64 sides that fold to float64 literals) over int64 cells beyond
 // 2^53 and at the int64 limits against -0.0, NaN, infinities and
-// doubles near 2^53. No int64 + - * appears: its overflow is undefined.
+// doubles near 2^53; int64 + - * of the same cells wrap on both sides.
 TEST_P(BoundExprParityTest, PromotionMatchesInterpreted) {
   Rng rng(GetParam());
   constexpr int64_t kBig = (int64_t{1} << 53) + 1;  // not a double
@@ -815,6 +855,10 @@ TEST_P(BoundExprParityTest, PromotionMatchesInterpreted) {
     exprs.push_back(bin(op, col("b"), col("a")));
     exprs.push_back(bin(op, lit(Value(kBig)), col("b")));
     exprs.push_back(bin(op, col("a"), lit(Value(9007199254740992.0))));
+  }
+  for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul}) {
+    exprs.push_back(bin(op, col("a"), col("a")));
+    exprs.push_back(bin(op, col("a"), lit(Value(kBig))));
   }
   for (const ExprPtr& e :
        {bin(BinaryOp::kDiv, col("a"), col("a")),

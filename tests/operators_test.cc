@@ -5,6 +5,7 @@
 #include <set>
 
 #include "partition_gather.h"
+#include "reference_ops.h"
 
 namespace swift {
 namespace {
@@ -254,6 +255,44 @@ TEST(OperatorsTest, SumOfIntsStaysInt) {
   ASSERT_EQ(out.num_rows(), 1u);
   ASSERT_TRUE(out.rows[0][0].is_int64());
   EXPECT_EQ(out.rows[0][0].int64(), 5);
+}
+
+// An int64 SUM adds in int64, in both aggregates and the row oracle:
+// exact past 2^53, and past the int64 range it wraps modulo 2^64 as
+// int64 `+` does.
+TEST(OperatorsTest, SumOfIntsIsExactAndWraps) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  const Schema s({{"x", DataType::kInt64}});
+  // In double, 2^53 + 1 + 1 rounds back to 2^53.
+  const std::vector<Row> exact = {
+      {Value(k2p53)}, {Value(int64_t{1})}, {Value(int64_t{1})}};
+  // n + 9223372036854775000 for n = 0..24: the cells of
+  // `sum(n_nationkey + 9223372036854775000)` over tpch_nation.
+  std::vector<Row> wraps;
+  for (int64_t n = 0; n < 25; ++n) {
+    wraps.push_back({Value(n + 9223372036854775000)});
+  }
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggKind::kSum, Expr::Column("x"), "sx"}};
+  for (const auto& [rows, want] :
+       {std::pair{exact, k2p53 + 2},
+        std::pair{wraps, int64_t{9223372036854755908}}}) {
+    for (const bool streamed : {false, true}) {
+      OperatorPtr src = SourceOf(s, rows);
+      Batch out = Collect(
+          streamed ? MakeStreamedAggregate(std::move(src), {}, {}, aggs)
+                   : MakeHashAggregate(std::move(src), {}, {}, aggs));
+      ASSERT_EQ(out.num_rows(), 1u);
+      ASSERT_TRUE(out.rows[0][0].is_int64());
+      EXPECT_EQ(out.rows[0][0].int64(), want) << "streamed=" << streamed;
+    }
+    Batch in;
+    in.schema = s;
+    in.rows = rows;
+    const std::vector<Row> ref_out = ref::Aggregate(in, {}, aggs);
+    ASSERT_EQ(ref_out.size(), 1u);
+    EXPECT_EQ(ref_out[0][0].int64(), want);
+  }
 }
 
 TEST(OperatorsTest, StreamedAggregateMatchesHashOnSortedInput) {

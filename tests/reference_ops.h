@@ -63,8 +63,8 @@ inline std::vector<Row> Rows(const Table& t) {
 
 // ---- Expressions ------------------------------------------------------
 
-/// +,-,*,/ over non-null operands: int64 op int64 stays int64 (but `/`),
-/// anything else computes in double. Non-numeric operands and division
+/// +,-,*,/ over non-null operands: int64 op int64 stays int64 (but `/`)
+/// and wraps modulo 2^64, anything else computes in double. Non-numeric operands and division
 /// by zero are Status::Application.
 inline Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
   if (!l.is_numeric() || !r.is_numeric()) {
@@ -78,11 +78,11 @@ inline Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
     const int64_t b = r.int64();
     switch (op) {
       case BinaryOp::kAdd:
-        return Value(a + b);
+        return Value(expr_eval::AddWrapping(a, b));
       case BinaryOp::kSub:
-        return Value(a - b);
+        return Value(expr_eval::SubWrapping(a, b));
       case BinaryOp::kMul:
-        return Value(a * b);
+        return Value(expr_eval::MulWrapping(a, b));
       default:
         break;
     }
@@ -429,10 +429,15 @@ inline std::vector<Row> Aggregate(const Batch& in,
         if (!v.is_null()) vals.push_back(std::move(v));
       }
       double sum = 0.0;
+      int64_t sum_i64 = 0;  // an all-int64 SUM is exact and wraps
       bool all_int = true;
       for (const Value& v : vals) {
         if (v.is_numeric()) sum += v.AsDouble();
-        if (!v.is_int64()) all_int = false;
+        if (v.is_int64()) {
+          sum_i64 = expr_eval::AddWrapping(sum_i64, v.int64());
+        } else {
+          all_int = false;
+        }
       }
       switch (a.kind) {
         case AggKind::kCount:
@@ -440,7 +445,7 @@ inline std::vector<Row> Aggregate(const Batch& in,
           break;
         case AggKind::kSum:
           o.push_back(vals.empty() ? Value::Null()
-                      : all_int    ? Value(static_cast<int64_t>(sum))
+                      : all_int    ? Value(sum_i64)
                                    : Value(sum));
           break;
         case AggKind::kAvg:

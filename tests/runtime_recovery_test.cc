@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -317,6 +318,70 @@ TEST(RuntimeRecoveryMatrix, LosingTheLastUndrainedMachineDoesNotStrandGangs) {
   EXPECT_FALSE(health.IsReadOnly(0));
   EXPECT_TRUE(health.IsReadOnly(1));
   EXPECT_TRUE(health.IsReadOnly(2));
+}
+
+// Asks the runtime's arbiter for a gang of every executor in the
+// cluster, under a job id the runtime never issues, and hands it back.
+Result<std::vector<ExecutorId>> WholeClusterGang(LocalRuntime* rt) {
+  constexpr JobId kProbeJob = JobId{1} << 40;
+  const LocalRuntimeConfig cfg;
+  GangArbiter* arbiter = rt->arbiter();
+  arbiter->BeginJob(kProbeJob, JobRunOptions{});
+  Result<GangArbiter::Ticket> ticket = arbiter->RequestGang(
+      kProbeJob, std::vector<LocalityPref>(static_cast<std::size_t>(
+                     cfg.machines * cfg.executors_per_machine)));
+  Result<std::vector<ExecutorId>> gang = ticket.status();
+  if (ticket.ok()) {
+    std::optional<GangArbiter::Grant> grant = arbiter->GrantHead();
+    gang = grant.has_value() ? std::move(grant->gang)
+                             : Status::Internal("whole-cluster gang waits");
+  }
+  if (gang.ok()) arbiter->ReleaseGang(kProbeJob, *gang);
+  arbiter->EndJob(kProbeJob);
+  return gang;
+}
+
+// A machine restored after a kill comes back with a clean health record,
+// and the arbiter hears it at the restore: a machine drained read-only
+// by task failures, then killed and restored, holds schedulable
+// executors again before any later graphlet runs.
+TEST(RuntimeRecoveryMatrix, RestoredDrainedMachineIsSchedulableAtOnce) {
+  const char* sql =
+      "select l_returnflag, count(*) as n from tpch_lineitem "
+      "group by l_returnflag";
+  PlannerConfig pc;
+  pc.rows_per_scan_task = 500;
+  auto rt = MakeRuntime();
+  auto plan = PlanSql(sql, *rt->catalog(), pc);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const StageId scan = FindScanStage(*plan);
+  ASSERT_GE(plan->program(scan).task_count, 12);
+  // Scan task t prefers machine t % 4: three crashes drain machine 1.
+  for (const int t : {1, 5, 9}) {
+    rt->InjectFailureOnce(TaskRef{scan, t}, FailureKind::kProcessCrash);
+  }
+  auto report = rt->RunPlan(*plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(rt->health_monitor()->IsReadOnly(1));
+  rt->FailMachine(1);
+  rt->RestoreMachine(1);
+  EXPECT_FALSE(rt->health_monitor()->IsReadOnly(1));
+  auto gang = WholeClusterGang(rt.get());
+  ASSERT_TRUE(gang.ok()) << gang.status().ToString();
+  EXPECT_EQ(gang->size(), 256u);
+}
+
+// The arbiter hears of a kill at the kill, before any loss detection or
+// graphlet boundary: a gang needing the dead machine's executors fails
+// fast instead of being granted executors on it.
+TEST(RuntimeRecoveryMatrix, KilledMachineLeavesTheArbiterAtOnce) {
+  auto rt = MakeRuntime();
+  ASSERT_TRUE(WholeClusterGang(rt.get()).ok());
+  rt->FailMachine(2);
+  auto gang = WholeClusterGang(rt.get());
+  ASSERT_FALSE(gang.ok());
+  EXPECT_TRUE(gang.status().IsResourceExhausted())
+      << gang.status().ToString();
 }
 
 // The tpch-chaos fault schedule (bench_e2e's ApplyChaos: seeded task
