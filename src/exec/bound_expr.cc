@@ -98,11 +98,131 @@ bool IsCompareOp(BinaryOp op) {
   }
 }
 
+// Row addressing of a kernel operand: row i of the operand is cell
+// rows(i) of its column.
+struct DenseRows {
+  std::size_t operator()(std::size_t i) const { return i; }
+};
+struct SelectedRows {
+  const uint32_t* sel;
+  std::size_t operator()(std::size_t i) const { return sel[i]; }
+};
+struct ScalarRow {
+  std::size_t operator()(std::size_t) const { return 0; }
+};
+
+// One kernel operand, read where its values already are: a plain column
+// of the input in place, through the input's selection; a literal as its
+// one-cell column, which every row reads; any other subtree evaluated
+// once into an owned dense column. Valid while the input batch and the
+// expression live.
+class Operand {
+ public:
+  Operand() = default;
+  Operand(const Operand&) = delete;
+  Operand& operator=(const Operand&) = delete;
+
+  Status Read(const BoundExpr& e, const ColumnBatch& in) {
+    sel_ = nullptr;
+    scalar_ = false;
+    if (const ColumnVector* c = e.InputColumn(in)) {
+      col_ = c;
+      if (in.selection) sel_ = in.selection->data();
+      return Status::OK();
+    }
+    if (const ColumnVector* cell = e.scalar_cell()) {
+      col_ = cell;
+      scalar_ = true;
+      return Status::OK();
+    }
+    SWIFT_RETURN_NOT_OK(e.EvaluateVector(in, &owned_));
+    col_ = &owned_;
+    return Status::OK();
+  }
+
+  const ColumnVector& col() const { return *col_; }
+  // Column cell of row i.
+  std::size_t Phys(std::size_t i) const {
+    return scalar_ ? 0 : (sel_ != nullptr ? sel_[i] : i);
+  }
+  bool IsNull(std::size_t i) const { return col_->IsNull(Phys(i)); }
+  int64_t Int64At(std::size_t i) const { return col_->Int64At(Phys(i)); }
+  double Float64At(std::size_t i) const { return col_->Float64At(Phys(i)); }
+  std::string_view StrAt(std::size_t i) const { return col_->StrAt(Phys(i)); }
+
+  // Calls f with this operand's row addressing (DenseRows, SelectedRows
+  // or ScalarRow), so a kernel loop compiles once per operand shape.
+  template <typename F>
+  void VisitRows(F&& f) const {
+    if (scalar_) {
+      f(ScalarRow{});
+    } else if (sel_ != nullptr) {
+      f(SelectedRows{sel_});
+    } else {
+      f(DenseRows{});
+    }
+  }
+
+ private:
+  const ColumnVector* col_ = nullptr;
+  const uint32_t* sel_ = nullptr;
+  bool scalar_ = false;
+  ColumnVector owned_;
+};
+
+// Sizes `out` to n all-valid cells of the fixed-width `rep` (keeping its
+// storage when it already has that rep) for a kernel to write.
+void ResetFixedWidth(ColumnRep rep, std::size_t n, ColumnVector* out) {
+  if (out->rep() != rep) *out = ColumnVector();
+  out->ResizeFixedWidth(rep, n);
+}
+
+// A kernel output's validity, marked row by row; Install gives the
+// column its bitmap (none when no row was NULL).
+class NullBits {
+ public:
+  explicit NullBits(std::size_t n) : n_(n) {}
+
+  void Set(std::size_t i) {
+    if (bits_.empty()) bits_.assign((n_ + 7) / 8, 0xFF);
+    bits_[i >> 3] = static_cast<uint8_t>(bits_[i >> 3] & ~(1u << (i & 7)));
+    ++count_;
+  }
+
+  void Install(ColumnVector* out) {
+    if (count_ != 0) out->SetValidity(std::move(bits_), count_);
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t count_ = 0;
+  std::vector<uint8_t> bits_;
+};
+
+// Makes row i of the fixed-width output `values` NULL (its slot 0)
+// wherever operand `a`, or `b` when given, is NULL on row i.
+template <typename T>
+void PropagateNulls(const Operand& a, const Operand* b, std::size_t n,
+                    T* values, ColumnVector* out) {
+  if (!a.col().has_nulls() && (b == nullptr || !b->col().has_nulls())) return;
+  NullBits nulls(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a.IsNull(i) || (b != nullptr && b->IsNull(i))) {
+      values[i] = T{};
+      nulls.Set(i);
+    }
+  }
+  nulls.Install(out);
+}
+
 class BoundColumn final : public BoundExpr {
  public:
   BoundColumn(std::size_t idx, std::string name, DataType t)
       : BoundExpr(t), idx_(idx), name_(std::move(name)) {}
 
+  // Kernels read a column operand in place (Operand); this copy runs
+  // only where the column is an output of its own (a projection, or a
+  // key that cannot be read in place).
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
     if (idx_ >= in.columns.size()) {
@@ -127,11 +247,16 @@ class BoundColumn final : public BoundExpr {
 };
 
 // A literal, or a folded constant subtree: `t` is the subtree's type,
-// which a folded NULL keeps, so its column has that rep too.
+// which a folded NULL keeps, so its column has that rep too. Kernels
+// read it as its one-cell column (scalar_cell); EvaluateVector
+// broadcasts it only where it is an output of its own.
 class BoundLiteral final : public BoundExpr {
  public:
   explicit BoundLiteral(Value v) : BoundLiteral(v.type(), std::move(v)) {}
-  BoundLiteral(DataType t, Value v) : BoundExpr(t), v_(std::move(v)) {}
+  BoundLiteral(DataType t, Value v)
+      : BoundExpr(t), v_(std::move(v)), cell_(ColumnVector::OfType(t)) {
+    cell_.Append(v_);
+  }
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
@@ -142,13 +267,11 @@ class BoundLiteral final : public BoundExpr {
         AppendAllNull(static_type_, n, out);
         break;
       case DataType::kInt64:
-        *out = ColumnVector();
-        out->ResizeFixedWidth(ColumnRep::kInt64, n);
+        ResetFixedWidth(ColumnRep::kInt64, n, out);
         std::fill_n(out->MutableInt64Data(), n, v_.int64_unchecked());
         break;
       case DataType::kFloat64:
-        *out = ColumnVector();
-        out->ResizeFixedWidth(ColumnRep::kFloat64, n);
+        ResetFixedWidth(ColumnRep::kFloat64, n, out);
         std::fill_n(out->MutableFloat64Data(), n, v_.float64_unchecked());
         break;
       case DataType::kString:
@@ -163,9 +286,11 @@ class BoundLiteral final : public BoundExpr {
   }
 
   const Value* literal() const override { return &v_; }
+  const ColumnVector* scalar_cell() const override { return &cell_; }
 
  private:
   Value v_;
+  ColumnVector cell_;
 };
 
 // A constant subtree whose evaluation fails (e.g. a literal 1/0): it
@@ -199,40 +324,41 @@ class BoundAndOr final : public BoundExpr {
                         ColumnVector* out) const override {
     // Row semantics evaluate the lhs on every row, so an lhs error is
     // the batch's error.
-    ColumnVector lv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
+    Operand lv;
+    SWIFT_RETURN_NOT_OK(lv.Read(*lhs_, in));
     const std::size_t n = in.num_rows();
     const int dominant = is_and_ ? 0 : 1;
-    ColumnVector rv;
+    Operand rv;
     // Row semantics skip the rhs where the lhs already decided the row
     // (AND: false, OR: true), so an rhs error counts only on an
     // undecided row: on error, re-evaluate the rhs over just those rows.
     // `rv` then holds one value per undecided row, in order.
-    const bool narrowed = !rhs_->EvaluateVector(in, &rv).ok();
+    const bool narrowed = !rv.Read(*rhs_, in).ok();
+    ColumnBatch undecided;
     if (narrowed) {
-      ColumnBatch undecided;
       undecided.schema = in.schema;
       undecided.columns = in.columns;
       undecided.physical_rows = in.physical_rows;
       std::vector<uint32_t> sel;
       for (std::size_t i = 0; i < n; ++i) {
-        if (TruthAt(lv, i) != dominant) {
+        if (TruthAt(lv.col(), lv.Phys(i)) != dominant) {
           sel.push_back(static_cast<uint32_t>(in.PhysicalIndex(i)));
         }
       }
       undecided.selection = std::move(sel);
-      SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(undecided, &rv));
+      SWIFT_RETURN_NOT_OK(rv.Read(*rhs_, undecided));
     }
-    *out = ColumnVector::OfType(DataType::kInt64);
-    out->Reserve(n);
+    ResetFixedWidth(ColumnRep::kInt64, n, out);
+    int64_t* o = out->MutableInt64Data();
+    NullBits nulls(n);
     std::size_t next_undecided = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const int lt = TruthAt(lv, i);
+      const int lt = TruthAt(lv.col(), lv.Phys(i));
       int rt = -1;  // irrelevant on a decided row
       if (!narrowed) {
-        rt = TruthAt(rv, i);
+        rt = TruthAt(rv.col(), rv.Phys(i));
       } else if (lt != dominant) {
-        rt = TruthAt(rv, next_undecided++);
+        rt = TruthAt(rv.col(), rv.Phys(next_undecided++));
       }
       int res;  // Kleene three-valued AND/OR
       if (is_and_) {
@@ -241,11 +367,13 @@ class BoundAndOr final : public BoundExpr {
         res = (lt == 1 || rt == 1) ? 1 : ((lt == 0 && rt == 0) ? 0 : -1);
       }
       if (res < 0) {
-        out->AppendNull();
+        o[i] = 0;
+        nulls.Set(i);
       } else {
-        out->AppendInt64(res);
+        o[i] = res;
       }
     }
+    nulls.Install(out);
     return Status::OK();
   }
 
@@ -264,31 +392,40 @@ class BoundBinary final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector lv;
-    ColumnVector rv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
-    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    Operand lv;
+    Operand rv;
+    SWIFT_RETURN_NOT_OK(lv.Read(*lhs_, in));
+    SWIFT_RETURN_NOT_OK(rv.Read(*rhs_, in));
     const std::size_t n = in.num_rows();
-    if (lv.rep() == ColumnRep::kString && rv.rep() == ColumnRep::kString) {
-      // Both sides are strings (so the op compares or is LIKE): compare
-      // the heap bytes in place. The string_view order is unsigned
-      // byte-wise, as in Value::Compare.
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (lv.IsNull(i) || rv.IsNull(i)) {
-          out->AppendNull();
-          continue;
-        }
-        const std::string_view a = lv.StrAt(i);
-        const std::string_view b = rv.StrAt(i);
-        const bool t = op_ == BinaryOp::kLike ? SqlLikeMatch(a, b)
-                                              : CompareHolds(op_, a.compare(b));
-        out->AppendInt64(t ? 1 : 0);
-      }
+    if (lv.col().rep() != ColumnRep::kString ||
+        rv.col().rep() != ColumnRep::kString) {
+      AppendAllNull(static_type_, n, out);
       return Status::OK();
     }
-    AppendAllNull(static_type_, n, out);
+    // Both sides are strings (so the op compares or is LIKE): compare
+    // the heap bytes in place. The string_view order is unsigned
+    // byte-wise, as in Value::Compare. A NULL cell is an empty range,
+    // so its row is computed harmlessly, then marked NULL.
+    ResetFixedWidth(ColumnRep::kInt64, n, out);
+    int64_t* o = out->MutableInt64Data();
+    const ColumnVector& a = lv.col();
+    const ColumnVector& b = rv.col();
+    lv.VisitRows([&](auto la) {
+      rv.VisitRows([&](auto rb) {
+        if (op_ == BinaryOp::kLike) {
+          for (std::size_t i = 0; i < n; ++i) {
+            o[i] = SqlLikeMatch(a.StrAt(la(i)), b.StrAt(rb(i))) ? 1 : 0;
+          }
+          return;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          o[i] = CompareHolds(op_, a.StrAt(la(i)).compare(b.StrAt(rb(i))))
+                     ? 1
+                     : 0;
+        }
+      });
+    });
+    PropagateNulls(lv, &rv, n, o, out);
     return Status::OK();
   }
 
@@ -308,21 +445,32 @@ class BoundPromote final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector v;
-    SWIFT_RETURN_NOT_OK(operand_->EvaluateVector(in, &v));
-    const std::size_t n = v.size();
-    *out = ColumnVector();
-    out->ResizeFixedWidth(ColumnRep::kFloat64, n);
+    Operand v;
+    SWIFT_RETURN_NOT_OK(v.Read(*operand_, in));
+    const std::size_t n = in.num_rows();
+    ResetFixedWidth(ColumnRep::kFloat64, n, out);
     double* d = out->MutableFloat64Data();
-    const int64_t* src = v.Int64Data();
-    for (std::size_t i = 0; i < n; ++i) d[i] = static_cast<double>(src[i]);
-    if (v.has_nulls()) out->SetValidity(v.ValidityBits(), v.null_count());
+    const int64_t* src = v.col().Int64Data();
+    v.VisitRows([&](auto rows) {
+      for (std::size_t i = 0; i < n; ++i) {
+        d[i] = static_cast<double>(src[rows(i)]);
+      }
+    });
+    PropagateNulls(v, nullptr, n, d, out);
     return Status::OK();
   }
 
  private:
   BoundExprPtr operand_;
 };
+
+// out[i] = f(a[la(i)], b[rb(i)]) for every row: the one loop of every
+// numeric binary kernel, compiled per operand shape and operation.
+template <typename T, typename U, typename L, typename R, typename F>
+void BinaryRows(const T* a, L la, const T* b, R rb, std::size_t n, F f,
+                U* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = f(a[la(i)], b[rb(i)]);
+}
 
 // Arithmetic over two statically numeric subtrees of one type (Bind
 // promotes a mixed pair): one int64 loop, one float64 loop.
@@ -334,66 +482,75 @@ class BoundNumericArith final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector lv;
-    ColumnVector rv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
-    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    Operand lv;
+    Operand rv;
+    SWIFT_RETURN_NOT_OK(lv.Read(*lhs_, in));
+    SWIFT_RETURN_NOT_OK(rv.Read(*rhs_, in));
     const std::size_t n = in.num_rows();
     if (static_type_ == DataType::kInt64) {  // never `/`: that is float64
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
-      const int64_t* a = lv.Int64Data();
-      const int64_t* b = rv.Int64Data();
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
-          out->AppendNull();
-          continue;
-        }
-        int64_t r = 0;
-        switch (op_) {
-          case BinaryOp::kAdd:
-            r = expr_eval::AddWrapping(a[i], b[i]);
-            break;
-          case BinaryOp::kSub:
-            r = expr_eval::SubWrapping(a[i], b[i]);
-            break;
-          default:
-            r = expr_eval::MulWrapping(a[i], b[i]);
-            break;
-        }
-        out->AppendInt64(r);
-      }
+      ResetFixedWidth(ColumnRep::kInt64, n, out);
+      int64_t* o = out->MutableInt64Data();
+      const int64_t* a = lv.col().Int64Data();
+      const int64_t* b = rv.col().Int64Data();
+      lv.VisitRows([&](auto la) {
+        rv.VisitRows([&](auto rb) {
+          switch (op_) {
+            case BinaryOp::kAdd:
+              BinaryRows(a, la, b, rb, n, expr_eval::AddWrapping, o);
+              break;
+            case BinaryOp::kSub:
+              BinaryRows(a, la, b, rb, n, expr_eval::SubWrapping, o);
+              break;
+            default:
+              BinaryRows(a, la, b, rb, n, expr_eval::MulWrapping, o);
+              break;
+          }
+        });
+      });
+      PropagateNulls(lv, &rv, n, o, out);
       return Status::OK();
     }
-    *out = ColumnVector::OfType(DataType::kFloat64);
-    out->Reserve(n);
-    const double* a = lv.Float64Data();
-    const double* b = rv.Float64Data();
-    const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
-        out->AppendNull();
-        continue;
+    ResetFixedWidth(ColumnRep::kFloat64, n, out);
+    double* o = out->MutableFloat64Data();
+    const double* a = lv.col().Float64Data();
+    const double* b = rv.col().Float64Data();
+    bool zero_divisor = false;
+    lv.VisitRows([&](auto la) {
+      rv.VisitRows([&](auto rb) {
+        switch (op_) {
+          case BinaryOp::kAdd:
+            BinaryRows(a, la, b, rb, n,
+                       [](double x, double y) { return x + y; }, o);
+            break;
+          case BinaryOp::kSub:
+            BinaryRows(a, la, b, rb, n,
+                       [](double x, double y) { return x - y; }, o);
+            break;
+          case BinaryOp::kMul:
+            BinaryRows(a, la, b, rb, n,
+                       [](double x, double y) { return x * y; }, o);
+            break;
+          default:
+            BinaryRows(a, la, b, rb, n,
+                       [&](double x, double y) {
+                         zero_divisor |= y == 0.0;
+                         return y == 0.0 ? 0.0 : x / y;
+                       },
+                       o);
+            break;
+        }
+      });
+    });
+    if (zero_divisor) {
+      // A zero divisor fails the batch unless its row is NULL (its slot
+      // reads 0 too).
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!lv.IsNull(i) && !rv.IsNull(i) && rv.Float64At(i) == 0.0) {
+          return Status::Application("division by zero");
+        }
       }
-      double r = 0;
-      switch (op_) {
-        case BinaryOp::kAdd:
-          r = a[i] + b[i];
-          break;
-        case BinaryOp::kSub:
-          r = a[i] - b[i];
-          break;
-        case BinaryOp::kMul:
-          r = a[i] * b[i];
-          break;
-        default:
-          if (b[i] == 0.0) return Status::Application("division by zero");
-          r = a[i] / b[i];
-          break;
-      }
-      out->AppendFloat64(r);
     }
+    PropagateNulls(lv, &rv, n, o, out);
     return Status::OK();
   }
 
@@ -403,11 +560,35 @@ class BoundNumericArith final : public BoundExpr {
   BoundExprPtr rhs_;
 };
 
-// Three-way comparison of two numbers of one type (NaN compares equal,
-// as in Value::Compare).
-template <typename T>
-int Compare3(T a, T b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
+// out[i] = whether `op` holds between a[la(i)] and b[rb(i)] under the
+// three-way order of Value::Compare, where NaN compares equal to
+// everything: each case is CompareHolds(op, c) for c = x < y ? -1 :
+// (x > y ? 1 : 0), spelled out.
+template <typename T, typename L, typename R>
+void CompareRows(BinaryOp op, const T* a, L la, const T* b, R rb,
+                 std::size_t n, int64_t* out) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return !(x < y) && !(x > y); },
+                        out);
+    case BinaryOp::kNe:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return x < y || x > y; },
+                        out);
+    case BinaryOp::kLt:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return x < y; }, out);
+    case BinaryOp::kLe:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return !(x > y); }, out);
+    case BinaryOp::kGt:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return x > y; }, out);
+    default:
+      return BinaryRows(a, la, b, rb, n,
+                        [](T x, T y) -> int64_t { return !(x < y); }, out);
+  }
 }
 
 // Comparison of two statically numeric subtrees of one type (Bind
@@ -422,24 +603,26 @@ class BoundNumericCompare final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector lv;
-    ColumnVector rv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
-    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    Operand lv;
+    Operand rv;
+    SWIFT_RETURN_NOT_OK(lv.Read(*lhs_, in));
+    SWIFT_RETURN_NOT_OK(rv.Read(*rhs_, in));
     const std::size_t n = in.num_rows();
-    *out = ColumnVector::OfType(DataType::kInt64);
-    out->Reserve(n);
-    const bool ints = lv.rep() == ColumnRep::kInt64;
-    const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
-        out->AppendNull();
-        continue;
-      }
-      const int c = ints ? Compare3(lv.Int64At(i), rv.Int64At(i))
-                         : Compare3(lv.Float64At(i), rv.Float64At(i));
-      out->AppendInt64(CompareHolds(op_, c) ? 1 : 0);
-    }
+    ResetFixedWidth(ColumnRep::kInt64, n, out);
+    int64_t* o = out->MutableInt64Data();
+    const bool ints = lv.col().rep() == ColumnRep::kInt64;
+    lv.VisitRows([&](auto la) {
+      rv.VisitRows([&](auto rb) {
+        if (ints) {
+          CompareRows(op_, lv.col().Int64Data(), la, rv.col().Int64Data(), rb,
+                      n, o);
+        } else {
+          CompareRows(op_, lv.col().Float64Data(), la, rv.col().Float64Data(),
+                      rb, n, o);
+        }
+      });
+    });
+    PropagateNulls(lv, &rv, n, o, out);
     return Status::OK();
   }
 
@@ -456,44 +639,41 @@ class BoundUnary final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector v;
-    SWIFT_RETURN_NOT_OK(operand_->EvaluateVector(in, &v));
+    Operand v;
+    SWIFT_RETURN_NOT_OK(v.Read(*operand_, in));
     const std::size_t n = in.num_rows();
     if (op_ == UnaryOp::kNot) {
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
+      ResetFixedWidth(ColumnRep::kInt64, n, out);
+      int64_t* o = out->MutableInt64Data();
+      NullBits nulls(n);
       for (std::size_t i = 0; i < n; ++i) {
-        const int t = TruthAt(v, i);
-        if (t < 0) {
-          out->AppendNull();
-        } else {
-          out->AppendInt64(t == 1 ? 0 : 1);
-        }
+        const int t = TruthAt(v.col(), v.Phys(i));
+        o[i] = t == 0 ? 1 : 0;
+        if (t < 0) nulls.Set(i);
       }
+      nulls.Install(out);
       return Status::OK();
     }
-    if (v.rep() == ColumnRep::kInt64) {
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (v.IsNull(i)) {
-          out->AppendNull();
-        } else {
-          out->AppendInt64(expr_eval::NegateWrapping(v.Int64At(i)));
+    if (v.col().rep() == ColumnRep::kInt64) {
+      ResetFixedWidth(ColumnRep::kInt64, n, out);
+      int64_t* o = out->MutableInt64Data();
+      const int64_t* src = v.col().Int64Data();
+      v.VisitRows([&](auto rows) {
+        for (std::size_t i = 0; i < n; ++i) {
+          o[i] = expr_eval::NegateWrapping(src[rows(i)]);
         }
-      }
+      });
+      PropagateNulls(v, nullptr, n, o, out);
       return Status::OK();
     }
-    if (v.rep() == ColumnRep::kFloat64) {
-      *out = ColumnVector::OfType(DataType::kFloat64);
-      out->Reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (v.IsNull(i)) {
-          out->AppendNull();
-        } else {
-          out->AppendFloat64(-v.Float64At(i));
-        }
-      }
+    if (v.col().rep() == ColumnRep::kFloat64) {
+      ResetFixedWidth(ColumnRep::kFloat64, n, out);
+      double* o = out->MutableFloat64Data();
+      const double* src = v.col().Float64Data();
+      v.VisitRows([&](auto rows) {
+        for (std::size_t i = 0; i < n; ++i) o[i] = -src[rows(i)];
+      });
+      PropagateNulls(v, nullptr, n, o, out);
       return Status::OK();
     }
     AppendAllNull(static_type_, n, out);
@@ -506,13 +686,14 @@ class BoundUnary final : public BoundExpr {
 };
 
 // A numeric cell as a double (pre: rep kInt64 or kFloat64, non-NULL).
-double NumberAt(const ColumnVector& c, std::size_t i) {
-  return c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
-                                      : c.Float64At(i);
+double NumberAt(const Operand& c, std::size_t i) {
+  return c.col().rep() == ColumnRep::kInt64
+             ? static_cast<double>(c.Int64At(i))
+             : c.Float64At(i);
 }
 
 // Column kernels of the scalar functions, one per FuncId, over argument
-// columns of the bound types; each equals the row oracle's function
+// operands of the bound types; each equals the row oracle's function
 // (tests/reference_ops.h) applied row by row. NULL propagates except
 // through is_null/coalesce.
 class BoundFunction final : public BoundExpr {
@@ -522,9 +703,9 @@ class BoundFunction final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    std::vector<ColumnVector> cols(args_.size());
+    std::vector<Operand> args(args_.size());
     for (std::size_t a = 0; a < args_.size(); ++a) {
-      SWIFT_RETURN_NOT_OK(args_[a]->EvaluateVector(in, &cols[a]));
+      SWIFT_RETURN_NOT_OK(args[a].Read(*args_[a], in));
     }
     const std::size_t n = in.num_rows();
     *out = ColumnVector::OfType(static_type_);
@@ -532,21 +713,21 @@ class BoundFunction final : public BoundExpr {
       case FuncId::kIsNull:
         out->ResizeFixedWidth(ColumnRep::kInt64, n);
         for (std::size_t i = 0; i < n; ++i) {
-          out->MutableInt64Data()[i] = cols[0].IsNull(i) ? 1 : 0;
+          out->MutableInt64Data()[i] = args[0].IsNull(i) ? 1 : 0;
         }
         return Status::OK();
       case FuncId::kCoalesce:
-        Coalesce(cols, n, out);
+        Coalesce(args, n, out);
         return Status::OK();
       case FuncId::kSubstr:
-        Substr(cols[0], cols[1], cols[2], n, out);
+        Substr(args[0], args[1], args[2], n, out);
         return Status::OK();
       case FuncId::kLower:
       case FuncId::kUpper:
-        ChangeCase(cols[0], n, out);
+        ChangeCase(args[0], n, out);
         return Status::OK();
       case FuncId::kAbs:
-        Abs(cols[0], n, out);
+        Abs(args[0], n, out);
         return Status::OK();
       case FuncId::kUnknown:
         break;
@@ -557,30 +738,29 @@ class BoundFunction final : public BoundExpr {
  private:
   // The first non-NULL argument cell of each row (Bind promoted int64
   // arguments of a float64 coalesce).
-  void Coalesce(const std::vector<ColumnVector>& cols, std::size_t n,
+  void Coalesce(const std::vector<Operand>& args, std::size_t n,
                 ColumnVector* out) const {
     out->Reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const ColumnVector* src = nullptr;
-      for (const ColumnVector& c : cols) {
-        if (!c.IsNull(i)) {
-          src = &c;
+      const Operand* src = nullptr;
+      for (const Operand& a : args) {
+        if (!a.IsNull(i)) {
+          src = &a;
           break;
         }
       }
       if (src == nullptr) {
         out->AppendNull();
       } else {
-        out->AppendFrom(*src, i);
+        out->AppendFrom(src->col(), src->Phys(i));
       }
     }
   }
 
   // 1-based start (below 1 counts from 1) and length (below 0 is 0),
   // both truncated toward zero; a start past the end gives "".
-  static void Substr(const ColumnVector& str, const ColumnVector& start,
-                     const ColumnVector& len, std::size_t n,
-                     ColumnVector* out) {
+  static void Substr(const Operand& str, const Operand& start,
+                     const Operand& len, std::size_t n, ColumnVector* out) {
     out->Reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (str.IsNull(i) || start.IsNull(i) || len.IsNull(i)) {
@@ -602,8 +782,7 @@ class BoundFunction final : public BoundExpr {
   }
 
   // Byte-wise std::tolower/std::toupper.
-  void ChangeCase(const ColumnVector& str, std::size_t n,
-                  ColumnVector* out) const {
+  void ChangeCase(const Operand& str, std::size_t n, ColumnVector* out) const {
     out->Reserve(n);
     std::string buf;
     for (std::size_t i = 0; i < n; ++i) {
@@ -622,12 +801,12 @@ class BoundFunction final : public BoundExpr {
   }
 
   // |x| in the argument's type; |INT64_MIN| wraps to itself.
-  static void Abs(const ColumnVector& x, std::size_t n, ColumnVector* out) {
+  static void Abs(const Operand& x, std::size_t n, ColumnVector* out) {
     out->Reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (x.IsNull(i)) {
         out->AppendNull();
-      } else if (x.rep() == ColumnRep::kInt64) {
+      } else if (x.col().rep() == ColumnRep::kInt64) {
         const int64_t v = x.Int64At(i);
         out->AppendInt64(v < 0 ? expr_eval::NegateWrapping(v) : v);
       } else {
@@ -670,6 +849,12 @@ BoundExprPtr PromoteToFloat64(BoundExprPtr e) {
 }
 
 }  // namespace
+
+const ColumnVector* BoundExpr::InputColumn(const ColumnBatch& in) const {
+  const std::optional<std::size_t> ord = column_ordinal();
+  return ord.has_value() && *ord < in.columns.size() ? &in.columns[*ord]
+                                                      : nullptr;
+}
 
 Result<DataType> BinaryResultType(const ExprPtr& expr, BinaryOp op,
                                   DataType l, DataType r) {

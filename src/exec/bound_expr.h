@@ -90,6 +90,17 @@ class BoundExpr {
     return std::nullopt;
   }
 
+  /// \brief The column of `in` a plain column reference reads, or
+  /// nullptr for every other node (and for an ordinal `in` lacks, which
+  /// EvaluateVector reports): kernel operands and key columns borrow it
+  /// in place instead of evaluating it.
+  const ColumnVector* InputColumn(const ColumnBatch& in) const;
+
+  /// \brief A literal's value as a one-cell column of its static type,
+  /// or nullptr for every other node: kernels read it as a scalar
+  /// instead of broadcasting it over the batch.
+  virtual const ColumnVector* scalar_cell() const { return nullptr; }
+
  protected:
   explicit BoundExpr(DataType t) : static_type_(t) {}
 

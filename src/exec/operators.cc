@@ -132,9 +132,7 @@ class KeyColumns {
     n_ = in.num_rows();
     bool plain = true;
     for (const BoundExprPtr& e : keys) {
-      if (e == nullptr) continue;
-      const std::optional<std::size_t> ord = e->column_ordinal();
-      plain &= ord.has_value() && *ord < in.columns.size();
+      plain &= e == nullptr || e->InputColumn(in) != nullptr;
     }
     const bool in_place = !in.selection || (through_selection && plain);
     if (in_place && in.selection) sel_ = in.selection->data();
@@ -143,9 +141,9 @@ class KeyColumns {
         cols_.push_back(nullptr);
         continue;
       }
-      const std::optional<std::size_t> ord = e->column_ordinal();
-      if (in_place && ord.has_value() && *ord < in.columns.size()) {
-        cols_.push_back(&in.columns[*ord]);
+      const ColumnVector* col = in_place ? e->InputColumn(in) : nullptr;
+      if (col != nullptr) {
+        cols_.push_back(col);
         continue;
       }
       owned_.emplace_back();
@@ -331,7 +329,9 @@ class FilterOp final : public PhysicalOperator {
 };
 
 // Vectorized project: each output column is one EvaluateVector call
-// (typed loops for the numeric kernels); output is dense.
+// (typed loops for the numeric kernels); output is dense. An output that
+// is a plain input column no other output reads takes that column by
+// move when the input is dense.
 class ProjectOp final : public PhysicalOperator {
  public:
   ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
@@ -344,14 +344,31 @@ class ProjectOp final : public PhysicalOperator {
       return Status::InvalidArgument("project exprs/names size mismatch");
     }
     SWIFT_RETURN_NOT_OK(child_->Open());
-    SWIFT_ASSIGN_OR_RETURN(bound_exprs_,
-                           BindAll(exprs_, child_->output_schema()));
+    const Schema& in = child_->output_schema();
+    SWIFT_ASSIGN_OR_RETURN(bound_exprs_, BindAll(exprs_, in));
     std::vector<Field> fields;
     fields.reserve(exprs_.size());
     for (std::size_t i = 0; i < exprs_.size(); ++i) {
       fields.push_back(Field{names_[i], bound_exprs_[i]->static_type()});
     }
     output_schema_ = Schema(std::move(fields));
+    // How many outputs read each input column (an unresolvable name is
+    // the dead rhs of a constant AND/OR, which reads nothing).
+    std::vector<int> readers(in.num_fields(), 0);
+    std::vector<std::string> names;
+    for (const ExprPtr& e : exprs_) {
+      names.clear();
+      e->CollectColumns(&names);
+      for (const std::string& name : names) {
+        const Result<std::size_t> idx = in.IndexOf(name);
+        if (idx.ok()) ++readers[*idx];
+      }
+    }
+    movable_.assign(exprs_.size(), false);
+    for (std::size_t i = 0; i < exprs_.size(); ++i) {
+      const std::optional<std::size_t> ord = bound_exprs_[i]->column_ordinal();
+      movable_[i] = ord.has_value() && readers[*ord] == 1;
+    }
     return Status::OK();
   }
   Result<std::optional<ColumnBatch>> Next() override {
@@ -360,11 +377,14 @@ class ProjectOp final : public PhysicalOperator {
     ColumnBatch out;
     out.schema = output_schema_;
     out.physical_rows = in->num_rows();
-    out.columns.reserve(bound_exprs_.size());
-    for (const BoundExprPtr& e : bound_exprs_) {
-      ColumnVector col;
-      SWIFT_RETURN_NOT_OK(e->EvaluateVector(*in, &col));
-      out.columns.push_back(std::move(col));
+    out.columns.resize(bound_exprs_.size());
+    for (std::size_t i = 0; i < bound_exprs_.size(); ++i) {
+      const BoundExpr& e = *bound_exprs_[i];
+      if (movable_[i] && !in->selection && e.InputColumn(*in) != nullptr) {
+        out.columns[i] = std::move(in->columns[*e.column_ordinal()]);
+        continue;
+      }
+      SWIFT_RETURN_NOT_OK(e.EvaluateVector(*in, &out.columns[i]));
     }
     return std::optional<ColumnBatch>(std::move(out));
   }
@@ -374,6 +394,8 @@ class ProjectOp final : public PhysicalOperator {
   std::vector<ExprPtr> exprs_;
   std::vector<std::string> names_;
   std::vector<BoundExprPtr> bound_exprs_;
+  // Per output: a plain column that is the only reader of its input.
+  std::vector<bool> movable_;
 };
 
 class LimitOp final : public PhysicalOperator {
@@ -995,12 +1017,11 @@ class WindowOp final : public MaterializingOperator {
     const std::size_t n = in.physical_rows;
     if (n == 0) return Status::OK();
 
-    KeyColumns part, order;
+    KeyColumns part, order, arg;
     SWIFT_RETURN_NOT_OK(part.Eval(bound_partition_, in));
     SWIFT_RETURN_NOT_OK(order.Eval(bound_order_, in));
-    ColumnVector arg_col;
     if (func_ == WindowFunc::kSum) {
-      SWIFT_RETURN_NOT_OK(bound_arg_->EvaluateVector(in, &arg_col));
+      SWIFT_RETURN_NOT_OK(arg.Eval({bound_arg_}, in));
     }
 
     // Partitions are the distinct encoded partition keys, one hash
@@ -1049,22 +1070,24 @@ class WindowOp final : public MaterializingOperator {
     std::vector<uint32_t> emit_order = SortPermutation(sort_cols, sort_desc, n);
     const KeyComparator cmp_order(order.cols(), order.cols(), order_desc);
 
-    std::vector<int64_t> win_i64;
+    // Per physical row: the window value, and for SUM the count of
+    // non-NULL argument cells summed so far (none: the SUM is NULL).
+    std::vector<int64_t> win_i64(n);
     std::vector<double> win_f64;
+    std::vector<int64_t> summed;
     if (func_ == WindowFunc::kSum) {
       win_f64.resize(n);
-    } else {
-      win_i64.resize(n);
+      summed.resize(n);
     }
     int64_t row_number = 0;
     int64_t rank = 0;
-    double running_sum = 0.0;
+    AggState running;
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t row = emit_order[j];
       const bool new_group = j == 0 || group[row] != group[emit_order[j - 1]];
       if (new_group) {
         row_number = 0;
-        running_sum = 0.0;
+        running = AggState{};
       }
       ++row_number;
       if (new_group || cmp_order(row, emit_order[j - 1]) != 0) {
@@ -1078,25 +1101,28 @@ class WindowOp final : public MaterializingOperator {
           win_i64[row] = rank;
           break;
         case WindowFunc::kSum: {
-          // The argument is numeric (WindowResultType) or all NULL.
-          if (!arg_col.IsNull(row)) {
-            running_sum += arg_col.rep() == ColumnRep::kInt64
-                               ? static_cast<double>(arg_col.Int64At(row))
-                               : arg_col.Float64At(row);
-          }
-          win_f64[row] = running_sum;
+          // The group SUM's state: an int64 argument sums exactly (and
+          // wraps), a float64 one in a double, an all-NULL one not at all.
+          const ColumnVector& a = arg.col(0);
+          if (!a.IsNull(row)) running.Update(AggKind::kSum, a, row);
+          win_i64[row] = running.sum_i64;
+          win_f64[row] = running.sum;
+          summed[row] = running.count;
           break;
         }
       }
     }
 
-    ColumnVector win = ColumnVector::OfType(
-        func_ == WindowFunc::kSum ? DataType::kFloat64 : DataType::kInt64);
+    ColumnVector win = ColumnVector::OfType(output_schema_.fields().back().type);
     win.Reserve(n);
-    if (func_ == WindowFunc::kSum) {
-      for (std::size_t i = 0; i < n; ++i) win.AppendFloat64(win_f64[i]);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) win.AppendInt64(win_i64[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (func_ == WindowFunc::kSum && summed[i] == 0) {
+        win.AppendNull();
+      } else if (win.rep() == ColumnRep::kFloat64) {
+        win.AppendFloat64(win_f64[i]);
+      } else {
+        win.AppendInt64(win_i64[i]);
+      }
     }
     *out = std::move(in);
     out->columns.push_back(std::move(win));
@@ -1156,7 +1182,8 @@ Result<DataType> WindowResultType(WindowFunc func, const ExprPtr& arg,
         "type error in sum(%s): window sum needs a numeric argument, got "
         "string", arg->ToString().c_str()));
   }
-  return DataType::kFloat64;
+  // As AggResultType gives SUM: the argument's own type.
+  return b->static_type();
 }
 
 OperatorPtr MakeBatchSource(Schema schema, std::vector<Batch> batches) {

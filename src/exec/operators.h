@@ -135,16 +135,18 @@ OperatorPtr MakeStreamedAggregate(OperatorPtr child,
 /// \brief Window functions computable per partition.
 enum class WindowFunc : int { kRowNumber, kRank, kSum };
 
-/// \brief Type of a window function's column: float64 for kSum, whose
-/// argument must bind to a number (or all-NULL), int64 otherwise.
-/// InvalidArgument, naming the expression, for a string or missing
-/// kSum argument.
+/// \brief Type of a window function's column: for kSum, whose argument
+/// must bind to a number (or all-NULL), the argument's type, as a group
+/// SUM gives; int64 otherwise. InvalidArgument, naming the expression,
+/// for a string or missing kSum argument.
 Result<DataType> WindowResultType(WindowFunc func, const ExprPtr& arg,
                                   const Schema& in);
 
 /// \brief Appends one column `output_name` computed over partitions of
 /// `partition_by`, ordered by `order_by` (the paper's Window operator).
-/// kSum computes a running (cumulative) sum of `arg`.
+/// kSum computes a running (cumulative) sum of `arg` under the group
+/// SUM's rule: exact (wrapping) for int64, NULL until the partition has
+/// seen a non-NULL argument.
 OperatorPtr MakeWindow(OperatorPtr child, std::vector<ExprPtr> partition_by,
                        std::vector<SortKey> order_by, WindowFunc func,
                        ExprPtr arg, std::string output_name);

@@ -2,6 +2,7 @@
 #define SWIFT_EXEC_SCHEMA_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,14 +27,21 @@ struct Field {
 /// Names resolve case-insensitively; an unqualified name also matches a
 /// qualified field ("l_suppkey" matches "l.l_suppkey") when unambiguous,
 /// mirroring SQL scoping for the planner.
+///
+/// A Schema is a shared immutable value: the fields, the lowercased name
+/// pool and both name indexes live in one reference-counted block built
+/// once by the constructor, so copying a Schema (every morsel, operator
+/// output and decoded payload carries one) is a refcount bump, and
+/// copies may be made, read and dropped from any thread. A default or
+/// empty Schema holds no block.
 class Schema {
  public:
   Schema() = default;
   explicit Schema(std::vector<Field> fields);
 
-  const std::vector<Field>& fields() const { return fields_; }
-  std::size_t num_fields() const { return fields_.size(); }
-  const Field& field(std::size_t i) const { return fields_[i]; }
+  const std::vector<Field>& fields() const;
+  std::size_t num_fields() const { return rep_ ? rep_->fields.size() : 0; }
+  const Field& field(std::size_t i) const { return rep_->fields[i]; }
 
   /// \brief Index of column `name`; NotFound / InvalidArgument(ambiguous).
   Result<std::size_t> IndexOf(const std::string& name) const;
@@ -45,16 +53,17 @@ class Schema {
   /// \brief Concatenation (for joins).
   Schema Concat(const Schema& right) const;
 
+  /// \brief Field-wise equality; copies of one Schema compare equal
+  /// without reading their fields.
   bool operator==(const Schema& other) const {
-    return fields_ == other.fields_;
+    return rep_ == other.rep_ || fields() == other.fields();
   }
 
   std::string ToString() const;
 
  private:
   /// One entry of the flat name table: the key is a (offset, len) view
-  /// into the shared lowercased-name pool, so Schema stays a plain
-  /// value type (copies re-point into their own pool). `count` tracks
+  /// into the lowercased-name pool of the same Rep. `count` tracks
   /// duplicate keys for the ambiguity error; `first` is only read when
   /// count == 1.
   struct NameSlot {
@@ -76,15 +85,20 @@ class Schema {
                          std::string_view key) const;
   };
 
+  /// Everything a Schema holds, built once and never changed after.
+  struct Rep {
+    std::vector<Field> fields;
+    std::string name_pool;  // lowercased field names, concatenated
+    NameIndex by_name;
+    // Unqualified suffix ("x" for "t.x") -> field index, lower-cased.
+    NameIndex by_suffix;
+  };
+
   /// Resolves an already-lowercased `key` (`name` only for error text).
   Result<std::size_t> Lookup(const std::string& key,
                              const std::string& name) const;
 
-  std::vector<Field> fields_;
-  std::string name_pool_;  // lowercased field names, concatenated
-  NameIndex by_name_;
-  // Unqualified suffix ("x" for "t.x") -> field index, lower-cased.
-  NameIndex by_suffix_;
+  std::shared_ptr<const Rep> rep_;  // null: no fields
 };
 
 /// \brief A schema plus its rows: the unit operators exchange.

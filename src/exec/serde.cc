@@ -385,7 +385,8 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
   return SerializePieces(batch.schema, {piece});
 }
 
-Result<WirePayload> WirePayload::Open(std::string_view bytes) {
+Result<WirePayload> WirePayload::Open(std::string_view bytes,
+                                      const Schema* expected) {
   WirePayload w;
   if (IsCompressedFrame(bytes)) {
     // The compressed bytes are the shared zero-copy buffer all the way
@@ -401,17 +402,18 @@ Result<WirePayload> WirePayload::Open(std::string_view bytes) {
   } else {
     w.bytes_ = bytes;
   }
-  SWIFT_RETURN_NOT_OK(w.Validate());
+  SWIFT_RETURN_NOT_OK(w.Validate(expected));
   return w;
 }
 
-Result<WirePayload> WirePayload::Open(ShuffleBuffer buffer) {
-  SWIFT_ASSIGN_OR_RETURN(WirePayload w, Open(buffer.view()));
+Result<WirePayload> WirePayload::Open(ShuffleBuffer buffer,
+                                      const Schema* expected) {
+  SWIFT_ASSIGN_OR_RETURN(WirePayload w, Open(buffer.view(), expected));
   if (!w.owner_.valid()) w.owner_ = std::move(buffer);
   return w;
 }
 
-Status WirePayload::Validate() {
+Status WirePayload::Validate(const Schema* expected) {
   Reader magic_rd(bytes_);
   SWIFT_ASSIGN_OR_RETURN(uint32_t magic, magic_rd.U32());
   if (magic != kMagicV2) return Status::IOError("bad batch magic");
@@ -436,18 +438,34 @@ Status WirePayload::Validate() {
     return Status::IOError("field count exceeds buffer");
   }
   const std::size_t nfields = static_cast<std::size_t>(nfields64);
+  if (expected != nullptr && nfields != expected->num_fields()) {
+    return Status::IOError(
+        StrFormat("payload has %zu fields, its consumer expects %zu", nfields,
+                  expected->num_fields()));
+  }
   std::vector<Field> fields;
-  fields.reserve(nfields);
+  if (expected == nullptr) fields.reserve(nfields);
   for (std::size_t i = 0; i < nfields; ++i) {
-    Field f;
     SWIFT_ASSIGN_OR_RETURN(std::string_view name, rd.Str());
-    f.name = std::string(name);
     SWIFT_ASSIGN_OR_RETURN(uint8_t t, rd.U8());
     if (t > static_cast<uint8_t>(DataType::kString)) {
       return Status::IOError("bad field type tag");
     }
-    f.type = static_cast<DataType>(t);
-    fields.push_back(std::move(f));
+    const DataType type = static_cast<DataType>(t);
+    if (expected == nullptr) {
+      fields.push_back(Field{std::string(name), type});
+      continue;
+    }
+    const Field& want = expected->field(i);
+    if (name != want.name || type != want.type) {
+      const std::string got =
+          std::string(name) + ":" + std::string(DataTypeToString(type));
+      const std::string wanted =
+          want.name + ":" + std::string(DataTypeToString(want.type));
+      return Status::IOError(
+          StrFormat("payload field %zu is %s, its consumer expects %s", i,
+                    got.c_str(), wanted.c_str()));
+    }
   }
   SWIFT_ASSIGN_OR_RETURN(uint64_t nrows64, rd.Varint());
   // Plausibility: each column carries at least a bitmap bit per row, and
@@ -459,7 +477,7 @@ Status WirePayload::Validate() {
     return Status::IOError("row count exceeds buffer");
   }
   num_rows_ = static_cast<std::size_t>(nrows64);
-  schema_ = Schema(std::move(fields));
+  schema_ = expected != nullptr ? *expected : Schema(std::move(fields));
   columns_.resize(nfields);
   for (std::size_t c = 0; c < nfields; ++c) {
     Column& col = columns_[c];

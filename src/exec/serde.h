@@ -56,15 +56,23 @@ std::string SerializeColumnBatch(const ColumnBatch& batch);
 /// cannot fail: each call decodes the next rows straight off the wire
 /// (a NULL-free fixed-width column lands with one memcpy, strings in a
 /// length pass and an exactly sized fill).
+///
+/// A consumer that knows the schema it reads passes it as `expected`:
+/// the header must then carry exactly its fields (count, names and type
+/// tags, in order) or Open is IOError, and every decoded morsel carries
+/// `*expected` itself (a shared value, not rebuilt per payload). Without
+/// it, the payload's own header schema is used.
 class WirePayload {
  public:
   WirePayload() = default;
 
   /// \brief Validates `bytes`, which must outlive the payload.
-  static Result<WirePayload> Open(std::string_view bytes);
+  static Result<WirePayload> Open(std::string_view bytes,
+                                  const Schema* expected = nullptr);
 
   /// \brief Validates `buffer` and shares its ownership.
-  static Result<WirePayload> Open(ShuffleBuffer buffer);
+  static Result<WirePayload> Open(ShuffleBuffer buffer,
+                                  const Schema* expected = nullptr);
 
   const Schema& schema() const { return schema_; }
   std::size_t num_rows() const { return num_rows_; }
@@ -82,7 +90,7 @@ class WirePayload {
     const char* values = nullptr;   // the next row's value (non-NULLs only)
   };
 
-  Status Validate();
+  Status Validate(const Schema* expected);
 
   ShuffleBuffer owner_;     // keeps a shared or decompressed payload alive
   std::string_view bytes_;  // the SWF2 payload, magic through CRC

@@ -885,7 +885,8 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           writer = it->second;
         }
         SWIFT_ASSIGN_OR_RETURN(
-            WirePayload p, FetchShuffleInput(ctx, kind, key, machine, writer));
+            WirePayload p, FetchShuffleInput(ctx, kind, key, machine, writer,
+                                             producer.output_schema));
         payloads.push_back(std::move(p));
         {
           // This task now holds the producer's output — the planner's
@@ -989,7 +990,8 @@ void LocalRuntime::NoteDecompressed(JobContext* ctx, std::string_view wire) {
 Result<WirePayload> LocalRuntime::FetchShuffleInput(JobContext* ctx,
                                                     ShuffleKind kind,
                                                     const ShuffleSlotKey& key,
-                                                    int reader, int writer) {
+                                                    int reader, int writer,
+                                                    const Schema& schema) {
   for (int refetch = 0;; ++refetch) {
     Result<ShuffleBuffer> buffer =
         shuffle_->ReadPartition(kind, key, reader, writer);
@@ -1003,7 +1005,7 @@ Result<WirePayload> LocalRuntime::FetchShuffleInput(JobContext* ctx,
       }
       return buffer.status();  // timeout budget exhausted etc.
     }
-    Result<WirePayload> payload = WirePayload::Open(*buffer);
+    Result<WirePayload> payload = WirePayload::Open(*buffer, &schema);
     if (payload.ok()) {
       NoteDecompressed(ctx, buffer->view());
       return payload;

@@ -183,14 +183,15 @@ class LocalRuntime {
   /// Books a successfully decoded compressed frame into the job stats
   /// and the shuffle.decompress.* counters (no-op for raw payloads).
   void NoteDecompressed(JobContext* ctx, std::string_view wire);
-  /// Reads one shuffle payload and validates it in full
-  /// (WirePayload::Open) before any row is decoded. A missing slot
-  /// (NotFound) maps to MachineUnhealthy so recovery re-runs the
-  /// producer; a payload validation rejects (CRC-32C footer, header,
-  /// bounds) is re-fetched up to kMaxCorruptRereads times.
+  /// Reads one shuffle payload and validates it in full against the
+  /// producer stage's `schema` (WirePayload::Open) before any row is
+  /// decoded. A missing slot (NotFound) maps to MachineUnhealthy so
+  /// recovery re-runs the producer; a payload validation rejects (CRC-32C
+  /// footer, header, a schema other than `schema`, bounds) is re-fetched
+  /// up to kMaxCorruptRereads times.
   Result<WirePayload> FetchShuffleInput(JobContext* ctx, ShuffleKind kind,
                                         const ShuffleSlotKey& key, int reader,
-                                        int writer);
+                                        int writer, const Schema& schema);
   /// MachineUnhealthy when `machine` died while `task` ran on it: its
   /// in-flight results die with it. Checked after the tree finishes,
   /// before any result is published.

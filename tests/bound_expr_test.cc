@@ -880,6 +880,66 @@ TEST_P(BoundExprParityTest, PromotionMatchesInterpreted) {
   for (const ExprPtr& e : exprs) ExpectAllFormsMatch(e, rows, &rng);
 }
 
+// Where each operand of a kernel sits: literals on either side (read as
+// scalars), two columns under one selection (both read in place through
+// it), LIKE against a literal pattern and a column pattern, typed NULL
+// literals (folded constants with a type), and column arithmetic under
+// a selection, each on one-row, dense and selected batches.
+TEST_P(BoundExprParityTest, OperandPlacementMatchesInterpreted) {
+  Rng rng(GetParam());
+  std::vector<Row> rows;
+  for (int r = 0; r < 40; ++r) rows.push_back(RandomRow(&rng));
+  const auto col = [](const char* name) { return Expr::Column(name); };
+  const auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  const auto bin = [](BinaryOp op, ExprPtr l, ExprPtr r) {
+    return Expr::Binary(op, std::move(l), std::move(r));
+  };
+  const ExprPtr null_int = bin(BinaryOp::kAdd, lit(Value::Null()),
+                               lit(Value(int64_t{1})));
+  const ExprPtr null_double =
+      bin(BinaryOp::kSub, lit(Value::Null()), lit(Value(1.5)));
+  const ExprPtr null_string = Expr::Function("lower", {lit(Value::Null())});
+  std::vector<ExprPtr> exprs;
+  for (const BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                            BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    exprs.push_back(bin(op, lit(Value(int64_t{1})), col("a")));
+    exprs.push_back(bin(op, lit(Value(0.5)), col("b")));
+    exprs.push_back(bin(op, lit(Value("ab")), col("s")));
+    exprs.push_back(bin(op, col("a"), col("a")));
+    exprs.push_back(bin(op, col("b"), col("b")));
+    exprs.push_back(bin(op, col("s"), col("s")));
+    exprs.push_back(bin(op, col("a"), col("b")));
+    exprs.push_back(bin(op, col("a"), null_int));
+    exprs.push_back(bin(op, null_double, col("b")));
+    exprs.push_back(bin(op, col("s"), null_string));
+  }
+  for (const char* pattern : {"%a%", "a_", "", "\xc3%"}) {
+    exprs.push_back(bin(BinaryOp::kLike, col("s"), lit(Value(pattern))));
+  }
+  exprs.push_back(bin(BinaryOp::kLike, lit(Value("ab")), col("s")));
+  exprs.push_back(bin(BinaryOp::kLike, col("s"), col("s")));
+  exprs.push_back(bin(BinaryOp::kLike, col("s"), null_string));
+  for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                            BinaryOp::kDiv}) {
+    exprs.push_back(bin(op, col("a"), lit(Value(int64_t{2}))));
+    exprs.push_back(bin(op, lit(Value(int64_t{2})), col("a")));
+    exprs.push_back(bin(op, col("b"), col("b")));
+    exprs.push_back(bin(op, col("a"), col("b")));
+    exprs.push_back(bin(op, lit(Value(-2.5)), col("b")));
+    exprs.push_back(bin(op, col("a"), null_int));
+    exprs.push_back(bin(op, null_double, col("b")));
+  }
+  exprs.push_back(Expr::Unary(UnaryOp::kNeg, col("a")));
+  exprs.push_back(Expr::Unary(UnaryOp::kNeg, col("b")));
+  exprs.push_back(Expr::Unary(UnaryOp::kNot, col("s")));
+  exprs.push_back(bin(BinaryOp::kAnd, col("a"), col("s")));
+  exprs.push_back(bin(BinaryOp::kOr, col("b"), null_int));
+  exprs.push_back(bin(BinaryOp::kAnd,
+                      bin(BinaryOp::kLt, lit(Value(int64_t{0})), col("a")),
+                      bin(BinaryOp::kEq, lit(Value("a")), col("s"))));
+  for (const ExprPtr& e : exprs) ExpectAllFormsMatch(e, rows, &rng);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundExprParityTest,
                          ::testing::Range<uint64_t>(1, 21));
 

@@ -352,9 +352,10 @@ TEST(OperatorsTest, WindowRunningSum) {
   Batch out = Collect(MakeWindow(SourceOf(s, rows), {Expr::Column("g")},
                                  {SortKey{Expr::Column("x"), true}},
                                  WindowFunc::kSum, Expr::Column("x"), "cum"));
-  EXPECT_DOUBLE_EQ(out.rows[0][2].float64(), 1.0);
-  EXPECT_DOUBLE_EQ(out.rows[1][2].float64(), 3.0);
-  EXPECT_DOUBLE_EQ(out.rows[2][2].float64(), 6.0);
+  // An int64 argument sums as int64, as a group SUM does.
+  EXPECT_EQ(out.rows[0][2].int64(), 1);
+  EXPECT_EQ(out.rows[1][2].int64(), 3);
+  EXPECT_EQ(out.rows[2][2].int64(), 6);
 }
 
 TEST(OperatorsTest, HashPartitionIsDeterministicAndComplete) {

@@ -473,7 +473,9 @@ inline std::vector<Row> Aggregate(const Batch& in,
 }
 
 // Window function over partitions ordered by their key, rows within a
-// partition ordered by `order_by` (stable); kSum is a running sum.
+// partition ordered by `order_by` (stable); kSum is a running sum under
+// Aggregate's SUM rule: NULL until a non-NULL value, exact and wrapping
+// while every value is an int64.
 inline std::vector<Row> Window(const Batch& in,
                                const std::vector<ExprPtr>& partition_by,
                                const std::vector<SortKey>& order_by,
@@ -490,12 +492,17 @@ inline std::vector<Row> Window(const Batch& in,
   Row prev_part, prev_order;
   int64_t row_number = 0, rank = 0;
   double running = 0.0;
+  int64_t running_i64 = 0, summed = 0;
+  bool all_int = true;
   for (const Row& r : sorted.rows) {
     const Row part = EvalAll(partition_by, in.schema, r);
     const Row order = EvalAll(order_exprs, in.schema, r);
     if (out.empty() || !KeysEqual(part, prev_part)) {
       row_number = 0;
       running = 0.0;
+      running_i64 = 0;
+      summed = 0;
+      all_int = true;
       prev_order.clear();
     }
     ++row_number;
@@ -503,8 +510,18 @@ inline std::vector<Row> Window(const Batch& in,
     Row o = r;
     if (func == WindowFunc::kSum) {
       const Value v = Eval(arg, in.schema, r);
-      if (!v.is_null()) running += v.AsDouble();
-      o.push_back(Value(running));
+      if (!v.is_null()) {
+        ++summed;
+        running += v.AsDouble();
+        if (v.is_int64()) {
+          running_i64 = expr_eval::AddWrapping(running_i64, v.int64());
+        } else {
+          all_int = false;
+        }
+      }
+      o.push_back(summed == 0 ? Value::Null()
+                  : all_int   ? Value(running_i64)
+                              : Value(running));
     } else {
       o.push_back(Value(func == WindowFunc::kRank ? rank : row_number));
     }

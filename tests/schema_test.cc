@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace swift {
 namespace {
 
@@ -89,6 +93,63 @@ TEST(SchemaTest, EqualityIsStructural) {
   Schema c({{"x", DataType::kString}});
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
+}
+
+TEST(SchemaTest, CopySharesStorage) {
+  const Schema a = TwoTableSchema();
+  const Schema b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(a.fields().data(), b.fields().data());
+  EXPECT_TRUE(a == b);
+}
+
+TEST(SchemaTest, CopyOutlivesItsSource) {
+  Schema copy;
+  {
+    const Schema source = TwoTableSchema();
+    copy = source;
+  }
+  ASSERT_EQ(copy.num_fields(), 4u);
+  auto idx = copy.IndexOf("S_NAME");
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(*idx, 3u);
+  EXPECT_EQ(copy.IndexOf("s.s_suppkey").ValueOrDie(), 2u);
+}
+
+TEST(SchemaTest, DefaultAndEmptySchemasAreEqual) {
+  const Schema none;
+  const Schema empty(std::vector<Field>{});
+  EXPECT_TRUE(none == empty);
+  EXPECT_TRUE(empty == none);
+  EXPECT_EQ(none.num_fields(), 0u);
+  EXPECT_TRUE(none.fields().empty());
+  EXPECT_EQ(none.ToString(), "()");
+  EXPECT_EQ(none.IndexOf("a").status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(none == Schema({{"a", DataType::kInt64}}));
+}
+
+// Copies of one schema are made, read and dropped on 8 threads at once
+// (run under TSan by the tsan-vec preset).
+TEST(SchemaTest, ConcurrentCopiesResolveNames) {
+  const Schema shared = TwoTableSchema();
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2000;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &wrong, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        Schema copy = shared;
+        const Result<std::size_t> idx =
+            copy.IndexOf(r % 2 == 0 ? "l_price" : "s.s_name");
+        if (!idx.ok() || *idx != (r % 2 == 0 ? 1u : 3u)) ++wrong[t];
+        Schema moved = std::move(copy);
+        if (!(moved == shared)) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  EXPECT_EQ(shared.IndexOf("l_suppkey").ValueOrDie(), 0u);
 }
 
 }  // namespace

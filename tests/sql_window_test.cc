@@ -100,6 +100,32 @@ TEST_F(SqlWindowRuntimeTest, RunningSumIsMonotonePerPartition) {
   EXPECT_GT(got->num_rows(), 0u);
 }
 
+// A running SUM takes the group SUM's rule: an int64 argument sums
+// exactly past 2^53, so the last running value of a partition equals
+// the group SUM over it.
+TEST_F(SqlWindowRuntimeTest, RunningSumOfInt64IsExactLikeGroupSum) {
+  auto running = runtime_.ExecuteSql(
+      "select n_regionkey, n_nationkey, "
+      " sum(n_nationkey + 9007199254740992) over (partition by n_regionkey "
+      " order by n_nationkey) as running "
+      "from tpch_nation order by n_regionkey, n_nationkey");
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+  auto group = runtime_.ExecuteSql(
+      "select sum(n_nationkey + 9007199254740992) from tpch_nation "
+      "where n_regionkey = 0");
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  ASSERT_EQ(group->num_rows(), 1u);
+  ASSERT_TRUE(group->rows[0][0].is_int64());
+  EXPECT_EQ(group->rows[0][0].int64(), int64_t{45035996273705010});
+  const Row* last_of_region0 = nullptr;
+  for (const Row& r : running->rows) {
+    ASSERT_TRUE(r[2].is_int64()) << r[2].ToString();
+    if (r[0].int64() == 0) last_of_region0 = &r;
+  }
+  ASSERT_NE(last_of_region0, nullptr);
+  EXPECT_EQ((*last_of_region0)[2].int64(), int64_t{45035996273705010});
+}
+
 TEST_F(SqlWindowRuntimeTest, WindowStageEmitsBarrierEdges) {
   auto plan = PlanSql(
       "select n_name, row_number() over (partition by n_regionkey "

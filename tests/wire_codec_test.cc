@@ -16,6 +16,9 @@
 //    from a damaged payload. With the CRC stamped afresh over the
 //    damage, Open's remaining checks must still reject the payload or
 //    leave it decodable inside its bounds.
+//  - Consumer schema: a payload opened under the schema its consumer
+//    reads must carry exactly that schema in its header (IOError
+//    otherwise), and its morsels share it.
 
 #include <gtest/gtest.h>
 
@@ -387,6 +390,52 @@ TEST(WireFailClosedTest, DamageUnderAFreshCrcIsRejectedOrDecodesInBounds) {
     }
     for (std::size_t n = 4; n < body.size(); ++n) {
       DecodeEverything(WithFreshCrc(body.substr(0, n)));
+    }
+  }
+}
+
+// ---- Consumer schema -------------------------------------------------------
+
+// A consumer passes the schema it reads to Open: a payload whose header
+// carries it decodes into morsels that share that schema, and a
+// CRC-valid payload of any other schema (another field count, a renamed
+// field, another type tag, plain or in a compressed frame) is IOError
+// before any row is decoded.
+TEST(WireConsumerSchemaTest, HeaderMustCarryTheConsumersSchema) {
+  Rng rng(5);
+  const Schema expected = PieceSchema();
+  const std::string wire =
+      SerializeColumnBatch(RandomPieceBatch(40, 20, false, &rng));
+  Result<WirePayload> good = WirePayload::Open(ShuffleBuffer(wire), &expected);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  const ColumnBatch morsel = good->Next(16);
+  EXPECT_EQ(morsel.schema.fields().data(), expected.fields().data());
+  ASSERT_TRUE(WirePayload::Open(CompressFrame(SweepFramePayload()), &expected)
+                  .ok());
+
+  std::vector<Schema> others;
+  std::vector<Field> fields = expected.fields();
+  fields.pop_back();
+  others.push_back(Schema(fields));  // one field fewer
+  fields = expected.fields();
+  fields.push_back(Field{"extra", DataType::kInt64});
+  others.push_back(Schema(fields));  // one field more
+  fields = expected.fields();
+  fields[1].name += "_renamed";
+  others.push_back(Schema(fields));
+  fields = expected.fields();
+  fields[0].type = fields[0].type == DataType::kString ? DataType::kInt64
+                                                       : DataType::kString;
+  others.push_back(Schema(fields));
+  others.push_back(Schema());
+  for (const Schema& other : others) {
+    for (const std::string& bytes : {wire, CompressFrame(SweepFramePayload())}) {
+      Result<WirePayload> p = WirePayload::Open(ShuffleBuffer(bytes), &other);
+      ASSERT_FALSE(p.ok()) << "accepted under " << other.ToString();
+      EXPECT_EQ(p.status().code(), StatusCode::kIOError)
+          << p.status().ToString();
+      // Without a consumer schema the header's own schema is used.
+      EXPECT_TRUE(WirePayload::Open(bytes).ok());
     }
   }
 }
