@@ -39,7 +39,7 @@ Status TypeError(const ExprPtr& expr, const std::string& why) {
 std::string TypeName(DataType t) { return std::string(DataTypeToString(t)); }
 
 // Whether a three-way comparison result `c` (-1/0/1) satisfies `op`.
-bool CompareHolds(BinaryOp op, int c) {
+constexpr bool CompareHolds(BinaryOp op, int c) {
   switch (op) {
     case BinaryOp::kEq:
       return c == 0;
@@ -560,34 +560,38 @@ class BoundNumericArith final : public BoundExpr {
   BoundExprPtr rhs_;
 };
 
-// out[i] = whether `op` holds between a[la(i)] and b[rb(i)] under the
-// three-way order of Value::Compare, where NaN compares equal to
-// everything: each case is CompareHolds(op, c) for c = x < y ? -1 :
-// (x > y ? 1 : 0), spelled out.
+// The three-way order of two numbers of one type, as Value::Compare
+// orders them: exact for int64, expr_eval::CompareFloat64 for float64.
+int ThreeWay(int64_t x, int64_t y) { return (x > y) - (x < y); }
+int ThreeWay(double x, double y) { return expr_eval::CompareFloat64(x, y); }
+
+// out[i] = whether `kOp` holds between a[la(i)] and b[rb(i)].
+template <BinaryOp kOp, typename T, typename L, typename R>
+void CompareRowsAs(const T* a, L la, const T* b, R rb, std::size_t n,
+                   int64_t* out) {
+  BinaryRows(
+      a, la, b, rb, n,
+      [](T x, T y) -> int64_t { return CompareHolds(kOp, ThreeWay(x, y)); },
+      out);
+}
+
+// CompareRowsAs with the op resolved once, outside the row loop.
 template <typename T, typename L, typename R>
 void CompareRows(BinaryOp op, const T* a, L la, const T* b, R rb,
                  std::size_t n, int64_t* out) {
   switch (op) {
     case BinaryOp::kEq:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return !(x < y) && !(x > y); },
-                        out);
+      return CompareRowsAs<BinaryOp::kEq>(a, la, b, rb, n, out);
     case BinaryOp::kNe:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return x < y || x > y; },
-                        out);
+      return CompareRowsAs<BinaryOp::kNe>(a, la, b, rb, n, out);
     case BinaryOp::kLt:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return x < y; }, out);
+      return CompareRowsAs<BinaryOp::kLt>(a, la, b, rb, n, out);
     case BinaryOp::kLe:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return !(x > y); }, out);
+      return CompareRowsAs<BinaryOp::kLe>(a, la, b, rb, n, out);
     case BinaryOp::kGt:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return x > y; }, out);
+      return CompareRowsAs<BinaryOp::kGt>(a, la, b, rb, n, out);
     default:
-      return BinaryRows(a, la, b, rb, n,
-                        [](T x, T y) -> int64_t { return !(x < y); }, out);
+      return CompareRowsAs<BinaryOp::kGe>(a, la, b, rb, n, out);
   }
 }
 

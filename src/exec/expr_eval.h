@@ -9,8 +9,9 @@
 namespace swift {
 
 /// Scalar rules that BoundExpr's column kernels (exec/bound_expr.h)
-/// apply per cell, and Bind once per tree: truthiness, wrapping int64
-/// arithmetic, substr's argument truncation and function name resolution.
+/// apply per cell, and Bind once per tree: truthiness, the float64 order,
+/// wrapping int64 arithmetic, substr's argument truncation and function
+/// name resolution.
 /// The row-at-a-time reference interpreter the tests check BoundExpr
 /// against (tests/reference_ops.h) calls them too, so each rule has one
 /// definition; its boxed arithmetic, comparison and function kernels are
@@ -34,6 +35,18 @@ inline int64_t SubWrapping(int64_t a, int64_t b) {
 inline int64_t MulWrapping(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) *
                               static_cast<uint64_t>(b));
+}
+
+/// \brief The one order of float64 values (PostgreSQL's float8 rule):
+/// -0.0 equals 0.0, and every NaN is one value, equal to itself and
+/// greater than every other number, +inf included. Returns -1/0/1.
+/// Value::Compare, the comparison kernels, the key comparators and
+/// MIN/MAX order doubles through it; KeyEncoder's equal bytes and
+/// SortPermutation's encoded keys reproduce it.
+inline int CompareFloat64(double x, double y) {
+  // (x > y) - (x < y) is 0 when either side is NaN; the NaN terms then
+  // decide, and cancel when both sides are NaN.
+  return (x > y) - (x < y) + (x != x) - (y != y);
 }
 
 /// \brief substr's start/length argument: `d` truncated toward zero,

@@ -10,8 +10,8 @@ namespace swift {
 
 namespace {
 
-// Canonical quiet-NaN bit pattern: every NaN input encodes to this so
-// NaN keys at least group with themselves.
+// Canonical quiet-NaN bit pattern: every NaN input encodes to this, since
+// every NaN is one value (expr_eval::CompareFloat64).
 constexpr uint64_t kCanonicalNaNBits = 0x7ff8000000000000ULL;
 
 // Bounds of the int64 range in double space. 2^63 is exact as a double;
@@ -28,7 +28,7 @@ struct TagBits {
 // contract holds between int64 and float64 columns:
 // integral doubles in int64 range normalize to the int64 encoding so
 // 3.0 == 3 (and -0.0 == 0) hold under memcmp, matching
-// Value::Compare()'s cross-numeric-type equality.
+// Value::Compare()'s equality.
 inline TagBits NormalizeDouble(double d) {
   if (std::isnan(d)) return {KeyEncoder::kTagFloat64, kCanonicalNaNBits};
   if (d >= kInt64Lo && d < kInt64Hi) {
@@ -54,40 +54,7 @@ inline char* StoreRaw32(uint32_t bits, char* p) {
   return p + 4;
 }
 
-// The key columns `cols` of `batch` in place, or false on a bad ordinal.
-bool ResolveColumns(const ColumnBatch& batch, const std::vector<uint32_t>& cols,
-                    std::vector<const ColumnVector*>* out) {
-  out->clear();
-  for (const uint32_t c : cols) {
-    if (c >= batch.columns.size()) return false;
-    out->push_back(&batch.columns[c]);
-  }
-  return true;
-}
-
-const uint32_t* SelectionOf(const ColumnBatch& batch) {
-  return batch.selection ? batch.selection->data() : nullptr;
-}
-
 }  // namespace
-
-bool KeyEncoder::EncodeBatchColumns(const ColumnBatch& batch,
-                                    const std::vector<uint32_t>& cols,
-                                    BatchKeys* out) {
-  std::vector<const ColumnVector*> keys;
-  return ResolveColumns(batch, cols, &keys) &&
-         EncodeColumns(keys, SelectionOf(batch), batch.num_rows(), out);
-}
-
-bool KeyEncoder::HashBatchColumns(const ColumnBatch& batch,
-                                  const std::vector<uint32_t>& cols,
-                                  std::vector<uint64_t>* hashes,
-                                  std::vector<uint8_t>* has_null) {
-  std::vector<const ColumnVector*> keys;
-  if (!ResolveColumns(batch, cols, &keys)) return false;
-  HashColumns(keys, SelectionOf(batch), batch.num_rows(), hashes, has_null);
-  return true;
-}
 
 bool KeyEncoder::EncodeColumns(const std::vector<const ColumnVector*>& cols,
                                const uint32_t* sel, std::size_t n,

@@ -10,12 +10,11 @@
 
 namespace swift {
 
-struct ColumnBatch;
 class ColumnVector;
 
-/// \brief Encodes the key columns of a ColumnBatch into one contiguous,
-/// memcmp-comparable byte string per logical row (DESIGN.md Sec. 12),
-/// or hashes them without materializing the bytes.
+/// \brief Encodes key columns into one contiguous, memcmp-comparable
+/// byte string per key row (DESIGN.md Sec. 12), or hashes them without
+/// materializing the bytes.
 ///
 /// Per column: a tag byte (kNull / kInt64 / kFloat64 / kString), then
 ///  - int64: 8 bytes little-endian;
@@ -27,16 +26,18 @@ class ColumnVector;
 ///
 /// Both functions see values, not column reps: a cell encodes and hashes
 /// the same whether its column is kInt64, kFloat64, kString or kNull.
-/// Numeric normalization keeps the executor's cross-numeric-type
-/// equality (Value::Compare()==0 implies equal bytes and equal hashes):
-/// a float64 whose value is integral and exactly representable as int64
-/// is encoded as that int64 (so 3.0 and 3, and -0.0 and 0, produce
-/// identical bytes), and NaN payload bits are canonicalized. Within the
-/// IEEE-exact range |v| < 2^53 byte equality coincides exactly with
-/// Compare()==0; mixed int64/float64 keys beyond 2^53 fall outside the
-/// contract because Compare() itself stops being transitive there (it
-/// compares through lossy widening). Two producers therefore route equal
-/// keys to the same partition whatever reps their batches carry.
+/// Numeric normalization keeps the executor's one value order
+/// (expr_eval::CompareFloat64: -0.0 equals 0.0, every NaN is one value
+/// equal to itself), so keys that compare equal get equal bytes and equal
+/// hashes: a float64 whose value is integral and exactly representable
+/// as int64 is encoded as that int64 (so 3.0 and 3, and -0.0 and 0,
+/// produce identical bytes), and every NaN encodes as one canonical
+/// quiet NaN. Within the IEEE-exact range |v| < 2^53 byte equality
+/// coincides exactly with Value::Compare()==0; mixed int64/float64 keys
+/// beyond 2^53 fall outside the contract because Compare() itself stops
+/// being transitive there (it compares through lossy widening). Two
+/// producers therefore route equal keys to the same partition whatever
+/// reps their batches carry.
 ///
 /// Encodings are equality-preserving, NOT order-preserving: memcmp on
 /// them is a valid ==, not a valid <.
@@ -51,8 +52,8 @@ class KeyEncoder {
     kTagString = 3,
   };
 
-  /// \brief Every logical row's encoded key + hash, produced by one
-  /// vectorized pass over a ColumnBatch (EncodeBatchColumns).
+  /// \brief Every key row's encoded key + hash, produced by one
+  /// vectorized pass over the key columns (EncodeColumns).
   struct BatchKeys {
     std::string bytes;              // concatenated per-key encodings
     std::vector<uint32_t> offsets;  // n + 1 entries into `bytes`
@@ -66,35 +67,21 @@ class KeyEncoder {
     }
   };
 
-  /// \brief Encodes columns `cols` of every logical row of `batch`
-  /// (selection-aware) in column-at-a-time passes, and hashes each key
-  /// with HashEncoded. Returns false when an ordinal is out of range or
-  /// the concatenated keys would overflow the uint32 offsets (the
-  /// operators report ResourceExhausted).
-  static bool EncodeBatchColumns(const ColumnBatch& batch,
-                                 const std::vector<uint32_t>& cols,
-                                 BatchKeys* out);
-
-  /// \brief Hashes columns `cols` of every logical row of `batch`, plus
-  /// each key's NULL flag, without materializing key bytes (shuffle
-  /// partitioning). Each column's tag and normalized payload (a string's
-  /// payload is its Hash64) fold into a seeded Mum mixer. NOT the same
-  /// function as HashEncoded over EncodeBatchColumns; the two must not
-  /// be mixed on one table. Returns false on a bad ordinal.
-  static bool HashBatchColumns(const ColumnBatch& batch,
-                               const std::vector<uint32_t>& cols,
-                               std::vector<uint64_t>* hashes,
-                               std::vector<uint8_t>* has_null);
-
-  /// \brief EncodeBatchColumns over key columns read in place: key i
-  /// is row sel[i] (row i when `sel` is null) of every column in `cols`,
-  /// for i < n. False when the keys exceed the 4 GiB offset range.
+  /// \brief Encodes key columns read in place, in column-at-a-time
+  /// passes, and hashes each key with HashEncoded: key i is row sel[i]
+  /// (row i when `sel` is null) of every column in `cols`, for i < n.
+  /// False when the keys exceed the 4 GiB offset range (the operators
+  /// report ResourceExhausted).
   static bool EncodeColumns(const std::vector<const ColumnVector*>& cols,
                             const uint32_t* sel, std::size_t n,
                             BatchKeys* out);
 
-  /// \brief HashBatchColumns over key columns read in place, as
-  /// EncodeColumns reads them.
+  /// \brief Hashes key columns read as EncodeColumns reads them, plus
+  /// each key's NULL flag, without materializing key bytes (shuffle
+  /// partitioning). Each column's tag and normalized payload (a string's
+  /// payload is its Hash64) fold into a seeded Mum mixer. NOT the same
+  /// function as HashEncoded over EncodeColumns; the two must not be
+  /// mixed on one table.
   static void HashColumns(const std::vector<const ColumnVector*>& cols,
                           const uint32_t* sel, std::size_t n,
                           std::vector<uint64_t>* hashes,

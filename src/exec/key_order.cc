@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string_view>
+
+#include "exec/expr_eval.h"
 
 namespace swift {
 
@@ -20,28 +23,22 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
   if (ln || rn) return ln == rn ? 0 : (ln ? -1 : 1);
   const ColumnRep ra = a.rep();
   const ColumnRep rb = b.rep();
+  // The plan types a comparator's key columns, and Bind rejects a number
+  // against a string, so a string cell meets a string cell.
+  if (ra == ColumnRep::kString) {
+    const int c = a.StrAt(i).compare(b.StrAt(j));
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
   if (ra == ColumnRep::kInt64 && rb == ColumnRep::kInt64) {
     const int64_t x = a.Int64At(i);
     const int64_t y = b.Int64At(j);
     return x < y ? -1 : (x > y ? 1 : 0);
   }
-  const bool na = ra == ColumnRep::kInt64 || ra == ColumnRep::kFloat64;
-  const bool nb = rb == ColumnRep::kInt64 || rb == ColumnRep::kFloat64;
-  if (na && nb) {
-    const double x =
-        ra == ColumnRep::kInt64 ? static_cast<double>(a.Int64At(i))
-                                : a.Float64At(i);
-    const double y =
-        rb == ColumnRep::kInt64 ? static_cast<double>(b.Int64At(j))
-                                : b.Float64At(j);
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  if (ra == ColumnRep::kString && rb == ColumnRep::kString) {
-    const int c = a.StrAt(i).compare(b.StrAt(j));
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  // A number against a string: numbers sort first, as in Value::Compare.
-  return ra == ColumnRep::kString ? 1 : -1;
+  const double x = ra == ColumnRep::kInt64 ? static_cast<double>(a.Int64At(i))
+                                           : a.Float64At(i);
+  const double y = rb == ColumnRep::kInt64 ? static_cast<double>(b.Int64At(j))
+                                           : b.Float64At(j);
+  return expr_eval::CompareFloat64(x, y);
 }
 
 KeyComparator::KeyComparator(const std::vector<const ColumnVector*>& a,
@@ -88,14 +85,16 @@ int BytesFor(uint64_t range) {
 }
 
 // Order-preserving unsigned images of non-NULL cells: int64 flips the
-// sign bit; a (non-NaN) double maps -0.0 to +0.0's image, since they
-// compare equal, then flips every bit of a negative and sets the sign
-// bit of a non-negative.
+// sign bit; a double maps -0.0 to +0.0's image and every NaN to the
+// canonical quiet NaN's, since each pair compares equal
+// (expr_eval::CompareFloat64), then flips every bit of a negative and
+// sets the sign bit of a non-negative, so NaN lands above +inf.
 uint64_t OrderedBits(int64_t x) {
   return static_cast<uint64_t>(x) ^ (uint64_t{1} << 63);
 }
 uint64_t OrderedBits(double x) {
   if (x == 0.0) x = 0.0;
+  if (x != x) x = std::numeric_limits<double>::quiet_NaN();
   uint64_t u = 0;
   std::memcpy(&u, &x, sizeof(u));
   return (u >> 63) != 0 ? ~u : u | (uint64_t{1} << 63);
@@ -141,10 +140,9 @@ struct ColumnCode {
   }
 };
 
-// Plans an int64 or float64 column; false when it holds a NaN. An
-// all-NULL column takes no bytes.
+// Plans an int64 or float64 column. An all-NULL column takes no bytes.
 template <typename T>
-bool PlanFixed(const T* data, std::size_t n, ColumnCode* cc) {
+void PlanFixed(const T* data, std::size_t n, ColumnCode* cc) {
   const ColumnVector& c = *cc->col;
   const bool nulls = c.has_nulls();
   uint64_t lo = UINT64_MAX;
@@ -152,13 +150,12 @@ bool PlanFixed(const T* data, std::size_t n, ColumnCode* cc) {
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
     if (nulls && c.IsNull(i)) continue;
-    if (data[i] != data[i]) return false;  // NaN
     const uint64_t u = OrderedBits(data[i]);
     lo = std::min(lo, u);
     hi = std::max(hi, u);
     any = true;
   }
-  if (!any) return true;
+  if (!any) return;
   const uint64_t range = hi - lo;
   cc->base = lo;
   if (!nulls) {
@@ -170,7 +167,6 @@ bool PlanFixed(const T* data, std::size_t n, ColumnCode* cc) {
     cc->null_flag = true;
     cc->value_bytes = 8;
   }
-  return true;
 }
 
 template <int kBytes, typename T>
@@ -473,39 +469,29 @@ std::vector<uint32_t> SortPermutation(
   };
   if (n <= 1) return identity();
 
-  // Plan every column first: a NaN anywhere sends the whole batch to
-  // the comparator sort. The encoded key ends with the first capped
-  // string column; the comparator decides its ties, later keys included.
+  // The encoded key ends with the first capped string column; the
+  // comparator decides its ties, later keys included.
   std::vector<ColumnCode> codes;
   std::size_t width = 0;
   bool exact = true;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
+  for (std::size_t k = 0; k < keys.size() && exact; ++k) {
     ColumnCode cc;
     cc.col = keys[k];
     cc.descending = k < descending.size() && descending[k];
-    bool ordered = true;
     switch (keys[k]->rep()) {
       case ColumnRep::kNull:
         break;
       case ColumnRep::kInt64:
-        ordered = PlanFixed(keys[k]->Int64Data(), n, &cc);
+        PlanFixed(keys[k]->Int64Data(), n, &cc);
         break;
       case ColumnRep::kFloat64:
-        ordered = PlanFixed(keys[k]->Float64Data(), n, &cc);
+        PlanFixed(keys[k]->Float64Data(), n, &cc);
         break;
       case ColumnRep::kString:
         PlanString(n, &cc);
         break;
     }
-    if (!ordered) {
-      std::vector<uint32_t> perm = identity();
-      const KeyComparator cmp(keys, keys, descending);
-      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-        return cmp(a, b) < 0;
-      });
-      return perm;
-    }
-    if (!exact || cc.width() == 0) continue;
+    if (cc.width() == 0) continue;
     cc.offset = width;
     width += cc.width();
     exact = !cc.capped;

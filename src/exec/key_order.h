@@ -6,13 +6,16 @@
 #include <vector>
 
 #include "exec/column_batch.h"
+#include "exec/expr_eval.h"
 
 namespace swift {
 
 /// \brief Cell comparison with Value::Compare semantics exactly: NULLs
 /// first (and equal to each other), int64/int64 exact, mixed numerics by
-/// double value, strings lexicographic, numbers before strings. Reads
-/// typed storage directly, never boxing.
+/// double value under expr_eval::CompareFloat64 (-0.0 equals 0.0, NaN
+/// equals NaN and sorts above +inf), strings lexicographic. The plan
+/// types the key columns, so a number never meets a string. Reads typed
+/// storage directly, never boxing.
 int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
                  std::size_t j);
 
@@ -20,10 +23,10 @@ int CompareCells(const ColumnVector& a, std::size_t i, const ColumnVector& b,
 /// once per pair of key batches.
 ///
 /// A column pair of one typed rep with no NULLs on either side compares
-/// its storage directly; every other pair goes through CompareCells. The
-/// three-way formula is CompareCells' own, so answers are identical (a
-/// NaN still compares equal to everything). `a` and `b` may be the same
-/// columns; `descending[k]` (absent = false) flips key k.
+/// its storage directly; every other pair goes through CompareCells. Both
+/// order float64 through expr_eval::CompareFloat64, so answers are
+/// identical, and the order is a strict weak order. `a` and `b` may be
+/// the same columns; `descending[k]` (absent = false) flips key k.
 class KeyComparator {
  public:
   KeyComparator(const std::vector<const ColumnVector*>& a,
@@ -39,7 +42,7 @@ class KeyComparator {
           c = ThreeWay(k.a->Int64At(i), k.b->Int64At(j));
           break;
         case Kind::kFloat64:
-          c = ThreeWay(k.a->Float64At(i), k.b->Float64At(j));
+          c = expr_eval::CompareFloat64(k.a->Float64At(i), k.b->Float64At(j));
           break;
         case Kind::kString:
           c = ThreeWay(k.a->StrAt(i).compare(k.b->StrAt(j)), 0);
@@ -78,12 +81,12 @@ class KeyComparator {
 /// keys compare equal), and (key prefix, row) items are LSD-radix
 /// sorted, skipping bytes every row shares; rows that tie on an 8-byte
 /// prefix finish on the remaining bytes.
-/// A string key whose tail (past the batch's common prefix) exceeds the
-/// encoder's cap encodes only its first bytes and ends the encoded key;
-/// rows that tie on the bytes finish under the comparator. A batch with
-/// a NaN key is sorted by std::stable_sort under the comparator, since
-/// NaN's "equal to everything" has no byte encoding. Key buffers live
-/// only inside the call.
+/// A float64 key encodes -0.0 as 0.0 and every NaN as one code above
+/// +inf, as expr_eval::CompareFloat64 orders them. A string key whose
+/// tail (past the batch's common prefix) exceeds the encoder's cap
+/// encodes only its first bytes and ends the encoded key; rows that tie
+/// on the bytes finish under the comparator (std::stable_sort, the only
+/// comparator sort). Key buffers live only inside the call.
 std::vector<uint32_t> SortPermutation(
     const std::vector<const ColumnVector*>& keys,
     const std::vector<bool>& descending, std::size_t n);

@@ -710,8 +710,8 @@ struct AggState {
   }
 
   // Replaces the best cell when cell i is strictly better, as
-  // Value::Compare orders them (a NaN never replaces, nor is replaced);
-  // the first cell always sets it.
+  // Value::Compare orders them (a NaN is the largest float64, so MAX of
+  // {1, NaN} is NaN in either order); the first cell always sets it.
   void UpdateBest(bool min, const ColumnVector& c, std::size_t i) {
     const bool first = count == 1;
     switch (c.rep()) {
@@ -722,7 +722,8 @@ struct AggState {
       }
       case ColumnRep::kFloat64: {
         const double v = c.Float64At(i);
-        if (first || (min ? v < best_f64 : v > best_f64)) best_f64 = v;
+        const int cmp = expr_eval::CompareFloat64(v, best_f64);
+        if (first || (min ? cmp < 0 : cmp > 0)) best_f64 = v;
         return;
       }
       case ColumnRep::kString: {
@@ -971,12 +972,12 @@ class StreamedAggregateOp final : public AggregateOperator {
   }
 };
 
-// Window: partitions group through the flat table, rows order through
-// SortPermutation over (partition position, order keys) and the running
-// function state walks that order; the output reuses the drained input
-// storage under an emission-order selection vector, plus one dense
-// window column scattered back to physical positions — no input
-// gathers at all.
+// Window: rows order through one SortPermutation over (partition keys
+// ascending, order keys), a partition is a run of equal partition keys,
+// and the running function state walks that order; the output reuses
+// the drained input storage under an emission-order selection vector,
+// plus one dense window column scattered back to physical positions —
+// no input gathers at all.
 class WindowOp final : public MaterializingOperator {
  public:
   WindowOp(OperatorPtr child, std::vector<ExprPtr> partition_by,
@@ -1024,50 +1025,16 @@ class WindowOp final : public MaterializingOperator {
       SWIFT_RETURN_NOT_OK(arg.Eval({bound_arg_}, in));
     }
 
-    // Partitions are the distinct encoded partition keys, one hash
-    // lookup per row; each row records its partition's dense index.
-    FlatKeyTable table;
-    std::vector<uint32_t> group(n);
-    std::vector<uint32_t> group_first;  // dense -> first row
-    KeyEncoder::BatchKeys bk;
-    SWIFT_RETURN_NOT_OK(part.Encode(&bk));
-    for (std::size_t i = 0; i < n; ++i) {
-      // NULL partition keys form real partitions (null_key ignored).
-      const FlatKeyTable::FindResult fr =
-          table.FindOrInsert(bk.key(i), bk.hashes[i]);
-      if (fr.inserted) group_first.push_back(static_cast<uint32_t>(i));
-      group[i] = static_cast<uint32_t>(fr.index);
-    }
-    // Partitions in key order, ties across distinct encodings in
-    // first-seen order: SortPermutation over each partition's first key.
-    const std::size_t ngroups = group_first.size();
-    std::vector<ColumnVector> firsts;
-    std::vector<const ColumnVector*> first_cols;
-    firsts.reserve(part.cols().size());
-    for (const ColumnVector* c : part.cols()) {
-      ColumnVector f = ColumnVector::OfRep(c->rep());
-      f.AppendSelected(*c, group_first.data(), ngroups);
-      firsts.push_back(std::move(f));
-      first_cols.push_back(&firsts.back());
-    }
-    const std::vector<uint32_t> gorder =
-        SortPermutation(first_cols, {}, ngroups);
-    // Rows sort by (partition position, order keys), stably: within a
+    // Rows sort by (partition keys, order keys), stably: within a
     // partition, rows with equal order keys keep input order.
-    std::vector<int64_t> gpos(ngroups);
-    for (std::size_t r = 0; r < ngroups; ++r) {
-      gpos[gorder[r]] = static_cast<int64_t>(r);
-    }
-    ColumnVector row_gpos = ColumnVector::OfType(DataType::kInt64);
-    row_gpos.Reserve(n);
-    for (std::size_t i = 0; i < n; ++i) row_gpos.AppendInt64(gpos[group[i]]);
-    std::vector<const ColumnVector*> sort_cols = {&row_gpos};
+    std::vector<const ColumnVector*> sort_cols = part.cols();
     sort_cols.insert(sort_cols.end(), order.cols().begin(), order.cols().end());
     std::vector<bool> order_desc;
     for (const SortKey& k : order_by_) order_desc.push_back(!k.ascending);
-    std::vector<bool> sort_desc = {false};
+    std::vector<bool> sort_desc(part.cols().size(), false);
     sort_desc.insert(sort_desc.end(), order_desc.begin(), order_desc.end());
     std::vector<uint32_t> emit_order = SortPermutation(sort_cols, sort_desc, n);
+    const KeyComparator cmp_part(part.cols(), part.cols());
     const KeyComparator cmp_order(order.cols(), order.cols(), order_desc);
 
     // Per physical row: the window value, and for SUM the count of
@@ -1084,7 +1051,7 @@ class WindowOp final : public MaterializingOperator {
     AggState running;
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t row = emit_order[j];
-      const bool new_group = j == 0 || group[row] != group[emit_order[j - 1]];
+      const bool new_group = j == 0 || cmp_part(row, emit_order[j - 1]) != 0;
       if (new_group) {
         row_number = 0;
         running = AggState{};

@@ -1,6 +1,7 @@
 #include "exec/value.h"
 
 #include "common/string_util.h"
+#include "exec/expr_eval.h"
 
 namespace swift {
 
@@ -39,9 +40,7 @@ int Value::Compare(const Value& other) const {
       const int64_t b = other.int64();
       return a < b ? -1 : (a > b ? 1 : 0);
     }
-    const double a = AsDouble();
-    const double b = other.AsDouble();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return expr_eval::CompareFloat64(AsDouble(), other.AsDouble());
   }
   if (is_string() && other.is_string()) {
     const int c = str().compare(other.str());

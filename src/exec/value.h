@@ -18,9 +18,11 @@ std::string_view DataTypeToString(DataType t);
 /// \brief A dynamically-typed SQL value. NULL is std::monostate.
 ///
 /// Comparison places NULL before every non-null value and orders mixed
-/// numeric types by numeric value; comparing a number with a string is a
-/// type error Bind rejects (exec/bound_expr.h), but Compare() falls back
-/// to type-tag order so sorting heterogeneous data is total.
+/// numeric types by numeric value under the float64 order
+/// (expr_eval::CompareFloat64: -0.0 equals 0.0, every NaN is one value
+/// above +inf), so it is a strict weak order. Comparing a number with a
+/// string is a type error Bind rejects (exec/bound_expr.h), but Compare()
+/// falls back to type-tag order so sorting heterogeneous data is total.
 class Value {
  public:
   Value() : v_(std::monostate{}) {}
@@ -59,8 +61,9 @@ class Value {
   /// \brief Numeric view: int64 widened to double; requires is_numeric().
   double AsDouble() const;
 
-  /// \brief Total order: NULL < numbers (by value) < strings; falls back
-  /// to type-tag order across incomparable types. Returns -1/0/1.
+  /// \brief Total order: NULL < numbers (by value, NaN last) < strings;
+  /// falls back to type-tag order across incomparable types. Returns
+  /// -1/0/1.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -358,13 +358,11 @@ TEST(GatherCallerTest, HashPartitionScatterGathersPerCell) {
 
     // Route with the same hash the partitioner uses; the gather is what
     // is under test.
-    ColumnBatch key_batch;
-    key_batch.physical_rows = b.num_rows();
-    key_batch.columns.push_back(PerCell(
-        ColumnVector::OfRep(ColumnRep::kInt64), b.columns[1], *b.selection));
+    const ColumnVector key = PerCell(ColumnVector::OfRep(ColumnRep::kInt64),
+                                     b.columns[1], *b.selection);
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> nulls;
-    ASSERT_TRUE(KeyEncoder::HashBatchColumns(key_batch, {0}, &hashes, &nulls));
+    KeyEncoder::HashColumns({&key}, nullptr, key.size(), &hashes, &nulls);
     std::vector<std::vector<uint32_t>> rows(nparts);
     for (std::size_t i = 0; i < b.num_rows(); ++i) {
       const uint32_t p =

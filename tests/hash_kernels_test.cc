@@ -30,17 +30,18 @@ namespace {
 KeyEncoder::BatchKeys EncodeKeyRow(const Row& key) {
   Batch b;
   std::vector<Field> fields;
-  std::vector<uint32_t> cols;
   for (std::size_t c = 0; c < key.size(); ++c) {
     fields.push_back({"c" + std::to_string(c), key[c].type()});
-    cols.push_back(static_cast<uint32_t>(c));
   }
   b.schema = Schema(fields);
   b.rows = {key};
   KeyEncoder::BatchKeys out;
   Result<ColumnBatch> cb = ToColumnBatch(b);
   EXPECT_TRUE(cb.ok()) << cb.status().ToString();
-  EXPECT_TRUE(cb.ok() && KeyEncoder::EncodeBatchColumns(*cb, cols, &out));
+  if (!cb.ok()) return out;
+  std::vector<const ColumnVector*> cols;
+  for (const ColumnVector& c : cb->columns) cols.push_back(&c);
+  EXPECT_TRUE(KeyEncoder::EncodeColumns(cols, nullptr, 1, &out));
   return out;
 }
 
@@ -209,26 +210,9 @@ TEST(KeyEncoderTest, DecodeRejectsTruncatedInput) {
   EXPECT_FALSE(ref::Decode(std::string_view("\x09", 1)).ok());
 }
 
-TEST(KeyEncoderTest, BatchColumnsRejectBadOrdinal) {
-  Batch b;
-  b.schema = Schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
-  b.rows = {{Value(int64_t{1}), Value("s")}};
-  const ColumnBatch cb = *ToColumnBatch(b);
-  KeyEncoder::BatchKeys keys;
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> has_null;
-  EXPECT_FALSE(KeyEncoder::EncodeBatchColumns(cb, {2}, &keys));
-  EXPECT_FALSE(KeyEncoder::EncodeBatchColumns(cb, {0, 7}, &keys));
-  EXPECT_FALSE(KeyEncoder::HashBatchColumns(cb, {2}, &hashes, &has_null));
-  EXPECT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1}, &keys));
-  EXPECT_TRUE(KeyEncoder::HashBatchColumns(cb, {0, 1}, &hashes, &has_null));
-}
-
 // The key bytes are the hash-partition and join-table contract: a
 // change to them re-routes every shuffled row, so it must be on purpose.
 TEST(KeyEncoderTest, BatchKeyBytesArePinned) {
-  ColumnBatch cb;
-  cb.physical_rows = 2;
   ColumnVector ints = ColumnVector::OfType(DataType::kInt64);
   ints.Append(Value(int64_t{1}));
   ints.Append(Value::Null());
@@ -242,9 +226,9 @@ TEST(KeyEncoderTest, BatchKeyBytesArePinned) {
   negs.AppendNull();
   negs.Append(Value(int64_t{-2}));
   ASSERT_EQ(negs.rep(), ColumnRep::kInt64);
-  cb.columns = {ints, strs, floats, negs};
   KeyEncoder::BatchKeys bk;
-  ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0, 1, 2, 3}, &bk));
+  ASSERT_TRUE(KeyEncoder::EncodeColumns({&ints, &strs, &floats, &negs},
+                                        nullptr, 2, &bk));
   ASSERT_EQ(bk.size(), 2u);
   // int 1 | "ab" | 2.5 | NULL
   EXPECT_EQ(Hex(bk.key(0)),
@@ -279,14 +263,11 @@ TEST(KeyEncoderTest, CrossRepKeysEncodeAndHashAlike) {
   std::vector<KeyEncoder::BatchKeys> keys;
   std::vector<std::vector<uint64_t>> hashes;
   for (const ColumnVector* col : {&as_int, &as_float}) {
-    ColumnBatch cb;
-    cb.physical_rows = vals.size() + 1;
-    cb.columns = {*col};
     KeyEncoder::BatchKeys bk;
-    ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, {0}, &bk));
+    ASSERT_TRUE(KeyEncoder::EncodeColumns({col}, nullptr, col->size(), &bk));
     std::vector<uint64_t> h;
     std::vector<uint8_t> has_null;
-    ASSERT_TRUE(KeyEncoder::HashBatchColumns(cb, {0}, &h, &has_null));
+    KeyEncoder::HashColumns({col}, nullptr, col->size(), &h, &has_null);
     EXPECT_EQ(has_null.back(), 1);
     keys.push_back(std::move(bk));
     hashes.push_back(std::move(h));
@@ -375,11 +356,14 @@ TEST_P(BatchKeyEncoderPropertyTest, MatchesReferenceEncoder) {
     for (int k = 0; k < num_keys; ++k) {
       cols.push_back(static_cast<uint32_t>(rng.UniformInt(0, width - 1)));
     }
+    std::vector<const ColumnVector*> keys;
+    for (const uint32_t c : cols) keys.push_back(&cb.columns[c]);
+    const uint32_t* sel = cb.selection ? cb.selection->data() : nullptr;
     KeyEncoder::BatchKeys bk;
-    ASSERT_TRUE(KeyEncoder::EncodeBatchColumns(cb, cols, &bk));
+    ASSERT_TRUE(KeyEncoder::EncodeColumns(keys, sel, cb.num_rows(), &bk));
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> has_null;
-    ASSERT_TRUE(KeyEncoder::HashBatchColumns(cb, cols, &hashes, &has_null));
+    KeyEncoder::HashColumns(keys, sel, cb.num_rows(), &hashes, &has_null);
     ASSERT_EQ(bk.size(), cb.num_rows());
     ASSERT_EQ(hashes.size(), cb.num_rows());
     for (std::size_t i = 0; i < cb.num_rows(); ++i) {

@@ -7,14 +7,14 @@
 // radix-sorted. Every answer must stay the one Value::Compare gives, so
 // each operator is checked against the naive executor of
 // reference_ops.h over int64, float64 and string keys with NULLs, ties
-// (stability), DESC, multi-key mixed reps, -0.0 vs 0.0 and
+// (stability), DESC, multi-key mixed reps, -0.0 vs 0.0, NaN and
 // INT64_MIN/INT64_MAX; SortKernelParityTest aims at the encoder's edges
-// (full int64 range with NULLs, infinities and denormals, embedded NUL
-// bytes, strings past the encoder's cap, kNull keys, tiny batches,
-// every direction mix). The reference excludes NaN, so NaN keys get
-// their own cases: SortOp must equal std::stable_sort under
-// Value::Compare, the comparison CompareCells implements, and
-// StreamedAggregate must compare each row with its group's first key.
+// (full int64 range with NULLs, infinities, denormals and NaNs of both
+// signs, embedded NUL bytes, strings past the encoder's cap, kNull keys,
+// tiny batches, every direction mix). KeyCompareNaNTest spells the NaN
+// order out: SortOp equals std::stable_sort under Value::Compare, and
+// StreamedAggregate closes one group for every NaN, whatever its sign
+// or payload, after +inf.
 
 #include <gtest/gtest.h>
 
@@ -64,8 +64,8 @@ Schema KeySchema() {
   return Schema({{"id", DataType::kInt64},   // row number: shows stability
                  {"i", DataType::kInt64},    // NULLs, ties, INT64 extremes
                  {"j", DataType::kInt64},    // no NULLs
-                 {"f", DataType::kFloat64},  // NULLs, ties, -0.0 vs 0.0
-                 {"g", DataType::kFloat64},  // no NULLs, -0.0 vs 0.0
+                 {"f", DataType::kFloat64},  // NULLs, ties, -0.0 vs 0.0, NaN
+                 {"g", DataType::kFloat64},  // no NULLs, -0.0 vs 0.0, NaN
                  {"s", DataType::kString},   // NULLs, ties, empty strings
                  {"t", DataType::kString}}); // no NULLs
 }
@@ -76,7 +76,9 @@ Batch KeyBatch(std::size_t n, uint64_t seed) {
   Batch b;
   b.schema = KeySchema();
   const int64_t ints[] = {kMin, -3, 0, 2, 7, kMax};
-  const double floats[] = {-0.0, 0.0, -1.5, 2.0, 1e300, -1e-300};
+  const double floats[] = {-0.0,  0.0,     -1.5,
+                           2.0,   1e300,   -1e-300,
+                           std::numeric_limits<double>::quiet_NaN()};
   const char* strs[] = {"", "a", "ab", "b", "ba"};
   auto pick = [&](int64_t hi) { return rng.UniformInt(0, hi); };
   for (std::size_t r = 0; r < n; ++r) {
@@ -84,8 +86,8 @@ Batch KeyBatch(std::size_t n, uint64_t seed) {
     row.push_back(Value(static_cast<int64_t>(r)));
     row.push_back(pick(6) == 0 ? Value::Null() : Value(ints[pick(5)]));
     row.push_back(Value(ints[pick(5)]));
-    row.push_back(pick(6) == 0 ? Value::Null() : Value(floats[pick(5)]));
-    row.push_back(Value(floats[pick(5)]));
+    row.push_back(pick(6) == 0 ? Value::Null() : Value(floats[pick(6)]));
+    row.push_back(Value(floats[pick(6)]));
     row.push_back(pick(6) == 0 ? Value::Null()
                                : Value(std::string(strs[pick(4)])));
     row.push_back(Value(std::string(strs[pick(4)])));
@@ -259,7 +261,7 @@ Schema EdgeSchema() {
   return Schema({{"id", DataType::kInt64},
                  {"i", DataType::kInt64},    // full int64 range, NULLs
                  {"k", DataType::kInt64},    // small range, NULLs
-                 {"f", DataType::kFloat64},  // +-0, +-inf, denormals, NULLs
+                 {"f", DataType::kFloat64},  // +-0/inf/NaN, denormals, NULLs
                  {"z", DataType::kFloat64},  // only -0.0 and 0.0
                  {"s", DataType::kString},   // NUL bytes, high bytes, NULLs
                  {"l", DataType::kString},   // tails past the cap, NULLs
@@ -292,10 +294,12 @@ Batch EdgeBatch(std::size_t n, uint64_t seed) {
   const double inf = std::numeric_limits<double>::infinity();
   const double tiny = std::numeric_limits<double>::denorm_min();
   const double minnorm = std::numeric_limits<double>::min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   const int64_t ints[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
   const double floats[] = {-0.0, 0.0,     inf,          -inf,
                            tiny, -tiny,   minnorm / 4,  -minnorm,
-                           1.0,  -1e308,  minnorm};
+                           1.0,  -1e308,  minnorm,      nan,
+                           -nan};
   const std::string strs[] = {"",     std::string(1, '\0'),
                               "a",    std::string("a\0", 2),
                               std::string("a\0\0", 3),
@@ -309,7 +313,7 @@ Batch EdgeBatch(std::size_t n, uint64_t seed) {
     b.rows.push_back({Value(static_cast<int64_t>(r)),
                       maybe_null(Value(ints[pick(6)])),
                       maybe_null(Value(pick(3) - 1)),
-                      maybe_null(Value(floats[pick(10)])),
+                      maybe_null(Value(floats[pick(12)])),
                       Value(pick(1) == 0 ? -0.0 : 0.0),
                       maybe_null(Value(strs[pick(9)])),
                       maybe_null(Value(LongString(&rng))),
@@ -428,10 +432,10 @@ TEST(SortKernelEdgeTest, OverCapTiesAreDecidedByTheComparator) {
   EXPECT_EQ(ids, (std::vector<int64_t>{6, 4, 3, 1, 5, 2, 0}));
 }
 
-// NaN keys: the reference excludes them, so SortOp is checked against
-// std::stable_sort under Value::Compare itself, with and without NULLs
-// (the typed float compare and the CompareCells path), ascending and
-// descending, alone and behind another key.
+// NaN keys spelled out: SortOp is checked against std::stable_sort
+// under Value::Compare itself, with and without NULLs (the typed float
+// compare and the CompareCells path), ascending and descending, alone
+// and behind another key.
 TEST(KeyCompareNaNTest, SortEqualsStableSortUnderCompareCells) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -475,13 +479,18 @@ TEST(KeyCompareNaNTest, SortEqualsStableSortUnderCompareCells) {
 }
 
 TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
-  // NaN compares equal to everything, so it joins the open group, and
-  // the next row is compared with the group's first key (1.0), not with
-  // the NaN before it: 2.0 opens a new group. Same across batches.
+  // Sorted input: -0.0 and 0.0 are one group, and every NaN (either
+  // sign, any payload) is one more group after +inf. A group keeps its
+  // first row's key bits. Same across batches.
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double payload_nan = 0;
+  const uint64_t bits = 0xfff8000000000123ULL;  // -NaN with a payload
+  std::memcpy(&payload_nan, &bits, sizeof(bits));
   Batch b;
   b.schema = Schema({{"x", DataType::kFloat64}});
-  for (const double v : {1.0, nan, 1.0, nan, 2.0, 2.0, nan, 3.0}) {
+  for (const double v :
+       {-0.0, 0.0, 1.0, 1.0, 2.0, inf, nan, -nan, payload_nan, nan}) {
     b.rows.push_back({Value(v)});
   }
   const std::vector<ExprPtr> groups = {Expr::Column("x")};
@@ -496,9 +505,11 @@ TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
         MakeSlicedSource(b.schema, std::move(batches), morsel), groups, {"x"},
         aggs));
     ExpectRowsBitEq(got,
-                    {{Value(1.0), Value(int64_t{4})},
-                     {Value(2.0), Value(int64_t{3})},
-                     {Value(3.0), Value(int64_t{1})}},
+                    {{Value(-0.0), Value(int64_t{2})},
+                     {Value(1.0), Value(int64_t{2})},
+                     {Value(2.0), Value(int64_t{1})},
+                     {Value(inf), Value(int64_t{1})},
+                     {Value(nan), Value(int64_t{4})}},
                     "morsel " + std::to_string(morsel));
   }
 }

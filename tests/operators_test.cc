@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "partition_gather.h"
@@ -292,6 +294,40 @@ TEST(OperatorsTest, SumOfIntsIsExactAndWraps) {
     const std::vector<Row> ref_out = ref::Aggregate(in, {}, aggs);
     ASSERT_EQ(ref_out.size(), 1u);
     EXPECT_EQ(ref_out[0][0].int64(), want);
+  }
+}
+
+// NaN is the largest float64 (expr_eval::CompareFloat64), so MIN/MAX do
+// not depend on which cell comes first: MAX of {NaN, 1.0} is NaN and MIN
+// is 1.0 in both orders, in both aggregates and the row oracle.
+TEST(OperatorsTest, MinMaxWithNaNIgnoreInputOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Schema s({{"x", DataType::kFloat64}});
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggKind::kMin, Expr::Column("x"), "lo"},
+      AggSpec{AggKind::kMax, Expr::Column("x"), "hi"}};
+  const std::vector<std::vector<Row>> orders = {{{Value(nan)}, {Value(1.0)}},
+                                                {{Value(1.0)}, {Value(nan)}}};
+  for (const std::vector<Row>& rows : orders) {
+    const std::string ctx = "first cell " + rows[0][0].ToString();
+    for (const bool streamed : {false, true}) {
+      OperatorPtr src = SourceOf(s, rows);
+      Batch out = Collect(
+          streamed ? MakeStreamedAggregate(std::move(src), {}, {}, aggs)
+                   : MakeHashAggregate(std::move(src), {}, {}, aggs));
+      ASSERT_EQ(out.num_rows(), 1u) << ctx;
+      EXPECT_EQ(out.rows[0][0].float64(), 1.0)
+          << ctx << " streamed=" << streamed;
+      EXPECT_TRUE(std::isnan(out.rows[0][1].float64()))
+          << ctx << " streamed=" << streamed;
+    }
+    Batch in;
+    in.schema = s;
+    in.rows = rows;
+    const std::vector<Row> ref_out = ref::Aggregate(in, {}, aggs);
+    ASSERT_EQ(ref_out.size(), 1u);
+    EXPECT_EQ(ref_out[0][0].float64(), 1.0) << ctx;
+    EXPECT_TRUE(std::isnan(ref_out[0][1].float64())) << ctx;
   }
 }
 

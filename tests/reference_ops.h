@@ -11,14 +11,13 @@
 //  - Operators over row Batches (ref::Filter ... ref::Window): groups
 //    and matches rows by linear scans under Value::Compare and orders
 //    them with std::stable_sort. No KeyEncoder, no hash tables, no
-//    selection vectors. Inputs must not hold NaN in sort or group keys
-//    (Value::Compare is not a strict weak order over NaN).
+//    selection vectors. Value::Compare is a strict weak order (NaN is
+//    one value above +inf, -0.0 equals 0.0), so keys may hold NaN.
 //  - A table's rows, boxed a cell at a time out of its store (ref::Rows):
 //    the oracle every scan morsel is checked against.
 //  - The key encoding, one value at a time (ref::EncodeKey,
 //    ref::Decode, ref::HashKey), which KeyEncoder's column-at-a-time
-//    EncodeBatchColumns and HashBatchColumns must reproduce for every
-//    column rep.
+//    EncodeColumns and HashColumns must reproduce for every column rep.
 
 #ifndef SWIFT_TESTS_REFERENCE_OPS_H_
 #define SWIFT_TESTS_REFERENCE_OPS_H_
@@ -577,7 +576,7 @@ inline std::string EncodeKey(const Row& key) {
   return out;
 }
 
-/// KeyEncoder::HashBatchColumns of one key row.
+/// KeyEncoder::HashColumns of one key row.
 inline uint64_t HashKey(const Row& key) {
   uint64_t h = 0x58a3b1c96f0d2e47ULL;
   for (const Value& v : key) {

@@ -1,7 +1,14 @@
 // Tests for the extended SQL surface: BETWEEN, IN, IS [NOT] NULL,
-// HAVING, and the NULL-aware functions is_null / coalesce.
+// HAVING, and the NULL-aware functions is_null / coalesce; and the one
+// value order (NULL first, -0.0 = 0.0, every NaN one value above +inf)
+// under both plan modes.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
@@ -158,6 +165,212 @@ TEST_F(SqlExtensionRuntimeTest, HavingUnknownNameRejected) {
       "select n_regionkey, count(*) as n from tpch_nation "
       "group by n_regionkey having zzz > 1").status();
   EXPECT_EQ(st.code(), StatusCode::kPlanError);
+}
+
+// ---- One value order in sort mode and hash mode -----------------------
+
+// The float64 cells of `floats` by id, grouped into the classes of the
+// value order, lowest first: NULL, -inf, zero (either sign), 0.5, 7,
+// +inf, NaN (either sign).
+const std::map<int64_t, int>& ClassById() {
+  static const std::map<int64_t, int> classes = {
+      {1, 0},  {10, 0},                     // NULL
+      {7, 1},                               // -inf
+      {2, 2},  {3, 2},  {14, 2},            // -0.0, 0.0, -0.0
+      {11, 3},                              // 0.5
+      {8, 4},  {9, 4},                      // 7.0
+      {6, 5},  {13, 5},                     // +inf
+      {4, 6},  {5, 6},  {12, 6}};           // NaN, -NaN, NaN
+  return classes;
+}
+
+// A float64 (or NULL) cell's class in ClassById, by the rule itself.
+int64_t ClassOf(const Value& v) {
+  if (v.is_null()) return 0;
+  const double x = v.float64();
+  if (std::isnan(x)) return 6;
+  if (x == -std::numeric_limits<double>::infinity()) return 1;
+  if (x == 0.0) return 2;
+  if (x == 0.5) return 3;
+  if (x == 7.0) return 4;
+  if (x == std::numeric_limits<double>::infinity()) return 5;
+  ADD_FAILURE() << "unexpected cell " << v.ToString();
+  return -1;
+}
+
+using Tuple = std::vector<int64_t>;
+
+// An answer's rows with every int64 cell as itself and every float64 or
+// NULL cell as its class, so two answers compare under the value order.
+std::vector<Tuple> Tuples(const Batch& b) {
+  std::vector<Tuple> out;
+  for (const Row& r : b.rows) {
+    Tuple t;
+    for (const Value& v : r) t.push_back(v.is_int64() ? v.int64() : ClassOf(v));
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<Tuple> Sorted(std::vector<Tuple> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// (id, class) of ClassById ordered by (class, id), or by (class
+// descending, id).
+std::vector<Tuple> IdsByClass(bool ascending) {
+  std::vector<Tuple> rows;
+  for (const auto& [id, cls] : ClassById()) {
+    rows.push_back({ascending ? cls : -cls, id});
+  }
+  std::sort(rows.begin(), rows.end());
+  for (Tuple& t : rows) t = {t[1], ascending ? t[0] : -t[0]};
+  return rows;
+}
+
+// Sort mode plans MergeJoin and StreamedAggregate behind sorts; hash
+// mode plans HashJoin and HashAggregate, which group by encoded keys.
+// Both must give the answer the value order defines.
+class PlanModeParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TpchConfig cfg;
+    cfg.scale_factor = 0.001;
+    ASSERT_TRUE(GenerateTpch(cfg, runtime_.catalog()).ok());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::map<int64_t, Value> cells = {
+        {1, Value::Null()}, {2, Value(-0.0)}, {3, Value(0.0)},
+        {4, Value(nan)},    {5, Value(-nan)}, {6, Value(inf)},
+        {7, Value(-inf)},   {8, Value(7.0)},  {9, Value(7.0)},
+        {10, Value::Null()}, {11, Value(0.5)}, {12, Value(nan)},
+        {13, Value(inf)},   {14, Value(-0.0)}};
+    std::vector<Row> rows;
+    for (const auto& [id, x] : cells) rows.push_back({Value(id), x});
+    auto t = MakeTable(
+        "floats", Schema({{"id", DataType::kInt64}, {"x", DataType::kFloat64}}),
+        rows);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_TRUE(runtime_.catalog()->Register(*t).ok());
+  }
+
+  // `sql`'s answer in sort mode and in hash mode.
+  std::pair<Batch, Batch> Run(const std::string& sql) {
+    Batch answers[2];
+    for (const bool sort_mode : {true, false}) {
+      PlannerConfig planner;
+      planner.sort_mode = sort_mode;
+      Result<Batch> got = runtime_.ExecuteSql(sql, planner);
+      EXPECT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      if (got.ok()) answers[sort_mode ? 0 : 1] = *std::move(got);
+    }
+    return {std::move(answers[0]), std::move(answers[1])};
+  }
+
+  // Both modes give `want` as a multiset.
+  void ExpectMultiset(const std::string& sql, const std::vector<Tuple>& want) {
+    const auto [sorted, hashed] = Run(sql);
+    EXPECT_EQ(Sorted(Tuples(sorted)), Sorted(Tuples(hashed))) << sql;
+    EXPECT_EQ(Sorted(Tuples(sorted)), Sorted(want)) << sql;
+  }
+
+  // Both modes give `want` row for row.
+  void ExpectRows(const std::string& sql, const std::vector<Tuple>& want) {
+    const auto [sorted, hashed] = Run(sql);
+    EXPECT_EQ(Tuples(sorted), want) << sql << " (sort mode)";
+    EXPECT_EQ(Tuples(hashed), want) << sql << " (hash mode)";
+  }
+
+  LocalRuntime runtime_;
+};
+
+TEST_F(PlanModeParityTest, GroupByCountsOneGroupPerValue) {
+  std::map<int64_t, int64_t> counts;
+  for (const auto& [id, cls] : ClassById()) ++counts[cls];
+  std::vector<Tuple> want;
+  for (const auto& [cls, n] : counts) want.push_back({cls, n});
+  ExpectMultiset("select x, count(*) as n from floats group by x", want);
+}
+
+TEST_F(PlanModeParityTest, SelfJoinMatchesEqualValues) {
+  std::vector<Tuple> want;
+  for (const auto& [a, ca] : ClassById()) {
+    for (const auto& [b, cb] : ClassById()) {
+      if (ca != 0 && ca == cb) want.push_back({a, b});
+    }
+  }
+  ExpectMultiset(
+      "select a.id as l, b.id as r from floats a join floats b on a.x = b.x",
+      want);
+}
+
+TEST_F(PlanModeParityTest, OrderByPutsNaNAfterInfinity) {
+  ExpectRows("select id, x from floats order by x, id", IdsByClass(true));
+  ExpectRows("select id, x from floats order by x desc, id",
+             IdsByClass(false));
+}
+
+TEST_F(PlanModeParityTest, WindowPartitionsByValue) {
+  std::map<int64_t, int64_t> seen;  // class -> rows so far, in id order
+  std::vector<Tuple> row_numbers, ranks;
+  for (const auto& [id, cls] : ClassById()) {
+    row_numbers.push_back({id, ++seen[cls]});
+    ranks.push_back({id, 1});  // every order key of a partition ties
+  }
+  ExpectMultiset(
+      "select id, row_number() over (partition by x order by id) as rn "
+      "from floats",
+      row_numbers);
+  ExpectMultiset(
+      "select id, rank() over (partition by x order by x) as rk from floats",
+      ranks);
+}
+
+TEST_F(PlanModeParityTest, MinMaxTakeNaNAsLargest) {
+  ExpectMultiset("select min(x) as lo, max(x) as hi, count(x) as n from floats",
+                 {{1, 6, 12}});
+}
+
+TEST_F(PlanModeParityTest, FiltersCompareUnderTheOrder) {
+  const auto ids = [](const std::vector<int>& classes) {
+    std::vector<Tuple> out;
+    for (const auto& [id, cls] : ClassById()) {
+      if (std::find(classes.begin(), classes.end(), cls) != classes.end()) {
+        out.push_back({id});
+      }
+    }
+    return out;
+  };
+  ExpectMultiset("select id from floats where x = 7.0", ids({4}));
+  ExpectMultiset("select id from floats where x < 1.0", ids({1, 2, 3}));
+  ExpectMultiset("select id from floats where x > 1.0", ids({4, 5, 6}));
+  ExpectMultiset("select id from floats where x = x", ids({1, 2, 3, 4, 5, 6}));
+}
+
+// h is NaN for nation 3 (0 * inf) and n_nationkey (+ 1/inf = 0) for the
+// other 24: 25 distinct values, each equal only to itself.
+TEST_F(PlanModeParityTest, NaNKeyFromAnExpressionIsOneGroup) {
+  const std::string e = "100000000000000000000.0";
+  std::string inf = e;
+  for (int i = 1; i < 16; ++i) inf += "*" + e;
+  const auto h = [&](const std::string& t) {
+    return t + "n_nationkey + 1.0 / ((" + t + "n_nationkey - 3.0) * (" + inf +
+           "))";
+  };
+  const auto [groups_sorted, groups_hashed] = Run(
+      "select " + h("") + " as h, count(*) as n from tpch_nation group by h");
+  EXPECT_EQ(groups_sorted.num_rows(), 25u);
+  EXPECT_EQ(groups_hashed.num_rows(), 25u);
+  for (const Batch* groups : {&groups_sorted, &groups_hashed}) {
+    for (const Row& r : groups->rows) EXPECT_EQ(r[1].int64(), 1);
+  }
+  const std::vector<Tuple> one_count = {{25}};
+  ExpectRows("select count(*) as n from tpch_nation a join tpch_nation b on " +
+                 h("a.") + " = " + h("b."),
+             one_count);
+  ExpectRows("select n_nationkey from tpch_nation where " + h("") + " = 7.0",
+             {{7}});
 }
 
 }  // namespace

@@ -49,13 +49,10 @@ TEST(ValueTest, MixedTypeTotalOrder) {
 TEST(ValueTest, HashConsistentWithEquality) {
   // Values are hashed as keys by KeyEncoder: equal values hash alike,
   // whichever column type holds them.
-  const auto hashes = [](ColumnVector col) {
-    ColumnBatch cb;
-    cb.physical_rows = col.size();
-    cb.columns = {std::move(col)};
+  const auto hashes = [](const ColumnVector& col) {
     std::vector<uint64_t> h;
     std::vector<uint8_t> has_null;
-    EXPECT_TRUE(KeyEncoder::HashBatchColumns(cb, {0}, &h, &has_null));
+    KeyEncoder::HashColumns({&col}, nullptr, col.size(), &h, &has_null);
     return h;
   };
   ColumnVector ints = ColumnVector::OfType(DataType::kInt64);
