@@ -12,7 +12,7 @@
 #include "exec/morsel.h"
 #include "exec/serde.h"
 #include "obs/pool_metrics.h"
-#include "scheduler/task_tracker.h"
+#include "scheduler/job_scheduler.h"
 
 namespace swift {
 
@@ -102,28 +102,20 @@ Result<OperatorPtr> AppendOp(OperatorPtr tree, const LocalOpDesc& op) {
 }  // namespace
 
 struct LocalRuntime::JobContext {
-  JobContext(JobId job_id, const DistributedPlan* p, GraphletPlan g)
+  JobContext(JobId job_id, const DistributedPlan* p, GraphletPlan g,
+             int max_task_attempts)
       : job(job_id),
         plan(p),
         graphlets(std::move(g)),
-        recovery(&p->dag, &graphlets),
-        tracker(&p->dag) {}
+        sched(&p->dag, &graphlets, max_task_attempts) {}
 
   JobId job;
   const DistributedPlan* plan;
   GraphletPlan graphlets;
-  RecoveryPlanner recovery;
-  TaskTracker tracker;
-  /// Wave-boundary yields taken so far (driver thread only); extends the
-  /// scheduling-round bound so cooperative preemption cannot trip the
-  /// recovery-convergence guard.
-  int yields = 0;
+  /// Reported to by the driver thread only; tasks read their producers'
+  /// machines from it while the driver waits on their wave.
+  JobScheduler sched;
   std::map<TaskRef, ExecutorId> placement;
-  std::map<TaskRef, int> writer_machine;
-  std::map<TaskRef, int> attempts;
-  /// producer task -> tasks that successfully consumed its output
-  /// (feeds RecoveryContext::received_output).
-  std::map<TaskRef, std::set<TaskRef>> received_by;
   Batch final_result;
   bool has_result = false;
   JobRunStats stats;
@@ -272,7 +264,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
       if (inj.claimed_by == 0) inj.claimed_by = job;
     }
   }
-  JobContext ctx(job, &plan, std::move(graphlets));
+  JobContext ctx(job, &plan, std::move(graphlets), config_.max_task_attempts);
   arbiter_.BeginJob(job, opts);
   obs::Span job_meta;
   if (tracer_ != nullptr) {
@@ -285,54 +277,15 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
   obs::ScopedSpan job_span(tracer_, std::move(job_meta));
   ctx.stats.job_id = job;
   ctx.stats.graphlets = static_cast<int>(ctx.graphlets.graphlets.size());
-  auto graphlet_complete = [&ctx](GraphletId gid) {
-    return ctx.tracker.StagesComplete(
-        ctx.graphlets.graphlets[static_cast<std::size_t>(gid)].stages);
-  };
-
-  // Cross-graphlet recovery can reset already-complete graphlets, so
-  // the scheduling loop is bounded by attempts, not graphlet count.
-  const int max_rounds =
-      (static_cast<int>(ctx.graphlets.graphlets.size()) + 1) *
-          (config_.max_task_attempts + 2) +
-      8;
-  int rounds = 0;
   Status failure = Status::OK();
   while (failure.ok()) {
-    // Graphlet progress is derived from task states: a graphlet is
-    // submittable once every graphlet it depends on has all tasks
-    // completed ("all its input data are ready", Sec. III-A-2).
-    std::vector<GraphletId> ready;
-    bool all_complete = true;
-    for (const Graphlet& g : ctx.graphlets.graphlets) {
-      if (graphlet_complete(g.id)) continue;
-      all_complete = false;
-      const auto& deps = ctx.graphlets.deps[static_cast<std::size_t>(g.id)];
-      if (std::all_of(deps.begin(), deps.end(), graphlet_complete)) {
-        ready.push_back(g.id);
-      }
-    }
-    if (all_complete) break;
-    // Yield rounds extend the bound: a graphlet re-queued by cooperative
-    // preemption made no recovery "attempt".
-    if (++rounds > max_rounds + ctx.yields) {
-      failure = Status::Internal("recovery did not converge: graphlet "
-                                 "resubmission limit reached");
-      break;
-    }
-    if (ready.empty()) {
-      failure = Status::Internal("no submittable graphlet but job incomplete");
-      break;
-    }
-    // Submit in dependency order, one at a time (the paper's
-    // conservative submission order, Sec. III-A-2).
-    for (GraphletId gid : ready) {
-      failure = RunGraphlet(&ctx, gid);
-      // A graphlet left incomplete was suspended: recovery reset one of
-      // its dependencies mid-run (a machine died with cross-graphlet
-      // inputs) or it yielded its gang. Re-enter the scheduler so
-      // upstream work re-runs first.
-      if (!failure.ok() || !graphlet_complete(gid)) break;
+    Result<std::optional<GraphletId>> next = ctx.sched.NextGraphlet();
+    if (!next.ok()) {
+      failure = next.status();
+    } else if (!next->has_value()) {
+      break;  // every task completed
+    } else {
+      failure = RunGraphlet(&ctx, **next);
     }
   }
 
@@ -350,9 +303,6 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
     }
   }
   if (!failure.ok()) return failure;
-  if (!ctx.tracker.AllComplete()) {
-    return Status::Internal("job ended with incomplete tasks");
-  }
   JobRunReport report;
   report.result = std::move(ctx.final_result);
   report.stats = ctx.stats;
@@ -366,7 +316,6 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
 Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
   const Graphlet& g =
       ctx->graphlets.graphlets[static_cast<std::size_t>(gid)];
-  const JobDag& dag = ctx->plan->dag;
   obs::Span graphlet_meta;
   if (tracer_ != nullptr) {
     graphlet_meta.name = StrFormat("graphlet%d", gid);
@@ -392,6 +341,7 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
       }
     }
   }
+  ctx->sched.GraphletQueued(gid);
   auto gang = [&] {
     obs::Span gang_meta;
     if (tracer_ != nullptr) {
@@ -407,72 +357,38 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
         "gang-scheduling graphlet %d (%zu tasks); raise "
         "executors_per_machine", gid, members.size()));
   }
+  ctx->sched.GraphletGranted(gid);
   for (std::size_t i = 0; i < members.size(); ++i) {
     ctx->placement[members[i]] = (*gang)[i];
   }
 
-  // Stage waves in topological order, re-looping while recovery resets
-  // tasks. Intra-graphlet edges are pipeline edges; wave granularity is
-  // the batch-level pipelining of the reproduction.
-  std::vector<StageId> order;
-  for (StageId s : dag.topological_order()) {
-    if (g.Contains(s)) order.push_back(s);
-  }
-  for (;;) {
-    bool all_done = true;
-    bool progressed = false;
-    bool blocked_external = false;
-    for (StageId sid : order) {
-      std::vector<int> pending;
-      const StageProgram& prog = ctx->plan->program(sid);
-      for (int t = 0; t < prog.task_count; ++t) {
-        if (ctx->tracker.state(TaskRef{sid, t}) != TaskState::kCompleted) {
-          pending.push_back(t);
-        }
-      }
-      if (pending.empty()) continue;
-      all_done = false;
-      if (!ctx->tracker.StagesComplete(dag.inputs(sid))) {
-        // Distinguish "waiting on a sibling stage of this graphlet"
-        // from "recovery reset an upstream graphlet" — the latter
-        // suspends this graphlet so the scheduler re-runs upstream.
-        for (StageId in : dag.inputs(sid)) {
-          if (!g.Contains(in) && !ctx->tracker.StagesComplete({in})) {
-            blocked_external = true;
-          }
-        }
-        continue;
-      }
-      Status st = RunStageWave(ctx, sid, pending);
-      if (!st.ok()) {
-        arbiter_.ReleaseGang(ctx->job, *gang);
-        return st;
-      }
-      progressed = true;
-    }
-    if (all_done) break;
-    if (!progressed) {
-      arbiter_.ReleaseGang(ctx->job, *gang);
-      if (blocked_external) return Status::OK();  // suspended
-      return Status::Internal(
-          StrFormat("graphlet %d stalled: no runnable stage", gid));
-    }
-    // Cooperative preemption: the arbiter may ask this job to hand its
-    // gang back at a wave boundary so a higher-class job can run. The
-    // graphlet stays incomplete, which routes it through the same
-    // "suspended -> re-queue" path recovery already exercises.
-    if (arbiter_.ShouldYield(ctx->job)) {
-      arbiter_.ReleaseGang(ctx->job, *gang);
-      {
-        std::lock_guard<std::mutex> lock(ctx->mu);
-        ctx->stats.gang_yields += 1;
-      }
-      ctx->yields += 1;
+  // Stage waves, pass after pass, until the core ends the graphlet.
+  // Intra-graphlet edges are pipeline edges; wave granularity is the
+  // batch-level pipelining of the reproduction.
+  using Kind = JobScheduler::Step::Kind;
+  Status st;
+  bool done = false;
+  for (bool running = true; running && st.ok();) {
+    Result<JobScheduler::Step> step = ctx->sched.NextStep();
+    if (!step.ok()) {
+      st = step.status();
+    } else if (step->kind == Kind::kWave) {
+      st = RunStageWave(ctx, step->stage, step->tasks);
+    } else if (step->kind != Kind::kContinue) {
+      done = step->kind == Kind::kDone;  // else suspended
+      running = false;
+    } else if (arbiter_.ShouldYield(ctx->job)) {
+      // Cooperative preemption: the arbiter may ask this job to hand its
+      // gang back at a wave boundary so a higher-class job can run. The
+      // core requeues the graphlet, the same "suspended -> re-queue" path
+      // recovery already exercises.
+      ctx->sched.Yield();
       obs::Add(metrics_.gang_yields, 1);
-      return Status::OK();  // suspended by preemption
+      running = false;
     }
   }
   arbiter_.ReleaseGang(ctx->job, *gang);
+  if (!done) return st;
   if (metrics_.graphlet_idle_ratio != nullptr && !members.empty()) {
     // Executor idle ratio over this graphlet's gang (Fig. 3): wall time
     // the gang held its executors minus time actually spent in tasks.
@@ -495,15 +411,12 @@ Status LocalRuntime::RunGraphlet(JobContext* ctx, GraphletId gid) {
 
 Status LocalRuntime::RunStageWave(JobContext* ctx, StageId stage,
                                   const std::vector<int>& tasks) {
-  struct Outcome {
-    TaskRef task;
-    Status status;
-  };
-  std::vector<Outcome> outcomes(tasks.size());
+  std::vector<TaskRun> runs(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const TaskRef task{stage, tasks[i]};
-    ctx->tracker.SetState(task, TaskState::kRunning);
-    outcomes[i].task = task;
+    ctx->sched.TaskStarted(task);
+    runs[i].task = task;
+    runs[i].attempt = ctx->sched.attempts(task);
   }
   {
     obs::Span wave_meta;
@@ -518,14 +431,12 @@ Status LocalRuntime::RunStageWave(JobContext* ctx, StageId stage,
     // wave's own latch — not ThreadPool::Wait(), which blocks on every
     // pool task and would let concurrent RunPlan calls stall each other.
     WaitGroup wg(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const TaskRef task = outcomes[i].task;
-      Outcome* slot = &outcomes[i];
-      const int machine = ResolveMachine(ctx, task);
+    for (TaskRun& r : runs) {
+      TaskRun* run = &r;
+      run->machine = ResolveMachine(ctx, run->task);
       obs::Add(metrics_.tasks_started);
       const auto enqueued = std::chrono::steady_clock::now();
-      const bool submitted = pool_->Submit([this, ctx, task, machine, slot,
-                                            enqueued, &wg] {
+      const bool submitted = pool_->Submit([this, ctx, run, enqueued, &wg] {
         if (metrics_.queue_wait != nullptr) {
           const double wait_s =
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -534,23 +445,28 @@ Status LocalRuntime::RunStageWave(JobContext* ctx, StageId stage,
           obs::Record(metrics_.queue_wait, wait_s);
           obs::Set(metrics_.queue_wait_last, wait_s);
         }
-        slot->status = RunTask(ctx, task, machine);
+        run->status = RunTask(ctx, run);
         wg.Done();
       });
       if (!submitted) {
-        slot->status = Status::Internal("executor pool shut down mid-wave");
+        run->status = Status::Internal("executor pool shut down mid-wave");
         wg.Done();
       }
     }
     wg.Wait();
   }
 
-  for (Outcome& o : outcomes) {
-    // Count every outcome up front so started == completed + failed
-    // holds even when failure handling aborts the job mid-wave.
-    obs::Add(o.status.ok() ? metrics_.tasks_completed : metrics_.tasks_failed);
-    if (o.status.ok()) {
-      ctx->tracker.SetState(o.task, TaskState::kCompleted);
+  for (const TaskRun& r : runs) {
+    // Book the task's reads and outcome before any failure is handled,
+    // so recovery sees who holds whose output. Count every outcome up
+    // front so started == completed + failed holds even when failure
+    // handling aborts the job mid-wave.
+    for (const TaskRef& producer : r.consumed) {
+      ctx->sched.OutputConsumed(producer, r.task);
+    }
+    obs::Add(r.status.ok() ? metrics_.tasks_completed : metrics_.tasks_failed);
+    if (r.status.ok()) {
+      ctx->sched.TaskFinished(r.task, r.machine);
       std::lock_guard<std::mutex> lock(ctx->mu);
       ctx->stats.tasks_executed += 1;
     }
@@ -558,14 +474,14 @@ Status LocalRuntime::RunStageWave(JobContext* ctx, StageId stage,
   // One heartbeat interval elapses per wave; detection of silent
   // machines (and probation expirations) runs here, between waves.
   SWIFT_RETURN_NOT_OK(TickClusterHealth(ctx));
-  for (Outcome& o : outcomes) {
-    if (!o.status.ok()) {
+  for (const TaskRun& r : runs) {
+    if (!r.status.ok()) {
       {
         std::lock_guard<std::mutex> lock(ctx->mu);
         ctx->stats.tasks_executed += 1;
       }
       SWIFT_RETURN_NOT_OK(
-          HandleFailure(ctx, o.task, FailureKindOf(o.status), o.status));
+          HandleFailure(ctx, r.task, FailureKindOf(r.status), r.status));
     }
   }
   return Status::OK();
@@ -577,50 +493,18 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
     // The failed-RPC detection path (Sec. IV-A): a machine-flavored
     // failure surfaces dead machines before the heartbeat deadline.
     SWIFT_RETURN_NOT_OK(DetectDownMachines(ctx));
-    // A machine-loss cascade may already have replanned this task.
-    if (ctx->tracker.state(task) == TaskState::kPending) return Status::OK();
   }
-  const bool was_completed =
-      ctx->tracker.state(task) == TaskState::kCompleted;
-  ctx->tracker.SetState(task, TaskState::kFailed);
-
-  RecoveryContext rctx;
-  rctx.executed = ctx->tracker.CompletedTasks();
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    auto it = ctx->received_by.find(task);
-    if (it != ctx->received_by.end()) rctx.received_output = it->second;
-  }
-  rctx.failed_output_available = was_completed && OutputsAvailable(ctx, task);
-
-  RecoveryDecision decision = ctx->recovery.Plan(task, kind, rctx);
-  if (decision.report_only) {
-    // Sec. IV-C: application failures are reported, never retried.
-    return error.WithContext("application failure, recovery skipped");
-  }
-  // An attempt is charged only when the task will run again: a kNone
-  // decision on a completed task restores it and re-runs nothing (the
-  // paper's useless-recovery avoidance), so it must not eat the budget.
-  const bool restores_task =
-      decision.kase == RecoveryCase::kNone && was_completed;
-  if (!restores_task) {
-    int attempt;
-    {
-      std::lock_guard<std::mutex> lock(ctx->mu);
-      attempt = ++ctx->attempts[task];
-    }
-    if (attempt >= config_.max_task_attempts) {
-      return error.WithContext(StrFormat(
-          "task %s failed %d times", task.ToString().c_str(), attempt));
-    }
-  }
+  const bool readable = ctx->sched.state(task) == TaskState::kCompleted &&
+                        OutputsAvailable(ctx, task);
+  SWIFT_ASSIGN_OR_RETURN(JobScheduler::Recovery recovery,
+                         ctx->sched.TaskFailed(task, kind, error, readable));
+  if (!recovery.acted) return Status::OK();
+  const RecoveryDecision& decision = recovery.decision;
   {
     auto it = ctx->placement.find(task);
     RecordMachineFailure(it != ctx->placement.end() ? it->second.machine
                                                      : 0);
   }
-  const auto restart_equivalent = static_cast<int64_t>(
-      ctx->recovery.JobRestartRerunSet(rctx).size());
   {
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->stats.recoveries += 1;
@@ -628,45 +512,26 @@ Status LocalRuntime::HandleFailure(JobContext* ctx, const TaskRef& task,
     ctx->stats.resend_notifications +=
         static_cast<int>(decision.resend_upstream.size());
     ctx->stats.tasks_rerun += static_cast<int>(decision.rerun.size());
-    ctx->stats.job_restart_equivalent_tasks += restart_equivalent;
+    ctx->stats.job_restart_equivalent_tasks += recovery.restart_equivalent;
     obs::Add(metrics_.recoveries);
     obs::Add(metrics_.recovery_by_case[static_cast<int>(decision.kase)]);
     obs::Add(metrics_.resend_notifications,
              static_cast<int64_t>(decision.resend_upstream.size()));
     obs::Add(metrics_.tasks_rerun,
              static_cast<int64_t>(decision.rerun.size()));
-    obs::Add(metrics_.restart_equivalent_tasks, restart_equivalent);
+    obs::Add(metrics_.restart_equivalent_tasks, recovery.restart_equivalent);
   }
   SWIFT_LOG(Info) << "recovered " << task.ToString() << " via "
                   << RecoveryCaseToString(decision.kase) << " (rerun "
                   << decision.rerun.size() << ", resend "
                   << decision.resend_upstream.size() << ")";
-  if (decision.kase == RecoveryCase::kNone) {
-    // Every consumer already holds the data; the completed task stays
-    // completed (the paper's recovery-avoidance for consumed outputs).
-    if (restores_task) ctx->tracker.SetState(task, TaskState::kCompleted);
-    return Status::OK();
-  }
+  if (decision.kase == RecoveryCase::kNone) return Status::OK();
   for (StageId s : decision.invalidate_outputs) {
     shuffle_->RemoveStageOutput(ctx->job, s);
-  }
-  for (const TaskRef& t : decision.rerun) {
-    ResetTask(ctx, t);
   }
   // A machine loss can also take the rerun's *inputs*: re-run any
   // producer whose retained slot feeding `task` is gone (Fig. 7(a)).
   return EnsureInputsAvailable(ctx, task);
-}
-
-void LocalRuntime::ResetTask(JobContext* ctx, const TaskRef& t) {
-  ctx->tracker.Reset(t);
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->received_by.erase(t);
-    for (auto& [producer, consumers] : ctx->received_by) {
-      consumers.erase(t);
-    }
-  }
 }
 
 bool LocalRuntime::OutputsAvailable(JobContext* ctx, const TaskRef& task) {
@@ -696,7 +561,7 @@ Status LocalRuntime::EnsureInputsAvailable(JobContext* ctx,
         shuffle_->KindFor(dag.ShuffleEdgeSize(src, task.stage));
     for (int st = 0; st < producer.task_count; ++st) {
       const TaskRef p{src, st};
-      if (ctx->tracker.state(p) != TaskState::kCompleted) continue;
+      if (ctx->sched.state(p) != TaskState::kCompleted) continue;
       const ShuffleSlotKey key{ctx->job, src, st, task.stage, task.task};
       if (shuffle_->PartitionAvailable(kind, key)) continue;
       SWIFT_RETURN_NOT_OK(HandleFailure(
@@ -783,15 +648,8 @@ Status LocalRuntime::HandleMachineLoss(JobContext* ctx, int machine) {
   }
   // Completed tasks that ran there lost their retained outputs with the
   // Cache Worker; replan each unless a replica survives (Fig. 7).
-  std::vector<TaskRef> victims;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    for (const auto& [t, wm] : ctx->writer_machine) {
-      if (wm == machine) victims.push_back(t);
-    }
-  }
-  for (const TaskRef& t : victims) {
-    if (ctx->tracker.state(t) != TaskState::kCompleted) continue;
+  for (const TaskRef& t : ctx->sched.TasksFinishedOn(machine)) {
+    if (ctx->sched.state(t) != TaskState::kCompleted) continue;
     if (OutputsAvailable(ctx, t)) continue;
     SWIFT_RETURN_NOT_OK(HandleFailure(
         ctx, t, FailureKind::kMachineFailure,
@@ -852,8 +710,8 @@ int LocalRuntime::ResolveMachine(JobContext* ctx, const TaskRef& task) {
 
 Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
                                                 const StageProgram& program,
-                                                const TaskRef& task,
-                                                int machine) {
+                                                TaskRun* run) {
+  const TaskRef& task = run->task;
   const JobDag& dag = ctx->plan->dag;
   std::vector<OperatorPtr> sources;
   if (!program.scan_table.empty()) {
@@ -872,28 +730,21 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
           shuffle_->KindFor(dag.ShuffleEdgeSize(src, task.stage));
       std::vector<WirePayload> payloads;
       for (int st = 0; st < producer.task_count; ++st) {
-        ShuffleSlotKey key{ctx->job, src, st, task.stage, task.task};
-        int writer = 0;
-        {
-          std::lock_guard<std::mutex> lock(ctx->mu);
-          auto it = ctx->writer_machine.find(TaskRef{src, st});
-          if (it == ctx->writer_machine.end()) {
-            return Status::Internal(StrFormat(
-                "no recorded writer machine for %s",
-                TaskRef{src, st}.ToString().c_str()));
-          }
-          writer = it->second;
+        const TaskRef p{src, st};
+        const ShuffleSlotKey key{ctx->job, src, st, task.stage, task.task};
+        const int writer = ctx->sched.machine(p);
+        if (writer < 0) {
+          return Status::Internal(StrFormat(
+              "no recorded writer machine for %s", p.ToString().c_str()));
         }
         SWIFT_ASSIGN_OR_RETURN(
-            WirePayload p, FetchShuffleInput(ctx, kind, key, machine, writer,
-                                             producer.output_schema));
-        payloads.push_back(std::move(p));
-        {
-          // This task now holds the producer's output — the planner's
-          // received_output set for any later failure of that producer.
-          std::lock_guard<std::mutex> lock(ctx->mu);
-          ctx->received_by[TaskRef{src, st}].insert(task);
-        }
+            WirePayload payload,
+            FetchShuffleInput(ctx, kind, key, run->machine, writer,
+                              producer.output_schema));
+        payloads.push_back(std::move(payload));
+        // This task now holds the producer's output — the planner's
+        // received_output set for any later failure of that producer.
+        run->consumed.push_back(p);
       }
       // Validated payloads decode straight into morsels, so downstream
       // pipelines stay O(morsel)-resident here too.
@@ -1024,13 +875,9 @@ Result<WirePayload> LocalRuntime::FetchShuffleInput(JobContext* ctx,
   }
 }
 
-Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
-                             int machine) {
-  int attempt;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    attempt = ctx->attempts[task];
-  }
+Status LocalRuntime::RunTask(JobContext* ctx, TaskRun* run) {
+  const TaskRef& task = run->task;
+  const int machine = run->machine;
   obs::Span task_meta;
   if (tracer_ != nullptr) {
     task_meta.name = task.ToString();
@@ -1038,7 +885,7 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
     task_meta.machine = machine;
     task_meta.stage = task.stage;
     task_meta.task = task.task;
-    task_meta.attempt = attempt;
+    task_meta.attempt = run->attempt;
     task_meta.job = ctx->job;
   }
   obs::ScopedSpan task_span(tracer_, std::move(task_meta));
@@ -1055,7 +902,7 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
     }
   } busy{ctx};
   if (injector_ != nullptr) {
-    const TaskFault fault = injector_->OnTaskStart(task, attempt);
+    const TaskFault fault = injector_->OnTaskStart(task, run->attempt);
     if (fault.kill_machine.has_value()) FailMachine(*fault.kill_machine);
     if (fault.fail.has_value()) return StatusForFailure(*fault.fail, task);
   }
@@ -1075,8 +922,7 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
     }
   }
   const StageProgram& program = ctx->plan->program(task.stage);
-  SWIFT_ASSIGN_OR_RETURN(OperatorPtr tree,
-                         BuildTaskTree(ctx, program, task, machine));
+  SWIFT_ASSIGN_OR_RETURN(OperatorPtr tree, BuildTaskTree(ctx, program, run));
   const StageId consumer = ctx->plan->ConsumerOf(task.stage);
   if (consumer >= 0) return WriteTaskOutput(ctx, task, machine, tree.get());
   SWIFT_ASSIGN_OR_RETURN(ColumnBatch out, CollectAllColumnar(tree.get()));
@@ -1084,7 +930,6 @@ Status LocalRuntime::RunTask(JobContext* ctx, const TaskRef& task,
   std::lock_guard<std::mutex> lock(ctx->mu);
   ctx->final_result = ToRowBatch(out);
   ctx->has_result = true;
-  ctx->writer_machine[task] = machine;
   return Status::OK();
 }
 
@@ -1154,10 +999,6 @@ Status LocalRuntime::WriteTaskOutput(JobContext* ctx, const TaskRef& task,
     SWIFT_RETURN_NOT_OK(shuffle_->WritePartition(
         kind, key, ShuffleBuffer(SerializePieces(schema, pieces)), machine,
         pipelined));
-  }
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->writer_machine[task] = machine;
   }
   return Status::OK();
 }

@@ -85,9 +85,6 @@ struct LocalRuntimeConfig {
 struct JobRunStats {
   /// Runtime-assigned job id (keys shuffle slots and per-job quotas).
   JobId job_id = 0;
-  /// Wave-boundary gang releases taken because the arbiter asked this
-  /// job to yield to a higher-priority request (cooperative preemption).
-  int gang_yields = 0;
   int graphlets = 0;
   int tasks_executed = 0;   ///< task executions incl. re-runs
   int tasks_rerun = 0;      ///< re-executions triggered by recovery
@@ -170,16 +167,25 @@ class LocalRuntime {
 
  private:
   struct JobContext;
+  /// One task of a wave: the driver fills in where and which attempt it
+  /// runs, the task its outcome and the producers it read.
+  struct TaskRun {
+    TaskRef task;
+    int machine = 0;
+    int attempt = 0;
+    Status status;
+    std::vector<TaskRef> consumed;
+  };
 
   Status RunGraphlet(JobContext* ctx, GraphletId gid);
   Status RunStageWave(JobContext* ctx, StageId stage,
                       const std::vector<int>& tasks);
-  Status RunTask(JobContext* ctx, const TaskRef& task, int machine);
+  Status RunTask(JobContext* ctx, TaskRun* run);
   Status HandleFailure(JobContext* ctx, const TaskRef& task,
                        FailureKind kind, const Status& error);
   Result<OperatorPtr> BuildTaskTree(JobContext* ctx,
                                     const StageProgram& program,
-                                    const TaskRef& task, int machine);
+                                    TaskRun* run);
   /// Books a successfully decoded compressed frame into the job stats
   /// and the shuffle.decompress.* counters (no-op for raw payloads).
   void NoteDecompressed(JobContext* ctx, std::string_view wire);
@@ -217,8 +223,6 @@ class LocalRuntime {
   Status EnsureInputsAvailable(JobContext* ctx, const TaskRef& task);
   /// Pick the machine `task` runs on, avoiding dead/drained machines.
   int ResolveMachine(JobContext* ctx, const TaskRef& task);
-  /// Reset `task` to pending and forget who consumed its output.
-  void ResetTask(JobContext* ctx, const TaskRef& t);
   /// Record a non-application failure against `machine`; drains it
   /// read-only when the sliding window fills (never the last machine).
   void RecordMachineFailure(int machine);

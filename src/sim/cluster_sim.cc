@@ -1,6 +1,7 @@
 #include "sim/cluster_sim.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -47,8 +48,10 @@ Status ClusterSim::SubmitJob(SimJobSpec spec) {
   js.result.submit_time = js.spec.submit_time;
   jobs_.push_back(std::move(js));
   JobState& stored = jobs_.back();
-  stored.recovery =
-      std::make_unique<RecoveryPlanner>(&stored.spec.dag, &stored.plan);
+  // The sim costs recovery instead of resetting tasks, so the attempt
+  // budget never binds.
+  stored.sched = std::make_unique<JobScheduler>(&stored.spec.dag, &stored.plan,
+                                                /*max_task_attempts=*/1);
   return Status::OK();
 }
 
@@ -98,21 +101,10 @@ Result<SimReport> ClusterSim::Run() {
 void ClusterSim::EnqueueReadyUnits(int job) {
   JobState& js = jobs_[static_cast<std::size_t>(job)];
   if (js.result.completed || js.result.aborted) return;
-  for (const Graphlet& g : js.plan.graphlets) {
-    if (js.done_units.count(g.id) > 0 || js.queued_units.count(g.id) > 0 ||
-        js.running_units.count(g.id) > 0) {
-      continue;
-    }
-    bool ready = true;
-    for (GraphletId dep : js.plan.deps[static_cast<std::size_t>(g.id)]) {
-      if (js.done_units.count(dep) == 0) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) continue;
+  for (GraphletId gid : js.sched->ReadyGraphlets()) {
     // Simulated tasks carry no data placement: the pool spreads each
     // gang over the least-loaded machines.
+    const Graphlet& g = js.plan.graphlets[static_cast<std::size_t>(gid)];
     Result<GangArbiter::Ticket> ticket = arbiter_.RequestGang(
         job, std::vector<LocalityPref>(
                  static_cast<std::size_t>(g.TotalTasks(js.spec.dag))));
@@ -120,7 +112,8 @@ void ClusterSim::EnqueueReadyUnits(int job) {
       CompleteJob(job, /*aborted=*/true);
       return;
     }
-    js.queued_units.emplace(g.id, *ticket);
+    js.sched->GraphletQueued(gid);
+    js.queued_units.emplace(gid, *ticket);
   }
 }
 
@@ -144,8 +137,7 @@ void ClusterSim::Schedule() {
   }
 }
 
-double ClusterSim::LaunchCost(int task_count) {
-  (void)task_count;
+double ClusterSim::LaunchCost() {
   if (!config_.cold_launch) return config_.task.warm_launch;
   return rng_.Uniform(config_.task.cold_launch_min,
                       config_.task.cold_launch_max);
@@ -159,9 +151,7 @@ ShuffleKind ClusterSim::EdgeShuffleKind(const JobDag& dag, StageId src,
   return SelectShuffleKind(dag.ShuffleEdgeSize(src, dst));
 }
 
-double ClusterSim::EdgeBytes(const JobDag& dag, StageId src,
-                             StageId dst) const {
-  (void)dst;
+double ClusterSim::EdgeBytes(const JobDag& dag, StageId src) const {
   const StageDef& s = dag.stage(src);
   return s.output_bytes_per_task * static_cast<double>(s.task_count);
 }
@@ -196,7 +186,7 @@ double ClusterSim::ShuffleWriteCost(const JobDag& dag, StageId src,
   double total = 0.0;
   const StageDef& s = dag.stage(src);
   for (StageId dst : dag.outputs(src)) {
-    const double bytes = EdgeBytes(dag, src, dst);
+    const double bytes = EdgeBytes(dag, src);
     const int64_t m = s.task_count;
     const int64_t n = dag.stage(dst).task_count;
     const int64_t y = SpreadMachines(m, n);
@@ -219,7 +209,7 @@ double ClusterSim::ShuffleReadCost(const JobDag& dag, StageId src,
                                    StageId dst, const Graphlet* unit,
                                    StagePhases* ph) const {
   const StageDef& s = dag.stage(src);
-  const double bytes = EdgeBytes(dag, src, dst);
+  const double bytes = EdgeBytes(dag, src);
   const int64_t m = s.task_count;
   const int64_t n = dag.stage(dst).task_count;
   const int64_t y = SpreadMachines(m, n);
@@ -252,7 +242,7 @@ void ClusterSim::ComputeUnitSchedule(JobState* js, UnitRun* unit) {
     StageTiming timing;
     timing.phases.stage = sid;
     timing.phases.stage_name = stage.name;
-    const double launch = LaunchCost(stage.task_count);
+    const double launch = LaunchCost();
     timing.phases.launch = launch;
     timing.launch_done = t0 + launch;
 
@@ -328,6 +318,7 @@ void ClusterSim::ComputeUnitSchedule(JobState* js, UnitRun* unit) {
 void ClusterSim::StartUnit(int job, GraphletId gid,
                            std::vector<ExecutorId> gang) {
   JobState& js = jobs_[static_cast<std::size_t>(job)];
+  js.sched->GraphletGranted(gid);
   UnitRun unit;
   unit.job = job;
   unit.gid = gid;
@@ -359,7 +350,7 @@ void ClusterSim::FinishUnit(int job, GraphletId gid) {
   UnitRun unit = std::move(it->second);
   js.running_units.erase(it);
   arbiter_.ReleaseGang(job, unit.gang);
-  js.done_units.insert(gid);
+  js.sched->GraphletFinished(gid);
 
   const JobDag& dag = js.spec.dag;
   for (auto& [sid, timing] : unit.stages) {
@@ -382,7 +373,7 @@ void ClusterSim::FinishUnit(int job, GraphletId gid) {
     js.result.phases.push_back(timing.phases);
   }
 
-  if (js.done_units.size() == js.plan.graphlets.size()) {
+  if (js.sched->AllComplete()) {
     CompleteJob(job, /*aborted=*/false);
   } else {
     EnqueueReadyUnits(job);
@@ -390,16 +381,19 @@ void ClusterSim::FinishUnit(int job, GraphletId gid) {
   Schedule();
 }
 
-void ClusterSim::ReleaseRunningUnits(JobState* js, bool count_as_rerun) {
-  for (auto& [gid, unit] : js->running_units) {
+void ClusterSim::LeaveScheduling(int job, bool count_as_rerun) {
+  JobState& js = jobs_[static_cast<std::size_t>(job)];
+  for (auto& [gid, unit] : js.running_units) {
     engine_.Cancel(unit.finish_event);
     arbiter_.ReleaseGang(unit.job, unit.gang);
     // Partial work on killed units is also wasted.
     if (count_as_rerun) {
-      js->result.tasks_rerun += static_cast<int64_t>(unit.gang.size());
+      js.result.tasks_rerun += static_cast<int64_t>(unit.gang.size());
     }
   }
-  js->running_units.clear();
+  js.running_units.clear();
+  js.queued_units.clear();
+  arbiter_.EndJob(job);
 }
 
 void ClusterSim::CompleteJob(int job, bool aborted) {
@@ -412,9 +406,7 @@ void ClusterSim::CompleteJob(int job, bool aborted) {
     js.result.mean_idle_ratio /= static_cast<double>(js.result.tasks_run);
   }
   // Abandon anything still queued or running.
-  ReleaseRunningUnits(&js, /*count_as_rerun=*/false);
-  js.queued_units.clear();
-  arbiter_.EndJob(job);
+  LeaveScheduling(job, /*count_as_rerun=*/false);
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry* reg = config_.metrics;
     reg->counter(aborted ? "sim.jobs.aborted" : "sim.jobs.completed")->Add(1);
@@ -473,13 +465,9 @@ void ClusterSim::OnFailure(int job, const FailureInjection& f) {
     // Whole-job restart baseline: throw away everything done so far.
     js.result.recoveries += 1;
     js.result.tasks_rerun += js.result.tasks_run;
-    ReleaseRunningUnits(&js, /*count_as_rerun=*/true);
-    js.queued_units.clear();
-    // Leaving and re-entering the scheduling loop withdraws the job's
-    // queued gang requests.
-    arbiter_.EndJob(job);
+    LeaveScheduling(job, /*count_as_rerun=*/true);
     arbiter_.BeginJob(job, JobRunOptions{});
-    js.done_units.clear();
+    js.sched->Restart();
     js.stage_start.clear();
     js.stage_finish.clear();
     js.result.tasks_run = 0;
@@ -547,7 +535,7 @@ void ClusterSim::OnFailure(int job, const FailureInjection& f) {
   ctx.failed_output_available = stage_finished_by_now(f.stage);
 
   RecoveryDecision decision =
-      js.recovery->Plan(TaskRef{f.stage, 0}, f.kind, ctx);
+      js.sched->recovery().Plan(TaskRef{f.stage, 0}, f.kind, ctx);
   if (decision.kase == RecoveryCase::kNone) return;  // no slowdown
   js.result.recoveries += 1;
   js.result.tasks_rerun += static_cast<int64_t>(decision.rerun.size());

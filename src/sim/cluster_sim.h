@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +13,7 @@
 #include "obs/metrics.h"
 #include "partition/partitioners.h"
 #include "scheduler/gang_arbiter.h"
+#include "scheduler/job_scheduler.h"
 #include "sim/event_engine.h"
 #include "sim/models.h"
 #include "sim/sim_job.h"
@@ -126,8 +126,9 @@ class ClusterSim {
   struct JobState {
     SimJobSpec spec;
     GraphletPlan plan;
-    std::unique_ptr<RecoveryPlanner> recovery;
-    std::set<GraphletId> done_units;
+    /// The job's state machine, driven per graphlet: which units are
+    /// ready, queued, running or done.
+    std::unique_ptr<JobScheduler> sched;
     std::map<GraphletId, GangArbiter::Ticket> queued_units;
     std::map<GraphletId, UnitRun> running_units;
     std::map<StageId, double> stage_finish;  // completed stages
@@ -146,8 +147,9 @@ class ClusterSim {
   /// the end of every event; nothing it calls schedules again.
   void Schedule();
   void StartUnit(int job, GraphletId gid, std::vector<ExecutorId> gang);
-  /// Cancels the job's running units and returns their gangs.
-  void ReleaseRunningUnits(JobState* js, bool count_as_rerun);
+  /// Cancels the job's running units and returns their gangs, and
+  /// withdraws its queued gang requests (GangArbiter::EndJob).
+  void LeaveScheduling(int job, bool count_as_rerun);
   void FinishUnit(int job, GraphletId gid);
   void ComputeUnitSchedule(JobState* js, UnitRun* unit);
   void CompleteJob(int job, bool aborted);
@@ -155,14 +157,14 @@ class ClusterSim {
   // --- cost helpers ---------------------------------------------------
   ShuffleKind EdgeShuffleKind(const JobDag& dag, StageId src,
                               StageId dst) const;
-  double EdgeBytes(const JobDag& dag, StageId src, StageId dst) const;
+  double EdgeBytes(const JobDag& dag, StageId src) const;
   int64_t SpreadMachines(int64_t m, int64_t n) const;
   bool EdgeUsesDisk(const Graphlet* unit, StageId src, StageId dst) const;
   double ShuffleWriteCost(const JobDag& dag, StageId src,
                           const Graphlet* unit, StagePhases* ph) const;
   double ShuffleReadCost(const JobDag& dag, StageId src, StageId dst,
                          const Graphlet* unit, StagePhases* ph) const;
-  double LaunchCost(int task_count);
+  double LaunchCost();
 
   // --- failures -------------------------------------------------------
   void ScheduleFailures(int job);

@@ -51,6 +51,24 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         if (sql[i] == '.') dot = true;
         ++i;
       }
+      // Exponent: [eE][+-]?digits. An 'e' without digits is left for
+      // the check below.
+      if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
+        std::size_t j = i + 1;
+        if (j < n && (sql[j] == '+' || sql[j] == '-')) ++j;
+        if (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
+          i = j;
+          while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) {
+            ++i;
+          }
+        }
+      }
+      // A letter right after a number is a typo, not an alias.
+      if (i < n && (std::isalpha(static_cast<unsigned char>(sql[i])) ||
+                    sql[i] == '_')) {
+        return Status::ParseError(
+            StrFormat("malformed number at offset %zu", i));
+      }
       out.push_back(Token{TokenKind::kNumber, sql.substr(start, i - start),
                           start});
       continue;

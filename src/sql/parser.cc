@@ -121,7 +121,10 @@ class Parser {
       } while (AcceptSymbol(","));
     }
     if (AcceptKeyword("limit")) {
-      if (Peek().kind != TokenKind::kNumber) return Err("expected LIMIT count");
+      if (Peek().kind != TokenKind::kNumber ||
+          Peek().text.find_first_not_of("0123456789") != std::string::npos) {
+        return Err("expected LIMIT count");
+      }
       stmt->limit = std::strtoll(Advance().text.c_str(), nullptr, 10);
     }
     return stmt;
@@ -396,7 +399,7 @@ class Parser {
     const Token& t = Peek();
     if (t.kind == TokenKind::kNumber) {
       Advance();
-      if (t.text.find('.') != std::string::npos) {
+      if (t.text.find_first_of(".eE") != std::string::npos) {
         return Expr::Literal(Value(std::strtod(t.text.c_str(), nullptr)));
       }
       return Expr::Literal(

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "dag/dag_builder.h"
 #include "scheduler/gang_arbiter.h"
 #include "scheduler/resource_pool.h"
-#include "scheduler/task_tracker.h"
 
 namespace swift {
 namespace {
-
-using OK = OperatorKind;
 
 TEST(ResourcePoolTest, CountsAndBasicAllocation) {
   ResourcePool pool(4, 8);
@@ -210,49 +206,6 @@ TEST(GangArbiterTest, EndJobWithdrawsItsWaiters) {
   auto next = arb.GrantHead();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->ticket, *other);
-}
-
-JobDag ChainDag() {
-  DagBuilder b("chain");
-  StageId a = b.AddStage("a", 1, {OK::kMergeSort});
-  StageId c = b.AddStage("c", 1, {OK::kMergeSort});
-  StageId d = b.AddStage("d", 1, {OK::kAdhocSink});
-  b.AddEdge(a, c).AddEdge(c, d);
-  return std::move(b.Build()).ValueOrDie();
-}
-
-TEST(TaskTrackerTest, StageCompletion) {
-  JobDag dag = ChainDag();
-  TaskTracker tracker(&dag);
-  for (StageId s : {0, 1, 2}) {
-    EXPECT_EQ(tracker.state(TaskRef{s, 0}), TaskState::kPending);
-  }
-  EXPECT_FALSE(tracker.StageComplete(0));
-  tracker.SetState(TaskRef{0, 0}, TaskState::kRunning);
-  tracker.SetState(TaskRef{0, 0}, TaskState::kCompleted);
-  EXPECT_TRUE(tracker.StageComplete(0));
-  EXPECT_FALSE(tracker.AllComplete());
-  tracker.SetState(TaskRef{1, 0}, TaskState::kCompleted);
-  tracker.SetState(TaskRef{2, 0}, TaskState::kCompleted);
-  EXPECT_TRUE(tracker.AllComplete());
-  EXPECT_EQ(tracker.CompletedTasks().size(), 3u);
-}
-
-TEST(TaskTrackerTest, ResetUndoesCompletion) {
-  JobDag dag = ChainDag();
-  TaskTracker tracker(&dag);
-  tracker.SetState(TaskRef{0, 0}, TaskState::kCompleted);
-  EXPECT_TRUE(tracker.StageComplete(0));
-  tracker.Reset(TaskRef{0, 0});
-  EXPECT_FALSE(tracker.StageComplete(0));
-  EXPECT_EQ(tracker.state(TaskRef{0, 0}), TaskState::kPending);
-}
-
-TEST(TaskTrackerTest, UnknownTaskIsInert) {
-  JobDag dag = ChainDag();
-  TaskTracker tracker(&dag);
-  tracker.SetState(TaskRef{99, 0}, TaskState::kCompleted);  // ignored
-  EXPECT_EQ(tracker.state(TaskRef{99, 0}), TaskState::kPending);
 }
 
 }  // namespace

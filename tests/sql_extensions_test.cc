@@ -117,6 +117,16 @@ TEST_F(SqlExtensionRuntimeTest, IsNullSelectsMissing) {
   EXPECT_EQ(got2->rows[1][0].int64(), 3);
 }
 
+TEST_F(SqlExtensionRuntimeTest, ExponentLiteralsEvaluate) {
+  auto got = runtime_.ExecuteSql(
+      "select 1.5e3 as a, 2e3 + 1 as b from tpch_region "
+      "where r_regionkey = 0");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->num_rows(), 1u);
+  EXPECT_EQ(got->rows[0][0].float64(), 1500.0);
+  EXPECT_EQ(got->rows[0][1].float64(), 2001.0);
+}
+
 TEST_F(SqlExtensionRuntimeTest, CoalesceReplacesNulls) {
   auto got = runtime_.ExecuteSql(
       "select k, coalesce(v, 0 - 1) as v2 from sparse order by k");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "sql/lexer.h"
 
 namespace swift {
@@ -51,6 +54,33 @@ TEST(LexerTest, TwoCharOperators) {
 TEST(LexerTest, UnterminatedStringRejected) {
   EXPECT_EQ(Tokenize("select 'oops").status().code(),
             StatusCode::kParseError);
+}
+
+TEST(LexerTest, ExponentLiterals) {
+  for (const char* lit : {"1.5e3", "2E-3", "1e+5"}) {
+    auto tokens = Tokenize(std::string("select ") + lit + " from t");
+    ASSERT_TRUE(tokens.ok()) << lit << ": " << tokens.status().ToString();
+    EXPECT_EQ((*tokens)[1].kind, TokenKind::kNumber) << lit;
+    EXPECT_EQ((*tokens)[1].text, lit);
+    EXPECT_TRUE((*tokens)[2].IsKeyword("from")) << lit;
+  }
+}
+
+TEST(LexerTest, LetterAfterNumberRejected) {
+  // Once an alias in disguise: `1.5x` read as 1.5 named x, `1e` as 1
+  // named e.
+  for (const auto& [sql, offset] :
+       {std::pair<std::string, int>{"select 1e from t", 8},
+        std::pair<std::string, int>{"select 1.5x from t", 10},
+        std::pair<std::string, int>{"select 1e+ from t", 8}}) {
+    auto tokens = Tokenize(sql);
+    ASSERT_FALSE(tokens.ok()) << sql;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+    EXPECT_NE(tokens.status().ToString().find(
+                  "offset " + std::to_string(offset)),
+              std::string::npos)
+        << tokens.status().ToString();
+  }
 }
 
 TEST(LexerTest, UnknownCharacterRejected) {
