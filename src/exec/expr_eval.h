@@ -1,6 +1,7 @@
 #ifndef SWIFT_EXEC_EXPR_EVAL_H_
 #define SWIFT_EXEC_EXPR_EVAL_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -47,6 +48,19 @@ inline int CompareFloat64(double x, double y) {
   // (x > y) - (x < y) is 0 when either side is NaN; the NaN terms then
   // decide, and cancel when both sides are NaN.
   return (x > y) - (x < y) + (x != x) - (y != y);
+}
+
+/// \brief Bits of the quiet NaN that stands for every NaN.
+inline constexpr uint64_t kCanonicalNaNBits = 0x7ff8000000000000ULL;
+
+/// \brief The member a class of equal values under CompareFloat64
+/// reports: +0.0 for either zero, the quiet NaN kCanonicalNaNBits for
+/// any NaN, `x` itself otherwise. A group key and a MIN/MAX report it,
+/// so which row of the class came first does not show in the answer.
+inline double CanonicalFloat64(double x) {
+  if (x == 0.0) return 0.0;
+  if (x != x) return std::bit_cast<double>(kCanonicalNaNBits);
+  return x;
 }
 
 /// \brief substr's start/length argument: `d` truncated toward zero,

@@ -5,14 +5,11 @@
 #include <limits>
 
 #include "exec/column_batch.h"
+#include "exec/expr_eval.h"
 
 namespace swift {
 
 namespace {
-
-// Canonical quiet-NaN bit pattern: every NaN input encodes to this, since
-// every NaN is one value (expr_eval::CompareFloat64).
-constexpr uint64_t kCanonicalNaNBits = 0x7ff8000000000000ULL;
 
 // Bounds of the int64 range in double space. 2^63 is exact as a double;
 // values in [-2^63, 2^63) cast back to int64 without UB.
@@ -30,7 +27,10 @@ struct TagBits {
 // 3.0 == 3 (and -0.0 == 0) hold under memcmp, matching
 // Value::Compare()'s equality.
 inline TagBits NormalizeDouble(double d) {
-  if (std::isnan(d)) return {KeyEncoder::kTagFloat64, kCanonicalNaNBits};
+  // Every NaN is one value (expr_eval::CompareFloat64).
+  if (std::isnan(d)) {
+    return {KeyEncoder::kTagFloat64, expr_eval::kCanonicalNaNBits};
+  }
   if (d >= kInt64Lo && d < kInt64Hi) {
     const int64_t i = static_cast<int64_t>(d);
     if (static_cast<double>(i) == d) {

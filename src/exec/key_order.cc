@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <string_view>
@@ -93,10 +92,7 @@ uint64_t OrderedBits(int64_t x) {
   return static_cast<uint64_t>(x) ^ (uint64_t{1} << 63);
 }
 uint64_t OrderedBits(double x) {
-  if (x == 0.0) x = 0.0;
-  if (x != x) x = std::numeric_limits<double>::quiet_NaN();
-  uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof(u));
+  const uint64_t u = std::bit_cast<uint64_t>(expr_eval::CanonicalFloat64(x));
   return (u >> 63) != 0 ? ~u : u | (uint64_t{1} << 63);
 }
 

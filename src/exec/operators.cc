@@ -754,7 +754,9 @@ struct AggState {
       case ColumnRep::kFloat64:
         out->AppendFloat64(kind == AggKind::kAvg
                                ? sum / static_cast<double>(count)
-                               : (kind == AggKind::kSum ? sum : best_f64));
+                               : (kind == AggKind::kSum
+                                      ? sum
+                                      : expr_eval::CanonicalFloat64(best_f64)));
         return;
       case ColumnRep::kString:
         out->AppendString(best_str);
@@ -819,6 +821,19 @@ class AggregateOperator : public MaterializingOperator {
     }
   }
 
+  // Appends group column g's key from row `row` of `key`: a float64 key
+  // reports its class's canonical member (expr_eval::CanonicalFloat64),
+  // so neither a zero's sign nor a NaN's bits depend on which row opened
+  // the group.
+  static void AppendGroupKey(const ColumnVector& key, std::size_t row,
+                             ColumnVector* out) {
+    if (key.rep() == ColumnRep::kFloat64 && !key.IsNull(row)) {
+      out->AppendFloat64(expr_eval::CanonicalFloat64(key.Float64At(row)));
+    } else {
+      out->AppendFrom(key, row);
+    }
+  }
+
   // Appends the finished aggregates of one group to `out`'s aggregate
   // columns (the group columns are the caller's).
   void EmitAggs(const AggState* slot, ColumnBatch* out) const {
@@ -867,7 +882,7 @@ class HashAggregateOp final : public AggregateOperator {
         if (fr.inserted) {
           states.resize(states.size() + naggs);
           for (std::size_t g = 0; g < keys.cols().size(); ++g) {
-            out->columns[g].AppendFrom(keys.col(g), keys.Phys(i));
+            AppendGroupKey(keys.col(g), keys.Phys(i), &out->columns[g]);
           }
         }
         Update(args, i, states.data() + std::size_t{fr.index} * naggs);
@@ -915,9 +930,9 @@ class StreamedAggregateOp final : public AggregateOperator {
     auto flush = [&]() {
       for (std::size_t g = 0; g < groups_.size(); ++g) {
         if (first == kEarlier) {
-          out->columns[g].AppendFrom(carried[g], 0);
+          AppendGroupKey(carried[g], 0, &out->columns[g]);
         } else {
-          out->columns[g].AppendFrom(keys.col(g), first);
+          AppendGroupKey(keys.col(g), first, &out->columns[g]);
         }
       }
       EmitAggs(states.data(), out);

@@ -285,29 +285,106 @@ Status NarrowScan(StageProgram* p, FieldSet reads, bool projected) {
   return Status::OK();
 }
 
+// ---- Output distribution (DESIGN.md Sec. 20) ---------------------------
+
+// Where a stage's output rows sit across its tasks. A one-task stage is
+// `single`; a multi-task stage is `hash(P)` when rows that agree on P sit
+// in one task, and `none` otherwise (scan splits). P is one entry per key
+// position: the output fields known to hold that key's value (an inner
+// join's left and right key columns). Empty: `none`.
+using Partitioning = std::vector<FieldSet>;
+
+// Adds the field of `schema` that `key` names, shifted by `base`, when
+// `key` is a bare column; an expression names no field.
+void AddKeyColumn(const ExprPtr& key, const Schema& schema, std::size_t base,
+                  FieldSet* fields) {
+  const std::string* name = AsColumnName(*key);
+  if (name == nullptr) return;
+  auto idx = schema.IndexOf(*name);
+  if (idx.ok()) fields->insert(base + *idx);
+}
+
+// hash(keys), or `none` when some key position has no output column.
+Partitioning HashOn(Partitioning keys) {
+  for (const FieldSet& k : keys) {
+    if (k.empty()) return {};
+  }
+  return keys;
+}
+
+// `in` (over `schema`) after the projection `proj`: each key position
+// keeps the outputs that pass one of its fields through unchanged, as a
+// bare column reference under any name.
+Partitioning ProjectPartitioning(const Partitioning& in, const Schema& schema,
+                                 const LocalOpDesc& proj) {
+  Partitioning out(in.size());
+  for (std::size_t i = 0; i < proj.exprs.size(); ++i) {
+    FieldSet src;
+    AddKeyColumn(proj.exprs[i], schema, 0, &src);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (!src.empty() && in[k].count(*src.begin()) > 0) out[k].insert(i);
+    }
+  }
+  return HashOn(std::move(out));
+}
+
 class PlanBuilder {
  public:
   PlanBuilder(const Catalog& catalog, const PlannerConfig& config)
       : catalog_(catalog), config_(config) {}
 
   Result<DistributedPlan> Build(const SelectStmt& stmt) {
-    SWIFT_ASSIGN_OR_RETURN(StageId current, PlanSelect(stmt));
-    // Final gather stage: single task, marked as the client sink.
-    StageProgram sink;
-    sink.stage = AllocId();
-    sink.name = "R" + std::to_string(sink.stage + 1);
-    sink.task_count = 1;
-    sink.inputs = {current};
-    sink.output_schema = stages_.at(current).output_schema;
-    is_sink_[sink.stage] = true;
-    const StageId sink_id = sink.stage;
-    stages_[sink_id] = std::move(sink);
+    SWIFT_ASSIGN_OR_RETURN(const StageId top, PlanSelect(stmt));
+    // The client reads one task's output: a one-task top stage is the
+    // sink itself, any other gathers into a one-task sink stage.
+    sink_ = ConsumerStage(top, {}, 1, "R");
     SWIFT_RETURN_NOT_OK(PruneColumns());
-    return Finalize(sink_name_, sink_id);
+    return Finalize(sink_name_, sink_);
   }
 
  private:
   StageId AllocId() { return static_cast<StageId>(next_id_++); }
+
+  // True when `input`'s rows already sit where a consumer that runs
+  // `tasks` tasks and needs the rows agreeing on `keys` in one task wants
+  // them: the input is single and so is the consumer, or the input is
+  // hash(P) over `tasks` tasks and every key position of P has a column
+  // among `keys`, matched by output field.
+  bool Satisfies(StageId input, const std::vector<ExprPtr>& keys,
+                 int tasks) const {
+    const StageProgram& p = stages_.at(input);
+    if (p.task_count != tasks) return false;
+    if (tasks == 1) return true;
+    auto it = partitioning_.find(input);
+    if (it == partitioning_.end() || it->second.empty()) return false;
+    FieldSet want;
+    for (const ExprPtr& k : keys) AddKeyColumn(k, p.output_schema, 0, &want);
+    for (const FieldSet& position : it->second) {
+      if (std::none_of(position.begin(), position.end(),
+                       [&](std::size_t f) { return want.count(f) > 0; })) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // The stage a consumer of `input` keyed by `keys` over `tasks` tasks
+  // appends its ops to: `input` itself when it satisfies them, else a new
+  // stage named `prefix` + id behind an exchange that routes by `keys`.
+  StageId ConsumerStage(StageId input, const std::vector<ExprPtr>& keys,
+                        int tasks, const char* prefix) {
+    if (Satisfies(input, keys, tasks)) return input;
+    StageProgram s;
+    s.stage = AllocId();
+    s.name = prefix + std::to_string(s.stage + 1);
+    s.task_count = tasks;
+    s.inputs = {input};
+    s.output_schema = stages_.at(input).output_schema;
+    stages_.at(input).output_partition_keys = keys;
+    const StageId id = s.stage;
+    stages_[id] = std::move(s);
+    return id;
+  }
 
   // ---- FROM operands -------------------------------------------------
   Result<StageId> PlanFrom(const TableRef& ref) {
@@ -328,6 +405,8 @@ class PlanBuilder {
           proj.exprs.push_back(Expr::Column(f.name));
         }
         for (const Field& f : qualified.fields()) proj.names.push_back(f.name);
+        partitioning_[sub] =
+            ProjectPartitioning(partitioning_[sub], p.output_schema, proj);
         p.ops.push_back(std::move(proj));
         p.output_schema = qualified;
       }
@@ -413,8 +492,8 @@ class PlanBuilder {
       SWIFT_RETURN_NOT_OK(PlanProjection(stmt, current));
     }
 
-    // ORDER BY / LIMIT within this (sub)query: dedicated 1-task stage so
-    // the ordering is global.
+    // ORDER BY / LIMIT within this (sub)query: runs in one task so the
+    // ordering is global.
     if (!stmt.order_by.empty() || stmt.limit.has_value()) {
       SWIFT_ASSIGN_OR_RETURN(current, PlanOrderLimit(stmt, current));
     }
@@ -530,13 +609,23 @@ class PlanBuilder {
 
     stages_.at(left).output_partition_keys = lkeys;
     stages_.at(right).output_partition_keys = rkeys;
+    // Rows are routed by the left keys; an inner join's matched rows hold
+    // equal right keys, but a LEFT JOIN's NULL-extended rows do not.
+    Partitioning routed(lkeys.size());
+    for (std::size_t k = 0; k < lkeys.size(); ++k) {
+      AddKeyColumn(lkeys[k], ls, 0, &routed[k]);
+      if (!left_outer) {
+        AddKeyColumn(rkeys[k], rs, ls.num_fields(), &routed[k]);
+      }
+    }
     StageId id = join.stage;
+    partitioning_[id] = HashOn(std::move(routed));
     stages_[id] = std::move(join);
     return id;
   }
 
   Result<StageId> PlanAggregate(const SelectStmt& stmt, StageId input) {
-    const Schema& in = stages_.at(input).output_schema;
+    const Schema in = stages_.at(input).output_schema;
 
     // Alias substitution for GROUP BY entries that name a SELECT alias
     // not present in the input schema.
@@ -605,11 +694,9 @@ class PlanBuilder {
       }
     }
 
-    StageProgram agg;
-    agg.stage = AllocId();
-    agg.name = "R" + std::to_string(agg.stage + 1);
-    agg.task_count = groups.empty() ? 1 : config_.shuffle_tasks;
-    agg.inputs = {input};
+    const StageId id = ConsumerStage(
+        input, groups, groups.empty() ? 1 : config_.shuffle_tasks, "R");
+    StageProgram& agg = stages_.at(id);
     LocalOpDesc ad;
     ad.kind = config_.sort_mode ? LocalOpDesc::Kind::kStreamedAggregate
                                 : LocalOpDesc::Kind::kHashAggregate;
@@ -676,9 +763,14 @@ class PlanBuilder {
       agg.ops.push_back(std::move(f));
     }
 
-    stages_.at(input).output_partition_keys = groups;
-    StageId id = agg.stage;
-    stages_[id] = std::move(agg);
+    // One row per group leaves the stage, so the group columns partition
+    // it whether or not it shuffled.
+    Partitioning on(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      auto field = agg.output_schema.IndexOf(group_names[g]);
+      if (field.ok()) on[g].insert(*field);
+    }
+    partitioning_[id] = HashOn(std::move(on));
     return id;
   }
 
@@ -709,14 +801,8 @@ class PlanBuilder {
       }
     }
 
-    StageProgram win;
-    win.stage = AllocId();
-    win.name = "W" + std::to_string(win.stage + 1);
-    win.task_count =
-        first->partition_by.empty() ? 1 : config_.shuffle_tasks;
-    win.inputs = {input};
-
     std::vector<Field> fields = in.fields();
+    std::vector<LocalOpDesc> windows;
     for (std::size_t i = 0; i < stmt.items.size(); ++i) {
       const SelectItem& it = stmt.items[i];
       if (!it.window.has_value()) continue;
@@ -749,7 +835,7 @@ class PlanBuilder {
       SWIFT_ASSIGN_OR_RETURN(DataType t,
                              WindowResultType(spec.func, spec.arg, in));
       fields.push_back(Field{w.output_name, t});
-      win.ops.push_back(std::move(w));
+      windows.push_back(std::move(w));
     }
     const Schema extended(fields);
 
@@ -774,12 +860,24 @@ class PlanBuilder {
       proj.exprs.push_back(std::move(e));
       proj.names.push_back(name);
     }
+
+    const StageId id = ConsumerStage(
+        input, first->partition_by,
+        first->partition_by.empty() ? 1 : config_.shuffle_tasks, "W");
+    StageProgram& win = stages_.at(id);
+    if (id != input) {
+      Partitioning on(first->partition_by.size());
+      for (std::size_t k = 0; k < on.size(); ++k) {
+        AddKeyColumn(first->partition_by[k], in, 0, &on[k]);
+      }
+      partitioning_[id] = HashOn(std::move(on));
+    }
+    // Window columns append after the input's, so field indices hold
+    // until the projection.
+    partitioning_[id] = ProjectPartitioning(partitioning_[id], extended, proj);
+    for (LocalOpDesc& w : windows) win.ops.push_back(std::move(w));
     win.ops.push_back(std::move(proj));
     win.output_schema = Schema(std::move(out_fields));
-
-    stages_.at(input).output_partition_keys = first->partition_by;
-    StageId id = win.stage;
-    stages_[id] = std::move(win);
     return id;
   }
 
@@ -809,18 +907,16 @@ class PlanBuilder {
       SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(it.expr, p.output_schema));
       fields.push_back(Field{name, b->static_type()});
     }
+    partitioning_[current] = ProjectPartitioning(partitioning_[current],
+                                                 p.output_schema, proj);
     p.ops.push_back(std::move(proj));
     p.output_schema = Schema(std::move(fields));
     return Status::OK();
   }
 
   Result<StageId> PlanOrderLimit(const SelectStmt& stmt, StageId input) {
-    StageProgram fin;
-    fin.stage = AllocId();
-    fin.name = "R" + std::to_string(fin.stage + 1);
-    fin.task_count = 1;
-    fin.inputs = {input};
-    fin.output_schema = stages_.at(input).output_schema;
+    const StageId id = ConsumerStage(input, {}, 1, "R");
+    StageProgram& fin = stages_.at(id);
     if (!stmt.order_by.empty()) {
       LocalOpDesc sort;
       sort.kind = LocalOpDesc::Kind::kSort;
@@ -840,8 +936,6 @@ class PlanBuilder {
       lim.limit = *stmt.limit;
       fin.ops.push_back(std::move(lim));
     }
-    StageId id = fin.stage;
-    stages_[id] = std::move(fin);
     return id;
   }
 
@@ -857,7 +951,7 @@ class PlanBuilder {
     std::map<StageId, FieldSet> consumer_reads;
     for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
       StageProgram& p = it->second;
-      const bool projected = is_sink_.count(p.stage) == 0 &&
+      const bool projected = p.stage != sink_ &&
                              NarrowOutput(&p, consumer_reads[p.stage]);
       if (!p.scan_table.empty()) {
         SWIFT_ASSIGN_OR_RETURN(std::vector<FieldSet> reads,
@@ -930,7 +1024,7 @@ class PlanBuilder {
       def.id = id;
       def.name = p.name;
       def.task_count = p.task_count;
-      def.operators = OperatorKinds(p, is_sink_.count(id) > 0);
+      def.operators = OperatorKinds(p, id == sink_);
       // Hash-based operators make output order input-arrival dependent:
       // the paper's non-idempotent class (Sec. IV-B).
       def.idempotent = true;
@@ -957,7 +1051,11 @@ class PlanBuilder {
   const Catalog& catalog_;
   const PlannerConfig& config_;
   std::map<StageId, StageProgram> stages_;
-  std::map<StageId, bool> is_sink_;
+  /// Each stage's hash(P) (absent or empty: `none`); a one-task stage
+  /// is `single` whatever its entry holds.
+  std::map<StageId, Partitioning> partitioning_;
+  /// The stage whose output the client reads.
+  StageId sink_ = -1;
   std::string sink_name_;
   int next_id_ = 0;
 };

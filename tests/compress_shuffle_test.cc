@@ -299,9 +299,13 @@ TEST(CompressChaosTest, FrameCorruptionRecoversByteIdentical) {
     TpchConfig tpch;
     tpch.scale_factor = 0.002;
     EXPECT_TRUE(GenerateTpch(tpch, rt.catalog()).ok());
+    // A split scan, so the ORDER BY stage reads shuffled frames.
+    PlannerConfig pc;
+    pc.rows_per_scan_task = 4000;
     auto report = rt.RunSql(
         "SELECT l_orderkey, l_linenumber, l_extendedprice, l_shipmode "
-        "FROM tpch_lineitem ORDER BY l_orderkey, l_linenumber");
+        "FROM tpch_lineitem ORDER BY l_orderkey, l_linenumber",
+        pc);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? *std::move(report) : JobRunReport{};
   };

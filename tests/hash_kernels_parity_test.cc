@@ -144,9 +144,9 @@ struct LegacyAggState {
         if (count == 0) return Value::Null();
         return all_int ? Value(static_cast<int64_t>(sum)) : Value(sum);
       case AggKind::kMin:
-        return min;
+        return ref::Canonical(min);
       case AggKind::kMax:
-        return max;
+        return ref::Canonical(max);
       case AggKind::kAvg:
         if (count == 0) return Value::Null();
         return Value(sum / static_cast<double>(count));
@@ -156,7 +156,7 @@ struct LegacyAggState {
 };
 
 // The old HashAggregateOp::Open body: Row-keyed unordered_map +
-// first-seen key order.
+// first-seen key order, each key reported canonical (ref::Canonical).
 std::vector<Row> LegacyHashAggregate(const Batch& in,
                                      const std::vector<ExprPtr>& groups,
                                      const std::vector<AggSpec>& aggs) {
@@ -182,7 +182,8 @@ std::vector<Row> LegacyHashAggregate(const Batch& in,
   std::vector<Row> out;
   for (const Row& key : key_order) {
     const auto& states = table[key];
-    Row o = key;
+    Row o;
+    for (const Value& k : key) o.push_back(ref::Canonical(k));
     for (std::size_t a = 0; a < aggs.size(); ++a) {
       o.push_back(states[a].Finish(aggs[a].kind));
     }

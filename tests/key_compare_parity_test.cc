@@ -480,8 +480,9 @@ TEST(KeyCompareNaNTest, SortEqualsStableSortUnderCompareCells) {
 
 TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
   // Sorted input: -0.0 and 0.0 are one group, and every NaN (either
-  // sign, any payload) is one more group after +inf. A group keeps its
-  // first row's key bits. Same across batches.
+  // sign, any payload) is one more group after +inf. A group reports its
+  // class's canonical member (+0.0, the quiet NaN), whatever its first
+  // row holds. Same across batches.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   double payload_nan = 0;
@@ -505,7 +506,7 @@ TEST(KeyCompareNaNTest, StreamedAggregateComparesWithTheGroupsFirstKey) {
         MakeSlicedSource(b.schema, std::move(batches), morsel), groups, {"x"},
         aggs));
     ExpectRowsBitEq(got,
-                    {{Value(-0.0), Value(int64_t{2})},
+                    {{Value(0.0), Value(int64_t{2})},
                      {Value(1.0), Value(int64_t{2})},
                      {Value(2.0), Value(int64_t{1})},
                      {Value(inf), Value(int64_t{1})},

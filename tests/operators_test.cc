@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -328,6 +329,50 @@ TEST(OperatorsTest, MinMaxWithNaNIgnoreInputOrder) {
     ASSERT_EQ(ref_out.size(), 1u);
     EXPECT_EQ(ref_out[0][0].float64(), 1.0) << ctx;
     EXPECT_TRUE(std::isnan(ref_out[0][1].float64())) << ctx;
+  }
+}
+
+// A group key or a MIN/MAX over a class of equal floats reports the
+// class's canonical member, whichever row comes first: +0.0 for zeros,
+// the quiet NaN kCanonicalNaNBits for NaNs.
+TEST(OperatorsTest, EqualFloatsReportTheirCanonicalMember) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double payload_nan = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const Schema s({{"x", DataType::kFloat64}});
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggKind::kMin, Expr::Column("x"), "lo"},
+      AggSpec{AggKind::kMax, Expr::Column("x"), "hi"},
+      AggSpec{AggKind::kCount, nullptr, "n"}};
+  const std::vector<std::vector<double>> orders = {
+      {-0.0, 0.0, -0.0}, {0.0, -0.0}, {-nan, nan}, {payload_nan, -nan}};
+  for (const std::vector<double>& xs : orders) {
+    std::vector<Row> rows;
+    for (double x : xs) rows.push_back({Value(x)});
+    const uint64_t want = xs[0] == 0.0 ? 0 : expr_eval::kCanonicalNaNBits;
+    const std::string ctx = "first cell bits " +
+                            std::to_string(std::bit_cast<uint64_t>(xs[0]));
+    const auto check = [&](const std::vector<Row>& got,
+                           const std::string& who) {
+      ASSERT_EQ(got.size(), 1u) << ctx << " " << who;
+      for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[0][c].float64()), want)
+            << ctx << " " << who << " column " << c;
+      }
+      EXPECT_EQ(got[0][3].int64(), static_cast<int64_t>(xs.size()))
+          << ctx << " " << who;
+    };
+    for (const bool streamed : {false, true}) {
+      OperatorPtr src = SourceOf(s, rows);
+      const std::vector<ExprPtr> groups = {Expr::Column("x")};
+      Batch out = Collect(
+          streamed ? MakeStreamedAggregate(std::move(src), groups, {"x"}, aggs)
+                   : MakeHashAggregate(std::move(src), groups, {"x"}, aggs));
+      check(out.rows, streamed ? "streamed" : "hash");
+    }
+    Batch in;
+    in.schema = s;
+    in.rows = rows;
+    check(ref::Aggregate(in, {Expr::Column("x")}, aggs), "reference");
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -33,8 +35,8 @@ class PlannerTest : public ::testing::Test {
 TEST_F(PlannerTest, SimpleScanPlan) {
   auto plan = PlanSql("select l_orderkey from tpch_lineitem", catalog_);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // Scan stage + final sink.
-  EXPECT_EQ(plan->stages.size(), 2u);
+  // A one-task scan is the sink itself.
+  EXPECT_EQ(plan->stages.size(), 1u);
   const StageProgram& sink = plan->program(plan->final_stage);
   EXPECT_EQ(sink.task_count, 1);
   EXPECT_TRUE(plan->dag.outputs(plan->final_stage).empty());
@@ -235,8 +237,9 @@ TEST_F(PlannerTest, Q9PlanPartitionsIntoManyGraphlets) {
   cfg.sort_mode = true;
   auto plan = PlanSql(q9, catalog_, cfg);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // 6 scans + 5 joins + agg + order-by + sink = 14 stages.
-  EXPECT_EQ(plan->stages.size(), 14u);
+  // 6 scans + 5 joins + agg + order-by = 13 stages; the one-task
+  // order-by stage is the sink.
+  EXPECT_EQ(plan->stages.size(), 13u);
 
   ShuffleModeAwarePartitioner partitioner;
   auto graphlets = partitioner.Partition(plan->dag);
@@ -251,9 +254,9 @@ TEST_F(PlannerTest, Q9PlanPartitionsIntoManyGraphlets) {
   ASSERT_TRUE(hplan.ok());
   auto hgraphlets = partitioner.Partition(hplan->dag);
   ASSERT_TRUE(hgraphlets.ok());
-  // Hash joins pipeline everything; only the global ORDER BY stage
-  // (SortBy) still cuts before the sink: 2 graphlets.
-  EXPECT_EQ(hgraphlets->graphlets.size(), 2u);
+  // Hash joins pipeline everything into the ORDER BY stage, which is
+  // the sink: 1 graphlet.
+  EXPECT_EQ(hgraphlets->graphlets.size(), 1u);
 }
 
 TEST_F(PlannerTest, PlanToStringMentionsStages) {
@@ -262,6 +265,198 @@ TEST_F(PlannerTest, PlanToStringMentionsStages) {
   const std::string s = plan->ToString();
   EXPECT_NE(s.find("tpch_nation"), std::string::npos);
   EXPECT_NE(s.find("tasks="), std::string::npos);
+}
+
+// ---- Exchange elision (DESIGN.md Sec. 20) --------------------------------
+
+bool RunsJoin(const StageProgram& p) {
+  return !p.ops.empty() && (p.ops[0].kind == LocalOpDesc::Kind::kMergeJoin ||
+                            p.ops[0].kind == LocalOpDesc::Kind::kHashJoin);
+}
+
+bool RunsAggregate(const StageProgram& p) {
+  return std::any_of(p.ops.begin(), p.ops.end(), [](const LocalOpDesc& op) {
+    return op.kind == LocalOpDesc::Kind::kStreamedAggregate ||
+           op.kind == LocalOpDesc::Kind::kHashAggregate;
+  });
+}
+
+// The stage running `plan`'s first aggregate, in stage id order.
+const StageProgram* FirstAggregateStage(const DistributedPlan& plan) {
+  for (const auto& [id, p] : plan.stages) {
+    if (RunsAggregate(p)) return &p;
+  }
+  return nullptr;
+}
+
+// Q3, Q13 and Q18 group by a key their last join routes on, so each
+// group's rows already sit in one join task: the aggregate runs there.
+// Q9 groups by (nation, o_year), no join key, and keeps its exchange.
+TEST_F(PlannerTest, AggregateOverCoPartitionedJoinRunsInTheJoinStage) {
+  for (bool sort_mode : {true, false}) {
+    PlannerConfig cfg;
+    cfg.sort_mode = sort_mode;
+    for (int q : {3, 13, 18, 9}) {
+      SCOPED_TRACE("Q" + std::to_string(q) + (sort_mode ? " sort" : " hash"));
+      auto plan = PlanSql(*TpchQuerySql(q), catalog_, cfg);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const StageProgram* agg = FirstAggregateStage(*plan);
+      ASSERT_NE(agg, nullptr);
+      if (q == 9) {
+        EXPECT_FALSE(RunsJoin(*agg));
+        ASSERT_EQ(agg->inputs.size(), 1u);
+        EXPECT_TRUE(RunsJoin(plan->program(agg->inputs[0])));
+      } else {
+        EXPECT_TRUE(RunsJoin(*agg)) << plan->ToString();
+        EXPECT_EQ(agg->task_count, cfg.shuffle_tasks);
+      }
+    }
+  }
+}
+
+// A LEFT JOIN's NULL-extended rows come from every join task, so a
+// GROUP BY on its right key keeps its own stage; on its left key it
+// runs in the join stage.
+TEST_F(PlannerTest, LeftJoinGroupedByRightKeyKeepsItsExchange) {
+  const std::string join =
+      " from tpch_customer c left join tpch_orders o"
+      " on c.c_custkey = o.o_custkey";
+  auto right = PlanSql("select o_custkey, count(*) as n" + join +
+                           " group by o_custkey",
+                       catalog_);
+  ASSERT_TRUE(right.ok()) << right.status().ToString();
+  const StageProgram* agg = FirstAggregateStage(*right);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_FALSE(RunsJoin(*agg)) << right->ToString();
+
+  auto left = PlanSql("select c_custkey, count(*) as n" + join +
+                          " group by c_custkey",
+                      catalog_);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  agg = FirstAggregateStage(*left);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_TRUE(RunsJoin(*agg)) << left->ToString();
+}
+
+// An expression key, or a task count other than the join's, keeps the
+// exchange even when the key reads a join key column.
+TEST_F(PlannerTest, ExpressionKeyOrTaskMismatchKeepsTheExchange) {
+  auto expr = PlanSql(
+      "select o_orderkey + 0 as k, count(*) as n from tpch_orders o "
+      "join tpch_lineitem l on o.o_orderkey = l.l_orderkey group by k",
+      catalog_);
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  EXPECT_FALSE(RunsJoin(*FirstAggregateStage(*expr))) << expr->ToString();
+
+  // A global aggregate runs one task; the join runs four.
+  auto global = PlanSql(
+      "select count(*) as n from tpch_orders o "
+      "join tpch_lineitem l on o.o_orderkey = l.l_orderkey",
+      catalog_);
+  ASSERT_TRUE(global.ok()) << global.status().ToString();
+  EXPECT_FALSE(RunsJoin(*FirstAggregateStage(*global)))
+      << global->ToString();
+}
+
+// The client reads one task: a one-task top stage is the sink itself,
+// a multi-task one still gathers into a one-task sink stage.
+TEST_F(PlannerTest, SinkIsTheTopStageOnlyWhenItRunsOneTask) {
+  auto single = PlanSql("select count(*) from tpch_nation", catalog_);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->stages.size(), 1u) << single->ToString();
+  EXPECT_EQ(single->program(single->final_stage).scan_table, "tpch_nation");
+
+  auto grouped = PlanSql(
+      "select n_regionkey, count(*) as n from tpch_nation group by "
+      "n_regionkey",
+      catalog_);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped->stages.size(), 3u) << grouped->ToString();
+  const StageProgram& sink = grouped->program(grouped->final_stage);
+  EXPECT_EQ(sink.task_count, 1);
+  EXPECT_TRUE(sink.ops.empty());
+  ASSERT_EQ(sink.inputs.size(), 1u);
+  EXPECT_TRUE(RunsAggregate(grouped->program(sink.inputs[0])));
+  EXPECT_EQ(grouped->program(sink.inputs[0]).task_count, 4);
+}
+
+// Elided and exchanged plans answer alike: each join-then-GROUP BY
+// below runs at the default four shuffle tasks, where a consumer keyed
+// on a join key runs in the join stage, and at one shuffle task, where
+// every stage is single. Keys hold NULL, -0.0 and 0.0, NaN, and an
+// int64 key meeting a float64 one (3 = 3.0); aggregates are exact, so
+// the answers must be equal to the bit.
+TEST(ExchangeElisionParity, OneTaskPlansGiveTheSameRows) {
+  LocalRuntime rt;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Row> rows = {
+      {Value(int64_t{1}), Value(int64_t{3}), Value(3.0)},
+      {Value(int64_t{2}), Value(int64_t{0}), Value(-0.0)},
+      {Value(int64_t{3}), Value::Null(), Value(nan)},
+      {Value(int64_t{4}), Value(int64_t{3}), Value(0.0)},
+      {Value(int64_t{5}), Value(int64_t{7}), Value::Null()},
+      {Value(int64_t{6}), Value(int64_t{0}), Value(3.0)},
+      {Value(int64_t{7}), Value::Null(), Value(-nan)},
+      {Value(int64_t{8}), Value(int64_t{9}), Value(-0.0)},
+  };
+  auto table = MakeTable("nums",
+                         Schema({{"id", DataType::kInt64},
+                                 {"k", DataType::kInt64},
+                                 {"y", DataType::kFloat64}}),
+                         rows);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE(rt.catalog()->Register(*table).ok());
+
+  // Each row as text, float64 cells by their bits.
+  const auto canonical = [](const Batch& b) {
+    std::vector<std::string> out;
+    for (const Row& r : b.rows) {
+      std::string s;
+      for (const Value& v : r) {
+        s += v.is_float64()
+                 ? "f" + std::to_string(std::bit_cast<uint64_t>(v.float64()))
+                 : v.ToString();
+        s += '|';
+      }
+      out.push_back(std::move(s));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::string aggs =
+      ", count(*) as n, count(b.id) as nb, sum(a.id) as sa, min(b.y) as lo, "
+      "max(a.y) as hi from nums a ";
+  int elided = 0;
+  for (const char* join : {"join", "left join"}) {
+    for (const char* on : {"a.k = b.y", "a.y = b.y", "a.y = b.k"}) {
+      const std::string cond = on;
+      const std::string lkey = cond.substr(0, 3);
+      const std::string rkey = cond.substr(6);
+      for (const std::string& key : {lkey, rkey}) {
+        const std::string sql = "select " + key + aggs + join +
+                                " nums b on " + cond + " group by " + key;
+        for (bool sort_mode : {true, false}) {
+          SCOPED_TRACE(sql + (sort_mode ? " (sort mode)" : " (hash mode)"));
+          PlannerConfig wide;
+          wide.sort_mode = sort_mode;
+          PlannerConfig narrow = wide;
+          narrow.shuffle_tasks = 1;
+          auto plan = PlanSql(sql, *rt.catalog(), wide);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          elided += RunsJoin(*FirstAggregateStage(*plan)) ? 1 : 0;
+          auto got = rt.ExecuteSql(sql, wide);
+          auto want = rt.ExecuteSql(sql, narrow);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          EXPECT_FALSE(got->rows.empty());
+          EXPECT_EQ(canonical(*got), canonical(*want));
+        }
+      }
+    }
+  }
+  // Inner joins elide for either key, LEFT JOINs for the left key only:
+  // (3 + 3 + 3) conditions x 2 modes.
+  EXPECT_EQ(elided, 18);
 }
 
 // ---- Column pruning (DESIGN.md Sec. 18) ---------------------------------
@@ -280,8 +475,15 @@ const StageProgram* ScanOf(const DistributedPlan& plan,
   return nullptr;
 }
 
+// A multi-task scan, so the aggregate runs behind an exchange.
+PlannerConfig SplitScans() {
+  PlannerConfig cfg;
+  cfg.rows_per_scan_task = 1000;
+  return cfg;
+}
+
 TEST_F(PlannerTest, Q6ScanReadsFourColumnsAndShipsTwo) {
-  auto plan = PlanSql(*TpchQuerySql(6), catalog_);
+  auto plan = PlanSql(*TpchQuerySql(6), catalog_, SplitScans());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const StageProgram* scan = ScanOf(*plan, "tpch_lineitem");
   ASSERT_NE(scan, nullptr);
@@ -300,7 +502,7 @@ TEST_F(PlannerTest, Q6ScanReadsFourColumnsAndShipsTwo) {
 }
 
 TEST_F(PlannerTest, ExplainShowsScannedAndShippedColumns) {
-  auto plan = PlanSql(*TpchQuerySql(6), catalog_);
+  auto plan = PlanSql(*TpchQuerySql(6), catalog_, SplitScans());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const std::string s = plan->ToString();
   EXPECT_NE(s.find("scan(tpch_lineitem: l_quantity, l_extendedprice, "
@@ -490,6 +692,17 @@ bool HasFilter(const StageProgram& p) {
   return false;
 }
 
+// Whether `p` filters rows before its first sort, limit or aggregate: a
+// subquery's ORDER BY/LIMIT may run in its scan's stage, and an outer
+// WHERE then follows it there.
+bool FiltersBeforeBreaker(const StageProgram& p) {
+  for (const LocalOpDesc& op : p.ops) {
+    if (op.kind == LocalOpDesc::Kind::kFilter) return true;
+    if (op.kind != LocalOpDesc::Kind::kProject) return false;
+  }
+  return false;
+}
+
 // Each single-table WHERE conjunct runs in its table's scan, including
 // tables joined after the FROM operand: the scan reads the filter column
 // and ships neither it nor the rows it rejects.
@@ -671,7 +884,8 @@ class PlacementScopeTest : public ::testing::Test {
     auto plan = PlanSql(sql, *rt_.catalog());
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     if (plan.ok()) {
-      EXPECT_FALSE(HasFilter(*ScanOf(*plan, "tpch_lineitem"))) << sql;
+      EXPECT_FALSE(FiltersBeforeBreaker(*ScanOf(*plan, "tpch_lineitem")))
+          << sql;
     }
     auto got = rt_.ExecuteSql(sql);
     EXPECT_TRUE(got.ok()) << got.status().ToString();

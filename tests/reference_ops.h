@@ -395,8 +395,16 @@ inline std::vector<Row> Join(const Batch& left, const Batch& right,
   return out;
 }
 
+// A float64 value as its class's canonical member
+// (expr_eval::CanonicalFloat64); any other value as itself.
+inline Value Canonical(Value v) {
+  if (v.is_float64()) v = Value(expr_eval::CanonicalFloat64(v.float64()));
+  return v;
+}
+
 // GROUP BY with groups in first-seen order, each keyed by its first
-// row's key; NULL keys form a group and 3 equals 3.0. With no group
+// row's key with every float64 cell canonical (+0.0 for a zero, one
+// quiet NaN); NULL keys form a group and 3 equals 3.0. With no group
 // keys there is exactly one group, even over empty input. Over input
 // sorted by the keys this is also the StreamedAggregate answer.
 inline std::vector<Row> Aggregate(const Batch& in,
@@ -420,7 +428,8 @@ inline std::vector<Row> Aggregate(const Batch& in,
   }
   std::vector<Row> out;
   for (std::size_t g = 0; g < keys.size(); ++g) {
-    Row o = keys[g];
+    Row o;
+    for (const Value& k : keys[g]) o.push_back(Canonical(k));
     for (const AggSpec& a : aggs) {
       std::vector<Value> vals;  // non-NULL argument values, in row order
       for (const Row& r : members[g]) {
@@ -461,7 +470,7 @@ inline std::vector<Row> Aggregate(const Batch& in,
               best = v;
             }
           }
-          o.push_back(best);
+          o.push_back(Canonical(best));
           break;
         }
       }

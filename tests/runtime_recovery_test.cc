@@ -74,9 +74,15 @@ StageId FindAggStage(const DistributedPlan& plan) {
 const char* kGroupBySql =
     "select n_regionkey, count(*) as n from tpch_nation group by "
     "n_regionkey";
-// Pipeline-only plan: scan and final stage share one graphlet
-// (-> kIntraIdempotent).
+// Pipeline-only plan: a three-task scan pipelines into the one-task
+// gather stage in one graphlet (-> kIntraIdempotent). Unsplit, the
+// one-task scan would be the sink itself, with no consumer to pipeline.
 const char* kSelectSql = "select n_name from tpch_nation where n_regionkey = 3";
+PlannerConfig SplitScans() {
+  PlannerConfig pc;
+  pc.rows_per_scan_task = 10;
+  return pc;
+}
 
 const FailureKind kRetryableKinds[] = {FailureKind::kProcessCrash,
                                        FailureKind::kMachineFailure,
@@ -92,12 +98,13 @@ std::vector<std::string> CleanResult(const char* sql,
 
 // One injected failure, full job run, byte-compared against a clean run.
 void RunCaseMatrix(const char* sql, StageId (*pick)(const DistributedPlan&),
-                   int task_index, RecoveryCase want_case) {
-  const std::vector<std::string> want = CleanResult(sql);
+                   int task_index, RecoveryCase want_case,
+                   const PlannerConfig& pc = {}) {
+  const std::vector<std::string> want = CleanResult(sql, pc);
   for (FailureKind kind : kRetryableKinds) {
     SCOPED_TRACE(std::string(FailureKindToString(kind)));
     auto rt = MakeRuntime();
-    auto plan = PlanSql(sql, *rt->catalog(), PlannerConfig{});
+    auto plan = PlanSql(sql, *rt->catalog(), pc);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const StageId target = pick(*plan);
     ASSERT_GE(target, 0);
@@ -113,7 +120,12 @@ void RunCaseMatrix(const char* sql, StageId (*pick)(const DistributedPlan&),
 }
 
 TEST(RuntimeRecoveryMatrix, IntraIdempotentAcrossFailureKinds) {
-  RunCaseMatrix(kSelectSql, FindScanStage, 0, RecoveryCase::kIntraIdempotent);
+  auto plan = PlanSql(kSelectSql, *MakeRuntime()->catalog(), SplitScans());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->stages.size(), 2u);
+  ASSERT_EQ(plan->program(FindScanStage(*plan)).task_count, 3);
+  RunCaseMatrix(kSelectSql, FindScanStage, 0, RecoveryCase::kIntraIdempotent,
+                SplitScans());
 }
 
 TEST(RuntimeRecoveryMatrix, InputFailureAcrossFailureKinds) {
@@ -468,7 +480,9 @@ TEST(RuntimeRecoveryMatrix, ReplicaFanoutServesMachineLossFromReplicas) {
 
 // ---- Graphlet scheduling -------------------------------------------
 
-// A sort-mode group-by with ORDER BY plans three graphlets in a chain.
+// A sort-mode group-by with ORDER BY plans two graphlets in a chain: the
+// scan pipelines into the aggregate, whose sort cuts before the one-task
+// ORDER BY stage (the sink).
 const char* kChainSql =
     "select n_regionkey, count(*) as n from tpch_nation group by "
     "n_regionkey order by n desc";
@@ -512,7 +526,7 @@ TEST(RuntimeGraphletTest, SubmitsInDependencyOrder) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   auto gp = ShuffleModeAwarePartitioner().Partition(plan->dag);
   ASSERT_TRUE(gp.ok());
-  ASSERT_EQ(gp->graphlets.size(), 3u);
+  ASSERT_EQ(gp->graphlets.size(), 2u);
   const std::vector<std::string> order = ChainOrder(*gp);
   auto report = rt->RunPlan(*plan);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -358,6 +358,37 @@ TEST_F(PlanModeParityTest, FiltersCompareUnderTheOrder) {
   ExpectMultiset("select id from floats where x = x", ids({1, 2, 3, 4, 5, 6}));
 }
 
+// A zero group key and a zero MIN/MAX read +0.0 in both modes, whether
+// the first zero row holds -0.0 or 0.0.
+TEST_F(PlanModeParityTest, ZeroKeyAndMinMaxArePositiveZero) {
+  const std::map<std::string, std::vector<double>> tables = {
+      {"zeros_neg_first", {-0.0, 0.0, -0.0}},
+      {"zeros_pos_first", {0.0, -0.0, -0.0}}};
+  for (const auto& [name, xs] : tables) {
+    std::vector<Row> rows;
+    for (double x : xs) rows.push_back({Value(x)});
+    auto t = MakeTable(name, Schema({{"x", DataType::kFloat64}}), rows);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_TRUE(runtime_.catalog()->Register(*t).ok());
+    for (const std::string& sql :
+         {"select x, count(*) as n from " + name + " group by x",
+          "select min(x) as lo, max(x) as hi, count(*) as n from " + name}) {
+      const auto [sorted, hashed] = Run(sql);
+      for (const Batch* b : {&sorted, &hashed}) {
+        const char* mode = b == &sorted ? "sort mode" : "hash mode";
+        ASSERT_EQ(b->num_rows(), 1u) << sql << " " << mode;
+        const Row& r = b->rows[0];
+        for (std::size_t c = 0; c + 1 < r.size(); ++c) {
+          EXPECT_EQ(r[c].float64(), 0.0) << sql << " " << mode;
+          EXPECT_FALSE(std::signbit(r[c].float64()))
+              << sql << " " << mode << " column " << c;
+        }
+        EXPECT_EQ(r.back().int64(), 3) << sql << " " << mode;
+      }
+    }
+  }
+}
+
 // h is NaN for nation 3 (0 * inf) and n_nationkey (+ 1/inf = 0) for the
 // other 24: 25 distinct values, each equal only to itself.
 TEST_F(PlanModeParityTest, NaNKeyFromAnExpressionIsOneGroup) {

@@ -1,12 +1,14 @@
 // Standing perf gate (ctest label perf_guard): TPC-H at a larger scale
 // factor than the correctness suites, forced onto the compressed Remote
-// path, codec-throughput floors on real TPC-H shuffle payloads, and a
-// heap ceiling on the generated table store.
+// path, codec-throughput floors on real TPC-H shuffle payloads, a heap
+// ceiling on the generated table store, and the suite's shuffle bytes
+// and task count.
 // Guards catch order-of-magnitude regressions (a quadratic match loop,
 // an accidental copy per block), so the floors sit well under the
 // steady-state numbers in EXPERIMENTS.md; timing is best-of-N against
-// scheduler noise. Skipped under sanitizers — instrumentation distorts
-// byte-level codec cost by an order of magnitude.
+// scheduler noise. Timed guards skip under sanitizers — instrumentation
+// distorts byte-level codec cost by an order of magnitude; the counts
+// run everywhere.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "exec/serde.h"
 #include "exec/tpch.h"
 #include "runtime/local_runtime.h"
+#include "sql/tpch_queries.h"
 
 namespace swift {
 namespace {
@@ -130,6 +133,30 @@ TEST(TpchPerfGuardTest, LargerScaleTpchOverCompressedRemotePath) {
     // on the reference container; only a gross regression trips it.
     EXPECT_LT(std::chrono::duration<double>(t1 - t0).count(), 120.0);
   }
+}
+
+// Exchange elision (DESIGN.md Sec. 20) as counts, which repeat exactly:
+// the TPC-H suite in sort mode at sf 0.005 on a default runtime ships no
+// more bytes and runs no more tasks than measured once an aggregate over
+// a co-partitioned join and a one-task tail run in their input's stage
+// (10,549,512 bytes, 165 tasks). Planned with an exchange in front of
+// every aggregate and sink, the suite ships 12,613,078 bytes in 188
+// tasks.
+TEST(TpchPerfGuardTest, SuiteShuffleBytesAndTaskCount) {
+  LocalRuntime rt;
+  TpchConfig tpch;
+  tpch.scale_factor = 0.005;
+  ASSERT_TRUE(GenerateTpch(tpch, rt.catalog()).ok());
+  int64_t tasks = 0;
+  for (int q : RunnableTpchQueries()) {
+    auto report = rt.RunSql(*TpchQuerySql(q));
+    ASSERT_TRUE(report.ok()) << "Q" << q << ": " << report.status().ToString();
+    tasks += report->stats.tasks_executed;
+  }
+  // The service counts over the runtime's life: here, the suite.
+  const int64_t bytes = rt.shuffle_service()->stats().bytes_transferred;
+  EXPECT_LE(bytes, 10549512);
+  EXPECT_LE(tasks, 165);
 }
 
 }  // namespace
